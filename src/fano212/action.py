@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, as_power_of_root, cyc, root_of_unity
-from .linalg import matrix_rank, nullspace, rref, solve
-from .model import ModelTriple, model_from_matrices, determinantal_quartic, \
-    quartic_smooth, validate_model, InvalidModel
+from .cyclotomic import cyc, root_of_unity
+from .linalg import nullspace, solve
+from .model import ModelTriple, determinantal_quartic, quartic_smooth, \
+    validate_model, InvalidModel
 
 
 class InvalidAction(ValueError):
@@ -377,19 +376,13 @@ def _mix_basis(mats, rng):
     return tuple(mixed)
 
 
-def random_equivariant_model(
-    n: int, weights, exponents, seed: int, attempts: int = 50, mix: bool = True
-):
-    """A ModelTriple on which the swap action with the given weights acts with
-    the prescribed form exponents, found by drawing from exact eigenspaces and
-    resampling until the determinantal quartic is smooth.
-
-    Returns (model, spec).  Deterministic in the seed.
-    """
-    spec = ActionSpec(order=n, weights=tuple(weights), swap=True)
+def _random_model(spec: ActionSpec, eigenbasis, exponents, seed, attempts, mix):
+    """Draw each form from the eigenspace eigenbasis(s) of its exponent s,
+    resampling until the determinantal quartic is smooth."""
+    n = spec.order
     bases = []
     for s in exponents:
-        basis = transpose_twist_eigenbasis(n, spec.weights, s % n)
+        basis = eigenbasis(s % n)
         if not basis:
             raise GenerationError(
                 "the eigenspace for exponent %d mod %d is zero" % (s, n)
@@ -420,39 +413,30 @@ def random_equivariant_model(
     )
 
 
+def random_equivariant_model(
+    n: int, weights, exponents, seed: int, attempts: int = 50, mix: bool = True
+):
+    """A ModelTriple on which the swap action with the given weights acts with
+    the prescribed form exponents, found by drawing from exact eigenspaces and
+    resampling until the determinantal quartic is smooth.
+
+    Returns (model, spec).  Deterministic in the seed.
+    """
+    spec = ActionSpec(order=n, weights=tuple(weights), swap=True)
+    return _random_model(
+        spec,
+        lambda s: transpose_twist_eigenbasis(n, spec.weights, s),
+        exponents, seed, attempts, mix,
+    )
+
+
 def random_diagonal_model(
     n: int, weights, weights2, exponents, seed: int, attempts: int = 50, mix: bool = True
 ):
     """Diagonal (non-swap) counterpart of random_equivariant_model."""
     spec = ActionSpec(order=n, weights=tuple(weights), swap=False, weights2=tuple(weights2))
-    bases = []
-    for s in exponents:
-        basis = diagonal_twist_eigenbasis(n, spec.weights, spec.weights2, s % n)
-        if not basis:
-            raise GenerationError(
-                "the eigenspace for exponent %d mod %d is zero" % (s, n)
-            )
-        bases.append(basis)
-    validate_action(spec)
-    rng = random.Random(seed)
-    failure = "no draw attempted"
-    for _ in range(attempts):
-        mats = tuple(_random_combination(b, rng, n) for b in bases)
-        if mix:
-            candidate = _mix_basis(mats, rng)
-        else:
-            candidate = mats
-        try:
-            model = ModelTriple(candidate, n)
-            validate_model(model)
-            q = determinantal_quartic(model)
-        except InvalidModel as exc:
-            failure = str(exc)
-            continue
-        if not quartic_smooth(q):
-            failure = "determinantal quartic is singular"
-            continue
-        return model, spec
-    raise GenerationError(
-        "no smooth instance in %d attempts (last failure: %s)" % (attempts, failure)
+    return _random_model(
+        spec,
+        lambda s: diagonal_twist_eigenbasis(n, spec.weights, spec.weights2, s),
+        exponents, seed, attempts, mix,
     )

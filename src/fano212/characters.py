@@ -14,7 +14,7 @@ from enum import Enum
 
 from .action import ActionSpec, InvariantPencil
 from .cohomology import equivariant_top_eigenvalue
-from .cyclotomic import Cyclotomic, as_power_of_root, cyc, root_of_unity
+from .cyclotomic import as_power_of_root, cyc, root_of_unity
 from .model import ModelTriple, determinantal_quartic
 
 

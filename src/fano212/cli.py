@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from math import lcm
 
 from .action import (
-    ActionSpec,
     GenerationError,
     InvalidAction,
     PencilNotInvariant,
@@ -29,7 +29,6 @@ from .action import (
     MINUS_K,
 )
 from .characters import (
-    CharacterMultiset,
     OracleError,
     Verdict,
     characters_differ,
@@ -95,10 +94,6 @@ def _echo_instance(report: Report, inst: Instance):
     report.put("convention", CONVENTION)
 
 
-def _character_string(c: CharacterMultiset) -> str:
-    return "{%s} mod %d" % (", ".join(str(e) for e in c.exponents), c.order)
-
-
 def _pencil_with_validation(inst: Instance, report: Report):
     pencil = invariant_pencil(inst.model, inst.spec)
     report.put("pencil.exponents", ", ".join(str(s) for s in sorted(pencil.exponents)))
@@ -113,13 +108,25 @@ def _pencil_with_validation(inst: Instance, report: Report):
     return pencil
 
 
+def _characters(inst: Instance, report: Report):
+    """The validated invariant pencil and the formula characters of the curve
+    Jacobian and, for a swap action, of the intermediate Jacobian (else None).
+    Only the pencil check writes to the report."""
+    pencil = _pencil_with_validation(inst, report)
+    n = inst.spec.order
+    weights = list(inst.spec.weights) + list(inst.spec.weights2 or ())
+    jac = jac_curve_characters(pencil.exponents, weights, n)
+    ij = ij_characters(pencil.exponents, weights, n) if inst.spec.swap else None
+    return pencil, jac, ij
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_validate(inst: Instance, args, report: Report) -> int:
     report.put("model.forms-independent", True)  # load_instance already validated
     report.put("action.projective-order", projective_order(inst.spec))
-    pencil = _pencil_with_validation(inst, report)
+    _pencil_with_validation(inst, report)
     report.put("action.preserves-pencil", True)
     report.put("validate.ok", True)
     return EXIT_OK
@@ -163,20 +170,16 @@ def cmd_gfano(inst: Instance, args, report: Report) -> int:
 
 
 def cmd_chars(inst: Instance, args, report: Report) -> int:
-    pencil = _pencil_with_validation(inst, report)
-    n = inst.spec.order
-    weights = list(inst.spec.weights) + list(inst.spec.weights2 or ())
-    jac = jac_curve_characters(pencil.exponents, weights, n)
-    report.put("characters.jacobian", _character_string(jac))
+    pencil, jac, ij = _characters(inst, report)
+    report.put("characters.jacobian", str(jac))
     if inst.spec.swap:
-        ij = ij_characters(pencil.exponents, weights, n)
-        report.put("characters.intermediate-jacobian", _character_string(ij))
+        report.put("characters.intermediate-jacobian", str(ij))
         report.put("characters.differ", characters_differ(jac, ij))
     if args.oracle:
         jac_o = curve_action_oracle(pencil)
-        report.put("oracle.jacobian", _character_string(jac_o))
+        report.put("oracle.jacobian", str(jac_o))
         ij_o = ij_oracle(pencil)
-        report.put("oracle.intermediate-jacobian", _character_string(ij_o))
+        report.put("oracle.intermediate-jacobian", str(ij_o))
         agree = jac == jac_o and (not inst.spec.swap or ij == ij_o)
         report.put("oracle.agrees", agree)
         if not agree:
@@ -185,19 +188,15 @@ def cmd_chars(inst: Instance, args, report: Report) -> int:
 
 
 def cmd_verify(inst: Instance, args, report: Report) -> int:
-    pencil = _pencil_with_validation(inst, report)
-    n = inst.spec.order
-    weights = list(inst.spec.weights) + list(inst.spec.weights2 or ())
-    jac = jac_curve_characters(pencil.exponents, weights, n)
+    pencil, jac, ij = _characters(inst, report)
     jac_o = curve_action_oracle(pencil)
-    report.put("jacobian.formula", _character_string(jac))
-    report.put("jacobian.oracle", _character_string(jac_o))
+    report.put("jacobian.formula", str(jac))
+    report.put("jacobian.oracle", str(jac_o))
     report.put("jacobian.agree", jac == jac_o)
     ij_o = ij_oracle(pencil)
-    report.put("intermediate-jacobian.oracle", _character_string(ij_o))
+    report.put("intermediate-jacobian.oracle", str(ij_o))
     if inst.spec.swap:
-        ij = ij_characters(pencil.exponents, weights, n)
-        report.put("intermediate-jacobian.formula", _character_string(ij))
+        report.put("intermediate-jacobian.formula", str(ij))
         report.put("intermediate-jacobian.agree", ij == ij_o)
         report.put("characters.differ", characters_differ(jac, ij))
         ok = jac == jac_o and ij == ij_o and characters_differ(jac, ij)
@@ -262,12 +261,9 @@ def cmd_verdict(inst: Instance, args, report: Report) -> int:
     result = verdict(inst.spec)
     report.put("verdict", result.value)
     if result is Verdict.NOT_LINEARISABLE:
-        pencil = _pencil_with_validation(inst, report)
-        n = inst.spec.order
-        jac = jac_curve_characters(pencil.exponents, inst.spec.weights, n)
-        ij = ij_characters(pencil.exponents, inst.spec.weights, n)
-        report.put("witness.jacobian", _character_string(jac))
-        report.put("witness.intermediate-jacobian", _character_string(ij))
+        _, jac, ij = _characters(inst, report)
+        report.put("witness.jacobian", str(jac))
+        report.put("witness.intermediate-jacobian", str(ij))
         report.put("witness.characters-differ", characters_differ(jac, ij))
         report.put(
             "explanation",
@@ -296,7 +292,7 @@ def cmd_random(args, report: Report) -> int:
     inst = Instance(
         model=model,
         spec=spec,
-        conductor=_lcm(model.conductor, spec.order),
+        conductor=lcm(model.conductor, spec.order),
         declared_exponents=exponents,
     )
     if args.out:
@@ -306,12 +302,6 @@ def cmd_random(args, report: Report) -> int:
         report.put("random.instance", "\n" + serialize_instance(inst))
     report.put("random.seed", args.seed)
     return EXIT_OK
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 # -- dispatch ---------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .cyclotomic import Cyclotomic, cyc, root_of_unity
+from .cyclotomic import root_of_unity
 
 
 class TruncationHypothesisError(ValueError):

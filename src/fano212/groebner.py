@@ -2,9 +2,12 @@
 algorithm, plus the projective-emptiness test and Hilbert polynomials of
 homogeneous ideals.
 
-S-pair selection uses the normal strategy (smallest lcm in grevlex); the
-product and chain criteria prune pairs.  S-pair degrees are capped so a
-runaway computation fails loudly instead of hanging.
+One pair loop serves two coefficient domains: ideals with rational
+coefficients run on integer terms (pseudo-reduction, content stripped), all
+others on Q(zeta_N) coefficients.  S-pair selection uses the normal strategy
+(smallest lcm in grevlex); the product and chain criteria prune pairs.
+S-pair degrees are capped so a runaway computation fails loudly instead of
+hanging.
 """
 
 from __future__ import annotations
@@ -148,9 +151,6 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return left - right
 
 
-# -- Buchberger ----------------------------------------------------------------
-
-
 # -- integer engine --------------------------------------------------------
 #
 # Ideals whose coefficients are all rational run on plain integer
@@ -254,9 +254,15 @@ def _int_normal_form(p: dict, lead_data) -> dict:
     return remainder
 
 
-def _int_s_polynomial(f: dict, fl, g: dict, gl) -> dict:
-    fm, fc = fl
-    gm, gc = gl
+def _int_lead_datum(terms: dict):
+    """(leading monomial, leading coefficient, terms) of an integer poly."""
+    lm = max(terms, key=grevlex_key)
+    return lm, terms[lm], terms
+
+
+def _int_s_polynomial(fd, gd) -> dict:
+    fm, fc, f = fd
+    gm, gc, g = gd
     lcm = monomial_lcm(fm, gm)
     d = gcd(fc, gc)
     fshift, fmul = monomial_div(lcm, fm), gc // d
@@ -274,24 +280,30 @@ def _int_s_polynomial(f: dict, fl, g: dict, gl) -> dict:
     return terms
 
 
-def _buchberger_rational(generators, nvars, cap, stop_at_unit):
-    basis = [_to_int_terms(g) for g in generators]
-    leads = [max(g, key=grevlex_key) for g in basis]
-    lead_data = [(leads[i], basis[i][leads[i]], basis[i]) for i in range(len(basis))]
-    if any(sum(m) == 0 for m in leads):
-        return [MultiPoly.constant(1, nvars)]
+# -- Buchberger ----------------------------------------------------------------
 
+
+def _pair_key(i, j):
+    return (i, j) if i < j else (j, i)
+
+
+def _pair_loop(leads, s_pair, reduce, cap, stop_at_unit):
+    """Buchberger's pair loop over a basis that the caller holds.
+
+    leads lists the leading monomials of the basis elements.  s_pair(i, j)
+    is the S-polynomial of elements i and j; reduce(p) reduces p by the
+    basis and, if the remainder is nonzero, appends it to the basis and
+    returns its leading monomial (None otherwise).  Returns True when
+    stop_at_unit is set and a constant remainder appeared, else False.
+    """
     pairs = {}
-
-    def pair_key(i, j):
-        return (i, j) if i < j else (j, i)
 
     def add_pairs(new_index):
         for i in range(new_index):
             pairs[(i, new_index)] = monomial_lcm(leads[i], leads[new_index])
 
     done = set()
-    for j in range(1, len(basis)):
+    for j in range(1, len(leads)):
         add_pairs(j)
 
     while pairs:
@@ -302,35 +314,28 @@ def _buchberger_rational(generators, nvars, cap, stop_at_unit):
             )
         del pairs[(i, j)]
         done.add((i, j))
+        # product criterion
         if lcm == monomial_mul(leads[i], leads[j]):
             continue
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
+        # chain criterion
+        for k in range(len(leads)):
             if (
-                monomial_divides(leads[k], lcm)
-                and pair_key(i, k) in done
-                and pair_key(j, k) in done
+                k != i
+                and k != j
+                and monomial_divides(leads[k], lcm)
+                and _pair_key(i, k) in done
+                and _pair_key(j, k) in done
             ):
-                skip = True
                 break
-        if skip:
-            continue
-        spoly = _int_s_polynomial(
-            basis[i], lead_data[i][:2], basis[j], lead_data[j][:2]
-        )
-        remainder = _int_normal_form(spoly, lead_data)
-        if not remainder:
-            continue
-        lm = max(remainder, key=grevlex_key)
-        if stop_at_unit and sum(lm) == 0:
-            return [MultiPoly.constant(1, nvars)]
-        basis.append(remainder)
-        leads.append(lm)
-        lead_data.append((lm, remainder[lm], remainder))
-        add_pairs(len(basis) - 1)
-    return [_from_int_terms(g, nvars) for g in basis]
+        else:
+            lm = reduce(s_pair(i, j))
+            if lm is None:
+                continue
+            if stop_at_unit and sum(lm) == 0:
+                return True
+            leads.append(lm)
+            add_pairs(len(leads) - 1)
+    return False
 
 
 def buchberger(generators, cap: int = DEGREE_CAP, stop_at_unit: bool = False):
@@ -338,72 +343,44 @@ def buchberger(generators, cap: int = DEGREE_CAP, stop_at_unit: bool = False):
     basis = [content_normalize(g) for g in generators if not g.is_zero()]
     if not basis:
         return []
-    for g in basis:
-        mono, _ = leading_term(g)
-        if sum(mono) == 0:
-            return [MultiPoly.constant(1, g.nvars)]
-    if all(_is_rational_poly(g) for g in basis):
-        return _buchberger_rational(basis, basis[0].nvars, cap, stop_at_unit)
+    nvars = basis[0].nvars
+    if any(sum(leading_term(g)[0]) == 0 for g in basis):
+        return [MultiPoly.constant(1, nvars)]
 
-    lead_data = reducer_data(basis)
-    pairs = {}
+    rational = all(_is_rational_poly(g) for g in basis)
+    if rational:
+        lead_data = [_int_lead_datum(_to_int_terms(g)) for g in basis]
 
-    def pair_key(i, j):
-        return (i, j) if i < j else (j, i)
+        def s_pair(i, j):
+            return _int_s_polynomial(lead_data[i], lead_data[j])
 
-    def add_pairs(new_index):
-        lm_new, _ = leading_term(basis[new_index])
-        for i in range(new_index):
-            lm_i, _ = leading_term(basis[i])
-            pairs[(i, new_index)] = monomial_lcm(lm_i, lm_new)
+        def reduce(p):
+            remainder = _int_normal_form(p, lead_data)
+            if not remainder:
+                return None
+            lead_data.append(_int_lead_datum(remainder))
+            return lead_data[-1][0]
 
-    done = set()
-    for j in range(1, len(basis)):
-        add_pairs(j)
+    else:
+        lead_data = reducer_data(basis)
 
-    while pairs:
-        (i, j), lcm = min(pairs.items(), key=lambda kv: grevlex_key(kv[1]))
-        if sum(lcm) > cap:
-            raise DegreeCapExceeded(
-                "S-pair degree %d exceeds cap %d" % (sum(lcm), cap)
-            )
-        del pairs[(i, j)]
-        done.add((i, j))
-        lm_i, _ = leading_term(basis[i])
-        lm_j, _ = leading_term(basis[j])
-        # product criterion
-        if lcm == monomial_mul(lm_i, lm_j):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            lm_k, _ = leading_term(basis[k])
-            if (
-                monomial_divides(lm_k, lcm)
-                and pair_key(i, k) in done
-                and pair_key(j, k) in done
-            ):
-                skip = True
-                break
-        if skip:
-            continue
-        remainder = normal_form(
-            content_normalize(s_polynomial(basis[i], basis[j])),
-            basis,
-            lead_data,
-        )
-        if remainder.is_zero():
-            continue
-        remainder = content_normalize(remainder)
-        mono, _ = leading_term(remainder)
-        if stop_at_unit and sum(mono) == 0:
-            return [MultiPoly.constant(1, remainder.nvars)]
-        basis.append(remainder)
-        lead_data.append(leading_term(remainder)[:1]
-                         + (leading_term(remainder)[1].inverse(), remainder))
-        add_pairs(len(basis) - 1)
+        def s_pair(i, j):
+            return content_normalize(s_polynomial(basis[i], basis[j]))
+
+        def reduce(p):
+            remainder = normal_form(p, basis, lead_data)
+            if remainder.is_zero():
+                return None
+            remainder = content_normalize(remainder)
+            basis.append(remainder)
+            lead_data.extend(reducer_data([remainder]))
+            return lead_data[-1][0]
+
+    leads = [datum[0] for datum in lead_data]
+    if _pair_loop(leads, s_pair, reduce, cap, stop_at_unit):
+        return [MultiPoly.constant(1, nvars)]
+    if rational:
+        return [_from_int_terms(datum[2], nvars) for datum in lead_data]
     return basis
 
 

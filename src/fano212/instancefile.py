@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import ActionSpec, validate_action, InvalidAction
-from .cyclotomic import Cyclotomic, LiteralError, format_cyclotomic, parse_cyclotomic
-from .model import InvalidModel, ModelTriple, model_from_matrices, validate_model
+from .action import ActionSpec, validate_action
+from .cyclotomic import LiteralError, format_cyclotomic, parse_cyclotomic
+from .model import ModelTriple, model_from_matrices, validate_model
 
 
 class ParseError(ValueError):

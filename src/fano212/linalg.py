@@ -27,10 +27,6 @@ def mat_mul(a, b):
     return [[_dot(row, col) for col in bt] for row in a]
 
 
-def mat_vec(a, v):
-    return [_dot(row, v) for row in a]
-
-
 def _dot(u, v):
     total = _zero()
     for x, y in zip(u, v):

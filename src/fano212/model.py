@@ -17,14 +17,12 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyclotomic, cyc
+from .cyclotomic import cyc
 from .groebner import (
     DEGREE_CAP,
     DegreeCapExceeded,
     Ideal,
-    buchberger,
     is_unit_ideal,
-    leading_term,
     projective_empty,
 )
 from .linalg import (
@@ -33,7 +31,6 @@ from .linalg import (
     nullspace,
     proj_equal,
     proj_normalize,
-    rref,
 )
 from .multipoly import MultiPoly, maximal_minors, poly_det
 
@@ -329,33 +326,6 @@ def _univariate_coeffs(p: MultiPoly, var: int):
         coeffs[exps[var]] = coef
     degree = max(coeffs, default=0)
     return [coeffs.get(k, cyc(0)) for k in range(degree + 1)]
-
-
-def _resultant_univariate(f, g):
-    """Resultant of two univariate coefficient lists via the Sylvester matrix."""
-    from .linalg import det as scalar_det
-
-    while len(f) > 1 and f[-1].is_zero():
-        f = f[:-1]
-    while len(g) > 1 and g[-1].is_zero():
-        g = g[:-1]
-    n, m = len(f) - 1, len(g) - 1
-    if n == 0 or m == 0:
-        base = f[0] if n == 0 else g[0]
-        return base ** max(n, m, 1)
-    size = n + m
-    rows = []
-    for i in range(m):
-        row = [cyc(0)] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [cyc(0)] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return scalar_det(rows)
 
 
 def _rational_roots(poly_coeffs, max_denominator: int = 64):

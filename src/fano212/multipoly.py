@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, cyc
+from .cyclotomic import Cyclotomic
 
 
 def _coerce(value) -> Cyclotomic:
@@ -337,11 +337,6 @@ def maximal_minors(rows) -> tuple:
         cols = [c for c in range(4) if c != drop]
         minors.append(poly_det([[rows[r][c] for c in cols] for r in range(3)]))
     return tuple(minors)
-
-
-def scalar_matrix_to_polys(matrix, nvars: int):
-    """View a scalar matrix as constant polynomials (helper for poly_det)."""
-    return [[MultiPoly.constant(v, nvars) for v in row] for row in matrix]
 
 
 def cyclotomic_polynomial(n: int) -> MultiPoly:

@@ -198,3 +198,30 @@ def test_unit_ideal_detection():
     x, y = variables(2)
     assert is_unit_ideal([x, y, x * y - 1]) is True
     assert is_unit_ideal([x * x, x * y]) is False
+    i = Cyclotomic.zeta(4)
+    assert is_unit_ideal([x * i, y, x * y - 1]) is True
+    assert is_unit_ideal([x * x * i, x * y]) is False
+
+
+def _twisted_cubic():
+    v = variables(4)
+    return [
+        v[0] * v[2] - v[1] ** 2,
+        v[0] * v[3] - v[1] * v[2],
+        v[1] * v[3] - v[2] ** 2,
+    ]
+
+
+def _quadric_triple():
+    rng = random.Random(5)
+    monos = [m for m in itertools.product(range(3), repeat=4) if sum(m) == 2]
+    return [MultiPoly(4, {m: rng.randint(-2, 2) for m in monos}) for _ in range(3)]
+
+
+@pytest.mark.parametrize("ideal", [_twisted_cubic, _quadric_triple])
+def test_both_coefficient_domains_give_one_reduced_basis(ideal):
+    # rational input runs on integer terms; a zeta_4 factor forces Q(zeta_4)
+    gens = ideal()
+    twisted = [gens[0] * Cyclotomic.zeta(4)] + gens[1:]
+    assert not all(c.is_rational() for c in twisted[0].terms.values())
+    assert groebner(twisted) == groebner(gens)

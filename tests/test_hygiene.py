@@ -1,0 +1,39 @@
+"""Static checks on the package source: every imported name is used."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "fano212")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+
+
+def unused_imports(source: str):
+    """Names bound by an import statement that the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(bound, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in used
+    )
+
+
+def test_checker_flags_an_unused_import():
+    source = "from __future__ import annotations\nimport os\nfrom a import b, c as d\nd()\n"
+    assert unused_imports(source) == [(2, "os"), (3, "b")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+        assert unused_imports(handle.read()) == []
