@@ -140,7 +140,12 @@ def ij_oracle(pencil: InvariantPencil) -> CharacterMultiset:
     """Eigenvalues of the action on the top cohomology classes computing the
     intermediate Jacobian side: the equivariant top eigenvalue of O(-4, -4)
     (graded swap sign included), twisted by the Koszul generator and by each
-    line-bundle factor."""
+    line-bundle factor.
+
+    This restates the closed form w^(s_j + sum s - sum r) (r: every weight)
+    of jac_curve_characters and ij_characters rather than checking it
+    independently.  Only the sign, -1 for a swap, is computed separately, by
+    cohomology.graded_reorder_sign, and that sign is tested on its own."""
     n = pencil.order
     top = equivariant_top_eigenvalue(
         pencil.weights, n, pencil.swap, pencil.weights2

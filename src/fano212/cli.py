@@ -260,8 +260,8 @@ def cmd_picard(inst, args, report: Report) -> int:
 def cmd_verdict(inst: Instance, args, report: Report) -> int:
     result = verdict(inst.spec)
     report.put("verdict", result.value)
+    _, jac, ij = _characters(inst, report)
     if result is Verdict.NOT_LINEARISABLE:
-        _, jac, ij = _characters(inst, report)
         report.put("witness.jacobian", str(jac))
         report.put("witness.intermediate-jacobian", str(ij))
         report.put("witness.characters-differ", characters_differ(jac, ij))

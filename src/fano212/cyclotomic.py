@@ -8,7 +8,6 @@ to the least common multiple; no conductor reduction is attempted afterwards.
 
 from __future__ import annotations
 
-import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -309,10 +308,6 @@ class Cyclotomic:
     __hash__ = None  # equality crosses conductors; not usable as dict key
 
     # -- conversions -------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(float(c) * z**i for i, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.n, format_cyclotomic(self))

@@ -15,9 +15,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import gcd, lcm
 
-from .cyclotomic import cyc
+from .cyclotomic import _poly_divmod, cyc, euler_phi
 from .groebner import (
     DEGREE_CAP,
     DegreeCapExceeded,
@@ -328,172 +329,118 @@ def _univariate_coeffs(p: MultiPoly, var: int):
     return [coeffs.get(k, cyc(0)) for k in range(degree + 1)]
 
 
-def _rational_roots(poly_coeffs, max_denominator: int = 64):
-    """Exact rational roots of a univariate polynomial over Q(zeta_N),
-    reconstructed from floating-point root hints and verified exactly."""
-    import numpy
+def _trim(p):
+    """A dense polynomial without its zero leading coefficients."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
-    degree = len(poly_coeffs) - 1
-    while degree > 0 and poly_coeffs[degree].is_zero():
-        degree -= 1
-    if degree <= 0:
-        return []
-    numeric = [poly_coeffs[k].to_complex() for k in range(degree, -1, -1)]
-    try:
-        hints = numpy.roots(numeric)
-    except Exception:
-        return []
-    roots = []
-    for hint in hints:
-        if abs(hint.imag) > 1e-8:
-            continue
-        candidate = Fraction(hint.real).limit_denominator(max_denominator)
-        value = cyc(0)
-        for k in range(degree, -1, -1):
-            value = value * candidate + poly_coeffs[k]
-        if value.is_zero() and candidate not in roots:
-            roots.append(candidate)
+
+def _poly_gcd(a, b):
+    """Monic gcd over Q of two dense polynomials (constant term first);
+    [] when both are zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _trim(_poly_divmod(a, b)[1])
+    return [c / a[-1] for c in a]
+
+
+def _horner(coeffs, x):
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def _rational_roots(coeffs):
+    """Every rational root of a nonzero polynomial over Q(zeta_N), given by
+    its Cyclotomic coefficients (constant term first), in no fixed order.
+
+    A rational t is a root iff it is a root of every power-basis coordinate
+    polynomial, hence of their gcd g over Q.  The root t = 0 is read off g and
+    divided out, and g is made squarefree; scaled to integers a_0..a_d it has
+    a_0 != 0, so a root u/v in lowest terms has |u| <= |a_0| and v | a_d.
+
+    Why every root is found: take the least prime p not dividing a_d at which
+    every root of g mod p is simple (any p dividing neither a_d nor the
+    nonzero discriminant of g qualifies, so the search ends).  As v is a unit
+    mod p, u/v reduces to a root mod p, a simple one, so its Hensel (Newton)
+    lift to p^k is unique and is u/v mod p^k.  Once p^k > 2|a_0||a_d|, two
+    fractions with numerators at most |a_0| and denominators at most |a_d|
+    that are congruent mod p^k are equal, and u/v is a convergent of
+    lift/p^k (Legendre, as 2|u|v < p^k), so the extended Euclidean algorithm
+    on (p^k, lift) meets it at its first remainder <= |a_0|.  Every candidate
+    is checked exactly, so nothing else is returned.
+    """
+    n = lcm(*(c.n for c in coeffs))
+    lifted = [c.lift(n).coeffs for c in coeffs]
+    g = []
+    for k in range(euler_phi(n)):
+        g = _poly_gcd(g, [c[k] for c in lifted])
+    if not g:
+        raise ValueError("the zero polynomial vanishes at every t")
+    roots = [Fraction(0)] if g[0] == 0 else []
+    while g[0] == 0:
+        g = g[1:]
+    g = _poly_divmod(g, _poly_gcd(g, [k * c for k, c in enumerate(g)][1:]))[0]
+    scale = lcm(*(c.denominator for c in g))
+    a = [int(c * scale) for c in g]
+    if len(a) < 2:
+        return roots
+    da = [k * c for k, c in enumerate(a)][1:]
+    for p in count(2):
+        if all(p % q for q in range(2, p)) and a[-1] % p:
+            residues = [r for r in range(p) if _horner(a, r) % p == 0]
+            if all(_horner(da, r) % p for r in residues):
+                break
+    for r in residues:
+        m = p
+        while m <= 2 * abs(a[0] * a[-1]):
+            m *= m
+            r = (r - _horner(a, r) * pow(_horner(da, r), -1, m)) % m
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > abs(a[0]):
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) <= abs(a[-1]) and _horner(a, Fraction(r1, t1)) == 0:
+            roots.append(Fraction(r1, t1))
     return roots
 
 
 def sample_curve_points(m: ModelTriple, side: Side = Side.FIRST, seed: int = 0,
                         attempts: int = 20):
-    """Search for exactly representable points on the blowdown centre.
+    """Search for rational points on the blowdown centre.
 
-    Each attempt slices the centre with a random hyperplane, eliminates down
-    to one chart variable through resultants of two generators, and keeps
-    only roots that can be reconstructed exactly.  Returns a (possibly empty)
-    list of projective 4-tuples; an empty list means no representable point
-    was found, which callers should report as a skipped roundtrip.
+    Each attempt draws two points a, b of P2 with coordinates in -2..2,
+    restricts the determinantal quartic to the line a + t*b, takes the exact
+    rational roots t (a line on which the quartic is constant in t is
+    skipped), and maps each point a + t*b to the sided centre with
+    quartic_point_to_curve_point.  A point where that map raises ValueError
+    has a kernel of dimension other than one, a singular point of the
+    quartic, and is skipped.  For a rational model the kernel map is a
+    bijection over Q between the smooth quartic and the centre, so the points
+    this can find are exactly the rational points of the centre.  Returns a
+    (possibly empty) list of projective 4-tuples; an empty list means no
+    point was found, which callers should report as a skipped roundtrip.
     """
     rng = random.Random(seed)
-    cubics = minor_cubics(m, side).generators
+    q = determinantal_quartic(m)
+    t = MultiPoly.variable(0, 3)
     found = []
     for _ in range(attempts):
-        coeffs = [rng.randint(-2, 2) for _ in range(4)]
-        if not any(coeffs):
+        a = [rng.randint(-2, 2) for _ in range(3)]
+        b = [rng.randint(-2, 2) for _ in range(3)]
+        line = {i: MultiPoly.constant(a[i], 3) + t * b[i] for i in range(3)}
+        coeffs = _univariate_coeffs(q.substitute(line), 0)
+        if len(coeffs) < 2:
             continue
-        pivot = next(i for i in range(4) if coeffs[i])
-        # chart variable: set x_chart = 1 with chart != pivot
-        chart = rng.choice([i for i in range(4) if i != pivot])
-        free = [i for i in range(4) if i not in (pivot, chart)]
-        # substitute the hyperplane solve for x_pivot and x_chart = 1
-        image = MultiPoly.constant(Fraction(-coeffs[chart], coeffs[pivot]), 4)
-        for i in free:
-            image = image + MultiPoly.variable(i, 4) * Fraction(-coeffs[i], coeffs[pivot])
-        sliced = [
-            f.substitute({pivot: image}).dehomogenize([chart]) for f in cubics
-        ]
-        sliced = [f for f in sliced if not f.is_zero()]
-        if len(sliced) < 2:
-            continue
-        u, v = free
-        # eliminate v by pairwise resultants, treating polys in (u, v)
-        elims = []
-        for a in range(len(sliced)):
-            for b in range(a + 1, len(sliced)):
-                fa = _bivariate_in(sliced[a], u, v)
-                fb = _bivariate_in(sliced[b], u, v)
-                if fa is None or fb is None:
-                    continue
-                res = _resultant_univariate_poly(fa, fb)
-                if res and not all(c.is_zero() for c in res):
-                    elims.append(res)
-        for elim in elims:
-            for root in _rational_roots(elim):
-                point_u = cyc(root)
-                # back-substitute: solve for v from the sliced system
-                vals = _solve_remaining(sliced, u, v, point_u)
-                for point_v in vals:
-                    full = [cyc(0)] * 4
-                    full[chart] = cyc(1)
-                    full[u] = point_u
-                    full[v] = point_v
-                    full[pivot] = sum(
-                        (full[i] * Fraction(-coeffs[i], coeffs[pivot])
-                         for i in range(4) if i != pivot),
-                        cyc(0),
-                    )
-                    if all(f.evaluate(full).is_zero() for f in cubics):
-                        candidate = tuple(proj_normalize(full))
-                        if not any(
-                            proj_equal(list(candidate), list(p)) for p in found
-                        ):
-                            found.append(candidate)
+        for root in _rational_roots(coeffs):
+            point = [a[i] + root * b[i] for i in range(3)]
+            try:
+                c = quartic_point_to_curve_point(m, point, side)
+            except ValueError:
+                continue
+            if not any(proj_equal(list(c), list(p)) for p in found):
+                found.append(c)
     return found
-
-
-def _bivariate_in(p: MultiPoly, u: int, v: int):
-    """Coefficient list of p in the variable v, entries univariate in u."""
-    coeffs: dict = {}
-    for exps, coef in p.terms.items():
-        if any(e and i not in (u, v) for i, e in enumerate(exps)):
-            return None
-        bucket = coeffs.setdefault(exps[v], {})
-        key = tuple(e if i == u else 0 for i, e in enumerate(exps))
-        bucket[key] = coef
-    degree = max(coeffs, default=0)
-    return [MultiPoly(p.nvars, coeffs.get(k, {})) for k in range(degree + 1)]
-
-
-def _resultant_univariate_poly(f, g):
-    """Resultant in v of two coefficient lists of MultiPoly in u; returns a
-    univariate coefficient list over Cyclotomic in u (dense)."""
-    while len(f) > 1 and f[-1].is_zero():
-        f = f[:-1]
-    while len(g) > 1 and g[-1].is_zero():
-        g = g[:-1]
-    n, m = len(f) - 1, len(g) - 1
-    if n <= 0 or m <= 0:
-        return None
-    size = n + m
-    rows = []
-    nvars = f[0].nvars
-    zero = MultiPoly.zero(nvars)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    res = poly_det(rows)
-    if res.is_zero():
-        return None
-    var = next(
-        (i for exps in res.terms for i, e in enumerate(exps) if e), None
-    )
-    if var is None:
-        return [res.terms[(0,) * nvars]]
-    return _univariate_coeffs(res, var)
-
-
-def _solve_remaining(sliced, u, v, point_u):
-    """Exact v-values solving the sliced system at a fixed u."""
-    candidates = []
-    for f in sliced:
-        biv = _bivariate_in(f, u, v)
-        if biv is None:
-            continue
-        coeffs = [c.substitute({}).evaluate(_point_at(c.nvars, u, point_u)) for c in biv]
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs.pop()
-        if len(coeffs) == 2:
-            candidates.append(-coeffs[0] / coeffs[1])
-        elif len(coeffs) > 2:
-            for root in _rational_roots(coeffs):
-                candidates.append(cyc(root))
-    unique = []
-    for c in candidates:
-        if not any((c - o).is_zero() for o in unique):
-            unique.append(c)
-    return unique
-
-
-def _point_at(nvars, index, value):
-    point = [cyc(0)] * nvars
-    point[index] = value
-    return point

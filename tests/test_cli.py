@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+from math import lcm
 
 import pytest
 
+from fano212.action import random_diagonal_model
 from fano212.cli import main
+from fano212.instancefile import Instance, save_instance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SYMMETRIC = os.path.join(DATA, "symmetric_n2.txt")
@@ -62,6 +65,26 @@ class TestVerify:
         assert code == 0
         assert "not linearisable" in out
         assert "witness.characters-differ = True" not in out  # plain format
+
+    def test_verdict_checks_declared_exponents(self, tmp_path, capsys):
+        # a linearisable (diagonal) action whose pencil exponents are 0, 0, 1
+        model, spec = random_diagonal_model(
+            2, (0, 0, 1, 1), (0, 1, 0, 1), (0, 0, 1), seed=0
+        )
+        reports = {}
+        for name, declared in (("wrong", (1, 1, 1)), ("undeclared", None)):
+            path = str(tmp_path / (name + ".txt"))
+            conductor = lcm(model.conductor, spec.order)
+            save_instance(Instance(model, spec, conductor, declared), path)
+            code, out = run_cli(capsys, "--format", "tree", "verdict", "--input", path)
+            reports[name] = code, dict(line.split(" = ", 1) for line in out.splitlines())
+        code, report = reports["wrong"]
+        assert code == 2
+        assert "exponents" in report["error"]
+        code, report = reports["undeclared"]
+        assert code == 0
+        assert report["verdict"] == "linearisable"
+        assert report["pencil.exponents"] == "0, 0, 1"
 
     def test_chars_with_oracle(self, capsys):
         code, out = run_cli(capsys, "chars", "--oracle", "--input", SWAP8)

@@ -1,7 +1,9 @@
-"""Static checks on the package source: every imported name is used."""
+"""Static checks on the package source: every imported name is used, and
+nothing outside the standard library is imported."""
 
 import ast
 import os
+import sys
 
 import pytest
 
@@ -37,3 +39,29 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as handle:
         assert unused_imports(handle.read()) == []
+
+
+def foreign_imports(source: str):
+    """Top-level modules named by any import, nested ones included, that are
+    neither in the standard library nor the package itself."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append((node.lineno, node.module))
+    return [
+        (line, name) for line, name in names
+        if name.split(".")[0] not in sys.stdlib_module_names | {"fano212"}
+    ]
+
+
+def test_checker_flags_a_foreign_import():
+    source = "import os.path\nfrom . import cli\ndef f():\n    import numpy.linalg\n"
+    assert foreign_imports(source) == [(4, "numpy.linalg")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_standard_library_only(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+        assert foreign_imports(handle.read()) == []

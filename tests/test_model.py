@@ -12,6 +12,8 @@ from fano212.model import (
     InvalidModel,
     ModelTriple,
     Side,
+    _rational_roots,
+    _univariate_coeffs,
     bilinear_forms,
     coeff_matrix,
     curve_point_to_quartic_point,
@@ -294,6 +296,26 @@ class TestCurveQuarticMaps:
         m, _ = planted_model
         with pytest.raises(ValueError):
             curve_point_to_quartic_point(m, [cyc(1), cyc(2), cyc(-1), cyc(3)], Side.FIRST)
+
+
+T = MultiPoly.variable(0, 1)
+ZETA8 = Cyclotomic.zeta(8)
+
+
+@pytest.mark.parametrize(
+    "poly, roots",
+    [
+        # denominator 67: the search has no bound of its own on denominators
+        ((T * 67 - 100) * (T**2 + 1), {Fraction(100, 67)}),
+        ((T - Fraction(2, 3)) * (T * ZETA8 + ZETA8**2 + 1), {Fraction(2, 3)}),
+        (T**2 * (T - 3) ** 2 * (T * 2 + 1), {Fraction(0), Fraction(3), Fraction(-1, 2)}),
+        (MultiPoly.constant(5, 1), set()),
+    ],
+)
+def test_rational_roots(poly, roots):
+    found = _rational_roots(_univariate_coeffs(poly, 0))
+    assert len(found) == len(roots)
+    assert set(found) == roots
 
 
 class TestSampleCurvePoints:
