@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import cyc, root_of_unity
-from .linalg import nullspace, solve
+from .linalg import det, nullspace, solve
 from .model import ModelTriple, determinantal_quartic, quartic_smooth, \
     validate_model, InvalidModel
 
@@ -42,6 +42,8 @@ class ActionSpec:
     weights2: tuple | None = None
 
     def __post_init__(self):
+        if self.order < 1:
+            raise InvalidAction("bad-order", "order must be positive")
         object.__setattr__(self, "weights", tuple(w % self.order for w in self.weights))
         if self.weights2 is not None:
             object.__setattr__(
@@ -123,8 +125,6 @@ def projective_order(spec: ActionSpec) -> int:
 
 def validate_action(spec: ActionSpec) -> None:
     n = spec.order
-    if n < 1:
-        raise InvalidAction("bad-order", "order must be positive")
     if len(spec.weights) != 4:
         raise InvalidAction("bad-weights", "expected four weights")
     if spec.swap:
@@ -199,8 +199,6 @@ def _char_poly_3x3(s):
         + s[0][0] * s[2][2] - s[0][2] * s[2][0]
         + s[0][0] * s[1][1] - s[0][1] * s[1][0]
     )
-    from .linalg import det
-
     c0 = -det(s)
     return (c0, minors, c2, cyc(1))
 

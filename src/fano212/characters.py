@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .action import ActionSpec, InvariantPencil
+from .action import ActionSpec, InvariantPencil, is_gfano
 from .cohomology import equivariant_top_eigenvalue
 from .cyclotomic import as_power_of_root, cyc, root_of_unity
 from .model import ModelTriple, determinantal_quartic
@@ -172,6 +172,4 @@ class Verdict(Enum):
 def verdict(spec: ActionSpec) -> Verdict:
     """Linearisable exactly when the invariant Picard rank is two, i.e. when
     the action never swaps the two hyperplane classes."""
-    from .action import is_gfano
-
     return Verdict.NOT_LINEARISABLE if is_gfano(spec) else Verdict.LINEARISABLE

@@ -1,9 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) of Q(zeta_N),
-reduced modulo the N-th cyclotomic polynomial, with arbitrary-precision
-rational coefficients.  Mixed conductors are handled by lifting both operands
-to the least common multiple; no conductor reduction is attempted afterwards.
+with arbitrary-precision rational coefficients.  Phi_N is built in integers,
+prime by prime; every product, power of zeta and lift is reduced by one
+routine, the remainder by the monic Phi_N.  Mixed conductors are handled by
+lifting both operands to the least common multiple; no conductor reduction
+is attempted afterwards.
 """
 
 from __future__ import annotations
@@ -20,33 +22,36 @@ _ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, in increasing order."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    result = n
-    m = n
+    primes = []
     p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        result -= result // m
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    result = n
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _spread(coeffs, step: int) -> list:
+    """The coefficients of f(x^step) from those of f(x), constant term first."""
+    out = [0] * ((len(coeffs) - 1) * step + 1)
+    out[::step] = coeffs
+    return out
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -66,58 +71,50 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     return quot, num
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    if n < 1:
-        raise ValueError("conductor must be positive")
-    # x^n - 1 = prod over divisors d of n of Phi_d
-    num = [_ZERO] * (n + 1)
-    num[0], num[n] = Fraction(-1), _ONE
-    for d in _divisors(n):
-        if d == n:
-            continue
-        num, rem = _poly_divmod(num, list(cyclotomic_coeffs(d)))
-        assert len(rem) == 1 and rem[0] == 0
-    assert len(num) - 1 == euler_phi(n)
-    return tuple(num)
-
-
-_POWER_ROWS: dict[int, list[tuple[Fraction, ...]]] = {}
-
-
-def _power_row(n: int, k: int) -> tuple[Fraction, ...]:
-    """z^k reduced mod Phi_n, as a coefficient vector of length phi(n)."""
-    phi = euler_phi(n)
-    rows = _POWER_ROWS.setdefault(n, [])
-    if not rows:
-        for i in range(phi):
-            row = [_ZERO] * phi
-            row[i] = _ONE
-            rows.append(tuple(row))
-    while len(rows) <= k:
-        # z^(m+1) = z * z^m, then fold the overflow term via Phi_n
-        prev = rows[-1]
-        shifted = [_ZERO] + list(prev)
-        top = shifted.pop()
+def _divmod_monic(num: list, terms, deg: int) -> None:
+    """Divide num (constant term first) in place by the monic polynomial
+    x^deg + sum of c*x^k over terms (k, c).  Each position >= deg is read
+    after every higher one has been folded into it, so num[:deg] ends as the
+    remainder and num[deg:] as the quotient."""
+    for i in range(len(num) - 1, deg - 1, -1):
+        top = num[i]
         if top:
-            phi_c = cyclotomic_coeffs(n)
-            for i in range(phi):
-                shifted[i] -= top * phi_c[i]
-        rows.append(tuple(shifted))
-    return rows[k]
+            for k, c in terms:
+                num[i - deg + k] -= top * c
 
 
-def _reduce_mod_phi(n: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
+def _lower_terms(coeffs) -> tuple:
+    """The nonzero terms (k, c) of a monic polynomial below its leading one."""
+    return tuple((k, c) for k, c in enumerate(coeffs[:-1]) if c)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, constant term
+    first.  Phi_1 = x - 1; Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for a prime p not
+    dividing m, an exact division by a monic polynomial; and
+    Phi_n(x) = Phi_r(x^(n/r)) for r the product of the primes dividing n."""
+    phi, r = [-1, 1], 1
+    for p in _prime_factors(n):
+        num, deg = _spread(phi, p), len(phi) - 1
+        _divmod_monic(num, _lower_terms(phi), deg)
+        phi, r = num[deg:], r * p
+    return tuple(_spread(phi, n // r))
+
+
+@lru_cache(maxsize=None)
+def _phi_terms(n: int) -> tuple:
+    """The lower terms of Phi_n, read once per conductor."""
+    return _lower_terms(cyclotomic_coeffs(n))
+
+
+def _reduce_mod_phi(n: int, dense: list) -> tuple:
+    """The remainder of a dense polynomial (constant term first) by the monic
+    Phi_n, as a coefficient vector of length phi(n)."""
     phi = euler_phi(n)
-    out = [_ZERO] * phi
-    for k, c in enumerate(dense):
-        if c:
-            row = _power_row(n, k)
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
-    return tuple(out)
+    out = list(dense) + [_ZERO] * (phi - len(dense))
+    _divmod_monic(out, _phi_terms(n), phi)
+    return tuple(out[:phi])
 
 
 class Cyclotomic:
@@ -150,13 +147,11 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(q, n: int = 1) -> "Cyclotomic":
-        q = Fraction(q)
-        phi = euler_phi(n)
-        return Cyclotomic(n, (q,) + (_ZERO,) * (phi - 1))
+        return Cyclotomic(n, (q,) + (_ZERO,) * (euler_phi(n) - 1))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
-        return Cyclotomic(n, _power_row(n, k % n))
+        return Cyclotomic(n, _reduce_mod_phi(n, [_ZERO] * (k % n) + [_ONE]))
 
     # -- structure ---------------------------------------------------------
 
@@ -177,11 +172,7 @@ class Cyclotomic:
             return self
         if m % self.n:
             raise ValueError("cannot lift conductor %d into %d" % (self.n, m))
-        step = m // self.n
-        dense = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            dense[i * step] = c
-        return Cyclotomic(m, _reduce_mod_phi(m, dense))
+        return Cyclotomic(m, _reduce_mod_phi(m, _spread(self.coeffs, m // self.n)))
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction)):
@@ -250,12 +241,13 @@ class Cyclotomic:
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.n)
         if self.is_rational():
             return Cyclotomic.from_rational(1 / self.coeffs[0], self.n)
-        # extended gcd of self against Phi_n over Q[x]
-        r0, r1 = list(cyclotomic_coeffs(self.n)), list(self.coeffs)
-        while len(r1) > 1 and r1[-1] == 0:
+        # extended gcd of self against the irreducible Phi_n over Q[x]: the
+        # remainders end in a nonzero constant r1 = s1 * self mod Phi_n
+        r0, r1 = list(map(Fraction, cyclotomic_coeffs(self.n))), list(self.coeffs)
+        while r1[-1] == 0:
             r1.pop()
         s0, s1 = [_ZERO], [_ONE]
-        while len(r1) > 1 or r1[0] != 0:
+        while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
             # s_new = s0 - q * s1
             s_new = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
@@ -264,13 +256,8 @@ class Cyclotomic:
                     for j, sc in enumerate(s1):
                         if sc:
                             s_new[i + j] -= qc * sc
-            r0, r1 = r1, r if r else [_ZERO]
-            s0, s1 = s1, s_new
-            if len(r0) == 1 and r0[0] != 0:
-                g = r0[0]
-                inv_dense = [c / g for c in s0]
-                return Cyclotomic(self.n, _reduce_mod_phi(self.n, inv_dense))
-        raise ZeroDivisionError("element not invertible mod Phi_%d" % self.n)
+            r0, r1, s0, s1 = r1, r, s1, s_new
+        return Cyclotomic(self.n, _reduce_mod_phi(self.n, [c / r1[0] for c in s1]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -373,11 +360,15 @@ def parse_cyclotomic(text: str, conductor: int) -> Cyclotomic:
         m = _TERM_RE.match(body)
         if not m or (m.group("coef") is None and m.group("z") is None):
             raise LiteralError("bad term %r in literal %r" % (body, text))
-        coef = Fraction(m.group("coef")) if m.group("coef") else _ONE
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else _ONE
+            exp = int(m.group("exp")) if m.group("exp") else 1
+        except (ValueError, ZeroDivisionError):
+            raise LiteralError("term %r has a zero denominator or a number over "
+                               "4300 digits" % body[:40])
         if sign == "-":
             coef = -coef
         if m.group("z"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
             total = total + Cyclotomic.zeta(conductor, exp) * coef
         else:
             total = total + coef

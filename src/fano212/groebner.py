@@ -12,10 +12,12 @@ hanging.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .cyclotomic import Cyclotomic
 from .multipoly import MultiPoly
 
 DEGREE_CAP = 30
@@ -178,8 +180,6 @@ def _to_int_terms(p: MultiPoly) -> dict:
 
 
 def _from_int_terms(terms: dict, nvars: int) -> MultiPoly:
-    from .cyclotomic import Cyclotomic
-
     out = MultiPoly(nvars, {})
     object.__setattr__(
         out,
@@ -203,8 +203,6 @@ def _int_strip_content(work: dict, remainder: dict):
 
 
 def _int_normal_form(p: dict, lead_data) -> dict:
-    import heapq
-
     work = dict(p)
     remainder: dict = {}
     heap = [(_grevlex_neg_key(m), m) for m in work]

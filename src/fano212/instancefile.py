@@ -24,6 +24,7 @@ then serializing is byte-idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .action import ActionSpec, validate_action
 from .cyclotomic import LiteralError, format_cyclotomic, parse_cyclotomic
@@ -44,6 +45,10 @@ class Instance:
     conductor: int
     declared_exponents: tuple | None = None
 
+
+# Largest working field Q(zeta_m), m = lcm(conductor, order), accepted: the
+# cost of exact arithmetic in Q(zeta_m) grows quickly with phi(m).
+_MAX_FIELD = 1024
 
 _SCALAR_KEYS = ("conductor", "order", "swap", "weights", "weights2", "exponents")
 
@@ -111,6 +116,9 @@ def parse_instance(text: str) -> Instance:
         order = int(value)
     except ValueError:
         raise ParseError(lineno, "order wants an integer, got %r" % value)
+    if order > 0 and lcm(conductor, order) > _MAX_FIELD:  # order < 1: bad-order, below
+        raise ParseError(fields["conductor"][1], "working field lcm(conductor, order) is "
+                         "above the limit %d" % _MAX_FIELD, code="conductor-too-large")
 
     value, lineno = need("swap")
     if value not in ("true", "false"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, cyclotomic_coeffs
 
 
 def _coerce(value) -> Cyclotomic:
@@ -342,6 +342,4 @@ def maximal_minors(rows) -> tuple:
 def cyclotomic_polynomial(n: int) -> MultiPoly:
     """The n-th cyclotomic polynomial as a univariate polynomial with
     rational coefficients, monic of degree phi(n)."""
-    from .cyclotomic import cyclotomic_coeffs
-
     return MultiPoly(1, {(k,): c for k, c in enumerate(cyclotomic_coeffs(n))})

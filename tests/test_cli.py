@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from math import lcm
 
 import pytest
@@ -22,6 +23,16 @@ def run_cli(capsys, *args):
     return code, out
 
 
+def write_variant(tmp_path, old, new):
+    """A copy of swap_n8.txt with one piece of text replaced; its path."""
+    with open(SWAP8) as handle:
+        text = handle.read()
+    assert old in text
+    path = tmp_path / "variant.txt"
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
 class TestExitCodes:
     def test_validate_ok(self, capsys):
         code, out = run_cli(capsys, "validate", "--input", SYMMETRIC)
@@ -40,6 +51,30 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         code, _ = run_cli(capsys, "validate", "--input", "/nonexistent.txt")
         assert code == 2
+
+    @pytest.mark.parametrize("conductor", [2310, 10**6])
+    def test_oversized_conductor_is_2(self, tmp_path, capsys, conductor):
+        path = write_variant(tmp_path, "conductor = 8", "conductor = %d" % conductor)
+        started = time.monotonic()
+        code, out = run_cli(capsys, "--format", "tree", "validate", "--input", path)
+        assert time.monotonic() - started < 1
+        assert code == 2
+        assert out == ("error = line 1: working field lcm(conductor, order) is above "
+                       "the limit 1024\n")
+
+    def test_order_zero_is_2(self, tmp_path, capsys):
+        path = write_variant(tmp_path, "order = 8", "order = 0")
+        code, out = run_cli(capsys, "--format", "tree", "validate", "--input", path)
+        assert (code, out) == (2, "error = order must be positive\n")
+        code, out = run_cli(capsys, "--format", "tree", "random", "--order", "0",
+                            "--weights", "0,0,0,0", "--exponents", "0,0,0")
+        assert (code, out) == (2, "error = order must be positive\n")
+
+    def test_overlong_literal_is_2(self, tmp_path, capsys):
+        path = write_variant(tmp_path, "-3, 6, 0, 0", "%s, 6, 0, 0" % ("9" * 5000))
+        code, out = run_cli(capsys, "--format", "tree", "validate", "--input", path)
+        assert code == 2
+        assert out.startswith("error = line 8: term '9999")
 
     def test_inconclusive_cohomology_is_3(self, capsys):
         code, out = run_cli(capsys, "cohomology", "--a", "4", "--b", "-4")

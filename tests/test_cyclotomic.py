@@ -30,19 +30,22 @@ def test_phi_small_values():
 
 
 def test_phi_by_long_division_oracle():
-    # divide x^6 - 1 by Phi_1 * Phi_2 * Phi_3 and compare
+    # divide x^n - 1 by Phi_d for every proper divisor d of n and compare
     from fano212.cyclotomic import _poly_divmod
 
-    num = [Fraction(-1)] + [Fraction(0)] * 5 + [Fraction(1)]
-    for d in (1, 2, 3):
-        num, rem = _poly_divmod(num, poly_of_phi(d))
-        assert rem == [0]
-    assert num == poly_of_phi(6)
+    for n in (6, 60, 105, 840):
+        num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+        for d in range(1, n):
+            if n % d == 0:
+                num, rem = _poly_divmod(num, poly_of_phi(d))
+                assert rem == [0]
+        assert num == poly_of_phi(n)
 
 
-@pytest.mark.parametrize("n", range(1, 25))
+@pytest.mark.parametrize("n", [*range(1, 25), 105, 210, 840, 1024])
 def test_phi_monic_of_degree_phi_and_kills_zeta(n):
     coeffs = cyclotomic_coeffs(n)
+    assert all(type(c) is int for c in coeffs)
     assert coeffs[-1] == 1
     assert len(coeffs) - 1 == euler_phi(n)
     z = Cyclotomic.zeta(n)

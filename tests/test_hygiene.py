@@ -1,5 +1,6 @@
-"""Static checks on the package source: every imported name is used, and
-nothing outside the standard library is imported."""
+"""Static checks on the package source: every imported name is used, nothing
+outside the standard library is imported, and every import is at module
+level."""
 
 import ast
 import os
@@ -65,3 +66,29 @@ def test_checker_flags_a_foreign_import():
 def test_standard_library_only(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as handle:
         assert foreign_imports(handle.read()) == []
+
+
+def function_level_imports(source: str):
+    """(line, function name) of each import inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                (inner.lineno, node.name) for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            ]
+    return sorted(found)
+
+
+def test_checker_flags_a_function_level_import():
+    source = (
+        "import os\nclass A:\n    def m(self):\n        from . import cli\n"
+        "def f():\n    def g():\n        import heapq\n"
+    )
+    assert function_level_imports(source) == [(4, "m"), (7, "f"), (7, "g")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_at_module_level(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+        assert function_level_imports(handle.read()) == []

@@ -1,6 +1,9 @@
 import os
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fano212.action import InvalidAction
 from fano212.instancefile import (
@@ -78,6 +81,42 @@ class TestErrors:
             parse_instance("conductor = 0\norder = 2\nswap = true\nweights = 0,0,0,0\n")
         assert exc.value.code == "bad-conductor"
 
+    @pytest.mark.parametrize("conductor", [2310, 10**6])
+    def test_conductor_too_large(self, conductor):
+        text = data_text("swap_n8.txt").replace("conductor = 8", "conductor = %d" % conductor)
+        started = time.monotonic()
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert time.monotonic() - started < 1
+        assert exc.value.code == "conductor-too-large"
+        assert exc.value.line == 1
+
+    def test_conductor_limit_is_on_the_working_field(self):
+        # conductor 129 alone is below the limit, lcm(129, 8) = 1032 is not
+        text = data_text("swap_n8.txt").replace("conductor = 8", "conductor = 129")
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert exc.value.code == "conductor-too-large"
+        text = data_text("swap_n8.txt").replace("conductor = 8", "conductor = 1024")
+        assert parse_instance(text).conductor == 1024
+
+    def test_order_zero(self):
+        text = data_text("swap_n8.txt").replace("order = 8", "order = 0")
+        with pytest.raises(InvalidAction) as exc:
+            parse_instance(text)
+        assert exc.value.code == "bad-order"
+
+    @pytest.mark.parametrize(
+        "literal", ["1" * 4301, "1/" + "3" * 4301, "z^" + "2" * 4301, "1/0"],
+        ids=["long-numerator", "long-denominator", "long-exponent", "zero-denominator"],
+    )
+    def test_unreadable_number_is_bad_literal(self, literal):
+        text = data_text("swap_n8.txt").replace("-3, 6, 0, 0", "%s, 6, 0, 0" % literal)
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert exc.value.code == "bad-literal"
+        assert exc.value.line == 8
+
     def test_dependent_forms_detected(self):
         text = data_text("symmetric_n2.txt")
         # overwrite matrix.2 with matrix.1's rows
@@ -88,3 +127,47 @@ class TestErrors:
         with pytest.raises(InvalidModel) as exc:
             parse_instance(broken)
         assert exc.value.code == "dependent-forms"
+
+
+SWAP8_LINES = data_text("swap_n8.txt").splitlines()
+
+# as text: an int over 4300 digits has no repr
+_numbers = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(-10**40, 10**40).map(str),
+    st.sampled_from(["1000000", "2310", "1024", "1025", "-1" + "0" * 4400, "1" + "0" * 4400]),
+)
+_values = st.one_of(
+    st.text(max_size=20),
+    _numbers,
+    st.lists(_numbers, min_size=1, max_size=5).map(", ".join),
+    st.integers(1, 6000).map(lambda digits: "7" * digits),
+    st.integers(1, 6000).map(lambda digits: "z^" + "7" * digits),
+    st.integers(1, 6000).map(lambda digits: "1/" + "0" * digits),
+)
+
+
+@settings(deadline=2000, max_examples=300, derandomize=True)
+@given(st.lists(
+    st.tuples(st.integers(0, len(SWAP8_LINES) - 1), st.integers(0, 4), _values),
+    min_size=1, max_size=3,
+))
+def test_parse_instance_fuzz(mutations):
+    """Only the three input errors may escape.  Each mutation changes one line
+    of swap_n8.txt: a key gets a new value, a matrix row gets one entry
+    replaced, and any other line (or position 4) is replaced whole."""
+    lines = list(SWAP8_LINES)
+    for index, position, value in mutations:
+        key, equals, _ = lines[index].partition("=")
+        entries = lines[index].split(",")
+        if equals:
+            lines[index] = key + "= " + value
+        elif position < len(entries) and len(entries) > 1:
+            entries[position] = value
+            lines[index] = ", ".join(entries)
+        else:
+            lines[index] = value
+    try:
+        parse_instance("\n".join(lines) + "\n")
+    except (ParseError, InvalidAction, InvalidModel):
+        pass
