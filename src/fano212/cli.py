@@ -41,6 +41,7 @@ from .characters import (
 from .cohomology import InconclusiveCohomology, euler_chase, koszul_cohomology_on_X, kunneth
 from .groebner import DegreeCapExceeded, hilbert_polynomial, qp_str
 from .instancefile import Instance, ParseError, load_instance, save_instance, serialize_instance
+from .instancefile import _MAX_FIELD
 from .model import (
     InvalidModel,
     Side,
@@ -282,6 +283,12 @@ def cmd_verdict(inst: Instance, args, report: Report) -> int:
 def cmd_random(args, report: Report) -> int:
     weights = tuple(int(w) for w in args.weights.split(","))
     exponents = tuple(int(s) for s in args.exponents.split(","))
+    # The generated model's conductor is the order, so its working field is
+    # Q(zeta_order): refuse, before any draw, what parse_instance refuses.
+    if args.order > _MAX_FIELD:
+        report.put("random.error", "conductor-too-large: working field lcm(conductor, "
+                   "order) = %d is above the limit %d" % (args.order, _MAX_FIELD))
+        return EXIT_INVALID
     try:
         model, spec = random_equivariant_model(
             args.order, weights, exponents, seed=args.seed

@@ -5,14 +5,16 @@ homogeneous ideals.
 One pair loop serves two coefficient domains: ideals with rational
 coefficients run on integer terms (pseudo-reduction, content stripped), all
 others on Q(zeta_N) coefficients.  S-pair selection uses the normal strategy
-(smallest lcm in grevlex); the product and chain criteria prune pairs.
-S-pair degrees are capped so a runaway computation fails loudly instead of
-hanging.
+(smallest lcm in grevlex): pending pairs sit in a heap keyed by (grevlex key
+of the lcm, insertion order), so among equal lcms the pair queued first is
+taken first.  The product and chain criteria prune pairs.  S-pair degrees
+are capped so a runaway computation fails loudly instead of hanging.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -294,23 +296,28 @@ def _pair_loop(leads, s_pair, reduce, cap, stop_at_unit):
     returns its leading monomial (None otherwise).  Returns True when
     stop_at_unit is set and a constant remainder appeared, else False.
     """
-    pairs = {}
+    # (grevlex key of the lcm, insertion counter, i, j, lcm): the counter
+    # makes the first-inserted pair win among equal keys.
+    pairs = []
+    counter = itertools.count()
 
     def add_pairs(new_index):
         for i in range(new_index):
-            pairs[(i, new_index)] = monomial_lcm(leads[i], leads[new_index])
+            lcm = monomial_lcm(leads[i], leads[new_index])
+            heapq.heappush(pairs, (grevlex_key(lcm), next(counter), i, new_index, lcm))
 
     done = set()
     for j in range(1, len(leads)):
         add_pairs(j)
 
     while pairs:
-        (i, j), lcm = min(pairs.items(), key=lambda kv: grevlex_key(kv[1]))
+        lcm = pairs[0][4]
         if sum(lcm) > cap:
             raise DegreeCapExceeded(
-                "S-pair degree %d exceeds cap %d" % (sum(lcm), cap)
+                "S-pair degree %d exceeds cap %d (basis size %d, pending pairs %d)"
+                % (sum(lcm), cap, len(leads), len(pairs))
             )
-        del pairs[(i, j)]
+        _, _, i, j, _ = heapq.heappop(pairs)
         done.add((i, j))
         # product criterion
         if lcm == monomial_mul(leads[i], leads[j]):

@@ -248,7 +248,7 @@ def full_smoothness(m: ModelTriple, cap: int = DEGREE_CAP) -> bool:
                     return False
             except DegreeCapExceeded as exc:
                 raise SmoothnessInconclusive(
-                    "chart x%d=1, y%d=1 exceeded the degree cap" % (i, j)
+                    "chart x%d=1, y%d=1 exceeded the degree cap: %s" % (i, j, exc)
                 ) from exc
     return True
 

@@ -188,6 +188,7 @@ class MultiPoly:
             if img.nvars != self.nvars:
                 raise ValueError("substitution image has wrong arity")
         total = MultiPoly.zero(self.nvars)
+        powers = {}
         for exps, coef in self.terms.items():
             part = MultiPoly.constant(coef, self.nvars)
             rest = [0] * self.nvars
@@ -195,7 +196,10 @@ class MultiPoly:
                 if not e:
                     continue
                 if i in images:
-                    part = part * images[i] ** e
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[(i, e)] = images[i] ** e
+                    part = part * power
                 else:
                     rest[i] = e
             if any(rest):

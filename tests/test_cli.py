@@ -227,6 +227,28 @@ class TestRandomGeneration:
         a, b = (open(p).read() for p in paths)
         assert a == b
 
+    def test_oversized_order_is_2(self, capsys):
+        # the working field Q(zeta_2048) is above the limit parse_instance keeps
+        started = time.monotonic()
+        code, out = run_cli(
+            capsys, "--format", "tree",
+            "random", "--order", "2048", "--weights", "0,2,4,6",
+            "--exponents", "0,1,4", "--seed", "1",
+        )
+        assert time.monotonic() - started < 1
+        assert (code, out) == (
+            2,
+            "random.error = conductor-too-large: working field lcm(conductor, "
+            "order) = 2048 is above the limit 1024\n",
+        )
+        code, out = run_cli(
+            capsys, "--format", "tree",
+            "random", "--order", "8", "--weights", "0,2,4,6",
+            "--exponents", "0,1,4", "--seed", "1",
+        )
+        assert code == 0
+        assert out.startswith("random.instance = \nconductor = 8\norder = 8\n")
+
     def test_impossible_exponents_error(self, capsys):
         code, out = run_cli(
             capsys,

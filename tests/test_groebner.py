@@ -190,8 +190,12 @@ class TestHilbert:
 def test_degree_cap():
     x, y = variables(2)
     high = x**17 * y - y**15, x * y**16 - x**14
-    with pytest.raises(DegreeCapExceeded):
+    with pytest.raises(DegreeCapExceeded) as exc:
         buchberger(list(high), cap=20)
+    # an exit 3 says how far the run got
+    assert str(exc.value) == (
+        "S-pair degree 33 exceeds cap 20 (basis size 2, pending pairs 1)"
+    )
 
 
 def test_unit_ideal_detection():
@@ -218,10 +222,57 @@ def _quadric_triple():
     return [MultiPoly(4, {m: rng.randint(-2, 2) for m in monos}) for _ in range(3)]
 
 
+def _zeta_scaled(ideal):
+    gens = ideal()
+    return [gens[0] * Cyclotomic.zeta(4)] + gens[1:]
+
+
 @pytest.mark.parametrize("ideal", [_twisted_cubic, _quadric_triple])
 def test_both_coefficient_domains_give_one_reduced_basis(ideal):
     # rational input runs on integer terms; a zeta_4 factor forces Q(zeta_4)
-    gens = ideal()
-    twisted = [gens[0] * Cyclotomic.zeta(4)] + gens[1:]
+    twisted = _zeta_scaled(ideal)
     assert not all(c.is_rational() for c in twisted[0].terms.values())
-    assert groebner(twisted) == groebner(gens)
+    assert groebner(twisted) == groebner(ideal())
+
+
+# Leading monomials of the non-reduced bases, in order, as the normal
+# strategy with first-queued-first tie-breaking builds them.  The three
+# quadrics share the lead x0^2, so their pairs tie and the order in which
+# tied pairs are taken shows in the appended elements.
+PINNED_LEADS = {
+    _twisted_cubic: [(0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0)],
+    _quadric_triple: [
+        (2, 0, 0, 0), (2, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0),
+        (0, 2, 0, 0), (1, 0, 2, 0), (0, 1, 2, 0), (0, 0, 4, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("zeta", [False, True], ids=["integer", "zeta4"])
+@pytest.mark.parametrize("ideal", [_twisted_cubic, _quadric_triple])
+def test_pair_order_pins_the_non_reduced_basis(ideal, zeta):
+    gens = _zeta_scaled(ideal) if zeta else ideal()
+    leads = [leading_term(g)[0] for g in buchberger(gens)]
+    assert leads == PINNED_LEADS[ideal]
+
+
+def _mixed_degree_ideal(seed):
+    rng = random.Random(seed)
+    gens = []
+    for degree in (2, 2, 3):
+        monos = [m for m in itertools.product(range(degree + 1), repeat=4)
+                 if sum(m) == degree]
+        gens.append(MultiPoly(4, {m: rng.randint(-2, 2) for m in rng.sample(monos, 4)}))
+    return gens
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [_twisted_cubic(), _quadric_triple(), _zeta_scaled(_quadric_triple)]
+    + [_mixed_degree_ideal(seed) for seed in range(4)],
+)
+def test_appended_degrees_never_decrease_on_homogeneous_input(gens):
+    # the normal strategy takes S-pairs by increasing lcm degree
+    basis = buchberger(gens)
+    degrees = [sum(leading_term(g)[0]) for g in basis[len(gens):]]
+    assert degrees == sorted(degrees)

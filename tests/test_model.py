@@ -12,6 +12,7 @@ from fano212.model import (
     InvalidModel,
     ModelTriple,
     Side,
+    SmoothnessInconclusive,
     _rational_roots,
     _univariate_coeffs,
     bilinear_forms,
@@ -339,6 +340,16 @@ class TestSampleCurvePoints:
         m = model_from_matrices([random_rational_matrix(rng) for _ in range(3)])
         points = sample_curve_points(m, Side.FIRST, seed=1, attempts=4)
         assert isinstance(points, list)
+
+
+def test_inconclusive_smoothness_says_how_far_it_got():
+    rng = random.Random(7)
+    m = model_from_matrices([random_rational_matrix(rng, -1, 1) for _ in range(3)])
+    with pytest.raises(SmoothnessInconclusive, match=(
+        r"^chart x0=1, y0=1 exceeded the degree cap: S-pair degree 3 exceeds "
+        r"cap 2 \(basis size \d+, pending pairs \d+\)$"
+    )):
+        full_smoothness(m, cap=2)
 
 
 @pytest.mark.slow
