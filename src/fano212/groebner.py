@@ -2,13 +2,15 @@
 algorithm, plus the projective-emptiness test and Hilbert polynomials of
 homogeneous ideals.
 
-One pair loop serves two coefficient domains: ideals with rational
+One pair loop serves three coefficient domains: ideals with rational
 coefficients run on integer terms (pseudo-reduction, content stripped), all
-others on Q(zeta_N) coefficients.  S-pair selection uses the normal strategy
-(smallest lcm in grevlex): pending pairs sit in a heap keyed by (grevlex key
-of the lcm, insertion order), so among equal lcms the pair queued first is
-taken first.  The product and chain criteria prune pairs.  S-pair degrees
-are capped so a runaway computation fails loudly instead of hanging.
+others on Q(zeta_N) coefficients, and F_p serves only as a one-sided
+certificate with the exact engine as fallback.  S-pair selection uses the
+normal strategy (smallest lcm in grevlex): pending pairs sit in a heap keyed
+by (grevlex key of the lcm, insertion order), so among equal lcms the pair
+queued first is taken first.  The product and chain criteria prune pairs.
+S-pair degrees are capped so a runaway computation fails loudly instead of
+hanging.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _prime_factors
 from .multipoly import MultiPoly
 
 DEGREE_CAP = 30
@@ -428,16 +431,200 @@ def groebner(ideal, cap: int = DEGREE_CAP):
 
 
 def is_unit_ideal(generators, cap: int = DEGREE_CAP) -> bool:
+    """Exact: p*x - 1 is the unit ideal mod p but not over Q, so no mod-p
+    answer may stand in for this one."""
     basis = buchberger(list(generators), cap=cap, stop_at_unit=True)
     return any(sum(leading_term(g)[0]) == 0 for g in basis)
+
+
+# -- prime-field certificate ---------------------------------------------------
+#
+# The generators are mapped to F_p[x] for a prime p = 1 mod N, with zeta_N
+# sent to a root r of Phi_N mod p, and the pair loop runs there on monic
+# {mono: int mod p} terms.  An answer mod p is used only where it implies the
+# answer over Qbar (projective_empty, unit_mod_p); otherwise the caller runs
+# the exact engine.
+
+_MILLER_RABIN_BOUND = 3_215_031_751
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: exact for n < 3,215,031,751."""
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _fp_field(n: int):
+    """(p, r): the least prime p = 1 mod n above 2^31, and r of order n in
+    F_p, hence a root of Phi_n mod p (p does not divide n).  None when no such
+    p lies below the bound where Miller-Rabin is exact, which no n <= 1024
+    reaches."""
+    p = (2**31 // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    if p >= _MILLER_RABIN_BOUND:
+        return None
+    for g in itertools.count(2):
+        r = pow(g, (p - 1) // n, p)
+        if all(pow(r, n // q, p) != 1 for q in _prime_factors(n)):
+            return p, r
+
+
+def _fp_terms(poly: MultiPoly, n: int, prime: int, powers) -> dict | None:
+    """The image of poly in F_p[x]: zeta_n maps to powers[1] = r, so the
+    zeta_c of a coefficient of conductor c maps to powers[n // c].  None
+    when a denominator is divisible by p."""
+    terms = {}
+    for mono, coef in poly.terms.items():
+        step = n // coef.n
+        value = 0
+        for k, q in enumerate(coef.coeffs):
+            if q:
+                den = q.denominator
+                if den % prime == 0:
+                    return None
+                term = q.numerator * powers[k * step]
+                value += term if den == 1 else term * pow(den, -1, prime)
+        value %= prime
+        if value:
+            terms[mono] = value
+    return terms
+
+
+def _fp_lead_datum(terms: dict, prime: int):
+    """(leading monomial, 1, terms made monic) of a nonzero poly over F_p.
+    With residues in [0, p) and leading coefficients 1, _int_s_polynomial
+    gives the S-polynomial over F_p with coefficients in (-p, p), and no
+    nonzero one among them is divisible by p."""
+    lm = max(terms, key=grevlex_key)
+    inv = pow(terms[lm], -1, prime)
+    return lm, 1, {m: v * inv % prime for m, v in terms.items()}
+
+
+def _fp_normal_form(p: dict, lead_data, prime: int) -> dict:
+    """Remainder of p by a monic basis over F_p; monomials come off a heap,
+    and a stale heap entry (its term cancelled) is skipped."""
+    work = dict(p)
+    remainder = {}
+    heap = [(_grevlex_neg_key(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        _, mono = heapq.heappop(heap)
+        coef = work.pop(mono, None)
+        if coef is None:
+            continue
+        for lm, _, g in lead_data:
+            if monomial_divides(lm, mono):
+                shift = monomial_div(mono, lm)
+                for ge, gc in g.items():
+                    key = monomial_mul(ge, shift)
+                    if key == mono:
+                        continue
+                    value = work.get(key)
+                    if value is None:
+                        work[key] = -coef * gc % prime
+                        heapq.heappush(heap, (_grevlex_neg_key(key), key))
+                    else:
+                        value = (value - coef * gc) % prime
+                        if value:
+                            work[key] = value
+                        else:
+                            del work[key]
+                break
+        else:
+            remainder[mono] = coef
+    return remainder
+
+
+def _mod_p_leads(generators, cap: int):
+    """Leading monomials of a Groebner basis of the image of the generators
+    in F_p[x], with (p, r) from _fp_field at the lcm N of the coefficients'
+    conductors; the constant monomial ends the list as soon as it appears.
+    None when there is no certificate: a denominator is divisible by p, or
+    the run exceeds the degree cap (a mod-p overflow is never reported)."""
+    n = lcm(*(c.n for g in generators for c in g.terms.values()))
+    setup = _fp_field(n)
+    if setup is None:
+        return None
+    prime, r = setup
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * r % prime)
+    lead_data = []
+    for g in generators:
+        terms = _fp_terms(g, n, prime, powers)
+        if terms is None:
+            return None
+        if terms:
+            lead_data.append(_fp_lead_datum(terms, prime))
+    leads = [datum[0] for datum in lead_data]
+    if any(sum(m) == 0 for m in leads):
+        return leads
+
+    def s_pair(i, j):
+        return _int_s_polynomial(lead_data[i], lead_data[j])
+
+    def reduce(p):
+        remainder = _fp_normal_form(p, lead_data, prime)
+        if not remainder:
+            return None
+        lead_data.append(_fp_lead_datum(remainder, prime))
+        return lead_data[-1][0]
+
+    try:
+        if _pair_loop(leads, s_pair, reduce, cap, stop_at_unit=True):
+            leads.append(lead_data[-1][0])
+    except DegreeCapExceeded:
+        return None
+    return leads
+
+
+def unit_mod_p(generators, cap: int = DEGREE_CAP) -> bool:
+    """True when the image of the generators in F_p[x] (see _mod_p_leads) is
+    the unit ideal.  This is one-sided and says nothing about the ideal over
+    Q: p*x - 1 is unit mod p, yet x = 1/p is a zero over Q.  False covers
+    "not unit mod p" and "no certificate" alike."""
+    leads = _mod_p_leads(list(generators), cap)
+    return leads is not None and any(sum(m) == 0 for m in leads)
 
 
 # -- projective emptiness ------------------------------------------------------
 
 
+def _empty_locus(leads, nvars: int) -> bool:
+    """True iff the monomial ideal of these leading monomials contains a pure
+    power of every variable; the monomial 1 counts as one of each."""
+    return all(any(m[var] == sum(m) for m in leads) for var in range(nvars))
+
+
 def projective_empty(ideal, cap: int = DEGREE_CAP) -> bool:
     """True iff the homogeneous ideal has empty vanishing locus in projective
-    space: its leading ideal must contain a pure power of every variable."""
+    space: its leading ideal must contain a pure power of every variable.
+
+    The test runs mod p first (_mod_p_leads), and an empty locus mod p is
+    final.  It is sound: a common zero over Qbar, scaled so that its
+    coordinates are integral at a prime above p and one of them is a unit
+    there, reduces to a common zero over the algebraic closure of F_p of the
+    generators' images, since every coefficient lies in Z_(p)[zeta_N] and
+    zeta_N reduces to r.  So an ideal with no projective zero mod p has none
+    over Qbar.  A locus that is not empty mod p, or a run with no certificate,
+    goes to the exact engine."""
     gens = ideal.generators if isinstance(ideal, Ideal) else list(ideal)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -445,17 +632,11 @@ def projective_empty(ideal, cap: int = DEGREE_CAP) -> bool:
     if any(not g.is_homogeneous() for g in gens):
         raise NonHomogeneousIdeal("projective emptiness needs homogeneous input")
     nvars = gens[0].nvars
-    basis = buchberger(gens, cap=cap)
-    leads = [leading_term(g)[0] for g in basis]
-    if any(sum(m) == 0 for m in leads):
+    leads = _mod_p_leads(gens, cap)
+    if leads is not None and _empty_locus(leads, nvars):
         return True
-    for var in range(nvars):
-        if not any(
-            m[var] > 0 and all(e == 0 for k, e in enumerate(m) if k != var)
-            for m in leads
-        ):
-            return False
-    return True
+    basis = buchberger(gens, cap=cap)
+    return _empty_locus([leading_term(g)[0] for g in basis], nvars)
 
 
 # -- Hilbert polynomials --------------------------------------------------------

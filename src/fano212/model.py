@@ -25,6 +25,7 @@ from .groebner import (
     Ideal,
     is_unit_ideal,
     projective_empty,
+    unit_mod_p,
 )
 from .linalg import (
     mat_transpose,
@@ -223,8 +224,22 @@ def full_smoothness(m: ModelTriple, cap: int = DEGREE_CAP) -> bool:
 
     On each of the 16 affine charts x_i = 1, y_j = 1 the ideal generated by
     the three forms and the 3x3 minors of their Jacobian in the six chart
-    variables must be the unit ideal.  Raises SmoothnessInconclusive when a
-    chart computation exceeds the Buchberger degree cap.
+    variables must be the unit ideal.  A chart that is unit mod p
+    (unit_mod_p) needs no exact run; any other chart runs the exact
+    is_unit_ideal, and an exact non-unit chart gives False.  Raises
+    SmoothnessInconclusive when an exact chart computation exceeds the
+    Buchberger degree cap.
+
+    Unit mod p alone does not make a chart unit over Q, yet the mix is
+    sound.  Scale a singular point P of X over Qbar so that on each factor
+    its coordinates are integral at a prime above p and one is a unit; it
+    reduces to a point P' over the algebraic closure of F_p, which lies in
+    some chart (i, j): x_i(P') and y_j(P') are nonzero.  Then x_i(P) and
+    y_j(P) are units at that prime, so P lies in chart (i, j) too, with
+    chart coordinates that are integral and reduce to those of P'.  The
+    chart generators vanish at P and have integral coefficients, so their
+    images vanish at P': chart (i, j) is neither unit mod p nor unit over Q,
+    so it runs exactly and gives False.
     """
     validate_model(m)
     forms = bilinear_forms(m)
@@ -244,7 +259,7 @@ def full_smoothness(m: ModelTriple, cap: int = DEGREE_CAP) -> bool:
                         if not d.is_zero():
                             gens.append(d)
             try:
-                if not is_unit_ideal(gens, cap=cap):
+                if not (unit_mod_p(gens, cap) or is_unit_ideal(gens, cap=cap)):
                     return False
             except DegreeCapExceeded as exc:
                 raise SmoothnessInconclusive(

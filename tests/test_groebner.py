@@ -1,11 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fano212.cyclotomic import Cyclotomic, cyc
+from fano212 import groebner as groebner_module
+from fano212.cyclotomic import Cyclotomic, cyc, cyclotomic_coeffs
 from fano212.groebner import (
+    _fp_field,
+    _mod_p_leads,
     DEGREE_CAP,
     DegreeCapExceeded,
     Ideal,
@@ -22,6 +26,7 @@ from fano212.groebner import (
     qp_eval,
     qp_str,
     is_unit_ideal,
+    unit_mod_p,
 )
 from fano212.multipoly import MultiPoly
 
@@ -276,3 +281,110 @@ def test_appended_degrees_never_decrease_on_homogeneous_input(gens):
     basis = buchberger(gens)
     degrees = [sum(leading_term(g)[0]) for g in basis[len(gens):]]
     assert degrees == sorted(degrees)
+
+
+# -- the F_p certificate ---------------------------------------------------------
+
+
+def _trial_division_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 12, 210, 840, 1024])
+def test_prime_field_set_up(n):
+    p, r = _fp_field(n)
+    assert _trial_division_prime(p)
+    assert (p - 1) % n == 0 and p > 2**31
+    # the least such prime
+    assert not any(_trial_division_prime(c) for c in range(p - n, 2**31, -n))
+    # r has order exactly n, so it is a root of Phi_n mod p
+    assert pow(r, n, p) == 1
+    primes = [q for q in range(2, n + 1) if n % q == 0 and _trial_division_prime(q)]
+    assert all(pow(r, n // q, p) != 1 for q in primes)
+    assert sum(c * pow(r, k, p) for k, c in enumerate(cyclotomic_coeffs(n))) % p == 0
+    assert _fp_field(n) == (p, r)
+
+
+def _counting_buchberger(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(groebner_module, "buchberger", counted)
+    return calls
+
+
+class TestCertificateFallbacks:
+    def test_a_generator_killed_mod_p_falls_back(self, monkeypatch):
+        p = _fp_field(1)[0]
+        x, y, z = variables(3)
+        calls = _counting_buchberger(monkeypatch)
+        # mod p the ideal is (x, y), whose locus is the point (0:0:1)
+        assert projective_empty([x, y, z * p]) is True
+        assert len(calls) == 1
+
+    def test_a_denominator_divisible_by_p_is_decided_exactly(self, monkeypatch):
+        p = _fp_field(1)[0]
+        x, y, z = variables(3)
+        calls = _counting_buchberger(monkeypatch)
+        assert projective_empty([x, y, z * Fraction(1, p)]) is True
+        assert projective_empty([x * x, y * Fraction(3, p)]) is False
+        assert len(calls) == 2
+        assert unit_mod_p([x * Fraction(1, p) - 1]) is False
+
+    def test_unit_mod_p_is_not_unit_over_q(self):
+        p = _fp_field(1)[0]
+        (x,) = variables(1)
+        assert unit_mod_p([x * p - 1]) is True
+        assert is_unit_ideal([x * p - 1]) is False
+
+    def test_a_mod_p_cap_overflow_falls_back(self, monkeypatch):
+        x, y, z = variables(3)
+        calls = _counting_buchberger(monkeypatch)
+        gens = [x**3 - y * z * z, y**3 - x * z * z, z**3]
+        assert _mod_p_leads(gens, DEGREE_CAP) == [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
+        assert _mod_p_leads(gens, 3) is None
+        with pytest.raises(DegreeCapExceeded):
+            projective_empty(gens, cap=3)
+        assert len(calls) == 1
+
+
+def _exactly_empty(gens, nvars):
+    """The leading-ideal test on the exact basis: 1, or a pure power of
+    every variable."""
+    leads = [leading_term(g)[0] for g in buchberger(gens)]
+    return any(sum(m) == 0 for m in leads) or all(
+        any(m[v] > 0 and sum(m) == m[v] for m in leads) for v in range(nvars)
+    )
+
+
+def _random_scalar(rng, conductor):
+    c = cyc(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    if conductor > 1:
+        root = Cyclotomic.zeta(conductor, rng.randrange(conductor))
+        c = c + root * rng.randint(-2, 2)
+    return c
+
+
+@pytest.mark.parametrize("conductor", [1, 4, 8])
+def test_certificate_agrees_with_the_exact_test(conductor):
+    rng = random.Random(100 + conductor)
+    monos = [m for m in itertools.product(range(3), repeat=3) if sum(m) == 2]
+    x = variables(3)[0]
+    verdicts = []
+    for _ in range(12):
+        gens = [
+            MultiPoly(3, {m: _random_scalar(rng, conductor) for m in monos})
+            for _ in range(rng.choice((2, 3)))
+        ]
+        if rng.random() < 0.4:
+            # plant a point (1 : a : b) with a, b in the field
+            point = [cyc(1)] + [_random_scalar(rng, conductor) for _ in range(2)]
+            gens = [g - x * x * g.evaluate(point) for g in gens]
+        gens = [g for g in gens if not g.is_zero()]
+        expected = _exactly_empty(gens, 3)
+        assert projective_empty(gens) is expected
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts

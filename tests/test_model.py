@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -5,8 +6,18 @@ import pytest
 
 from conftest import planted_quartic_point_model, random_rational_matrix
 
+from fano212 import groebner as groebner_module
+from fano212 import model as model_module
 from fano212.cyclotomic import Cyclotomic, cyc
-from fano212.groebner import hilbert_polynomial, qp_eval
+from fano212.groebner import (
+    _fp_field,
+    buchberger,
+    hilbert_polynomial,
+    is_unit_ideal,
+    leading_term,
+    qp_eval,
+)
+from fano212.instancefile import load_instance
 from fano212.linalg import proj_equal
 from fano212.model import (
     InvalidModel,
@@ -350,6 +361,51 @@ def test_inconclusive_smoothness_says_how_far_it_got():
         r"cap 2 \(basis size \d+, pending pairs \d+\)$"
     )):
         full_smoothness(m, cap=2)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the exact engine ran")
+
+
+def _swap_n8():
+    path = os.path.join(os.path.dirname(__file__), "data", "swap_n8.txt")
+    return load_instance(path).model
+
+
+class TestCertificateDecides:
+    def test_full_smoothness_of_swap_n8(self, monkeypatch):
+        monkeypatch.setattr(model_module, "is_unit_ideal", _refuse)
+        assert full_smoothness(_swap_n8()) is True
+
+    def test_charts_not_unit_mod_p_run_exactly(self, monkeypatch):
+        # the first form vanishes mod p, so no chart is unit mod p
+        m = _swap_n8()
+        p = _fp_field(m.conductor)[0]
+        scaled = tuple(tuple(v * p for v in row) for row in m.matrices[0])
+        m = ModelTriple((scaled,) + m.matrices[1:], m.conductor)
+        calls = []
+
+        def counted(gens, cap):
+            calls.append(gens)
+            return is_unit_ideal(gens, cap=cap)
+
+        monkeypatch.setattr(model_module, "is_unit_ideal", counted)
+        assert full_smoothness(m) is True
+        assert len(calls) == 16
+
+    def test_smooth_quartic_over_q_zeta8(self, monkeypatch):
+        x, y, z = (MultiPoly.variable(i, 3) for i in range(3))
+        # a Klein quartic with unit coefficients
+        q = x**3 * y + y**3 * z * Cyclotomic.zeta(8) + z**3 * x
+        partials = [q.derivative(i) for i in range(3)]
+        leads = [leading_term(g)[0] for g in buchberger(partials)]
+        assert all(any(sum(m) == m[v] > 0 for m in leads) for v in range(3))
+        monkeypatch.setattr(groebner_module, "buchberger", _refuse)
+        assert quartic_smooth(q) is True
+        # singular at (0:0:1), so not certified: it reaches the exact engine
+        singular = x**4 + y**4 * Cyclotomic.zeta(8) + x * y * z * z
+        with pytest.raises(AssertionError, match="exact engine"):
+            quartic_smooth(singular)
 
 
 @pytest.mark.slow
