@@ -44,14 +44,10 @@ class CharacterMultiset:
         return "{%s} mod %d" % (", ".join(str(e) for e in self.exponents), self.order)
 
 
-def total_weight(weights) -> int:
-    return sum(weights)
-
-
 def jac_curve_characters(s, r, n: int) -> CharacterMultiset:
     """Action on the Lie algebra of the curve Jacobian: the multiset
     { s_j + (s_1+s_2+s_3) - sum(r) } mod n."""
-    shift = sum(s) - total_weight(r)
+    shift = sum(s) - sum(r)
     return CharacterMultiset(n, tuple(sj + shift for sj in s))
 
 
@@ -82,7 +78,7 @@ def _extract_scaling_eigenvalue(q, scalars):
     return None
 
 
-def curve_action_oracle(pencil: InvariantPencil, weights=None, n=None) -> CharacterMultiset:
+def curve_action_oracle(pencil: InvariantPencil) -> CharacterMultiset:
     """Eigenvalues of the action on the three 2-forms spanning the sections
     of the canonical bundle of the determinantal quartic, by direct
     substitution.
@@ -92,10 +88,7 @@ def curve_action_oracle(pencil: InvariantPencil, weights=None, n=None) -> Charac
     du ^ dv / (Q/x^4) and of the monomials 1, u, v are then multiplied out
     exactly and each eigenvalue is matched against the root-of-unity lattice.
     """
-    if n is None:
-        n = pencil.order
-    if weights is None:
-        weights = pencil.weights
+    n = pencil.order
     model = ModelTriple(pencil.matrices, n)
     q = determinantal_quartic(model)
     s1, s2, s3 = pencil.exponents
@@ -109,18 +102,10 @@ def curve_action_oracle(pencil: InvariantPencil, weights=None, n=None) -> Charac
             "quartic is not an eigenvector of the diagonal substitution; "
             "invariant-pencil data is inconsistent"
         )
-    expected = root_of_unity(n, total_weight(weights))
-    if pencil.swap:
-        if not (lam_q - expected).is_zero():
-            raise OracleError(
-                "quartic eigenvalue does not match the total weight"
-            )
-    else:
-        expected = root_of_unity(n, total_weight(weights) + total_weight(pencil.weights2))
-        if not (lam_q - expected).is_zero():
-            raise OracleError(
-                "quartic eigenvalue does not match the total weight"
-            )
+    weights2 = () if pencil.swap else pencil.weights2
+    expected = root_of_unity(n, sum(pencil.weights) + sum(weights2))
+    if lam_q != expected:
+        raise OracleError("quartic eigenvalue does not match the total weight")
     zu = scalars[1] / scalars[0]  # u = y/x
     zv = scalars[2] / scalars[0]  # v = z/x
     # denominator Q/x^4 rescales by lambda_Q w^{-4 s1}

@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -157,6 +155,9 @@ class Cyclotomic:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -323,10 +324,6 @@ def cyc(value, n: int = 1) -> Cyclotomic:
     if isinstance(value, Cyclotomic):
         return value
     return Cyclotomic.from_rational(value, n)
-
-
-ZERO = Cyclotomic.from_rational(0)
-ONE = Cyclotomic.from_rational(1)
 
 
 # -- text form ---------------------------------------------------------------

@@ -75,6 +75,26 @@ def test_lift_zeta2_into_conductor_6():
     assert lifted == -1
 
 
+@pytest.mark.parametrize("n", [1, 4, 8, 840])
+def test_truth_value_is_nonzero(n):
+    # the Groebner engine tests coefficients with `if value:`
+    zeros = [
+        Cyclotomic.from_rational(0, n),
+        Cyclotomic.zeta(n) - Cyclotomic.zeta(n),
+        cyc(0),
+    ]
+    assert not any(zeros)
+    nonzeros = [
+        Cyclotomic.from_rational(Fraction(-1, 3), n),
+        Cyclotomic.zeta(n),
+        Cyclotomic.zeta(n, n - 1) - 2,
+    ]
+    assert all(nonzeros)
+    if n > 1:
+        # zeta_n^(n/2) = -1, so 1 + zeta_n^(n/2) vanishes
+        assert not (Cyclotomic.zeta(n, n // 2) + 1)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         cyc(1) / cyc(0)

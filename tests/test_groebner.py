@@ -234,7 +234,7 @@ def _zeta_scaled(ideal):
 
 @pytest.mark.parametrize("ideal", [_twisted_cubic, _quadric_triple])
 def test_both_coefficient_domains_give_one_reduced_basis(ideal):
-    # rational input runs on integer terms; a zeta_4 factor forces Q(zeta_4)
+    # rational input runs on Fractions; a zeta_4 factor forces Q(zeta_4)
     twisted = _zeta_scaled(ideal)
     assert not all(c.is_rational() for c in twisted[0].terms.values())
     assert groebner(twisted) == groebner(ideal())
@@ -253,12 +253,18 @@ PINNED_LEADS = {
 }
 
 
-@pytest.mark.parametrize("zeta", [False, True], ids=["integer", "zeta4"])
+@pytest.mark.parametrize("domain", ["integer", "zeta4", "modp"])
 @pytest.mark.parametrize("ideal", [_twisted_cubic, _quadric_triple])
-def test_pair_order_pins_the_non_reduced_basis(ideal, zeta):
-    gens = _zeta_scaled(ideal) if zeta else ideal()
-    leads = [leading_term(g)[0] for g in buchberger(gens)]
-    assert leads == PINNED_LEADS[ideal]
+def test_pair_order_pins_the_non_reduced_basis(ideal, domain):
+    # Q ("integer": rational input), Q(zeta_4) and F_p run one monic engine,
+    # so all three meet the pins
+    gens = ideal() if domain == "integer" else _zeta_scaled(ideal)
+    if domain == "modp":
+        assert _mod_p_leads(gens, DEGREE_CAP) == PINNED_LEADS[ideal]
+        return
+    basis = buchberger(gens)
+    assert [leading_term(g)[0] for g in basis] == PINNED_LEADS[ideal]
+    assert all(leading_term(g)[1] == 1 for g in basis)
 
 
 def _mixed_degree_ideal(seed):

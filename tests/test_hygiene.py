@@ -1,6 +1,6 @@
 """Static checks on the package source: every imported name is used, nothing
-outside the standard library is imported, and every import is at module
-level."""
+outside the standard library is imported, every import is at module level,
+and every public module-level name is read somewhere in the project."""
 
 import ast
 import os
@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "fano212")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "fano212")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 
@@ -92,3 +93,62 @@ def test_checker_flags_a_function_level_import():
 def test_imports_at_module_level(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as handle:
         assert function_level_imports(handle.read()) == []
+
+
+def names_read(source: str):
+    """Names a source reads: loaded names, attributes and from-imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_public_names(source: str, read):
+    """(line, name) of each public module-level function, class or assigned
+    name of the source that is not in the set of names read."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in defined
+            if not name.startswith("_") and name not in read]
+
+
+def test_checker_flags_an_unread_public_name():
+    source = (
+        "import os\nA = 1\nB: int = 2\n_C = 3\ndef f():\n    return A\n"
+        "class K:\n    pass\ndef g():\n    pass\n"
+    )
+    read = names_read(source) | names_read("from m import f\nimport m\nm.K()\n")
+    assert unread_public_names(source, read) == [(3, "B"), (9, "g")]
+
+
+def project_sources():
+    for top in ("src", "tests", "scripts", "perfbench"):
+        for folder, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name), encoding="utf-8") as handle:
+                        yield handle.read()
+
+
+@pytest.fixture(scope="module")
+def project_reads():
+    read = set()
+    for source in project_sources():
+        read |= names_read(source)
+    return read
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_names_are_read(module, project_reads):
+    with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+        assert unread_public_names(handle.read(), project_reads) == []
