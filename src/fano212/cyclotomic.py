@@ -1,11 +1,20 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) of Q(zeta_N),
-with arbitrary-precision rational coefficients.  Phi_N is built in integers,
-prime by prime; every product, power of zeta and lift is reduced by one
-routine, the remainder by the monic Phi_N.  Mixed conductors are handled by
-lifting both operands to the least common multiple; no conductor reduction
-is attempted afterwards.
+An element holds its coordinates in the power basis 1, z, ..., z^(phi(N)-1)
+as integer numerators over one denominator den > 0, in lowest terms
+(gcd(*num, den) = 1; zero is ((0, ..., 0), 1)), so equal elements of one
+conductor have equal (num, den).  A sum is an integer vector operation and a
+product an integer convolution over the product of the denominators, each
+followed by one gcd.  Phi_N is built in integers, prime by prime; every
+product, power of zeta and lift is reduced by one routine, the remainder by
+the monic Phi_N.  Mixed conductors are lifted to their lcm; no conductor
+reduction is attempted afterwards.
+
+The inverse of A/den runs the extended Euclidean algorithm of Phi_N and A in
+Z[x] by pseudo-division: each step keeps r = s*A mod Phi_N for its remainder
+r and cofactor s, also once both are divided by their common content.  As
+Phi_N is irreducible and deg A < phi(N), it ends at a constant r != 0, and
+the inverse is den*s/r exactly.
 """
 
 from __future__ import annotations
@@ -13,10 +22,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from math import gcd, lcm
+from operator import add, sub
 
 
 @lru_cache(maxsize=None)
@@ -50,23 +57,6 @@ def _spread(coeffs, step: int) -> list:
     out = [0] * ((len(coeffs) - 1) * step + 1)
     out[::step] = coeffs
     return out
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Long division of dense rational polynomials (constant term first)."""
-    num = list(num)
-    dlead = den[-1]
-    dd = len(den) - 1
-    quot = [_ZERO] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / dlead
-        if c:
-            quot[i - dd] = c
-            for j, dc in enumerate(den):
-                num[i - dd + j] -= c * dc
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
 
 
 def _divmod_monic(num: list, terms, deg: int) -> None:
@@ -107,28 +97,71 @@ def _phi_terms(n: int) -> tuple:
 
 
 def _reduce_mod_phi(n: int, dense: list) -> tuple:
-    """The remainder of a dense polynomial (constant term first) by the monic
-    Phi_n, as a coefficient vector of length phi(n)."""
+    """The remainder of a dense integer polynomial (constant term first) by
+    the monic Phi_n, as a coefficient vector of length phi(n)."""
     phi = euler_phi(n)
-    out = list(dense) + [_ZERO] * (phi - len(dense))
+    out = list(dense) + [0] * (phi - len(dense))
     _divmod_monic(out, _phi_terms(n), phi)
     return tuple(out[:phi])
 
 
+def _trim(p) -> list:
+    """A dense polynomial without its zero leading coefficients."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _pseudo_remainder(r0: list, s0: list, r1: list, s1: list):
+    """One extended Euclidean step in Z[x]: r = c*r0 - q*r1 of degree below
+    r1 for an integer c, and s = c*s0 - q*s1, both divided by their common
+    content.  Each leading term t*x^(k+deg r1) of r is cleared by
+    r <- (l/g)*r - (t/g)*x^k*r1, l the lead of r1 and g = gcd(l, t)."""
+    r, s = list(r0), list(s0)
+    lead, deg = r1[-1], len(r1) - 1
+    while len(r) > deg:
+        top = r[-1]
+        if top:
+            g = gcd(top, lead)
+            a, b, k = lead // g, top // g, len(r) - 1 - deg
+            if a != 1:
+                r = [a * x for x in r]
+                s = [a * x for x in s]
+            for j, c in enumerate(r1):
+                r[k + j] -= b * c
+            s += [0] * (k + len(s1) - len(s))
+            for j, c in enumerate(s1):
+                if c:
+                    s[k + j] -= b * c
+        r.pop()
+    r, s = _trim(r), _trim(s)
+    g = gcd(*r, *s)
+    if g != 1:
+        r = [x // g for x in r]
+        s = [x // g for x in s]
+    return r, s
+
+
 class Cyclotomic:
-    """An exact element of Q(zeta_n) in reduced power-basis form.
+    """An exact element of Q(zeta_n): integer numerators num over den > 0 in
+    the power basis, with gcd(*num, den) = 1.
 
     Immutable; arithmetic lifts mixed conductors to their lcm.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != euler_phi(n):
             raise ValueError("coefficient vector has wrong length for conductor %d" % n)
+        # the lcm of lowest-terms denominators leaves no common factor
+        den = lcm(*(c.denominator for c in coeffs))
+        num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic values are immutable")
@@ -136,100 +169,129 @@ class Cyclotomic:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _mk(cls, n: int, coeffs: tuple) -> "Cyclotomic":
-        """Trusted fast constructor; coeffs must already be reduced."""
+    def _mk(cls, n: int, num: tuple, den: int) -> "Cyclotomic":
+        """Trusted fast constructor; num must be reduced mod Phi_n, den > 0
+        and gcd(*num, den) = 1."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         return self
+
+    @classmethod
+    def _lowest(cls, n: int, num: tuple, den: int) -> "Cyclotomic":
+        """The element num/den, num reduced mod Phi_n and den > 0, brought to
+        lowest terms."""
+        g = gcd(*num, den)
+        if g != 1:
+            num, den = tuple([c // g for c in num]), den // g
+        return cls._mk(n, num, den)
 
     @staticmethod
     def from_rational(q, n: int = 1) -> "Cyclotomic":
-        return Cyclotomic(n, (q,) + (_ZERO,) * (euler_phi(n) - 1))
+        q = Fraction(q)
+        return Cyclotomic._mk(n, (q.numerator,) + (0,) * (euler_phi(n) - 1), q.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
-        return Cyclotomic(n, _reduce_mod_phi(n, [_ZERO] * (k % n) + [_ONE]))
+        return Cyclotomic._mk(n, _reduce_mod_phi(n, [0] * (k % n) + [1]), 1)
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number: %s" % self)
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def lift(self, m: int) -> "Cyclotomic":
-        """Embed into Q(zeta_m) via zeta_n = zeta_m^(m/n); requires n | m."""
+        """Embed into Q(zeta_m) via zeta_n = zeta_m^(m/n); requires n | m.
+        The denominator stays in lowest terms: the power basis of Z[zeta_n]
+        is an integral basis, so a prime dividing every lifted numerator
+        would divide every numerator."""
         if m == self.n:
             return self
         if m % self.n:
             raise ValueError("cannot lift conductor %d into %d" % (self.n, m))
-        return Cyclotomic(m, _reduce_mod_phi(m, _spread(self.coeffs, m // self.n)))
+        num = _reduce_mod_phi(m, _spread(self.num, m // self.n))
+        return Cyclotomic._mk(m, num, self.den)
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Cyclotomic):
+            if other.n == self.n:
+                return self, other
+        elif isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(other, 1)
-        elif not isinstance(other, Cyclotomic):
+        else:
             return None, None
-        if self.n == other.n:
-            return self, other
-        m = self.n * other.n // gcd(self.n, other.n)
+        m = lcm(self.n, other.n)
         return self.lift(m), other.lift(m)
 
     # -- arithmetic --------------------------------------------------------
 
+    def _combine(self, other, op) -> "Cyclotomic":
+        """op(self, other) for op add or sub and a same-conductor other."""
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple(map(op, self.num, other.num))
+        else:
+            g = gcd(da, db)
+            ea, eb = db // g, da // g
+            num = tuple(map(op, [x * ea for x in self.num], [y * eb for y in other.num]))
+            da *= ea
+        return Cyclotomic._lowest(self.n, num, da)
+
     def __add__(self, other):
-        if isinstance(other, Cyclotomic) and other.n == self.n:
-            return Cyclotomic._mk(
-                self.n, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-            )
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return Cyclotomic._mk(a.n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return a._combine(b, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._mk(self.n, tuple(-c for c in self.coeffs))
+        return Cyclotomic._mk(self.n, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, Cyclotomic) and other.n == self.n:
-            return Cyclotomic._mk(
-                self.n, tuple(x - y for x, y in zip(self.coeffs, other.coeffs))
-            )
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return Cyclotomic._mk(a.n, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return a._combine(b, sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, Cyclotomic) and other.n == self.n:
-            la, lb = self.coeffs, other.coeffs
+            la, lb = self.num, other.num
+            den = self.den * other.den
             if len(la) == 1:
-                return Cyclotomic._mk(self.n, (la[0] * lb[0],))
-            dense = [_ZERO] * (len(la) + len(lb) - 1)
+                return Cyclotomic._lowest(self.n, (la[0] * lb[0],), den)
+            dense = [0] * (len(la) + len(lb) - 1)
+            terms = [(j, y) for j, y in enumerate(lb) if y]
             for i, x in enumerate(la):
                 if x:
-                    for j, y in enumerate(lb):
-                        if y:
-                            dense[i + j] += x * y
-            return Cyclotomic._mk(self.n, _reduce_mod_phi(self.n, dense))
+                    for j, y in terms:
+                        dense[i + j] += x * y
+            return Cyclotomic._lowest(self.n, _reduce_mod_phi(self.n, dense), den)
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return Cyclotomic._mk(self.n, tuple(c * q for c in self.coeffs))
+            return Cyclotomic._lowest(
+                self.n, tuple(c * q.numerator for c in self.num), self.den * q.denominator
+            )
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -241,31 +303,26 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.n)
         if self.is_rational():
-            return Cyclotomic.from_rational(1 / self.coeffs[0], self.n)
-        # extended gcd of self against the irreducible Phi_n over Q[x]: the
-        # remainders end in a nonzero constant r1 = s1 * self mod Phi_n
-        r0, r1 = list(map(Fraction, cyclotomic_coeffs(self.n))), list(self.coeffs)
-        while r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [_ZERO], [_ONE]
+            return Cyclotomic.from_rational(Fraction(self.den, self.num[0]), self.n)
+        # extended gcd of A = den*self against Phi_n in Z[x], down to a
+        # nonzero constant r1 = s1 * A mod Phi_n (see the module docstring)
+        r0, s0 = list(cyclotomic_coeffs(self.n)), [0]
+        r1, s1 = _trim(self.num), [1]
         while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            # s_new = s0 - q * s1
-            s_new = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            s_new[i + j] -= qc * sc
-            r0, r1, s0, s1 = r1, r, s1, s_new
-        return Cyclotomic(self.n, _reduce_mod_phi(self.n, [c / r1[0] for c in s1]))
+            r0, s0, (r1, s1) = r1, s1, _pseudo_remainder(r0, s0, r1, s1)
+        scale = self.den if r1[0] > 0 else -self.den
+        num = _reduce_mod_phi(self.n, [c * scale for c in s1])
+        return Cyclotomic._lowest(self.n, num, abs(r1[0]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if q == 0:
                 raise ZeroDivisionError("division by zero")
-            return Cyclotomic(self.n, tuple(c / q for c in self.coeffs))
+            scale = q.denominator if q > 0 else -q.denominator
+            return Cyclotomic._lowest(
+                self.n, tuple(c * scale for c in self.num), self.den * abs(q.numerator)
+            )
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return self * other.inverse()
@@ -286,12 +343,10 @@ class Cyclotomic:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, 1)
-        elif not isinstance(other, Cyclotomic):
-            return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        if a is None:
+            return NotImplemented
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # equality crosses conductors; not usable as dict key
 
@@ -358,7 +413,7 @@ def parse_cyclotomic(text: str, conductor: int) -> Cyclotomic:
         if not m or (m.group("coef") is None and m.group("z") is None):
             raise LiteralError("bad term %r in literal %r" % (body, text))
         try:
-            coef = Fraction(m.group("coef")) if m.group("coef") else _ONE
+            coef = Fraction(m.group("coef")) if m.group("coef") else 1
             exp = int(m.group("exp")) if m.group("exp") else 1
         except (ValueError, ZeroDivisionError):
             raise LiteralError("term %r has a zero denominator or a number over "

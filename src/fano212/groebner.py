@@ -269,7 +269,7 @@ def buchberger(generators, cap: int = DEGREE_CAP, stop_at_unit: bool = False):
         return []
     nvars = gens[0].nvars
     if all(c.is_rational() for g in gens for c in g.terms.values()):
-        polys = [{m: c.coeffs[0] for m, c in g.terms.items()} for g in gens]
+        polys = [{m: c.to_rational() for m, c in g.terms.items()} for g in gens]
     else:
         polys = [g.terms for g in gens]
     lead_data, unit = _basis(polys, cap, stop_at_unit)
@@ -370,18 +370,16 @@ def _fp_field(n: int):
 def _fp_terms(poly: MultiPoly, n: int, prime: int, powers) -> dict | None:
     """The image of poly in F_p[x]: zeta_n maps to powers[1] = r, so the
     zeta_c of a coefficient of conductor c maps to powers[n // c].  None
-    when a denominator is divisible by p."""
+    when a denominator is divisible by p: as p is prime, that is when p
+    divides the common denominator, the lcm of the coefficients' ones."""
     terms = {}
     for mono, coef in poly.terms.items():
+        if coef.den % prime == 0:
+            return None
         step = n // coef.n
-        value = 0
-        for k, q in enumerate(coef.coeffs):
-            if q:
-                den = q.denominator
-                if den % prime == 0:
-                    return None
-                term = q.numerator * powers[k * step]
-                value += term if den == 1 else term * pow(den, -1, prime)
+        value = sum(c * powers[k * step] for k, c in enumerate(coef.num) if c)
+        if coef.den != 1:
+            value *= pow(coef.den, -1, prime)
         value %= prime
         if value:
             terms[mono] = value

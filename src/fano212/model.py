@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 
-from .cyclotomic import _poly_divmod, cyc, euler_phi
+from .cyclotomic import _trim, cyc, euler_phi
 from .groebner import (
     DEGREE_CAP,
     DegreeCapExceeded,
@@ -344,12 +344,21 @@ def _univariate_coeffs(p: MultiPoly, var: int):
     return [coeffs.get(k, cyc(0)) for k in range(degree + 1)]
 
 
-def _trim(p):
-    """A dense polynomial without its zero leading coefficients."""
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _poly_divmod(num, den):
+    """Long division of dense rational polynomials (constant term first)."""
+    num = list(num)
+    dlead = den[-1]
+    dd = len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - dd, 1)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] / dlead
+        if c:
+            quot[i - dd] = c
+            for j, dc in enumerate(den):
+                num[i - dd + j] -= c * dc
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return quot, num
 
 
 def _poly_gcd(a, b):

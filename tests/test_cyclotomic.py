@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,17 +31,82 @@ def test_phi_small_values():
     assert poly_of_phi(6) == [1, -1, 1]  # x^2 - x + 1
 
 
+def long_divide(num, den):
+    """Quotient and remainder (padded to deg den) of Fraction long division,
+    constant term first; written here so that the oracles below do not read
+    the module's own reduction."""
+    num, deg = list(num), len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - deg, 1)
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = num[i] / den[-1]
+        quot[i - deg] = c
+        for j, d in enumerate(den):
+            num[i - deg + j] -= c * d
+    return quot, (num + [Fraction(0)] * deg)[:deg]
+
+
 def test_phi_by_long_division_oracle():
     # divide x^n - 1 by Phi_d for every proper divisor d of n and compare
-    from fano212.cyclotomic import _poly_divmod
-
     for n in (6, 60, 105, 840):
         num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
         for d in range(1, n):
             if n % d == 0:
-                num, rem = _poly_divmod(num, poly_of_phi(d))
-                assert rem == [0]
+                num, rem = long_divide(num, poly_of_phi(d))
+                assert not any(rem)
         assert num == poly_of_phi(n)
+
+
+def reference_product(n, a, b):
+    """a*b in Q(zeta_n) from Fraction coefficient vectors: naive
+    convolution, then the remainder by Phi_n."""
+    dense = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            dense[i + j] += x * y
+    return tuple(long_divide(dense, poly_of_phi(n))[1])
+
+
+def assert_lowest_terms(a):
+    assert a.den > 0 and gcd(*a.num, a.den) == 1
+    if a.is_zero():
+        assert a.den == 1
+
+
+def random_element(rng, n, terms):
+    coeffs = [Fraction(0)] * euler_phi(n)
+    for k in rng.sample(range(len(coeffs)), terms):
+        coeffs[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return Cyclotomic(n, coeffs)
+
+
+@pytest.mark.parametrize("n", [8, 60, 210, 504])
+def test_integer_form_against_fraction_reference(n):
+    rng = random.Random(n)
+    phi = euler_phi(n)
+    for _ in range(3):
+        a = random_element(rng, n, rng.randint(1, min(phi, 6)))
+        b = random_element(rng, n, rng.randint(1, phi))
+        q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+        results = [a + b, a - b, a - a, a * b, a * q, a / q, b.lift(2 * n),
+                   Cyclotomic.zeta(n, rng.randrange(n)), cyc(0, n)]
+        product = a * b
+        assert product.coeffs == reference_product(n, a.coeffs, b.coeffs)
+        if not a.is_zero():
+            inverse = a.inverse()
+            results += [inverse, b / a]
+            assert reference_product(n, a.coeffs, inverse.coeffs) == (1,) + (0,) * (phi - 1)
+            assert a * inverse == 1
+        for value in results:
+            assert_lowest_terms(value)
+
+
+@pytest.mark.parametrize("n", [840, 1024])
+def test_inverse_of_sparse_trinomial_at_large_conductor(n):
+    # the Euclidean algorithm over Q took 31.6 s here at n = 840 and did not
+    # finish in minutes at n = 1024; in integers it takes well under a second
+    z = Cyclotomic.zeta(n)
+    a = 3 * z**100 + z**7 / 3 + 2
+    assert a * a.inverse() == 1
 
 
 @pytest.mark.parametrize("n", [*range(1, 25), 105, 210, 840, 1024])
