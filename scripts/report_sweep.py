@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Print the deterministic output of the toolkit on a fixed corpus, so that
+two checkouts can be compared byte for byte.
+
+Usage (from the root of a checkout; takes no options, writes to stdout):
+    python scripts/report_sweep.py > sweep.txt
+    cmp sweep_before.txt sweep_after.txt
+
+The corpus is tests/data plus one instance generated for each cell of
+run_survey.py's grids at seeds 0 and 1.  The sweep prints, for every
+instance, the --format tree report and the exit code of validate, smooth,
+verify, chars --oracle, verdict, gfano, hilbert on both sides and picard;
+then smooth --full on tests/data, the serialized text of each generated
+instance, and the sample_curve_points output on both sides for the
+generated instances of order 2.  A final line counts the reports.
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from math import lcm
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from fano212.action import (  # noqa: E402
+    GenerationError,
+    random_diagonal_model,
+    random_equivariant_model,
+)
+from fano212.cli import main as cli_main  # noqa: E402
+from fano212.instancefile import Instance, serialize_instance  # noqa: E402
+from fano212.model import Side, sample_curve_points  # noqa: E402
+from run_survey import DIAGONAL_GRID, SWAP_GRID  # noqa: E402
+
+DATA = os.path.join(ROOT, "tests", "data")
+SEEDS = (0, 1)
+COMMANDS = (
+    ["validate"],
+    ["smooth"],
+    ["verify"],
+    ["chars", "--oracle"],
+    ["verdict"],
+    ["gfano"],
+    ["hilbert", "--side", "first"],
+    ["hilbert", "--side", "second"],
+    ["picard"],
+)
+
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(argv + ["--format", "tree"])
+    return code, buf.getvalue()
+
+
+def report(label, path, argv):
+    code, out = run(argv + ["--input", path])
+    print("== %s: %s -> exit %d" % (label, " ".join(argv), code))
+    sys.stdout.write(out)
+
+
+def generated():
+    """(label, Instance or error text) for every grid cell and seed."""
+    for seed in SEEDS:
+        cells = [(n, w, None, s) for n, w, s in SWAP_GRID] + list(DIAGONAL_GRID)
+        for n, weights, weights2, exponents in cells:
+            label = "n=%d r=%s r2=%s s=%s seed=%d" % (n, weights, weights2, exponents, seed)
+            try:
+                if weights2 is None:
+                    model, spec = random_equivariant_model(n, weights, exponents, seed=seed)
+                else:
+                    model, spec = random_diagonal_model(
+                        n, weights, weights2, exponents, seed=seed
+                    )
+            except GenerationError as exc:
+                yield label, str(exc)
+                continue
+            yield label, Instance(model=model, spec=spec,
+                                  conductor=lcm(model.conductor, n),
+                                  declared_exponents=exponents)
+
+
+def main():
+    reports = 0
+    data = sorted(f for f in os.listdir(DATA) if f.endswith(".txt"))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = [(name, os.path.join(DATA, name)) for name in data]
+        instances = []
+        for k, (label, inst) in enumerate(generated()):
+            if isinstance(inst, str):
+                print("== %s: generation failed: %s" % (label, inst))
+                continue
+            path = os.path.join(tmp, "instance%d.txt" % k)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(serialize_instance(inst))
+            corpus.append((label, path))
+            instances.append((label, inst))
+        for label, path in corpus:
+            for argv in COMMANDS:
+                report(label, path, argv)
+                reports += 1
+        for name in data:
+            report(name, os.path.join(DATA, name), ["smooth", "--full"])
+            reports += 1
+    for label, inst in instances:
+        print("== %s: serialized" % label)
+        sys.stdout.write(serialize_instance(inst))
+    for label, inst in instances:
+        if inst.spec.order != 2:
+            continue
+        for side in Side:
+            points = sample_curve_points(inst.model, side)
+            print("== %s: sample_curve_points %s" % (label, side.value))
+            for point in points:
+                print("(%s)" % ", ".join(str(v) for v in point))
+    print("== %d reports" % reports)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import cyc, root_of_unity
-from .linalg import det, nullspace, solve
-from .model import ModelTriple, determinantal_quartic, quartic_smooth, \
+from .linalg import det, mat, nullspace, solve
+from .model import ModelTriple, combine, determinantal_quartic, quartic_smooth, \
     validate_model, InvalidModel
 
 
@@ -231,21 +231,8 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
             "action on the pencil is not diagonalisable over the declared "
             "root-of-unity eigenvalues (found %d eigenvectors)" % len(vectors)
         )
-    matrices = []
-    for vec in vectors:
-        matrices.append(
-            tuple(
-                tuple(
-                    vec[0] * m.matrices[0][j][k]
-                    + vec[1] * m.matrices[1][j][k]
-                    + vec[2] * m.matrices[2][j][k]
-                    for k in range(4)
-                )
-                for j in range(4)
-            )
-        )
     return InvariantPencil(
-        matrices=tuple(matrices),
+        matrices=tuple(combine(vec, m.matrices) for vec in vectors),
         exponents=tuple(exponents),
         order=n,
         swap=spec.swap,
@@ -310,17 +297,18 @@ def invariant_sublattice(swap: bool):
 
 
 def transpose_twist_eigenbasis(n: int, weights, s: int):
-    """Basis of the w^s-eigenspace of M -> D M^T on 4x4 matrices."""
+    """Basis of the w^s-eigenspace of M -> D M^T on 4x4 matrices, every
+    entry in Q(zeta_n)."""
     basis = []
     for i in range(4):
         if (weights[i] - s) % n == 0:
-            mat = [[cyc(0)] * 4 for _ in range(4)]
-            mat[i][i] = cyc(1)
+            mat = [[cyc(0, n)] * 4 for _ in range(4)]
+            mat[i][i] = cyc(1, n)
             basis.append(tuple(tuple(row) for row in mat))
     for i in range(4):
         for j in range(i + 1, 4):
             if (weights[i] + weights[j] - 2 * s) % n == 0:
-                mat = [[cyc(0)] * 4 for _ in range(4)]
+                mat = [[cyc(0, n)] * 4 for _ in range(4)]
                 mat[i][j] = root_of_unity(n, weights[i])
                 mat[j][i] = root_of_unity(n, s)
                 basis.append(tuple(tuple(row) for row in mat))
@@ -328,55 +316,23 @@ def transpose_twist_eigenbasis(n: int, weights, s: int):
 
 
 def diagonal_twist_eigenbasis(n: int, weights, weights2, s: int):
-    """Basis of the w^s-eigenspace of M -> A M B on 4x4 matrices."""
+    """Basis of the w^s-eigenspace of M -> A M B on 4x4 matrices, every
+    entry in Q(zeta_n)."""
     basis = []
     for i in range(4):
         for j in range(4):
             if (weights[i] + weights2[j] - s) % n == 0:
-                mat = [[cyc(0)] * 4 for _ in range(4)]
-                mat[i][j] = cyc(1)
+                mat = [[cyc(0, n)] * 4 for _ in range(4)]
+                mat[i][j] = cyc(1, n)
                 basis.append(tuple(tuple(row) for row in mat))
     return basis
 
 
-def _random_combination(basis, rng, n):
-    mat = [[cyc(0, n)] * 4 for _ in range(4)]
-    for b in basis:
-        c = rng.randint(-3, 3)
-        if c:
-            for j in range(4):
-                for k in range(4):
-                    mat[j][k] = mat[j][k] + b[j][k] * c
-    return tuple(tuple(row) for row in mat)
-
-
-def _mix_basis(mats, rng):
-    """Random invertible integer change of basis of the pencil."""
-    while True:
-        mix = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-        det = (
-            mix[0][0] * (mix[1][1] * mix[2][2] - mix[1][2] * mix[2][1])
-            - mix[0][1] * (mix[1][0] * mix[2][2] - mix[1][2] * mix[2][0])
-            + mix[0][2] * (mix[1][0] * mix[2][1] - mix[1][1] * mix[2][0])
-        )
-        if det != 0:
-            break
-    mixed = []
-    for i in range(3):
-        mat = [[cyc(0)] * 4 for _ in range(4)]
-        for j in range(3):
-            c = mix[i][j]
-            if c:
-                for r in range(4):
-                    for k in range(4):
-                        mat[r][k] = mat[r][k] + mats[j][r][k] * c
-        mixed.append(tuple(tuple(row) for row in mat))
-    return tuple(mixed)
-
-
 def _random_model(spec: ActionSpec, eigenbasis, exponents, seed, attempts, mix):
     """Draw each form from the eigenspace eigenbasis(s) of its exponent s,
-    resampling until the determinantal quartic is smooth."""
+    with integer coefficients in -3..3; with mix, change the basis of the
+    pencil by a random invertible integer matrix with entries in -2..2.
+    Resample until the determinantal quartic is smooth."""
     n = spec.order
     bases = []
     for s in exponents:
@@ -390,13 +346,17 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed, attempts, mix):
     rng = random.Random(seed)
     failure = "no draw attempted"
     for _ in range(attempts):
-        mats = tuple(_random_combination(b, rng, n) for b in bases)
+        mats = tuple(
+            combine([rng.randint(-3, 3) for _ in b], b) for b in bases
+        )
         if mix:
-            candidate = _mix_basis(mats, rng)
-        else:
-            candidate = mats
+            while True:
+                rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+                if not det(mat(rows)).is_zero():
+                    break
+            mats = tuple(combine(row, mats) for row in rows)
         try:
-            model = ModelTriple(candidate, n)
+            model = ModelTriple(mats, n)
             validate_model(model)
             q = determinantal_quartic(model)
         except InvalidModel as exc:

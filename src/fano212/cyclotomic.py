@@ -438,17 +438,22 @@ def _format_term(coef: Fraction, power: int) -> str:
     return "%s*%s" % (coef, z)
 
 
+def join_signed(terms) -> str:
+    """Join printed terms into a sum, a leading "-" of a later term becoming
+    " - "; "0" when there are no terms."""
+    text = ""
+    for term in terms:
+        if not text:
+            text = term
+        elif term.startswith("-"):
+            text += " - " + term[1:]
+        else:
+            text += " + " + term
+    return text or "0"
+
+
 def format_cyclotomic(a: Cyclotomic) -> str:
     """Canonical literal: terms by ascending power, minimal coefficients."""
-    parts = []
-    for power, coef in enumerate(a.coeffs):
-        if coef == 0:
-            continue
-        term = _format_term(coef, power)
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(" - " + term[1:])
-        else:
-            parts.append(" + " + term)
-    return "".join(parts) if parts else "0"
+    return join_signed(
+        _format_term(coef, power) for power, coef in enumerate(a.coeffs) if coef
+    )

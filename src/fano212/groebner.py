@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclotomic import _prime_factors
+from .cyclotomic import _prime_factors, join_signed
 from .multipoly import MultiPoly
 
 DEGREE_CAP = 30
@@ -46,14 +45,6 @@ class DegreeCapExceeded(RuntimeError):
 
 class NonHomogeneousIdeal(ValueError):
     pass
-
-
-@dataclass
-class Ideal:
-    generators: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.generators = [g for g in self.generators if not g.is_zero()]
 
 
 # -- monomial order ------------------------------------------------------------
@@ -86,11 +77,9 @@ def monomial_lcm(a, b):
 
 
 def leading_term(p: MultiPoly):
-    """(monomial, coefficient) of the grevlex-leading term, cached."""
-    if p._lead is None:
-        mono = max(p.terms, key=grevlex_key)
-        object.__setattr__(p, "_lead", (mono, p.terms[mono]))
-    return p._lead
+    """(monomial, coefficient) of the grevlex-leading term."""
+    mono = max(p.terms, key=grevlex_key)
+    return mono, p.terms[mono]
 
 
 # -- the monic engine ------------------------------------------------------------
@@ -303,12 +292,9 @@ def reduce_basis(basis):
     return reduced
 
 
-def groebner(ideal, cap: int = DEGREE_CAP):
-    """Reduced Groebner basis of an Ideal (or a plain generator list)."""
-    gens = ideal.generators if isinstance(ideal, Ideal) else list(ideal)
-    basis = buchberger(gens, cap=cap)
-    reduced = reduce_basis(basis)
-    return Ideal(reduced) if isinstance(ideal, Ideal) else reduced
+def groebner(generators, cap: int = DEGREE_CAP):
+    """Reduced Groebner basis of the ideal the generators span."""
+    return reduce_basis(buchberger(generators, cap=cap))
 
 
 def is_unit_ideal(generators, cap: int = DEGREE_CAP) -> bool:
@@ -432,7 +418,7 @@ def _empty_locus(leads, nvars: int) -> bool:
     return all(any(m[var] == sum(m) for m in leads) for var in range(nvars))
 
 
-def projective_empty(ideal, cap: int = DEGREE_CAP) -> bool:
+def projective_empty(generators, cap: int = DEGREE_CAP) -> bool:
     """True iff the homogeneous ideal has empty vanishing locus in projective
     space: its leading ideal must contain a pure power of every variable.
 
@@ -444,8 +430,7 @@ def projective_empty(ideal, cap: int = DEGREE_CAP) -> bool:
     zeta_N reduces to r.  So an ideal with no projective zero mod p has none
     over Qbar.  A locus that is not empty mod p, or a run with no certificate,
     goes to the exact engine."""
-    gens = ideal.generators if isinstance(ideal, Ideal) else list(ideal)
-    gens = [g for g in gens if not g.is_zero()]
+    gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return False
     if any(not g.is_homogeneous() for g in gens):
@@ -518,13 +503,8 @@ def qp_str(p, var: str = "t") -> str:
         else:
             mono = var if k == 1 else "%s^%d" % (var, k)
             body = mono if c == 1 else ("-" + mono if c == -1 else "%s*%s" % (c, mono))
-        if not parts:
-            parts.append(body)
-        elif body.startswith("-"):
-            parts.append(" - " + body[1:])
-        else:
-            parts.append(" + " + body)
-    return "".join(parts) if parts else "0"
+        parts.append(body)
+    return join_signed(parts)
 
 
 def _minimalize(monos):
@@ -573,11 +553,11 @@ def _monomial_quotient_hp(gens, nvars, cache):
     return result
 
 
-def hilbert_polynomial(ideal, nvars: int | None = None, cap: int = DEGREE_CAP):
-    """Hilbert polynomial of the quotient by a homogeneous ideal, as a tuple
-    of rational coefficients (constant term first)."""
-    gens = ideal.generators if isinstance(ideal, Ideal) else list(ideal)
-    gens = [g for g in gens if not g.is_zero()]
+def hilbert_polynomial(generators, nvars: int | None = None, cap: int = DEGREE_CAP):
+    """Hilbert polynomial of the quotient by the homogeneous ideal the
+    generators span, as a tuple of rational coefficients (constant term
+    first)."""
+    gens = [g for g in generators if not g.is_zero()]
     if any(not g.is_homogeneous() for g in gens):
         raise NonHomogeneousIdeal("Hilbert polynomial needs homogeneous input")
     if not gens:

@@ -10,10 +10,6 @@ from __future__ import annotations
 from .cyclotomic import Cyclotomic, cyc
 
 
-def _zero() -> Cyclotomic:
-    return Cyclotomic.from_rational(0)
-
-
 def mat(rows):
     return [[cyc(v) for v in row] for row in rows]
 
@@ -28,7 +24,7 @@ def mat_mul(a, b):
 
 
 def _dot(u, v):
-    total = _zero()
+    total = cyc(0)
     for x, y in zip(u, v):
         total = total + x * y
     return total
@@ -76,7 +72,7 @@ def nullspace(rows, ncols=None):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [_zero()] * ncols
+        vec = [cyc(0)] * ncols
         vec[fc] = cyc(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][fc]
@@ -95,7 +91,7 @@ def solve(rows, rhs):
     red, pivots = rref(aug)
     if ncols in pivots:
         return None
-    x = [_zero()] * ncols
+    x = [cyc(0)] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
@@ -108,7 +104,7 @@ def det(rows) -> Cyclotomic:
         raise ValueError("matrix is not square")
     if size == 1:
         return rows[0][0]
-    total = _zero()
+    total = cyc(0)
     for col in range(size):
         entry = rows[0][col]
         if entry.is_zero():

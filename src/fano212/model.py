@@ -15,26 +15,28 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import count
-from math import gcd, lcm
+from math import lcm
+from operator import add
 
 from .cyclotomic import _trim, cyc, euler_phi
 from .groebner import (
     DEGREE_CAP,
     DegreeCapExceeded,
-    Ideal,
     is_unit_ideal,
     projective_empty,
     unit_mod_p,
 )
 from .linalg import (
+    mat_mul,
     mat_transpose,
     matrix_rank,
     nullspace,
     proj_equal,
     proj_normalize,
 )
-from .multipoly import MultiPoly, maximal_minors, poly_det
+from .multipoly import MultiPoly, maximal_minors, minors, poly_det
 
 
 class Side(Enum):
@@ -74,18 +76,14 @@ def model_from_matrices(ms) -> ModelTriple:
     if len(ms) != 3:
         raise InvalidModel("matrix-count", "expected three matrices, got %d" % len(ms))
     matrices = []
-    conductor = 1
     for idx, grid in enumerate(ms, start=1):
         rows = [list(r) for r in grid]
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise InvalidModel(
                 "matrix-shape", "matrix %d is not 4x4" % idx
             )
-        rows = [[cyc(v) for v in r] for r in rows]
-        for r in rows:
-            for v in r:
-                conductor = conductor * v.n // gcd(conductor, v.n)
-        matrices.append(tuple(tuple(r) for r in rows))
+        matrices.append(tuple(tuple(cyc(v) for v in r) for r in rows))
+    conductor = lcm(*(v.n for mat in matrices for row in mat for v in row))
     return ModelTriple(tuple(matrices), conductor)
 
 
@@ -99,55 +97,58 @@ def validate_model(m: ModelTriple) -> None:
         )
 
 
-# -- forms and matrices of linear forms -----------------------------------------
+# -- the pencil, forms and matrices of linear forms -------------------------------
+
+
+def combine(coeffs, matrices):
+    """The 4x4 matrix sum of c * M over paired coefficients and matrices."""
+    return tuple(
+        tuple(reduce(add, (c * mat[j][k] for c, mat in zip(coeffs, matrices)))
+              for k in range(4))
+        for j in range(4)
+    )
+
+
+def _units(nvars: int):
+    """Exponent tuples of the variables x_0 .. x_{nvars-1}."""
+    return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+
+
+_X3, _X4, _X8 = _units(3), _units(4), _units(8)
+# x_j * y_k in x0..x3, y0..y3, in the row-major order of a matrix's entries
+_XY = [tuple(map(add, x, y)) for x in _X8[:4] for y in _X8[4:]]
+
+
+def _form(coeffs, monomials) -> MultiPoly:
+    """The polynomial sum of c * x^e over paired coefficients and exponent
+    tuples, written as a term dict."""
+    return MultiPoly(
+        len(monomials[0]),
+        {e: c for c, e in zip(coeffs, monomials) if not c.is_zero()},
+    )
 
 
 def bilinear_forms(m: ModelTriple):
     """The three forms x^T M_i y as polynomials in x0..x3, y0..y3."""
-    forms = []
-    for mat in m.matrices:
-        terms = {}
-        for j in range(4):
-            for k in range(4):
-                v = mat[j][k]
-                if not v.is_zero():
-                    exps = [0] * 8
-                    exps[j] = 1
-                    exps[4 + k] = 1
-                    terms[tuple(exps)] = v
-        forms.append(MultiPoly(8, terms))
-    return forms
+    return [_form([v for row in mat for v in row], _XY) for mat in m.matrices]
 
 
 def coeff_matrix(m: ModelTriple, side: Side = Side.FIRST):
     """3x4 matrix of linear forms in x0..x3; row i is x^T M_i (or x^T M_i^T)."""
-    mats = m.sided(side).matrices
-    rows = []
-    for mat in mats:
-        row = []
-        for col in range(4):
-            terms = {}
-            for j in range(4):
-                v = mat[j][col]
-                if not v.is_zero():
-                    exps = [0] * 4
-                    exps[j] = 1
-                    terms[tuple(exps)] = v
-            row.append(MultiPoly(4, terms))
-        rows.append(row)
-    return rows
+    return [[_form(col, _X4) for col in zip(*mat)] for mat in m.sided(side).matrices]
 
 
-def minor_cubics(m: ModelTriple, side: Side = Side.FIRST) -> Ideal:
-    """The ideal of the blowdown centre: all four 3x3 minors of coeff_matrix."""
-    minors = maximal_minors(coeff_matrix(m, side))
-    if all(f.is_zero() for f in minors):
+def minor_cubics(m: ModelTriple, side: Side = Side.FIRST) -> list:
+    """Generators of the ideal of the blowdown centre: the nonzero 3x3 minors
+    of coeff_matrix."""
+    cubics = [f for f in maximal_minors(coeff_matrix(m, side)) if not f.is_zero()]
+    if not cubics:
         raise InvalidModel(
             "degenerate-rank",
             "all maximal minors vanish identically; matrix of linear forms has "
             "generic rank < 3",
         )
-    return Ideal(list(minors))
+    return cubics
 
 
 def fiber_section(m: ModelTriple, side: Side, point):
@@ -169,20 +170,8 @@ def fiber_section(m: ModelTriple, side: Side, point):
 
 def determinantal_quartic(m: ModelTriple) -> MultiPoly:
     """Q(x, y, z) = det(x*M1 + y*M2 + z*M3)."""
-    rows = []
-    for j in range(4):
-        row = []
-        for k in range(4):
-            terms = {}
-            for i in range(3):
-                v = m.matrices[i][j][k]
-                if not v.is_zero():
-                    exps = [0, 0, 0]
-                    exps[i] = 1
-                    terms[tuple(exps)] = v
-            row.append(MultiPoly(3, terms))
-        rows.append(row)
-    q = poly_det(rows)
+    q = poly_det([[_form(entry, _X3) for entry in zip(*rows)]
+                  for rows in zip(*m.matrices)])
     if q.is_zero():
         raise InvalidModel("degenerate-pencil", "det(xM1 + yM2 + zM3) is identically zero")
     return q
@@ -203,19 +192,10 @@ def quartic_smooth(q: MultiPoly, cap: int = DEGREE_CAP) -> bool:
 def rank_locus_check(m: ModelTriple, side: Side = Side.FIRST, cap: int = DEGREE_CAP) -> bool:
     """True iff the matrix of linear forms never drops to rank <= 1 on P3:
     the 18 2x2 minors have empty projective vanishing locus."""
-    rows = coeff_matrix(m, side)
-    minors = []
-    for r1 in range(3):
-        for r2 in range(r1 + 1, 3):
-            for c1 in range(4):
-                for c2 in range(c1 + 1, 4):
-                    minors.append(
-                        rows[r1][c1] * rows[r2][c2] - rows[r1][c2] * rows[r2][c1]
-                    )
-    minors = [f for f in minors if not f.is_zero()]
-    if not minors:
+    quadrics = [f for f in minors(coeff_matrix(m, side), 2) if not f.is_zero()]
+    if not quadrics:
         return False
-    return projective_empty(minors, cap=cap)
+    return projective_empty(quadrics, cap=cap)
 
 
 def full_smoothness(m: ModelTriple, cap: int = DEGREE_CAP) -> bool:
@@ -249,15 +229,7 @@ def full_smoothness(m: ModelTriple, cap: int = DEGREE_CAP) -> bool:
             local = [f.dehomogenize(chart) for f in forms]
             variables = [v for v in range(8) if v not in chart]
             jac = [[f.derivative(v) for v in variables] for f in local]
-            gens = [f for f in local if not f.is_zero()]
-            for c1 in range(6):
-                for c2 in range(c1 + 1, 6):
-                    for c3 in range(c2 + 1, 6):
-                        d = poly_det(
-                            [[jac[r][c] for c in (c1, c2, c3)] for r in range(3)]
-                        )
-                        if not d.is_zero():
-                            gens.append(d)
+            gens = [f for f in local + minors(jac, 3) if not f.is_zero()]
             try:
                 if not (unit_mod_p(gens, cap) or is_unit_ideal(gens, cap=cap)):
                     return False
@@ -271,31 +243,18 @@ def full_smoothness(m: ModelTriple, cap: int = DEGREE_CAP) -> bool:
 # -- maps between the centre and the quartic -------------------------------------
 
 
-def _pencil_matrix(m: ModelTriple, p):
-    p = [cyc(v) for v in p]
-    return [
-        [
-            p[0] * m.matrices[0][j][k]
-            + p[1] * m.matrices[1][j][k]
-            + p[2] * m.matrices[2][j][k]
-            for k in range(4)
-        ]
-        for j in range(4)
-    ]
-
-
 def quartic_point_to_curve_point(m: ModelTriple, p, side: Side = Side.FIRST):
     """Kernel map from a point of the quartic to the sided blowdown centre.
 
     Side FIRST takes the kernel of (x*M1+y*M2+z*M3)^T, landing on the centre
-    of the first projection; side SECOND transposes the triple first.
+    of the first projection; side SECOND transposes the triple first.  The
+    point lies on the quartic exactly when that determinant vanishes, that
+    is, when the kernel is not zero.
     """
-    q = determinantal_quartic(m)
-    p = [cyc(v) for v in p]
-    if not q.evaluate(p).is_zero():
-        raise ValueError("the point does not lie on the determinantal quartic")
-    pencil = _pencil_matrix(m.sided(side), p)
+    pencil = combine([cyc(v) for v in p], m.sided(side).matrices)
     kernel = nullspace(mat_transpose(pencil))
+    if not kernel:
+        raise ValueError("the point does not lie on the determinantal quartic")
     if len(kernel) != 1:
         raise ValueError(
             "kernel of the pencil matrix is %d-dimensional, expected 1"
@@ -308,24 +267,15 @@ def curve_point_to_quartic_point(m: ModelTriple, c, side: Side = Side.FIRST):
     """Inverse kernel map: a point on the sided centre determines the unique
     pencil member [x:y:z] whose matrix annihilates it."""
     c = [cyc(v) for v in c]
-    mats = m.sided(side).matrices
-    rows = coeff_matrix(m, side)
-    scalar_rows = [[entry.evaluate(c) for entry in row] for row in rows]
+    # row i is c^T M_i, the matrix of linear forms at c
+    scalar_rows = [mat_mul([c], mat)[0] for mat in m.sided(side).matrices]
     rank = matrix_rank(scalar_rows)
     if rank != 2:
         raise ValueError(
             "matrix of linear forms has rank %d at the point, expected 2" % rank
         )
-    # columns are M_i^T c; the kernel gives the pencil coefficients
-    cols = []
-    for j in range(4):
-        cols.append(
-            [
-                sum((mats[i][k][j] * c[k] for k in range(4)), cyc(0))
-                for i in range(3)
-            ]
-        )
-    kernel = nullspace(cols)
+    # the kernel of the columns gives the pencil coefficients
+    kernel = nullspace(mat_transpose(scalar_rows))
     if len(kernel) != 1:
         raise ValueError("pencil coefficient kernel is not one-dimensional")
     return tuple(proj_normalize(kernel[0]))

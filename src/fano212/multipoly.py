@@ -8,18 +8,13 @@ of small polynomial matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .cyclotomic import Cyclotomic, cyclotomic_coeffs
-
-
-def _coerce(value) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        return value
-    return Cyclotomic.from_rational(Fraction(value))
+from .cyclotomic import Cyclotomic, cyc, cyclotomic_coeffs, join_signed
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "terms", "_lead")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         clean = {}
@@ -28,7 +23,7 @@ class MultiPoly:
                 exps = tuple(exps)
                 if len(exps) != nvars:
                     raise ValueError("exponent vector %r has wrong arity" % (exps,))
-                coef = _coerce(coef)
+                coef = cyc(coef)
                 if not coef.is_zero():
                     if exps in clean:
                         coef = clean[exps] + coef
@@ -38,12 +33,8 @@ class MultiPoly:
                     clean[exps] = coef
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
-        if name == "_lead":
-            object.__setattr__(self, name, value)
-            return
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors ------------------------------------------------------
@@ -54,7 +45,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: _coerce(value)})
+        return cls(nvars, {(0,) * nvars: cyc(value)})
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "MultiPoly":
@@ -65,7 +56,7 @@ class MultiPoly:
     @classmethod
     def monomial(cls, coef, exps) -> "MultiPoly":
         exps = tuple(exps)
-        return cls(len(exps), {exps: _coerce(coef)})
+        return cls(len(exps), {exps: cyc(coef)})
 
     # -- predicates --------------------------------------------------------
 
@@ -122,7 +113,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            scalar = _coerce(other)
+            scalar = cyc(other)
             if scalar.is_zero():
                 return MultiPoly.zero(self.nvars)
             return MultiPoly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
@@ -170,7 +161,7 @@ class MultiPoly:
     # -- evaluation & substitution ------------------------------------------
 
     def evaluate(self, point) -> Cyclotomic:
-        point = [_coerce(v) for v in point]
+        point = [cyc(v) for v in point]
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
         total = Cyclotomic.from_rational(0)
@@ -209,7 +200,7 @@ class MultiPoly:
 
     def scale_vars(self, scalars) -> "MultiPoly":
         """Substitute x_i -> scalars[i] * x_i (fast path for diagonal actions)."""
-        scalars = [_coerce(s) for s in scalars]
+        scalars = [cyc(s) for s in scalars]
         terms = {}
         for exps, coef in self.terms.items():
             factor = coef
@@ -285,13 +276,8 @@ class MultiPoly:
                 body = "(%s)*%s" % (cs, mono)
             else:
                 body = "%s*%s" % (cs, mono)
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append(" - " + body[1:])
-            else:
-                parts.append(" + " + body)
-        return "".join(parts)
+            parts.append(body)
+        return join_signed(parts)
 
 
 def default_names(nvars: int):
@@ -331,16 +317,22 @@ def poly_det(rows) -> MultiPoly:
     return minor_det(tuple(range(size)), tuple(range(size)))
 
 
+def minors(rows, k: int) -> list:
+    """Every k x k minor of a polynomial matrix: row subsets in lexicographic
+    order and, within each, column subsets in lexicographic order."""
+    return [
+        poly_det([[row[c] for c in cols] for row in sub])
+        for sub in combinations(rows, k)
+        for cols in combinations(range(len(rows[0])), k)
+    ]
+
+
 def maximal_minors(rows) -> tuple:
     """The four 3x3 minors (f0, f1, f2, f3) of a 3x4 polynomial matrix,
     f_i obtained by deleting column i."""
     if len(rows) != 3 or any(len(r) != 4 for r in rows):
         raise ValueError("expected a 3x4 matrix")
-    minors = []
-    for drop in range(4):
-        cols = [c for c in range(4) if c != drop]
-        minors.append(poly_det([[rows[r][c] for c in cols] for r in range(3)]))
-    return tuple(minors)
+    return tuple(reversed(minors(rows, 3)))
 
 
 def cyclotomic_polynomial(n: int) -> MultiPoly:

@@ -226,7 +226,7 @@ def test_geometry_roundtrips(swap_suite):
         q = determinantal_quartic(model)
         for side in (Side.FIRST, Side.SECOND):
             curve_pt = quartic_point_to_curve_point(model, point, side)
-            cubics = minor_cubics(model, side).generators
+            cubics = minor_cubics(model, side)
             assert all(f.evaluate(list(curve_pt)).is_zero() for f in cubics)
             back = curve_point_to_quartic_point(model, curve_pt, side)
             assert proj_equal(list(back), list(point))

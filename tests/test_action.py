@@ -324,6 +324,16 @@ class TestGenerators:
                         image = d[i] * mat[j][i]
                         assert (image - lam * mat[i][j]).is_zero()
 
+    def test_entries_have_the_order_as_conductor(self):
+        # zero entries included, with and without the change of pencil basis
+        for mix in (False, True):
+            m, _ = random_equivariant_model(4, (0, 0, 2, 2), (0, 1, 2), seed=3, mix=mix)
+            d, _ = random_diagonal_model(
+                4, (0, 1, 2, 3), (0, 2, 1, 3), (0, 0, 1), seed=5, mix=mix
+            )
+            for model in (m, d):
+                assert {v.n for mat in model.matrices for row in mat for v in row} == {4}
+
     def test_seed_determinism(self):
         a1, _ = random_equivariant_model(4, (0, 0, 2, 2), (0, 1, 2), seed=77)
         a2, _ = random_equivariant_model(4, (0, 0, 2, 2), (0, 1, 2), seed=77)

@@ -12,7 +12,6 @@ from fano212.groebner import (
     _mod_p_leads,
     DEGREE_CAP,
     DegreeCapExceeded,
-    Ideal,
     NonHomogeneousIdeal,
     buchberger,
     grevlex_key,

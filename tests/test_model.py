@@ -149,7 +149,7 @@ class TestMinorCubics:
     def test_cofactor_vector_in_kernel(self, planted_model):
         m, _ = planted_model
         rows = coeff_matrix(m, Side.FIRST)
-        minors = minor_cubics(m, Side.FIRST).generators
+        minors = minor_cubics(m, Side.FIRST)
         point = [cyc(v) for v in (1, 2, -1, 3)]
         kernel = [
             minors[0].evaluate(point),
@@ -282,7 +282,7 @@ class TestCurveQuarticMaps:
         q = determinantal_quartic(m)
         for side in (Side.FIRST, Side.SECOND):
             c = quartic_point_to_curve_point(m, p, side)
-            cubics = minor_cubics(m, side).generators
+            cubics = minor_cubics(m, side)
             assert all(f.evaluate(list(c)).is_zero() for f in cubics)
             back = curve_point_to_quartic_point(m, c, side)
             assert proj_equal(list(back), list(p))
@@ -298,11 +298,16 @@ class TestCurveQuarticMaps:
 
     def test_point_off_quartic_rejected(self, planted_model):
         m, _ = planted_model
-        q = determinantal_quartic(m)
         point = [cyc(1), cyc(0), cyc(0)]
-        if not q.evaluate(point).is_zero():
-            with pytest.raises(ValueError):
-                quartic_point_to_curve_point(m, point, Side.FIRST)
+        assert determinantal_quartic(m).evaluate(point) == cyc(-94)
+        for side in Side:
+            with pytest.raises(ValueError, match="does not lie"):
+                quartic_point_to_curve_point(m, point, side)
+
+    def test_zero_point_rejected(self, planted_model):
+        m, _ = planted_model
+        with pytest.raises(ValueError, match="4-dimensional"):
+            quartic_point_to_curve_point(m, [0, 0, 0], Side.FIRST)
 
     def test_point_off_centre_rejected(self, planted_model):
         m, _ = planted_model
@@ -340,7 +345,7 @@ class TestSampleCurvePoints:
         assert points, "sampler found no representable point on a planted instance"
         assert any(proj_equal(list(c), list(expected)) for c in points)
         for c in points:
-            cubics = minor_cubics(m, Side.SECOND).generators
+            cubics = minor_cubics(m, Side.SECOND)
             assert all(f.evaluate(list(c)).is_zero() for f in cubics)
             back = curve_point_to_quartic_point(m, c, Side.SECOND)
             q = determinantal_quartic(m)

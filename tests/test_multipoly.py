@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fano212.cyclotomic import Cyclotomic, cyc
-from fano212.multipoly import MultiPoly, maximal_minors, poly_det
+from fano212.multipoly import MultiPoly, maximal_minors, minors, poly_det
 
 
 def variables(nvars):
@@ -156,6 +156,25 @@ class TestMaximalMinors:
         x = MultiPoly.variable(0, 1)
         with pytest.raises(ValueError):
             maximal_minors([[x] * 4] * 2)
+
+
+def test_two_by_two_minors_in_row_then_column_order():
+    rng = random.Random(8)
+    rows = [
+        [
+            MultiPoly(4, {tuple(int(v == k) for v in range(4)): rng.randint(-3, 3)
+                          for k in range(4)})
+            for _ in range(4)
+        ]
+        for _ in range(3)
+    ]
+    expected = [
+        rows[r1][c1] * rows[r2][c2] - rows[r1][c2] * rows[r2][c1]
+        for r1 in range(3) for r2 in range(r1 + 1, 3)
+        for c1 in range(4) for c2 in range(c1 + 1, 4)
+    ]
+    assert len(expected) == 18
+    assert minors(rows, 2) == expected
 
 
 def test_dehomogenize():
