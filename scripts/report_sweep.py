@@ -10,9 +10,13 @@ The corpus is tests/data plus one instance generated for each cell of
 run_survey.py's grids at seeds 0 and 1.  The sweep prints, for every
 instance, the --format tree report and the exit code of validate, smooth,
 verify, chars --oracle, verdict, gfano, hilbert on both sides and picard;
-then smooth --full on tests/data, the serialized text of each generated
-instance, and the sample_curve_points output on both sides for the
-generated instances of order 2.  A final line counts the reports.
+then smooth --full on tests/data, and the commands that run without an
+instance: cohomology for every twist (a, b) in -5..3 (some are exit 3),
+picard for both swap flags, and random for a valid cell, an order above the
+field limit and an empty eigenspace (both exit 2).  Last come the serialized
+text of each generated instance and the sample_curve_points output on both
+sides for the generated instances of order 2, and a line counting the
+reports.
 """
 
 import contextlib
@@ -48,6 +52,15 @@ COMMANDS = (
     ["hilbert", "--side", "second"],
     ["picard"],
 )
+WITHOUT_INPUT = (
+    [["cohomology", "--a", str(a), "--b", str(b)] for a in range(-5, 4) for b in range(-5, 4)]
+    + [["picard", "--swap", swap] for swap in ("true", "false")]
+    + [
+        ["random", "--order", "4", "--weights", "0,0,2,2", "--exponents", "0,1,2"],
+        ["random", "--order", "2048", "--weights", "0,0,0,0", "--exponents", "0,0,0"],
+        ["random", "--order", "4", "--weights", "0,0,0,0", "--exponents", "1,1,1"],
+    ]
+)
 
 
 def run(argv):
@@ -58,7 +71,7 @@ def run(argv):
 
 
 def report(label, path, argv):
-    code, out = run(argv + ["--input", path])
+    code, out = run(argv if path is None else argv + ["--input", path])
     print("== %s: %s -> exit %d" % (label, " ".join(argv), code))
     sys.stdout.write(out)
 
@@ -106,6 +119,9 @@ def main():
         for name in data:
             report(name, os.path.join(DATA, name), ["smooth", "--full"])
             reports += 1
+    for argv in WITHOUT_INPUT:
+        report("no input", None, argv)
+        reports += 1
     for label, inst in instances:
         print("== %s: serialized" % label)
         sys.stdout.write(serialize_instance(inst))

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import cyc, root_of_unity
-from .linalg import det, mat, nullspace, solve
+from .linalg import nullspace, solve
 from .model import ModelTriple, combine, determinantal_quartic, quartic_smooth, \
     validate_model, InvalidModel
+from .multipoly import poly_det
 
 
 class InvalidAction(ValueError):
@@ -199,7 +200,7 @@ def _char_poly_3x3(s):
         + s[0][0] * s[2][2] - s[0][2] * s[2][0]
         + s[0][0] * s[1][1] - s[0][1] * s[1][0]
     )
-    c0 = -det(s)
+    c0 = -poly_det(s)
     return (c0, minors, c2, cyc(1))
 
 
@@ -352,7 +353,7 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed, attempts, mix):
         if mix:
             while True:
                 rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-                if not det(mat(rows)).is_zero():
+                if poly_det(rows):
                     break
             mats = tuple(combine(row, mats) for row in rows)
         try:

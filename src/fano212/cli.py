@@ -208,7 +208,7 @@ def cmd_verify(inst: Instance, args, report: Report) -> int:
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
-def cmd_cohomology(inst_unused, args, report: Report) -> int:
+def cmd_cohomology(inst, args, report: Report) -> int:
     a, b = args.a, args.b
     report.put("twist", "(%d, %d)" % (a, b))
     report.put("ambient.kunneth", kunneth(a, b).dims)
@@ -280,7 +280,7 @@ def cmd_verdict(inst: Instance, args, report: Report) -> int:
     return EXIT_OK
 
 
-def cmd_random(args, report: Report) -> int:
+def cmd_random(inst, args, report: Report) -> int:
     weights = tuple(int(w) for w in args.weights.split(","))
     exponents = tuple(int(s) for s in args.exponents.split(","))
     # The generated model's conductor is the order, so its working field is
@@ -322,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("plain", "tree"), default=None,
                         help="report style: human table or machine key-value tree")
+    parser.set_defaults(input=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, needs_input=True):
@@ -363,34 +364,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
 _HANDLERS = {
     "validate": cmd_validate,
     "smooth": cmd_smooth,
     "gfano": cmd_gfano,
     "chars": cmd_chars,
     "verify": cmd_verify,
+    "cohomology": cmd_cohomology,
     "hilbert": cmd_hilbert,
+    "picard": cmd_picard,
     "verdict": cmd_verdict,
+    "random": cmd_random,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     report = Report()
     started = time.monotonic()
     try:
-        if args.command == "cohomology":
-            code = cmd_cohomology(None, args, report)
-        elif args.command == "random":
-            code = cmd_random(args, report)
-        elif args.command == "picard":
-            inst = load_instance(args.input) if args.input else None
-            code = cmd_picard(inst, args, report)
-        else:
-            inst = load_instance(args.input)
+        # picard reads only the swap flag of its optional instance
+        inst = None if args.input is None else load_instance(args.input)
+        if inst is not None and args.command != "picard":
             _echo_instance(report, inst)
-            code = _HANDLERS[args.command](inst, args, report)
+        code = _HANDLERS[args.command](inst, args, report)
     except (ParseError, InvalidModel, InvalidAction, PencilNotInvariant, OSError) as exc:
         report.put("error", str(exc))
         code = EXIT_INVALID

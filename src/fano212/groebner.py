@@ -170,7 +170,7 @@ def _pair_key(i, j):
     return (i, j) if i < j else (j, i)
 
 
-def _pair_loop(leads, s_pair, reduce, cap, stop_at_unit):
+def _pair_loop(leads, s_pair, reduce, stop_at_unit):
     """Buchberger's pair loop over a basis that the caller holds.
 
     leads lists the leading monomials of the basis elements.  s_pair(i, j)
@@ -178,6 +178,7 @@ def _pair_loop(leads, s_pair, reduce, cap, stop_at_unit):
     basis and, if the remainder is nonzero, appends it to the basis and
     returns its leading monomial (None otherwise).  Returns True when
     stop_at_unit is set and a constant remainder appeared, else False.
+    Raises DegreeCapExceeded when the next pair's lcm is above DEGREE_CAP.
     """
     # (grevlex key of the lcm, insertion counter, i, j, lcm): the counter
     # makes the first-inserted pair win among equal keys.
@@ -195,10 +196,10 @@ def _pair_loop(leads, s_pair, reduce, cap, stop_at_unit):
 
     while pairs:
         lcm = pairs[0][4]
-        if sum(lcm) > cap:
+        if sum(lcm) > DEGREE_CAP:
             raise DegreeCapExceeded(
                 "S-pair degree %d exceeds cap %d (basis size %d, pending pairs %d)"
-                % (sum(lcm), cap, len(leads), len(pairs))
+                % (sum(lcm), DEGREE_CAP, len(leads), len(pairs))
             )
         _, _, i, j, _ = heapq.heappop(pairs)
         done.add((i, j))
@@ -226,7 +227,7 @@ def _pair_loop(leads, s_pair, reduce, cap, stop_at_unit):
     return False
 
 
-def _basis(polys, cap, stop_at_unit, prime=None):
+def _basis(polys, stop_at_unit, prime=None):
     """Buchberger on nonzero {mono: coef} dicts.  Returns the monic basis as
     (leading monomial, terms) pairs and a flag, True when an input element
     is constant (no pair is run) or when stop_at_unit ended the run at a
@@ -246,10 +247,10 @@ def _basis(polys, cap, stop_at_unit, prime=None):
         lead_data.append(_monic(remainder, prime))
         return lead_data[-1][0]
 
-    return lead_data, _pair_loop(leads, s_pair, reduce, cap, stop_at_unit)
+    return lead_data, _pair_loop(leads, s_pair, reduce, stop_at_unit)
 
 
-def buchberger(generators, cap: int = DEGREE_CAP, stop_at_unit: bool = False):
+def buchberger(generators, stop_at_unit: bool = False):
     """A (non-reduced) Groebner basis of the given generators, each element
     monic; just the constant 1 when a generator is constant or, with
     stop_at_unit, as soon as a constant remainder appears."""
@@ -261,7 +262,7 @@ def buchberger(generators, cap: int = DEGREE_CAP, stop_at_unit: bool = False):
         polys = [{m: c.to_rational() for m, c in g.terms.items()} for g in gens]
     else:
         polys = [g.terms for g in gens]
-    lead_data, unit = _basis(polys, cap, stop_at_unit)
+    lead_data, unit = _basis(polys, stop_at_unit)
     if unit:
         return [MultiPoly.constant(1, nvars)]
     return [MultiPoly(nvars, terms) for _, terms in lead_data]
@@ -292,15 +293,15 @@ def reduce_basis(basis):
     return reduced
 
 
-def groebner(generators, cap: int = DEGREE_CAP):
+def groebner(generators):
     """Reduced Groebner basis of the ideal the generators span."""
-    return reduce_basis(buchberger(generators, cap=cap))
+    return reduce_basis(buchberger(generators))
 
 
-def is_unit_ideal(generators, cap: int = DEGREE_CAP) -> bool:
+def is_unit_ideal(generators) -> bool:
     """Exact: p*x - 1 is the unit ideal mod p but not over Q, so no mod-p
     answer may stand in for this one."""
-    basis = buchberger(list(generators), cap=cap, stop_at_unit=True)
+    basis = buchberger(list(generators), stop_at_unit=True)
     return any(sum(leading_term(g)[0]) == 0 for g in basis)
 
 
@@ -372,7 +373,7 @@ def _fp_terms(poly: MultiPoly, n: int, prime: int, powers) -> dict | None:
     return terms
 
 
-def _mod_p_leads(generators, cap: int):
+def _mod_p_leads(generators):
     """Leading monomials of a Groebner basis of the image of the generators
     in F_p[x], with (p, r) from _fp_field at the lcm N of the coefficients'
     conductors; the constant monomial ends the list as soon as it appears.
@@ -394,18 +395,18 @@ def _mod_p_leads(generators, cap: int):
         if terms:
             polys.append(terms)
     try:
-        lead_data, _ = _basis(polys, cap, True, prime)
+        lead_data, _ = _basis(polys, True, prime)
     except DegreeCapExceeded:
         return None
     return [lm for lm, _ in lead_data]
 
 
-def unit_mod_p(generators, cap: int = DEGREE_CAP) -> bool:
+def unit_mod_p(generators) -> bool:
     """True when the image of the generators in F_p[x] (see _mod_p_leads) is
     the unit ideal.  This is one-sided and says nothing about the ideal over
     Q: p*x - 1 is unit mod p, yet x = 1/p is a zero over Q.  False covers
     "not unit mod p" and "no certificate" alike."""
-    leads = _mod_p_leads(list(generators), cap)
+    leads = _mod_p_leads(list(generators))
     return leads is not None and any(sum(m) == 0 for m in leads)
 
 
@@ -418,7 +419,7 @@ def _empty_locus(leads, nvars: int) -> bool:
     return all(any(m[var] == sum(m) for m in leads) for var in range(nvars))
 
 
-def projective_empty(generators, cap: int = DEGREE_CAP) -> bool:
+def projective_empty(generators) -> bool:
     """True iff the homogeneous ideal has empty vanishing locus in projective
     space: its leading ideal must contain a pure power of every variable.
 
@@ -436,10 +437,10 @@ def projective_empty(generators, cap: int = DEGREE_CAP) -> bool:
     if any(not g.is_homogeneous() for g in gens):
         raise NonHomogeneousIdeal("projective emptiness needs homogeneous input")
     nvars = gens[0].nvars
-    leads = _mod_p_leads(gens, cap)
+    leads = _mod_p_leads(gens)
     if leads is not None and _empty_locus(leads, nvars):
         return True
-    basis = buchberger(gens, cap=cap)
+    basis = buchberger(gens)
     return _empty_locus([leading_term(g)[0] for g in basis], nvars)
 
 
@@ -492,7 +493,7 @@ def qp_eval(p, t):
     return total
 
 
-def qp_str(p, var: str = "t") -> str:
+def qp_str(p) -> str:
     parts = []
     for k in range(len(p) - 1, -1, -1):
         c = p[k]
@@ -501,7 +502,7 @@ def qp_str(p, var: str = "t") -> str:
         if k == 0:
             body = str(c)
         else:
-            mono = var if k == 1 else "%s^%d" % (var, k)
+            mono = "t" if k == 1 else "t^%d" % k
             body = mono if c == 1 else ("-" + mono if c == -1 else "%s*%s" % (c, mono))
         parts.append(body)
     return join_signed(parts)
@@ -553,7 +554,7 @@ def _monomial_quotient_hp(gens, nvars, cache):
     return result
 
 
-def hilbert_polynomial(generators, nvars: int | None = None, cap: int = DEGREE_CAP):
+def hilbert_polynomial(generators, nvars: int | None = None):
     """Hilbert polynomial of the quotient by the homogeneous ideal the
     generators span, as a tuple of rational coefficients (constant term
     first)."""
@@ -565,7 +566,7 @@ def hilbert_polynomial(generators, nvars: int | None = None, cap: int = DEGREE_C
             raise ValueError("the zero ideal needs an explicit variable count")
         return qp_binomial(nvars - 1)
     nvars = gens[0].nvars
-    basis = buchberger(gens, cap=cap)
+    basis = buchberger(gens)
     leads = _minimalize(tuple(leading_term(g)[0] for g in basis))
     return _monomial_quotient_hp(leads, nvars, {})
 

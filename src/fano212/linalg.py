@@ -7,11 +7,7 @@ are deterministic.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic, cyc
-
-
-def mat(rows):
-    return [[cyc(v) for v in row] for row in rows]
+from .cyclotomic import cyc
 
 
 def mat_transpose(rows):
@@ -64,10 +60,9 @@ def matrix_rank(rows) -> int:
     return len(pivots)
 
 
-def nullspace(rows, ncols=None):
+def nullspace(rows):
     """Basis of the right kernel, one vector per free column, in column order."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+    ncols = len(rows[0]) if rows else 0
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -95,24 +90,6 @@ def solve(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
-
-
-def det(rows) -> Cyclotomic:
-    """Determinant of a small scalar matrix by cofactor expansion."""
-    size = len(rows)
-    if any(len(r) != size for r in rows):
-        raise ValueError("matrix is not square")
-    if size == 1:
-        return rows[0][0]
-    total = cyc(0)
-    for col in range(size):
-        entry = rows[0][col]
-        if entry.is_zero():
-            continue
-        sub = [[row[c] for c in range(size) if c != col] for row in rows[1:]]
-        term = entry * det(sub)
-        total = total + (term if col % 2 == 0 else -term)
-    return total
 
 
 def proj_normalize(vec):

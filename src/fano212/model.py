@@ -20,14 +20,8 @@ from itertools import count
 from math import lcm
 from operator import add
 
-from .cyclotomic import _trim, cyc, euler_phi
-from .groebner import (
-    DEGREE_CAP,
-    DegreeCapExceeded,
-    is_unit_ideal,
-    projective_empty,
-    unit_mod_p,
-)
+from .cyclotomic import _divmod_monic, _lower_terms, _trim, cyc, euler_phi
+from .groebner import DegreeCapExceeded, is_unit_ideal, projective_empty, unit_mod_p
 from .linalg import (
     mat_mul,
     mat_transpose,
@@ -177,7 +171,7 @@ def determinantal_quartic(m: ModelTriple) -> MultiPoly:
     return q
 
 
-def quartic_smooth(q: MultiPoly, cap: int = DEGREE_CAP) -> bool:
+def quartic_smooth(q: MultiPoly) -> bool:
     """Jacobian criterion for a plane quartic: partials have no common
     projective zero."""
     if q.nvars != 3 or q.degree() != 4 or not q.is_homogeneous():
@@ -186,19 +180,19 @@ def quartic_smooth(q: MultiPoly, cap: int = DEGREE_CAP) -> bool:
     partials = [p for p in partials if not p.is_zero()]
     if len(partials) < 3:
         return False
-    return projective_empty(partials, cap=cap)
+    return projective_empty(partials)
 
 
-def rank_locus_check(m: ModelTriple, side: Side = Side.FIRST, cap: int = DEGREE_CAP) -> bool:
+def rank_locus_check(m: ModelTriple, side: Side = Side.FIRST) -> bool:
     """True iff the matrix of linear forms never drops to rank <= 1 on P3:
     the 18 2x2 minors have empty projective vanishing locus."""
     quadrics = [f for f in minors(coeff_matrix(m, side), 2) if not f.is_zero()]
     if not quadrics:
         return False
-    return projective_empty(quadrics, cap=cap)
+    return projective_empty(quadrics)
 
 
-def full_smoothness(m: ModelTriple, cap: int = DEGREE_CAP) -> bool:
+def full_smoothness(m: ModelTriple) -> bool:
     """Chart-wise Jacobian criterion for smoothness of the complete
     intersection X in P3 x P3.
 
@@ -231,7 +225,7 @@ def full_smoothness(m: ModelTriple, cap: int = DEGREE_CAP) -> bool:
             jac = [[f.derivative(v) for v in variables] for f in local]
             gens = [f for f in local + minors(jac, 3) if not f.is_zero()]
             try:
-                if not (unit_mod_p(gens, cap) or is_unit_ideal(gens, cap=cap)):
+                if not (unit_mod_p(gens) or is_unit_ideal(gens)):
                     return False
             except DegreeCapExceeded as exc:
                 raise SmoothnessInconclusive(
@@ -294,29 +288,15 @@ def _univariate_coeffs(p: MultiPoly, var: int):
     return [coeffs.get(k, cyc(0)) for k in range(degree + 1)]
 
 
-def _poly_divmod(num, den):
-    """Long division of dense rational polynomials (constant term first)."""
-    num = list(num)
-    dlead = den[-1]
-    dd = len(den) - 1
-    quot = [Fraction(0)] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / dlead
-        if c:
-            quot[i - dd] = c
-            for j, dc in enumerate(den):
-                num[i - dd + j] -= c * dc
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 def _poly_gcd(a, b):
     """Monic gcd over Q of two dense polynomials (constant term first);
-    [] when both are zero."""
+    [] when both are zero.  Each divisor is made monic first, which leaves
+    the remainder as it was."""
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _trim(_poly_divmod(a, b)[1])
+        b = [c / b[-1] for c in b]
+        _divmod_monic(a, _lower_terms(b), len(b) - 1)
+        a, b = b, _trim(a[:len(b) - 1])
     return [c / a[-1] for c in a]
 
 
@@ -357,7 +337,9 @@ def _rational_roots(coeffs):
     roots = [Fraction(0)] if g[0] == 0 else []
     while g[0] == 0:
         g = g[1:]
-    g = _poly_divmod(g, _poly_gcd(g, [k * c for k, c in enumerate(g)][1:]))[0]
+    d = _poly_gcd(g, [k * c for k, c in enumerate(g)][1:])
+    _divmod_monic(g, _lower_terms(d), len(d) - 1)
+    g = g[len(d) - 1:]
     scale = lcm(*(c.denominator for c in g))
     a = [int(c * scale) for c in g]
     if len(a) < 2:

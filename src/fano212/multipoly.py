@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over cyclotomic coefficients.
 
 Terms map exponent tuples to nonzero Cyclotomic coefficients; the zero
-polynomial has an empty term map.  Includes determinants and maximal minors
-of small polynomial matrices.
+polynomial has an empty term map.  Includes the one cofactor determinant,
+for small matrices of scalars or polynomials, and the minors of polynomial
+matrices.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ class MultiPoly:
                 exps = tuple(exps)
                 if len(exps) != nvars:
                     raise ValueError("exponent vector %r has wrong arity" % (exps,))
-                coef = cyc(coef)
-                if not coef.is_zero():
-                    if exps in clean:
-                        coef = clean[exps] + coef
-                        if coef.is_zero():
-                            del clean[exps]
-                            continue
-                    clean[exps] = coef
+                _accumulate(clean, exps, cyc(coef))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
@@ -38,6 +32,15 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Trusted fast constructor; terms must map nvars-tuples to nonzero
+        Cyclotomic coefficients."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -63,6 +66,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -86,22 +92,13 @@ class MultiPoly:
         self._check(other)
         terms = dict(self.terms)
         for exps, coef in other.terms.items():
-            if exps in terms:
-                s = terms[exps] + coef
-                if s.is_zero():
-                    del terms[exps]
-                else:
-                    terms[exps] = s
-            else:
-                terms[exps] = coef
-        out = MultiPoly(self.nvars, {})
-        object.__setattr__(out, "terms", terms)
-        return out
+            _accumulate(terms, exps, coef)
+        return MultiPoly._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -116,24 +113,13 @@ class MultiPoly:
             scalar = cyc(other)
             if scalar.is_zero():
                 return MultiPoly.zero(self.nvars)
-            return MultiPoly(self.nvars, {e: c * scalar for e, c in self.terms.items()})
+            return MultiPoly._of(self.nvars, {e: c * scalar for e, c in self.terms.items()})
         self._check(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if exps in terms:
-                    s = terms[exps] + prod
-                    if s.is_zero():
-                        del terms[exps]
-                    else:
-                        terms[exps] = s
-                elif not prod.is_zero():
-                    terms[exps] = prod
-        out = MultiPoly(self.nvars, {})
-        object.__setattr__(out, "terms", terms)
-        return out
+                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return MultiPoly._of(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -164,14 +150,7 @@ class MultiPoly:
         point = [cyc(v) for v in point]
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
-        total = Cyclotomic.from_rational(0)
-        for exps, coef in self.terms.items():
-            value = coef
-            for v, e in zip(point, exps):
-                if e:
-                    value = value * v**e
-            total = total + value
-        return total
+        return sum(self.scale_vars(point).terms.values(), cyc(0))
 
     def substitute(self, images: dict) -> "MultiPoly":
         """Ring substitution; images maps variable index -> MultiPoly."""
@@ -207,11 +186,9 @@ class MultiPoly:
             for s, e in zip(scalars, exps):
                 if e:
                     factor = factor * s**e
-            if not factor.is_zero():
+            if factor:
                 terms[exps] = factor
-        out = MultiPoly(self.nvars, {})
-        object.__setattr__(out, "terms", terms)
-        return out
+        return MultiPoly._of(self.nvars, terms)
 
     def derivative(self, index: int) -> "MultiPoly":
         terms = {}
@@ -231,17 +208,8 @@ class MultiPoly:
         terms: dict = {}
         for exps, coef in self.terms.items():
             new = tuple(0 if i in chart else e for i, e in enumerate(exps))
-            if new in terms:
-                s = terms[new] + coef
-                if s.is_zero():
-                    del terms[new]
-                else:
-                    terms[new] = s
-            else:
-                terms[new] = coef
-        out = MultiPoly(self.nvars, {})
-        object.__setattr__(out, "terms", terms)
-        return out
+            _accumulate(terms, new, coef)
+        return MultiPoly._of(self.nvars, terms)
 
     # -- display -------------------------------------------------------------
 
@@ -251,11 +219,10 @@ class MultiPoly:
     def __repr__(self):
         return "MultiPoly(%d, %s)" % (self.nvars, self.pretty())
 
-    def pretty(self, names=None) -> str:
+    def pretty(self) -> str:
         if not self.terms:
             return "0"
-        if names is None:
-            names = default_names(self.nvars)
+        names = default_names(self.nvars)
         parts = []
         for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
             coef = self.terms[exps]
@@ -280,6 +247,16 @@ class MultiPoly:
         return join_signed(parts)
 
 
+def _accumulate(terms: dict, exps, coef) -> None:
+    """terms[exps] += coef, dropping the term when the sum is zero."""
+    if exps in terms:
+        coef = terms[exps] + coef
+    if coef:
+        terms[exps] = coef
+    else:
+        terms.pop(exps, None)
+
+
 def default_names(nvars: int):
     if nvars <= 3:
         return ["x", "y", "z"][:nvars]
@@ -293,21 +270,21 @@ def default_names(nvars: int):
 # -- polynomial matrices -------------------------------------------------------
 
 
-def poly_det(rows) -> MultiPoly:
-    """Determinant of a square matrix of MultiPoly, by cofactor expansion."""
+def poly_det(rows):
+    """Determinant of a square matrix by cofactor expansion; the entries are
+    MultiPoly or scalars (int, Fraction, Cyclotomic)."""
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("matrix is not square")
-    nvars = rows[0][0].nvars
 
     def minor_det(row_ids, col_ids):
         if len(row_ids) == 1:
             return rows[row_ids[0]][col_ids[0]]
         r = row_ids[0]
-        total = MultiPoly.zero(nvars)
+        total = rows[r][col_ids[0]] * 0
         for pos, c in enumerate(col_ids):
             entry = rows[r][c]
-            if entry.is_zero():
+            if not entry:
                 continue
             sub = minor_det(row_ids[1:], col_ids[:pos] + col_ids[pos + 1 :])
             term = entry * sub

@@ -10,7 +10,6 @@ from fano212.cyclotomic import Cyclotomic, cyc, cyclotomic_coeffs
 from fano212.groebner import (
     _fp_field,
     _mod_p_leads,
-    DEGREE_CAP,
     DegreeCapExceeded,
     NonHomogeneousIdeal,
     buchberger,
@@ -191,11 +190,12 @@ class TestHilbert:
                 assert qp_eval(hp, t) == count_standard_monomials(monos, 4, t)
 
 
-def test_degree_cap():
+def test_degree_cap(monkeypatch):
     x, y = variables(2)
     high = x**17 * y - y**15, x * y**16 - x**14
+    monkeypatch.setattr(groebner_module, "DEGREE_CAP", 20)
     with pytest.raises(DegreeCapExceeded) as exc:
-        buchberger(list(high), cap=20)
+        buchberger(list(high))
     # an exit 3 says how far the run got
     assert str(exc.value) == (
         "S-pair degree 33 exceeds cap 20 (basis size 2, pending pairs 1)"
@@ -259,7 +259,7 @@ def test_pair_order_pins_the_non_reduced_basis(ideal, domain):
     # so all three meet the pins
     gens = ideal() if domain == "integer" else _zeta_scaled(ideal)
     if domain == "modp":
-        assert _mod_p_leads(gens, DEGREE_CAP) == PINNED_LEADS[ideal]
+        assert _mod_p_leads(gens) == PINNED_LEADS[ideal]
         return
     basis = buchberger(gens)
     assert [leading_term(g)[0] for g in basis] == PINNED_LEADS[ideal]
@@ -349,10 +349,11 @@ class TestCertificateFallbacks:
         x, y, z = variables(3)
         calls = _counting_buchberger(monkeypatch)
         gens = [x**3 - y * z * z, y**3 - x * z * z, z**3]
-        assert _mod_p_leads(gens, DEGREE_CAP) == [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
-        assert _mod_p_leads(gens, 3) is None
+        assert _mod_p_leads(gens) == [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
+        monkeypatch.setattr(groebner_module, "DEGREE_CAP", 3)
+        assert _mod_p_leads(gens) is None
         with pytest.raises(DegreeCapExceeded):
-            projective_empty(gens, cap=3)
+            projective_empty(gens)
         assert len(calls) == 1
 
 

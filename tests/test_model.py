@@ -316,6 +316,7 @@ class TestCurveQuarticMaps:
 
 
 T = MultiPoly.variable(0, 1)
+ZETA4 = Cyclotomic.zeta(4)
 ZETA8 = Cyclotomic.zeta(8)
 
 
@@ -327,6 +328,9 @@ ZETA8 = Cyclotomic.zeta(8)
         ((T - Fraction(2, 3)) * (T * ZETA8 + ZETA8**2 + 1), {Fraction(2, 3)}),
         (T**2 * (T - 3) ** 2 * (T * 2 + 1), {Fraction(0), Fraction(3), Fraction(-1, 2)}),
         (MultiPoly.constant(5, 1), set()),
+        # the coordinates (2T - 3)(T^2 + 1) and (2T - 3)(T^3 - 2T + 4) share a
+        # non-monic factor, reached through several non-monic divisors
+        ((T * 2 - 3) * (T**2 + 1 + (T**3 - T * 2 + 4) * ZETA4), {Fraction(3, 2)}),
     ],
 )
 def test_rational_roots(poly, roots):
@@ -358,14 +362,15 @@ class TestSampleCurvePoints:
         assert isinstance(points, list)
 
 
-def test_inconclusive_smoothness_says_how_far_it_got():
+def test_inconclusive_smoothness_says_how_far_it_got(monkeypatch):
     rng = random.Random(7)
     m = model_from_matrices([random_rational_matrix(rng, -1, 1) for _ in range(3)])
+    monkeypatch.setattr(groebner_module, "DEGREE_CAP", 2)
     with pytest.raises(SmoothnessInconclusive, match=(
         r"^chart x0=1, y0=1 exceeded the degree cap: S-pair degree 3 exceeds "
         r"cap 2 \(basis size \d+, pending pairs \d+\)$"
     )):
-        full_smoothness(m, cap=2)
+        full_smoothness(m)
 
 
 def _refuse(*args, **kwargs):
@@ -390,9 +395,9 @@ class TestCertificateDecides:
         m = ModelTriple((scaled,) + m.matrices[1:], m.conductor)
         calls = []
 
-        def counted(gens, cap):
+        def counted(gens):
             calls.append(gens)
-            return is_unit_ideal(gens, cap=cap)
+            return is_unit_ideal(gens)
 
         monkeypatch.setattr(model_module, "is_unit_ideal", counted)
         assert full_smoothness(m) is True

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -21,14 +22,29 @@ def random_poly(rng, nvars=3, max_degree=2, nterms=4):
     return MultiPoly(nvars, terms)
 
 
+def leibniz(rows):
+    """The determinant as the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
 def test_product_difference_of_squares():
     x, y = variables(2)
     assert (x + y) * (x - y) == x * x - y * y
+    assert not (x + y) * (x - y) - (x * x - y * y)
+    assert x - y
 
 
 def test_arity_mismatch():
     with pytest.raises(ValueError):
         MultiPoly.variable(0, 2) + MultiPoly.variable(0, 3)
+    with pytest.raises(ValueError, match="wrong arity"):
+        MultiPoly.variable(0, 2).evaluate([1, 2, 3])
 
 
 def test_substitute_swap():
@@ -92,6 +108,18 @@ class TestDeterminant:
         zero = MultiPoly.zero(1)
         rows = [[x if i == j else zero for j in range(4)] for i in range(4)]
         assert poly_det(rows) == x**4
+
+    def test_scalar_entries_match_the_leibniz_sum(self):
+        rng = random.Random(12)
+        ints = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
+        ints[0][1] = 0
+        assert poly_det(ints) == leibniz(ints) != 0
+        zeta = Cyclotomic.zeta(8)
+        cycs = [[zeta ** rng.randint(0, 7) * rng.randint(-3, 3) + rng.randint(-2, 2)
+                 for _ in range(3)] for _ in range(3)]
+        cycs[0][0] = cyc(0, 8)
+        det = poly_det(cycs)
+        assert isinstance(det, Cyclotomic) and det == leibniz(cycs) != 0
 
     def test_non_square_rejected(self):
         x = MultiPoly.variable(0, 1)
