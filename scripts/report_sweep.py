@@ -10,7 +10,9 @@ The corpus is tests/data plus one instance generated for each cell of
 run_survey.py's grids at seeds 0 and 1.  The sweep prints, for every
 instance, the --format tree report and the exit code of validate, smooth,
 verify, chars --oracle, verdict, gfano, hilbert on both sides and picard;
-then smooth --full on tests/data, and the commands that run without an
+then smooth --full on tests/data and on a fixed rational triple with a
+double point (exit 1: its first chart is not the unit ideal, so the exact
+Groebner engine decides it), and the commands that run without an
 instance: cohomology for every twist (a, b) in -5..3 (some are exit 3),
 picard for both swap flags, and random for a valid cell, an order above the
 field limit and an empty eigenspace (both exit 2).  Last come the serialized
@@ -61,6 +63,34 @@ WITHOUT_INPUT = (
         ["random", "--order", "4", "--weights", "0,0,0,0", "--exponents", "1,1,1"],
     ]
 )
+
+# Every form vanishes at (e0, e0), where F1 has no linear term: the first row
+# and column of M1 and the (0, 0) entries of M2, M3 are zero.
+DOUBLE_POINT = """\
+conductor = 1
+order = 1
+swap = false
+weights = 0, 0, 0, 0
+weights2 = 0, 0, 0, 0
+
+[matrix.1]
+0, 0, 0, 0
+0, 1, 0, 1
+0, -1, 1, -1
+0, 0, 1, -1
+
+[matrix.2]
+0, 1, 0, 1
+1, 0, 0, 1
+-1, -1, 1, -1
+1, 0, 1, -1
+
+[matrix.3]
+0, -1, -1, 1
+-1, 0, -1, 0
+0, 1, 1, 0
+1, 0, 0, 1
+"""
 
 
 def run(argv):
@@ -119,6 +149,11 @@ def main():
         for name in data:
             report(name, os.path.join(DATA, name), ["smooth", "--full"])
             reports += 1
+        path = os.path.join(tmp, "double_point.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(DOUBLE_POINT)
+        report("double point", path, ["smooth", "--full"])
+        reports += 1
     for argv in WITHOUT_INPUT:
         report("no input", None, argv)
         reports += 1

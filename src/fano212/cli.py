@@ -280,11 +280,28 @@ def cmd_verdict(inst: Instance, args, report: Report) -> int:
     return EXIT_OK
 
 
+def _int_option(text: str, count: int):
+    """The integers of a comma-separated option value; None unless it holds
+    exactly count of them."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        return None
+    return values if len(values) == count else None
+
+
 def cmd_random(inst, args, report: Report) -> int:
-    weights = tuple(int(w) for w in args.weights.split(","))
-    exponents = tuple(int(s) for s in args.exponents.split(","))
+    # Refuse, before any draw, what parse_instance refuses.
+    weights = _int_option(args.weights, 4)
+    exponents = _int_option(args.exponents, 3)
+    for key, values, count in (("weights", weights, "four"),
+                               ("exponents", exponents, "three")):
+        if values is None:
+            report.put("random.error", "bad-%s: %s wants %s integers, got %r"
+                       % (key, key, count, getattr(args, key)))
+            return EXIT_INVALID
     # The generated model's conductor is the order, so its working field is
-    # Q(zeta_order): refuse, before any draw, what parse_instance refuses.
+    # Q(zeta_order).
     if args.order > _MAX_FIELD:
         report.put("random.error", "conductor-too-large: working field lcm(conductor, "
                    "order) = %d is above the limit %d" % (args.order, _MAX_FIELD))

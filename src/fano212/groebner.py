@@ -18,11 +18,35 @@ Scaling an element by a nonzero constant changes no leading monomial, and
 the pair loop reads only those, so pair order, the appended leads and every
 answer stay as they were.
 
+Inside the engine a monomial e in n variables is one int (Monagan and
+Pearce's packed exponent vectors):
+
+    M(e) = sum(e_i * 2^(w*i)) - deg(e) * 2^(w*n)
+
+with fields w bits wide and 2^(w-1) above every exponent of the run, so the
+top bit of each field (GUARD) is clear.  Then M(a) + M(b) = M(a*b); the
+grevlex-larger monomial is the smaller int (higher degree first, then the
+smaller last exponent, as the fields are compared from the top); the
+constant monomial is 0 and deg(e) = -(M(e) >> w*n); and a divides b iff
+(M(b) - M(a)) & GUARD == 0: with every b_i - a_i >= 0 the fields of the
+difference are below 2^(w-1), and otherwise the lowest negative one, with
+no borrow from below, reads 2^w + b_i - a_i >= 2^(w-1).
+w is chosen per call.  Grevlex is degree-compatible, so no term of a normal
+form is above the largest term of its input: in a Buchberger run no
+monomial has a degree above the S-pair degree, which DEGREE_CAP bounds, or
+above the input's, and w comes from max(DEGREE_CAP, input degree); the
+public normal_form takes it from the degrees of its input and basis.  A
+product of two such monomials, which the product criterion forms, stays
+below 2^w in each field, so no field carries into the next.  Tuples are
+packed on entry to the engine and unpacked on exit; the bijection keeps
+every order, so the answers are those of the tuple engine it replaced,
+term order included.
+
 S-pair selection uses the normal strategy (smallest lcm in grevlex): pending
-pairs sit in a heap keyed by (grevlex key of the lcm, insertion order), so
-among equal lcms the pair queued first is taken first.  The product and
-chain criteria prune pairs.  S-pair degrees are capped so a runaway
-computation fails loudly instead of hanging.
+pairs sit in a heap keyed by (-M(lcm), insertion order), so among equal
+lcms the pair queued first is taken first.  The product and chain criteria
+prune pairs.  S-pair degrees are capped so a runaway computation fails
+loudly instead of hanging.
 """
 
 from __future__ import annotations
@@ -55,25 +79,8 @@ def grevlex_key(mono):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-def _grevlex_neg_key(mono):
-    """Min-heap key placing the grevlex-largest monomial first."""
-    return (-sum(mono), tuple(reversed(mono)))
-
-
 def monomial_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def leading_term(p: MultiPoly):
@@ -82,13 +89,46 @@ def leading_term(p: MultiPoly):
     return mono, p.terms[mono]
 
 
+# -- packed monomials ------------------------------------------------------------
+
+
+def _width(top: int) -> int:
+    """The least field width w with 2^(w-1) > top."""
+    return top.bit_length() + 1
+
+
+def _guard(w: int, nvars: int) -> int:
+    """The top bit of each of the nvars fields of width w."""
+    return sum(1 << (w * i + w - 1) for i in range(nvars))
+
+
+def _pack(mono, w: int) -> int:
+    packed = -sum(mono) << (w * len(mono))
+    for i, e in enumerate(mono):
+        packed += e << (w * i)
+    return packed
+
+
+def _unpack(packed: int, w: int, nvars: int):
+    mask = (1 << w) - 1
+    return tuple(packed >> (w * i) & mask for i in range(nvars))
+
+
+def _pack_terms(terms: dict, w: int) -> dict:
+    return {_pack(m, w): c for m, c in terms.items()}
+
+
+def _unpack_terms(terms: dict, w: int, nvars: int) -> dict:
+    return {_unpack(m, w, nvars): c for m, c in terms.items()}
+
+
 # -- the monic engine ------------------------------------------------------------
 
 
 def _monic(terms: dict, prime=None):
     """(leading monomial, terms scaled to leading coefficient 1) of a nonzero
     polynomial; mod prime the coefficients end in [0, prime)."""
-    lm = max(terms, key=grevlex_key)
+    lm = min(terms)
     if prime is None:
         inv = 1 / terms[lm]
         return lm, {m: c * inv for m, c in terms.items()}
@@ -96,15 +136,15 @@ def _monic(terms: dict, prime=None):
     return lm, {m: c * inv % prime for m, c in terms.items()}
 
 
-def _s_polynomial(fd, gd) -> dict:
-    """The S-polynomial of two monic (leading monomial, terms) pairs."""
+def _s_polynomial(fd, gd, lcm: int) -> dict:
+    """The S-polynomial of two monic (leading monomial, terms) pairs whose
+    leading monomials have this lcm."""
     fm, f = fd
     gm, g = gd
-    lcm = monomial_lcm(fm, gm)
-    fshift, gshift = monomial_div(lcm, fm), monomial_div(lcm, gm)
-    terms = {monomial_mul(e, fshift): c for e, c in f.items()}
+    fshift, gshift = lcm - fm, lcm - gm
+    terms = {e + fshift: c for e, c in f.items()}
     for e, c in g.items():
-        key = monomial_mul(e, gshift)
+        key = e + gshift
         value = terms.pop(key, None)
         value = -c if value is None else value - c
         if value:
@@ -112,7 +152,7 @@ def _s_polynomial(fd, gd) -> dict:
     return terms
 
 
-def _normal_form(p: dict, lead_data, prime=None) -> dict:
+def _normal_form(p: dict, lead_data, guard: int, prime=None) -> dict:
     """Full remainder of p by the monic (leading monomial, terms) pairs.
 
     Monomials come off a heap, largest first, and a stale entry (its term
@@ -124,27 +164,27 @@ def _normal_form(p: dict, lead_data, prime=None) -> dict:
     only once it has come off the heap and been reduced."""
     work = dict(p)
     remainder = {}
-    heap = [(_grevlex_neg_key(m), m) for m in work]
+    heap = list(work)
     heapq.heapify(heap)
     while heap:
-        _, mono = heapq.heappop(heap)
+        mono = heapq.heappop(heap)
         coef = work.pop(mono, 0)
         if prime:
             coef %= prime
         if not coef:
             continue
         for lm, g in lead_data:
-            if monomial_divides(lm, mono):
-                shift = monomial_div(mono, lm)
+            shift = mono - lm
+            if not shift & guard:
                 factor = -coef
                 for ge, gc in g.items():
-                    key = monomial_mul(ge, shift)
+                    key = ge + shift
                     if key == mono:
                         continue
                     value = work.get(key)
                     if value is None:
                         work[key] = factor * gc
-                        heapq.heappush(heap, (_grevlex_neg_key(key), key))
+                        heapq.heappush(heap, key)
                     else:
                         value = value + factor * gc
                         if value:
@@ -159,8 +199,15 @@ def _normal_form(p: dict, lead_data, prime=None) -> dict:
 
 def normal_form(p: MultiPoly, basis) -> MultiPoly:
     """Full remainder of p under division by the basis."""
-    remainder = _normal_form(p.terms, [_monic(g.terms) for g in basis])
-    return MultiPoly(p.nvars, remainder)
+    # every term of the remainder and of the work is grevlex below a term
+    # of p, so none has a higher degree
+    w = _width(max([0, p.degree()] + [g.degree() for g in basis]))
+    remainder = _normal_form(
+        _pack_terms(p.terms, w),
+        [_monic(_pack_terms(g.terms, w)) for g in basis],
+        _guard(w, p.nvars),
+    )
+    return MultiPoly(p.nvars, _unpack_terms(remainder, w, p.nvars))
 
 
 # -- Buchberger ----------------------------------------------------------------
@@ -170,84 +217,108 @@ def _pair_key(i, j):
     return (i, j) if i < j else (j, i)
 
 
-def _pair_loop(leads, s_pair, reduce, stop_at_unit):
+def _pair_loop(leads, w, nvars, s_pair, reduce, stop_at_unit):
     """Buchberger's pair loop over a basis that the caller holds.
 
-    leads lists the leading monomials of the basis elements.  s_pair(i, j)
-    is the S-polynomial of elements i and j; reduce(p) reduces p by the
-    basis and, if the remainder is nonzero, appends it to the basis and
-    returns its leading monomial (None otherwise).  Returns True when
-    stop_at_unit is set and a constant remainder appeared, else False.
-    Raises DegreeCapExceeded when the next pair's lcm is above DEGREE_CAP.
+    leads lists the packed leading monomials (field width w, nvars fields)
+    of the basis elements.  s_pair(i, j, lcm) is the S-polynomial of
+    elements i and j, whose leading monomials have this lcm; reduce(p)
+    reduces p by the basis and, if the remainder is nonzero, appends it to
+    the basis and returns its leading monomial (None otherwise).  Returns
+    True when stop_at_unit is set and a constant remainder appeared, else
+    False.  Raises DegreeCapExceeded when the next pair's lcm is above
+    DEGREE_CAP.
     """
-    # (grevlex key of the lcm, insertion counter, i, j, lcm): the counter
-    # makes the first-inserted pair win among equal keys.
+    guard = _guard(w, nvars)
+    low = (1 << (w * nvars)) - 1     # the fields, without the degree
+    ones = low // ((1 << w) - 1)     # 1 in each field
+    last = w * (nvars - 1)           # shift to the top field
+    mask = (1 << w) - 1
+    # (-lcm, insertion counter, i, j): the grevlex-smallest lcm is the
+    # largest int, and the counter makes the first-inserted pair win among
+    # equal lcms.
     pairs = []
     counter = itertools.count()
 
     def add_pairs(new_index):
+        b = leads[new_index] & low
         for i in range(new_index):
-            lcm = monomial_lcm(leads[i], leads[new_index])
-            heapq.heappush(pairs, (grevlex_key(lcm), next(counter), i, new_index, lcm))
+            a = leads[i] & low
+            # (b | guard) - a borrows across no field and keeps the guard
+            # bit where b_i >= a_i; spread to all ones there, it picks the
+            # lcm's fields, and in fields * ones they add up to the degree
+            # in the top field
+            larger = ((b | guard) - a) & guard
+            larger = (larger << 1) - (larger >> (w - 1))
+            fields = (b & larger) | (a & ~larger)
+            lcm = fields - ((fields * ones >> last & mask) << (w * nvars))
+            heapq.heappush(pairs, (-lcm, next(counter), i, new_index))
 
     done = set()
     for j in range(1, len(leads)):
         add_pairs(j)
 
     while pairs:
-        lcm = pairs[0][4]
-        if sum(lcm) > DEGREE_CAP:
+        lcm = -pairs[0][0]
+        degree = -(lcm >> (w * nvars))
+        if degree > DEGREE_CAP:
             raise DegreeCapExceeded(
                 "S-pair degree %d exceeds cap %d (basis size %d, pending pairs %d)"
-                % (sum(lcm), DEGREE_CAP, len(leads), len(pairs))
+                % (degree, DEGREE_CAP, len(leads), len(pairs))
             )
-        _, _, i, j, _ = heapq.heappop(pairs)
+        _, _, i, j = heapq.heappop(pairs)
         done.add((i, j))
         # product criterion
-        if lcm == monomial_mul(leads[i], leads[j]):
+        if lcm == leads[i] + leads[j]:
             continue
         # chain criterion
         for k in range(len(leads)):
             if (
                 k != i
                 and k != j
-                and monomial_divides(leads[k], lcm)
+                and not (lcm - leads[k]) & guard
                 and _pair_key(i, k) in done
                 and _pair_key(j, k) in done
             ):
                 break
         else:
-            lm = reduce(s_pair(i, j))
+            lm = reduce(s_pair(i, j, lcm))
             if lm is None:
                 continue
-            if stop_at_unit and sum(lm) == 0:
+            if stop_at_unit and lm == 0:
                 return True
             leads.append(lm)
             add_pairs(len(leads) - 1)
     return False
 
 
-def _basis(polys, stop_at_unit, prime=None):
-    """Buchberger on nonzero {mono: coef} dicts.  Returns the monic basis as
-    (leading monomial, terms) pairs and a flag, True when an input element
-    is constant (no pair is run) or when stop_at_unit ended the run at a
-    constant remainder, the last element of the list."""
-    lead_data = [_monic(p, prime) for p in polys]
+def _basis(polys, nvars, stop_at_unit, prime=None):
+    """Buchberger on nonzero {mono: coef} dicts in nvars variables.  Returns
+    (basis, unit, w): the monic basis as (leading monomial, terms) pairs
+    packed with field width w, and unit, True when an input element is
+    constant (no pair is run) or when stop_at_unit ended the run at a
+    constant remainder, the last element of the basis."""
+    # an S-pair above DEGREE_CAP is never formed, and no remainder term is
+    # above its S-pair's degree
+    top = max((sum(m) for p in polys for m in p), default=0)
+    w = _width(max(DEGREE_CAP, top))
+    guard = _guard(w, nvars)
+    lead_data = [_monic(_pack_terms(p, w), prime) for p in polys]
     leads = [lm for lm, _ in lead_data]
-    if any(sum(m) == 0 for m in leads):
-        return lead_data, True
+    if 0 in leads:
+        return lead_data, True, w
 
-    def s_pair(i, j):
-        return _s_polynomial(lead_data[i], lead_data[j])
+    def s_pair(i, j, lcm):
+        return _s_polynomial(lead_data[i], lead_data[j], lcm)
 
     def reduce(p):
-        remainder = _normal_form(p, lead_data, prime)
+        remainder = _normal_form(p, lead_data, guard, prime)
         if not remainder:
             return None
         lead_data.append(_monic(remainder, prime))
         return lead_data[-1][0]
 
-    return lead_data, _pair_loop(leads, s_pair, reduce, stop_at_unit)
+    return lead_data, _pair_loop(leads, w, nvars, s_pair, reduce, stop_at_unit), w
 
 
 def buchberger(generators, stop_at_unit: bool = False):
@@ -262,10 +333,10 @@ def buchberger(generators, stop_at_unit: bool = False):
         polys = [{m: c.to_rational() for m, c in g.terms.items()} for g in gens]
     else:
         polys = [g.terms for g in gens]
-    lead_data, unit = _basis(polys, stop_at_unit)
+    lead_data, unit, w = _basis(polys, nvars, stop_at_unit)
     if unit:
         return [MultiPoly.constant(1, nvars)]
-    return [MultiPoly(nvars, terms) for _, terms in lead_data]
+    return [MultiPoly(nvars, _unpack_terms(terms, w, nvars)) for _, terms in lead_data]
 
 
 def reduce_basis(basis):
@@ -387,6 +458,7 @@ def _mod_p_leads(generators):
     powers = [1]
     for _ in range(n - 1):
         powers.append(powers[-1] * r % prime)
+    nvars = generators[0].nvars if generators else 0
     polys = []
     for g in generators:
         terms = _fp_terms(g, n, prime, powers)
@@ -395,10 +467,10 @@ def _mod_p_leads(generators):
         if terms:
             polys.append(terms)
     try:
-        lead_data, _ = _basis(polys, True, prime)
+        lead_data, _, w = _basis(polys, nvars, True, prime)
     except DegreeCapExceeded:
         return None
-    return [lm for lm, _ in lead_data]
+    return [_unpack(lm, w, nvars) for lm, _ in lead_data]
 
 
 def unit_mod_p(generators) -> bool:

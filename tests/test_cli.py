@@ -249,6 +249,21 @@ class TestRandomGeneration:
         assert code == 0
         assert out.startswith("random.instance = \nconductor = 8\norder = 8\n")
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--weights", "a,b", "bad-weights: weights wants four integers, got 'a,b'"),
+        ("--weights", "0,0", "bad-weights: weights wants four integers, got '0,0'"),
+        ("--exponents", "0,1",
+         "bad-exponents: exponents wants three integers, got '0,1'"),
+    ])
+    def test_malformed_option_is_2_before_any_draw(self, capsys, flag, value, error):
+        argv = {"--order": "4", "--weights": "0,0,2,2", "--exponents": "0,1,2"}
+        argv[flag] = value
+        started = time.monotonic()
+        code, out = run_cli(capsys, "--format", "tree", "random",
+                            *[x for pair in argv.items() for x in pair])
+        assert time.monotonic() - started < 1
+        assert (code, out) == (2, "random.error = %s\n" % error)
+
     def test_impossible_exponents_error(self, capsys):
         code, out = run_cli(
             capsys,

@@ -4,12 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fano212 import groebner as groebner_module
 from fano212.cyclotomic import Cyclotomic, cyc, cyclotomic_coeffs
 from fano212.groebner import (
     _fp_field,
+    _guard,
     _mod_p_leads,
+    _pack,
+    _unpack,
+    _width,
     DegreeCapExceeded,
     NonHomogeneousIdeal,
     buchberger,
@@ -17,6 +23,7 @@ from fano212.groebner import (
     groebner,
     hilbert_polynomial,
     leading_term,
+    monomial_divides,
     monomial_hilbert_polynomial,
     normal_form,
     projective_empty,
@@ -48,6 +55,36 @@ def test_grevlex_order_on_degree_two():
     # x^2 > xy > y^2 > xz > yz > z^2
     order = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     assert sorted(order, key=grevlex_key, reverse=True) == order
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_monomials_agree_with_tuples(data):
+    nvars = data.draw(st.integers(1, 6))
+    top = data.draw(st.integers(0, 70))
+    w = _width(top)
+    assert 2 ** (w - 1) > top
+    monomial = st.tuples(*[st.integers(0, top)] * nvars)
+    a, b = data.draw(monomial), data.draw(monomial)
+    pa, pb = _pack(a, w), _pack(b, w)
+    assert _unpack(pa, w, nvars) == a
+    assert -(pa >> (w * nvars)) == sum(a)
+    # the grevlex-larger monomial is the smaller int
+    assert (pa < pb) == (grevlex_key(a) > grevlex_key(b))
+    assert (not (pb - pa) & _guard(w, nvars)) == monomial_divides(a, b)
+    assert pa + pb == _pack(tuple(x + y for x, y in zip(a, b)), w)
+    assert _pack((0,) * nvars, w) == 0
+    # the engine's own test: b reduces to 0 by a iff a divides b
+    remainder = normal_form(MultiPoly.monomial(1, b), [MultiPoly.monomial(1, a)])
+    assert remainder.is_zero() == monomial_divides(a, b)
+
+
+def test_normal_form_takes_its_width_from_the_data():
+    x0, x1 = variables(2)
+    # degree 41 is above the cap, so the field width must come from the input
+    assert 41 > groebner_module.DEGREE_CAP
+    assert normal_form(x0**40 * x1, [x0 - x1]) == x1**41
+    assert normal_form(x0**40 * x1 + x1**3, [x0 - x1, x1**41]) == x1**3
 
 
 def test_already_reduced_basis():
