@@ -12,18 +12,23 @@ instance, the --format tree report and the exit code of validate, smooth,
 verify, chars --oracle, verdict, gfano, hilbert on both sides and picard;
 then smooth --full on tests/data and on a fixed rational triple with a
 double point (exit 1: its first chart is not the unit ideal, so the exact
-Groebner engine decides it), and the commands that run without an
+Groebner engine decides it).  Then tests/data/swap_n8.txt declared at
+conductors 24, 504 and 1024, its literals lifted from z^j to z^(kj) for
+k = N/8, and read unlifted at conductors 105 and 210, where z is no longer
+zeta_8 (validate exits 2): for each, validate, verify, chars --oracle,
+verdict, smooth --full and hilbert.  Then the commands that run without an
 instance: cohomology for every twist (a, b) in -5..3 (some are exit 3),
 picard for both swap flags, and random for a valid cell, an order above the
 field limit and an empty eigenspace (both exit 2).  Last come the serialized
-text of each generated instance and the sample_curve_points output on both
-sides for the generated instances of order 2, and a line counting the
-reports.
+text of each generated instance and of each conductor variant of swap_n8 as
+parsed back, the sample_curve_points output on both sides for the generated
+instances of order 2, and a line counting the reports.
 """
 
 import contextlib
 import io
 import os
+import re
 import sys
 import tempfile
 from math import lcm
@@ -37,7 +42,7 @@ from fano212.action import (  # noqa: E402
     random_equivariant_model,
 )
 from fano212.cli import main as cli_main  # noqa: E402
-from fano212.instancefile import Instance, serialize_instance  # noqa: E402
+from fano212.instancefile import Instance, load_instance, serialize_instance  # noqa: E402
 from fano212.model import Side, sample_curve_points  # noqa: E402
 from run_survey import DIAGONAL_GRID, SWAP_GRID  # noqa: E402
 
@@ -54,6 +59,18 @@ COMMANDS = (
     ["hilbert", "--side", "second"],
     ["picard"],
 )
+CONDUCTOR_COMMANDS = (
+    ["validate"],
+    ["verify"],
+    ["chars", "--oracle"],
+    ["verdict"],
+    ["smooth", "--full"],
+    ["hilbert"],
+)
+# swap_n8 is defined over Q(zeta_8): lifted to these conductors it is the
+# same model; read unlifted at these others, z is another root of unity.
+LIFTED = (24, 504, 1024)
+UNLIFTED = (105, 210)
 WITHOUT_INPUT = (
     [["cohomology", "--a", str(a), "--b", str(b)] for a in range(-5, 4) for b in range(-5, 4)]
     + [["picard", "--swap", swap] for swap in ("true", "false")]
@@ -127,6 +144,18 @@ def generated():
                                   declared_exponents=exponents)
 
 
+def conductor_variants():
+    """(conductor, text) of swap_n8 at each conductor of LIFTED and UNLIFTED."""
+    with open(os.path.join(DATA, "swap_n8.txt"), encoding="utf-8") as handle:
+        text = handle.read()
+    for n in LIFTED + UNLIFTED:
+        variant = text.replace("conductor = 8\n", "conductor = %d\n" % n)
+        if n in LIFTED:
+            variant = re.sub(r"z(?:\^(\d+))?",
+                             lambda m: "z^%d" % (int(m.group(1) or 1) * n // 8), variant)
+        yield n, variant
+
+
 def main():
     reports = 0
     data = sorted(f for f in os.listdir(DATA) if f.endswith(".txt"))
@@ -154,6 +183,15 @@ def main():
             handle.write(DOUBLE_POINT)
         report("double point", path, ["smooth", "--full"])
         reports += 1
+        for n, text in conductor_variants():
+            path = os.path.join(tmp, "swap_n8_at_%d.txt" % n)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            label = "swap_n8 at conductor %d" % n
+            for argv in CONDUCTOR_COMMANDS:
+                report(label, path, argv)
+                reports += 1
+            instances.append((label, load_instance(path)))
     for argv in WITHOUT_INPUT:
         report("no input", None, argv)
         reports += 1

@@ -395,8 +395,9 @@ class LiteralError(ValueError):
     pass
 
 
-def parse_cyclotomic(text: str, conductor: int) -> Cyclotomic:
-    """Parse a cyclotomic literal relative to the given conductor."""
+def _literal_terms(text: str) -> list:
+    """The terms of a literal as pairs (coef, exp): a Fraction and the
+    exponent of z, or None for a constant term."""
     compact = text.replace(" ", "").replace("\t", "")
     if not compact:
         raise LiteralError("empty cyclotomic literal")
@@ -407,24 +408,38 @@ def parse_cyclotomic(text: str, conductor: int) -> Cyclotomic:
         pieces.insert(0, "+")
     if len(pieces) % 2 or any(p == "" for p in pieces):
         raise LiteralError("malformed literal %r" % text)
-    total = Cyclotomic.from_rational(0, conductor)
+    terms = []
     for sign, body in zip(pieces[::2], pieces[1::2]):
         m = _TERM_RE.match(body)
         if not m or (m.group("coef") is None and m.group("z") is None):
             raise LiteralError("bad term %r in literal %r" % (body, text))
         try:
-            coef = Fraction(m.group("coef")) if m.group("coef") else 1
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            coef = Fraction(m.group("coef") or 1)
+            exp = int(m.group("exp") or 1) if m.group("z") else None
         except (ValueError, ZeroDivisionError):
             raise LiteralError("term %r has a zero denominator or a number over "
                                "4300 digits" % body[:40])
-        if sign == "-":
-            coef = -coef
-        if m.group("z"):
-            total = total + Cyclotomic.zeta(conductor, exp) * coef
-        else:
-            total = total + coef
-    return total
+        terms.append((-coef if sign == "-" else coef, exp))
+    return terms
+
+
+def _fold_terms(terms, conductor: int, n: int) -> Cyclotomic:
+    """The sum of coef * zeta_conductor^exp over the terms of a literal, as an
+    element of Q(zeta_n) by zeta_conductor^e = zeta_n^(e*n/conductor): n must
+    divide conductor and conductor/n every exponent.  The terms are summed as
+    one integer vector over one denominator, reduced once by Phi_n."""
+    step = conductor // n
+    den = lcm(*(coef.denominator for coef, _ in terms))
+    dense = [0] * n
+    for coef, exp in terms:
+        dense[0 if exp is None else exp % conductor // step] += (
+            coef.numerator * (den // coef.denominator))
+    return Cyclotomic._lowest(n, _reduce_mod_phi(n, dense), den)
+
+
+def parse_cyclotomic(text: str, conductor: int) -> Cyclotomic:
+    """Parse a cyclotomic literal relative to the given conductor."""
+    return _fold_terms(_literal_terms(text), conductor, conductor)
 
 
 def _format_term(coef: Fraction, power: int) -> str:

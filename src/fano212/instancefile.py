@@ -16,18 +16,34 @@ literals:
     0, 0, 0, z^3
     ...
 
-Literals follow the cyclotomic grammar (`1/2*z^3 - 2`), interpreted in
-Q(zeta_N) for the declared conductor.  Serialization is canonical: parsing
-then serializing is byte-idempotent.
+Literals follow the cyclotomic grammar (`1/2*z^3 - 2`), where z is zeta_N
+for the declared conductor N.  Serialization is canonical: parsing then
+serializing is byte-idempotent.
+
+The entries are built in the field their literals generate with the action,
+not in Q(zeta_N).  Each literal is read once, into its terms.  Let g be the
+gcd of N and every exponent of z in the three matrices, and
+M = lcm(N/g, gcd(N, order)).  M divides N, and N/M divides every exponent,
+so each entry is built directly in Q(zeta_M) through
+zeta_N^e = zeta_M^(e*M/N), the embedding of `Cyclotomic.lift`.  This is
+exact: Q(zeta_M) is a subfield of Q(zeta_N) under that embedding, so every
+equality, rank, kernel, pencil and Groebner answer is computed on the same
+elements under the same embedding, in phi(M) coordinates instead of phi(N).
+The mod-p certificate of `groebner` may now pick its prime p = 1 mod a
+smaller conductor; its soundness argument holds for any such p, and the
+answers it leads to do not change.  When N divides the order, M = N, so a
+file whose conductor is its order keeps its field and its prime.
+`Instance.conductor` stays the declared N, and serialization lifts every
+entry back to Q(zeta_N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .action import ActionSpec, validate_action
-from .cyclotomic import LiteralError, format_cyclotomic, parse_cyclotomic
+from .cyclotomic import LiteralError, _fold_terms, _literal_terms, format_cyclotomic
 from .model import ModelTriple, model_from_matrices, validate_model
 
 
@@ -145,6 +161,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(lineno, "exponents wants three integers", code="bad-exponents")
 
     grids = []
+    g = conductor  # gcd of the conductor and every exponent of z
     for index in (1, 2, 3):
         if index not in matrices:
             raise ParseError(0, "missing section [matrix.%d]" % index, code="matrix-shape")
@@ -167,15 +184,19 @@ def parse_instance(text: str) -> Instance:
             row = []
             for entry in entries:
                 try:
-                    row.append(parse_cyclotomic(entry, conductor))
+                    terms = _literal_terms(entry)
                 except LiteralError as exc:
                     raise ParseError(lineno, str(exc), code="bad-literal")
+                g = gcd(g, *(e for _, e in terms if e is not None))
+                row.append(terms)
             grid.append(row)
         grids.append(grid)
 
     spec = ActionSpec(order=order, weights=weights, swap=swap, weights2=weights2)
     validate_action(spec)  # raises InvalidAction with its own code
-    model = model_from_matrices(grids)
+    field = lcm(conductor // g, gcd(conductor, order))
+    model = model_from_matrices([[[_fold_terms(terms, conductor, field) for terms in row]
+                                  for row in grid] for grid in grids])
     validate_model(model)  # raises InvalidModel
     return Instance(model=model, spec=spec, conductor=conductor,
                     declared_exponents=declared)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import count
+from itertools import combinations, count
 from math import lcm
 from operator import add
 
@@ -214,16 +214,30 @@ def full_smoothness(m: ModelTriple) -> bool:
     chart generators vanish at P and have integral coefficients, so their
     images vanish at P': chart (i, j) is neither unit mod p nor unit over Q,
     so it runs exactly and gives False.
+
+    The 3x3 minors are those of the homogeneous Jacobian in all eight
+    variables, each taken once, when a chart first needs it, and then
+    dehomogenised: setting x_i = y_j = 1 is a ring map that commutes with
+    the derivative in every chart variable, so they equal the minors of the
+    chart's own Jacobian, in the same order.
     """
     validate_model(m)
     forms = bilinear_forms(m)
+    jac = [[f.derivative(v) for v in range(8)] for f in forms]
+    cubics = {}  # homogeneous minors of jac, by column triple
+
+    def minor(cols):
+        if cols not in cubics:
+            cubics[cols] = poly_det([[row[c] for c in cols] for row in jac])
+        return cubics[cols]
+
     for i in range(4):
         for j in range(4):
             chart = (i, 4 + j)
-            local = [f.dehomogenize(chart) for f in forms]
             variables = [v for v in range(8) if v not in chart]
-            jac = [[f.derivative(v) for v in variables] for f in local]
-            gens = [f for f in local + minors(jac, 3) if not f.is_zero()]
+            gens = [f.dehomogenize(chart) for f in forms]
+            gens += [minor(cols).dehomogenize(chart) for cols in combinations(variables, 3)]
+            gens = [f for f in gens if not f.is_zero()]
             try:
                 if not (unit_mod_p(gens) or is_unit_ideal(gens)):
                     return False

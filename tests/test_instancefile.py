@@ -1,4 +1,5 @@
 import os
+import re
 import time
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fano212.action import InvalidAction
+from fano212.cyclotomic import Cyclotomic
 from fano212.instancefile import (
     Instance,
     ParseError,
@@ -127,6 +129,47 @@ class TestErrors:
         with pytest.raises(InvalidModel) as exc:
             parse_instance(broken)
         assert exc.value.code == "dependent-forms"
+
+
+def lifted(text, conductor, k):
+    """An instance text declared at a new conductor, each z^j written z^(kj)."""
+    text = re.sub(r"^conductor = \d+$", "conductor = %d" % conductor, text, flags=re.M)
+    return re.sub(r"z(?:\^(\d+))?", lambda m: "z^%d" % (k * int(m.group(1) or 1)), text)
+
+
+def entries(inst):
+    return [v for mat in inst.model.matrices for row in mat for v in row]
+
+
+class TestWorkingField:
+    def test_lifted_literals_descend_to_the_field_they_generate(self):
+        text = lifted(data_text("swap_n8.txt"), 504, 63)
+        inst = parse_instance(text)
+        assert inst.conductor == 504
+        assert all(v.n == 8 for v in entries(inst))
+        assert entries(inst) == entries(parse_instance(data_text("swap_n8.txt")))
+        assert serialize_instance(inst) == text
+
+    def test_primitive_literals_keep_the_declared_field(self):
+        # z is zeta_105, and 8 does not divide 105
+        text = data_text("swap_n8.txt").replace("conductor = 8", "conductor = 105")
+        inst = parse_instance(text)
+        assert all(v.n == 105 for v in entries(inst))
+        assert serialize_instance(inst) == text
+
+    def test_conductor_equal_to_the_order_keeps_its_field(self):
+        # every exponent even, yet the action lives in Q(zeta_8)
+        inst = parse_instance(lifted(data_text("swap_n8.txt"), 8, 2))
+        assert all(v.n == 8 for v in entries(inst))
+
+    def test_one_odd_exponent_in_the_last_matrix_keeps_the_declared_field(self):
+        text = lifted(data_text("swap_n8.txt"), 16, 2)
+        head, last = text.split("[matrix.3]")
+        text = head + "[matrix.3]" + last.replace("0, 0, 0, -4", "0, 0, z, -4")
+        inst = parse_instance(text)
+        assert all(v.n == 16 for v in entries(inst))
+        assert inst.model.matrices[2][2][2] == Cyclotomic.zeta(16)
+        assert serialize_instance(inst) == text
 
 
 SWAP8_LINES = data_text("swap_n8.txt").splitlines()

@@ -40,7 +40,7 @@ from fano212.model import (
     sample_curve_points,
     validate_model,
 )
-from fano212.multipoly import MultiPoly
+from fano212.multipoly import MultiPoly, minors
 
 
 def e_matrix(i, j):
@@ -416,6 +416,45 @@ class TestCertificateDecides:
         singular = x**4 + y**4 * Cyclotomic.zeta(8) + x * y * z * z
         with pytest.raises(AssertionError, match="exact engine"):
             quartic_smooth(singular)
+
+
+# X has a double point at (e0, e0): every form vanishes there and F1 has no
+# linear term.
+DOUBLE_POINT = (
+    [[0, 0, 0, 0], [0, 1, 0, 1], [0, -1, 1, -1], [0, 0, 1, -1]],
+    [[0, 1, 0, 1], [1, 0, 0, 1], [-1, -1, 1, -1], [1, 0, 1, -1]],
+    [[0, -1, -1, 1], [-1, 0, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1]],
+)
+
+
+def chart_generators(m):
+    """The generators of each chart in turn, built on the chart itself:
+    dehomogenise the forms, take their Jacobian in the six chart variables,
+    then its 3x3 minors."""
+    forms = bilinear_forms(m)
+    charts = []
+    for i in range(4):
+        for j in range(4):
+            chart = (i, 4 + j)
+            local = [f.dehomogenize(chart) for f in forms]
+            variables = [v for v in range(8) if v not in chart]
+            jac = [[f.derivative(v) for v in variables] for f in local]
+            charts.append([f for f in local + minors(jac, 3) if not f.is_zero()])
+    return charts
+
+
+@pytest.mark.parametrize("name", ["swap_n8", "double_point"])
+def test_chart_generators_are_the_minors_of_the_chart_jacobian(monkeypatch, name):
+    m = _swap_n8() if name == "swap_n8" else model_from_matrices(DOUBLE_POINT)
+    seen = []
+
+    def record(gens):
+        seen.append(gens)
+        return True
+
+    monkeypatch.setattr(model_module, "unit_mod_p", record)
+    assert full_smoothness(m) is True
+    assert seen == chart_generators(m)
 
 
 @pytest.mark.slow
