@@ -10,6 +10,14 @@ product, power of zeta and lift is reduced by one routine, the remainder by
 the monic Phi_N.  Mixed conductors are lifted to their lcm; no conductor
 reduction is attempted afterwards.
 
+Some operand shapes skip part of that work and give the same (num, den).  A
+rational factor p/d (num[1:] all zero) whose conductor divides the other
+factor's scales the other's numerators by p and its denominator by d before
+the one gcd: a constant times an element of degree below phi(N) needs no
+reduction, and the lcm conductor is the other's.  An int factor scales the
+numerators alone.  A denominator of 1 skips the gcd, as gcd(..., 1) = 1,
+and a sum or difference of one conductor needs no lift.
+
 The inverse of A/den runs the extended Euclidean algorithm of Phi_N and A in
 Z[x] by pseudo-division: each step keeps r = s*A mod Phi_N for its remainder
 r and cofactor s, also once both are divided by their common content.  As
@@ -159,9 +167,9 @@ class Cyclotomic:
         # the lcm of lowest-terms denominators leaves no common factor
         den = lcm(*(c.denominator for c in coeffs))
         num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_n(self, n)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic values are immutable")
@@ -173,15 +181,17 @@ class Cyclotomic:
         """Trusted fast constructor; num must be reduced mod Phi_n, den > 0
         and gcd(*num, den) = 1."""
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_n(self, n)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     @classmethod
     def _lowest(cls, n: int, num: tuple, den: int) -> "Cyclotomic":
         """The element num/den, num reduced mod Phi_n and den > 0, brought to
         lowest terms."""
+        if den == 1:
+            return cls._mk(n, num, 1)
         g = gcd(*num, den)
         if g != 1:
             num, den = tuple([c // g for c in num]), den // g
@@ -247,6 +257,8 @@ class Cyclotomic:
         da, db = self.den, other.den
         if da == db:
             num = tuple(map(op, self.num, other.num))
+            if da == 1:
+                return Cyclotomic._mk(self.n, num, 1)
         else:
             g = gcd(da, db)
             ea, eb = db // g, da // g
@@ -255,6 +267,8 @@ class Cyclotomic:
         return Cyclotomic._lowest(self.n, num, da)
 
     def __add__(self, other):
+        if isinstance(other, Cyclotomic) and other.n == self.n:
+            return self._combine(other, add)
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -266,6 +280,8 @@ class Cyclotomic:
         return Cyclotomic._mk(self.n, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
+        if isinstance(other, Cyclotomic) and other.n == self.n:
+            return self._combine(other, sub)
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -275,23 +291,27 @@ class Cyclotomic:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, Cyclotomic) and other.n == self.n:
-            la, lb = self.num, other.num
-            den = self.den * other.den
-            if len(la) == 1:
-                return Cyclotomic._lowest(self.n, (la[0] * lb[0],), den)
-            dense = [0] * (len(la) + len(lb) - 1)
-            terms = [(j, y) for j, y in enumerate(lb) if y]
-            for i, x in enumerate(la):
-                if x:
-                    for j, y in terms:
-                        dense[i + j] += x * y
-            return Cyclotomic._lowest(self.n, _reduce_mod_phi(self.n, dense), den)
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+        if isinstance(other, Cyclotomic):
+            for a, b in ((self, other), (other, self)):
+                if b.n % a.n == 0 and not any(a.num[1:]):
+                    return Cyclotomic._lowest(
+                        b.n, tuple([a.num[0] * c for c in b.num]), a.den * b.den)
+            if other.n == self.n:
+                la, lb = self.num, other.num
+                dense = [0] * (len(la) + len(lb) - 1)
+                terms = [(j, y) for j, y in enumerate(lb) if y]
+                for i, x in enumerate(la):
+                    if x:
+                        for j, y in terms:
+                            dense[i + j] += x * y
+                return Cyclotomic._lowest(
+                    self.n, _reduce_mod_phi(self.n, dense), self.den * other.den)
+        elif type(other) is int:
+            return Cyclotomic._lowest(self.n, tuple([c * other for c in self.num]), self.den)
+        elif isinstance(other, Fraction):
             return Cyclotomic._lowest(
-                self.n, tuple(c * q.numerator for c in self.num), self.den * q.denominator
-            )
+                self.n, tuple([c * other.numerator for c in self.num]),
+                self.den * other.denominator)
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -357,6 +377,9 @@ class Cyclotomic:
 
     def __str__(self):
         return format_cyclotomic(self)
+
+
+_set_n, _set_num, _set_den = (Cyclotomic.__dict__[s].__set__ for s in Cyclotomic.__slots__)
 
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:

@@ -2,7 +2,9 @@
 
 Gaussian elimination with exact pivots; pivot selection always takes the
 first row with a nonzero entry in the leftmost unresolved column, so results
-are deterministic.
+are deterministic.  Where the pivot row holds a zero, the scaling and the
+row update leave the entry as it is (0 * inv = 0 and a - f * 0 = a), so no
+scalar operation is run for it.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ def rref(rows):
             continue
         m[row], m[pivot] = m[pivot], m[row]
         inv = m[row][col].inverse()
-        m[row] = [v * inv for v in m[row]]
+        m[row] = [v * inv if v else v for v in m[row]]
         for r in range(len(m)):
             if r != row and not m[r][col].is_zero():
                 factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+                m[r] = [a - factor * b if b else a for a, b in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
         if row == len(m):

@@ -25,8 +25,8 @@ class MultiPoly:
                 if len(exps) != nvars:
                     raise ValueError("exponent vector %r has wrong arity" % (exps,))
                 _accumulate(clean, exps, cyc(coef))
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        _set_nvars(self, nvars)
+        _set_terms(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -38,8 +38,8 @@ class MultiPoly:
         """Trusted fast constructor; terms must map nvars-tuples to nonzero
         Cyclotomic coefficients."""
         out = object.__new__(cls)
-        object.__setattr__(out, "nvars", nvars)
-        object.__setattr__(out, "terms", terms)
+        _set_nvars(out, nvars)
+        _set_terms(out, terms)
         return out
 
     @classmethod
@@ -247,6 +247,9 @@ class MultiPoly:
         return join_signed(parts)
 
 
+_set_nvars, _set_terms = (MultiPoly.__dict__[s].__set__ for s in MultiPoly.__slots__)
+
+
 def _accumulate(terms: dict, exps, coef) -> None:
     """terms[exps] += coef, dropping the term when the sum is zero."""
     if exps in terms:
@@ -271,27 +274,35 @@ def default_names(nvars: int):
 
 
 def poly_det(rows):
-    """Determinant of a square matrix by cofactor expansion; the entries are
-    MultiPoly or scalars (int, Fraction, Cyclotomic)."""
+    """Determinant of a square matrix by cofactor expansion along the first
+    row; the entries are MultiPoly or scalars (int, Fraction, Cyclotomic).
+    A minor on the rows from the third on is met once for each order in
+    which the rows above it pick the missing columns, so it is expanded once
+    per call and shared: a 4x4 determinant takes 28 entry products instead
+    of 40.  The larger minors are met once and are not kept."""
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("matrix is not square")
+    memo = {}
 
-    def minor_det(row_ids, col_ids):
-        if len(row_ids) == 1:
-            return rows[row_ids[0]][col_ids[0]]
-        r = row_ids[0]
+    def minor_det(col_ids):
+        if len(col_ids) == 1:
+            return rows[-1][col_ids[0]]
+        if col_ids in memo:
+            return memo[col_ids]
+        r = size - len(col_ids)
         total = rows[r][col_ids[0]] * 0
         for pos, c in enumerate(col_ids):
             entry = rows[r][c]
             if not entry:
                 continue
-            sub = minor_det(row_ids[1:], col_ids[:pos] + col_ids[pos + 1 :])
-            term = entry * sub
+            term = entry * minor_det(col_ids[:pos] + col_ids[pos + 1 :])
             total = total + (term if pos % 2 == 0 else -term)
+        if r >= 2:
+            memo[col_ids] = total
         return total
 
-    return minor_det(tuple(range(size)), tuple(range(size)))
+    return minor_det(tuple(range(size)))
 
 
 def minors(rows, k: int) -> list:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +98,62 @@ def test_integer_form_against_fraction_reference(n):
             assert a * inverse == 1
         for value in results:
             assert_lowest_terms(value)
+
+
+def coeffs_at(a, n):
+    """The Fraction coefficients of a in Q(zeta_n), for a of conductor n or
+    1, read off the power basis without the module's lift."""
+    if a.n == n:
+        return a.coeffs
+    assert a.n == 1
+    return a.coeffs + (Fraction(0),) * (euler_phi(n) - 1)
+
+
+@pytest.mark.parametrize("n", [1, 8, 60, 210, 504])
+def test_fast_path_operands_against_fraction_reference(n):
+    # the shapes that skip the convolution or the gcd: rational at n and at
+    # conductor 1, unit denominators, int and Fraction scalars, and zero
+    rng = random.Random(100 + n)
+    phi = euler_phi(n)
+    operands = [
+        Cyclotomic.from_rational(Fraction(-3, 4), n),
+        Cyclotomic.from_rational(6, n),
+        Cyclotomic.from_rational(Fraction(5, 6), 1),
+        Cyclotomic.from_rational(-2, 1),
+        Cyclotomic(n, [2 * rng.randint(-9, 9) for _ in range(phi)]),
+        random_element(rng, n, min(phi, 3)),
+        cyc(0),
+        cyc(0, n),
+    ]
+    if phi > 2:
+        # irrational, yet its coordinate at zeta_n is zero
+        operands.append(Cyclotomic(n, [Fraction(1, 3), 0] + [Fraction(2, 3)] * (phi - 2)))
+    scalars = [0, 1, -1, 4, -6, Fraction(2, 3), Fraction(-9, 4)]
+    for a in operands:
+        for b in operands:
+            m = lcm(a.n, b.n)
+            ca, cb = coeffs_at(a, m), coeffs_at(b, m)
+            product, total, difference = a * b, a + b, a - b
+            if not any(ca[1:]):
+                assert product.coeffs == tuple(ca[0] * y for y in cb)
+            elif not any(cb[1:]):
+                assert product.coeffs == tuple(x * cb[0] for x in ca)
+            else:
+                assert product.coeffs == reference_product(m, ca, cb)
+            assert total.coeffs == tuple(x + y for x, y in zip(ca, cb))
+            assert difference.coeffs == tuple(x - y for x, y in zip(ca, cb))
+            for value in (product, total, difference):
+                assert value.n == m
+                assert_lowest_terms(value)
+        for q in scalars:
+            for value, expected in [
+                (a * q, [x * q for x in a.coeffs]), (q * a, [x * q for x in a.coeffs]),
+                (a + q, [a.coeffs[0] + q, *a.coeffs[1:]]),
+                (a - q, [a.coeffs[0] - q, *a.coeffs[1:]]),
+                (q - a, [q - a.coeffs[0], *(-x for x in a.coeffs[1:])]),
+            ]:
+                assert value.coeffs == tuple(expected)
+                assert_lowest_terms(value)
 
 
 @pytest.mark.parametrize("n", [840, 1024])

@@ -121,6 +121,20 @@ class TestDeterminant:
         det = poly_det(cycs)
         assert isinstance(det, Cyclotomic) and det == leibniz(cycs) != 0
 
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_linear_form_entries_match_the_leibniz_sum(self, size):
+        # the minors on the trailing rows are shared from 4x4 up
+        rng = random.Random(40 + size)
+        ls = variables(3)
+        zeta = Cyclotomic.zeta(8)
+        rows = [[sum((v * (zeta ** rng.randint(0, 7) * rng.randint(-2, 2)) for v in ls),
+                     MultiPoly.zero(3)) if rng.random() < 0.7 else MultiPoly.zero(3)
+                 for _ in range(size)] for _ in range(size)]
+        rows[0][0] = MultiPoly.zero(3)
+        det = poly_det(rows)
+        assert det == leibniz(rows) and not det.is_zero()
+        assert det.is_homogeneous() and det.degree() == size
+
     def test_non_square_rejected(self):
         x = MultiPoly.variable(0, 1)
         with pytest.raises(ValueError):
