@@ -18,8 +18,9 @@ k = N/8, and read unlifted at conductors 105 and 210, where z is no longer
 zeta_8 (validate exits 2): for each, validate, verify, chars --oracle,
 verdict, smooth --full and hilbert.  Then the commands that run without an
 instance: cohomology for every twist (a, b) in -5..3 (some are exit 3),
-picard for both swap flags, and random for a valid cell, an order above the
-field limit and an empty eigenspace (both exit 2).  Last come the serialized
+then at (10^10, 1) (row 0), at (-10^10, -1) (row 6) and at a twist above
+the bound (exit 2), picard for both swap flags, and random for a valid
+cell, an order above the field limit and an empty eigenspace (both exit 2).  Last come the serialized
 text of each generated instance and of each conductor variant of swap_n8 as
 parsed back, the sample_curve_points output on both sides for the generated
 instances of order 2, and a line counting the reports.
@@ -73,6 +74,8 @@ LIFTED = (24, 504, 1024)
 UNLIFTED = (105, 210)
 WITHOUT_INPUT = (
     [["cohomology", "--a", str(a), "--b", str(b)] for a in range(-5, 4) for b in range(-5, 4)]
+    + [["cohomology", "--a", str(a), "--b", str(b)]
+       for a, b in ((10**10, 1), (-10**10, -1), (10**100 + 1, 0))]
     + [["picard", "--swap", swap] for swap in ("true", "false")]
     + [
         ["random", "--order", "4", "--weights", "0,0,2,2", "--exponents", "0,1,2"],

@@ -60,6 +60,10 @@ EXIT_INCONCLUSIVE = 3
 
 CONVENTION = "omega = zeta_n, the canonical primitive n-th root of unity"
 
+# Largest |a|, |b| for cohomology: its dimensions have about 600 digits, far
+# below the 4300-digit limit of int-to-str conversion.
+_MAX_TWIST = 10 ** 100
+
 
 class Report:
     """Ordered key-value tree with plain and machine renderings."""
@@ -210,6 +214,10 @@ def cmd_verify(inst: Instance, args, report: Report) -> int:
 
 def cmd_cohomology(inst, args, report: Report) -> int:
     a, b = args.a, args.b
+    if max(abs(a), abs(b)) > _MAX_TWIST:
+        report.put("cohomology.error", "twist-too-large: |a| and |b| must be at "
+                   "most 10^100")
+        return EXIT_INVALID
     report.put("twist", "(%d, %d)" % (a, b))
     report.put("ambient.kunneth", kunneth(a, b).dims)
     try:

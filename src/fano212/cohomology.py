@@ -1,12 +1,12 @@
 """Dimension tables for line-bundle cohomology on P3, P3 x P3 and on the
-complete intersection X, computed through the Koszul resolution and the
-acyclic-truncation shift, plus the equivariant eigenvalue on the top
-cohomology of O(-4, -4).
+complete intersection X, computed through the Koszul spectral sequence,
+plus the equivariant eigenvalue on the top cohomology of O(-4, -4).
 
 Only dimensions are tracked (and one eigenvalue on the one-dimensional top
-group); the degree-shift lemma is the single tool, with an independent
-short-exact-sequence chase as its oracle.  Configurations it cannot force
-are reported as inconclusive rather than guessed.
+group).  Each twist fills one row of the spectral sequence, and one rule
+reads the table on X off that row's Euler characteristic.  Configurations
+it cannot force (row 3 with two or more columns) are reported as
+inconclusive rather than guessed.
 """
 
 from __future__ import annotations
@@ -17,24 +17,13 @@ from math import comb
 from .cyclotomic import root_of_unity
 
 
-class TruncationHypothesisError(ValueError):
-    """An acyclicity hypothesis fails; carries the offending term index."""
-
-    def __init__(self, term_degree: int):
-        super().__init__(
-            "term F^%d has nonzero cohomology, so the shift is not valid"
-            % term_degree
-        )
-        self.term_degree = term_degree
-
-
 class ChaseNotForced(RuntimeError):
     """The dimension chase needs rank data the tables do not determine."""
 
 
 class InconclusiveCohomology(RuntimeError):
-    """More than one ambient Koszul column has cohomology; the single-shift
-    method does not apply."""
+    """Row 3 of the Koszul spectral sequence of a twist has two or more
+    columns, so the table on X depends on the ranks of d1."""
 
 
 @dataclass(frozen=True)
@@ -68,27 +57,6 @@ def table_add(a: CohTable, b: CohTable) -> CohTable:
     return CohTable(tuple(a[i] + b[i] for i in range(n)))
 
 
-@dataclass(frozen=True)
-class ComplexShape:
-    """Known cohomology tables of the terms F^{-n}, ..., F^0 of an exact
-    complex 0 -> F^{-n} -> ... -> F^0 -> F^1 -> 0, lowest degree first."""
-
-    entries: tuple  # CohTable per term
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("a complex needs at least one known term")
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    @property
-    def length(self) -> int:
-        return len(self.entries) - 1  # the n in F^{-n}
-
-    def table(self, degree: int) -> CohTable:
-        # degree runs -n .. 0
-        return self.entries[degree + self.length]
-
-
 # -- ambient tables --------------------------------------------------------------
 
 
@@ -114,57 +82,6 @@ def kunneth(a: int, b: int) -> CohTable:
     return CohTable(tuple(dims))
 
 
-# -- the degree-shift lemma and its oracle ----------------------------------------
-
-
-def truncation_shift(shape: ComplexShape, s: int) -> CohTable:
-    """H^i(F^1) = H^{i+s}(F^{-s}) when every other term of the exact complex
-    is acyclic."""
-    n = shape.length
-    if not 0 <= s <= n:
-        raise ValueError("shift index out of range")
-    for r in range(n + 1):
-        if r == s:
-            continue
-        if not shape.table(-r).is_zero():
-            raise TruncationHypothesisError(-r)
-    source = shape.table(-s)
-    if any(source[i] for i in range(s)):
-        # H^i(F^1) would have to live in negative degree i - s
-        raise ValueError(
-            "term F^%d has cohomology below degree %d; no sheaf complex "
-            "realizes these tables" % (-s, s)
-        )
-    dims = tuple(source[i + s] for i in range(len(source)))
-    return CohTable(dims)
-
-
-def chase_exact_complex(shape: ComplexShape) -> CohTable:
-    """Independent oracle: peel the exact complex into short exact sequences
-    and chase dimensions, using only zero-sandwich arguments.
-
-    Walks images W_j = im(F^j -> F^{j+1}): each short sequence
-    0 -> W_{j-1} -> F^j -> W_j -> 0 forces W_j when either side vanishes.
-    """
-    n = shape.length
-    w = shape.table(-n)
-    for j in range(-n + 1, 1):
-        f = shape.table(j)
-        if w.is_zero():
-            w = f
-        elif f.is_zero():
-            if w[0] != 0:
-                raise ChaseNotForced(
-                    "H^0 of a subsheaf embeds in H^0 of an acyclic sheaf"
-                )
-            w = CohTable(tuple(w[i + 1] for i in range(len(w))))
-        else:
-            raise ChaseNotForced(
-                "two adjacent nonzero tables; ranks of connecting maps needed"
-            )
-    return w
-
-
 # -- cohomology on X through the Koszul resolution ---------------------------------
 
 
@@ -180,25 +97,43 @@ def koszul_ambient_tables(a: int, b: int):
 
 
 def koszul_cohomology_on_X(a: int, b: int) -> CohTable:
-    """H^i(X, O_X(a, b)) via the degree shift, when at most one ambient
-    Koszul column has cohomology."""
+    """H^i(X, O_X(a, b)) from the Koszul spectral sequence
+    E1^{-k,q} = H^q(P3 x P3, K^{-k}), k = 0..3, with K^{-k} the ambient
+    terms of `koszul_ambient_tables`.
+
+    Only rows q = 0, 3, 6 occur, and one twist fills at most one of them:
+    row 3 at column k needs one of a - k, b - k to be >= 0 and the other
+    <= -4, rows 0 and 6 need both >= 0 or both <= -4.  With one row E2 is
+    E-infinity, and as H^n(X) = 0 outside 0..3 a single E2 term survives:
+    in degree 0 for row 0, in degree 3 for row 6, and in degree 3 - k for
+    row 3 with one column k.  That term is (-1)^n chi(O_X(a, b)), chi the
+    alternating sum of the row.  Row 3 with two or more columns needs the
+    ranks of d1, which depend on the model.
+    """
     tables = koszul_ambient_tables(a, b)
-    nonzero = [3 - idx for idx, t in enumerate(tables) if not t.is_zero()]
-    if len(nonzero) > 1:
-        raise InconclusiveCohomology(
-            "twist (%d, %d): ambient columns %s all have cohomology; the "
-            "single-column shift does not apply" % (a, b, sorted(nonzero))
-        )
-    shape = ComplexShape(tables)
-    if not nonzero:
+    cells = [(k, q) for k in range(4) for q in range(7) if tables[3 - k][q]]
+    if not cells:
         return CohTable((0, 0, 0, 0))
-    s = nonzero[0]
-    shifted = truncation_shift(shape, s)
-    if any(shifted[i] for i in range(4, len(shifted))):
+    row = cells[0][1]
+    columns = [k for k, _ in cells]
+    if row == 0:
+        n = 0
+    elif row == 6:
+        n = 3
+    elif len(columns) == 1:
+        n = 3 - columns[0]
+    else:
         raise InconclusiveCohomology(
-            "twist (%d, %d): shifted table exceeds the dimension of X" % (a, b)
+            "twist (%d, %d): row 3 of the Koszul spectral sequence has columns "
+            "%s; the ranks of d1 are not determined by the tables"
+            % (a, b, columns)
         )
-    return CohTable(tuple(shifted[i] for i in range(4)))
+    # E1^{-k,row} sits in total degree row - k, of the parity of row + k;
+    # the exponent stays >= 0 so that every sign is an int
+    chi = sum((-1) ** (row + k) * tables[3 - k][row] for k in columns)
+    dims = [0, 0, 0, 0]
+    dims[n] = (-1) ** n * chi
+    return CohTable(tuple(dims))
 
 
 def euler_chase():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fano212.cohomology import InconclusiveCohomology, koszul_cohomology_on_X
 from fano212.cyclotomic import cyc
 from fano212.model import (
     ModelTriple,
@@ -151,6 +152,40 @@ def singular_quartic_model(seed: int, entry_range=1):
             q.derivative(i).evaluate(p).is_zero() for i in range(3)
         ):
             return model
+
+
+def _intersect(d1, d2, d3):
+    """Triple intersection on X of classes x*H1 + y*H2, given as (x, y):
+    H1^3 = H2^3 = 1 and H1^2*H2 = H1*H2^2 = 3."""
+    numbers = {0: 1, 1: 3, 2: 3, 3: 1}  # keyed by the power of H2
+    total = 0
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                total += d1[i] * d2[j] * d3[k] * numbers[i + j + k]
+    return total
+
+
+def hrr_euler(a: int, b: int) -> Fraction:
+    """chi(O_X(a, b)) by Hirzebruch-Riemann-Roch on the threefold X, with
+    c1 = H1 + H2 and c2.H1 = c2.H2 = 12, so c1*c2 = 24."""
+    d, c1 = (a, b), (1, 1)
+    c2_d = 12 * (a + b)
+    return (Fraction(_intersect(d, d, d), 6) + Fraction(_intersect(c1, d, d), 4)
+            + Fraction(_intersect(c1, c1, d) + c2_d, 12) + Fraction(24, 24))
+
+
+def decided_table(a: int, b: int):
+    """The dims of the table of O_X(a, b), or None where it is inconclusive."""
+    try:
+        return koszul_cohomology_on_X(a, b).dims
+    except InconclusiveCohomology:
+        return None
+
+
+def decided_tables(span):
+    """{(a, b): decided_table(a, b)} for a, b in span."""
+    return {(a, b): decided_table(a, b) for a in span for b in span}
 
 
 @pytest.fixture(scope="session")

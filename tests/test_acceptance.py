@@ -13,6 +13,9 @@ import pytest
 from conftest import (
     DIAGONAL_COMBOS,
     SWAP_COMBOS,
+    decided_table,
+    decided_tables,
+    hrr_euler,
     planted_quartic_point_model,
 )
 
@@ -39,14 +42,9 @@ from fano212.characters import (
     verdict,
 )
 from fano212.cohomology import (
-    CohTable,
-    ComplexShape,
-    TruncationHypothesisError,
-    chase_exact_complex,
     euler_chase,
     koszul_cohomology_on_X,
     kunneth,
-    truncation_shift,
 )
 from fano212.cyclotomic import (
     Cyclotomic,
@@ -177,29 +175,21 @@ def test_cohomology_tables():
     )
 
 
-def test_truncation_oracle_equivalence():
-    rng = random.Random(4096)
-    checked = 0
-    while checked < 200:
-        length = rng.randint(0, 4)
-        width = rng.randint(2, 8)
-        s = rng.randint(0, length)
-        entries = []
-        for degree in range(-length, 1):
-            if degree == -s and rng.random() < 0.85:
-                dims = tuple(
-                    rng.randint(0, 5) if i >= s else 0 for i in range(width)
-                )
-            else:
-                dims = (0,) * width
-            entries.append(CohTable(dims))
-        shape = ComplexShape(tuple(entries))
-        shifted = truncation_shift(shape, s)
-        chased = chase_exact_complex(shape)
-        n = max(len(shifted), len(chased))
-        assert [shifted[i] for i in range(n)] == [chased[i] for i in range(n)]
-        checked += 1
-    report("truncation oracle equivalence", "200 randomized admissible shapes")
+def test_cohomology_riemann_roch_and_serre_duality():
+    tables = decided_tables(range(-10, 11))
+    decided = 0
+    for (a, b), dims in tables.items():
+        dual = decided_table(-1 - a, -1 - b)
+        assert (dims is None) == (dual is None), (a, b)
+        if dims is None:
+            continue
+        assert sum((-1) ** i * d for i, d in enumerate(dims)) == hrr_euler(a, b)
+        assert dims == dual[::-1], (a, b)
+        decided += 1
+    report(
+        "cohomology riemann-roch and serre duality",
+        "%d of %d twists in -10..10 decided" % (decided, len(tables)),
+    )
 
 
 def test_picard_lattice():

@@ -80,6 +80,28 @@ class TestExitCodes:
         code, out = run_cli(capsys, "cohomology", "--a", "4", "--b", "-4")
         assert code == 3
         assert "inconclusive" in out
+        assert "row 3" in out and "columns [0, 1, 2, 3]" in out
+
+    @pytest.mark.parametrize("a, b", [("1" + "0" * 720, "1" + "0" * 720),
+                                      ("1" + "0" * 1500, "0"),
+                                      ("0", "-1" + "0" * 99 + "1")])
+    def test_oversized_twist_is_2(self, capsys, a, b):
+        code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", a, "--b", b)
+        assert (code, out) == (2, "cohomology.error = twist-too-large: |a| and |b| "
+                                  "must be at most 10^100\n")
+
+    @pytest.mark.parametrize("a", ["1" + "0" * 100, "-1" + "0" * 100])
+    def test_twist_at_the_bound_is_decided(self, capsys, a):
+        code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", a, "--b", a)
+        assert code == 0
+        assert "twist = (%s, %s)" % (a, a) in out
+        assert "cohomology.on-X = (" in out
+
+    def test_ample_twist_exact_sections(self, capsys):
+        code, out = run_cli(capsys, "--format", "tree", "cohomology",
+                            "--a", "10000000000", "--b", "1")
+        assert code == 0
+        assert "cohomology.on-X = (166666666916666666730000000004, 0, 0, 0)" in out
 
 
 class TestVerify:

@@ -1,17 +1,14 @@
-import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import decided_table, decided_tables, hrr_euler
+
 from fano212.cohomology import (
-    ChaseNotForced,
-    CohTable,
-    ComplexShape,
     InconclusiveCohomology,
-    TruncationHypothesisError,
     bott_p3,
-    chase_exact_complex,
     equivariant_top_eigenvalue,
     euler_chase,
     graded_reorder_sign,
@@ -20,7 +17,6 @@ from fano212.cohomology import (
     kunneth,
     table_add,
     table_scale,
-    truncation_shift,
 )
 from fano212.cyclotomic import Cyclotomic, cyc, root_of_unity
 
@@ -65,65 +61,6 @@ class TestKunneth:
         assert kunneth(a, b).dims == kunneth(b, a).dims
 
 
-def random_admissible_shape(rng):
-    """An exact complex shape satisfying the single-nonzero-column
-    hypothesis, plus the index of that column.
-
-    The nonzero column has no cohomology below degree s, since the shifted
-    term would otherwise need cohomology in negative degrees."""
-    length = rng.randint(0, 4)
-    width = rng.randint(2, 8)
-    s = rng.randint(0, length)
-    entries = []
-    for degree in range(-length, 1):
-        if degree == -s and rng.random() < 0.85:
-            dims = tuple(
-                rng.randint(0, 5) if i >= s else 0 for i in range(width)
-            )
-        else:
-            dims = (0,) * width
-        entries.append(CohTable(dims))
-    return ComplexShape(tuple(entries)), s
-
-
-class TestTruncationShift:
-    def test_two_term_iso(self):
-        shape = ComplexShape((CohTable((2, 0, 1)),))
-        assert truncation_shift(shape, 0).dims == (2, 0, 1)
-
-    def test_koszul_structure_sheaf(self):
-        shape = ComplexShape(koszul_ambient_tables(0, 0))
-        assert truncation_shift(shape, 0).dims == (1, 0, 0, 0, 0, 0, 0)
-
-    def test_hypothesis_violation_names_term(self):
-        entries = (
-            CohTable((1, 0)),
-            CohTable((0, 0)),
-            CohTable((0, 1)),
-        )
-        shape = ComplexShape(entries)
-        with pytest.raises(TruncationHypothesisError) as exc:
-            truncation_shift(shape, 0)
-        assert exc.value.term_degree == -2
-
-    def test_agrees_with_chase_on_random_shapes(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            shape, s = random_admissible_shape(rng)
-            try:
-                shifted = truncation_shift(shape, s)
-            except TruncationHypothesisError:
-                continue
-            chased = chase_exact_complex(shape)
-            n = max(len(shifted), len(chased))
-            assert [shifted[i] for i in range(n)] == [chased[i] for i in range(n)]
-
-    def test_chase_rejects_adjacent_nonzero(self):
-        entries = (CohTable((1, 0)), CohTable((1, 0)))
-        with pytest.raises(ChaseNotForced):
-            chase_exact_complex(ComplexShape(entries))
-
-
 class TestKoszulOnX:
     def test_structure_sheaf(self):
         assert koszul_cohomology_on_X(0, 0).dims == (1, 0, 0, 0)
@@ -136,8 +73,10 @@ class TestKoszulOnX:
         assert koszul_cohomology_on_X(-1, -1).dims == (0, 0, 0, 1)
 
     def test_inconclusive_when_two_columns_survive(self):
-        with pytest.raises(InconclusiveCohomology):
+        with pytest.raises(InconclusiveCohomology) as exc:
             koszul_cohomology_on_X(4, -4)
+        assert "row 3" in str(exc.value)
+        assert "columns [0, 1, 2, 3]" in str(exc.value)
 
     def test_euler_characteristic_additivity(self):
         for a, b in [(0, 0), (-1, 0), (-1, -1), (1, 1), (2, 0), (0, -5)]:
@@ -150,6 +89,54 @@ class TestKoszulOnX:
                 (-1) ** r * ambient[3 - r].euler() for r in range(4)
             )
             assert table.euler() == alternating
+
+
+SPAN = range(-10, 11)
+
+
+def p3_dims(a):
+    """h^i(P3, O(a)), i = 0..3."""
+    return (comb(a + 3, 3) if a >= 0 else 0, 0, 0, comb(-a - 1, 3) if a <= -4 else 0)
+
+
+class TestOracles:
+    """The tables on X against checks that do not go through the Koszul
+    sum: Riemann-Roch, Serre duality and the blow-up X -> P3."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return decided_tables(SPAN)
+
+    def test_hrr_constants(self):
+        assert hrr_euler(0, 0) == 1
+        assert hrr_euler(1, 1) == 13  # h^0(-K), -K = O_X(1, 1)
+
+    def test_euler_characteristic_is_hrr(self, tables):
+        for (a, b), dims in tables.items():
+            if dims is not None:
+                euler = sum((-1) ** i * d for i, d in enumerate(dims))
+                assert euler == hrr_euler(a, b), (a, b)
+
+    def test_serre_duality(self, tables):
+        # K_X = O_X(-1, -1)
+        for (a, b), dims in tables.items():
+            dual = decided_table(-1 - a, -1 - b)
+            assert (dims is None) == (dual is None), (a, b)
+            if dims is not None:
+                assert dims == dual[::-1], (a, b)
+
+    def test_blow_up_of_p3(self, tables):
+        for a in SPAN:
+            assert tables[a, 0] == tables[0, a] == p3_dims(a), a
+
+    def test_decided_count(self, tables):
+        assert sum(dims is not None for dims in tables.values()) == 267
+
+    @pytest.mark.parametrize("a, b", [(10**10, 1), (-10**10, -1), (10**100, 10**100)])
+    def test_large_twists_are_hrr(self, a, b):
+        dims = koszul_cohomology_on_X(a, b).dims
+        assert sum(d != 0 for d in dims) == 1
+        assert sum((-1) ** i * d for i, d in enumerate(dims)) == hrr_euler(a, b)
 
 
 class TestEulerChase:
