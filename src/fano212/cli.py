@@ -9,6 +9,7 @@ to decide, e.g. a degree cap was hit).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from math import lcm
@@ -63,6 +64,9 @@ CONVENTION = "omega = zeta_n, the canonical primitive n-th root of unity"
 # Largest |a|, |b| for cohomology: its dimensions have about 600 digits, far
 # below the 4300-digit limit of int-to-str conversion.
 _MAX_TWIST = 10 ** 100
+# The text int() reads in base 10: sign, digits and single underscores,
+# with blanks around them.
+_INTEGER = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
 
 
 class Report:
@@ -212,8 +216,24 @@ def cmd_verify(inst: Instance, args, report: Report) -> int:
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
+def _twist(text: str):
+    """The integer an --a or --b text names, None when it names none.  A text
+    with more significant digits than 10^100 stands for _MAX_TWIST + 1 and
+    never reaches int(), which refuses more than 4300 digits."""
+    match = _INTEGER.fullmatch(text)
+    if match is None:
+        return None
+    digits = match.group(2).replace("_", "").lstrip("0") or "0"
+    if len(digits) > len(str(_MAX_TWIST)):
+        return _MAX_TWIST + 1
+    return int(match.group(1) + digits)
+
+
 def cmd_cohomology(inst, args, report: Report) -> int:
-    a, b = args.a, args.b
+    a, b = _twist(args.a), _twist(args.b)
+    if a is None or b is None:
+        report.put("cohomology.error", "bad-twist: --a and --b must be integers")
+        return EXIT_INVALID
     if max(abs(a), abs(b)) > _MAX_TWIST:
         report.put("cohomology.error", "twist-too-large: |a| and |b| must be at "
                    "most 10^100")
@@ -370,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the symbolic eigenvalue oracles")
     add("verify", "formula-versus-oracle agreement for both Jacobians")
     p = add("cohomology", "line-bundle cohomology tables on X", needs_input=False)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    # read as text, so that cmd_cohomology reports an oversized twist
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
     p = add("hilbert", "Hilbert polynomial of the blowdown centre")
     p.add_argument("--side", choices=("first", "second"), default="first")
     p = add("picard", "Picard lattice involution and invariant sublattice",

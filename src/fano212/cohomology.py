@@ -31,7 +31,9 @@ class CohTable:
     dims: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(self.dims))
+        if any(type(d) is not int for d in self.dims):
+            raise TypeError("cohomology dimensions must be ints")
         if any(d < 0 for d in self.dims):
             raise ValueError("negative dimension in cohomology table")
 

@@ -4,19 +4,17 @@ homogeneous ideals.
 
 One monic engine serves three coefficient domains.  Polynomials are
 {mono: coef} dicts and every basis element is scaled to leading coefficient
-1, so one S-polynomial, one normal form and one pair loop do all the work.
-The coefficients are Fractions when every input coefficient is rational,
-Cyclotomic values otherwise, and ints mod p where F_p serves as a one-sided
-certificate with the exact engine as fallback.  Rational ideals used to run
-on integer terms by pseudo-reduction with the content stripped, a second
-engine that did not pay for its code: over the exact calls of every command
-on the test and survey instances (best of five, Python 3.11 on 2 cores),
-the rational calls take 0.12 s as integer terms and 0.16 s as Fractions
-(0.19 s as Cyclotomic values of conductor 1, hence the Fractions), while
-the Q(zeta_N) calls fell from 0.67 s to 0.34 s with monic reducers.
-Scaling an element by a nonzero constant changes no leading monomial, and
-the pair loop reads only those, so pair order, the appended leads and every
-answer stay as they were.
+1, so one S-polynomial, one normal form and one Buchberger run do all the
+work.  Mod p the coefficients are ints, and F_p serves as a one-sided
+certificate with the exact engine as fallback.  Exact runs take Fractions
+when every input coefficient is rational and Cyclotomic values otherwise.
+The Fraction branch pays for its lines: best of five (Python 3.11, 2
+cores), the 41 exact runs on rational ideals in scripts/report_sweep.py
+take 0.48-0.50 s as Fractions against 0.60-0.70 s as Cyclotomic values, and
+full_smoothness on the sweep's double-point triple 0.37-0.39 s against
+0.57-0.58 s.  Every run, exact or mod p, ends at its first constant element,
+input or remainder, with that constant 1 alone: a Groebner basis of the
+unit ideal.
 
 Inside the engine a monomial e in n variables is one int (Monagan and
 Pearce's packed exponent vectors):
@@ -39,8 +37,7 @@ public normal_form takes it from the degrees of its input and basis.  A
 product of two such monomials, which the product criterion forms, stays
 below 2^w in each field, so no field carries into the next.  Tuples are
 packed on entry to the engine and unpacked on exit; the bijection keeps
-every order, so the answers are those of the tuple engine it replaced,
-term order included.
+every order, term order included.
 
 S-pair selection uses the normal strategy (smallest lcm in grevlex): pending
 pairs sit in a heap keyed by (-M(lcm), insertion order), so among equal
@@ -217,48 +214,51 @@ def _pair_key(i, j):
     return (i, j) if i < j else (j, i)
 
 
-def _pair_loop(leads, w, nvars, s_pair, reduce, stop_at_unit):
-    """Buchberger's pair loop over a basis that the caller holds.
-
-    leads lists the packed leading monomials (field width w, nvars fields)
-    of the basis elements.  s_pair(i, j, lcm) is the S-polynomial of
-    elements i and j, whose leading monomials have this lcm; reduce(p)
-    reduces p by the basis and, if the remainder is nonzero, appends it to
-    the basis and returns its leading monomial (None otherwise).  Returns
-    True when stop_at_unit is set and a constant remainder appeared, else
-    False.  Raises DegreeCapExceeded when the next pair's lcm is above
-    DEGREE_CAP.
-    """
+def _basis(polys, nvars, prime=None):
+    """Buchberger on nonzero {mono: coef} dicts in nvars variables.  Returns
+    (basis, w): the monic basis as (leading monomial, terms) pairs packed
+    with field width w.  As soon as an input element or a remainder is
+    constant the basis is just that constant 1, a Groebner basis of the unit
+    ideal.  Raises DegreeCapExceeded when the next pair's lcm is above
+    DEGREE_CAP."""
+    # an S-pair above DEGREE_CAP is never formed, and no remainder term is
+    # above its S-pair's degree
+    top = max((sum(m) for p in polys for m in p), default=0)
+    w = _width(max(DEGREE_CAP, top))
     guard = _guard(w, nvars)
     low = (1 << (w * nvars)) - 1     # the fields, without the degree
     ones = low // ((1 << w) - 1)     # 1 in each field
     last = w * (nvars - 1)           # shift to the top field
     mask = (1 << w) - 1
+    basis = [_monic(_pack_terms(p, w), prime) for p in polys]
+    for element in basis:
+        if element[0] == 0:
+            return [element], w
+    leads = [lm for lm, _ in basis]
     # (-lcm, insertion counter, i, j): the grevlex-smallest lcm is the
     # largest int, and the counter makes the first-inserted pair win among
     # equal lcms.
     pairs = []
     counter = itertools.count()
-
-    def add_pairs(new_index):
-        b = leads[new_index] & low
-        for i in range(new_index):
-            a = leads[i] & low
-            # (b | guard) - a borrows across no field and keeps the guard
-            # bit where b_i >= a_i; spread to all ones there, it picks the
-            # lcm's fields, and in fields * ones they add up to the degree
-            # in the top field
-            larger = ((b | guard) - a) & guard
-            larger = (larger << 1) - (larger >> (w - 1))
-            fields = (b & larger) | (a & ~larger)
-            lcm = fields - ((fields * ones >> last & mask) << (w * nvars))
-            heapq.heappush(pairs, (-lcm, next(counter), i, new_index))
-
     done = set()
-    for j in range(1, len(leads)):
-        add_pairs(j)
-
-    while pairs:
+    queued = 0                       # elements whose pairs are in the heap
+    while True:
+        for j in range(queued, len(leads)):
+            b = leads[j] & low
+            for i in range(j):
+                a = leads[i] & low
+                # (b | guard) - a borrows across no field and keeps the guard
+                # bit where b_i >= a_i; spread to all ones there, it picks the
+                # lcm's fields, and in fields * ones they add up to the degree
+                # in the top field
+                larger = ((b | guard) - a) & guard
+                larger = (larger << 1) - (larger >> (w - 1))
+                fields = (b & larger) | (a & ~larger)
+                lcm = fields - ((fields * ones >> last & mask) << (w * nvars))
+                heapq.heappush(pairs, (-lcm, next(counter), i, j))
+        queued = len(leads)
+        if not pairs:
+            return basis, w
         lcm = -pairs[0][0]
         degree = -(lcm >> (w * nvars))
         if degree > DEGREE_CAP:
@@ -282,98 +282,75 @@ def _pair_loop(leads, w, nvars, s_pair, reduce, stop_at_unit):
             ):
                 break
         else:
-            lm = reduce(s_pair(i, j, lcm))
-            if lm is None:
-                continue
-            if stop_at_unit and lm == 0:
-                return True
-            leads.append(lm)
-            add_pairs(len(leads) - 1)
-    return False
+            remainder = _normal_form(
+                _s_polynomial(basis[i], basis[j], lcm), basis, guard, prime
+            )
+            if remainder:
+                element = _monic(remainder, prime)
+                if element[0] == 0:
+                    return [element], w
+                basis.append(element)
+                leads.append(element[0])
 
 
-def _basis(polys, nvars, stop_at_unit, prime=None):
-    """Buchberger on nonzero {mono: coef} dicts in nvars variables.  Returns
-    (basis, unit, w): the monic basis as (leading monomial, terms) pairs
-    packed with field width w, and unit, True when an input element is
-    constant (no pair is run) or when stop_at_unit ended the run at a
-    constant remainder, the last element of the basis."""
-    # an S-pair above DEGREE_CAP is never formed, and no remainder term is
-    # above its S-pair's degree
-    top = max((sum(m) for p in polys for m in p), default=0)
-    w = _width(max(DEGREE_CAP, top))
-    guard = _guard(w, nvars)
-    lead_data = [_monic(_pack_terms(p, w), prime) for p in polys]
-    leads = [lm for lm, _ in lead_data]
-    if 0 in leads:
-        return lead_data, True, w
-
-    def s_pair(i, j, lcm):
-        return _s_polynomial(lead_data[i], lead_data[j], lcm)
-
-    def reduce(p):
-        remainder = _normal_form(p, lead_data, guard, prime)
-        if not remainder:
-            return None
-        lead_data.append(_monic(remainder, prime))
-        return lead_data[-1][0]
-
-    return lead_data, _pair_loop(leads, w, nvars, s_pair, reduce, stop_at_unit), w
+def _interreduce(basis, guard: int):
+    """The reduced Groebner basis from a monic packed Groebner basis: drop
+    each element whose leading monomial another one divides (of equal leads
+    the first stays), reduce each kept element by the others and sort them
+    by leading monomial, grevlex-largest first.  No kept lead divides
+    another, so each element keeps its lead term 1."""
+    kept = [
+        (lm, terms)
+        for i, (lm, terms) in enumerate(basis)
+        if not any(
+            j != i and not (lm - other) & guard and (lm != other or j < i)
+            for j, (other, _) in enumerate(basis)
+        )
+    ]
+    reduced = [
+        (lm, _normal_form(terms, kept[:i] + kept[i + 1 :], guard))
+        for i, (lm, terms) in enumerate(kept)
+    ]
+    return sorted(reduced, key=lambda element: element[0])
 
 
-def buchberger(generators, stop_at_unit: bool = False):
-    """A (non-reduced) Groebner basis of the given generators, each element
-    monic; just the constant 1 when a generator is constant or, with
-    stop_at_unit, as soon as a constant remainder appears."""
+def _exact_basis(generators):
+    """(basis, w, nvars): _basis on the nonzero generators over Q or
+    Q(zeta_N), with nvars 0 when there are none.  The coefficients are
+    Fractions when every input one is rational, which pays (see the module
+    docstring), and Cyclotomic values otherwise."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
-        return []
+        return [], 0, 0
     nvars = gens[0].nvars
     if all(c.is_rational() for g in gens for c in g.terms.values()):
         polys = [{m: c.to_rational() for m, c in g.terms.items()} for g in gens]
     else:
         polys = [g.terms for g in gens]
-    lead_data, unit, w = _basis(polys, nvars, stop_at_unit)
-    if unit:
-        return [MultiPoly.constant(1, nvars)]
-    return [MultiPoly(nvars, _unpack_terms(terms, w, nvars)) for _, terms in lead_data]
+    basis, w = _basis(polys, nvars)
+    return basis, w, nvars
 
 
-def reduce_basis(basis):
-    """The unique reduced Groebner basis (monic, mutually reduced, sorted) of
-    a monic Groebner basis, as buchberger returns it."""
-    if not basis:
-        return []
-    # drop elements whose leading monomial is divisible by another's
-    kept = []
-    monos = [leading_term(g)[0] for g in basis]
-    for i, g in enumerate(basis):
-        mi = monos[i]
-        redundant = False
-        for j, mj in enumerate(monos):
-            if i == j:
-                continue
-            if monomial_divides(mj, mi) and (mi != mj or j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(g)
-    # no other kept lead divides a kept one, so each keeps its lead term 1
-    reduced = [normal_form(g, kept[:i] + kept[i + 1 :]) for i, g in enumerate(kept)]
-    reduced.sort(key=lambda g: grevlex_key(leading_term(g)[0]), reverse=True)
-    return reduced
+def _unpacked(basis, w: int, nvars: int):
+    return [MultiPoly(nvars, _unpack_terms(terms, w, nvars)) for _, terms in basis]
+
+
+def buchberger(generators):
+    """A (non-reduced) Groebner basis of the given generators, each element
+    monic; just the constant 1 for the unit ideal."""
+    return _unpacked(*_exact_basis(generators))
 
 
 def groebner(generators):
     """Reduced Groebner basis of the ideal the generators span."""
-    return reduce_basis(buchberger(generators))
+    basis, w, nvars = _exact_basis(generators)
+    return _unpacked(_interreduce(basis, _guard(w, nvars)), w, nvars)
 
 
 def is_unit_ideal(generators) -> bool:
     """Exact: p*x - 1 is the unit ideal mod p but not over Q, so no mod-p
     answer may stand in for this one."""
-    basis = buchberger(list(generators), stop_at_unit=True)
-    return any(sum(leading_term(g)[0]) == 0 for g in basis)
+    return any(g.degree() == 0 for g in buchberger(generators))
 
 
 # -- prime-field certificate ---------------------------------------------------
@@ -447,7 +424,7 @@ def _fp_terms(poly: MultiPoly, n: int, prime: int, powers) -> dict | None:
 def _mod_p_leads(generators):
     """Leading monomials of a Groebner basis of the image of the generators
     in F_p[x], with (p, r) from _fp_field at the lcm N of the coefficients'
-    conductors; the constant monomial ends the list as soon as it appears.
+    conductors; just the constant monomial for the unit ideal.
     None when there is no certificate: a denominator is divisible by p, or
     the run exceeds the degree cap (a mod-p overflow is never reported)."""
     n = lcm(*(c.n for g in generators for c in g.terms.values()))
@@ -467,10 +444,10 @@ def _mod_p_leads(generators):
         if terms:
             polys.append(terms)
     try:
-        lead_data, _, w = _basis(polys, nvars, True, prime)
+        basis, w = _basis(polys, nvars, prime)
     except DegreeCapExceeded:
         return None
-    return [_unpack(lm, w, nvars) for lm, _ in lead_data]
+    return [_unpack(lm, w, nvars) for lm, _ in basis]
 
 
 def unit_mod_p(generators) -> bool:
@@ -626,24 +603,15 @@ def _monomial_quotient_hp(gens, nvars, cache):
     return result
 
 
-def hilbert_polynomial(generators, nvars: int | None = None):
+def hilbert_polynomial(generators):
     """Hilbert polynomial of the quotient by the homogeneous ideal the
     generators span, as a tuple of rational coefficients (constant term
-    first)."""
-    gens = [g for g in generators if not g.is_zero()]
-    if any(not g.is_homogeneous() for g in gens):
+    first).  The variable count is read from the generators, zero ones
+    included."""
+    generators = list(generators)
+    if not generators:
+        raise ValueError("no generators, so no variable count")
+    if any(not g.is_homogeneous() for g in generators):
         raise NonHomogeneousIdeal("Hilbert polynomial needs homogeneous input")
-    if not gens:
-        if nvars is None:
-            raise ValueError("the zero ideal needs an explicit variable count")
-        return qp_binomial(nvars - 1)
-    nvars = gens[0].nvars
-    basis = buchberger(gens)
-    leads = _minimalize(tuple(leading_term(g)[0] for g in basis))
-    return _monomial_quotient_hp(leads, nvars, {})
-
-
-def monomial_hilbert_polynomial(monomials, nvars: int):
-    """Hilbert polynomial of a quotient by a plain monomial ideal."""
-    leads = _minimalize(tuple(tuple(m) for m in monomials))
-    return _monomial_quotient_hp(leads, nvars, {})
+    leads = _minimalize(tuple(leading_term(g)[0] for g in buchberger(generators)))
+    return _monomial_quotient_hp(leads, generators[0].nvars, {})

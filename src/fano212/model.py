@@ -53,9 +53,6 @@ class ModelTriple:
     matrices: tuple  # three 4x4 tuples of Cyclotomic
     conductor: int
 
-    def matrix(self, i: int):
-        return self.matrices[i]
-
     def transposed(self) -> "ModelTriple":
         return ModelTriple(
             tuple(tuple(zip(*m)) for m in self.matrices), self.conductor

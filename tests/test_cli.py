@@ -90,6 +90,31 @@ class TestExitCodes:
         assert (code, out) == (2, "cohomology.error = twist-too-large: |a| and |b| "
                                   "must be at most 10^100\n")
 
+    @pytest.mark.parametrize("a, b", [("9" * 5000, "0"), ("0", "-" + "9" * 5000)],
+                             ids=["a", "b"])
+    def test_twist_past_the_int_digit_limit_is_2(self, capsys, a, b):
+        # more than the 4300 digits int() reads: the report, not a usage error
+        code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", a, "--b", b)
+        assert (code, out) == (2, "cohomology.error = twist-too-large: |a| and |b| "
+                                  "must be at most 10^100\n")
+
+    @pytest.mark.parametrize("a, b", [("x", "0"), ("0", "1.5"), ("", "0"),
+                                      ("0", "-"), ("1__0", "0"), ("9" * 5000 + "x", "0")],
+                             ids=["letter", "decimal", "empty", "sign", "underscores",
+                                  "5000-digits-then-letter"])
+    def test_malformed_twist_is_2(self, capsys, a, b):
+        code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", a, "--b", b)
+        assert (code, out) == (2, "cohomology.error = bad-twist: --a and --b must be "
+                                  "integers\n")
+
+    @pytest.mark.parametrize("a, b, twist", [("0" * 5000 + "1", "-2", "(1, -2)"),
+                                             (" +1_0 ", "-0", "(10, 0)")],
+                             ids=["leading-zeros", "blanks-sign-underscore"])
+    def test_twist_reads_as_int_does(self, capsys, a, b, twist):
+        code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", a, "--b", b)
+        assert code == 0
+        assert "twist = %s" % twist in out
+
     @pytest.mark.parametrize("a", ["1" + "0" * 100, "-1" + "0" * 100])
     def test_twist_at_the_bound_is_decided(self, capsys, a):
         code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", a, "--b", a)

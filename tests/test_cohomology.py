@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import decided_table, decided_tables, hrr_euler
 
 from fano212.cohomology import (
+    CohTable,
     InconclusiveCohomology,
     bott_p3,
     equivariant_top_eigenvalue,
@@ -59,6 +61,13 @@ class TestKunneth:
     @given(st.integers(-8, 8), st.integers(-8, 8))
     def test_symmetry(self, a, b):
         assert kunneth(a, b).dims == kunneth(b, a).dims
+
+
+@pytest.mark.parametrize("dims", [(1.0, 0, 0, 0), (0, Fraction(2), 0, 0), (1, True)])
+def test_table_takes_only_int_dimensions(dims):
+    # a float would otherwise be truncated and a wrong sign go unseen
+    with pytest.raises(TypeError):
+        CohTable(dims)
 
 
 class TestKoszulOnX:

@@ -24,7 +24,6 @@ from fano212.groebner import (
     hilbert_polynomial,
     leading_term,
     monomial_divides,
-    monomial_hilbert_polynomial,
     normal_form,
     projective_empty,
     qp_binomial,
@@ -200,7 +199,7 @@ class TestProjectiveEmpty:
 
 class TestHilbert:
     def test_zero_ideal(self):
-        assert hilbert_polynomial([], nvars=4) == qp_binomial(3)
+        assert hilbert_polynomial([MultiPoly.zero(4)]) == qp_binomial(3)
         assert qp_str(qp_binomial(3)) == "1/6*t^3 + t^2 + 11/6*t + 1"
 
     def test_hyperplane(self):
@@ -212,6 +211,10 @@ class TestHilbert:
         with pytest.raises(NonHomogeneousIdeal):
             hilbert_polynomial([v[0] * v[0] - v[1]])
 
+    def test_no_generators_no_variable_count(self):
+        with pytest.raises(ValueError):
+            hilbert_polynomial([])
+
     def test_monomial_ideals_against_counting(self):
         rng = random.Random(21)
         for _ in range(10):
@@ -222,7 +225,7 @@ class TestHilbert:
                 c = rng.randint(0, 2 - a - b) if a + b < 2 else 0
                 d = 2 - a - b - c
                 monos.add((a, b, c, d))
-            hp = monomial_hilbert_polynomial(monos, 4)
+            hp = hilbert_polynomial([MultiPoly.monomial(1, m) for m in monos])
             for t in range(5, 11):
                 assert qp_eval(hp, t) == count_standard_monomials(monos, 4, t)
 
@@ -246,6 +249,15 @@ def test_unit_ideal_detection():
     i = Cyclotomic.zeta(4)
     assert is_unit_ideal([x * i, y, x * y - 1]) is True
     assert is_unit_ideal([x * x * i, x * y]) is False
+
+
+def test_a_constant_remainder_ends_every_run():
+    # x*y - 1 reduces to the constant -1 by x and y: the basis of the unit
+    # ideal is just 1, exactly and mod p
+    x, y = variables(2)
+    assert buchberger([x, y, x * y - 1]) == [MultiPoly.constant(1, 2)]
+    assert _mod_p_leads([x, y, x * y - 1]) == [(0, 0)]
+    assert buchberger([x, MultiPoly.constant(3, 2)]) == [MultiPoly.constant(1, 2)]
 
 
 def _twisted_cubic():
@@ -323,6 +335,26 @@ def test_appended_degrees_never_decrease_on_homogeneous_input(gens):
     basis = buchberger(gens)
     degrees = [sum(leading_term(g)[0]) for g in basis[len(gens):]]
     assert degrees == sorted(degrees)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [_quadric_triple(), _zeta_scaled(_quadric_triple)]
+    + [_mixed_degree_ideal(seed) for seed in range(4)],
+)
+def test_groebner_gives_the_reduced_basis(gens):
+    gb = groebner(gens)
+    leads = [leading_term(g)[0] for g in gb]
+    # monic, and sorted with distinct leads, grevlex-largest first
+    assert all(leading_term(g)[1] == 1 for g in gb)
+    keys = [grevlex_key(m) for m in leads]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    # no term of an element lies in the leading ideal of the others
+    for i, g in enumerate(gb):
+        for j, m in enumerate(leads):
+            assert j == i or not any(monomial_divides(m, t) for t in g.terms)
+    # it spans an ideal holding every generator
+    assert all(normal_form(g, gb).is_zero() for g in gens)
 
 
 # -- the F_p certificate ---------------------------------------------------------

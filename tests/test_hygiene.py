@@ -110,11 +110,15 @@ def names_read(source: str):
 
 def unread_public_names(source: str, read):
     """(line, name) of each public module-level function, class or assigned
-    name of the source that is not in the set of names read."""
+    name, and of each public method or property of a module-level class, of
+    the source that is not in the set of names read."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, functions + (ast.ClassDef,)):
             defined.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            defined += [(f.lineno, f.name) for f in node.body if isinstance(f, functions)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
@@ -125,10 +129,15 @@ def unread_public_names(source: str, read):
 def test_checker_flags_an_unread_public_name():
     source = (
         "import os\nA = 1\nB: int = 2\n_C = 3\ndef f():\n    return A\n"
-        "class K:\n    pass\ndef g():\n    pass\n"
+        "class K:\n    def dead(self):\n        pass\n    @property\n"
+        "    def p(self):\n        pass\n    def __len__(self):\n        return 0\n"
+        "    def _h(self):\n        pass\n    def r(self):\n        pass\n"
+        "def g():\n    pass\n"
     )
-    read = names_read(source) | names_read("from m import f\nimport m\nm.K()\n")
-    assert unread_public_names(source, read) == [(3, "B"), (9, "g")]
+    read = names_read(source) | names_read("from m import f\nimport m\nm.K().r()\n")
+    assert unread_public_names(source, read) == [
+        (3, "B"), (8, "dead"), (11, "p"), (19, "g")
+    ]
 
 
 def project_sources():
