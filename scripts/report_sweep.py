@@ -38,13 +38,12 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from fano212.action import (  # noqa: E402
-    GenerationError,
     random_diagonal_model,
     random_equivariant_model,
 )
 from fano212.cli import main as cli_main  # noqa: E402
 from fano212.instancefile import Instance, load_instance, serialize_instance  # noqa: E402
-from fano212.model import Side, sample_curve_points  # noqa: E402
+from fano212.model import InputError, Side, sample_curve_points  # noqa: E402
 from run_survey import DIAGONAL_GRID, SWAP_GRID  # noqa: E402
 
 DATA = os.path.join(ROOT, "tests", "data")
@@ -139,7 +138,7 @@ def generated():
                     model, spec = random_diagonal_model(
                         n, weights, weights2, exponents, seed=seed
                     )
-            except GenerationError as exc:
+            except InputError as exc:
                 yield label, str(exc)
                 continue
             yield label, Instance(model=model, spec=spec,

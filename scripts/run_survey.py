@@ -14,7 +14,6 @@ import time
 sys.path.insert(0, "src")
 
 from fano212.action import (
-    GenerationError,
     invariant_pencil,
     random_diagonal_model,
     random_equivariant_model,
@@ -28,7 +27,7 @@ from fano212.characters import (
     verdict,
 )
 from fano212.groebner import hilbert_polynomial, qp_str
-from fano212.model import Side, minor_cubics
+from fano212.model import InputError, Side, minor_cubics
 
 SWAP_GRID = [
     (2, (0, 0, 0, 0), (0, 0, 0)),
@@ -73,7 +72,7 @@ def main():
             seed = args.seed + 1000 * k
             try:
                 model, spec = random_equivariant_model(n, weights, exps, seed=seed)
-            except GenerationError as exc:
+            except InputError as exc:
                 rows.append((n, weights, exps, "generation failed: %s" % exc))
                 failures += 1
                 continue
@@ -111,7 +110,7 @@ def main():
     for n, a, b, exps in DIAGONAL_GRID:
         try:
             model, spec = random_diagonal_model(n, a, b, exps, seed=args.seed)
-        except GenerationError as exc:
+        except InputError as exc:
             rows.append((n, a, exps, "generation failed: %s" % exc))
             failures += 1
             continue

@@ -17,22 +17,8 @@ from math import gcd
 from .cyclotomic import cyc, root_of_unity
 from .linalg import nullspace, solve
 from .model import ModelTriple, combine, determinantal_quartic, quartic_smooth, \
-    validate_model, InvalidModel
+    validate_model, InputError
 from .multipoly import poly_det
-
-
-class InvalidAction(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-class PencilNotInvariant(ValueError):
-    """The span of the three forms is not preserved by the action."""
-
-
-class GenerationError(RuntimeError):
-    """The instance generator could not satisfy its constraints."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +30,7 @@ class ActionSpec:
 
     def __post_init__(self):
         if self.order < 1:
-            raise InvalidAction("bad-order", "order must be positive")
+            raise InputError("bad-order", "order must be positive")
         object.__setattr__(self, "weights", tuple(w % self.order for w in self.weights))
         if self.weights2 is not None:
             object.__setattr__(
@@ -118,7 +104,7 @@ def projective_order(spec: ActionSpec) -> int:
     if spec.swap:
         return 2 * _diag_projective_order(spec.weights, n)
     if spec.weights2 is None:
-        raise InvalidAction("missing-weights2", "diagonal action needs two weight tuples")
+        raise InputError("missing-weights2", "diagonal action needs two weight tuples")
     ka = _diag_projective_order(spec.weights, n)
     kb = _diag_projective_order(spec.weights2, n)
     return ka * kb // gcd(ka, kb)
@@ -127,27 +113,27 @@ def projective_order(spec: ActionSpec) -> int:
 def validate_action(spec: ActionSpec) -> None:
     n = spec.order
     if len(spec.weights) != 4:
-        raise InvalidAction("bad-weights", "expected four weights")
+        raise InputError("bad-weights", "expected four weights")
     if spec.swap:
         if n % 2:
-            raise InvalidAction("odd-order", "a swap action has even order, got %d" % n)
+            raise InputError("odd-order", "a swap action has even order, got %d" % n)
         if len({w % 2 for w in spec.weights}) > 1:
             true_order = projective_order(spec)
-            raise InvalidAction(
+            raise InputError(
                 "parity",
                 "swap weights must share parity; the declared order %d is wrong "
                 "(computed projective order %d)" % (n, true_order),
             )
         if spec.weights2 is not None:
-            raise InvalidAction("extra-weights2", "swap actions take a single weight tuple")
+            raise InputError("extra-weights2", "swap actions take a single weight tuple")
     else:
         if spec.weights2 is None:
-            raise InvalidAction("missing-weights2", "diagonal action needs two weight tuples")
+            raise InputError("missing-weights2", "diagonal action needs two weight tuples")
         if len(spec.weights2) != 4:
-            raise InvalidAction("bad-weights", "expected four weights in the second tuple")
+            raise InputError("bad-weights", "expected four weights in the second tuple")
     true_order = projective_order(spec)
     if true_order != n:
-        raise InvalidAction(
+        raise InputError(
             "order-mismatch",
             "declared order %d but sigma has projective order %d" % (n, true_order),
         )
@@ -183,7 +169,8 @@ def action_on_forms(m: ModelTriple, spec: ActionSpec):
         rhs = [image[r][c] for r in range(4) for c in range(4)]
         x = solve(cols, rhs)
         if x is None:
-            raise PencilNotInvariant(
+            raise InputError(
+                "pencil-not-invariant",
                 "the action does not preserve the span of the three forms "
                 "(form %d maps outside the pencil)" % (j + 1)
             )
@@ -228,7 +215,8 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
             vectors.append(vec)
             exponents.append(k)
     if len(vectors) != 3:
-        raise PencilNotInvariant(
+        raise InputError(
+            "not-diagonalisable",
             "action on the pencil is not diagonalisable over the declared "
             "root-of-unity eigenvalues (found %d eigenvectors)" % len(vectors)
         )
@@ -339,9 +327,8 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed, attempts, mix):
     for s in exponents:
         basis = eigenbasis(s % n)
         if not basis:
-            raise GenerationError(
-                "the eigenspace for exponent %d mod %d is zero" % (s, n)
-            )
+            raise InputError("empty-eigenspace",
+                             "the eigenspace for exponent %d mod %d is zero" % (s, n))
         bases.append(basis)
     validate_action(spec)
     rng = random.Random(seed)
@@ -360,16 +347,15 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed, attempts, mix):
             model = ModelTriple(mats, n)
             validate_model(model)
             q = determinantal_quartic(model)
-        except InvalidModel as exc:
+        except InputError as exc:
             failure = str(exc)
             continue
         if not quartic_smooth(q):
             failure = "determinantal quartic is singular"
             continue
         return model, spec
-    raise GenerationError(
-        "no smooth instance in %d attempts (last failure: %s)" % (attempts, failure)
-    )
+    raise InputError("no-smooth-instance", "no smooth instance in %d attempts "
+                     "(last failure: %s)" % (attempts, failure))
 
 
 def random_equivariant_model(

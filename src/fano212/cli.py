@@ -3,7 +3,8 @@ tables, Picard lattice data, verdicts, and a random instance generator.
 
 Exit codes: 0 success / agreement, 1 mathematical failure (a check that ran
 and came out false), 2 invalid input, 3 inconclusive (a computation declined
-to decide, e.g. a degree cap was hit).
+to decide, e.g. a degree cap was hit).  The commands raise; `main` alone turns
+an exception into the report's `error` line and the exit code.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import time
 from math import lcm
 
 from .action import (
-    GenerationError,
-    InvalidAction,
-    PencilNotInvariant,
     invariant_pencil,
     invariant_sublattice,
     is_gfano,
@@ -41,10 +39,16 @@ from .characters import (
 )
 from .cohomology import InconclusiveCohomology, euler_chase, koszul_cohomology_on_X, kunneth
 from .groebner import DegreeCapExceeded, hilbert_polynomial, qp_str
-from .instancefile import Instance, ParseError, load_instance, save_instance, serialize_instance
-from .instancefile import _MAX_FIELD
+from .instancefile import (
+    Instance,
+    check_field,
+    load_instance,
+    read_ints,
+    save_instance,
+    serialize_instance,
+)
 from .model import (
-    InvalidModel,
+    InputError,
     Side,
     SmoothnessInconclusive,
     determinantal_quartic,
@@ -65,7 +69,7 @@ CONVENTION = "omega = zeta_n, the canonical primitive n-th root of unity"
 # below the 4300-digit limit of int-to-str conversion.
 _MAX_TWIST = 10 ** 100
 # The text int() reads in base 10: sign, digits and single underscores,
-# with blanks around them.
+# with blanks around them; --a, --b and --order are read as such text.
 _INTEGER = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
 
 
@@ -109,7 +113,7 @@ def _pencil_with_validation(inst: Instance, report: Report):
     if inst.declared_exponents is not None:
         declared = sorted(s % inst.spec.order for s in inst.declared_exponents)
         if declared != sorted(pencil.exponents):
-            raise InvalidAction(
+            raise InputError(
                 "exponents-mismatch",
                 "declared exponents %s do not match the recovered multiset %s"
                 % (declared, sorted(pencil.exponents)),
@@ -149,11 +153,7 @@ def cmd_smooth(inst: Instance, args, report: Report) -> int:
     report.put("rank-locus.no-rank-le-1", rank_ok)
     ok = smooth_q and rank_ok
     if args.full:
-        try:
-            full = full_smoothness(inst.model)
-        except SmoothnessInconclusive as exc:
-            report.put("smooth.full", "inconclusive: %s" % exc)
-            return EXIT_INCONCLUSIVE
+        full = full_smoothness(inst.model)
         report.put("smooth.full", full)
         ok = ok and full
     report.put("smooth.ok", ok)
@@ -216,36 +216,27 @@ def cmd_verify(inst: Instance, args, report: Report) -> int:
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
-def _twist(text: str):
-    """The integer an --a or --b text names, None when it names none.  A text
-    with more significant digits than 10^100 stands for _MAX_TWIST + 1 and
-    never reaches int(), which refuses more than 4300 digits."""
+def _integer(text: str):
+    """The integer an option text names, read as int() reads it; None when it
+    names none.  Every bound is at most 10^100, so a text with more
+    significant digits keeps only its first 102 digits: it stays above the
+    bound and never reaches int(), which refuses more than 4300 digits."""
     match = _INTEGER.fullmatch(text)
     if match is None:
         return None
     digits = match.group(2).replace("_", "").lstrip("0") or "0"
-    if len(digits) > len(str(_MAX_TWIST)):
-        return _MAX_TWIST + 1
-    return int(match.group(1) + digits)
+    return int(match.group(1) + digits[:102])
 
 
 def cmd_cohomology(inst, args, report: Report) -> int:
-    a, b = _twist(args.a), _twist(args.b)
+    a, b = _integer(args.a), _integer(args.b)
     if a is None or b is None:
-        report.put("cohomology.error", "bad-twist: --a and --b must be integers")
-        return EXIT_INVALID
+        raise InputError("bad-twist", "--a and --b must be integers")
     if max(abs(a), abs(b)) > _MAX_TWIST:
-        report.put("cohomology.error", "twist-too-large: |a| and |b| must be at "
-                   "most 10^100")
-        return EXIT_INVALID
+        raise InputError("twist-too-large", "|a| and |b| must be at most 10^100")
     report.put("twist", "(%d, %d)" % (a, b))
     report.put("ambient.kunneth", kunneth(a, b).dims)
-    try:
-        table = koszul_cohomology_on_X(a, b)
-    except InconclusiveCohomology as exc:
-        report.put("cohomology.on-X", "inconclusive: %s" % exc)
-        return EXIT_INCONCLUSIVE
-    report.put("cohomology.on-X", table.dims)
+    report.put("cohomology.on-X", koszul_cohomology_on_X(a, b).dims)
     h2, h3 = euler_chase()
     report.put("euler-chase.h2-vanishes", h2)
     report.put("euler-chase.h3-vanishes", h3)
@@ -254,14 +245,9 @@ def cmd_cohomology(inst, args, report: Report) -> int:
 
 def cmd_hilbert(inst: Instance, args, report: Report) -> int:
     side = Side.SECOND if args.side == "second" else Side.FIRST
-    ideal = minor_cubics(inst.model, side)
-    try:
-        hp = hilbert_polynomial(ideal)
-    except DegreeCapExceeded as exc:
-        report.put("hilbert.polynomial", "inconclusive: %s" % exc)
-        return EXIT_INCONCLUSIVE
-    report.put("hilbert.polynomial", qp_str(hp))
-    expected = (qp_str(hp) == "6*t - 2")
+    hp = qp_str(hilbert_polynomial(minor_cubics(inst.model, side)))
+    report.put("hilbert.polynomial", hp)
+    expected = hp == "6*t - 2"
     report.put("hilbert.curve-of-degree-6-genus-3", expected)
     return EXIT_OK if expected else EXIT_MATH_FAIL
 
@@ -308,39 +294,16 @@ def cmd_verdict(inst: Instance, args, report: Report) -> int:
     return EXIT_OK
 
 
-def _int_option(text: str, count: int):
-    """The integers of a comma-separated option value; None unless it holds
-    exactly count of them."""
-    try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        return None
-    return values if len(values) == count else None
-
-
 def cmd_random(inst, args, report: Report) -> int:
-    # Refuse, before any draw, what parse_instance refuses.
-    weights = _int_option(args.weights, 4)
-    exponents = _int_option(args.exponents, 3)
-    for key, values, count in (("weights", weights, "four"),
-                               ("exponents", exponents, "three")):
-        if values is None:
-            report.put("random.error", "bad-%s: %s wants %s integers, got %r"
-                       % (key, key, count, getattr(args, key)))
-            return EXIT_INVALID
-    # The generated model's conductor is the order, so its working field is
-    # Q(zeta_order).
-    if args.order > _MAX_FIELD:
-        report.put("random.error", "conductor-too-large: working field lcm(conductor, "
-                   "order) = %d is above the limit %d" % (args.order, _MAX_FIELD))
-        return EXIT_INVALID
-    try:
-        model, spec = random_equivariant_model(
-            args.order, weights, exponents, seed=args.seed
-        )
-    except GenerationError as exc:
-        report.put("random.error", str(exc))
-        return EXIT_INVALID
+    # Refuse, before any draw, what parse_instance refuses.  The generated
+    # model's conductor is the order, so its working field is Q(zeta_order).
+    order = _integer(args.order)
+    if order is None:
+        raise InputError("bad-order", "--order must be an integer")
+    weights = read_ints(args.weights, "weights")
+    exponents = read_ints(args.exponents, "exponents")
+    check_field(order, order)
+    model, spec = random_equivariant_model(order, weights, exponents, seed=args.seed)
     inst = Instance(
         model=model,
         spec=spec,
@@ -390,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the symbolic eigenvalue oracles")
     add("verify", "formula-versus-oracle agreement for both Jacobians")
     p = add("cohomology", "line-bundle cohomology tables on X", needs_input=False)
-    # read as text, so that cmd_cohomology reports an oversized twist
+    # read as text, so that main reports an oversized twist
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p = add("hilbert", "Hilbert polynomial of the blowdown centre")
@@ -402,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="swap flag when no instance is given")
     add("verdict", "linearisability verdict for the declared action")
     p = add("random", "generate a random equivariant instance", needs_input=False)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", required=True)  # read as text, as --a and --b are
     p.add_argument("--weights", required=True, help="r0,r1,r2,r3")
     p.add_argument("--exponents", required=True, help="s1,s2,s3")
     p.add_argument("--seed", type=int, default=0)
@@ -436,13 +399,16 @@ def main(argv=None) -> int:
         if inst is not None and args.command != "picard":
             _echo_instance(report, inst)
         code = _HANDLERS[args.command](inst, args, report)
-    except (ParseError, InvalidModel, InvalidAction, PencilNotInvariant, OSError) as exc:
-        report.put("error", str(exc))
+    except InputError as exc:
+        report.put("error", "%s: %s" % (exc.code, exc))
+        code = EXIT_INVALID
+    except OSError as exc:
+        report.put("error", "io-error: %s" % exc)
         code = EXIT_INVALID
     except (DegreeCapExceeded, SmoothnessInconclusive, InconclusiveCohomology) as exc:
         report.put("error", "inconclusive: %s" % exc)
         code = EXIT_INCONCLUSIVE
-    except (OracleError,) as exc:
+    except OracleError as exc:
         report.put("error", str(exc))
         code = EXIT_MATH_FAIL
     elapsed = time.monotonic() - started

@@ -17,13 +17,10 @@ from math import comb
 from .cyclotomic import root_of_unity
 
 
-class ChaseNotForced(RuntimeError):
-    """The dimension chase needs rank data the tables do not determine."""
-
-
 class InconclusiveCohomology(RuntimeError):
-    """Row 3 of the Koszul spectral sequence of a twist has two or more
-    columns, so the table on X depends on the ranks of d1."""
+    """The tables do not determine the answer: row 3 of the Koszul spectral
+    sequence of a twist has two or more columns, or the Euler chase needs
+    connecting-map ranks."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ def euler_chase():
     )
     right = table_scale(koszul_cohomology_on_X(0, 0), 2)
     if not middle.is_zero():
-        raise ChaseNotForced(
+        raise InconclusiveCohomology(
             "middle term of the Euler sequence has cohomology; the chase "
             "needs connecting-map ranks"
         )

@@ -44,14 +44,15 @@ from math import gcd, lcm
 
 from .action import ActionSpec, validate_action
 from .cyclotomic import LiteralError, _fold_terms, _literal_terms, format_cyclotomic
-from .model import ModelTriple, model_from_matrices, validate_model
+from .model import InputError, ModelTriple, model_from_matrices, validate_model
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
+    """An InputError at a line of an instance file (line 0: the whole file)."""
+
     def __init__(self, line: int, message: str, code: str = "syntax"):
-        super().__init__("line %d: %s" % (line, message))
+        super().__init__(code, "line %d: %s" % (line, message))
         self.line = line
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,35 @@ _MAX_FIELD = 1024
 _SCALAR_KEYS = ("conductor", "order", "swap", "weights", "weights2", "exponents")
 
 
-def _parse_int_list(value: str, line: int, key: str):
+def read_ints(text: str, key: str) -> tuple:
+    """The integers of a comma-separated value: four for weights and
+    weights2, three for exponents."""
+    count = 3 if key == "exponents" else 4
     try:
-        return tuple(int(x.strip()) for x in value.split(","))
+        values = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ParseError(line, "%s wants comma-separated integers, got %r" % (key, value))
+        values = ()
+    if len(values) != count:
+        raise InputError("bad-exponents" if count == 3 else "bad-weights",
+                         "%s wants %s integers, got %r"
+                         % (key, "three" if count == 3 else "four", text))
+    return values
+
+
+def check_field(conductor: int, order: int) -> None:
+    """Refuse a working field Q(zeta_m), m = lcm(conductor, order), above
+    _MAX_FIELD.  An order below 1 passes, for ActionSpec to refuse."""
+    if order > 0 and lcm(conductor, order) > _MAX_FIELD:
+        raise InputError("conductor-too-large", "working field lcm(conductor, order) "
+                         "is above the limit %d" % _MAX_FIELD)
+
+
+def _at(line: int, read, *args):
+    """read(*args), its InputError raised again as a ParseError at the line."""
+    try:
+        return read(*args)
+    except InputError as exc:
+        raise ParseError(line, str(exc), exc.code)
 
 
 def parse_instance(text: str) -> Instance:
@@ -132,33 +157,20 @@ def parse_instance(text: str) -> Instance:
         order = int(value)
     except ValueError:
         raise ParseError(lineno, "order wants an integer, got %r" % value)
-    if order > 0 and lcm(conductor, order) > _MAX_FIELD:  # order < 1: bad-order, below
-        raise ParseError(fields["conductor"][1], "working field lcm(conductor, order) is "
-                         "above the limit %d" % _MAX_FIELD, code="conductor-too-large")
+    _at(fields["conductor"][1], check_field, conductor, order)
 
     value, lineno = need("swap")
     if value not in ("true", "false"):
         raise ParseError(lineno, "swap wants true or false, got %r" % value)
     swap = value == "true"
 
-    value, lineno = need("weights")
-    weights = _parse_int_list(value, lineno, "weights")
-    if len(weights) != 4:
-        raise ParseError(lineno, "weights wants four integers", code="bad-weights")
+    def ints(key):
+        value, lineno = need(key)
+        return _at(lineno, read_ints, value, key)
 
-    weights2 = None
-    if "weights2" in fields:
-        value, lineno = fields["weights2"]
-        weights2 = _parse_int_list(value, lineno, "weights2")
-        if len(weights2) != 4:
-            raise ParseError(lineno, "weights2 wants four integers", code="bad-weights")
-
-    declared = None
-    if "exponents" in fields:
-        value, lineno = fields["exponents"]
-        declared = _parse_int_list(value, lineno, "exponents")
-        if len(declared) != 3:
-            raise ParseError(lineno, "exponents wants three integers", code="bad-exponents")
+    weights = ints("weights")
+    weights2 = ints("weights2") if "weights2" in fields else None
+    declared = ints("exponents") if "exponents" in fields else None
 
     grids = []
     g = conductor  # gcd of the conductor and every exponent of z
@@ -193,11 +205,11 @@ def parse_instance(text: str) -> Instance:
         grids.append(grid)
 
     spec = ActionSpec(order=order, weights=weights, swap=swap, weights2=weights2)
-    validate_action(spec)  # raises InvalidAction with its own code
+    validate_action(spec)
     field = lcm(conductor // g, gcd(conductor, order))
     model = model_from_matrices([[[_fold_terms(terms, conductor, field) for terms in row]
                                   for row in grid] for grid in grids])
-    validate_model(model)  # raises InvalidModel
+    validate_model(model)
     return Instance(model=model, spec=spec, conductor=conductor,
                     declared_exponents=declared)
 

@@ -38,10 +38,17 @@ class Side(Enum):
     SECOND = "second"
 
 
-class InvalidModel(ValueError):
+class InputError(ValueError):
+    """An input the toolkit refuses, with a short code; `cli.main` prints it as
+    `error = <code>: <message>` and exits 2."""
+
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+# perfbench/workloads.py catches the model errors under their old name.
+InvalidModel = InputError
 
 
 class SmoothnessInconclusive(RuntimeError):
@@ -65,12 +72,12 @@ class ModelTriple:
 def model_from_matrices(ms) -> ModelTriple:
     """Build a ModelTriple from three 4x4 grids of scalars."""
     if len(ms) != 3:
-        raise InvalidModel("matrix-count", "expected three matrices, got %d" % len(ms))
+        raise InputError("matrix-count", "expected three matrices, got %d" % len(ms))
     matrices = []
     for idx, grid in enumerate(ms, start=1):
         rows = [list(r) for r in grid]
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise InvalidModel(
+            raise InputError(
                 "matrix-shape", "matrix %d is not 4x4" % idx
             )
         matrices.append(tuple(tuple(cyc(v) for v in r) for r in rows))
@@ -82,7 +89,7 @@ def validate_model(m: ModelTriple) -> None:
     """Reject triples whose three bilinear forms are linearly dependent."""
     rows = [[v for row in mat for v in row] for mat in m.matrices]
     if matrix_rank(rows) != 3:
-        raise InvalidModel(
+        raise InputError(
             "dependent-forms",
             "the three bilinear forms are linearly dependent",
         )
@@ -134,7 +141,7 @@ def minor_cubics(m: ModelTriple, side: Side = Side.FIRST) -> list:
     of coeff_matrix."""
     cubics = [f for f in maximal_minors(coeff_matrix(m, side)) if not f.is_zero()]
     if not cubics:
-        raise InvalidModel(
+        raise InputError(
             "degenerate-rank",
             "all maximal minors vanish identically; matrix of linear forms has "
             "generic rank < 3",
@@ -149,7 +156,7 @@ def fiber_section(m: ModelTriple, side: Side, point):
     minors = maximal_minors(coeff_matrix(m, side))
     values = [f.evaluate(point) for f in minors]
     if all(v.is_zero() for v in values):
-        raise InvalidModel(
+        raise InputError(
             "point-on-centre",
             "the point lies on the blowdown centre; its fibre is not unique",
         )
@@ -164,7 +171,7 @@ def determinantal_quartic(m: ModelTriple) -> MultiPoly:
     q = poly_det([[_form(entry, _X3) for entry in zip(*rows)]
                   for rows in zip(*m.matrices)])
     if q.is_zero():
-        raise InvalidModel("degenerate-pencil", "det(xM1 + yM2 + zM3) is identically zero")
+        raise InputError("degenerate-pencil", "det(xM1 + yM2 + zM3) is identically zero")
     return q
 
 

@@ -12,9 +12,6 @@ from fano212.action import (
     MINUS_K,
     ActionSpec,
     DivisorClass,
-    GenerationError,
-    InvalidAction,
-    PencilNotInvariant,
     action_on_forms,
     diagonal_twist_eigenbasis,
     invariant_pencil,
@@ -31,7 +28,7 @@ from fano212.action import (
 )
 from fano212.cyclotomic import Cyclotomic, as_power_of_root, cyc, root_of_unity
 from fano212.linalg import mat_mul, proj_equal, solve
-from fano212.model import ModelTriple, determinantal_quartic, model_from_matrices
+from fano212.model import InputError, ModelTriple, determinantal_quartic, model_from_matrices
 from fano212.multipoly import MultiPoly
 
 
@@ -104,24 +101,25 @@ class TestProjectiveOrder:
         ]:
             spec = ActionSpec(declared, weights)
             assert projective_order(spec) == true
-            with pytest.raises(InvalidAction) as exc:
+            with pytest.raises(InputError) as exc:
                 validate_action(spec)
+            assert exc.value.code == "parity"
             assert str(true) in str(exc.value)
 
 
 class TestValidation:
     def test_odd_order_swap_rejected(self):
-        with pytest.raises(InvalidAction) as exc:
+        with pytest.raises(InputError) as exc:
             validate_action(ActionSpec(3, (0, 0, 0, 0)))
         assert exc.value.code == "odd-order"
 
     def test_order_mismatch(self):
-        with pytest.raises(InvalidAction) as exc:
+        with pytest.raises(InputError) as exc:
             validate_action(ActionSpec(4, (0, 0, 0, 0)))
         assert exc.value.code == "order-mismatch"
 
     def test_diagonal_needs_second_tuple(self):
-        with pytest.raises(InvalidAction) as exc:
+        with pytest.raises(InputError) as exc:
             validate_action(ActionSpec(2, (0, 0, 1, 1), swap=False))
         assert exc.value.code == "missing-weights2"
 
@@ -161,8 +159,9 @@ class TestActionOnForms:
     def test_generic_triple_not_invariant(self):
         rng = random.Random(4)
         m = model_from_matrices([random_rational_matrix(rng) for _ in range(3)])
-        with pytest.raises(PencilNotInvariant):
+        with pytest.raises(InputError) as exc:
             action_on_forms(m, ActionSpec(2, (0, 0, 0, 0)))
+        assert exc.value.code == "pencil-not-invariant"
 
     def test_sigma_squared_consistency(self):
         n, weights, exps = 8, (0, 2, 4, 6), (0, 1, 4)
@@ -305,12 +304,14 @@ class TestGenerators:
             + entries[0][3] * entries[1][2]
         )
         assert q == pfaffian * pfaffian
-        with pytest.raises(GenerationError):
+        with pytest.raises(InputError) as exc:
             random_equivariant_model(2, (0, 0, 0, 0), (1, 1, 1), seed=5, attempts=6)
+        assert exc.value.code == "no-smooth-instance"
 
     def test_empty_eigenspace_detected(self):
-        with pytest.raises(GenerationError) as exc:
+        with pytest.raises(InputError) as exc:
             random_equivariant_model(4, (0, 0, 0, 0), (1, 0, 0), seed=5)
+        assert exc.value.code == "empty-eigenspace"
         assert "eigenspace" in str(exc.value)
 
     def test_eigen_relation_exact(self):

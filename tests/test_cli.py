@@ -6,8 +6,10 @@ from math import lcm
 
 import pytest
 
+from fano212 import cohomology
 from fano212.action import random_diagonal_model
 from fano212.cli import main
+from fano212.cohomology import CohTable
 from fano212.instancefile import Instance, save_instance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -39,19 +41,6 @@ class TestExitCodes:
         assert code == 0
         assert "validate.ok" in out
 
-    def test_invalid_parity_is_2(self, capsys):
-        code, out = run_cli(capsys, "validate", "--input", BAD_PARITY)
-        assert code == 2
-        assert "parity" in out or "order" in out
-
-    def test_invalid_shape_is_2(self, capsys):
-        code, out = run_cli(capsys, "validate", "--input", BAD_SHAPE)
-        assert code == 2
-
-    def test_missing_file_is_2(self, capsys):
-        code, _ = run_cli(capsys, "validate", "--input", "/nonexistent.txt")
-        assert code == 2
-
     @pytest.mark.parametrize("conductor", [2310, 10**6])
     def test_oversized_conductor_is_2(self, tmp_path, capsys, conductor):
         path = write_variant(tmp_path, "conductor = 8", "conductor = %d" % conductor)
@@ -59,22 +48,22 @@ class TestExitCodes:
         code, out = run_cli(capsys, "--format", "tree", "validate", "--input", path)
         assert time.monotonic() - started < 1
         assert code == 2
-        assert out == ("error = line 1: working field lcm(conductor, order) is above "
-                       "the limit 1024\n")
+        assert out == ("error = conductor-too-large: line 1: working field "
+                       "lcm(conductor, order) is above the limit 1024\n")
 
     def test_order_zero_is_2(self, tmp_path, capsys):
         path = write_variant(tmp_path, "order = 8", "order = 0")
         code, out = run_cli(capsys, "--format", "tree", "validate", "--input", path)
-        assert (code, out) == (2, "error = order must be positive\n")
+        assert (code, out) == (2, "error = bad-order: order must be positive\n")
         code, out = run_cli(capsys, "--format", "tree", "random", "--order", "0",
                             "--weights", "0,0,0,0", "--exponents", "0,0,0")
-        assert (code, out) == (2, "error = order must be positive\n")
+        assert (code, out) == (2, "error = bad-order: order must be positive\n")
 
     def test_overlong_literal_is_2(self, tmp_path, capsys):
         path = write_variant(tmp_path, "-3, 6, 0, 0", "%s, 6, 0, 0" % ("9" * 5000))
         code, out = run_cli(capsys, "--format", "tree", "validate", "--input", path)
         assert code == 2
-        assert out.startswith("error = line 8: term '9999")
+        assert out.startswith("error = bad-literal: line 8: term '9999")
 
     def test_inconclusive_cohomology_is_3(self, capsys):
         code, out = run_cli(capsys, "cohomology", "--a", "4", "--b", "-4")
@@ -82,12 +71,21 @@ class TestExitCodes:
         assert "inconclusive" in out
         assert "row 3" in out and "columns [0, 1, 2, 3]" in out
 
+    def test_undecided_euler_chase_is_3(self, monkeypatch, capsys):
+        # a middle term with cohomology leaves the chase to connecting maps
+        monkeypatch.setattr(cohomology, "koszul_cohomology_on_X",
+                            lambda a, b: CohTable((0, 1, 0, 0)))
+        code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", "0", "--b", "0")
+        assert code == 3
+        assert out.endswith("\nerror = inconclusive: middle term of the Euler sequence "
+                            "has cohomology; the chase needs connecting-map ranks\n")
+
     @pytest.mark.parametrize("a, b", [("1" + "0" * 720, "1" + "0" * 720),
                                       ("1" + "0" * 1500, "0"),
                                       ("0", "-1" + "0" * 99 + "1")])
     def test_oversized_twist_is_2(self, capsys, a, b):
         code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", a, "--b", b)
-        assert (code, out) == (2, "cohomology.error = twist-too-large: |a| and |b| "
+        assert (code, out) == (2, "error = twist-too-large: |a| and |b| "
                                   "must be at most 10^100\n")
 
     @pytest.mark.parametrize("a, b", [("9" * 5000, "0"), ("0", "-" + "9" * 5000)],
@@ -95,7 +93,7 @@ class TestExitCodes:
     def test_twist_past_the_int_digit_limit_is_2(self, capsys, a, b):
         # more than the 4300 digits int() reads: the report, not a usage error
         code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", a, "--b", b)
-        assert (code, out) == (2, "cohomology.error = twist-too-large: |a| and |b| "
+        assert (code, out) == (2, "error = twist-too-large: |a| and |b| "
                                   "must be at most 10^100\n")
 
     @pytest.mark.parametrize("a, b", [("x", "0"), ("0", "1.5"), ("", "0"),
@@ -104,7 +102,7 @@ class TestExitCodes:
                                   "5000-digits-then-letter"])
     def test_malformed_twist_is_2(self, capsys, a, b):
         code, out = run_cli(capsys, "--format", "tree", "cohomology", "--a", a, "--b", b)
-        assert (code, out) == (2, "cohomology.error = bad-twist: --a and --b must be "
+        assert (code, out) == (2, "error = bad-twist: --a and --b must be "
                                   "integers\n")
 
     @pytest.mark.parametrize("a, b, twist", [("0" * 5000 + "1", "-2", "(1, -2)"),
@@ -121,6 +119,52 @@ class TestExitCodes:
         assert code == 0
         assert "twist = (%s, %s)" % (a, a) in out
         assert "cohomology.on-X = (" in out
+
+    @pytest.mark.parametrize("argv, error", [
+        (["validate", "--input", BAD_PARITY],
+         "parity: swap weights must share parity; the declared order 2 is wrong "
+         "(computed projective order 4)"),
+        (["validate", "--input", BAD_SHAPE],
+         "matrix-shape: line 9: matrix.1 has 3 rows, expected 4"),
+        (["validate", "--input", ("conductor = 8", "conductor = 2310")],
+         "conductor-too-large: line 1: working field lcm(conductor, order) is above "
+         "the limit 1024"),
+        (["validate", "--input", ("order = 8", "order = 0")],
+         "bad-order: order must be positive"),
+        (["validate", "--input", ("-3, 6, 0, 0", "1/0, 6, 0, 0")],
+         "bad-literal: line 8: term '1/0' has a zero denominator or a number over "
+         "4300 digits"),
+        (["validate", "--input", ("conductor = 8", "conductor = 105")],
+         "pencil-not-invariant: the action does not preserve the span of the three "
+         "forms (form 1 maps outside the pencil)"),
+        (["random", "--order", "4", "--weights", "0,0,x,2", "--exponents", "0,1,2"],
+         "bad-weights: weights wants four integers, got '0,0,x,2'"),
+        (["random", "--order", "4", "--weights", "0,0,2,2", "--exponents", "0,1"],
+         "bad-exponents: exponents wants three integers, got '0,1'"),
+        (["random", "--order", "x", "--weights", "0,0,2,2", "--exponents", "0,1,2"],
+         "bad-order: --order must be an integer"),
+        (["random", "--order", "9" * 5000, "--weights", "0,0,2,2", "--exponents", "0,1,2"],
+         "conductor-too-large: working field lcm(conductor, order) is above the limit "
+         "1024"),
+        (["random", "--order", "4", "--weights", "0,0,0,0", "--exponents", "1,1,1"],
+         "empty-eigenspace: the eigenspace for exponent 1 mod 4 is zero"),
+        (["cohomology", "--a", "0", "--b", "1.5"], "bad-twist: --a and --b must be integers"),
+        (["cohomology", "--a", "9" * 5000, "--b", "0"],
+         "twist-too-large: |a| and |b| must be at most 10^100"),
+        (["validate", "--input", "/nonexistent.txt"],
+         "io-error: [Errno 2] No such file or directory: '/nonexistent.txt'"),
+    ], ids=["parity", "matrix-shape", "conductor-too-large", "bad-order", "bad-literal",
+            "pencil-not-invariant", "random-bad-weights", "random-bad-exponents",
+            "random-bad-order", "random-conductor-too-large", "random-empty-eigenspace",
+            "bad-twist", "twist-too-large", "io-error"])
+    def test_refusal_is_one_error_line(self, tmp_path, capsys, argv, error):
+        # a (text, replacement) pair stands for that variant of swap_n8.txt
+        argv = [write_variant(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]
+        code, out = run_cli(capsys, "--format", "tree", *argv)
+        assert code == 2
+        assert [line for line in out.splitlines() if line.startswith("error")] == [
+            "error = " + error]
+        assert out.endswith("error = %s\n" % error)
 
     def test_ample_twist_exact_sections(self, capsys):
         code, out = run_cli(capsys, "--format", "tree", "cohomology",
@@ -285,8 +329,8 @@ class TestRandomGeneration:
         assert time.monotonic() - started < 1
         assert (code, out) == (
             2,
-            "random.error = conductor-too-large: working field lcm(conductor, "
-            "order) = 2048 is above the limit 1024\n",
+            "error = conductor-too-large: working field lcm(conductor, "
+            "order) is above the limit 1024\n",
         )
         code, out = run_cli(
             capsys, "--format", "tree",
@@ -309,7 +353,7 @@ class TestRandomGeneration:
         code, out = run_cli(capsys, "--format", "tree", "random",
                             *[x for pair in argv.items() for x in pair])
         assert time.monotonic() - started < 1
-        assert (code, out) == (2, "random.error = %s\n" % error)
+        assert (code, out) == (2, "error = %s\n" % error)
 
     def test_impossible_exponents_error(self, capsys):
         code, out = run_cli(
@@ -318,7 +362,7 @@ class TestRandomGeneration:
             "--exponents", "1,1,1", "--seed", "1",
         )
         assert code == 2
-        assert "random.error" in out
+        assert "no-smooth-instance: no smooth instance in 50 attempts" in out
 
 
 def test_module_entry_point():

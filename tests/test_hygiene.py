@@ -1,9 +1,11 @@
 """Static checks on the package source: every imported name is used, nothing
 outside the standard library is imported, every import is at module level,
-and every public module-level name is read somewhere in the project."""
+every public module-level name is read somewhere in the project, and the
+error codes raised are the ones README's table lists."""
 
 import ast
 import os
+import re
 import sys
 
 import pytest
@@ -161,3 +163,49 @@ def project_reads():
 def test_public_names_are_read(module, project_reads):
     with open(os.path.join(SRC, module), encoding="utf-8") as handle:
         assert unread_public_names(handle.read(), project_reads) == []
+
+
+def error_codes(source: str):
+    """The codes a source gives InputError or ParseError: every string
+    literal in the code argument of a call (the first argument of InputError,
+    the third or `code=` of ParseError) and the default of a parameter named
+    code."""
+    position = {"InputError": 0, "ParseError": 2}
+    codes = set()
+    for node in ast.walk(ast.parse(source)):
+        arguments = []
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in position:
+            arguments = node.args[position[node.func.id]:][:1]
+            arguments += [k.value for k in node.keywords if k.arg == "code"]
+        elif isinstance(node, ast.FunctionDef) and node.args.defaults:
+            params = node.args.args[-len(node.args.defaults):]
+            arguments = [d for p, d in zip(params, node.args.defaults) if p.arg == "code"]
+        codes |= {c.value for a in arguments for c in ast.walk(a)
+                  if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return codes
+
+
+def test_checker_finds_error_codes():
+    source = (
+        "class ParseError(InputError):\n"
+        "    def __init__(self, line, message, code='syntax'):\n        pass\n"
+        "def f(key, exc):\n    InputError('a' if key else 'b', 'message %s' % key)\n"
+        "    ParseError(1, 'message', code='c')\n    ParseError(1, 'm', 'd')\n"
+        "    ParseError(1, str(exc), exc.code)\n    ValueError('e')\n"
+    )
+    assert error_codes(source) == {"syntax", "a", "b", "c", "d"}
+
+
+def readme_error_codes():
+    """The codes in the first column of the README's error-code table."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split("### Error codes\n", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"^\| `([a-z0-9-]+)` \|", section, re.MULTILINE))
+
+
+def test_error_codes_match_the_readme_table():
+    raised = set()
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+            raised |= error_codes(handle.read())
+    assert raised and raised == readme_error_codes()

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fano212.action import InvalidAction
 from fano212.cyclotomic import Cyclotomic
 from fano212.instancefile import (
     Instance,
@@ -15,7 +14,7 @@ from fano212.instancefile import (
     parse_instance,
     serialize_instance,
 )
-from fano212.model import InvalidModel
+from fano212.model import InputError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -51,7 +50,7 @@ class TestErrors:
         assert "matrix.1" in str(exc.value)
 
     def test_parity_violation_cites_true_order(self):
-        with pytest.raises(InvalidAction) as exc:
+        with pytest.raises(InputError) as exc:
             parse_instance(data_text("bad_parity.txt"))
         assert exc.value.code == "parity"
         assert "4" in str(exc.value)  # computed projective order
@@ -104,7 +103,7 @@ class TestErrors:
 
     def test_order_zero(self):
         text = data_text("swap_n8.txt").replace("order = 8", "order = 0")
-        with pytest.raises(InvalidAction) as exc:
+        with pytest.raises(InputError) as exc:
             parse_instance(text)
         assert exc.value.code == "bad-order"
 
@@ -126,7 +125,7 @@ class TestErrors:
         broken = head + "[matrix." + m1 + "[matrix.2]\n" + "\n".join(
             m1.splitlines()[1:5]
         ) + "\n\n[matrix." + m3
-        with pytest.raises(InvalidModel) as exc:
+        with pytest.raises(InputError) as exc:
             parse_instance(broken)
         assert exc.value.code == "dependent-forms"
 
@@ -212,5 +211,5 @@ def test_parse_instance_fuzz(mutations):
             lines[index] = value
     try:
         parse_instance("\n".join(lines) + "\n")
-    except (ParseError, InvalidAction, InvalidModel):
+    except InputError:
         pass

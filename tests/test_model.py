@@ -20,7 +20,7 @@ from fano212.groebner import (
 from fano212.instancefile import load_instance
 from fano212.linalg import proj_equal
 from fano212.model import (
-    InvalidModel,
+    InputError,
     ModelTriple,
     Side,
     SmoothnessInconclusive,
@@ -55,13 +55,20 @@ def identity4():
 
 class TestValidation:
     def test_wrong_shape(self):
-        with pytest.raises(InvalidModel) as exc:
+        with pytest.raises(InputError) as exc:
             model_from_matrices([identity4(), identity4(), [[1] * 4] * 3])
         assert exc.value.code == "matrix-shape"
 
     def test_dependent_forms_rejected(self):
         m = model_from_matrices([identity4(), identity4(), e_matrix(0, 0)])
-        with pytest.raises(InvalidModel) as exc:
+        with pytest.raises(InputError) as exc:
+            validate_model(m)
+        assert exc.value.code == "dependent-forms"
+
+    def test_old_name_catches_model_errors(self):
+        # perfbench/workloads.py catches model errors as model.InvalidModel
+        m = model_from_matrices([identity4(), identity4(), e_matrix(0, 0)])
+        with pytest.raises(model_module.InvalidModel) as exc:
             validate_model(m)
         assert exc.value.code == "dependent-forms"
 
@@ -142,7 +149,7 @@ class TestMinorCubics:
                 g[r][1] = rng.randint(-2, 2)
             grids.append(g)
         m = model_from_matrices(grids)
-        with pytest.raises(InvalidModel) as exc:
+        with pytest.raises(InputError) as exc:
             minor_cubics(m, Side.FIRST)
         assert exc.value.code == "degenerate-rank"
 
@@ -205,7 +212,7 @@ class TestFiberSection:
     def test_point_on_centre_rejected(self, planted_model):
         m, p = planted_model
         centre = quartic_point_to_curve_point(m, p, Side.FIRST)
-        with pytest.raises(InvalidModel) as exc:
+        with pytest.raises(InputError) as exc:
             fiber_section(m, Side.FIRST, list(centre))
         assert exc.value.code == "point-on-centre"
 
@@ -230,7 +237,7 @@ class TestDeterminantalQuartic:
             g[0] = [0, 0, 0, 0]
             grids.append(g)
         m = model_from_matrices(grids)
-        with pytest.raises(InvalidModel) as exc:
+        with pytest.raises(InputError) as exc:
             determinantal_quartic(m)
         assert exc.value.code == "degenerate-pencil"
 
@@ -482,5 +489,6 @@ class TestFullSmoothness:
 
     def test_dependent_forms_rejected_before_charts(self):
         m = model_from_matrices([identity4(), identity4(), e_matrix(0, 0)])
-        with pytest.raises(InvalidModel):
+        with pytest.raises(InputError) as exc:
             full_smoothness(m)
+        assert exc.value.code == "dependent-forms"
