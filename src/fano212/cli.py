@@ -10,7 +10,6 @@ an exception into the report's `error` line and the exit code.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 import time
 from math import lcm
@@ -43,6 +42,7 @@ from .instancefile import (
     Instance,
     check_field,
     load_instance,
+    read_integer,
     read_ints,
     save_instance,
     serialize_instance,
@@ -65,12 +65,8 @@ EXIT_INCONCLUSIVE = 3
 
 CONVENTION = "omega = zeta_n, the canonical primitive n-th root of unity"
 
-# Largest |a|, |b| for cohomology: its dimensions have about 600 digits, far
-# below the 4300-digit limit of int-to-str conversion.
-_MAX_TWIST = 10 ** 100
-# The text int() reads in base 10: sign, digits and single underscores,
-# with blanks around them; --a, --b and --order are read as such text.
-_INTEGER = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
+# Largest |a|, |b| (cohomology then has under 600 digits, far below 4300) and |seed|.
+_MAX_OPTION = 10 ** 100
 
 
 class Report:
@@ -216,23 +212,11 @@ def cmd_verify(inst: Instance, args, report: Report) -> int:
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
-def _integer(text: str):
-    """The integer an option text names, read as int() reads it; None when it
-    names none.  Every bound is at most 10^100, so a text with more
-    significant digits keeps only its first 102 digits: it stays above the
-    bound and never reaches int(), which refuses more than 4300 digits."""
-    match = _INTEGER.fullmatch(text)
-    if match is None:
-        return None
-    digits = match.group(2).replace("_", "").lstrip("0") or "0"
-    return int(match.group(1) + digits[:102])
-
-
 def cmd_cohomology(inst, args, report: Report) -> int:
-    a, b = _integer(args.a), _integer(args.b)
+    a, b = read_integer(args.a), read_integer(args.b)
     if a is None or b is None:
         raise InputError("bad-twist", "--a and --b must be integers")
-    if max(abs(a), abs(b)) > _MAX_TWIST:
+    if max(abs(a), abs(b)) > _MAX_OPTION:
         raise InputError("twist-too-large", "|a| and |b| must be at most 10^100")
     report.put("twist", "(%d, %d)" % (a, b))
     report.put("ambient.kunneth", kunneth(a, b).dims)
@@ -297,13 +281,18 @@ def cmd_verdict(inst: Instance, args, report: Report) -> int:
 def cmd_random(inst, args, report: Report) -> int:
     # Refuse, before any draw, what parse_instance refuses.  The generated
     # model's conductor is the order, so its working field is Q(zeta_order).
-    order = _integer(args.order)
+    order = read_integer(args.order)
     if order is None:
         raise InputError("bad-order", "--order must be an integer")
+    seed = read_integer(args.seed)
+    if seed is None:
+        raise InputError("bad-seed", "--seed must be an integer")
+    if abs(seed) > _MAX_OPTION:
+        raise InputError("seed-too-large", "|--seed| must be at most 10^100")
     weights = read_ints(args.weights, "weights")
     exponents = read_ints(args.exponents, "exponents")
     check_field(order, order)
-    model, spec = random_equivariant_model(order, weights, exponents, seed=args.seed)
+    model, spec = random_equivariant_model(order, weights, exponents, seed=seed)
     inst = Instance(
         model=model,
         spec=spec,
@@ -315,7 +304,7 @@ def cmd_random(inst, args, report: Report) -> int:
         report.put("random.written", args.out)
     else:
         report.put("random.instance", "\n" + serialize_instance(inst))
-    report.put("random.seed", args.seed)
+    report.put("random.seed", seed)
     return EXIT_OK
 
 
@@ -353,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the symbolic eigenvalue oracles")
     add("verify", "formula-versus-oracle agreement for both Jacobians")
     p = add("cohomology", "line-bundle cohomology tables on X", needs_input=False)
-    # read as text, so that main reports an oversized twist
+    # integers are read as text, so that main reports an oversized one
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p = add("hilbert", "Hilbert polynomial of the blowdown centre")
@@ -365,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="swap flag when no instance is given")
     add("verdict", "linearisability verdict for the declared action")
     p = add("random", "generate a random equivariant instance", needs_input=False)
-    p.add_argument("--order", required=True)  # read as text, as --a and --b are
+    p.add_argument("--order", required=True)
     p.add_argument("--weights", required=True, help="r0,r1,r2,r3")
     p.add_argument("--exponents", required=True, help="s1,s2,s3")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", help="write the instance file here")
     return parser
 

@@ -60,6 +60,18 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _rational_reconstruction(a: int, m: int, num_bound: int, den_bound: int):
+    """r/t = a mod m, gcd(r, t) = 1, |r| <= num_bound, |t| <= den_bound, by
+    Wang's half-extended Euclid on (m, a), or None; it is the only such
+    fraction when 2 * num_bound * den_bound < m."""
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > num_bound:
+        r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+    if abs(t1) > den_bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
 def _spread(coeffs, step: int) -> list:
     """The coefficients of f(x^step) from those of f(x), constant term first."""
     out = [0] * ((len(coeffs) - 1) * step + 1)

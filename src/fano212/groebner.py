@@ -5,16 +5,15 @@ homogeneous ideals.
 One monic engine serves three coefficient domains.  Polynomials are
 {mono: coef} dicts and every basis element is scaled to leading coefficient
 1, so one S-polynomial, one normal form and one Buchberger run do all the
-work.  Mod p the coefficients are ints, and F_p serves as a one-sided
-certificate with the exact engine as fallback.  Exact runs take Fractions
-when every input coefficient is rational and Cyclotomic values otherwise.
+work.  Mod p the coefficients are ints, and F_p serves as a certificate
+(see "prime-field certificate" below) with the exact engine as fallback.
+Exact runs take Fractions when every input coefficient is rational and
+Cyclotomic values otherwise.
 The Fraction branch pays for its lines: best of five (Python 3.11, 2
 cores), the 41 exact runs on rational ideals in scripts/report_sweep.py
-take 0.48-0.50 s as Fractions against 0.60-0.70 s as Cyclotomic values, and
-full_smoothness on the sweep's double-point triple 0.37-0.39 s against
-0.57-0.58 s.  Every run, exact or mod p, ends at its first constant element,
-input or remainder, with that constant 1 alone: a Groebner basis of the
-unit ideal.
+take 0.48-0.50 s as Fractions against 0.60-0.70 s as Cyclotomic values.
+Every run, exact or mod p, ends at its first constant element, input or
+remainder, with that constant 1 alone: a Groebner basis of the unit ideal.
 
 Inside the engine a monomial e in n variables is one int (Monagan and
 Pearce's packed exponent vectors):
@@ -52,9 +51,9 @@ import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 
-from .cyclotomic import _prime_factors, join_signed
+from .cyclotomic import _prime_factors, _rational_reconstruction, join_signed
 from .multipoly import MultiPoly
 
 DEGREE_CAP = 30
@@ -109,6 +108,29 @@ def _pack(mono, w: int) -> int:
 def _unpack(packed: int, w: int, nvars: int):
     mask = (1 << w) - 1
     return tuple(packed >> (w * i) & mask for i in range(nvars))
+
+
+def _pair_lcms(w: int, nvars: int):
+    """lcms(leads, j): the packed lcms of leads[j] with each of leads[:j],
+    for monomials of width w whose degrees sum to less than 2^w."""
+    guard, top, mask = _guard(w, nvars), w * nvars, (1 << w) - 1
+    low = (1 << top) - 1             # the fields, without the degree
+    ones = low // mask               # 1 in each field
+
+    def lcms(leads, j):
+        b = leads[j] & low
+        result = []
+        for a in leads[:j]:
+            a &= low
+            # (b | guard) - a borrows across no field and keeps the guard bit where
+            # b_i >= a_i; spread to all ones there, it picks the lcm's fields, and
+            # in fields * ones they add up to the degree in the top field
+            larger = ((b | guard) - a) & guard
+            larger = (larger << 1) - (larger >> (w - 1))
+            fields = (b & larger) | (a & ~larger)
+            result.append(fields - ((fields * ones >> top - w & mask) << top))
+        return result
+    return lcms
 
 
 def _pack_terms(terms: dict, w: int) -> dict:
@@ -226,10 +248,7 @@ def _basis(polys, nvars, prime=None):
     top = max((sum(m) for p in polys for m in p), default=0)
     w = _width(max(DEGREE_CAP, top))
     guard = _guard(w, nvars)
-    low = (1 << (w * nvars)) - 1     # the fields, without the degree
-    ones = low // ((1 << w) - 1)     # 1 in each field
-    last = w * (nvars - 1)           # shift to the top field
-    mask = (1 << w) - 1
+    lcms = _pair_lcms(w, nvars)
     basis = [_monic(_pack_terms(p, w), prime) for p in polys]
     for element in basis:
         if element[0] == 0:
@@ -244,17 +263,7 @@ def _basis(polys, nvars, prime=None):
     queued = 0                       # elements whose pairs are in the heap
     while True:
         for j in range(queued, len(leads)):
-            b = leads[j] & low
-            for i in range(j):
-                a = leads[i] & low
-                # (b | guard) - a borrows across no field and keeps the guard
-                # bit where b_i >= a_i; spread to all ones there, it picks the
-                # lcm's fields, and in fields * ones they add up to the degree
-                # in the top field
-                larger = ((b | guard) - a) & guard
-                larger = (larger << 1) - (larger >> (w - 1))
-                fields = (b & larger) | (a & ~larger)
-                lcm = fields - ((fields * ones >> last & mask) << (w * nvars))
+            for i, lcm in enumerate(lcms(leads, j)):
                 heapq.heappush(pairs, (-lcm, next(counter), i, j))
         queued = len(leads)
         if not pairs:
@@ -293,12 +302,12 @@ def _basis(polys, nvars, prime=None):
                 leads.append(element[0])
 
 
-def _interreduce(basis, guard: int):
-    """The reduced Groebner basis from a monic packed Groebner basis: drop
-    each element whose leading monomial another one divides (of equal leads
-    the first stays), reduce each kept element by the others and sort them
-    by leading monomial, grevlex-largest first.  No kept lead divides
-    another, so each element keeps its lead term 1."""
+def _interreduce(basis, guard: int, prime=None):
+    """The reduced Groebner basis from a monic packed Groebner basis (mod
+    prime when given): drop each element whose leading monomial another one
+    divides (of equal leads the first stays), reduce each kept element by the
+    others and sort them by leading monomial, grevlex-largest first.  No kept
+    lead divides another, so each element keeps its lead term 1."""
     kept = [
         (lm, terms)
         for i, (lm, terms) in enumerate(basis)
@@ -308,7 +317,7 @@ def _interreduce(basis, guard: int):
         )
     ]
     reduced = [
-        (lm, _normal_form(terms, kept[:i] + kept[i + 1 :], guard))
+        (lm, _normal_form(terms, kept[:i] + kept[i + 1 :], guard, prime))
         for i, (lm, terms) in enumerate(kept)
     ]
     return sorted(reduced, key=lambda element: element[0])
@@ -357,9 +366,9 @@ def is_unit_ideal(generators) -> bool:
 #
 # The generators are mapped to F_p[x] for a prime p = 1 mod N, with zeta_N
 # sent to a root r of Phi_N mod p, and the pair loop runs there on monic
-# {mono: int mod p} terms.  An answer mod p is used only where it implies the
-# answer over Qbar (projective_empty, unit_mod_p); otherwise the caller runs
-# the exact engine.
+# {mono: int mod p} terms.  An empty locus or a unit ideal mod p holds over
+# Qbar; the opposite answers hold once the run's lift to Q is checked
+# (_lift_holds).  Otherwise the exact engine runs.
 
 _MILLER_RABIN_BOUND = 3_215_031_751
 
@@ -421,20 +430,16 @@ def _fp_terms(poly: MultiPoly, n: int, prime: int, powers) -> dict | None:
     return terms
 
 
-def _mod_p_leads(generators):
-    """Leading monomials of a Groebner basis of the image of the generators
-    in F_p[x], with (p, r) from _fp_field at the lcm N of the coefficients'
-    conductors; just the constant monomial for the unit ideal.
-    None when there is no certificate: a denominator is divisible by p, or
-    the run exceeds the degree cap (a mod-p overflow is never reported)."""
+def _mod_p_basis(generators):
+    """(basis, w, nvars, p): _basis on the image in F_p[x], (p, r) from _fp_field
+    at the lcm N of the conductors; None, and no report, when a denominator is
+    divisible by p or the run exceeds the degree cap."""
     n = lcm(*(c.n for g in generators for c in g.terms.values()))
     setup = _fp_field(n)
     if setup is None:
         return None
     prime, r = setup
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * r % prime)
+    powers = [pow(r, k, prime) for k in range(n)]
     nvars = generators[0].nvars if generators else 0
     polys = []
     for g in generators:
@@ -447,16 +452,67 @@ def _mod_p_leads(generators):
         basis, w = _basis(polys, nvars, prime)
     except DegreeCapExceeded:
         return None
-    return [_unpack(lm, w, nvars) for lm, _ in basis]
+    return basis, w, nvars, prime
 
 
-def unit_mod_p(generators) -> bool:
-    """True when the image of the generators in F_p[x] (see _mod_p_leads) is
-    the unit ideal.  This is one-sided and says nothing about the ideal over
-    Q: p*x - 1 is unit mod p, yet x = 1/p is a zero over Q.  False covers
-    "not unit mod p" and "no certificate" alike."""
-    leads = _mod_p_leads(list(generators))
-    return leads is not None and any(sum(m) == 0 for m in leads)
+def _lift_holds(generators, run) -> bool:
+    """Whether the run (_mod_p_basis) of rational generators, interreduced mod
+    p and rebuilt by rational reconstruction (|num|, |den| <= sqrt(p/2)), is
+    a G over Q modulo which every S-pair that the product criterion keeps,
+    and every generator, reduces to 0.  False for a generator over Q(zeta_N)
+    or of degree 2^(w-1) or more (a term that vanished mod p).
+
+    Sound with no lucky prime: G is a Groebner basis of <G> (Buchberger's
+    criterion), which holds I.  Reconstruction keeps 1 and sends no residue
+    to 0, so G has the monic leads mod p.  If no element of the run *is* a
+    nonzero constant (packed lead 0), 1 is not in <G> nor in I (having a
+    constant term is no test: x1 - 1 has one).  A homogeneous G whose leading
+    ideal lacks a pure power of a variable has a projective zero, one of I.
+    No field overflows w: each pair of G was a pair of the run, of degree at
+    most DEGREE_CAP, and no term of an S-polynomial, generator or remainder
+    has a degree above its lcm or generator."""
+    basis, w, nvars, prime = run
+    if any(g.degree() >> (w - 1) or not all(c.is_rational() for c in g.terms.values())
+           for g in generators):
+        return False
+    guard, bound, lifted = _guard(w, nvars), isqrt(prime // 2), []
+    for lm, terms in _interreduce(basis, guard, prime):
+        element = {}
+        for m, c in terms.items():
+            q = _rational_reconstruction(c, prime, bound, bound)
+            if q is None:
+                return False
+            element[m] = _int_or_fraction(q)
+        lifted.append((lm, element))
+    leads, lcms = [lm for lm, _ in lifted], _pair_lcms(w, nvars)
+    for j in range(len(lifted)):
+        for i, lcm in enumerate(lcms(leads, j)):
+            if lcm != leads[i] + leads[j] and _normal_form(
+                    _s_polynomial(lifted[i], lifted[j], lcm), lifted, guard):
+                return False
+    return not any(
+        _normal_form({_pack(m, w): _int_or_fraction(c.to_rational())
+                      for m, c in g.terms.items()}, lifted, guard)
+        for g in generators
+    )
+
+
+def _int_or_fraction(q: Fraction):
+    """q as an int when it is one, which keeps the check off Fraction."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def unit_mod_p_or_q(generators) -> bool:
+    """Whether the ideal is unit mod p (a unit run of _mod_p_basis ends at a
+    constant, packed lead 0) or over Q, which the run's lift (_lift_holds) or
+    else is_unit_ideal decides.  p*x - 1 is unit mod p, yet not over Q."""
+    gens = list(generators)
+    run = _mod_p_basis(gens)
+    if run is not None and any(lm == 0 for lm, _ in run[0]):
+        return True
+    if run is not None and _lift_holds(gens, run):
+        return False
+    return is_unit_ideal(gens)
 
 
 # -- projective emptiness ------------------------------------------------------
@@ -472,23 +528,26 @@ def projective_empty(generators) -> bool:
     """True iff the homogeneous ideal has empty vanishing locus in projective
     space: its leading ideal must contain a pure power of every variable.
 
-    The test runs mod p first (_mod_p_leads), and an empty locus mod p is
+    The test runs mod p first (_mod_p_basis), and an empty locus mod p is
     final.  It is sound: a common zero over Qbar, scaled so that its
     coordinates are integral at a prime above p and one of them is a unit
     there, reduces to a common zero over the algebraic closure of F_p of the
     generators' images, since every coefficient lies in Z_(p)[zeta_N] and
     zeta_N reduces to r.  So an ideal with no projective zero mod p has none
-    over Qbar.  A locus that is not empty mod p, or a run with no certificate,
-    goes to the exact engine."""
+    over Qbar.  A locus not empty mod p is final once the run's lift holds
+    (_lift_holds); any other run, or none, goes to the exact engine."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return False
     if any(not g.is_homogeneous() for g in gens):
         raise NonHomogeneousIdeal("projective emptiness needs homogeneous input")
     nvars = gens[0].nvars
-    leads = _mod_p_leads(gens)
-    if leads is not None and _empty_locus(leads, nvars):
+    run = _mod_p_basis(gens)
+    if run is not None and _empty_locus(
+            [_unpack(lm, run[1], nvars) for lm, _ in run[0]], nvars):
         return True
+    if run is not None and _lift_holds(gens, run):
+        return False
     basis = buchberger(gens)
     return _empty_locus([leading_term(g)[0] for g in basis], nvars)
 
@@ -507,32 +566,26 @@ def qp_trim(p):
 
 
 def qp_add(p, q):
-    n = max(len(p), len(q))
-    p = list(p) + [Fraction(0)] * (n - len(p))
-    q = list(q) + [Fraction(0)] * (n - len(q))
-    return qp_trim([a + b for a, b in zip(p, q)])
+    return qp_trim([a + b for a, b in itertools.zip_longest(p, q, fillvalue=Fraction(0))])
 
 
 def qp_shift_minus_one(p):
     """p(t) -> p(t - 1)."""
     result = (Fraction(0),)
     for c in reversed(p):
-        # result = result * (t - 1) + c
-        shifted = (Fraction(0),) + result
-        minus = tuple(-a for a in result)
-        result = qp_add(qp_add(shifted, minus), (Fraction(c),))
-    return qp_trim(result)
+        # result * (t - 1) + c
+        result = qp_add((Fraction(c),) + result, tuple(-a for a in result))
+    return result
 
 
 def qp_binomial(k: int):
     """C(t + k, k) as a polynomial in t."""
     result = (Fraction(1),)
     for i in range(1, k + 1):
-        # result *= (t + i) / i
-        shifted = (Fraction(0),) + result
-        scaled = tuple(Fraction(i) * c for c in result)
-        result = tuple(Fraction(c, i) for c in qp_add(shifted, scaled))
-    return qp_trim(result)
+        # result * (t + i) / i
+        result = qp_add((Fraction(0),) + result, tuple(i * c for c in result))
+        result = tuple(c / i for c in result)
+    return result
 
 
 def qp_eval(p, t):

@@ -39,6 +39,7 @@ entry back to Q(zeta_N).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -69,6 +70,25 @@ _MAX_FIELD = 1024
 
 _SCALAR_KEYS = ("conductor", "order", "swap", "weights", "weights2", "exponents")
 
+# The base-10 text int() reads: sign, digits, single underscores, blanks.
+_INTEGER = re.compile(r"\s*([+-]?)(\d+(?:_\d+)*)\s*")
+
+
+def read_integer(text: str):
+    """The integer a text names, read as int() reads it, or None.  Every bound
+    is at most 10^100, so only the first 102 significant digits are kept: the
+    text stays above the bound and int() never sees more than 4300 digits."""
+    match = _INTEGER.fullmatch(text)
+    if match is None:
+        return None
+    digits = match.group(2).replace("_", "").lstrip("0") or "0"
+    return int(match.group(1) + digits[:102])
+
+
+def _excerpt(text: str) -> str:
+    """The text for a message, cut to 20 characters and '...' past 24."""
+    return text if len(text) <= 24 else text[:20] + "..."
+
 
 def read_ints(text: str, key: str) -> tuple:
     """The integers of a comma-separated value: four for weights and
@@ -81,7 +101,7 @@ def read_ints(text: str, key: str) -> tuple:
     if len(values) != count:
         raise InputError("bad-exponents" if count == 3 else "bad-weights",
                          "%s wants %s integers, got %r"
-                         % (key, "three" if count == 3 else "four", text))
+                         % (key, "three" if count == 3 else "four", _excerpt(text)))
     return values
 
 
@@ -144,19 +164,18 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(0, "missing required key %r" % key, code="missing-key")
         return fields[key]
 
-    value, lineno = need("conductor")
-    try:
-        conductor = int(value)
-    except ValueError:
-        raise ParseError(lineno, "conductor wants an integer, got %r" % value)
-    if conductor < 1:
-        raise ParseError(lineno, "conductor must be positive", code="bad-conductor")
+    def integer(key):
+        value, lineno = need(key)
+        number = read_integer(value)
+        if number is None:
+            raise ParseError(lineno, "%s wants an integer, got %r" % (key, _excerpt(value)))
+        return number
 
-    value, lineno = need("order")
-    try:
-        order = int(value)
-    except ValueError:
-        raise ParseError(lineno, "order wants an integer, got %r" % value)
+    conductor = integer("conductor")
+    if conductor < 1:
+        raise ParseError(fields["conductor"][1], "conductor must be positive",
+                         code="bad-conductor")
+    order = integer("order")
     _at(fields["conductor"][1], check_field, conductor, order)
 
     value, lineno = need("swap")

@@ -15,13 +15,14 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, count
 from math import lcm
 from operator import add
 
-from .cyclotomic import _divmod_monic, _lower_terms, _trim, cyc, euler_phi
-from .groebner import DegreeCapExceeded, is_unit_ideal, projective_empty, unit_mod_p
+from .cyclotomic import (_divmod_monic, _lower_terms, _rational_reconstruction, _trim, cyc,
+                         euler_phi)
+from .groebner import DegreeCapExceeded, projective_empty, unit_mod_p_or_q
 from .linalg import (
     mat_mul,
     mat_transpose,
@@ -202,11 +203,10 @@ def full_smoothness(m: ModelTriple) -> bool:
 
     On each of the 16 affine charts x_i = 1, y_j = 1 the ideal generated by
     the three forms and the 3x3 minors of their Jacobian in the six chart
-    variables must be the unit ideal.  A chart that is unit mod p
-    (unit_mod_p) needs no exact run; any other chart runs the exact
-    is_unit_ideal, and an exact non-unit chart gives False.  Raises
-    SmoothnessInconclusive when an exact chart computation exceeds the
-    Buchberger degree cap.
+    variables must be the unit ideal.  A chart passes when it is unit mod p
+    or over Q (unit_mod_p_or_q: one mod-p run, then its checked lift or an
+    exact run).  Raises SmoothnessInconclusive when an exact chart
+    computation exceeds the Buchberger degree cap.
 
     Unit mod p alone does not make a chart unit over Q, yet the mix is
     sound.  Scale a singular point P of X over Qbar so that on each factor
@@ -217,7 +217,7 @@ def full_smoothness(m: ModelTriple) -> bool:
     chart coordinates that are integral and reduce to those of P'.  The
     chart generators vanish at P and have integral coefficients, so their
     images vanish at P': chart (i, j) is neither unit mod p nor unit over Q,
-    so it runs exactly and gives False.
+    so it gives False.
 
     The 3x3 minors are those of the homogeneous Jacobian in all eight
     variables, each taken once, when a chart first needs it, and then
@@ -228,12 +228,10 @@ def full_smoothness(m: ModelTriple) -> bool:
     validate_model(m)
     forms = bilinear_forms(m)
     jac = [[f.derivative(v) for v in range(8)] for f in forms]
-    cubics = {}  # homogeneous minors of jac, by column triple
 
+    @cache
     def minor(cols):
-        if cols not in cubics:
-            cubics[cols] = poly_det([[row[c] for c in cols] for row in jac])
-        return cubics[cols]
+        return poly_det([[row[c] for c in cols] for row in jac])
 
     for i in range(4):
         for j in range(4):
@@ -243,7 +241,7 @@ def full_smoothness(m: ModelTriple) -> bool:
             gens += [minor(cols).dehomogenize(chart) for cols in combinations(variables, 3)]
             gens = [f for f in gens if not f.is_zero()]
             try:
-                if not (unit_mod_p(gens) or is_unit_ideal(gens)):
+                if not unit_mod_p_or_q(gens):
                     return False
             except DegreeCapExceeded as exc:
                 raise SmoothnessInconclusive(
@@ -341,9 +339,9 @@ def _rational_roots(coeffs):
     lift to p^k is unique and is u/v mod p^k.  Once p^k > 2|a_0||a_d|, two
     fractions with numerators at most |a_0| and denominators at most |a_d|
     that are congruent mod p^k are equal, and u/v is a convergent of
-    lift/p^k (Legendre, as 2|u|v < p^k), so the extended Euclidean algorithm
-    on (p^k, lift) meets it at its first remainder <= |a_0|.  Every candidate
-    is checked exactly, so nothing else is returned.
+    lift/p^k (Legendre, as 2|u|v < p^k), so _rational_reconstruction of the
+    lift with bounds |a_0| and |a_d| returns it.  Every candidate is checked
+    exactly, so nothing else is returned.
     """
     n = lcm(*(c.n for c in coeffs))
     lifted = [c.lift(n).coeffs for c in coeffs]
@@ -373,12 +371,9 @@ def _rational_roots(coeffs):
         while m <= 2 * abs(a[0] * a[-1]):
             m *= m
             r = (r - _horner(a, r) * pow(_horner(da, r), -1, m)) % m
-        r0, r1, t0, t1 = m, r, 0, 1
-        while r1 > abs(a[0]):
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if abs(t1) <= abs(a[-1]) and _horner(a, Fraction(r1, t1)) == 0:
-            roots.append(Fraction(r1, t1))
+        root = _rational_reconstruction(r, m, abs(a[0]), abs(a[-1]))
+        if root is not None and _horner(a, root) == 0:
+            roots.append(root)
     return roots
 
 

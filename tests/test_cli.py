@@ -153,10 +153,30 @@ class TestExitCodes:
          "twist-too-large: |a| and |b| must be at most 10^100"),
         (["validate", "--input", "/nonexistent.txt"],
          "io-error: [Errno 2] No such file or directory: '/nonexistent.txt'"),
+        # past the 4300 digits int() reads: the bound, and no echo of the text
+        (["validate", "--input", ("conductor = 8", "conductor = " + "9" * 5000)],
+         "conductor-too-large: line 1: working field lcm(conductor, order) is above "
+         "the limit 1024"),
+        (["validate", "--input", ("order = 8", "order = " + "9" * 5000)],
+         "conductor-too-large: line 1: working field lcm(conductor, order) is above "
+         "the limit 1024"),
+        (["validate", "--input", ("order = 8", "order = -" + "9" * 5000)],
+         "bad-order: order must be positive"),
+        (["validate", "--input", ("conductor = 8", "conductor = " + "9" * 5000 + "x")],
+         "syntax: line 1: conductor wants an integer, got '99999999999999999999...'"),
+        (["random", "--order", "4", "--weights", "0,0,2,2", "--exponents", "0,1,2",
+          "--seed", "x"], "bad-seed: --seed must be an integer"),
+        (["random", "--order", "4", "--weights", "0,0,2,2", "--exponents", "0,1,2",
+          "--seed", "9" * 5000], "seed-too-large: |--seed| must be at most 10^100"),
+        (["random", "--order", "4", "--weights", "0,0,2,2", "--exponents", "0,1,2",
+          "--seed", "-1" + "0" * 99 + "1"], "seed-too-large: |--seed| must be at most 10^100"),
     ], ids=["parity", "matrix-shape", "conductor-too-large", "bad-order", "bad-literal",
             "pencil-not-invariant", "random-bad-weights", "random-bad-exponents",
             "random-bad-order", "random-conductor-too-large", "random-empty-eigenspace",
-            "bad-twist", "twist-too-large", "io-error"])
+            "bad-twist", "twist-too-large", "io-error", "conductor-past-the-digit-limit",
+            "order-past-the-digit-limit", "negative-order-past-the-digit-limit",
+            "malformed-long-conductor", "random-bad-seed", "random-seed-too-large",
+            "random-seed-just-above-the-bound"])
     def test_refusal_is_one_error_line(self, tmp_path, capsys, argv, error):
         # a (text, replacement) pair stands for that variant of swap_n8.txt
         argv = [write_variant(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]
@@ -317,6 +337,17 @@ class TestRandomGeneration:
             )
         a, b = (open(p).read() for p in paths)
         assert a == b
+
+    def test_seed_reads_as_int_does(self, capsys):
+        outs = []
+        for seed in ("3", " +0_3 ", "1" + "0" * 100):
+            code, out = run_cli(capsys, "--format", "tree", "random", "--order", "4",
+                                "--weights", "0,0,2,2", "--exponents", "0,1,2",
+                                "--seed", seed)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] and outs[0].endswith("random.seed = 3\n")
+        assert outs[2].endswith("random.seed = 1%s\n" % ("0" * 100))
 
     def test_oversized_order_is_2(self, capsys):
         # the working field Q(zeta_2048) is above the limit parse_instance keeps

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fano212 import groebner as groebner_module
-from fano212.cyclotomic import Cyclotomic, cyc, cyclotomic_coeffs
+from fano212.cyclotomic import Cyclotomic, _rational_reconstruction, cyc, cyclotomic_coeffs
 from fano212.groebner import (
     _fp_field,
     _guard,
-    _mod_p_leads,
+    _lift_holds,
+    _mod_p_basis,
     _pack,
+    _pair_lcms,
     _unpack,
     _width,
     DegreeCapExceeded,
@@ -30,13 +32,23 @@ from fano212.groebner import (
     qp_eval,
     qp_str,
     is_unit_ideal,
-    unit_mod_p,
+    unit_mod_p_or_q,
 )
 from fano212.multipoly import MultiPoly
 
 
 def variables(nvars):
     return [MultiPoly.variable(i, nvars) for i in range(nvars)]
+
+
+def _mod_p_leads(generators):
+    """The leading monomials of the mod-p run, as tuples; None when there is
+    no run."""
+    run = _mod_p_basis(generators)
+    if run is None:
+        return None
+    basis, w, nvars, _ = run
+    return [_unpack(lm, w, nvars) for lm, _ in basis]
 
 
 def count_standard_monomials(lead_monos, nvars, degree):
@@ -72,6 +84,9 @@ def test_packed_monomials_agree_with_tuples(data):
     assert (pa < pb) == (grevlex_key(a) > grevlex_key(b))
     assert (not (pb - pa) & _guard(w, nvars)) == monomial_divides(a, b)
     assert pa + pb == _pack(tuple(x + y for x, y in zip(a, b)), w)
+    if sum(a) + sum(b) < 2**w:
+        lcm = _pack(tuple(map(max, a, b)), w)
+        assert _pair_lcms(w, nvars)([pa, pb], 1) == [lcm]
     assert _pack((0,) * nvars, w) == 0
     # the engine's own test: b reduces to 0 by a iff a divides b
     remainder = normal_form(MultiPoly.monomial(1, b), [MultiPoly.monomial(1, a)])
@@ -406,12 +421,12 @@ class TestCertificateFallbacks:
         assert projective_empty([x, y, z * Fraction(1, p)]) is True
         assert projective_empty([x * x, y * Fraction(3, p)]) is False
         assert len(calls) == 2
-        assert unit_mod_p([x * Fraction(1, p) - 1]) is False
+        assert unit_mod_p_or_q([x * Fraction(1, p) - 1]) is False
 
     def test_unit_mod_p_is_not_unit_over_q(self):
         p = _fp_field(1)[0]
         (x,) = variables(1)
-        assert unit_mod_p([x * p - 1]) is True
+        assert unit_mod_p_or_q([x * p - 1]) is True
         assert is_unit_ideal([x * p - 1]) is False
 
     def test_a_mod_p_cap_overflow_falls_back(self, monkeypatch):
@@ -463,3 +478,119 @@ def test_certificate_agrees_with_the_exact_test(conductor):
         assert projective_empty(gens) is expected
         verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+# -- the checked lift of the mod-p run -------------------------------------------
+
+
+@pytest.mark.parametrize("num_bound, den_bound", [(7, 7), (20, 2), (2, 20)])
+def test_reconstruction_finds_exactly_the_small_fractions(num_bound, den_bound):
+    m = 101
+    assert 2 * num_bound * den_bound < m
+    small = {}
+    for d in range(1, den_bound + 1):
+        for n in range(-num_bound, num_bound + 1):
+            small[n * pow(d, -1, m) % m] = Fraction(n, d)
+    for a in range(m):
+        assert _rational_reconstruction(a, m, num_bound, den_bound) == small.get(a)
+
+
+def _refuse_exact(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact engine ran")
+
+    monkeypatch.setattr(groebner_module, "buchberger", refuse)
+    monkeypatch.setattr(groebner_module, "is_unit_ideal", refuse)
+
+
+class TestCheckedLift:
+    def test_the_lift_decides_without_the_exact_engine(self, monkeypatch):
+        x, y, z = variables(3)
+        _refuse_exact(monkeypatch)
+        # not unit, though the reduced basis x - 1/2, y^2 - 3 has constant terms
+        assert unit_mod_p_or_q([x * 2 - 1, y * y - x * 6]) is False
+        # the point (1 : 2 : 3)
+        assert projective_empty([x * 2 - y, x * 3 - z]) is False
+        assert projective_empty([x * x - y * z * Fraction(1, 6), y * 3 - z * 2]) is False
+
+    def test_coefficients_above_the_bound_fall_back(self, monkeypatch):
+        p = _fp_field(1)[0]
+        big = math.isqrt(p // 2) + 7
+        x, y, z = variables(3)
+        # mod p the reduced basis is x + big*z, y + big*z, which holds the
+        # generators over Q too, yet big is above the bound
+        gens = [x + z * big, y * Fraction(1, big) + z]
+        assert not _lift_holds(gens, _mod_p_basis(gens))
+        calls = _counting_buchberger(monkeypatch)
+        assert projective_empty(gens) is False
+        assert unit_mod_p_or_q([g.dehomogenize((2,)) for g in gens]) is False
+        assert len(calls) == 2
+
+    def test_a_generator_that_vanishes_mod_p_fails_the_input_check(self, monkeypatch):
+        # mod p the ideal is (x^2, x*y), with the zero (0 : 1); over Q it has
+        # none, and x*y + p is the unit ideal with x
+        p = _fp_field(1)[0]
+        x, y = variables(2)
+        gens = [x * x, x * y - y * y * p]
+        assert _mod_p_leads(gens) == [(2, 0), (1, 1)]
+        assert not _lift_holds(gens, _mod_p_basis(gens))
+        calls = _counting_buchberger(monkeypatch)
+        assert projective_empty(gens) is True
+        assert unit_mod_p_or_q([x, x * y + p]) is True
+        assert len(calls) == 2
+
+    def test_a_basis_groebner_only_mod_p_fails_the_s_pair_check(self, monkeypatch):
+        # g(256, 1) = p, so mod p the locus holds (256 : 1 : 1), and the lifted
+        # basis holds every generator; over Q, y^2 = z^2 != 0 forces x = 256z
+        # and then g = p*z^3 != 0, so an S-pair reduces to a nonzero multiple
+        # of p
+        p = _fp_field(1)[0]
+        x, y, z = variables(3)
+        g = x**3 + x * x * z * 32512 + z**3 * 11
+        assert g.evaluate([cyc(256), cyc(0), cyc(1)]) == cyc(p)
+        gens = [g, (x - z * 256) * y, y * y - z * z]
+        assert not _empty_locus_mod_p(gens)
+        assert not _lift_holds(gens, _mod_p_basis(gens))
+        calls = _counting_buchberger(monkeypatch)
+        assert projective_empty(gens) is True
+        assert len(calls) == 1
+
+    def test_a_term_that_vanishes_mod_p_above_the_width_falls_back(self):
+        # mod p the run sees degree 1 only, so x^40 does not fit its fields
+        p = _fp_field(1)[0]
+        x, y = variables(2)
+        gens = [x**40 * p + y - 1]
+        assert 40 >= 2 ** (_mod_p_basis(gens)[1] - 1)
+        assert not _lift_holds(gens, _mod_p_basis(gens))
+        assert unit_mod_p_or_q(gens) is False
+
+
+def _empty_locus_mod_p(gens):
+    leads = _mod_p_leads(gens)
+    return all(any(sum(m) == m[v] for m in leads) for v in range(gens[0].nvars))
+
+
+_coefficient = st.integers(-3, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_certified_answers_are_the_exact_ones(data):
+    nvars = data.draw(st.integers(2, 3))
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        degree = data.draw(st.integers(1, 2))
+        monos = [m for m in itertools.product(range(degree + 1), repeat=nvars)
+                 if sum(m) == degree]
+        coefficients = data.draw(st.lists(_coefficient, min_size=len(monos),
+                                          max_size=len(monos)))
+        gens.append(MultiPoly(nvars, dict(zip(monos, coefficients))))
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return
+    assert projective_empty(gens) is _exactly_empty(gens, nvars)
+    chart = [g.dehomogenize((0,)) for g in gens]
+    chart = [g for g in chart if not g.is_zero()]
+    leads = _mod_p_leads(chart)
+    unit_mod_p = leads is not None and (0,) * nvars in leads
+    assert unit_mod_p_or_q(chart) is (unit_mod_p or is_unit_ideal(chart))

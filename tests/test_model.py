@@ -391,7 +391,7 @@ def _swap_n8():
 
 class TestCertificateDecides:
     def test_full_smoothness_of_swap_n8(self, monkeypatch):
-        monkeypatch.setattr(model_module, "is_unit_ideal", _refuse)
+        monkeypatch.setattr(groebner_module, "is_unit_ideal", _refuse)
         assert full_smoothness(_swap_n8()) is True
 
     def test_charts_not_unit_mod_p_run_exactly(self, monkeypatch):
@@ -406,9 +406,15 @@ class TestCertificateDecides:
             calls.append(gens)
             return is_unit_ideal(gens)
 
-        monkeypatch.setattr(model_module, "is_unit_ideal", counted)
+        monkeypatch.setattr(groebner_module, "is_unit_ideal", counted)
         assert full_smoothness(m) is True
         assert len(calls) == 16
+
+    def test_double_point_is_decided_by_the_lift(self, monkeypatch):
+        # a rational chart that is not unit is proved so by the checked lift
+        monkeypatch.setattr(groebner_module, "is_unit_ideal", _refuse)
+        monkeypatch.setattr(groebner_module, "buchberger", _refuse)
+        assert full_smoothness(model_from_matrices(DOUBLE_POINT)) is False
 
     def test_smooth_quartic_over_q_zeta8(self, monkeypatch):
         x, y, z = (MultiPoly.variable(i, 3) for i in range(3))
@@ -459,7 +465,7 @@ def test_chart_generators_are_the_minors_of_the_chart_jacobian(monkeypatch, name
         seen.append(gens)
         return True
 
-    monkeypatch.setattr(model_module, "unit_mod_p", record)
+    monkeypatch.setattr(model_module, "unit_mod_p_or_q", record)
     assert full_smoothness(m) is True
     assert seen == chart_generators(m)
 
