@@ -12,7 +12,11 @@ instance, the --format tree report and the exit code of validate, smooth,
 verify, chars --oracle, verdict, gfano, hilbert on both sides and picard;
 then smooth --full on tests/data and on a fixed rational triple with a
 double point (exit 1: its first chart is not the unit ideal, so the exact
-Groebner engine decides it).  Then tests/data/swap_n8.txt declared at
+Groebner engine decides it).  Then validate on hostile files, each exit 2
+with a short error line: one that is not UTF-8, and tests/data/swap_n8.txt
+with a swap flag, a key, a section header (unknown, unterminated, or with
+a bad matrix index) or a literal (malformed, or with a bad term) of about
+100,000 characters.  Then tests/data/swap_n8.txt declared at
 conductors 24, 504 and 1024, its literals lifted from z^j to z^(kj) for
 k = N/8, and read unlifted at conductors 105 and 210, where z is no longer
 zeta_8 (validate exits 2): for each, validate, verify, chars --oracle,
@@ -111,6 +115,18 @@ weights2 = 0, 0, 0, 0
 1, 0, 0, 1
 """
 
+# (label, text of swap_n8.txt, its overlong replacement)
+LONG = 100000
+OVERLONG = (
+    ("swap flag", "swap = true", "swap = " + "t" * LONG),
+    ("unknown key", "swap = true", "swap = true\n" + "k" * LONG + " = 1"),
+    ("unknown section", "[matrix.1]", "[" + "s" * LONG + "]"),
+    ("unterminated section", "[matrix.1]", "[matrix.1" + " " * LONG + "x"),
+    ("bad matrix index", "[matrix.1]", "[matrix." + "i" * LONG + "]"),
+    ("malformed literal", "-3, 6, 0, 0", "1" + "+" * LONG + ", 6, 0, 0"),
+    ("bad term", "-3, 6, 0, 0", "1 + " + "x" * LONG + ", 6, 0, 0"),
+)
+
 
 def run(argv):
     buf = io.StringIO()
@@ -185,6 +201,19 @@ def main():
             handle.write(DOUBLE_POINT)
         report("double point", path, ["smooth", "--full"])
         reports += 1
+        path = os.path.join(tmp, "not_utf8.txt")
+        with open(path, "wb") as handle:
+            handle.write(b"\xff\xfe\x00conductor = 8\n")
+        report("not UTF-8", path, ["validate"])
+        reports += 1
+        with open(os.path.join(DATA, "swap_n8.txt"), encoding="utf-8") as handle:
+            text = handle.read()
+        for k, (label, old, new) in enumerate(OVERLONG):
+            path = os.path.join(tmp, "overlong%d.txt" % k)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text.replace(old, new, 1))
+            report("swap_n8 with an overlong " + label, path, ["validate"])
+            reports += 1
         for n, text in conductor_variants():
             path = os.path.join(tmp, "swap_n8_at_%d.txt" % n)
             with open(path, "w", encoding="utf-8") as handle:

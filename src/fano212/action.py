@@ -42,10 +42,7 @@ class ActionSpec:
 class InvariantPencil:
     matrices: tuple  # three 4x4 grids of Cyclotomic, eigenvectors of the action
     exponents: tuple  # s_j with sigma . F_j = w^{s_j} F_j
-    order: int
-    swap: bool
-    weights: tuple
-    weights2: tuple | None = None
+    spec: ActionSpec
 
 
 @dataclass(frozen=True)
@@ -223,19 +220,15 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
     return InvariantPencil(
         matrices=tuple(combine(vec, m.matrices) for vec in vectors),
         exponents=tuple(exponents),
-        order=n,
-        swap=spec.swap,
-        weights=spec.weights,
-        weights2=spec.weights2,
+        spec=spec,
     )
 
 
 def pencil_eigen_check(pencil: InvariantPencil) -> bool:
     """Direct check of the eigen-relation defining the invariant pencil."""
-    spec = ActionSpec(pencil.order, pencil.weights, pencil.swap, pencil.weights2)
     for mat, s in zip(pencil.matrices, pencil.exponents):
-        image = _action_image(mat, spec)
-        lam = root_of_unity(pencil.order, s)
+        image = _action_image(mat, pencil.spec)
+        lam = root_of_unity(pencil.spec.order, s)
         for j in range(4):
             for k in range(4):
                 if not (image[j][k] - lam * mat[j][k]).is_zero():

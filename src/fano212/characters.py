@@ -1,10 +1,12 @@
 """Character multisets of the cyclic action on the Lie algebras of the curve
 Jacobian and of the intermediate Jacobian, computed two ways each: closed
-formulas in the weights, and symbolic oracles that extract eigenvalues from
-the actual polynomials and cohomology classes.
+formulas in the weights, and symbolic oracles that read the characters off
+the actual quartic and the top cohomology class.
 
-The sign representation is encoded as the exponent shift n/2 (n is even for
-every swap action), so character comparison is plain multiset equality.
+A character is an exponent k mod n, standing for w^k with w the fixed
+primitive n-th root of unity; the sign representation is the exponent shift
+n/2 (n is even for every swap action), so all character arithmetic is
+integer arithmetic mod n and comparison is plain multiset equality.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .action import ActionSpec, InvariantPencil, is_gfano
-from .cohomology import equivariant_top_eigenvalue
-from .cyclotomic import as_power_of_root, cyc, root_of_unity
+from .cohomology import equivariant_top_exponent
 from .model import ModelTriple, determinantal_quartic
 
 
 class OracleError(RuntimeError):
-    """An eigenvalue extraction failed; upstream pencil data is broken."""
+    """An oracle found the pencil data inconsistent with the action."""
 
 
 @dataclass(frozen=True)
@@ -68,82 +69,53 @@ def characters_differ(a: CharacterMultiset, b: CharacterMultiset) -> bool:
 # -- symbolic oracles --------------------------------------------------------------
 
 
-def _extract_scaling_eigenvalue(q, scalars):
-    """lambda with q(scalars * vars) = lambda * q, or None."""
-    scaled = q.scale_vars(scalars)
-    mono, coef = next(iter(q.terms.items()))
-    lam = scaled.coefficient(mono) / coef
-    if scaled == q * lam:
-        return lam
-    return None
-
-
 def curve_action_oracle(pencil: InvariantPencil) -> CharacterMultiset:
-    """Eigenvalues of the action on the three 2-forms spanning the sections
-    of the canonical bundle of the determinantal quartic, by direct
-    substitution.
+    """Characters of the action on the three 2-forms spanning the sections
+    of the canonical bundle of the determinantal quartic, read off the
+    quartic's monomials.
 
-    The quartic Q of the pencil must satisfy Q(w^{s1} x, w^{s2} y, w^{s3} z)
-    = lambda_Q Q with lambda_Q the total weight; the chart factors of
-    du ^ dv / (Q/x^4) and of the monomials 1, u, v are then multiplied out
-    exactly and each eigenvalue is matched against the root-of-unity lattice.
+    The substitution (x, y, z) -> (w^s1 x, w^s2 y, w^s3 z) multiplies the
+    coefficient of x^a y^b z^c of Q by the nonzero root of unity
+    w^(a*s1 + b*s2 + c*s3), so Q is an eigenvector with eigenvalue w^T
+    exactly when every monomial has a*s1 + b*s2 + c*s3 = T mod n, and T must
+    be the total weight.  In the chart u = y/x, v = z/x the 2-form
+    du ^ dv / (Q/x^4) has exponent (s2 - s1) + (s3 - s1) - (T - 4*s1), and
+    the monomials 1, u, v add 0, s2 - s1 and s3 - s1.
     """
-    n = pencil.order
-    model = ModelTriple(pencil.matrices, n)
-    q = determinantal_quartic(model)
+    spec = pencil.spec
+    n = spec.order
+    q = determinantal_quartic(ModelTriple(pencil.matrices, n))
     s1, s2, s3 = pencil.exponents
     # the chart u = y/x, v = z/x must meet the curve
     if all(e[0] == 0 for e in q.terms):
         raise OracleError("quartic is divisible by x; chart u = y/x is empty")
-    scalars = [root_of_unity(n, s1), root_of_unity(n, s2), root_of_unity(n, s3)]
-    lam_q = _extract_scaling_eigenvalue(q, scalars)
-    if lam_q is None:
+    monomial_weights = {(a * s1 + b * s2 + c * s3) % n for a, b, c in q.terms}
+    if len(monomial_weights) != 1:
         raise OracleError(
             "quartic is not an eigenvector of the diagonal substitution; "
             "invariant-pencil data is inconsistent"
         )
-    weights2 = () if pencil.swap else pencil.weights2
-    expected = root_of_unity(n, sum(pencil.weights) + sum(weights2))
-    if lam_q != expected:
+    total = sum(spec.weights) + (0 if spec.swap else sum(spec.weights2))
+    if monomial_weights != {total % n}:
         raise OracleError("quartic eigenvalue does not match the total weight")
-    zu = scalars[1] / scalars[0]  # u = y/x
-    zv = scalars[2] / scalars[0]  # v = z/x
-    # denominator Q/x^4 rescales by lambda_Q w^{-4 s1}
-    denom = lam_q * root_of_unity(n, -4 * s1)
-    two_form = zu * zv  # du ^ dv
-    exponents = []
-    for monomial in (cyc(1), zu, zv):
-        eigen = monomial * two_form / denom
-        k = as_power_of_root(eigen, n)
-        if k is None:
-            raise OracleError("2-form eigenvalue is not a root of unity")
-        exponents.append(k)
-    return CharacterMultiset(n, tuple(exponents))
+    base = s2 + s3 + 2 * s1 - total
+    return CharacterMultiset(n, (base, base + s2 - s1, base + s3 - s1))
 
 
 def ij_oracle(pencil: InvariantPencil) -> CharacterMultiset:
-    """Eigenvalues of the action on the top cohomology classes computing the
-    intermediate Jacobian side: the equivariant top eigenvalue of O(-4, -4)
-    (graded swap sign included), twisted by the Koszul generator and by each
-    line-bundle factor.
+    """Characters of the action on the top cohomology classes computing the
+    intermediate Jacobian side: the equivariant top exponent of O(-4, -4)
+    (graded swap sign included), twisted by the Koszul generator (sum s) and
+    by each line-bundle factor (s_j).
 
     This restates the closed form w^(s_j + sum s - sum r) (r: every weight)
     of jac_curve_characters and ij_characters rather than checking it
     independently.  Only the sign, -1 for a swap, is computed separately, by
     cohomology.graded_reorder_sign, and that sign is tested on its own."""
-    n = pencil.order
-    top = equivariant_top_eigenvalue(
-        pencil.weights, n, pencil.swap, pencil.weights2
-    )
-    koszul_twist = root_of_unity(n, sum(pencil.exponents))
-    exponents = []
-    for sj in pencil.exponents:
-        eigen = top * koszul_twist * root_of_unity(n, sj)
-        k = as_power_of_root(eigen, n)
-        if k is None:
-            raise OracleError("top-cohomology eigenvalue is not a root of unity")
-        exponents.append(k)
-    return CharacterMultiset(n, tuple(exponents))
+    spec = pencil.spec
+    base = equivariant_top_exponent(spec.weights, spec.order, spec.swap, spec.weights2)
+    base += sum(pencil.exponents)
+    return CharacterMultiset(spec.order, tuple(base + sj for sj in pencil.exponents))
 
 
 # -- verdict -----------------------------------------------------------------------

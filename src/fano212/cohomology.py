@@ -1,20 +1,18 @@
 """Dimension tables for line-bundle cohomology on P3, P3 x P3 and on the
 complete intersection X, computed through the Koszul spectral sequence,
-plus the equivariant eigenvalue on the top cohomology of O(-4, -4).
+plus the equivariant character on the top cohomology of O(-4, -4).
 
-Only dimensions are tracked (and one eigenvalue on the one-dimensional top
-group).  Each twist fills one row of the spectral sequence, and one rule
-reads the table on X off that row's Euler characteristic.  Configurations
-it cannot force (row 3 with two or more columns) are reported as
-inconclusive rather than guessed.
+Only dimensions are tracked (and one character, as an exponent mod n, on
+the one-dimensional top group).  Each twist fills one row of the spectral
+sequence, and one rule reads the table on X off that row's Euler
+characteristic.  Configurations it cannot force (row 3 with two or more
+columns) are reported as inconclusive rather than guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-
-from .cyclotomic import root_of_unity
 
 
 class InconclusiveCohomology(RuntimeError):
@@ -155,7 +153,7 @@ def euler_chase():
     return (kernel[2] == 0, kernel[3] == 0)
 
 
-# -- the equivariant top eigenvalue -------------------------------------------------
+# -- the equivariant top character --------------------------------------------------
 
 
 def graded_reorder_sign(degrees, perm) -> int:
@@ -172,22 +170,22 @@ def graded_reorder_sign(degrees, perm) -> int:
     return sign
 
 
-def equivariant_top_eigenvalue(weights, n: int, swap: bool, weights2=None):
-    """Eigenvalue of the action on H^6(O(-4, -4)) with its trivial
-    linearisation.
+def equivariant_top_exponent(weights, n: int, swap: bool, weights2=None) -> int:
+    """Exponent k mod n of the eigenvalue w^k of the action on H^6(O(-4, -4))
+    with its trivial linearisation.
 
     The basis class is the cup product of the two factor classes of degree 3
     spanned by the inverse coordinate monomials.  A swap returns them in
     reversed order, so the canonical reordering contributes the sign of a
-    degree (3, 3) transposition; the diagonal part contributes the inverse of
-    the total weight.
+    degree (3, 3) transposition, -1 = w^(n/2) (a swap action has even
+    order); the diagonal part contributes minus the total weight.
     """
     if swap:
-        sign = graded_reorder_sign((3, 3), (1, 0))
-        value = root_of_unity(n, -sum(weights))
-        return value * sign
-    if weights2 is None:
+        sign, total = graded_reorder_sign((3, 3), (1, 0)), sum(weights)
+    elif weights2 is None:
         raise ValueError("a diagonal action needs both weight tuples")
-    sign = graded_reorder_sign((3, 3), (0, 1))
-    value = root_of_unity(n, -sum(weights)) * root_of_unity(n, -sum(weights2))
-    return value * sign
+    else:
+        sign, total = graded_reorder_sign((3, 3), (0, 1)), sum(weights) + sum(weights2)
+    if sign == -1 and n % 2:
+        raise ValueError("the sign -1 needs an even order, got %d" % n)
+    return (-total + (n // 2 if sign == -1 else 0)) % n

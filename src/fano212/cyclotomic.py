@@ -399,16 +399,6 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     return Cyclotomic.zeta(n, k)
 
 
-def as_power_of_root(a, n: int):
-    """The exponent k with a = zeta_n^k, or None if a is no such root."""
-    if isinstance(a, (int, Fraction)):
-        a = Cyclotomic.from_rational(a, 1)
-    for k in range(n):
-        if a == Cyclotomic.zeta(n, k):
-            return k
-    return None
-
-
 def cyc(value, n: int = 1) -> Cyclotomic:
     """Coerce an int, Fraction or Cyclotomic into a Cyclotomic value."""
     if isinstance(value, Cyclotomic):
@@ -430,6 +420,11 @@ class LiteralError(ValueError):
     pass
 
 
+def _excerpt(text: str) -> str:
+    """The text for a message, cut to 20 characters and '...' past 24."""
+    return text if len(text) <= 24 else text[:20] + "..."
+
+
 def _literal_terms(text: str) -> list:
     """The terms of a literal as pairs (coef, exp): a Fraction and the
     exponent of z, or None for a constant term."""
@@ -442,12 +437,12 @@ def _literal_terms(text: str) -> list:
     else:
         pieces.insert(0, "+")
     if len(pieces) % 2 or any(p == "" for p in pieces):
-        raise LiteralError("malformed literal %r" % text)
+        raise LiteralError("malformed literal %r" % _excerpt(text))
     terms = []
     for sign, body in zip(pieces[::2], pieces[1::2]):
         m = _TERM_RE.match(body)
         if not m or (m.group("coef") is None and m.group("z") is None):
-            raise LiteralError("bad term %r in literal %r" % (body, text))
+            raise LiteralError("bad term %r in literal %r" % (_excerpt(body), _excerpt(text)))
         try:
             coef = Fraction(m.group("coef") or 1)
             exp = int(m.group("exp") or 1) if m.group("z") else None

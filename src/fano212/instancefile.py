@@ -44,7 +44,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .action import ActionSpec, validate_action
-from .cyclotomic import LiteralError, _fold_terms, _literal_terms, format_cyclotomic
+from .cyclotomic import LiteralError, _excerpt, _fold_terms, _literal_terms, \
+    format_cyclotomic
 from .model import InputError, ModelTriple, model_from_matrices, validate_model
 
 
@@ -83,11 +84,6 @@ def read_integer(text: str):
         return None
     digits = match.group(2).replace("_", "").lstrip("0") or "0"
     return int(match.group(1) + digits[:102])
-
-
-def _excerpt(text: str) -> str:
-    """The text for a message, cut to 20 characters and '...' past 24."""
-    return text if len(text) <= 24 else text[:20] + "..."
 
 
 def read_ints(text: str, key: str) -> tuple:
@@ -131,14 +127,14 @@ def parse_instance(text: str) -> Instance:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ParseError(lineno, "unterminated section header %r" % raw)
+                raise ParseError(lineno, "unterminated section header %r" % _excerpt(raw))
             name = line[1:-1].strip()
             if not name.startswith("matrix."):
-                raise ParseError(lineno, "unknown section %r" % name)
+                raise ParseError(lineno, "unknown section %r" % _excerpt(name))
             try:
                 index = int(name.split(".", 1)[1])
             except ValueError:
-                raise ParseError(lineno, "bad matrix index in %r" % name)
+                raise ParseError(lineno, "bad matrix index in %r" % _excerpt(name))
             if index not in (1, 2, 3):
                 raise ParseError(lineno, "matrix index must be 1, 2 or 3", code="matrix-shape")
             if index in matrices:
@@ -150,7 +146,7 @@ def parse_instance(text: str) -> Instance:
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in _SCALAR_KEYS:
-                raise ParseError(lineno, "unknown key %r" % key)
+                raise ParseError(lineno, "unknown key %r" % _excerpt(key))
             if key in fields:
                 raise ParseError(lineno, "duplicate key %r" % key)
             fields[key] = (value, lineno)
@@ -180,7 +176,7 @@ def parse_instance(text: str) -> Instance:
 
     value, lineno = need("swap")
     if value not in ("true", "false"):
-        raise ParseError(lineno, "swap wants true or false, got %r" % value)
+        raise ParseError(lineno, "swap wants true or false, got %r" % _excerpt(value))
     swap = value == "true"
 
     def ints(key):
@@ -260,8 +256,13 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError("bad-encoding", "the instance file is not UTF-8 text "
+                         "(byte 0x%02x)" % exc.object[exc.start])
+    return parse_instance(text)
 
 
 def save_instance(inst: Instance, path: str) -> None:

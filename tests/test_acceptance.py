@@ -48,7 +48,6 @@ from fano212.cohomology import (
 )
 from fano212.cyclotomic import (
     Cyclotomic,
-    as_power_of_root,
     cyc,
     cyclotomic_coeffs,
     euler_phi,

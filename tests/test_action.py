@@ -26,7 +26,7 @@ from fano212.action import (
     transpose_twist_eigenbasis,
     validate_action,
 )
-from fano212.cyclotomic import Cyclotomic, as_power_of_root, cyc, root_of_unity
+from fano212.cyclotomic import Cyclotomic, cyc, root_of_unity
 from fano212.linalg import mat_mul, proj_equal, solve
 from fano212.model import InputError, ModelTriple, determinantal_quartic, model_from_matrices
 from fano212.multipoly import MultiPoly

@@ -65,6 +65,13 @@ class TestExitCodes:
         assert code == 2
         assert out.startswith("error = bad-literal: line 8: term '9999")
 
+    def test_non_utf8_file_is_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\xff\xfe\x00conductor = 8\n")
+        code, out = run_cli(capsys, "--format", "tree", "validate", "--input", str(path))
+        assert (code, out) == (
+            2, "error = bad-encoding: the instance file is not UTF-8 text (byte 0xff)\n")
+
     def test_inconclusive_cohomology_is_3(self, capsys):
         code, out = run_cli(capsys, "cohomology", "--a", "4", "--b", "-4")
         assert code == 3
@@ -170,13 +177,31 @@ class TestExitCodes:
           "--seed", "9" * 5000], "seed-too-large: |--seed| must be at most 10^100"),
         (["random", "--order", "4", "--weights", "0,0,2,2", "--exponents", "0,1,2",
           "--seed", "-1" + "0" * 99 + "1"], "seed-too-large: |--seed| must be at most 10^100"),
+        # an overlong piece of text is echoed as its first 20 characters
+        (["validate", "--input", ("swap = true", "swap = " + "t" * 100000)],
+         "syntax: line 3: swap wants true or false, got 'tttttttttttttttttttt...'"),
+        (["validate", "--input", ("swap = true", "swap = true\n" + "k" * 100000 + " = 1")],
+         "syntax: line 4: unknown key 'kkkkkkkkkkkkkkkkkkkk...'"),
+        (["validate", "--input", ("[matrix.1]", "[" + "s" * 100000 + "]")],
+         "syntax: line 7: unknown section 'ssssssssssssssssssss...'"),
+        (["validate", "--input", ("[matrix.1]", "[matrix.1" + " " * 100000 + "x")],
+         "syntax: line 7: unterminated section header '[matrix.1           ...'"),
+        (["validate", "--input", ("[matrix.1]", "[matrix." + "i" * 100000 + "]")],
+         "syntax: line 7: bad matrix index in 'matrix.iiiiiiiiiiiii...'"),
+        (["validate", "--input", ("-3, 6, 0, 0", "1" + "+" * 100000 + ", 6, 0, 0")],
+         "bad-literal: line 8: malformed literal '1+++++++++++++++++++...'"),
+        (["validate", "--input", ("-3, 6, 0, 0", "1 + " + "x" * 100000 + ", 6, 0, 0")],
+         "bad-literal: line 8: bad term 'xxxxxxxxxxxxxxxxxxxx...' in literal "
+         "'1 + xxxxxxxxxxxxxxxx...'"),
     ], ids=["parity", "matrix-shape", "conductor-too-large", "bad-order", "bad-literal",
             "pencil-not-invariant", "random-bad-weights", "random-bad-exponents",
             "random-bad-order", "random-conductor-too-large", "random-empty-eigenspace",
             "bad-twist", "twist-too-large", "io-error", "conductor-past-the-digit-limit",
             "order-past-the-digit-limit", "negative-order-past-the-digit-limit",
             "malformed-long-conductor", "random-bad-seed", "random-seed-too-large",
-            "random-seed-just-above-the-bound"])
+            "random-seed-just-above-the-bound", "overlong-swap", "overlong-unknown-key",
+            "overlong-unknown-section", "overlong-unterminated-section",
+            "overlong-bad-matrix-index", "overlong-malformed-literal", "overlong-bad-term"])
     def test_refusal_is_one_error_line(self, tmp_path, capsys, argv, error):
         # a (text, replacement) pair stands for that variant of swap_n8.txt
         argv = [write_variant(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]

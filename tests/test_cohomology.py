@@ -11,7 +11,7 @@ from fano212.cohomology import (
     CohTable,
     InconclusiveCohomology,
     bott_p3,
-    equivariant_top_eigenvalue,
+    equivariant_top_exponent,
     euler_chase,
     graded_reorder_sign,
     koszul_ambient_tables,
@@ -20,7 +20,7 @@ from fano212.cohomology import (
     table_add,
     table_scale,
 )
-from fano212.cyclotomic import Cyclotomic, cyc, root_of_unity
+from fano212.cyclotomic import root_of_unity
 
 
 class TestBott:
@@ -175,18 +175,16 @@ class TestGradedSign:
 
 class TestTopEigenvalue:
     def test_pure_sign(self):
-        assert equivariant_top_eigenvalue((0, 0, 0, 0), 2, True) == -1
+        assert root_of_unity(2, equivariant_top_exponent((0, 0, 0, 0), 2, True)) == -1
 
     def test_weight_four_at_order_four(self):
-        assert equivariant_top_eigenvalue((1, 1, 1, 1), 4, True) == -1
+        assert root_of_unity(4, equivariant_top_exponent((1, 1, 1, 1), 4, True)) == -1
 
     def test_no_swap_trivial_weights(self):
-        value = equivariant_top_eigenvalue(
-            (0, 0, 0, 0), 2, False, weights2=(0, 0, 0, 0)
-        )
-        assert value == 1
+        k = equivariant_top_exponent((0, 0, 0, 0), 2, False, weights2=(0, 0, 0, 0))
+        assert root_of_unity(2, k) == 1
 
     def test_swap_general_weight(self):
-        value = equivariant_top_eigenvalue((0, 2, 4, 6), 8, True)
+        k = equivariant_top_exponent((0, 2, 4, 6), 8, True)
         expected = -root_of_unity(8, -12)
-        assert value == expected
+        assert root_of_unity(8, k) == expected

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fano212.cyclotomic import (
     Cyclotomic,
-    as_power_of_root,
     cyc,
     cyclotomic_coeffs,
     euler_phi,
@@ -261,22 +260,12 @@ def test_lift_roundtrip_preserves_equality(n, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 4, 6, 8, 12]), st.integers(min_value=-30, max_value=30))
-def test_power_of_root_recovery(n, k):
-    assert as_power_of_root(root_of_unity(n, k), n) == k % n
-
-
-def test_as_power_of_root_rejects_non_roots():
-    assert as_power_of_root(cyc(2), 4) is None
-    assert as_power_of_root(cyc(Fraction(1, 2)), 8) is None
-    assert as_power_of_root(cyc(-1), 2) == 1
-    assert as_power_of_root(Cyclotomic.zeta(8, 3), 8) == 3
-
-
-def test_negative_roots_with_even_conductor():
-    # -zeta_8^3 = zeta_8^7
-    value = -Cyclotomic.zeta(8, 3)
-    assert as_power_of_root(value, 8) == 7
+@given(st.sampled_from([2, 4, 6, 8, 12, 30, 1024]),
+       st.integers(min_value=-3000, max_value=3000))
+def test_negative_roots_with_even_conductor(n, k):
+    # the sign character is the exponent shift n/2: -zeta_n^k = zeta_n^(k + n/2)
+    assert -root_of_unity(n, k) == root_of_unity(n, k + n // 2)
+    assert -root_of_unity(n, k) != root_of_unity(n, k)
 
 
 def test_cyclotomic_polynomial_as_multipoly():
