@@ -13,13 +13,14 @@ verify, chars --oracle, verdict, gfano, hilbert on both sides and picard;
 then smooth --full on tests/data and on a fixed rational triple with a
 double point (exit 1: its first chart is not the unit ideal, so the exact
 Groebner engine decides it).  Then validate on hostile files, each exit 2
-with a short error line: one that is not UTF-8, and tests/data/swap_n8.txt
+with a short error line: one that is not UTF-8, tests/data/swap_n8.txt
 with a swap flag, a key, a section header (unknown, unterminated, or with
 a bad matrix index) or a literal (malformed, or with a bad term) of about
-100,000 characters.  Then tests/data/swap_n8.txt declared at
-conductors 24, 504 and 1024, its literals lifted from z^j to z^(kj) for
-k = N/8, and read unlifted at conductors 105 and 210, where z is no longer
-zeta_8 (validate exits 2): for each, validate, verify, chars --oracle,
+100,000 characters or with a key of 100,000 control characters, and a
+path of 312 characters that does not exist.  Then tests/data/swap_n8.txt
+declared at conductors 24, 504 and 1024, its literals lifted from z^j to
+z^(kj) for k = N/8, and read unlifted at conductors 105 and 210, where z is
+no longer zeta_8 (validate exits 2): for each, validate, verify, chars --oracle,
 verdict, smooth --full and hilbert.  Then the commands that run without an
 instance: cohomology for every twist (a, b) in -5..3 (some are exit 3),
 then at (10^10, 1) (row 0), at (-10^10, -1) (row 6) and at a twist above
@@ -125,7 +126,9 @@ OVERLONG = (
     ("bad matrix index", "[matrix.1]", "[matrix." + "i" * LONG + "]"),
     ("malformed literal", "-3, 6, 0, 0", "1" + "+" * LONG + ", 6, 0, 0"),
     ("bad term", "-3, 6, 0, 0", "1 + " + "x" * LONG + ", 6, 0, 0"),
+    ("control-character key", "swap = true", "swap = true\n" + "\x01" * LONG + " = 1"),
 )
+LONG_PATH = "/nonexistent" + "/a" * 150
 
 
 def run(argv):
@@ -214,6 +217,8 @@ def main():
                 handle.write(text.replace(old, new, 1))
             report("swap_n8 with an overlong " + label, path, ["validate"])
             reports += 1
+        report("an overlong path", LONG_PATH, ["validate"])
+        reports += 1
         for n, text in conductor_variants():
             path = os.path.join(tmp, "swap_n8_at_%d.txt" % n)
             with open(path, "w", encoding="utf-8") as handle:

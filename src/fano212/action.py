@@ -61,9 +61,6 @@ class DivisorClass:
     def __neg__(self):
         return DivisorClass(-self.a, -self.b)
 
-    def __rmul__(self, k: int):
-        return DivisorClass(k * self.a, k * self.b)
-
     def __str__(self):
         parts = []
         if self.a:
@@ -224,18 +221,6 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
     )
 
 
-def pencil_eigen_check(pencil: InvariantPencil) -> bool:
-    """Direct check of the eigen-relation defining the invariant pencil."""
-    for mat, s in zip(pencil.matrices, pencil.exponents):
-        image = _action_image(mat, pencil.spec)
-        lam = root_of_unity(pencil.spec.order, s)
-        for j in range(4):
-            for k in range(4):
-                if not (image[j][k] - lam * mat[j][k]).is_zero():
-                    return False
-    return True
-
-
 # -- Picard lattice --------------------------------------------------------------
 
 
@@ -310,11 +295,14 @@ def diagonal_twist_eigenbasis(n: int, weights, weights2, s: int):
     return basis
 
 
-def _random_model(spec: ActionSpec, eigenbasis, exponents, seed, attempts, mix):
+_ATTEMPTS = 50
+
+
+def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
     """Draw each form from the eigenspace eigenbasis(s) of its exponent s,
-    with integer coefficients in -3..3; with mix, change the basis of the
-    pencil by a random invertible integer matrix with entries in -2..2.
-    Resample until the determinantal quartic is smooth."""
+    with integer coefficients in -3..3, then change the basis of the pencil
+    by a random invertible integer matrix with entries in -2..2.  Resample,
+    _ATTEMPTS draws at most, until the determinantal quartic is smooth."""
     n = spec.order
     bases = []
     for s in exponents:
@@ -326,16 +314,15 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed, attempts, mix):
     validate_action(spec)
     rng = random.Random(seed)
     failure = "no draw attempted"
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         mats = tuple(
             combine([rng.randint(-3, 3) for _ in b], b) for b in bases
         )
-        if mix:
-            while True:
-                rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-                if poly_det(rows):
-                    break
-            mats = tuple(combine(row, mats) for row in rows)
+        while True:
+            rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            if poly_det(rows):
+                break
+        mats = tuple(combine(row, mats) for row in rows)
         try:
             model = ModelTriple(mats, n)
             validate_model(model)
@@ -348,12 +335,10 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed, attempts, mix):
             continue
         return model, spec
     raise InputError("no-smooth-instance", "no smooth instance in %d attempts "
-                     "(last failure: %s)" % (attempts, failure))
+                     "(last failure: %s)" % (_ATTEMPTS, failure))
 
 
-def random_equivariant_model(
-    n: int, weights, exponents, seed: int, attempts: int = 50, mix: bool = True
-):
+def random_equivariant_model(n: int, weights, exponents, seed: int):
     """A ModelTriple on which the swap action with the given weights acts with
     the prescribed form exponents, found by drawing from exact eigenspaces and
     resampling until the determinantal quartic is smooth.
@@ -362,19 +347,14 @@ def random_equivariant_model(
     """
     spec = ActionSpec(order=n, weights=tuple(weights), swap=True)
     return _random_model(
-        spec,
-        lambda s: transpose_twist_eigenbasis(n, spec.weights, s),
-        exponents, seed, attempts, mix,
+        spec, lambda s: transpose_twist_eigenbasis(n, spec.weights, s), exponents, seed
     )
 
 
-def random_diagonal_model(
-    n: int, weights, weights2, exponents, seed: int, attempts: int = 50, mix: bool = True
-):
+def random_diagonal_model(n: int, weights, weights2, exponents, seed: int):
     """Diagonal (non-swap) counterpart of random_equivariant_model."""
     spec = ActionSpec(order=n, weights=tuple(weights), swap=False, weights2=tuple(weights2))
     return _random_model(
-        spec,
-        lambda s: diagonal_twist_eigenbasis(n, spec.weights, spec.weights2, s),
-        exponents, seed, attempts, mix,
+        spec, lambda s: diagonal_twist_eigenbasis(n, spec.weights, spec.weights2, s),
+        exponents, seed,
     )

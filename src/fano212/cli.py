@@ -37,6 +37,7 @@ from .characters import (
     verdict,
 )
 from .cohomology import InconclusiveCohomology, euler_chase, koszul_cohomology_on_X, kunneth
+from .cyclotomic import _excerpt
 from .groebner import DegreeCapExceeded, hilbert_polynomial, qp_str
 from .instancefile import (
     Instance,
@@ -392,6 +393,8 @@ def main(argv=None) -> int:
         report.put("error", "%s: %s" % (exc.code, exc))
         code = EXIT_INVALID
     except OSError as exc:
+        if exc.filename is not None:
+            exc.filename = _excerpt(exc.filename)
         report.put("error", "io-error: %s" % exc)
         code = EXIT_INVALID
     except (DegreeCapExceeded, SmoothnessInconclusive, InconclusiveCohomology) as exc:

@@ -41,9 +41,6 @@ class CohTable:
     def __len__(self):
         return len(self.dims)
 
-    def euler(self) -> int:
-        return sum((-1) ** i * d for i, d in enumerate(self.dims))
-
 
 def table_scale(t: CohTable, k: int) -> CohTable:
     return CohTable(tuple(k * d for d in t.dims))

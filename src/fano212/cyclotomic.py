@@ -421,8 +421,17 @@ class LiteralError(ValueError):
 
 
 def _excerpt(text: str) -> str:
-    """The text for a message, cut to 20 characters and '...' past 24."""
-    return text if len(text) <= 24 else text[:20] + "..."
+    """The text for a %r in a message: whole up to a width of 24, else cut to
+    a width of 20 and '...'.  The width counts the characters of each escape
+    that %r will print, 1 for a printable character, 4 to 10 for another."""
+    widths = [1 if c.isprintable() else len(repr(c)) - 2 for c in text[:25]]
+    if sum(widths) <= 24:
+        return text
+    k = width = 0
+    while width + widths[k] <= 20:
+        width += widths[k]
+        k += 1
+    return text[:k] + "..."
 
 
 def _literal_terms(text: str) -> list:
@@ -465,11 +474,6 @@ def _fold_terms(terms, conductor: int, n: int) -> Cyclotomic:
         dense[0 if exp is None else exp % conductor // step] += (
             coef.numerator * (den // coef.denominator))
     return Cyclotomic._lowest(n, _reduce_mod_phi(n, dense), den)
-
-
-def parse_cyclotomic(text: str, conductor: int) -> Cyclotomic:
-    """Parse a cyclotomic literal relative to the given conductor."""
-    return _fold_terms(_literal_terms(text), conductor, conductor)
 
 
 def _format_term(coef: Fraction, power: int) -> str:

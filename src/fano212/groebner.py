@@ -9,9 +9,11 @@ work.  Mod p the coefficients are ints, and F_p serves as a certificate
 (see "prime-field certificate" below) with the exact engine as fallback.
 Exact runs take Fractions when every input coefficient is rational and
 Cyclotomic values otherwise.
-The Fraction branch pays for its lines: best of five (Python 3.11, 2
-cores), the 41 exact runs on rational ideals in scripts/report_sweep.py
-take 0.48-0.50 s as Fractions against 0.60-0.70 s as Cyclotomic values.
+The Fraction branch pays for its lines: over two runs of 9 interleaved
+repeats (Python 3.11, 2 cores), the 35 exact runs on rational ideals in
+scripts/report_sweep.py take 0.088-0.096 s at best and 0.107-0.131 s in the
+median as Fractions, against 0.130-0.135 s and 0.139-0.177 s as Cyclotomic
+values.
 Every run, exact or mod p, ends at its first constant element, input or
 remainder, with that constant 1 alone: a Groebner basis of the unit ideal.
 
@@ -31,8 +33,7 @@ no borrow from below, reads 2^w + b_i - a_i >= 2^(w-1).
 w is chosen per call.  Grevlex is degree-compatible, so no term of a normal
 form is above the largest term of its input: in a Buchberger run no
 monomial has a degree above the S-pair degree, which DEGREE_CAP bounds, or
-above the input's, and w comes from max(DEGREE_CAP, input degree); the
-public normal_form takes it from the degrees of its input and basis.  A
+above the input's, and w comes from max(DEGREE_CAP, input degree).  A
 product of two such monomials, which the product criterion forms, stays
 below 2^w in each field, so no field carries into the next.  Tuples are
 packed on entry to the engine and unpacked on exit; the bijection keeps
@@ -216,19 +217,6 @@ def _normal_form(p: dict, lead_data, guard: int, prime=None) -> dict:
     return remainder
 
 
-def normal_form(p: MultiPoly, basis) -> MultiPoly:
-    """Full remainder of p under division by the basis."""
-    # every term of the remainder and of the work is grevlex below a term
-    # of p, so none has a higher degree
-    w = _width(max([0, p.degree()] + [g.degree() for g in basis]))
-    remainder = _normal_form(
-        _pack_terms(p.terms, w),
-        [_monic(_pack_terms(g.terms, w)) for g in basis],
-        _guard(w, p.nvars),
-    )
-    return MultiPoly(p.nvars, _unpack_terms(remainder, w, p.nvars))
-
-
 # -- Buchberger ----------------------------------------------------------------
 
 
@@ -348,12 +336,6 @@ def buchberger(generators):
     """A (non-reduced) Groebner basis of the given generators, each element
     monic; just the constant 1 for the unit ideal."""
     return _unpacked(*_exact_basis(generators))
-
-
-def groebner(generators):
-    """Reduced Groebner basis of the ideal the generators span."""
-    basis, w, nvars = _exact_basis(generators)
-    return _unpacked(_interreduce(basis, _guard(w, nvars)), w, nvars)
 
 
 def is_unit_ideal(generators) -> bool:
@@ -586,13 +568,6 @@ def qp_binomial(k: int):
         result = qp_add((Fraction(0),) + result, tuple(i * c for c in result))
         result = tuple(c / i for c in result)
     return result
-
-
-def qp_eval(p, t):
-    total = Fraction(0)
-    for c in reversed(p):
-        total = total * t + c
-    return total
 
 
 def qp_str(p) -> str:

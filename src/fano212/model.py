@@ -150,20 +150,6 @@ def minor_cubics(m: ModelTriple, side: Side = Side.FIRST) -> list:
     return cubics
 
 
-def fiber_section(m: ModelTriple, side: Side, point):
-    """The fibre of the chosen projection over a point off the centre,
-    as the cofactor kernel vector (f0, -f1, f2, -f3) evaluated at the point."""
-    point = [cyc(v) for v in point]
-    minors = maximal_minors(coeff_matrix(m, side))
-    values = [f.evaluate(point) for f in minors]
-    if all(v.is_zero() for v in values):
-        raise InputError(
-            "point-on-centre",
-            "the point lies on the blowdown centre; its fibre is not unique",
-        )
-    return (values[0], -values[1], values[2], -values[3])
-
-
 # -- the determinantal quartic ---------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .cyclotomic import Cyclotomic, cyc, cyclotomic_coeffs, join_signed
+from .cyclotomic import Cyclotomic, cyc
 
 
 class MultiPoly:
@@ -76,9 +76,6 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
-
-    def coefficient(self, exps) -> Cyclotomic:
-        return self.terms.get(tuple(exps), Cyclotomic.from_rational(0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -211,40 +208,8 @@ class MultiPoly:
             _accumulate(terms, new, coef)
         return MultiPoly._of(self.nvars, terms)
 
-    # -- display -------------------------------------------------------------
-
-    def __str__(self):
-        return self.pretty()
-
     def __repr__(self):
-        return "MultiPoly(%d, %s)" % (self.nvars, self.pretty())
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        names = default_names(self.nvars)
-        parts = []
-        for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            coef = self.terms[exps]
-            mono = "*".join(
-                names[i] if e == 1 else "%s^%d" % (names[i], e)
-                for i, e in enumerate(exps)
-                if e
-            )
-            cs = str(coef)
-            need_parens = (" + " in cs) or (" - " in cs)
-            if not mono:
-                body = "(%s)" % cs if need_parens else cs
-            elif cs == "1":
-                body = mono
-            elif cs == "-1":
-                body = "-" + mono
-            elif need_parens:
-                body = "(%s)*%s" % (cs, mono)
-            else:
-                body = "%s*%s" % (cs, mono)
-            parts.append(body)
-        return join_signed(parts)
+        return "MultiPoly(%d, %r)" % (self.nvars, self.terms)
 
 
 _set_nvars, _set_terms = (MultiPoly.__dict__[s].__set__ for s in MultiPoly.__slots__)
@@ -258,16 +223,6 @@ def _accumulate(terms: dict, exps, coef) -> None:
         terms[exps] = coef
     else:
         terms.pop(exps, None)
-
-
-def default_names(nvars: int):
-    if nvars <= 3:
-        return ["x", "y", "z"][:nvars]
-    if nvars == 4:
-        return ["x0", "x1", "x2", "x3"]
-    if nvars == 8:
-        return ["x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3"]
-    return ["v%d" % i for i in range(nvars)]
 
 
 # -- polynomial matrices -------------------------------------------------------
@@ -321,9 +276,3 @@ def maximal_minors(rows) -> tuple:
     if len(rows) != 3 or any(len(r) != 4 for r in rows):
         raise ValueError("expected a 3x4 matrix")
     return tuple(reversed(minors(rows, 3)))
-
-
-def cyclotomic_polynomial(n: int) -> MultiPoly:
-    """The n-th cyclotomic polynomial as a univariate polynomial with
-    rational coefficients, monic of degree phi(n)."""
-    return MultiPoly(1, {(k,): c for k, c in enumerate(cyclotomic_coeffs(n))})

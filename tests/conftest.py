@@ -1,4 +1,5 @@
-"""Shared instance builders and verified parameter pools for the suite."""
+"""Shared instance builders, verified parameter pools and independent
+oracles for the suite."""
 
 from __future__ import annotations
 
@@ -8,15 +9,24 @@ from fractions import Fraction
 import pytest
 
 from fano212.cohomology import InconclusiveCohomology, koszul_cohomology_on_X
-from fano212.cyclotomic import cyc
+from fano212.cyclotomic import cyc, root_of_unity
+from fano212.groebner import (
+    _exact_basis,
+    _guard,
+    _interreduce,
+    _unpacked,
+    leading_term,
+    monomial_divides,
+)
+from fano212.linalg import mat_mul, mat_transpose
 from fano212.model import (
-    ModelTriple,
-    Side,
+    coeff_matrix,
     determinantal_quartic,
     model_from_matrices,
     quartic_smooth,
     validate_model,
 )
+from fano212.multipoly import MultiPoly, maximal_minors
 
 # (order, weights, exponents) combinations verified to admit smooth swap
 # instances; spans orders 2, 4, 6, 8 with varied weights and exponents.
@@ -186,6 +196,79 @@ def decided_table(a: int, b: int):
 def decided_tables(span):
     """{(a, b): decided_table(a, b)} for a, b in span."""
     return {(a, b): decided_table(a, b) for a in span for b in span}
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def action_image(mat, spec):
+    """sigma . M for a form matrix M, as the matrix product D M^T for a swap
+    and A M B for a diagonal action, where D (or A) and B are the diagonal
+    matrices of w^weights and w^weights2."""
+    n = spec.order
+
+    def diagonal(weights):
+        return [[root_of_unity(n, r) if i == j else cyc(0) for j in range(4)]
+                for i, r in enumerate(weights)]
+
+    if spec.swap:
+        return mat_mul(diagonal(spec.weights), mat_transpose(mat))
+    return mat_mul(mat_mul(diagonal(spec.weights), mat), diagonal(spec.weights2))
+
+
+def eigen_relation_holds(mat, spec, s: int) -> bool:
+    """Whether sigma . M = w^s M for a form matrix M."""
+    image, lam = action_image(mat, spec), root_of_unity(spec.order, s)
+    return all((image[j][k] - lam * mat[j][k]).is_zero() for j in range(4) for k in range(4))
+
+
+def pencil_eigen_check(pencil) -> bool:
+    """The eigen-relation defining the invariant pencil, on each member."""
+    return all(eigen_relation_holds(mat, pencil.spec, s)
+               for mat, s in zip(pencil.matrices, pencil.exponents))
+
+
+def fiber_section(m, side, point):
+    """The fibre of the chosen projection over a point of P3 off the centre:
+    the cofactor kernel vector (f0, -f1, f2, -f3) of the maximal minors,
+    evaluated at the point."""
+    point = [cyc(v) for v in point]
+    values = [f.evaluate(point) for f in maximal_minors(coeff_matrix(m, side))]
+    if all(v.is_zero() for v in values):
+        raise ValueError("the point lies on the blowdown centre; its fibre is not unique")
+    return (values[0], -values[1], values[2], -values[3])
+
+
+def normal_form(p: MultiPoly, basis) -> MultiPoly:
+    """Full remainder of p under division by the basis: the grevlex-leading
+    term of what is left is cancelled by the first basis element whose
+    leading monomial divides it, or else moved to the remainder."""
+    remainder = MultiPoly.zero(p.nvars)
+    while p:
+        mono, coef = leading_term(p)
+        for g in basis:
+            lead, lead_coef = leading_term(g)
+            if monomial_divides(lead, mono):
+                shift = [a - b for a, b in zip(mono, lead)]
+                p = p - g * MultiPoly.monomial(coef / lead_coef, shift)
+                break
+        else:
+            term = MultiPoly.monomial(coef, mono)
+            remainder, p = remainder + term, p - term
+    return remainder
+
+
+def groebner(generators):
+    """The reduced Groebner basis of the ideal the generators span: the exact
+    Buchberger run, interreduced."""
+    basis, w, nvars = _exact_basis(generators)
+    return _unpacked(_interreduce(basis, _guard(w, nvars)), w, nvars)
+
+
+def qp_eval(p, t):
+    """The value at t of a polynomial in t, its coefficients constant term
+    first."""
+    return sum(c * t**k for k, c in enumerate(p))
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,6 @@ Everything here is exact arithmetic; there are no tolerances anywhere.
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +14,8 @@ from conftest import (
     SWAP_COMBOS,
     decided_table,
     decided_tables,
+    fiber_section,
+    groebner,
     hrr_euler,
     planted_quartic_point_model,
 )
@@ -42,6 +43,7 @@ from fano212.characters import (
     verdict,
 )
 from fano212.cohomology import (
+    bott_p3,
     euler_chase,
     koszul_cohomology_on_X,
     kunneth,
@@ -51,20 +53,16 @@ from fano212.cyclotomic import (
     cyc,
     cyclotomic_coeffs,
     euler_phi,
-    root_of_unity,
 )
-from fano212.groebner import groebner, hilbert_polynomial
+from fano212.groebner import hilbert_polynomial
 from fano212.linalg import proj_equal
 from fano212.model import (
     Side,
     bilinear_forms,
     curve_point_to_quartic_point,
     determinantal_quartic,
-    fiber_section,
     minor_cubics,
     quartic_point_to_curve_point,
-    quartic_smooth,
-    rank_locus_check,
     sample_curve_points,
 )
 from fano212.multipoly import MultiPoly
@@ -317,8 +315,6 @@ class TestKernelLayer:
         report("kernel layer / groebner determinism", "8 shuffles, identical reduced bases")
 
     def test_bott_serre_symmetry(self):
-        from fano212.cohomology import bott_p3
-
         for a in range(-12, 13):
             ta, tb = bott_p3(a), bott_p3(-4 - a)
             assert all(ta[i] == tb[3 - i] for i in range(4))

@@ -193,6 +193,12 @@ class TestExitCodes:
         (["validate", "--input", ("-3, 6, 0, 0", "1 + " + "x" * 100000 + ", 6, 0, 0")],
          "bad-literal: line 8: bad term 'xxxxxxxxxxxxxxxxxxxx...' in literal "
          "'1 + xxxxxxxxxxxxxxxx...'"),
+        # a control character counts as the four characters of its escape
+        (["validate", "--input", ("swap = true", "swap = true\n" + "\x01" * 100000 + " = 1")],
+         "syntax: line 4: unknown key '\\x01\\x01\\x01\\x01\\x01...'"),
+        # and a path is cut as any other echoed text
+        (["validate", "--input", "/nonexistent" + "/a" * 150],
+         "io-error: [Errno 2] No such file or directory: '/nonexistent/a/a/a/a...'"),
     ], ids=["parity", "matrix-shape", "conductor-too-large", "bad-order", "bad-literal",
             "pencil-not-invariant", "random-bad-weights", "random-bad-exponents",
             "random-bad-order", "random-conductor-too-large", "random-empty-eigenspace",
@@ -201,7 +207,8 @@ class TestExitCodes:
             "malformed-long-conductor", "random-bad-seed", "random-seed-too-large",
             "random-seed-just-above-the-bound", "overlong-swap", "overlong-unknown-key",
             "overlong-unknown-section", "overlong-unterminated-section",
-            "overlong-bad-matrix-index", "overlong-malformed-literal", "overlong-bad-term"])
+            "overlong-bad-matrix-index", "overlong-malformed-literal", "overlong-bad-term",
+            "overlong-control-characters", "overlong-io-path"])
     def test_refusal_is_one_error_line(self, tmp_path, capsys, argv, error):
         # a (text, replacement) pair stands for that variant of swap_n8.txt
         argv = [write_variant(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]

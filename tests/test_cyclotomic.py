@@ -12,11 +12,11 @@ from fano212.cyclotomic import (
     cyclotomic_coeffs,
     euler_phi,
     format_cyclotomic,
-    parse_cyclotomic,
     root_of_unity,
     LiteralError,
+    _fold_terms,
+    _literal_terms,
 )
-from fano212.multipoly import MultiPoly
 
 
 def poly_of_phi(n):
@@ -268,42 +268,41 @@ def test_negative_roots_with_even_conductor(n, k):
     assert -root_of_unity(n, k) != root_of_unity(n, k)
 
 
-def test_cyclotomic_polynomial_as_multipoly():
-    from fano212.multipoly import cyclotomic_polynomial
+def test_small_cyclotomic_polynomials():
+    # Phi_1 = x - 1, Phi_4 = x^2 + 1, Phi_6 = x^2 - x + 1, constant term first
+    assert cyclotomic_coeffs(1) == (-1, 1)
+    assert cyclotomic_coeffs(4) == (1, 0, 1)
+    assert cyclotomic_coeffs(6) == (1, -1, 1)
 
-    x = MultiPoly.variable(0, 1)
-    assert cyclotomic_polynomial(1) == x - 1
-    assert cyclotomic_polynomial(4) == x * x + 1
-    assert cyclotomic_polynomial(6) == x * x - x + 1
-    for n in (5, 8, 12, 24):
-        poly = cyclotomic_polynomial(n)
-        assert poly.degree() == euler_phi(n)
-        assert poly.coefficient((euler_phi(n),)) == 1
+
+def parse(text, conductor):
+    """A literal read at its conductor, as parse_instance reads it."""
+    return _fold_terms(_literal_terms(text), conductor, conductor)
 
 
 class TestLiterals:
     def test_parse_examples(self):
-        a = parse_cyclotomic("1/2*z^3 - 2", 8)
+        a = parse("1/2*z^3 - 2", 8)
         assert a == Cyclotomic(8, (Fraction(-2), 0, 0, Fraction(1, 2)))
-        assert parse_cyclotomic("z", 4) == Cyclotomic.zeta(4)
-        assert parse_cyclotomic("-z^2+1", 8) == 1 - Cyclotomic.zeta(8, 2)
-        assert parse_cyclotomic(" 3 ", 2) == 3
+        assert parse("z", 4) == Cyclotomic.zeta(4)
+        assert parse("-z^2+1", 8) == 1 - Cyclotomic.zeta(8, 2)
+        assert parse(" 3 ", 2) == 3
 
     def test_exponent_reduction(self):
-        assert parse_cyclotomic("z^9", 8) == Cyclotomic.zeta(8, 1)
-        assert parse_cyclotomic("z^4", 4) == 1
+        assert parse("z^9", 8) == Cyclotomic.zeta(8, 1)
+        assert parse("z^4", 4) == 1
 
     def test_format_parse_roundtrip(self):
         for coeffs in [(0, 0, 0, 0), (1, 0, 0, 0), (Fraction(1, 2), 3, 0, -2)]:
             a = Cyclotomic(8, coeffs)
-            assert parse_cyclotomic(format_cyclotomic(a), 8) == a
+            assert parse(format_cyclotomic(a), 8) == a
 
     def test_serialization_idempotent(self):
         text = "-2 + 1/2*z^3"
-        a = parse_cyclotomic(text, 8)
+        a = parse(text, 8)
         assert format_cyclotomic(a) == text
 
     def test_bad_literals(self):
         for bad in ("", "z^", "1//2", "2**z", "q + 1", "+"):
             with pytest.raises(LiteralError):
-                parse_cyclotomic(bad, 4)
+                parse(bad, 4)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import groebner, normal_form, qp_eval
+
 from fano212 import groebner as groebner_module
 from fano212.cyclotomic import Cyclotomic, _rational_reconstruction, cyc, cyclotomic_coeffs
 from fano212.groebner import (
@@ -14,22 +16,23 @@ from fano212.groebner import (
     _guard,
     _lift_holds,
     _mod_p_basis,
+    _monic,
+    _normal_form,
     _pack,
+    _pack_terms,
     _pair_lcms,
     _unpack,
+    _unpack_terms,
     _width,
     DegreeCapExceeded,
     NonHomogeneousIdeal,
     buchberger,
     grevlex_key,
-    groebner,
     hilbert_polynomial,
     leading_term,
     monomial_divides,
-    normal_form,
     projective_empty,
     qp_binomial,
-    qp_eval,
     qp_str,
     is_unit_ideal,
     unit_mod_p_or_q,
@@ -89,16 +92,25 @@ def test_packed_monomials_agree_with_tuples(data):
         assert _pair_lcms(w, nvars)([pa, pb], 1) == [lcm]
     assert _pack((0,) * nvars, w) == 0
     # the engine's own test: b reduces to 0 by a iff a divides b
-    remainder = normal_form(MultiPoly.monomial(1, b), [MultiPoly.monomial(1, a)])
-    assert remainder.is_zero() == monomial_divides(a, b)
+    remainder = _normal_form({pb: 1}, [(pa, {pa: 1})], _guard(w, nvars))
+    assert (not remainder) == monomial_divides(a, b)
 
 
-def test_normal_form_takes_its_width_from_the_data():
-    x0, x1 = variables(2)
-    # degree 41 is above the cap, so the field width must come from the input
-    assert 41 > groebner_module.DEGREE_CAP
-    assert normal_form(x0**40 * x1, [x0 - x1]) == x1**41
-    assert normal_form(x0**40 * x1 + x1**3, [x0 - x1, x1**41]) == x1**3
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_normal_form_is_the_plain_division(data):
+    # both take the largest term first and the first basis element whose
+    # lead divides it, so they agree on any basis, Groebner or not
+    nvars = data.draw(st.integers(1, 4))
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
+    polynomial = st.dictionaries(monomial, st.integers(-3, 3), max_size=5).map(
+        lambda terms: MultiPoly(nvars, terms))
+    p = data.draw(polynomial)
+    basis = data.draw(st.lists(polynomial.filter(bool), min_size=1, max_size=3))
+    w = _width(max(g.degree() for g in [p] + basis))
+    remainder = _normal_form(_pack_terms(p.terms, w),
+                             [_monic(_pack_terms(g.terms, w)) for g in basis], _guard(w, nvars))
+    assert MultiPoly(nvars, _unpack_terms(remainder, w, nvars)) == normal_form(p, basis)
 
 
 def test_already_reduced_basis():

@@ -1,7 +1,8 @@
-"""Static checks on the package source: every imported name is used, nothing
-outside the standard library is imported, every import is at module level,
-every public module-level name is read somewhere in the project, and the
-error codes raised are the ones README's table lists."""
+"""Static checks on the source: in the package, the tests and the scripts
+every imported name is used and every import is at module level; the
+package imports nothing outside the standard library, every public
+module-level name of it is read by the package, a script or the bench, and
+the error codes it raises are the ones README's table lists."""
 
 import ast
 import os
@@ -13,6 +14,15 @@ import pytest
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC = os.path.join(ROOT, "src", "fano212")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+# the path of each module whose imports are checked: the package's by file
+# name, the tests' and scripts' by folder and file name.  perfbench is left
+# out, as its workers import the package inside functions.
+CHECKED = {module: os.path.join(SRC, module) for module in MODULES}
+CHECKED.update(
+    ("%s/%s" % (top, name), os.path.join(ROOT, top, name))
+    for top in ("tests", "scripts")
+    for name in sorted(os.listdir(os.path.join(ROOT, top))) if name.endswith(".py")
+)
 
 
 def unused_imports(source: str):
@@ -39,9 +49,9 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == [(2, "os"), (3, "b")]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", CHECKED)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+    with open(CHECKED[module], encoding="utf-8") as handle:
         assert unused_imports(handle.read()) == []
 
 
@@ -91,9 +101,9 @@ def test_checker_flags_a_function_level_import():
     assert function_level_imports(source) == [(4, "m"), (7, "f"), (7, "g")]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", CHECKED)
 def test_imports_at_module_level(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+    with open(CHECKED[module], encoding="utf-8") as handle:
         assert function_level_imports(handle.read()) == []
 
 
@@ -142,8 +152,10 @@ def test_checker_flags_an_unread_public_name():
     ]
 
 
-def project_sources():
-    for top in ("src", "tests", "scripts", "perfbench"):
+def reader_sources():
+    """The sources that count as readers: the package, the scripts and the
+    bench.  The tests do not count, so a name that only a test reads fails."""
+    for top in ("src", "scripts", "perfbench"):
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             for name in sorted(files):
                 if name.endswith(".py"):
@@ -154,7 +166,7 @@ def project_sources():
 @pytest.fixture(scope="module")
 def project_reads():
     read = set()
-    for source in project_sources():
+    for source in reader_sources():
         read |= names_read(source)
     return read
 

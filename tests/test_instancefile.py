@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from fano212.cyclotomic import Cyclotomic
 from fano212.instancefile import (
-    Instance,
     ParseError,
-    load_instance,
     parse_instance,
     serialize_instance,
 )

@@ -3,8 +3,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fano212.cyclotomic import Cyclotomic, cyc
 from fano212.multipoly import MultiPoly, maximal_minors, minors, poly_det
