@@ -114,6 +114,7 @@ def _units(nvars: int):
 
 
 _X3, _X4, _X8 = _units(3), _units(4), _units(8)
+_T = [(0,), (1,)]  # 1 and t, for a matrix A + t*B
 # x_j * y_k in x0..x3, y0..y3, in the row-major order of a matrix's entries
 _XY = [tuple(map(add, x, y)) for x in _X8[:4] for y in _X8[4:]]
 
@@ -121,7 +122,7 @@ _XY = [tuple(map(add, x, y)) for x in _X8[:4] for y in _X8[4:]]
 def _form(coeffs, monomials) -> MultiPoly:
     """The polynomial sum of c * x^e over paired coefficients and exponent
     tuples, written as a term dict."""
-    return MultiPoly(
+    return MultiPoly._of(
         len(monomials[0]),
         {e: c for c, e in zip(coeffs, monomials) if not c.is_zero()},
     )
@@ -363,12 +364,21 @@ def _rational_roots(coeffs):
     return roots
 
 
+def _line_quartic(m: ModelTriple, a, b) -> list:
+    """The determinantal quartic on the line a + t*b, as its coefficients in
+    t (constant first): det(A + t*B) for A = combine(a, M), B = combine(b, M)."""
+    line = zip(combine(a, m.matrices), combine(b, m.matrices))
+    return _univariate_coeffs(
+        poly_det([[_form(ab, _T) for ab in zip(*rows)] for rows in line]), 0)
+
+
 def sample_curve_points(m: ModelTriple, side: Side = Side.FIRST, seed: int = 0,
                         attempts: int = 20):
     """Search for rational points on the blowdown centre.
 
-    Each attempt draws two points a, b of P2 with coordinates in -2..2,
-    restricts the determinantal quartic to the line a + t*b, takes the exact
+    Each attempt draws two points a, b of P2 with coordinates in -2..2 and
+    restricts the determinantal quartic to the line a + t*b as det(A + t*B),
+    a determinant in the one variable t (_line_quartic).  It takes the exact
     rational roots t (a line on which the quartic is constant in t is
     skipped), and maps each point a + t*b to the sided centre with
     quartic_point_to_curve_point.  A point where that map raises ValueError
@@ -380,14 +390,12 @@ def sample_curve_points(m: ModelTriple, side: Side = Side.FIRST, seed: int = 0,
     point was found, which callers should report as a skipped roundtrip.
     """
     rng = random.Random(seed)
-    q = determinantal_quartic(m)
-    t = MultiPoly.variable(0, 3)
+    determinantal_quartic(m)  # refuses a degenerate pencil
     found = []
     for _ in range(attempts):
         a = [rng.randint(-2, 2) for _ in range(3)]
         b = [rng.randint(-2, 2) for _ in range(3)]
-        line = {i: MultiPoly.constant(a[i], 3) + t * b[i] for i in range(3)}
-        coeffs = _univariate_coeffs(q.substitute(line), 0)
+        coeffs = _line_quartic(m, a, b)
         if len(coeffs) < 2:
             continue
         for root in _rational_roots(coeffs):

@@ -1,17 +1,19 @@
 """Sparse multivariate polynomials over cyclotomic coefficients.
 
 Terms map exponent tuples to nonzero Cyclotomic coefficients; the zero
-polynomial has an empty term map.  Includes the one cofactor determinant,
-for small matrices of scalars or polynomials, and the minors of polynomial
-matrices.
+polynomial has an empty term map.  Includes the one determinant, poly_det,
+for small matrices of scalars or polynomials, worked in integers (its
+docstring says why that is exact), and the minors of polynomial matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
+from operator import lshift
 
-from .cyclotomic import Cyclotomic, cyc
+from .cyclotomic import Cyclotomic, _divmod_monic, _phi_terms, cyc, euler_phi
 
 
 class MultiPoly:
@@ -49,17 +51,6 @@ class MultiPoly:
     @classmethod
     def constant(cls, value, nvars: int) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: cyc(value)})
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, coef, exps) -> "MultiPoly":
-        exps = tuple(exps)
-        return cls(len(exps), {exps: cyc(coef)})
 
     # -- predicates --------------------------------------------------------
 
@@ -120,14 +111,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1, self.nvars)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -141,38 +124,13 @@ class MultiPoly:
 
     __hash__ = None
 
-    # -- evaluation & substitution ------------------------------------------
+    # -- evaluation and maps ------------------------------------------------
 
     def evaluate(self, point) -> Cyclotomic:
         point = [cyc(v) for v in point]
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
         return sum(self.scale_vars(point).terms.values(), cyc(0))
-
-    def substitute(self, images: dict) -> "MultiPoly":
-        """Ring substitution; images maps variable index -> MultiPoly."""
-        for img in images.values():
-            if img.nvars != self.nvars:
-                raise ValueError("substitution image has wrong arity")
-        total = MultiPoly.zero(self.nvars)
-        powers = {}
-        for exps, coef in self.terms.items():
-            part = MultiPoly.constant(coef, self.nvars)
-            rest = [0] * self.nvars
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i in images:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[(i, e)] = images[i] ** e
-                    part = part * power
-                else:
-                    rest[i] = e
-            if any(rest):
-                part = part * MultiPoly.monomial(1, rest)
-            total = total + part
-        return total
 
     def scale_vars(self, scalars) -> "MultiPoly":
         """Substitute x_i -> scalars[i] * x_i (fast path for diagonal actions)."""
@@ -229,35 +187,77 @@ def _accumulate(terms: dict, exps, coef) -> None:
 
 
 def poly_det(rows):
-    """Determinant of a square matrix by cofactor expansion along the first
-    row; the entries are MultiPoly or scalars (int, Fraction, Cyclotomic).
+    """Determinant of a square matrix of MultiPoly or scalar (int, Fraction,
+    Cyclotomic) entries, a Cyclotomic for a scalar matrix: cofactor expansion
+    along the first row, in integers.
+
+    N is the lcm of the entries' conductors, and row r is scaled by the lcm
+    d_r of its denominators, so each entry maps a packed monomial to its
+    nonzero integer numerators over Q(zeta_N), as pairs (k, c) for c*z^k.
+    A minor sums its products unreduced, as convolutions of length
+    2*phi(N) - 1, and is reduced mod Phi_N once; the determinant is the
+    whole minor over the product of the d_r.  This is exact: z -> zeta_N is
+    a ring map from Z[z][x] onto Z[zeta_N][x] and det is a polynomial in the
+    entries, so any intermediate may be reduced mod Phi_N; d_r comes out of
+    row r by multilinearity; and x^e packs to sum(e_i * 2^(w*i)), where
+    fields are only ever added and no exponent of a product of `size`
+    entries is above size times the largest entry degree, which is below
+    2^w, so no field overflows into the next.
+
     A minor on the rows from the third on is met once for each order in
-    which the rows above it pick the missing columns, so it is expanded once
-    per call and shared: a 4x4 determinant takes 28 entry products instead
-    of 40.  The larger minors are met once and are not kept."""
+    which the rows above pick the missing columns; every minor is expanded
+    once per call, so a 4x4 determinant takes 28 entry products, not 40."""
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise ValueError("matrix is not square")
-    memo = {}
+    polys = [e for r in rows for e in r if isinstance(e, MultiPoly)]
+    nvars = polys[0].nvars if polys else 0
+    if any(p.nvars != nvars for p in polys):
+        raise ValueError("matrix entries have different arities")
+    grid = [[e.terms if isinstance(e, MultiPoly) else {(0,) * nvars: cyc(e)} if e else {}
+             for e in r] for r in rows]
+    n = lcm(*(c.n for r in grid for t in r for c in t.values()))
+    phi, phi_terms = euler_phi(n), _phi_terms(n)
+    w = (size * max((sum(e) for r in grid for t in r for e in t), default=0)).bit_length()
+    shifts = [w * i for i in range(nvars)]
+    dens = [lcm(*(c.den for t in r for c in t.values())) for r in grid]
+    mats = [[{sum(map(lshift, e, shifts)): [(k, x * (d // c.den))
+                                            for k, x in enumerate(c.lift(n).num) if x]
+              for e, c in t.items()} for t in r] for r, d in zip(grid, dens)]
+    memo = {(c,): entry for c, entry in enumerate(mats[-1])}  # the 1x1 minors
 
-    def minor_det(col_ids):
-        if len(col_ids) == 1:
-            return rows[-1][col_ids[0]]
-        if col_ids in memo:
-            return memo[col_ids]
-        r = size - len(col_ids)
-        total = rows[r][col_ids[0]] * 0
-        for pos, c in enumerate(col_ids):
-            entry = rows[r][c]
-            if not entry:
-                continue
-            term = entry * minor_det(col_ids[:pos] + col_ids[pos + 1 :])
-            total = total + (term if pos % 2 == 0 else -term)
-        if r >= 2:
-            memo[col_ids] = total
-        return total
+    def minor(cols):
+        if cols in memo:
+            return memo[cols]
+        r, acc = size - len(cols), {}
+        for pos, c in enumerate(cols):
+            sub = minor(cols[:pos] + cols[pos + 1:]) if mats[r][c] else None
+            for m1, a in mats[r][c].items() if sub else ():
+                if pos % 2:
+                    a = [(i, -x) for i, x in a]
+                for m2, b in sub.items():
+                    out = acc.get(m1 + m2)
+                    if out is None:
+                        out = acc[m1 + m2] = [0] * (2 * phi - 1)
+                    for i, x in a:
+                        for j, y in b:
+                            out[i + j] += x * y
+        result = {}
+        for m, v in acc.items():
+            _divmod_monic(v, phi_terms, phi)
+            v = [(k, x) for k, x in enumerate(v[:phi]) if x]
+            if v:
+                result[m] = v
+        memo[cols] = result
+        return result
 
-    return minor_det(tuple(range(size)))
+    den, mask = prod(dens), (1 << w) - 1
+    det = {m: Cyclotomic._lowest(n, tuple(map(dict(v).get, range(phi), [0] * phi)), den)
+           for m, v in minor(tuple(range(size))).items()}
+    if not polys:
+        return det.get(0, cyc(0, n))
+    return MultiPoly._of(nvars, {tuple([m >> s & mask for s in shifts]): c
+                                 for m, c in det.items()})
 
 
 def minors(rows, k: int) -> list:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -67,6 +68,32 @@ DIAGONAL_COMBOS = [
     (4, (0, 1, 2, 3), (0, 2, 1, 3), (0, 0, 3)),
     (4, (0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 1)),
 ]
+
+
+def variables(nvars: int) -> list:
+    """x_0, ..., x_{nvars-1} as polynomials in nvars variables."""
+    return [MultiPoly(nvars, {tuple(int(i == j) for j in range(nvars)): 1})
+            for i in range(nvars)]
+
+
+def power(p: MultiPoly, k: int) -> MultiPoly:
+    """p to the power k >= 0, by repeated multiplication."""
+    result = MultiPoly.constant(1, p.nvars)
+    for _ in range(k):
+        result = result * p
+    return result
+
+
+def leibniz(rows):
+    """The determinant as the signed sum over permutations, with the
+    entries' own arithmetic; independent of the cofactor expansion."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
 
 
 def random_rational_matrix(rng, lo=-3, hi=3):
@@ -250,10 +277,10 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
             lead, lead_coef = leading_term(g)
             if monomial_divides(lead, mono):
                 shift = [a - b for a, b in zip(mono, lead)]
-                p = p - g * MultiPoly.monomial(coef / lead_coef, shift)
+                p = p - g * MultiPoly(p.nvars, {tuple(shift): coef / lead_coef})
                 break
         else:
-            term = MultiPoly.monomial(coef, mono)
+            term = MultiPoly(p.nvars, {mono: coef})
             remainder, p = remainder + term, p - term
     return remainder
 

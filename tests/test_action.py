@@ -9,6 +9,7 @@ from conftest import (
     eigen_relation_holds,
     pencil_eigen_check,
     random_rational_matrix,
+    variables,
 )
 
 from fano212.action import (
@@ -300,7 +301,7 @@ class TestGenerators:
         m = ModelTriple(tuple(mats), 2)
         q = determinantal_quartic(m)
         entries = [[None] * 4 for _ in range(4)]
-        x, y, z = [MultiPoly.variable(i, 3) for i in range(3)]
+        x, y, z = variables(3)
         coords = [x, y, z]
         for j in range(4):
             for k in range(4):

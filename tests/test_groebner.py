@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import groebner, normal_form, qp_eval
+from conftest import groebner, normal_form, power, qp_eval, variables
 
 from fano212 import groebner as groebner_module
 from fano212.cyclotomic import Cyclotomic, _rational_reconstruction, cyc, cyclotomic_coeffs
@@ -38,10 +38,6 @@ from fano212.groebner import (
     unit_mod_p_or_q,
 )
 from fano212.multipoly import MultiPoly
-
-
-def variables(nvars):
-    return [MultiPoly.variable(i, nvars) for i in range(nvars)]
 
 
 def _mod_p_leads(generators):
@@ -140,9 +136,9 @@ def test_affine_twisted_cubic_membership():
 def test_projective_twisted_cubic_hilbert_with_counting_oracle():
     v = variables(4)
     gens = [
-        v[0] * v[2] - v[1] ** 2,
+        v[0] * v[2] - power(v[1], 2),
         v[0] * v[3] - v[1] * v[2],
-        v[1] * v[3] - v[2] ** 2,
+        v[1] * v[3] - power(v[2], 2),
     ]
     hp = hilbert_polynomial(gens)
     assert hp == (Fraction(1), Fraction(3))  # 3t + 1
@@ -154,10 +150,10 @@ def test_projective_twisted_cubic_hilbert_with_counting_oracle():
 def test_reduced_basis_deterministic_under_shuffle():
     v = variables(4)
     gens = [
-        v[0] * v[2] - v[1] ** 2,
+        v[0] * v[2] - power(v[1], 2),
         v[0] * v[3] - v[1] * v[2],
-        v[1] * v[3] - v[2] ** 2,
-        (v[0] + v[1]) * (v[1] * v[3] - v[2] ** 2),
+        v[1] * v[3] - power(v[2], 2),
+        (v[0] + v[1]) * (v[1] * v[3] - power(v[2], 2)),
     ]
     reference = None
     for seed in range(6):
@@ -190,7 +186,7 @@ class TestProjectiveEmpty:
 
     def test_pure_powers(self):
         x, y, z = variables(3)
-        assert projective_empty([x**3, y**3, z**3]) is True
+        assert projective_empty([power(x, 3), power(y, 3), power(z, 3)]) is True
 
     def test_rejects_nonhomogeneous(self):
         x, y, z = variables(3)
@@ -252,14 +248,14 @@ class TestHilbert:
                 c = rng.randint(0, 2 - a - b) if a + b < 2 else 0
                 d = 2 - a - b - c
                 monos.add((a, b, c, d))
-            hp = hilbert_polynomial([MultiPoly.monomial(1, m) for m in monos])
+            hp = hilbert_polynomial([MultiPoly(4, {m: 1}) for m in monos])
             for t in range(5, 11):
                 assert qp_eval(hp, t) == count_standard_monomials(monos, 4, t)
 
 
 def test_degree_cap(monkeypatch):
     x, y = variables(2)
-    high = x**17 * y - y**15, x * y**16 - x**14
+    high = power(x, 17) * y - power(y, 15), x * power(y, 16) - power(x, 14)
     monkeypatch.setattr(groebner_module, "DEGREE_CAP", 20)
     with pytest.raises(DegreeCapExceeded) as exc:
         buchberger(list(high))
@@ -290,9 +286,9 @@ def test_a_constant_remainder_ends_every_run():
 def _twisted_cubic():
     v = variables(4)
     return [
-        v[0] * v[2] - v[1] ** 2,
+        v[0] * v[2] - power(v[1], 2),
         v[0] * v[3] - v[1] * v[2],
-        v[1] * v[3] - v[2] ** 2,
+        v[1] * v[3] - power(v[2], 2),
     ]
 
 
@@ -444,7 +440,7 @@ class TestCertificateFallbacks:
     def test_a_mod_p_cap_overflow_falls_back(self, monkeypatch):
         x, y, z = variables(3)
         calls = _counting_buchberger(monkeypatch)
-        gens = [x**3 - y * z * z, y**3 - x * z * z, z**3]
+        gens = [power(x, 3) - y * z * z, power(y, 3) - x * z * z, power(z, 3)]
         assert _mod_p_leads(gens) == [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
         monkeypatch.setattr(groebner_module, "DEGREE_CAP", 3)
         assert _mod_p_leads(gens) is None
@@ -558,7 +554,7 @@ class TestCheckedLift:
         # of p
         p = _fp_field(1)[0]
         x, y, z = variables(3)
-        g = x**3 + x * x * z * 32512 + z**3 * 11
+        g = power(x, 3) + x * x * z * 32512 + power(z, 3) * 11
         assert g.evaluate([cyc(256), cyc(0), cyc(1)]) == cyc(p)
         gens = [g, (x - z * 256) * y, y * y - z * z]
         assert not _empty_locus_mod_p(gens)
@@ -571,7 +567,7 @@ class TestCheckedLift:
         # mod p the run sees degree 1 only, so x^40 does not fit its fields
         p = _fp_field(1)[0]
         x, y = variables(2)
-        gens = [x**40 * p + y - 1]
+        gens = [power(x, 40) * p + y - 1]
         assert 40 >= 2 ** (_mod_p_basis(gens)[1] - 1)
         assert not _lift_holds(gens, _mod_p_basis(gens))
         assert unit_mod_p_or_q(gens) is False

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fiber_section, planted_quartic_point_model, qp_eval, random_rational_matrix
+from conftest import (
+    fiber_section,
+    leibniz,
+    planted_quartic_point_model,
+    power,
+    qp_eval,
+    random_rational_matrix,
+    variables,
+)
 
 from fano212 import groebner as groebner_module
 from fano212 import model as model_module
@@ -23,6 +31,7 @@ from fano212.model import (
     ModelTriple,
     Side,
     SmoothnessInconclusive,
+    _line_quartic,
     _rational_roots,
     _univariate_coeffs,
     bilinear_forms,
@@ -89,9 +98,9 @@ class TestBilinearForms:
         m = model_from_matrices([random_rational_matrix(rng) for _ in range(3)])
         forms = bilinear_forms(m)
         forms_t = bilinear_forms(m.transposed())
-        swap = {i: MultiPoly.variable((i + 4) % 8, 8) for i in range(8)}
         for f, ft in zip(forms, forms_t):
-            assert ft == f.substitute(swap)
+            # x_j y_k -> x_k y_j: the two halves of each exponent tuple trade places
+            assert ft == MultiPoly(8, {e[4:] + e[:4]: c for e, c in f.terms.items()})
 
     def test_coefficients_match_entries(self):
         rng = random.Random(4)
@@ -111,7 +120,7 @@ class TestCoeffMatrix:
     def test_elementary_matrices(self):
         m = model_from_matrices([e_matrix(1, 0), e_matrix(1, 1), e_matrix(1, 2)])
         rows = coeff_matrix(m, Side.FIRST)
-        x1 = MultiPoly.variable(1, 4)
+        x1 = variables(4)[1]
         for i in range(3):
             for j in range(4):
                 assert rows[i][j] == (x1 if j == i else MultiPoly.zero(4))
@@ -218,8 +227,7 @@ class TestDeterminantalQuartic:
     def test_identity_pencil(self):
         m = model_from_matrices([identity4(), e_matrix(0, 1), e_matrix(0, 2)])
         q = determinantal_quartic(m)
-        x = MultiPoly.variable(0, 3)
-        assert q == x**4
+        assert q == power(variables(3)[0], 4)
 
     def test_transpose_invariance(self, planted_model):
         m, _ = planted_model
@@ -241,21 +249,21 @@ class TestDeterminantalQuartic:
 
 class TestQuarticSmooth:
     def test_fermat(self):
-        x, y, z = [MultiPoly.variable(i, 3) for i in range(3)]
-        assert quartic_smooth(x**4 + y**4 + z**4) is True
+        x, y, z = variables(3)
+        assert quartic_smooth(power(x, 4) + power(y, 4) + power(z, 4)) is True
 
     def test_fourth_power(self):
-        x = MultiPoly.variable(0, 3)
-        assert quartic_smooth(x**4) is False
+        x = variables(3)[0]
+        assert quartic_smooth(power(x, 4)) is False
 
     def test_klein(self):
-        x, y, z = [MultiPoly.variable(i, 3) for i in range(3)]
-        assert quartic_smooth(x**3 * y + y**3 * z + z**3 * x) is True
+        x, y, z = variables(3)
+        assert quartic_smooth(power(x, 3) * y + power(y, 3) * z + power(z, 3) * x) is True
 
     def test_wrong_degree(self):
-        x = MultiPoly.variable(0, 3)
+        x = variables(3)[0]
         with pytest.raises(ValueError):
-            quartic_smooth(x**3)
+            quartic_smooth(power(x, 3))
 
 
 class TestRankLocus:
@@ -319,7 +327,7 @@ class TestCurveQuarticMaps:
             curve_point_to_quartic_point(m, [cyc(1), cyc(2), cyc(-1), cyc(3)], Side.FIRST)
 
 
-T = MultiPoly.variable(0, 1)
+T = variables(1)[0]
 ZETA4 = Cyclotomic.zeta(4)
 ZETA8 = Cyclotomic.zeta(8)
 
@@ -328,13 +336,13 @@ ZETA8 = Cyclotomic.zeta(8)
     "poly, roots",
     [
         # denominator 67: the search has no bound of its own on denominators
-        ((T * 67 - 100) * (T**2 + 1), {Fraction(100, 67)}),
+        ((T * 67 - 100) * (T * T + 1), {Fraction(100, 67)}),
         ((T - Fraction(2, 3)) * (T * ZETA8 + ZETA8**2 + 1), {Fraction(2, 3)}),
-        (T**2 * (T - 3) ** 2 * (T * 2 + 1), {Fraction(0), Fraction(3), Fraction(-1, 2)}),
+        (T * T * power(T - 3, 2) * (T * 2 + 1), {Fraction(0), Fraction(3), Fraction(-1, 2)}),
         (MultiPoly.constant(5, 1), set()),
         # the coordinates (2T - 3)(T^2 + 1) and (2T - 3)(T^3 - 2T + 4) share a
         # non-monic factor, reached through several non-monic divisors
-        ((T * 2 - 3) * (T**2 + 1 + (T**3 - T * 2 + 4) * ZETA4), {Fraction(3, 2)}),
+        ((T * 2 - 3) * (T * T + 1 + (power(T, 3) - T * 2 + 4) * ZETA4), {Fraction(3, 2)}),
     ],
 )
 def test_rational_roots(poly, roots):
@@ -358,6 +366,34 @@ class TestSampleCurvePoints:
             back = curve_point_to_quartic_point(m, c, Side.SECOND)
             q = determinantal_quartic(m)
             assert q.evaluate(list(back)).is_zero()
+
+    @pytest.mark.parametrize("which", ["planted-7", "planted-8", "swap_n8"])
+    def test_line_quartic_matches_scalar_determinants(self, which):
+        # det(A + t*B) has degree <= 4 in t, so its values at five t fix it:
+        # they must be the Leibniz sums of the scalar matrices A + t*B
+        m = _swap_n8() if which == "swap_n8" else planted_quartic_point_model(
+            seed=int(which[-1]))[0]
+        rng = random.Random(which)
+        for _ in range(3):
+            a = [rng.randint(-2, 2) for _ in range(3)]
+            b = [rng.randint(-2, 2) for _ in range(3)]
+            coeffs = _line_quartic(m, a, b)
+            assert len(coeffs) <= 5
+            for t in (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(3)):
+                point = [x + t * y for x, y in zip(a, b)]
+                pencil = [[sum((c * mat[j][k] for c, mat in zip(point, m.matrices)), cyc(0))
+                           for k in range(4)] for j in range(4)]
+                assert qp_eval(coeffs, t) == leibniz(pencil)
+
+    def test_degenerate_pencil_refused(self):
+        # a common left kernel: the first rows of all three matrices are zero
+        rng = random.Random(9)
+        grids = [random_rational_matrix(rng) for _ in range(3)]
+        for g in grids:
+            g[0] = [0, 0, 0, 0]
+        with pytest.raises(InputError) as exc:
+            sample_curve_points(model_from_matrices(grids), Side.FIRST, seed=1, attempts=3)
+        assert exc.value.code == "degenerate-pencil"
 
     def test_empty_result_is_reported_not_raised(self):
         rng = random.Random(40)
@@ -414,16 +450,16 @@ class TestCertificateDecides:
         assert full_smoothness(model_from_matrices(DOUBLE_POINT)) is False
 
     def test_smooth_quartic_over_q_zeta8(self, monkeypatch):
-        x, y, z = (MultiPoly.variable(i, 3) for i in range(3))
+        x, y, z = variables(3)
         # a Klein quartic with unit coefficients
-        q = x**3 * y + y**3 * z * Cyclotomic.zeta(8) + z**3 * x
+        q = power(x, 3) * y + power(y, 3) * z * Cyclotomic.zeta(8) + power(z, 3) * x
         partials = [q.derivative(i) for i in range(3)]
         leads = [leading_term(g)[0] for g in buchberger(partials)]
         assert all(any(sum(m) == m[v] > 0 for m in leads) for v in range(3))
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
         assert quartic_smooth(q) is True
         # singular at (0:0:1), so not certified: it reaches the exact engine
-        singular = x**4 + y**4 * Cyclotomic.zeta(8) + x * y * z * z
+        singular = power(x, 4) + power(y, 4) * Cyclotomic.zeta(8) + x * y * z * z
         with pytest.raises(AssertionError, match="exact engine"):
             quartic_smooth(singular)
 

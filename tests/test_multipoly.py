@@ -1,15 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fano212.cyclotomic import Cyclotomic, cyc
+from conftest import leibniz, power, variables
+from fano212.cyclotomic import Cyclotomic, cyc, euler_phi
 from fano212.multipoly import MultiPoly, maximal_minors, minors, poly_det
-
-
-def variables(nvars):
-    return [MultiPoly.variable(i, nvars) for i in range(nvars)]
 
 
 def random_poly(rng, nvars=3, max_degree=2, nterms=4):
@@ -18,17 +16,6 @@ def random_poly(rng, nvars=3, max_degree=2, nterms=4):
         exps = tuple(rng.randint(0, max_degree) for _ in range(nvars))
         terms[exps] = rng.randint(-4, 4)
     return MultiPoly(nvars, terms)
-
-
-def leibniz(rows):
-    """The determinant as the signed sum over permutations."""
-    total = 0
-    for perm in permutations(range(len(rows))):
-        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        total = total + term
-    return total
 
 
 def test_product_difference_of_squares():
@@ -40,35 +27,24 @@ def test_product_difference_of_squares():
 
 def test_arity_mismatch():
     with pytest.raises(ValueError):
-        MultiPoly.variable(0, 2) + MultiPoly.variable(0, 3)
+        variables(2)[0] + variables(3)[0]
     with pytest.raises(ValueError, match="wrong arity"):
-        MultiPoly.variable(0, 2).evaluate([1, 2, 3])
+        variables(2)[0].evaluate([1, 2, 3])
 
 
-def test_substitute_swap():
-    x, y = variables(2)
-    p = x * x * y
-    swapped = p.substitute({0: y, 1: x})
-    assert swapped == x * y * y
-
-
-def test_substitute_root_of_unity_scaling():
-    x = MultiPoly.variable(0, 1)
-    p = x**4
-    i = Cyclotomic.zeta(4)
-    assert p.substitute({0: x * i}) == p
-    assert p.scale_vars([i]) == p
-
-
-def test_scale_vars_matches_substitute():
+def test_scale_vars_is_a_ring_map():
+    # x_i -> s_i * x_i on the variables and constants, extended as a ring map
     rng = random.Random(3)
     scalars = [cyc(2), Cyclotomic.zeta(4), cyc(Fraction(-1, 2))]
+    for x, s in zip(variables(3), scalars):
+        assert x.scale_vars(scalars) == x * s
+    assert MultiPoly.constant(5, 3).scale_vars(scalars) == MultiPoly.constant(5, 3)
     for _ in range(5):
-        p = random_poly(rng)
-        images = {
-            i: MultiPoly.variable(i, 3) * s for i, s in enumerate(scalars)
-        }
-        assert p.scale_vars(scalars) == p.substitute(images)
+        p, q = random_poly(rng), random_poly(rng)
+        assert (p * q).scale_vars(scalars) == p.scale_vars(scalars) * q.scale_vars(scalars)
+        assert (p + q).scale_vars(scalars) == p.scale_vars(scalars) + q.scale_vars(scalars)
+    x = variables(1)[0]
+    assert power(x, 4).scale_vars([Cyclotomic.zeta(4)]) == power(x, 4)
 
 
 def test_evaluate_is_ring_homomorphic():
@@ -102,10 +78,10 @@ class TestDeterminant:
         assert poly_det(rows) == ls[0] * ls[1] * ls[2] * ls[3]
 
     def test_x_times_identity(self):
-        x = MultiPoly.variable(0, 1)
+        x = variables(1)[0]
         zero = MultiPoly.zero(1)
         rows = [[x if i == j else zero for j in range(4)] for i in range(4)]
-        assert poly_det(rows) == x**4
+        assert poly_det(rows) == power(x, 4)
 
     def test_scalar_entries_match_the_leibniz_sum(self):
         rng = random.Random(12)
@@ -133,10 +109,77 @@ class TestDeterminant:
         assert det == leibniz(rows) and not det.is_zero()
         assert det.is_homogeneous() and det.degree() == size
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_polynomial_entries_match_the_leibniz_sum(self, data):
+        # conductors 1, 3, 4, 5, 8 (N up to 120), a denominator per row, zero
+        # entries and rows, and entries of degree 0-3 in 1-8 variables
+        size = data.draw(st.integers(1, 5), label="size")
+        nvars = data.draw(st.integers(1, 8), label="nvars")
+        zero_row = data.draw(st.none() | st.integers(0, size - 1), label="zero_row")
+        terms = 2 if size < 5 else 1
+
+        def coefficient(den):
+            n = data.draw(st.sampled_from([1, 3, 4, 5, 8]))
+            coords = data.draw(st.lists(st.integers(-3, 3), min_size=euler_phi(n),
+                                        max_size=euler_phi(n)))
+            return Cyclotomic(n, [Fraction(c, den) for c in coords])
+
+        def entry(den):
+            poly = MultiPoly.zero(nvars)
+            for _ in range(data.draw(st.integers(0, terms))):
+                exps = [0] * nvars
+                for v in data.draw(st.lists(st.integers(0, nvars - 1), max_size=3)):
+                    exps[v] += 1
+                poly = poly + MultiPoly(nvars, {tuple(exps): coefficient(den)})
+            return poly
+
+        rows = []
+        for r in range(size):
+            den = data.draw(st.sampled_from([1, 2, 3, 4, 6]))
+            rows.append([MultiPoly.zero(nvars) if r == zero_row else entry(den)
+                         for _ in range(size)])
+        det = poly_det(rows)
+        assert isinstance(det, MultiPoly) and det == MultiPoly.zero(nvars) + leibniz(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from(["int", "Fraction", "Cyclotomic"]), st.data())
+    def test_scalar_matrices_give_a_scalar(self, size, kind, data):
+        def scalar():
+            value = Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3)))
+            if kind == "int":
+                return value.numerator
+            if kind == "Fraction":
+                return value
+            n = data.draw(st.sampled_from([1, 3, 4, 5, 8]))
+            return Cyclotomic.zeta(n, data.draw(st.integers(0, n - 1))) * value
+
+        rows = [[scalar() for _ in range(size)] for _ in range(size)]
+        det = poly_det(rows)
+        assert isinstance(det, Cyclotomic) and det == leibniz(rows)
+
+    def test_mixed_conductors_lift_to_their_lcm(self):
+        x, y = variables(2)
+        z3, z4, z5 = Cyclotomic.zeta(3), Cyclotomic.zeta(4), Cyclotomic.zeta(5)
+        rows = [[x * z3 + y, x * Fraction(1, 2)], [y * z4 - x, x * z5 + y * z3]]
+        det = poly_det(rows)
+        assert det == leibniz(rows) and {c.n for c in det.terms.values()} == {60}
+
+    def test_dense_3x3_at_conductor_504(self):
+        rng = random.Random(504)
+        units = [(1, 0), (0, 1)]
+        rows = [[MultiPoly(2, {u: Cyclotomic(504, [rng.randint(-2, 2) for _ in range(144)])
+                               for u in units}) for _ in range(3)] for _ in range(3)]
+        rows[1][2] = rows[1][2] * Cyclotomic(8, [0, Fraction(1, 3), 0, 1])
+        det = poly_det(rows)
+        assert det == leibniz(rows) and det.degree() == 3
+
     def test_non_square_rejected(self):
-        x = MultiPoly.variable(0, 1)
+        x = variables(1)[0]
         with pytest.raises(ValueError):
             poly_det([[x, x], [x, x], [x, x]])
+        with pytest.raises(ValueError, match="arities"):
+            poly_det([[x, x], [x, variables(2)[0]]])
 
     def test_row_swap_negates(self):
         rng = random.Random(1)
@@ -193,7 +236,7 @@ class TestMaximalMinors:
                 assert f.is_homogeneous()
 
     def test_wrong_shape(self):
-        x = MultiPoly.variable(0, 1)
+        x = variables(1)[0]
         with pytest.raises(ValueError):
             maximal_minors([[x] * 4] * 2)
 
