@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import add
 
 from .cyclotomic import cyc, root_of_unity
-from .linalg import nullspace, solve
+from .linalg import nullspace, rref
 from .model import ModelTriple, combine, determinantal_quartic, quartic_smooth, \
     validate_model, InputError
 from .multipoly import poly_det
@@ -136,89 +138,85 @@ def validate_action(spec: ActionSpec) -> None:
 # -- action on the pencil of forms ----------------------------------------------
 
 
-def _action_image(mat, spec: ActionSpec):
-    """Image of the form matrix M under sigma: D M^T for a swap, A M B for a
-    diagonal action with A = diag(w^a_i), B = diag(w^b_i)."""
-    n = spec.order
+def _sigma_on_entries(spec: ActionSpec):
+    """sigma on the 16 entries c = 4p + q of a form matrix, as three lists:
+    sigma(M)[c] = w^twist[c] * M[source[c]], and tau, sigma^2 (M -> D M D)
+    for a swap and sigma for a diagonal action, scales entry c by w^mu[c]."""
+    n, a = spec.order, spec.weights
+    cells = [(p, q) for p in range(4) for q in range(4)]
+    mu = [(a[p] + (a if spec.swap else spec.weights2)[q]) % n for p, q in cells]
     if spec.swap:
-        d = [root_of_unity(n, r) for r in spec.weights]
-        return tuple(
-            tuple(d[i] * mat[j][i] for j in range(4)) for i in range(4)
-        )
-    a = [root_of_unity(n, r) for r in spec.weights]
-    b = [root_of_unity(n, r) for r in spec.weights2]
-    return tuple(
-        tuple(a[i] * mat[i][j] * b[j] for j in range(4)) for i in range(4)
-    )
-
-
-def action_on_forms(m: ModelTriple, spec: ActionSpec):
-    """3x3 matrix S with image(M_j) = sum_i S[i][j] M_i, or an error when the
-    span of the pencil is not preserved."""
-    validate_action(spec)
-    cols = [[m.matrices[i][j][k] for i in range(3)] for j in range(4) for k in range(4)]
-    s_columns = []
-    for j in range(3):
-        image = _action_image(m.matrices[j], spec)
-        rhs = [image[r][c] for r in range(4) for c in range(4)]
-        x = solve(cols, rhs)
-        if x is None:
-            raise InputError(
-                "pencil-not-invariant",
-                "the action does not preserve the span of the three forms "
-                "(form %d maps outside the pencil)" % (j + 1)
-            )
-        s_columns.append(x)
-    return [[s_columns[j][i] for j in range(3)] for i in range(3)]
-
-
-def _char_poly_3x3(s):
-    """Coefficients (c0, c1, c2, 1) of det(t*I - S)."""
-    tr = s[0][0] + s[1][1] + s[2][2]
-    c2 = -tr
-    minors = (
-        s[1][1] * s[2][2] - s[1][2] * s[2][1]
-        + s[0][0] * s[2][2] - s[0][2] * s[2][0]
-        + s[0][0] * s[1][1] - s[0][1] * s[1][0]
-    )
-    c0 = -poly_det(s)
-    return (c0, minors, c2, cyc(1))
+        return [4 * q + p for p, q in cells], [a[p] for p, _ in cells], mu
+    return list(range(16)), mu, mu
 
 
 def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
-    """Diagonalise the action on the pencil: an eigenbasis M'_j together with
-    the exponents s_j of the eigenvalues w^{s_j}."""
-    s = action_on_forms(m, spec)
+    """Diagonalise the action on the pencil P of three independent forms
+    (validate_model's precondition): an eigenbasis M'_j with the exponents
+    s_j of its eigenvalues w^{s_j}, in ascending order.
+
+    tau scales entry c by w^mu[c] (_sigma_on_entries), so the projection
+    pi_mu onto the block of entries with that mu is a polynomial in tau.
+    - Block ranks.  P lies in the sum of the pi_mu(P), whose dimension is the
+      sum of the ranks of the forms restricted to the blocks, so P is
+      tau-stable exactly when the ranks add up to 3; if sigma-stable, it is.
+    - In-block check.  Then P is the sum of its blocks, and sigma, which
+      commutes with tau, maps each block to itself; so P is sigma-stable
+      exactly when sigma(B_k) lies in the span of each block's echelon basis
+      B: T holds its entries on the pivots, and the others are checked.  For
+      a diagonal action sigma = tau, and each B_k is an eigenvector.
+    - The split.  For a swap T^2 = w^mu, with mu even as the weights share
+      parity, so T is diagonalisable with eigenvalues w^(mu/2) and
+      w^(mu/2 + n/2) = -w^(mu/2): their nullspaces hold the block's
+      eigenvectors, and no eigenvalue is missing.
+    Only a refusal finds the first M_j with sigma(M_j) outside P, for its
+    message, against the echelon form of the three forms.  Every product is
+    taken at the forms' conductor, then rotated by its power of w."""
+    validate_action(spec)
     n = spec.order
-    coeffs = _char_poly_3x3(s)
-    roots = []
-    for k in range(n):
-        lam = root_of_unity(n, k)
-        value = ((coeffs[3] * lam + coeffs[2]) * lam + coeffs[1]) * lam + coeffs[0]
-        if value.is_zero():
-            roots.append(k)
-    vectors = []
-    exponents = []
-    for k in roots:
-        lam = root_of_unity(n, k)
-        shifted = [
-            [s[i][j] - (lam if i == j else cyc(0)) for j in range(3)]
-            for i in range(3)
-        ]
-        for vec in nullspace(shifted):
-            vectors.append(vec)
-            exponents.append(k)
-    if len(vectors) != 3:
-        raise InputError(
-            "not-diagonalisable",
-            "action on the pencil is not diagonalisable over the declared "
-            "root-of-unity eigenvalues (found %d eigenvectors)" % len(vectors)
-        )
-    return InvariantPencil(
-        matrices=tuple(combine(vec, m.matrices) for vec in vectors),
-        exponents=tuple(exponents),
-        spec=spec,
-    )
+    source, twist, mu = _sigma_on_entries(spec)
+
+    def outside(u, basis, pivots, cols):
+        """Whether sigma(u) minus sum of sigma(u)[p] * row over the pivots p
+        and rows of the echelon basis is nonzero at one of the cols."""
+        for c in (c for c in cols if c not in pivots):
+            total = u[source[c]].rotated(n, twist[c])
+            for p, row in zip(pivots, basis):
+                x = u[source[p]] * row[c]
+                if x:
+                    total = total - x.rotated(n, twist[p])
+            if total:
+                return True
+        return False
+
+    rows = [[v for row in mat for v in row] for mat in m.matrices]
+    zero, blocks, found = cyc(0), [], []
+    for k in set(mu):
+        red, pivots = rref([[v if mu[c] == k else zero for c, v in enumerate(row)]
+                            for row in rows])
+        blocks.append((k, red[:len(pivots)], pivots, [c for c in range(16) if mu[c] == k]))
+    if sum(len(block[2]) for block in blocks) != 3 or any(
+            outside(u, *block[1:]) for block in blocks for u in block[1]):
+        red, pivots = rref(rows)
+        j = next(j for j, u in enumerate(rows) if outside(u, red[:3], pivots, range(16)))
+        raise InputError("pencil-not-invariant", "the action does not preserve the span of "
+                         "the three forms (form %d maps outside the pencil)" % (j + 1))
+    for k, basis, pivots, cols in blocks:
+        if not spec.swap:
+            found += [(k, u) for u in basis]
+            continue
+        t = [[u[source[p]].rotated(n, twist[p]) for u in basis] for p in pivots]
+        for s in (k // 2, k // 2 + n // 2):
+            lam = root_of_unity(n, s)
+            for vec in nullspace([[x - lam if i == j else x for j, x in enumerate(row)]
+                                  for i, row in enumerate(t)]):
+                u = [zero] * 16
+                for c in cols:
+                    u[c] = reduce(add, (x * b[c] for x, b in zip(vec, basis)))
+                found.append((s, u))
+    found.sort(key=lambda item: item[0])
+    return InvariantPencil(tuple(tuple(tuple(u[4 * p:4 * p + 4]) for p in range(4))
+                                 for _, u in found), tuple(s for s, _ in found), spec)
 
 
 # -- Picard lattice --------------------------------------------------------------
@@ -263,36 +261,26 @@ def invariant_sublattice(swap: bool):
 # -- random equivariant instances -------------------------------------------------
 
 
+def _matrix(n: int, entries):
+    """The 4x4 matrix over Q(zeta_n) with the entries {(i, j): value}, and 0
+    elsewhere."""
+    return tuple(tuple(entries.get((i, j), cyc(0, n)) for j in range(4)) for i in range(4))
+
+
 def transpose_twist_eigenbasis(n: int, weights, s: int):
     """Basis of the w^s-eigenspace of M -> D M^T on 4x4 matrices, every
     entry in Q(zeta_n)."""
-    basis = []
-    for i in range(4):
-        if (weights[i] - s) % n == 0:
-            mat = [[cyc(0, n)] * 4 for _ in range(4)]
-            mat[i][i] = cyc(1, n)
-            basis.append(tuple(tuple(row) for row in mat))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if (weights[i] + weights[j] - 2 * s) % n == 0:
-                mat = [[cyc(0, n)] * 4 for _ in range(4)]
-                mat[i][j] = root_of_unity(n, weights[i])
-                mat[j][i] = root_of_unity(n, s)
-                basis.append(tuple(tuple(row) for row in mat))
-    return basis
+    basis = [_matrix(n, {(i, i): cyc(1, n)}) for i in range(4) if (weights[i] - s) % n == 0]
+    return basis + [
+        _matrix(n, {(i, j): root_of_unity(n, weights[i]), (j, i): root_of_unity(n, s)})
+        for i in range(4) for j in range(i + 1, 4) if (weights[i] + weights[j] - 2 * s) % n == 0]
 
 
 def diagonal_twist_eigenbasis(n: int, weights, weights2, s: int):
     """Basis of the w^s-eigenspace of M -> A M B on 4x4 matrices, every
     entry in Q(zeta_n)."""
-    basis = []
-    for i in range(4):
-        for j in range(4):
-            if (weights[i] + weights2[j] - s) % n == 0:
-                mat = [[cyc(0, n)] * 4 for _ in range(4)]
-                mat[i][j] = cyc(1, n)
-                basis.append(tuple(tuple(row) for row in mat))
-    return basis
+    return [_matrix(n, {(i, j): cyc(1, n)}) for i in range(4) for j in range(4)
+            if (weights[i] + weights2[j] - s) % n == 0]
 
 
 _ATTEMPTS = 50

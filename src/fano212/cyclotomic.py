@@ -248,8 +248,15 @@ class Cyclotomic:
             return self
         if m % self.n:
             raise ValueError("cannot lift conductor %d into %d" % (self.n, m))
-        num = _reduce_mod_phi(m, _spread(self.num, m // self.n))
-        return Cyclotomic._mk(m, num, self.den)
+        return self.rotated(m, 0)
+
+    def rotated(self, n: int, k: int) -> "Cyclotomic":
+        """self * zeta_n^k in Q(zeta_m), m = lcm(self.n, n): the numerators
+        lifted, shifted by k*m/n and reduced once, with no product.  As zeta
+        is a unit of Z[zeta_m], the denominator stays in lowest terms."""
+        m = lcm(self.n, n)
+        dense = [0] * (k % n * (m // n)) + _spread(self.num, m // self.n)
+        return Cyclotomic._mk(m, _reduce_mod_phi(m, dense), self.den)
 
     def _pair(self, other):
         if isinstance(other, Cyclotomic):

@@ -77,23 +77,6 @@ def nullspace(rows):
     return basis
 
 
-def solve(rows, rhs):
-    """One exact solution of A x = b, or None when inconsistent.
-
-    Free variables are set to zero; with full column rank this is the unique
-    solution.
-    """
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    ncols = len(rows[0])
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [cyc(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
 def proj_normalize(vec):
     """Scale so the first nonzero coordinate is 1."""
     for v in vec:

@@ -15,13 +15,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations, count
 from math import lcm
 from operator import add
 
-from .cyclotomic import (_divmod_monic, _lower_terms, _rational_reconstruction, _trim, cyc,
-                         euler_phi)
+from .cyclotomic import (Cyclotomic, _divmod_monic, _lower_terms, _rational_reconstruction,
+                         _trim, cyc, euler_phi)
 from .groebner import DegreeCapExceeded, projective_empty, unit_mod_p_or_q
 from .linalg import (
     mat_mul,
@@ -100,12 +100,27 @@ def validate_model(m: ModelTriple) -> None:
 
 
 def combine(coeffs, matrices):
-    """The 4x4 matrix sum of c * M over paired coefficients and matrices."""
-    return tuple(
-        tuple(reduce(add, (c * mat[j][k] for c, mat in zip(coeffs, matrices)))
-              for k in range(4))
-        for j in range(4)
-    )
+    """The 4x4 matrix sum of c * M over paired coefficients and matrices.
+
+    A matrix whose c is not rational is multiplied out first.  Then each
+    entry is one sum of integer numerators: with N the lcm of the conductors
+    and D of the denominators d * den(x) of the rational c = a/d and the
+    entries x, it adds a * D / (d * den(x)) times the numerators of x lifted
+    to N, and is brought to lowest terms once."""
+    coeffs = [cyc(c) for c in coeffs]
+    base = lcm(*(c.n for c in coeffs))
+    terms = [(c.num[0], c.den, mat) if c.is_rational() else
+             (1, 1, tuple(tuple(c * x for x in row) for row in mat))
+             for c, mat in zip(coeffs, matrices)]
+    out = []
+    for xs in zip(*([(a, d, x) for row in mat for x in row] for a, d, mat in terms)):
+        n = lcm(base, *[x.n for _, _, x in xs])
+        den = lcm(*[d * x.den for _, d, x in xs])
+        scaled = [[den // (d * x.den) * a * v for v in x.lift(n).num] for a, d, x in xs
+                  if a and x]
+        num = tuple(map(sum, zip(*scaled))) if len(scaled) > 1 else tuple(*scaled)
+        out.append(Cyclotomic._lowest(n, num or (0,) * euler_phi(n), den))
+    return tuple(tuple(out[4 * j:4 * j + 4]) for j in range(4))
 
 
 def _units(nvars: int):

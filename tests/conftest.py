@@ -4,6 +4,7 @@ oracles for the suite."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -19,8 +20,9 @@ from fano212.groebner import (
     leading_term,
     monomial_divides,
 )
-from fano212.linalg import mat_mul, mat_transpose
+from fano212.linalg import mat_mul, mat_transpose, nullspace, rref
 from fano212.model import (
+    InputError,
     coeff_matrix,
     determinantal_quartic,
     model_from_matrices,
@@ -253,6 +255,58 @@ def pencil_eigen_check(pencil) -> bool:
     """The eigen-relation defining the invariant pencil, on each member."""
     return all(eigen_relation_holds(mat, pencil.spec, s)
                for mat, s in zip(pencil.matrices, pencil.exponents))
+
+
+def solve(rows, rhs):
+    """One exact solution of A x = b, or None when inconsistent.  Free
+    variables are set to zero; with full column rank this is the unique
+    solution."""
+    ncols = len(rows[0])
+    red, pivots = rref([list(r) + [v] for r, v in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [cyc(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def action_matrix(m, spec):
+    """The 3x3 matrix S with sigma(M_j) = sum_i S[i][j] M_i, from one solve
+    per form against action_image; InputError("pencil-not-invariant") names
+    the first form whose image leaves the span of the three."""
+    cols = [[mat[j][k] for mat in m.matrices] for j in range(4) for k in range(4)]
+    columns = []
+    for j, mat in enumerate(m.matrices):
+        x = solve(cols, [v for row in action_image(mat, spec) for v in row])
+        if x is None:
+            raise InputError(
+                "pencil-not-invariant",
+                "the action does not preserve the span of the three forms "
+                "(form %d maps outside the pencil)" % (j + 1))
+        columns.append(x)
+    return [[columns[j][i] for j in range(3)] for i in range(3)]
+
+
+def oracle_pencil(m, spec):
+    """The exponents of an eigenbasis of the action on the pencil, ascending:
+    each k in 0..n-1 at which the characteristic polynomial det(S - w^k)
+    vanishes (leibniz), once per vector of the nullspace of S - w^k."""
+    s = action_matrix(m, spec)
+    exponents = []
+    for k in range(spec.order):
+        lam = root_of_unity(spec.order, k)
+        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(s)]
+        if not leibniz(shifted):
+            exponents += [k] * len(nullspace(shifted))
+    return exponents
+
+
+def lifted(text, conductor, k):
+    """An instance text declared at a new conductor, each z^j written z^(kj)."""
+    text = re.sub(r"^conductor = \d+$", "conductor = %d" % conductor, text, flags=re.M)
+    return re.sub(r"z(?:\^(\d+))?", lambda m: "z^%d" % (k * int(m.group(1) or 1)), text)
 
 
 def fiber_section(m, side, point):

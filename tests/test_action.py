@@ -1,25 +1,33 @@
+import os
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DIAGONAL_COMBOS,
     SWAP_COMBOS,
     action_image,
+    action_matrix,
     eigen_relation_holds,
+    lifted,
+    oracle_pencil,
     pencil_eigen_check,
     random_rational_matrix,
+    solve,
     variables,
 )
 
 from fano212.action import (
-    _action_image,
+    _sigma_on_entries,
     E,
     H,
     MINUS_K,
     ActionSpec,
     DivisorClass,
-    action_on_forms,
+    diagonal_twist_eigenbasis,
     invariant_pencil,
     invariant_sublattice,
     involution_fixed_lattice,
@@ -32,8 +40,10 @@ from fano212.action import (
     validate_action,
 )
 from fano212.cyclotomic import cyc, root_of_unity
-from fano212.linalg import mat_mul, matrix_rank, proj_equal, solve
-from fano212.model import InputError, ModelTriple, determinantal_quartic, model_from_matrices
+from fano212.instancefile import parse_instance
+from fano212.linalg import mat_mul, matrix_rank, proj_equal
+from fano212.model import InputError, ModelTriple, combine, determinantal_quartic, \
+    model_from_matrices
 from fano212.multipoly import MultiPoly
 
 
@@ -134,52 +144,86 @@ class TestValidation:
         )
 
 
+def symmetrised(seed, sign):
+    """A model of three random rational forms M + sign * M^T."""
+    rng = random.Random(seed)
+    grids = []
+    for _ in range(3):
+        g = random_rational_matrix(rng)
+        grids.append([[g[i][j] + sign * g[j][i] for j in range(4)] for i in range(4)])
+    return model_from_matrices(grids)
+
+
+def refusal(m, spec, find):
+    """The InputError message of find(m, spec), or None when it returns."""
+    try:
+        find(m, spec)
+    except InputError as exc:
+        assert exc.code == "pencil-not-invariant"
+        return str(exc)
+    return None
+
+
 class TestActionOnForms:
     def test_symmetric_triple_trivial(self):
-        rng = random.Random(2)
-        grids = []
-        for _ in range(3):
-            g = random_rational_matrix(rng)
-            grids.append([[g[i][j] + g[j][i] for j in range(4)] for i in range(4)])
-        m = model_from_matrices(grids)
-        s = action_on_forms(m, ActionSpec(2, (0, 0, 0, 0)))
+        m, spec = symmetrised(2, 1), ActionSpec(2, (0, 0, 0, 0))
+        s = action_matrix(m, spec)
         for i in range(3):
             for j in range(3):
-                expected = cyc(1 if i == j else 0)
-                assert (s[i][j] - expected).is_zero()
+                assert (s[i][j] - cyc(1 if i == j else 0)).is_zero()
+        assert invariant_pencil(m, spec).exponents == (0, 0, 0)
 
     def test_antisymmetric_triple_negates(self):
-        rng = random.Random(3)
-        grids = []
-        for _ in range(3):
-            g = random_rational_matrix(rng)
-            grids.append([[g[i][j] - g[j][i] for j in range(4)] for i in range(4)])
-        m = model_from_matrices(grids)
-        s = action_on_forms(m, ActionSpec(2, (0, 0, 0, 0)))
+        m, spec = symmetrised(3, -1), ActionSpec(2, (0, 0, 0, 0))
+        s = action_matrix(m, spec)
         for i in range(3):
             for j in range(3):
-                expected = cyc(-1 if i == j else 0)
-                assert (s[i][j] - expected).is_zero()
+                assert (s[i][j] - cyc(-1 if i == j else 0)).is_zero()
+        pencil = invariant_pencil(m, spec)
+        assert pencil.exponents == (1, 1, 1)
+        assert pencil_eigen_check(pencil)
 
     def test_image_is_the_matrix_product(self):
+        # sigma moves and twists entries as the matrix product does, and
+        # tau (sigma^2 for a swap, sigma otherwise) scales entry c by w^mu[c]
         rng = random.Random(6)
-        specs = [ActionSpec(n, weights) for n, weights, _ in SWAP_COMBOS]
-        specs += [ActionSpec(n, a, swap=False, weights2=b) for n, a, b, _ in DIAGONAL_COMBOS]
-        for spec in specs:
+        for spec in _specs():
+            source, twist, mu = _sigma_on_entries(spec)
             mat = tuple(tuple(cyc(v) for v in row) for row in random_rational_matrix(rng))
-            assert _action_image(mat, spec) == tuple(map(tuple, action_image(mat, spec)))
+            flat = [v for row in mat for v in row]
+            image = [flat[source[c]] * root_of_unity(spec.order, twist[c]) for c in range(16)]
+            assert image == [v for row in action_image(mat, spec) for v in row]
+            tau = action_image(action_image(mat, spec), spec) if spec.swap else action_image(mat, spec)
+            assert [v for row in tau for v in row] == [
+                v * root_of_unity(spec.order, k) for v, k in zip(flat, mu)]
 
     def test_generic_triple_not_invariant(self):
+        # sigma^2 = id here, so one block holds every entry, and only the
+        # in-block check can refuse
         rng = random.Random(4)
         m = model_from_matrices([random_rational_matrix(rng) for _ in range(3)])
-        with pytest.raises(InputError) as exc:
-            action_on_forms(m, ActionSpec(2, (0, 0, 0, 0)))
-        assert exc.value.code == "pencil-not-invariant"
+        spec = ActionSpec(2, (0, 0, 0, 0))
+        assert set(_sigma_on_entries(spec)[2]) == {0}
+        message = refusal(m, spec, invariant_pencil)
+        assert message == refusal(m, spec, action_matrix) is not None
+        assert "form 1 " in message
+
+    @pytest.mark.parametrize("spec", [
+        ActionSpec(4, (0, 0, 2, 2)),
+        ActionSpec(4, (0, 1, 2, 3), swap=False, weights2=(0, 2, 1, 3)),
+    ], ids=["swap", "diagonal"])
+    def test_generic_triple_leaves_the_blocks(self, spec):
+        # tau has several blocks and a generic pencil is not tau-stable; for
+        # a diagonal action only the block ranks can refuse it
+        rng = random.Random(4)
+        m = model_from_matrices([random_rational_matrix(rng) for _ in range(3)])
+        message = refusal(m, spec, invariant_pencil)
+        assert message == refusal(m, spec, action_matrix) is not None
 
     def test_sigma_squared_consistency(self):
         n, weights, exps = 8, (0, 2, 4, 6), (0, 1, 4)
         m, spec = random_equivariant_model(n, weights, exps, seed=13)
-        s = action_on_forms(m, spec)
+        s = action_matrix(m, spec)
         s_squared = mat_mul(s, s)
         # independent representation of M -> D M D on the pencil
         d = [root_of_unity(n, r) for r in weights]
@@ -198,6 +242,131 @@ class TestActionOnForms:
             assert x is not None
             for i in range(3):
                 assert (s_squared[i][j] - x[i]).is_zero()
+        # the pencil's exponents are the oracle's
+        exponents = oracle_pencil(m, spec)
+        pencil = invariant_pencil(m, spec)
+        assert pencil.exponents == tuple(exponents) == (0, 1, 4)
+        assert pencil_eigen_check(pencil)
+
+
+def _specs():
+    return ([ActionSpec(n, weights) for n, weights, _ in SWAP_COMBOS]
+            + [ActionSpec(n, a, swap=False, weights2=b) for n, a, b, _ in DIAGONAL_COMBOS])
+
+
+def _eigenbasis(spec, s):
+    if spec.swap:
+        return transpose_twist_eigenbasis(spec.order, spec.weights, s)
+    return diagonal_twist_eigenbasis(spec.order, spec.weights, spec.weights2, s)
+
+
+def _drawn_triple(spec, exponents, rng):
+    """Three forms, each an integer combination of the eigenbasis of its
+    exponent, then a random integer change of basis of the pencil; None when
+    they are dependent.  No smoothness is asked for."""
+    forms = [combine([rng.randint(-3, 3) for _ in basis], basis)
+             for basis in (_eigenbasis(spec, s) for s in exponents)]
+    mixed = [combine([rng.randint(-2, 2) for _ in range(3)], forms) for _ in range(3)]
+    m = ModelTriple(tuple(mixed), spec.order)
+    rows = [[v for row in mat for v in row] for mat in mixed]
+    return m if matrix_rank(rows) == 3 else None
+
+
+# the conductors 8k at which the bench declares swap_n8
+LADDER = (8, 16, 24, 40, 56, 72, 120, 168, 240, 280, 360, 504)
+
+
+def _swap_n8_ladder(conductor):
+    path = os.path.join(os.path.dirname(__file__), "data", "swap_n8.txt")
+    with open(path, encoding="utf-8") as handle:
+        inst = parse_instance(lifted(handle.read(), conductor, conductor // 8))
+    return inst.model, inst.spec
+
+
+@st.composite
+def invariant_triples(draw):
+    """(model, spec): a triple drawn from the eigenspaces of a combination
+    in SWAP_COMBOS or DIAGONAL_COMBOS, or swap_n8 lifted up the conductor
+    ladder 8k."""
+    kind = draw(st.sampled_from(["swap", "diagonal", "ladder"]))
+    if kind == "ladder":
+        return _swap_n8_ladder(draw(st.sampled_from(LADDER)))
+    if kind == "swap":
+        n, weights, exponents = draw(st.sampled_from(SWAP_COMBOS))
+        spec = ActionSpec(n, weights)
+    else:
+        n, weights, weights2, exponents = draw(st.sampled_from(DIAGONAL_COMBOS))
+        spec = ActionSpec(n, weights, swap=False, weights2=weights2)
+    m = _drawn_triple(spec, exponents, random.Random(draw(st.integers(0, 10**6))))
+    assume(m is not None)
+    return m, spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariant_triples())
+def test_pencil_matches_the_oracle(case):
+    m, spec = case
+    pencil = invariant_pencil(m, spec)
+    exponents = oracle_pencil(m, spec)
+    assert pencil.exponents == tuple(exponents)
+    assert pencil_eigen_check(pencil)
+    rows = [[v for row in mat for v in row] for mat in list(m.matrices) + list(pencil.matrices)]
+    assert matrix_rank(rows) == 3
+
+
+@st.composite
+def mixed_triples(draw):
+    """(model, spec) under a random spec of the pools, each form drawn as an
+    eigenform, as random integers on the entries of one tau-block, or as
+    random integers on every entry; independent forms only."""
+    spec = draw(st.sampled_from(_specs()))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    mu = _sigma_on_entries(spec)[2]
+    forms = []
+    for kind in draw(st.lists(st.sampled_from(["eigen", "block", "random"]),
+                              min_size=3, max_size=3)):
+        flat = [cyc(0, spec.order)] * 16
+        if kind == "eigen":
+            basis = _eigenbasis(spec, rng.randrange(spec.order))
+            if basis:
+                grid = combine([rng.randint(-3, 3) for _ in basis], basis)
+                flat = [v for row in grid for v in row]
+        else:
+            block = rng.choice(mu)
+            flat = [cyc(rng.randint(-3, 3)) if kind == "random" or k == block else v
+                    for v, k in zip(flat, mu)]
+        forms.append(tuple(tuple(flat[4 * p:4 * p + 4]) for p in range(4)))
+    assume(matrix_rank([[v for row in f for v in row] for f in forms]) == 3)
+    return ModelTriple(tuple(forms), spec.order), spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_triples())
+def test_refusal_matches_the_oracle(case):
+    # the message, form index included, is the oracle's; an accepted pencil
+    # has the oracle's exponents
+    m, spec = case
+    message = refusal(m, spec, invariant_pencil)
+    assert message == refusal(m, spec, action_matrix)
+    if message is None:
+        exponents = oracle_pencil(m, spec)
+        assert invariant_pencil(m, spec).exponents == tuple(exponents)
+
+
+def test_order_1024_reads_the_exponents_off_the_blocks():
+    # the parent's scan over the 1024 roots took about 0.4 s here
+    n = 1024
+    spec = ActionSpec(n, (0, 2, 4, 6))
+    forms = []
+    for s in (1, 2, 3):
+        basis = transpose_twist_eigenbasis(n, spec.weights, s)
+        forms.append(combine([1] * len(basis), basis))
+    m = ModelTriple(tuple(forms), n)
+    started = time.monotonic()
+    pencil = invariant_pencil(m, spec)
+    assert time.monotonic() - started < 0.2
+    assert pencil.exponents == (1, 2, 3)
+    assert pencil_eigen_check(pencil)
 
 
 class TestInvariantPencil:

@@ -1,10 +1,11 @@
 import os
-import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import lifted
 
 from fano212.cyclotomic import Cyclotomic
 from fano212.instancefile import (
@@ -126,12 +127,6 @@ class TestErrors:
         with pytest.raises(InputError) as exc:
             parse_instance(broken)
         assert exc.value.code == "dependent-forms"
-
-
-def lifted(text, conductor, k):
-    """An instance text declared at a new conductor, each z^j written z^(kj)."""
-    text = re.sub(r"^conductor = \d+$", "conductor = %d" % conductor, text, flags=re.M)
-    return re.sub(r"z(?:\^(\d+))?", lambda m: "z^%d" % (k * int(m.group(1) or 1)), text)
 
 
 def entries(inst):

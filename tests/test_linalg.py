@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import solve
+
 from fano212.cyclotomic import Cyclotomic, cyc, cyclotomic_coeffs, euler_phi
-from fano212.linalg import nullspace, rref, solve
+from fano212.linalg import nullspace, rref
 
 # The oracles below work on Fraction coordinate vectors in the power basis of
 # Q(zeta_n): a product is a convolution reduced by long division by Phi_n, an
