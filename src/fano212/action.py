@@ -158,7 +158,8 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
     tau scales entry c by w^mu[c] (_sigma_on_entries), so the projection
     pi_mu onto the block of entries with that mu is a polynomial in tau.
     - Block ranks.  P lies in the sum of the pi_mu(P), whose dimension is the
-      sum of the ranks of the forms restricted to the blocks, so P is
+      sum of the ranks of the forms restricted to the blocks (each block's
+      echelon basis taken on its own columns, a dict), so P is
       tau-stable exactly when the ranks add up to 3; if sigma-stable, it is.
     - In-block check.  Then P is the sum of its blocks, and sigma, which
       commutes with tau, maps each block to itself; so P is sigma-stable
@@ -192,9 +193,10 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
     rows = [[v for row in mat for v in row] for mat in m.matrices]
     zero, blocks, found = cyc(0), [], []
     for k in set(mu):
-        red, pivots = rref([[v if mu[c] == k else zero for c, v in enumerate(row)]
-                            for row in rows])
-        blocks.append((k, red[:len(pivots)], pivots, [c for c in range(16) if mu[c] == k]))
+        cols = [c for c in range(16) if mu[c] == k]
+        red, pivots = rref([[row[c] for c in cols] for row in rows])
+        blocks.append((k, [dict(zip(cols, u)) for u in red[:len(pivots)]],
+                       [cols[i] for i in pivots], cols))
     if sum(len(block[2]) for block in blocks) != 3 or any(
             outside(u, *block[1:]) for block in blocks for u in block[1]):
         red, pivots = rref(rows)
@@ -203,7 +205,7 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
                          "the three forms (form %d maps outside the pencil)" % (j + 1))
     for k, basis, pivots, cols in blocks:
         if not spec.swap:
-            found += [(k, u) for u in basis]
+            found += [(k, [u.get(c, zero) for c in range(16)]) for u in basis]
             continue
         t = [[u[source[p]].rotated(n, twist[p]) for u in basis] for p in pivots]
         for s in (k // 2, k // 2 + n // 2):

@@ -419,7 +419,7 @@ def cyc(value, n: int = 1) -> Cyclotomic:
 # e.g. `1/2*z^3 - 2`, interpreted in Q(zeta_N) for a given conductor N.
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?:(?P<z>z)(?:\^(?P<exp>\d+))?)?$"
+    r"^(?:(?P<num>\d+)(?:/(?P<den>\d+))?\*?)?(?:(?P<z>z)(?:\^(?P<exp>\d+))?)?$"
 )
 
 
@@ -442,7 +442,8 @@ def _excerpt(text: str) -> str:
 
 
 def _literal_terms(text: str) -> list:
-    """The terms of a literal as pairs (coef, exp): a Fraction and the
+    """The terms of a literal as triples (num, den, exp) of ints: the signed
+    numerator and the denominator of the coefficient as written, and the
     exponent of z, or None for a constant term."""
     compact = text.replace(" ", "").replace("\t", "")
     if not compact:
@@ -457,15 +458,17 @@ def _literal_terms(text: str) -> list:
     terms = []
     for sign, body in zip(pieces[::2], pieces[1::2]):
         m = _TERM_RE.match(body)
-        if not m or (m.group("coef") is None and m.group("z") is None):
+        if not m or (m.group("num") is None and m.group("z") is None):
             raise LiteralError("bad term %r in literal %r" % (_excerpt(body), _excerpt(text)))
         try:
-            coef = Fraction(m.group("coef") or 1)
+            num, den = int(m.group("num") or 1), int(m.group("den") or 1)
             exp = int(m.group("exp") or 1) if m.group("z") else None
-        except (ValueError, ZeroDivisionError):
+        except ValueError:  # a number over the 4300 digits that int() reads
+            den = 0
+        if not den:
             raise LiteralError("term %r has a zero denominator or a number over "
                                "4300 digits" % body[:40])
-        terms.append((-coef if sign == "-" else coef, exp))
+        terms.append((-num if sign == "-" else num, den, exp))
     return terms
 
 
@@ -473,13 +476,13 @@ def _fold_terms(terms, conductor: int, n: int) -> Cyclotomic:
     """The sum of coef * zeta_conductor^exp over the terms of a literal, as an
     element of Q(zeta_n) by zeta_conductor^e = zeta_n^(e*n/conductor): n must
     divide conductor and conductor/n every exponent.  The terms are summed as
-    one integer vector over one denominator, reduced once by Phi_n."""
+    one integer vector over the lcm of their denominators, reduced once by
+    Phi_n and brought to lowest terms once."""
     step = conductor // n
-    den = lcm(*(coef.denominator for coef, _ in terms))
+    den = lcm(*(d for _, d, _ in terms))
     dense = [0] * n
-    for coef, exp in terms:
-        dense[0 if exp is None else exp % conductor // step] += (
-            coef.numerator * (den // coef.denominator))
+    for num, d, exp in terms:
+        dense[0 if exp is None else exp % conductor // step] += num * (den // d)
     return Cyclotomic._lowest(n, _reduce_mod_phi(n, dense), den)
 
 

@@ -393,23 +393,24 @@ def _fp_field(n: int):
             return p, r
 
 
+def _fp_value(coef, n: int, prime: int, powers) -> int | None:
+    """The image of a Cyclotomic in F_p: zeta_n maps to powers[1] = r, so
+    the zeta_c of conductor c maps to powers[n // c].  None when p divides
+    the denominator."""
+    if coef.den % prime == 0:
+        return None
+    step = n // coef.n
+    value = sum(c * powers[k * step] for k, c in enumerate(coef.num) if c)
+    if coef.den != 1:
+        value *= pow(coef.den, -1, prime)
+    return value % prime
+
+
 def _fp_terms(poly: MultiPoly, n: int, prime: int, powers) -> dict | None:
-    """The image of poly in F_p[x]: zeta_n maps to powers[1] = r, so the
-    zeta_c of a coefficient of conductor c maps to powers[n // c].  None
-    when a denominator is divisible by p: as p is prime, that is when p
-    divides the common denominator, the lcm of the coefficients' ones."""
-    terms = {}
-    for mono, coef in poly.terms.items():
-        if coef.den % prime == 0:
-            return None
-        step = n // coef.n
-        value = sum(c * powers[k * step] for k, c in enumerate(coef.num) if c)
-        if coef.den != 1:
-            value *= pow(coef.den, -1, prime)
-        value %= prime
-        if value:
-            terms[mono] = value
-    return terms
+    """The image of poly in F_p[x] (_fp_value), or None when p divides a
+    denominator, that is, as p is prime, the lcm of the coefficients' ones."""
+    terms = {mono: _fp_value(coef, n, prime, powers) for mono, coef in poly.terms.items()}
+    return None if None in terms.values() else {mono: v for mono, v in terms.items() if v}
 
 
 def _mod_p_basis(generators):

@@ -214,7 +214,7 @@ def parse_instance(text: str) -> Instance:
                     terms = _literal_terms(entry)
                 except LiteralError as exc:
                     raise ParseError(lineno, str(exc), code="bad-literal")
-                g = gcd(g, *(e for _, e in terms if e is not None))
+                g = gcd(g, *(e for *_, e in terms if e is not None))
                 row.append(terms)
             grid.append(row)
         grids.append(grid)

@@ -22,7 +22,8 @@ from operator import add
 
 from .cyclotomic import (Cyclotomic, _divmod_monic, _lower_terms, _rational_reconstruction,
                          _trim, cyc, euler_phi)
-from .groebner import DegreeCapExceeded, projective_empty, unit_mod_p_or_q
+from .groebner import (DegreeCapExceeded, _fp_field, _fp_value, projective_empty,
+                       unit_mod_p_or_q)
 from .linalg import (
     mat_mul,
     mat_transpose,
@@ -87,13 +88,42 @@ def model_from_matrices(ms) -> ModelTriple:
 
 
 def validate_model(m: ModelTriple) -> None:
-    """Reject triples whose three bilinear forms are linearly dependent."""
+    """Reject triples whose three bilinear forms are linearly dependent.
+
+    Rank 3 of the forms' image in F_p certifies rank 3 over Q(zeta_N), for N
+    the lcm of the entries' conductors and (p, r) from _fp_field(N); only a
+    lower rank mod p, or p dividing a denominator, takes the exact rank.  As
+    r is a root of Phi_N mod p, zeta_N -> r is a ring map from Z[zeta_N][1/D]
+    to F_p when p does not divide D, the lcm of the denominators: a 3x3 minor
+    of the forms maps to that minor of the image, and one nonzero mod p is
+    nonzero before reduction."""
     rows = [[v for row in mat for v in row] for mat in m.matrices]
+    n = lcm(*(v.n for row in rows for v in row))
+    setup = _fp_field(n)
+    if setup is not None:
+        prime, r = setup
+        powers = [pow(r, k, prime) for k in range(n)]
+        image = [[_fp_value(v, n, prime, powers) for v in row] for row in rows]
+        if not any(None in row for row in image) and _rank_mod_p(image, prime) == 3:
+            return
     if matrix_rank(rows) != 3:
         raise InputError(
             "dependent-forms",
             "the three bilinear forms are linearly dependent",
         )
+
+
+def _rank_mod_p(rows, prime: int) -> int:
+    """The rank of a matrix of residues mod the prime: each nonzero row in
+    turn is a pivot row, cleared from the rows after it."""
+    rank = 0
+    while rows:
+        top, *rows = rows
+        col = next((c for c, x in enumerate(top) if x), None)
+        if col is not None:
+            f, rank = pow(top[col], -1, prime), rank + 1
+            rows = [[(x - r[col] * f * y) % prime for x, y in zip(r, top)] for r in rows]
+    return rank
 
 
 # -- the pencil, forms and matrices of linear forms -------------------------------
@@ -129,7 +159,6 @@ def _units(nvars: int):
 
 
 _X3, _X4, _X8 = _units(3), _units(4), _units(8)
-_T = [(0,), (1,)]  # 1 and t, for a matrix A + t*B
 # x_j * y_k in x0..x3, y0..y3, in the row-major order of a matrix's entries
 _XY = [tuple(map(add, x, y)) for x in _X8[:4] for y in _X8[4:]]
 
@@ -281,29 +310,16 @@ def curve_point_to_quartic_point(m: ModelTriple, c, side: Side = Side.FIRST):
     c = [cyc(v) for v in c]
     # row i is c^T M_i, the matrix of linear forms at c
     scalar_rows = [mat_mul([c], mat)[0] for mat in m.sided(side).matrices]
-    rank = matrix_rank(scalar_rows)
-    if rank != 2:
-        raise ValueError(
-            "matrix of linear forms has rank %d at the point, expected 2" % rank
-        )
-    # the kernel of the columns gives the pencil coefficients
+    # the kernel of the columns gives the pencil coefficients, and the rank,
+    # 3 minus its dimension
     kernel = nullspace(mat_transpose(scalar_rows))
     if len(kernel) != 1:
-        raise ValueError("pencil coefficient kernel is not one-dimensional")
+        raise ValueError("matrix of linear forms has rank %d at the point, expected 2"
+                         % (3 - len(kernel)))
     return tuple(proj_normalize(kernel[0]))
 
 
 # -- exact curve-point search ----------------------------------------------------
-
-
-def _univariate_coeffs(p: MultiPoly, var: int):
-    coeffs = {}
-    for exps, coef in p.terms.items():
-        if any(e and i != var for i, e in enumerate(exps)):
-            raise ValueError("polynomial is not univariate in the given variable")
-        coeffs[exps[var]] = coef
-    degree = max(coeffs, default=0)
-    return [coeffs.get(k, cyc(0)) for k in range(degree + 1)]
 
 
 def _poly_gcd(a, b):
@@ -379,12 +395,28 @@ def _rational_roots(coeffs):
     return roots
 
 
-def _line_quartic(m: ModelTriple, a, b) -> list:
-    """The determinantal quartic on the line a + t*b, as its coefficients in
-    t (constant first): det(A + t*B) for A = combine(a, M), B = combine(b, M)."""
-    line = zip(combine(a, m.matrices), combine(b, m.matrices))
-    return _univariate_coeffs(
-        poly_det([[_form(ab, _T) for ab in zip(*rows)] for rows in line]), 0)
+def _line_quartic(q: MultiPoly, a, b) -> list:
+    """q(a + t*b) for a polynomial q in three variables and integer points
+    a, b: its coefficients in t, constant first, up to the last nonzero one.
+    The t^j coefficient is one integer sum, over the terms c*x^e, of the
+    numerators of c (over the lcm of the conductors and of the denominators)
+    times the t^j coefficient of prod (a_i + t*b_i)^e_i, reduced once."""
+    n = lcm(*(c.n for c in q.terms.values()))
+    den = lcm(*(c.den for c in q.terms.values()))
+    sums = [[0] * euler_phi(n) for _ in range(q.degree() + 1)]
+    for e, c in q.terms.items():
+        line = [den // c.den]
+        for x, y, k in zip(a, b, e):
+            for _ in range(k):
+                line = [x * u + y * v for u, v in zip(line + [0], [0] + line)]
+        num = c.lift(n).num
+        for total, w in zip(sums, line):
+            if w:
+                total[:] = [s + w * v for s, v in zip(total, num)]
+    coeffs = [Cyclotomic._lowest(n, tuple(total), den) for total in sums]
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 def sample_curve_points(m: ModelTriple, side: Side = Side.FIRST, seed: int = 0,
@@ -392,8 +424,10 @@ def sample_curve_points(m: ModelTriple, side: Side = Side.FIRST, seed: int = 0,
     """Search for rational points on the blowdown centre.
 
     Each attempt draws two points a, b of P2 with coordinates in -2..2 and
-    restricts the determinantal quartic to the line a + t*b as det(A + t*B),
-    a determinant in the one variable t (_line_quartic).  It takes the exact
+    restricts the determinantal quartic q, computed once, to the line a + t*b
+    as q(a + t*b), a polynomial in the one variable t (_line_quartic); it
+    equals det(A + t*B) for the pencil members A at a and B at b, as the
+    pencil matrix is linear in its coefficients.  It takes the exact
     rational roots t (a line on which the quartic is constant in t is
     skipped), and maps each point a + t*b to the sided centre with
     quartic_point_to_curve_point.  A point where that map raises ValueError
@@ -405,12 +439,12 @@ def sample_curve_points(m: ModelTriple, side: Side = Side.FIRST, seed: int = 0,
     point was found, which callers should report as a skipped roundtrip.
     """
     rng = random.Random(seed)
-    determinantal_quartic(m)  # refuses a degenerate pencil
+    q = determinantal_quartic(m)  # refuses a degenerate pencil
     found = []
     for _ in range(attempts):
         a = [rng.randint(-2, 2) for _ in range(3)]
         b = [rng.randint(-2, 2) for _ in range(3)]
-        coeffs = _line_quartic(m, a, b)
+        coeffs = _line_quartic(q, a, b)
         if len(coeffs) < 2:
             continue
         for root in _rational_roots(coeffs):

@@ -346,6 +346,18 @@ def groebner(generators):
     return _unpacked(_interreduce(basis, _guard(w, nvars)), w, nvars)
 
 
+def univariate_coeffs(p: MultiPoly, var: int):
+    """The coefficients of a polynomial in the one variable var, constant
+    term first, as Cyclotomic values."""
+    coeffs = {}
+    for exps, coef in p.terms.items():
+        if any(e and i != var for i, e in enumerate(exps)):
+            raise ValueError("polynomial is not univariate in the given variable")
+        coeffs[exps[var]] = coef
+    degree = max(coeffs, default=0)
+    return [coeffs.get(k, cyc(0)) for k in range(degree + 1)]
+
+
 def qp_eval(p, t):
     """The value at t of a polynomial in t, its coefficients constant term
     first."""

@@ -288,6 +288,13 @@ class TestLiterals:
         assert parse("-z^2+1", 8) == 1 - Cyclotomic.zeta(8, 2)
         assert parse(" 3 ", 2) == 3
 
+    def test_unreduced_coefficients_fold_to_lowest_terms(self):
+        # the terms keep the integers as written; the fold reduces once
+        assert _literal_terms("2/4*z - 6/3") == [(2, 4, 1), (-6, 3, None)]
+        for n in (4, 8, 12):
+            a, b = parse("2/4*z - 6/3", n), parse("1/2*z - 2", n)
+            assert (a.n, a.num, a.den) == (b.n, b.num, b.den) == (n, a.num, 2)
+
     def test_exponent_reduction(self):
         assert parse("z^9", 8) == Cyclotomic.zeta(8, 1)
         assert parse("z^4", 4) == 1

@@ -1,8 +1,9 @@
 """Static checks on the source: in the package, the tests and the scripts
 every imported name is used and every import is at module level; the
-package imports nothing outside the standard library, every public
-module-level name of it is read by the package, a script or the bench, and
-the error codes it raises are the ones README's table lists."""
+package imports nothing outside the standard library, every module-level
+name of it but a dunder, and every public method, is read by the package, a
+script or the bench, and the error codes it raises are the ones README's
+table lists."""
 
 import ast
 import os
@@ -120,35 +121,39 @@ def names_read(source: str):
     return read
 
 
-def unread_public_names(source: str, read):
-    """(line, name) of each public module-level function, class or assigned
-    name, and of each public method or property of a module-level class, of
-    the source that is not in the set of names read."""
+def unread_names(source: str, read):
+    """(line, name) of each module-level function, class or assigned name
+    that is not a dunder, private ones included, and of each public method
+    or property of a module-level class, of the source that is not in the
+    set of names read."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = []
     for node in ast.parse(source).body:
         if isinstance(node, functions + (ast.ClassDef,)):
             defined.append((node.lineno, node.name))
         if isinstance(node, ast.ClassDef):
-            defined += [(f.lineno, f.name) for f in node.body if isinstance(f, functions)]
+            defined += [(f.lineno, f.name) for f in node.body
+                        if isinstance(f, functions) and not f.name.startswith("_")]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
     return [(line, name) for line, name in defined
-            if not name.startswith("_") and name not in read]
+            if not (name.startswith("__") and name.endswith("__")) and name not in read]
 
 
 def test_checker_flags_an_unread_public_name():
+    # a private module-level name counts (_C, _u); a dunder and a private
+    # method do not
     source = (
         "import os\nA = 1\nB: int = 2\n_C = 3\ndef f():\n    return A\n"
         "class K:\n    def dead(self):\n        pass\n    @property\n"
         "    def p(self):\n        pass\n    def __len__(self):\n        return 0\n"
         "    def _h(self):\n        pass\n    def r(self):\n        pass\n"
-        "def g():\n    pass\n"
+        "def g():\n    pass\n__all__ = []\n_D = 4\ndef _u():\n    return _D\n"
     )
     read = names_read(source) | names_read("from m import f\nimport m\nm.K().r()\n")
-    assert unread_public_names(source, read) == [
-        (3, "B"), (8, "dead"), (11, "p"), (19, "g")
+    assert unread_names(source, read) == [
+        (3, "B"), (4, "_C"), (8, "dead"), (11, "p"), (19, "g"), (23, "_u")
     ]
 
 
@@ -174,7 +179,7 @@ def project_reads():
 @pytest.mark.parametrize("module", MODULES)
 def test_public_names_are_read(module, project_reads):
     with open(os.path.join(SRC, module), encoding="utf-8") as handle:
-        assert unread_public_names(handle.read(), project_reads) == []
+        assert unread_names(handle.read(), project_reads) == []
 
 
 def error_codes(source: str):

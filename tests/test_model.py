@@ -1,8 +1,11 @@
 import os
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     fiber_section,
@@ -11,10 +14,12 @@ from conftest import (
     power,
     qp_eval,
     random_rational_matrix,
+    univariate_coeffs,
     variables,
 )
 
 from fano212 import groebner as groebner_module
+from fano212 import linalg as linalg_module
 from fano212 import model as model_module
 from fano212.cyclotomic import Cyclotomic, cyc
 from fano212.groebner import (
@@ -24,6 +29,7 @@ from fano212.groebner import (
     is_unit_ideal,
     leading_term,
 )
+from fano212.action import random_diagonal_model, random_equivariant_model
 from fano212.instancefile import load_instance
 from fano212.linalg import proj_equal
 from fano212.model import (
@@ -33,7 +39,6 @@ from fano212.model import (
     SmoothnessInconclusive,
     _line_quartic,
     _rational_roots,
-    _univariate_coeffs,
     bilinear_forms,
     coeff_matrix,
     curve_point_to_quartic_point,
@@ -77,6 +82,50 @@ class TestValidation:
         m = model_from_matrices([identity4(), identity4(), e_matrix(0, 0)])
         with pytest.raises(model_module.InvalidModel) as exc:
             validate_model(m)
+        assert exc.value.code == "dependent-forms"
+
+
+def _exact_ranks(monkeypatch):
+    """The matrices whose exact rank validate_model takes, recorded."""
+    seen = []
+
+    def recorded(rows):
+        seen.append(rows)
+        return linalg_module.matrix_rank(rows)
+
+    monkeypatch.setattr(model_module, "matrix_rank", recorded)
+    return seen
+
+
+class TestIndependenceCertificate:
+    def test_rank_three_mod_p_needs_no_exact_rank(self, monkeypatch):
+        seen = _exact_ranks(monkeypatch)
+        validate_model(model_from_matrices([identity4(), e_matrix(0, 1), e_matrix(2, 3)]))
+        assert seen == []
+
+    def test_dependent_mod_p_only_is_accepted(self, monkeypatch):
+        # M3 = M1 + p*E00 is independent of M1, M2 over Q, and M3 = M1 mod p
+        p = _fp_field(1)[0]
+        m3 = identity4()
+        m3[0][0] += p
+        seen = _exact_ranks(monkeypatch)
+        validate_model(model_from_matrices([identity4(), e_matrix(0, 1), m3]))
+        assert len(seen) == 1
+
+    def test_denominator_divisible_by_p_takes_the_exact_rank(self, monkeypatch):
+        m1 = identity4()
+        m1[1][2] = Fraction(1, _fp_field(1)[0])
+        seen = _exact_ranks(monkeypatch)
+        validate_model(model_from_matrices([m1, e_matrix(0, 1), e_matrix(2, 3)]))
+        assert len(seen) == 1
+
+    def test_dependent_forms_over_q_zeta_8_refused(self):
+        rng, zeta = random.Random(5), Cyclotomic.zeta(8)
+        m1, m2 = (random_rational_matrix(rng) for _ in range(2))
+        m1[0][1] = zeta ** 3
+        m3 = [[zeta * x + y for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
+        with pytest.raises(InputError) as exc:
+            validate_model(model_from_matrices([m1, m2, m3]))
         assert exc.value.code == "dependent-forms"
 
 
@@ -322,9 +371,13 @@ class TestCurveQuarticMaps:
             quartic_point_to_curve_point(m, [0, 0, 0], Side.FIRST)
 
     def test_point_off_centre_rejected(self, planted_model):
+        # the message gives the rank of the matrix of linear forms at the point
         m, _ = planted_model
-        with pytest.raises(ValueError):
-            curve_point_to_quartic_point(m, [cyc(1), cyc(2), cyc(-1), cyc(3)], Side.FIRST)
+        for point, rank in (((1, 2, -1, 3), 3), ((0, 0, 0, 0), 0)):
+            for side in Side:
+                with pytest.raises(ValueError, match="^matrix of linear forms has rank %d at "
+                                   "the point, expected 2$" % rank):
+                    curve_point_to_quartic_point(m, point, side)
 
 
 T = variables(1)[0]
@@ -346,9 +399,25 @@ ZETA8 = Cyclotomic.zeta(8)
     ],
 )
 def test_rational_roots(poly, roots):
-    found = _rational_roots(_univariate_coeffs(poly, 0))
+    found = _rational_roots(univariate_coeffs(poly, 0))
     assert len(found) == len(roots)
     assert set(found) == roots
+
+
+LINE_MODELS = ["planted-7", "planted-8", "swap_n8", "generated-swap", "generated-diagonal"]
+PLANTED_POINT = (1, 1, 2)  # planted_quartic_point_model's point
+LINE_POINTS = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+@cache
+def line_model(which):
+    if which == "swap_n8":
+        return _swap_n8()
+    if which == "generated-swap":
+        return random_equivariant_model(8, (0, 2, 4, 6), (0, 1, 4), seed=3)[0]
+    if which == "generated-diagonal":
+        return random_diagonal_model(4, (0, 1, 2, 3), (0, 2, 1, 3), (0, 0, 1), seed=3)[0]
+    return planted_quartic_point_model(seed=int(which[-1]))[0]
 
 
 class TestSampleCurvePoints:
@@ -367,23 +436,21 @@ class TestSampleCurvePoints:
             q = determinantal_quartic(m)
             assert q.evaluate(list(back)).is_zero()
 
-    @pytest.mark.parametrize("which", ["planted-7", "planted-8", "swap_n8"])
-    def test_line_quartic_matches_scalar_determinants(self, which):
-        # det(A + t*B) has degree <= 4 in t, so its values at five t fix it:
-        # they must be the Leibniz sums of the scalar matrices A + t*B
-        m = _swap_n8() if which == "swap_n8" else planted_quartic_point_model(
-            seed=int(which[-1]))[0]
-        rng = random.Random(which)
-        for _ in range(3):
-            a = [rng.randint(-2, 2) for _ in range(3)]
-            b = [rng.randint(-2, 2) for _ in range(3)]
-            coeffs = _line_quartic(m, a, b)
-            assert len(coeffs) <= 5
-            for t in (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(3)):
-                point = [x + t * y for x, y in zip(a, b)]
-                pencil = [[sum((c * mat[j][k] for c, mat in zip(point, m.matrices)), cyc(0))
-                           for k in range(4)] for j in range(4)]
-                assert qp_eval(coeffs, t) == leibniz(pencil)
+    @pytest.mark.parametrize("which", LINE_MODELS)
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.one_of(st.just(PLANTED_POINT), LINE_POINTS),
+           b=st.one_of(st.just((0, 0, 0)), LINE_POINTS))
+    def test_line_quartic_matches_scalar_determinants(self, which, a, b):
+        # q(a + t*b) has degree <= 4 in t, so its values at five t fix it:
+        # they must be the Leibniz sums of the pencil members at a + t*b
+        m = line_model(which)
+        coeffs = _line_quartic(determinantal_quartic(m), a, b)
+        assert 1 <= len(coeffs) <= 5 and (len(coeffs) == 1 or coeffs[-1])
+        for t in (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(3)):
+            point = [x + t * y for x, y in zip(a, b)]
+            pencil = [[sum((c * mat[j][k] for c, mat in zip(point, m.matrices)), cyc(0))
+                       for k in range(4)] for j in range(4)]
+            assert qp_eval(coeffs, t) == leibniz(pencil)
 
     def test_degenerate_pencil_refused(self):
         # a common left kernel: the first rows of all three matrices are zero
