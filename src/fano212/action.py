@@ -17,9 +17,9 @@ from math import gcd
 from operator import add
 
 from .cyclotomic import cyc, root_of_unity
+from .groebner import empty_mod_p
 from .linalg import nullspace, rref
-from .model import ModelTriple, combine, determinantal_quartic, quartic_smooth, \
-    validate_model, InputError
+from .model import ModelTriple, combine, determinantal_quartic, validate_model, InputError
 from .multipoly import poly_det
 
 
@@ -292,7 +292,11 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
     """Draw each form from the eigenspace eigenbasis(s) of its exponent s,
     with integer coefficients in -3..3, then change the basis of the pencil
     by a random invertible integer matrix with entries in -2..2.  Resample,
-    _ATTEMPTS draws at most, until the determinantal quartic is smooth."""
+    _ATTEMPTS draws at most, until the partials of the determinantal quartic
+    have an empty locus mod p (empty_mod_p), which proves it smooth over
+    Qbar.  Any other draw is dropped unproved, as a rejection needs no proof:
+    a quartic smooth over Q but singular mod p is resampled too, which may
+    change the draw returned but not that it is smooth."""
     n = spec.order
     bases = []
     for s in exponents:
@@ -320,8 +324,8 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
         except InputError as exc:
             failure = str(exc)
             continue
-        if not quartic_smooth(q):
-            failure = "determinantal quartic is singular"
+        if not empty_mod_p([q.derivative(i) for i in range(3)])[0]:
+            failure = "determinantal quartic is singular mod p"
             continue
         return model, spec
     raise InputError("no-smooth-instance", "no smooth instance in %d attempts "

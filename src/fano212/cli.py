@@ -146,7 +146,8 @@ def cmd_smooth(inst: Instance, args, report: Report) -> int:
     q = determinantal_quartic(inst.model)
     smooth_q = quartic_smooth(q)
     report.put("quartic.smooth", smooth_q)
-    rank_ok = rank_locus_check(inst.model, Side.FIRST)
+    # a smooth quartic has no rank-<=1 point (rank_locus_check)
+    rank_ok = smooth_q or rank_locus_check(inst.model, Side.FIRST)
     report.put("rank-locus.no-rank-le-1", rank_ok)
     ok = smooth_q and rank_ok
     if args.full:

@@ -507,32 +507,40 @@ def _empty_locus(leads, nvars: int) -> bool:
     return all(any(m[var] == sum(m) for m in leads) for var in range(nvars))
 
 
+def empty_mod_p(generators):
+    """(empty, run) for homogeneous generators, not all zero: the run of
+    _mod_p_basis (None when there is none), and whether its leads show an
+    empty projective locus mod p.  Only empty = True proves anything: a
+    common zero over Qbar, scaled so that its coordinates are integral at a
+    prime above p and one of them is a unit there, reduces to a common zero
+    over the algebraic closure of F_p of the generators' images, since every
+    coefficient lies in Z_(p)[zeta_N] and zeta_N reduces to r.  So an ideal
+    with no projective zero mod p has none over Qbar."""
+    run = _mod_p_basis(generators)
+    nvars = generators[0].nvars
+    return run is not None and _empty_locus(
+        [_unpack(lm, run[1], nvars) for lm, _ in run[0]], nvars), run
+
+
 def projective_empty(generators) -> bool:
     """True iff the homogeneous ideal has empty vanishing locus in projective
     space: its leading ideal must contain a pure power of every variable.
 
-    The test runs mod p first (_mod_p_basis), and an empty locus mod p is
-    final.  It is sound: a common zero over Qbar, scaled so that its
-    coordinates are integral at a prime above p and one of them is a unit
-    there, reduces to a common zero over the algebraic closure of F_p of the
-    generators' images, since every coefficient lies in Z_(p)[zeta_N] and
-    zeta_N reduces to r.  So an ideal with no projective zero mod p has none
-    over Qbar.  A locus not empty mod p is final once the run's lift holds
+    The test runs mod p first, and an empty locus mod p (empty_mod_p) is
+    final.  A locus not empty mod p is final once the run's lift holds
     (_lift_holds); any other run, or none, goes to the exact engine."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return False
     if any(not g.is_homogeneous() for g in gens):
         raise NonHomogeneousIdeal("projective emptiness needs homogeneous input")
-    nvars = gens[0].nvars
-    run = _mod_p_basis(gens)
-    if run is not None and _empty_locus(
-            [_unpack(lm, run[1], nvars) for lm, _ in run[0]], nvars):
+    empty, run = empty_mod_p(gens)
+    if empty:
         return True
     if run is not None and _lift_holds(gens, run):
         return False
     basis = buchberger(gens)
-    return _empty_locus([leading_term(g)[0] for g in basis], nvars)
+    return _empty_locus([leading_term(g)[0] for g in basis], gens[0].nvars)
 
 
 # -- Hilbert polynomials --------------------------------------------------------

@@ -221,7 +221,15 @@ def quartic_smooth(q: MultiPoly) -> bool:
 
 def rank_locus_check(m: ModelTriple, side: Side = Side.FIRST) -> bool:
     """True iff the matrix of linear forms never drops to rank <= 1 on P3:
-    the 18 2x2 minors have empty projective vanishing locus."""
+    the 18 2x2 minors have empty projective vanishing locus.
+
+    A smooth determinantal quartic implies True, so `smooth` asks only when
+    quartic_smooth is False.  Say L(x), the 3x4 matrix with rows x^T M_i, has
+    rank <= 1 at some x != 0.  The a with x^T M(a) = 0 then form a space of
+    dimension >= 2, so det M(a) vanishes on a line l in P2; it is not
+    identically zero (determinantal_quartic refuses that), so it is l*C for
+    a cubic C, and it is singular on the nonempty l meet C.  The same holds
+    on the second side with the transposes."""
     quadrics = [f for f in minors(coeff_matrix(m, side), 2) if not f.is_zero()]
     if not quadrics:
         return False
@@ -255,6 +263,10 @@ def full_smoothness(m: ModelTriple) -> bool:
     dehomogenised: setting x_i = y_j = 1 is a ring map that commutes with
     the derivative in every chart variable, so they equal the minors of the
     chart's own Jacobian, in the same order.
+
+    The quartic decides the same question (X is smooth iff det M(a) is), and
+    `smooth` answers from it; this chart-wise run shares none of that
+    argument, so `smooth --full` keeps it as the independent oracle.
     """
     validate_model(m)
     forms = bilinear_forms(m)

@@ -193,6 +193,16 @@ def singular_quartic_model(seed: int, entry_range=1):
             return model
 
 
+def rank_one_at_vertex_model():
+    """A valid model whose linear-form matrix has rank 1 at x = e0: M2 and M3
+    have a zero first row, so only the first row of M1 is left there."""
+    rng = random.Random(31)
+    g1, g2, g3 = (random_rational_matrix(rng) for _ in range(3))
+    g2[0] = [0, 0, 0, 0]
+    g3[0] = [0, 0, 0, 0]
+    return model_from_matrices([g1, g2, g3])
+
+
 def _intersect(d1, d2, d3):
     """Triple intersection on X of classes x*H1 + y*H2, given as (x, y):
     H1^3 = H2^3 = 1 and H1^2*H2 = H1*H2^2 = 3."""

@@ -43,7 +43,7 @@ from fano212.cyclotomic import cyc, root_of_unity
 from fano212.instancefile import parse_instance
 from fano212.linalg import mat_mul, matrix_rank, proj_equal
 from fano212.model import InputError, ModelTriple, combine, determinantal_quartic, \
-    model_from_matrices
+    model_from_matrices, quartic_smooth
 from fano212.multipoly import MultiPoly
 
 
@@ -487,6 +487,16 @@ class TestGenerators:
         with pytest.raises(InputError) as exc:
             random_equivariant_model(2, (0, 0, 0, 0), (1, 1, 1), seed=5)
         assert exc.value.code == "no-smooth-instance"
+
+    @pytest.mark.parametrize("cell", SWAP_COMBOS + DIAGONAL_COMBOS, ids=str)
+    def test_returned_models_pass_the_full_quartic_check(self, cell):
+        # the generator accepts a draw on its mod-p witness alone; the whole
+        # quartic_smooth, with its lift and exact fallback, must agree
+        if len(cell) == 3:
+            m, _ = random_equivariant_model(*cell, seed=0)
+        else:
+            m, _ = random_diagonal_model(*cell, seed=0)
+        assert quartic_smooth(determinantal_quartic(m)) is True
 
     def test_empty_eigenspace_detected(self):
         with pytest.raises(InputError) as exc:

@@ -6,8 +6,10 @@ from math import lcm
 
 import pytest
 
+from conftest import rank_one_at_vertex_model
+
 from fano212 import cohomology
-from fano212.action import random_diagonal_model
+from fano212.action import ActionSpec, random_diagonal_model
 from fano212.cli import main
 from fano212.cohomology import CohTable
 from fano212.instancefile import Instance, save_instance
@@ -23,6 +25,15 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr().out
     return code, out
+
+
+def write_model(tmp_path, model):
+    """The model with the trivial action, saved as an instance file; its
+    path."""
+    path = str(tmp_path / "model.txt")
+    spec = ActionSpec(1, (0, 0, 0, 0), swap=False, weights2=(0, 0, 0, 0))
+    save_instance(Instance(model=model, spec=spec, conductor=model.conductor), path)
+    return path
 
 
 def write_variant(tmp_path, old, new):
@@ -337,6 +348,23 @@ class TestSubcommands:
         assert code == 0
         assert "quartic.smooth" in out
 
+    def test_smooth_singular_quartic_with_empty_rank_locus(self, tmp_path, capsys,
+                                                           singular_model):
+        # the quartic is singular, so the rank locus is asked, and it is empty
+        code, out = run_cli(capsys, "--format", "tree", "smooth",
+                            "--input", write_model(tmp_path, singular_model))
+        assert code == 1
+        assert "quartic.smooth = False\n" in out
+        assert "rank-locus.no-rank-le-1 = True\n" in out
+        assert "smooth.ok = False\n" in out
+
+    def test_smooth_rank_one_at_vertex(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "--format", "tree", "smooth",
+                            "--input", write_model(tmp_path, rank_one_at_vertex_model()))
+        assert code == 1
+        assert "quartic.smooth = False\n" in out
+        assert "rank-locus.no-rank-le-1 = False\n" in out
+
     def test_gfano_explanations(self, capsys):
         _, out = run_cli(capsys, "gfano", "--input", SYMMETRIC)
         assert "rank 1" in out
@@ -425,7 +453,8 @@ class TestRandomGeneration:
             "--exponents", "1,1,1", "--seed", "1",
         )
         assert code == 2
-        assert "no-smooth-instance: no smooth instance in 50 attempts" in out
+        assert ("no-smooth-instance: no smooth instance in 50 attempts (last failure: "
+                "determinantal quartic is singular mod p)") in out
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -14,6 +15,7 @@ from conftest import (
     power,
     qp_eval,
     random_rational_matrix,
+    rank_one_at_vertex_model,
     univariate_coeffs,
     variables,
 )
@@ -53,6 +55,9 @@ from fano212.model import (
     validate_model,
 )
 from fano212.multipoly import MultiPoly, minors
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
+from run_survey import DIAGONAL_GRID, SWAP_GRID  # noqa: E402
 
 
 def e_matrix(i, j):
@@ -321,16 +326,11 @@ class TestRankLocus:
         assert rank_locus_check(m, Side.FIRST) is True
 
     def test_rank_one_at_vertex(self):
-        # zero second and third rows of the linear-form matrix at x = e0:
-        # M_2, M_3 with zero first row leave only one independent row there
-        rng = random.Random(31)
-        g1 = random_rational_matrix(rng)
-        g2 = random_rational_matrix(rng)
-        g3 = random_rational_matrix(rng)
-        g2[0] = [0, 0, 0, 0]
-        g3[0] = [0, 0, 0, 0]
-        m = model_from_matrices([g1, g2, g3])
+        m = rank_one_at_vertex_model()
         assert rank_locus_check(m, Side.FIRST) is False
+        # the lemma of rank_locus_check: the quartic vanishes on the line of
+        # the a with e0^T M(a) = 0, and is singular on it
+        assert quartic_smooth(determinantal_quartic(m)) is False
 
     def test_degenerate_triple(self):
         m = model_from_matrices([identity4(), e_matrix(0, 0), e_matrix(1, 1)])
@@ -568,6 +568,53 @@ def test_chart_generators_are_the_minors_of_the_chart_jacobian(monkeypatch, name
     monkeypatch.setattr(model_module, "unit_mod_p_or_q", record)
     assert full_smoothness(m) is True
     assert seen == chart_generators(m)
+
+
+def _data_model(name):
+    return load_instance(os.path.join(os.path.dirname(__file__), "data", name)).model
+
+
+def _generated_model(cell, seed):
+    """The generator's model for a (order, weights, exponents) swap cell or an
+    (order, weights, weights2, exponents) diagonal one."""
+    if len(cell) == 3:
+        return random_equivariant_model(*cell, seed=seed)[0]
+    return random_diagonal_model(*cell, seed=seed)[0]
+
+
+DATA_MODELS = ["swap_n8.txt", "symmetric_n2.txt"]
+# one generated instance per cell of run_survey.py's grids, as
+# scripts/report_sweep.py draws them
+SURVEY_MODELS = [(cell, seed) for seed in (0, 1) for cell in SWAP_GRID + DIAGONAL_GRID]
+
+
+@pytest.mark.parametrize("source", DATA_MODELS + SURVEY_MODELS, ids=str)
+def test_smooth_quartic_has_no_rank_le_1_point(source):
+    # the lemma that lets `smooth` skip rank_locus_check, computed on both
+    # sides rather than read off the quartic
+    m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
+    assert quartic_smooth(determinantal_quartic(m)) is True
+    assert rank_locus_check(m, Side.FIRST) is True
+    assert rank_locus_check(m, Side.SECOND) is True
+
+
+# SWAP_GRID[::3] is one swap cell of each order 2, 4, 6 and 8
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "source", ["singular", "double point"] + DATA_MODELS
+    + [(cell, 0) for cell in SWAP_GRID[::3] + DIAGONAL_GRID[:1]], ids=str)
+def test_quartic_decides_what_the_charts_decide(request, source):
+    # X is smooth iff its determinantal quartic is, so the two checks agree;
+    # about 2 s in all, so slow
+    if source == "singular":
+        m = request.getfixturevalue("singular_model")
+    elif source == "double point":
+        m = model_from_matrices(DOUBLE_POINT)
+    else:
+        m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
+    smooth = quartic_smooth(determinantal_quartic(m))
+    assert smooth is full_smoothness(m)
+    assert smooth is (source not in ("singular", "double point"))
 
 
 @pytest.mark.slow
