@@ -16,7 +16,7 @@ from functools import reduce
 from math import gcd
 from operator import add
 
-from .cyclotomic import cyc, root_of_unity
+from .cyclotomic import Cyclotomic, cyc
 from .groebner import empty_mod_p
 from .linalg import nullspace, rref
 from .model import ModelTriple, combine, determinantal_quartic, validate_model, InputError
@@ -209,7 +209,7 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
             continue
         t = [[u[source[p]].rotated(n, twist[p]) for u in basis] for p in pivots]
         for s in (k // 2, k // 2 + n // 2):
-            lam = root_of_unity(n, s)
+            lam = Cyclotomic.zeta(n, s)
             for vec in nullspace([[x - lam if i == j else x for j, x in enumerate(row)]
                                   for i, row in enumerate(t)]):
                 u = [zero] * 16
@@ -237,19 +237,11 @@ def picard_involution(c: DivisorClass) -> DivisorClass:
 
 
 def involution_fixed_lattice():
-    """Primitive generator of the rank-one fixed lattice of the involution,
-    found as the integer kernel of (iota - id)."""
-    # rows of iota - id acting on (a, b)
-    m00, m01 = 3 - 1, 8
-    m10, m11 = -1, -3 - 1
-    # integer kernel of [[2, 8], [-1, -4]]
-    # solve 2a + 8b = 0 and -a - 4b = 0 over Z
-    a, b = -m01 // gcd(m00, m01), m00 // gcd(m00, m01)
-    if m10 * a + m11 * b != 0:
-        raise AssertionError("involution has no rank-one fixed lattice")
-    if a < 0:
-        a, b = -a, -b
-    return DivisorClass(a, b)
+    """Primitive generator of the rank-one fixed lattice of the involution:
+    H + iota(H) = 4H - E is fixed, as iota is an involution, nonzero and
+    primitive; iota is not the identity, so the fixed lattice has rank one,
+    and a primitive element of it spans it."""
+    return H + picard_involution(H)
 
 
 def invariant_sublattice(swap: bool):
@@ -274,7 +266,7 @@ def transpose_twist_eigenbasis(n: int, weights, s: int):
     entry in Q(zeta_n)."""
     basis = [_matrix(n, {(i, i): cyc(1, n)}) for i in range(4) if (weights[i] - s) % n == 0]
     return basis + [
-        _matrix(n, {(i, j): root_of_unity(n, weights[i]), (j, i): root_of_unity(n, s)})
+        _matrix(n, {(i, j): Cyclotomic.zeta(n, weights[i]), (j, i): Cyclotomic.zeta(n, s)})
         for i in range(4) for j in range(i + 1, 4) if (weights[i] + weights[j] - 2 * s) % n == 0]
 
 
@@ -324,7 +316,7 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
         except InputError as exc:
             failure = str(exc)
             continue
-        if not empty_mod_p([q.derivative(i) for i in range(3)])[0]:
+        if not empty_mod_p([q.derivative(i) for i in range(3)]):
             failure = "determinantal quartic is singular mod p"
             continue
         return model, spec

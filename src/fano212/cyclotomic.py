@@ -401,11 +401,6 @@ class Cyclotomic:
 _set_n, _set_num, _set_den = (Cyclotomic.__dict__[s].__set__ for s in Cyclotomic.__slots__)
 
 
-def root_of_unity(n: int, k: int) -> Cyclotomic:
-    """zeta_n^k as an exact element of Q(zeta_n)."""
-    return Cyclotomic.zeta(n, k)
-
-
 def cyc(value, n: int = 1) -> Cyclotomic:
     """Coerce an int, Fraction or Cyclotomic into a Cyclotomic value."""
     if isinstance(value, Cyclotomic):

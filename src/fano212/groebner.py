@@ -1,14 +1,15 @@
 """Groebner bases in graded-reverse-lexicographic order via Buchberger's
-algorithm, plus the projective-emptiness test and Hilbert polynomials of
-homogeneous ideals.
+algorithm, the two ideal questions of the verifier (is the ideal unit, is
+its projective locus empty) and Hilbert polynomials of homogeneous ideals.
 
 One monic engine serves three coefficient domains.  Polynomials are
 {mono: coef} dicts and every basis element is scaled to leading coefficient
 1, so one S-polynomial, one normal form and one Buchberger run do all the
-work.  Mod p the coefficients are ints, and F_p serves as a certificate
-(see "prime-field certificate" below) with the exact engine as fallback.
-Exact runs take Fractions when every input coefficient is rational and
-Cyclotomic values otherwise.
+work.  Mod p the coefficients are ints; exact runs take Fractions when
+every input coefficient is rational and Cyclotomic values otherwise.  Both
+ideal questions are read off leading monomials by one ladder (_decide): a
+mod-p run proves yes, its checked lift proves no, and an exact run decides
+the rest.  Hilbert polynomials stay exact.
 The Fraction branch pays for its lines: over two runs of 9 interleaved
 repeats (Python 3.11, 2 cores), the 35 exact runs on rational ideals in
 scripts/report_sweep.py take 0.088-0.096 s at best and 0.107-0.131 s in the
@@ -36,8 +37,8 @@ monomial has a degree above the S-pair degree, which DEGREE_CAP bounds, or
 above the input's, and w comes from max(DEGREE_CAP, input degree).  A
 product of two such monomials, which the product criterion forms, stays
 below 2^w in each field, so no field carries into the next.  Tuples are
-packed on entry to the engine and unpacked on exit; the bijection keeps
-every order, term order included.
+packed on entry to the engine, and only leading monomials are unpacked on
+exit; the bijection keeps every order, term order included.
 
 S-pair selection uses the normal strategy (smallest lcm in grevlex): pending
 pairs sit in a heap keyed by (-M(lcm), insertion order), so among equal
@@ -55,7 +56,6 @@ from functools import lru_cache
 from math import isqrt, lcm
 
 from .cyclotomic import _prime_factors, _rational_reconstruction, join_signed
-from .multipoly import MultiPoly
 
 DEGREE_CAP = 30
 
@@ -66,24 +66,6 @@ class DegreeCapExceeded(RuntimeError):
 
 class NonHomogeneousIdeal(ValueError):
     pass
-
-
-# -- monomial order ------------------------------------------------------------
-
-
-def grevlex_key(mono):
-    """Sort key: grevlex-larger monomials get larger keys."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
-def monomial_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def leading_term(p: MultiPoly):
-    """(monomial, coefficient) of the grevlex-leading term."""
-    mono = max(p.terms, key=grevlex_key)
-    return mono, p.terms[mono]
 
 
 # -- packed monomials ------------------------------------------------------------
@@ -136,10 +118,6 @@ def _pair_lcms(w: int, nvars: int):
 
 def _pack_terms(terms: dict, w: int) -> dict:
     return {_pack(m, w): c for m, c in terms.items()}
-
-
-def _unpack_terms(terms: dict, w: int, nvars: int) -> dict:
-    return {_unpack(m, w, nvars): c for m, c in terms.items()}
 
 
 # -- the monic engine ------------------------------------------------------------
@@ -328,29 +306,19 @@ def _exact_basis(generators):
     return basis, w, nvars
 
 
-def _unpacked(basis, w: int, nvars: int):
-    return [MultiPoly(nvars, _unpack_terms(terms, w, nvars)) for _, terms in basis]
-
-
 def buchberger(generators):
-    """A (non-reduced) Groebner basis of the given generators, each element
-    monic; just the constant 1 for the unit ideal."""
-    return _unpacked(*_exact_basis(generators))
+    """The leading monomials, as tuples, of the exact run's (non-reduced)
+    Groebner basis of the generators, one per basis element in basis order;
+    just the constant monomial for the unit ideal, none for the zero one."""
+    basis, w, nvars = _exact_basis(generators)
+    return [_unpack(lm, w, nvars) for lm, _ in basis]
 
 
-def is_unit_ideal(generators) -> bool:
-    """Exact: p*x - 1 is the unit ideal mod p but not over Q, so no mod-p
-    answer may stand in for this one."""
-    return any(g.degree() == 0 for g in buchberger(generators))
-
-
-# -- prime-field certificate ---------------------------------------------------
+# -- prime-field runs ------------------------------------------------------------
 #
 # The generators are mapped to F_p[x] for a prime p = 1 mod N, with zeta_N
 # sent to a root r of Phi_N mod p, and the pair loop runs there on monic
-# {mono: int mod p} terms.  An empty locus or a unit ideal mod p holds over
-# Qbar; the opposite answers hold once the run's lift to Q is checked
-# (_lift_holds).  Otherwise the exact engine runs.
+# {mono: int mod p} terms.
 
 _MILLER_RABIN_BOUND = 3_215_031_751
 
@@ -378,10 +346,10 @@ def _is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _fp_field(n: int):
-    """(p, r): the least prime p = 1 mod n above 2^31, and r of order n in
-    F_p, hence a root of Phi_n mod p (p does not divide n).  None when no such
-    p lies below the bound where Miller-Rabin is exact, which no n <= 1024
-    reaches."""
+    """(p, powers): the least prime p = 1 mod n above 2^31, and the powers
+    r^k mod p, k < n, of an r of order n in F_p, hence a root of Phi_n mod p
+    (p does not divide n).  None when no such p lies below the bound where
+    Miller-Rabin is exact, which no n <= 1024 reaches."""
     p = (2**31 // n + 1) * n + 1
     while not _is_prime(p):
         p += n
@@ -390,7 +358,7 @@ def _fp_field(n: int):
     for g in itertools.count(2):
         r = pow(g, (p - 1) // n, p)
         if all(pow(r, n // q, p) != 1 for q in _prime_factors(n)):
-            return p, r
+            return p, [pow(r, k, p) for k in range(n)]
 
 
 def _fp_value(coef, n: int, prime: int, powers) -> int | None:
@@ -406,7 +374,7 @@ def _fp_value(coef, n: int, prime: int, powers) -> int | None:
     return value % prime
 
 
-def _fp_terms(poly: MultiPoly, n: int, prime: int, powers) -> dict | None:
+def _fp_terms(poly, n: int, prime: int, powers) -> dict | None:
     """The image of poly in F_p[x] (_fp_value), or None when p divides a
     denominator, that is, as p is prime, the lcm of the coefficients' ones."""
     terms = {mono: _fp_value(coef, n, prime, powers) for mono, coef in poly.terms.items()}
@@ -414,15 +382,14 @@ def _fp_terms(poly: MultiPoly, n: int, prime: int, powers) -> dict | None:
 
 
 def _mod_p_basis(generators):
-    """(basis, w, nvars, p): _basis on the image in F_p[x], (p, r) from _fp_field
-    at the lcm N of the conductors; None, and no report, when a denominator is
-    divisible by p or the run exceeds the degree cap."""
+    """(basis, w, nvars, p): _basis on the image in F_p[x], p and the powers
+    of r from _fp_field at the lcm N of the conductors; None, and no report,
+    when a denominator is divisible by p or the run exceeds the degree cap."""
     n = lcm(*(c.n for g in generators for c in g.terms.values()))
     setup = _fp_field(n)
     if setup is None:
         return None
-    prime, r = setup
-    powers = [pow(r, k, prime) for k in range(n)]
+    prime, powers = setup
     nvars = generators[0].nvars if generators else 0
     polys = []
     for g in generators:
@@ -485,20 +452,12 @@ def _int_or_fraction(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
 
-def unit_mod_p_or_q(generators) -> bool:
-    """Whether the ideal is unit mod p (a unit run of _mod_p_basis ends at a
-    constant, packed lead 0) or over Q, which the run's lift (_lift_holds) or
-    else is_unit_ideal decides.  p*x - 1 is unit mod p, yet not over Q."""
-    gens = list(generators)
-    run = _mod_p_basis(gens)
-    if run is not None and any(lm == 0 for lm, _ in run[0]):
-        return True
-    if run is not None and _lift_holds(gens, run):
-        return False
-    return is_unit_ideal(gens)
+# -- the decision ladder ---------------------------------------------------------
 
 
-# -- projective emptiness ------------------------------------------------------
+def _is_unit(leads, nvars: int) -> bool:
+    """True iff the constant monomial is among the leading monomials."""
+    return (0,) * nvars in leads
 
 
 def _empty_locus(leads, nvars: int) -> bool:
@@ -507,40 +466,66 @@ def _empty_locus(leads, nvars: int) -> bool:
     return all(any(m[var] == sum(m) for m in leads) for var in range(nvars))
 
 
-def empty_mod_p(generators):
-    """(empty, run) for homogeneous generators, not all zero: the run of
-    _mod_p_basis (None when there is none), and whether its leads show an
-    empty projective locus mod p.  Only empty = True proves anything: a
-    common zero over Qbar, scaled so that its coordinates are integral at a
-    prime above p and one of them is a unit there, reduces to a common zero
-    over the algebraic closure of F_p of the generators' images, since every
-    coefficient lies in Z_(p)[zeta_N] and zeta_N reduces to r.  So an ideal
-    with no projective zero mod p has none over Qbar."""
+def _holds_mod_p(generators, holds):
+    """(answer, run): the run of _mod_p_basis (None when there is none), and
+    whether holds is True of its leading monomials."""
     run = _mod_p_basis(generators)
-    nvars = generators[0].nvars
-    return run is not None and _empty_locus(
-        [_unpack(lm, run[1], nvars) for lm, _ in run[0]], nvars), run
+    if run is None:
+        return False, None
+    basis, w, nvars, _ = run
+    return holds([_unpack(lm, w, nvars) for lm, _ in basis], nvars), run
+
+
+def _decide(generators, holds) -> bool:
+    """Whether holds (_is_unit or _empty_locus), a property of the leading
+    ideal, is True of the ideal of the nonzero generators mod p or over
+    Q(zeta_N).  The answer is read off the first of three rungs that gives
+    one: a True of the mod-p run (_holds_mod_p); a False of that run once its
+    lift holds (_lift_holds), as the lifted basis over Q has the run's
+    leading ideal; else the exact run's leads (buchberger).
+
+    The rule is one-sided: a True mod p is final, a False needs the lift.
+    For an empty projective locus a True mod p holds over Qbar too: a common
+    zero over Qbar, scaled so that its coordinates are integral at a prime
+    above p and one of them is a unit there, reduces to a common zero over
+    the algebraic closure of F_p of the generators' images, since every
+    coefficient lies in Z_(p)[zeta_N] and zeta_N reduces to r.  A unit ideal
+    mod p need not be unit over Q (p*x - 1 is not); full_smoothness argues
+    why a chart unit mod p or over Q is sound all the same."""
+    answer, run = _holds_mod_p(generators, holds)
+    if answer:
+        return True
+    if run is not None and _lift_holds(generators, run):
+        return False
+    return holds(buchberger(generators), generators[0].nvars)
+
+
+def unit_mod_p_or_q(generators) -> bool:
+    """Whether the ideal is unit mod p (a unit run of _mod_p_basis ends at a
+    constant) or over Q, which the run's lift or else the exact run decides
+    (_decide).  p*x - 1 is unit mod p, yet not over Q."""
+    return _decide([g for g in generators if not g.is_zero()], _is_unit)
+
+
+def empty_mod_p(generators) -> bool:
+    """Whether the homogeneous generators, not all zero, have an empty
+    projective locus mod p: the first rung of projective_empty, so a True
+    proves the locus over Qbar empty (_decide) and a False proves nothing."""
+    return _holds_mod_p(generators, _empty_locus)[0]
 
 
 def projective_empty(generators) -> bool:
     """True iff the homogeneous ideal has empty vanishing locus in projective
     space: its leading ideal must contain a pure power of every variable.
-
-    The test runs mod p first, and an empty locus mod p (empty_mod_p) is
-    final.  A locus not empty mod p is final once the run's lift holds
-    (_lift_holds); any other run, or none, goes to the exact engine."""
+    An empty locus mod p is final; a locus not empty mod p is final once the
+    run's lift holds; any other run, or none, goes to the exact engine
+    (_decide)."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return False
     if any(not g.is_homogeneous() for g in gens):
         raise NonHomogeneousIdeal("projective emptiness needs homogeneous input")
-    empty, run = empty_mod_p(gens)
-    if empty:
-        return True
-    if run is not None and _lift_holds(gens, run):
-        return False
-    basis = buchberger(gens)
-    return _empty_locus([leading_term(g)[0] for g in basis], gens[0].nvars)
+    return _decide(gens, _empty_locus)
 
 
 # -- Hilbert polynomials --------------------------------------------------------
@@ -592,6 +577,10 @@ def qp_str(p) -> str:
             body = mono if c == 1 else ("-" + mono if c == -1 else "%s*%s" % (c, mono))
         parts.append(body)
     return join_signed(parts)
+
+
+def monomial_divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
 
 def _minimalize(monos):
@@ -650,5 +639,5 @@ def hilbert_polynomial(generators):
         raise ValueError("no generators, so no variable count")
     if any(not g.is_homogeneous() for g in generators):
         raise NonHomogeneousIdeal("Hilbert polynomial needs homogeneous input")
-    leads = _minimalize(tuple(leading_term(g)[0] for g in buchberger(generators)))
+    leads = _minimalize(tuple(buchberger(generators)))
     return _monomial_quotient_hp(leads, generators[0].nvars, {})

@@ -91,18 +91,17 @@ def validate_model(m: ModelTriple) -> None:
     """Reject triples whose three bilinear forms are linearly dependent.
 
     Rank 3 of the forms' image in F_p certifies rank 3 over Q(zeta_N), for N
-    the lcm of the entries' conductors and (p, r) from _fp_field(N); only a
-    lower rank mod p, or p dividing a denominator, takes the exact rank.  As
-    r is a root of Phi_N mod p, zeta_N -> r is a ring map from Z[zeta_N][1/D]
-    to F_p when p does not divide D, the lcm of the denominators: a 3x3 minor
-    of the forms maps to that minor of the image, and one nonzero mod p is
-    nonzero before reduction."""
+    the lcm of the entries' conductors and p and the powers of r from
+    _fp_field(N); only a lower rank mod p, or p dividing a denominator,
+    takes the exact rank.  As r is a root of Phi_N mod p, zeta_N -> r is a
+    ring map from Z[zeta_N][1/D] to F_p when p does not divide D, the lcm of
+    the denominators: a 3x3 minor of the forms maps to that minor of the
+    image, and one nonzero mod p is nonzero before reduction."""
     rows = [[v for row in mat for v in row] for mat in m.matrices]
     n = lcm(*(v.n for row in rows for v in row))
     setup = _fp_field(n)
     if setup is not None:
-        prime, r = setup
-        powers = [pow(r, k, prime) for k in range(n)]
+        prime, powers = setup
         image = [[_fp_value(v, n, prime, powers) for v in row] for row in rows]
         if not any(None in row for row in image) and _rank_mod_p(image, prime) == 3:
             return

@@ -11,15 +11,8 @@ from itertools import combinations, permutations
 import pytest
 
 from fano212.cohomology import InconclusiveCohomology, koszul_cohomology_on_X
-from fano212.cyclotomic import cyc, root_of_unity
-from fano212.groebner import (
-    _exact_basis,
-    _guard,
-    _interreduce,
-    _unpacked,
-    leading_term,
-    monomial_divides,
-)
+from fano212.cyclotomic import Cyclotomic, cyc
+from fano212.groebner import _exact_basis, _guard, _interreduce, _unpack, monomial_divides
 from fano212.linalg import mat_mul, mat_transpose, nullspace, rref
 from fano212.model import (
     InputError,
@@ -247,7 +240,7 @@ def action_image(mat, spec):
     n = spec.order
 
     def diagonal(weights):
-        return [[root_of_unity(n, r) if i == j else cyc(0) for j in range(4)]
+        return [[Cyclotomic.zeta(n, r) if i == j else cyc(0) for j in range(4)]
                 for i, r in enumerate(weights)]
 
     if spec.swap:
@@ -257,7 +250,7 @@ def action_image(mat, spec):
 
 def eigen_relation_holds(mat, spec, s: int) -> bool:
     """Whether sigma . M = w^s M for a form matrix M."""
-    image, lam = action_image(mat, spec), root_of_unity(spec.order, s)
+    image, lam = action_image(mat, spec), Cyclotomic.zeta(spec.order, s)
     return all((image[j][k] - lam * mat[j][k]).is_zero() for j in range(4) for k in range(4))
 
 
@@ -305,7 +298,7 @@ def oracle_pencil(m, spec):
     s = action_matrix(m, spec)
     exponents = []
     for k in range(spec.order):
-        lam = root_of_unity(spec.order, k)
+        lam = Cyclotomic.zeta(spec.order, k)
         shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
                    for i, row in enumerate(s)]
         if not leibniz(shifted):
@@ -330,6 +323,17 @@ def fiber_section(m, side, point):
     return (values[0], -values[1], values[2], -values[3])
 
 
+def grevlex_key(mono):
+    """Sort key: grevlex-larger monomials get larger keys."""
+    return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def leading_term(p: MultiPoly):
+    """(monomial, coefficient) of the grevlex-leading term."""
+    mono = max(p.terms, key=grevlex_key)
+    return mono, p.terms[mono]
+
+
 def normal_form(p: MultiPoly, basis) -> MultiPoly:
     """Full remainder of p under division by the basis: the grevlex-leading
     term of what is left is cancelled by the first basis element whose
@@ -349,11 +353,29 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
     return remainder
 
 
+def _unpacked(basis, w, nvars):
+    return [MultiPoly(nvars, {_unpack(m, w, nvars): c for m, c in terms.items()})
+            for _, terms in basis]
+
+
+def exact_basis(generators):
+    """The exact Buchberger run's (non-reduced) Groebner basis of the
+    generators, as polynomials: the basis whose leading monomials
+    groebner.buchberger returns."""
+    return _unpacked(*_exact_basis(generators))
+
+
 def groebner(generators):
     """The reduced Groebner basis of the ideal the generators span: the exact
     Buchberger run, interreduced."""
     basis, w, nvars = _exact_basis(generators)
     return _unpacked(_interreduce(basis, _guard(w, nvars)), w, nvars)
+
+
+def exactly_unit(generators) -> bool:
+    """Whether the generators span the unit ideal over Q(zeta_N): the exact
+    basis is the constant 1."""
+    return any(g.degree() == 0 for g in exact_basis(generators))
 
 
 def univariate_coeffs(p: MultiPoly, var: int):

@@ -39,7 +39,7 @@ from fano212.action import (
     transpose_twist_eigenbasis,
     validate_action,
 )
-from fano212.cyclotomic import cyc, root_of_unity
+from fano212.cyclotomic import Cyclotomic, cyc
 from fano212.instancefile import parse_instance
 from fano212.linalg import mat_mul, matrix_rank, proj_equal
 from fano212.model import InputError, ModelTriple, combine, determinantal_quartic, \
@@ -51,13 +51,13 @@ def sigma_orbit_order(spec, sample):
     """Brute-force oracle: apply sigma to exact sample points of P3 x P3 and
     count how many steps return every point to itself projectively."""
     n = spec.order
-    d = [root_of_unity(n, r) for r in spec.weights]
+    d = [Cyclotomic.zeta(n, r) for r in spec.weights]
     if spec.swap:
         def step(xy):
             x, y = xy
             return (y, tuple(d[i] * x[i] for i in range(4)))
     else:
-        d2 = [root_of_unity(n, r) for r in spec.weights2]
+        d2 = [Cyclotomic.zeta(n, r) for r in spec.weights2]
         def step(xy):
             x, y = xy
             return (
@@ -191,11 +191,11 @@ class TestActionOnForms:
             source, twist, mu = _sigma_on_entries(spec)
             mat = tuple(tuple(cyc(v) for v in row) for row in random_rational_matrix(rng))
             flat = [v for row in mat for v in row]
-            image = [flat[source[c]] * root_of_unity(spec.order, twist[c]) for c in range(16)]
+            image = [flat[source[c]] * Cyclotomic.zeta(spec.order, twist[c]) for c in range(16)]
             assert image == [v for row in action_image(mat, spec) for v in row]
             tau = action_image(action_image(mat, spec), spec) if spec.swap else action_image(mat, spec)
             assert [v for row in tau for v in row] == [
-                v * root_of_unity(spec.order, k) for v, k in zip(flat, mu)]
+                v * Cyclotomic.zeta(spec.order, k) for v, k in zip(flat, mu)]
 
     def test_generic_triple_not_invariant(self):
         # sigma^2 = id here, so one block holds every entry, and only the
@@ -226,7 +226,7 @@ class TestActionOnForms:
         s = action_matrix(m, spec)
         s_squared = mat_mul(s, s)
         # independent representation of M -> D M D on the pencil
-        d = [root_of_unity(n, r) for r in weights]
+        d = [Cyclotomic.zeta(n, r) for r in weights]
         cols = [
             [m.matrices[i][j][k] for i in range(3)]
             for j in range(4)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -455,6 +456,17 @@ class TestRandomGeneration:
         assert code == 2
         assert ("no-smooth-instance: no smooth instance in 50 attempts (last failure: "
                 "determinantal quartic is singular mod p)") in out
+
+
+# sha256 of the stdout of scripts/report_sweep.py (5,020 lines, 441 reports);
+# a declared change of the toolkit's output updates it in the same change
+SWEEP_SHA256 = "7933e4adfe33cba9641becf692431f87b7bd4cb6d7e6210f02ab5bff22fb9f4d"
+
+
+def test_report_sweep_output_is_pinned():
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "report_sweep.py")
+    result = subprocess.run([sys.executable, script], capture_output=True, check=True)
+    assert hashlib.sha256(result.stdout).hexdigest() == SWEEP_SHA256
 
 
 def test_module_entry_point():

@@ -20,7 +20,7 @@ from fano212.cohomology import (
     table_add,
     table_scale,
 )
-from fano212.cyclotomic import root_of_unity
+from fano212.cyclotomic import Cyclotomic
 
 
 def euler(table: CohTable) -> int:
@@ -180,16 +180,16 @@ class TestGradedSign:
 
 class TestTopEigenvalue:
     def test_pure_sign(self):
-        assert root_of_unity(2, equivariant_top_exponent((0, 0, 0, 0), 2, True)) == -1
+        assert Cyclotomic.zeta(2, equivariant_top_exponent((0, 0, 0, 0), 2, True)) == -1
 
     def test_weight_four_at_order_four(self):
-        assert root_of_unity(4, equivariant_top_exponent((1, 1, 1, 1), 4, True)) == -1
+        assert Cyclotomic.zeta(4, equivariant_top_exponent((1, 1, 1, 1), 4, True)) == -1
 
     def test_no_swap_trivial_weights(self):
         k = equivariant_top_exponent((0, 0, 0, 0), 2, False, weights2=(0, 0, 0, 0))
-        assert root_of_unity(2, k) == 1
+        assert Cyclotomic.zeta(2, k) == 1
 
     def test_swap_general_weight(self):
         k = equivariant_top_exponent((0, 2, 4, 6), 8, True)
-        expected = -root_of_unity(8, -12)
-        assert root_of_unity(8, k) == expected
+        expected = -Cyclotomic.zeta(8, -12)
+        assert Cyclotomic.zeta(8, k) == expected

@@ -12,7 +12,6 @@ from fano212.cyclotomic import (
     cyclotomic_coeffs,
     euler_phi,
     format_cyclotomic,
-    root_of_unity,
     LiteralError,
     _fold_terms,
     _literal_terms,
@@ -179,11 +178,11 @@ def test_phi_monic_of_degree_phi_and_kills_zeta(n):
 
 
 def test_roots_of_unity():
-    assert root_of_unity(4, 2) == -1
+    assert Cyclotomic.zeta(4, 2) == -1
     for n in (1, 2, 3, 8, 12):
-        assert root_of_unity(n, 0) == 1
-    assert root_of_unity(8, 4) == -1
-    assert root_of_unity(8, 1) * root_of_unity(8, 7) == 1
+        assert Cyclotomic.zeta(n, 0) == 1
+    assert Cyclotomic.zeta(8, 4) == -1
+    assert Cyclotomic.zeta(8, 1) * Cyclotomic.zeta(8, 7) == 1
 
 
 def test_product_of_conjugates_in_q_zeta3():
@@ -264,8 +263,8 @@ def test_lift_roundtrip_preserves_equality(n, data):
        st.integers(min_value=-3000, max_value=3000))
 def test_negative_roots_with_even_conductor(n, k):
     # the sign character is the exponent shift n/2: -zeta_n^k = zeta_n^(k + n/2)
-    assert -root_of_unity(n, k) == root_of_unity(n, k + n // 2)
-    assert -root_of_unity(n, k) != root_of_unity(n, k)
+    assert -Cyclotomic.zeta(n, k) == Cyclotomic.zeta(n, k + n // 2)
+    assert -Cyclotomic.zeta(n, k) != Cyclotomic.zeta(n, k)
 
 
 def test_small_cyclotomic_polynomials():

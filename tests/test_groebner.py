@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import groebner, normal_form, power, qp_eval, variables
+from conftest import (exact_basis, exactly_unit, grevlex_key, groebner, leading_term,
+                      normal_form, power, qp_eval, variables)
 
 from fano212 import groebner as groebner_module
 from fano212.cyclotomic import Cyclotomic, _rational_reconstruction, cyc, cyclotomic_coeffs
@@ -22,19 +23,15 @@ from fano212.groebner import (
     _pack_terms,
     _pair_lcms,
     _unpack,
-    _unpack_terms,
     _width,
     DegreeCapExceeded,
     NonHomogeneousIdeal,
     buchberger,
-    grevlex_key,
     hilbert_polynomial,
-    leading_term,
     monomial_divides,
     projective_empty,
     qp_binomial,
     qp_str,
-    is_unit_ideal,
     unit_mod_p_or_q,
 )
 from fano212.multipoly import MultiPoly
@@ -106,7 +103,8 @@ def test_packed_normal_form_is_the_plain_division(data):
     w = _width(max(g.degree() for g in [p] + basis))
     remainder = _normal_form(_pack_terms(p.terms, w),
                              [_monic(_pack_terms(g.terms, w)) for g in basis], _guard(w, nvars))
-    assert MultiPoly(nvars, _unpack_terms(remainder, w, nvars)) == normal_form(p, basis)
+    unpacked = {_unpack(m, w, nvars): c for m, c in remainder.items()}
+    assert MultiPoly(nvars, unpacked) == normal_form(p, basis)
 
 
 def test_already_reduced_basis():
@@ -126,7 +124,8 @@ def test_redundant_generator_removed():
 def test_affine_twisted_cubic_membership():
     x, y, z = variables(3)
     gens = [x * x - y, x * x * x - z]
-    gb = buchberger(gens)
+    gb = exact_basis(gens)
+    assert buchberger(gens) == [leading_term(g)[0] for g in gb]
     for g in gens:
         assert normal_form(g, gb).is_zero()
     # x*y - z is in the ideal: x*(x^2 - y) - (x^3 - z) = -xy + z
@@ -142,7 +141,7 @@ def test_projective_twisted_cubic_hilbert_with_counting_oracle():
     ]
     hp = hilbert_polynomial(gens)
     assert hp == (Fraction(1), Fraction(3))  # 3t + 1
-    leads = [leading_term(g)[0] for g in buchberger(gens)]
+    leads = buchberger(gens)
     for t in range(2, 9):
         assert count_standard_monomials(leads, 4, t) == qp_eval(hp, t)
 
@@ -266,21 +265,23 @@ def test_degree_cap(monkeypatch):
 
 
 def test_unit_ideal_detection():
+    # the exact leads hold the constant monomial exactly for the unit ideal
     x, y = variables(2)
-    assert is_unit_ideal([x, y, x * y - 1]) is True
-    assert is_unit_ideal([x * x, x * y]) is False
+    assert (0, 0) in buchberger([x, y, x * y - 1])
+    assert (0, 0) not in buchberger([x * x, x * y])
     i = Cyclotomic.zeta(4)
-    assert is_unit_ideal([x * i, y, x * y - 1]) is True
-    assert is_unit_ideal([x * x * i, x * y]) is False
+    assert (0, 0) in buchberger([x * i, y, x * y - 1])
+    assert (0, 0) not in buchberger([x * x * i, x * y])
 
 
 def test_a_constant_remainder_ends_every_run():
     # x*y - 1 reduces to the constant -1 by x and y: the basis of the unit
     # ideal is just 1, exactly and mod p
     x, y = variables(2)
-    assert buchberger([x, y, x * y - 1]) == [MultiPoly.constant(1, 2)]
+    assert exact_basis([x, y, x * y - 1]) == [MultiPoly.constant(1, 2)]
+    assert buchberger([x, y, x * y - 1]) == [(0, 0)]
     assert _mod_p_leads([x, y, x * y - 1]) == [(0, 0)]
-    assert buchberger([x, MultiPoly.constant(3, 2)]) == [MultiPoly.constant(1, 2)]
+    assert exact_basis([x, MultiPoly.constant(3, 2)]) == [MultiPoly.constant(1, 2)]
 
 
 def _twisted_cubic():
@@ -333,9 +334,8 @@ def test_pair_order_pins_the_non_reduced_basis(ideal, domain):
     if domain == "modp":
         assert _mod_p_leads(gens) == PINNED_LEADS[ideal]
         return
-    basis = buchberger(gens)
-    assert [leading_term(g)[0] for g in basis] == PINNED_LEADS[ideal]
-    assert all(leading_term(g)[1] == 1 for g in basis)
+    assert buchberger(gens) == PINNED_LEADS[ideal]
+    assert all(leading_term(g)[1] == 1 for g in exact_basis(gens))
 
 
 def _mixed_degree_ideal(seed):
@@ -355,8 +355,7 @@ def _mixed_degree_ideal(seed):
 )
 def test_appended_degrees_never_decrease_on_homogeneous_input(gens):
     # the normal strategy takes S-pairs by increasing lcm degree
-    basis = buchberger(gens)
-    degrees = [sum(leading_term(g)[0]) for g in basis[len(gens):]]
+    degrees = [sum(m) for m in buchberger(gens)[len(gens):]]
     assert degrees == sorted(degrees)
 
 
@@ -389,7 +388,9 @@ def _trial_division_prime(n):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 12, 210, 840, 1024])
 def test_prime_field_set_up(n):
-    p, r = _fp_field(n)
+    p, powers = _fp_field(n)
+    r = powers[1 % n]
+    assert powers == [pow(r, k, p) for k in range(n)]
     assert _trial_division_prime(p)
     assert (p - 1) % n == 0 and p > 2**31
     # the least such prime
@@ -399,7 +400,7 @@ def test_prime_field_set_up(n):
     primes = [q for q in range(2, n + 1) if n % q == 0 and _trial_division_prime(q)]
     assert all(pow(r, n // q, p) != 1 for q in primes)
     assert sum(c * pow(r, k, p) for k, c in enumerate(cyclotomic_coeffs(n))) % p == 0
-    assert _fp_field(n) == (p, r)
+    assert _fp_field(n) == (p, powers)
 
 
 def _counting_buchberger(monkeypatch):
@@ -431,11 +432,13 @@ class TestCertificateFallbacks:
         assert len(calls) == 2
         assert unit_mod_p_or_q([x * Fraction(1, p) - 1]) is False
 
-    def test_unit_mod_p_is_not_unit_over_q(self):
+    def test_unit_mod_p_is_not_unit_over_q(self, monkeypatch):
         p = _fp_field(1)[0]
         (x,) = variables(1)
+        assert exactly_unit([x * p - 1]) is False
+        # a True mod p is final: neither the lift nor the exact engine runs
+        _refuse_after_mod_p(monkeypatch)
         assert unit_mod_p_or_q([x * p - 1]) is True
-        assert is_unit_ideal([x * p - 1]) is False
 
     def test_a_mod_p_cap_overflow_falls_back(self, monkeypatch):
         x, y, z = variables(3)
@@ -452,7 +455,7 @@ class TestCertificateFallbacks:
 def _exactly_empty(gens, nvars):
     """The leading-ideal test on the exact basis: 1, or a pure power of
     every variable."""
-    leads = [leading_term(g)[0] for g in buchberger(gens)]
+    leads = buchberger(gens)
     return any(sum(m) == 0 for m in leads) or all(
         any(m[v] > 0 and sum(m) == m[v] for m in leads) for v in range(nvars)
     )
@@ -508,7 +511,14 @@ def _refuse_exact(monkeypatch):
         raise AssertionError("the exact engine ran")
 
     monkeypatch.setattr(groebner_module, "buchberger", refuse)
-    monkeypatch.setattr(groebner_module, "is_unit_ideal", refuse)
+
+
+def _refuse_after_mod_p(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rung after the mod-p run ran")
+
+    monkeypatch.setattr(groebner_module, "_lift_holds", refuse)
+    monkeypatch.setattr(groebner_module, "buchberger", refuse)
 
 
 class TestCheckedLift:
@@ -601,4 +611,4 @@ def test_certified_answers_are_the_exact_ones(data):
     chart = [g for g in chart if not g.is_zero()]
     leads = _mod_p_leads(chart)
     unit_mod_p = leads is not None and (0,) * nvars in leads
-    assert unit_mod_p_or_q(chart) is (unit_mod_p or is_unit_ideal(chart))
+    assert unit_mod_p_or_q(chart) is (unit_mod_p or exactly_unit(chart))

@@ -28,8 +28,8 @@ from fano212.groebner import (
     _fp_field,
     buchberger,
     hilbert_polynomial,
-    is_unit_ideal,
-    leading_term,
+    projective_empty,
+    unit_mod_p_or_q,
 )
 from fano212.action import random_diagonal_model, random_equivariant_model
 from fano212.instancefile import load_instance
@@ -491,8 +491,18 @@ def _swap_n8():
 
 class TestCertificateDecides:
     def test_full_smoothness_of_swap_n8(self, monkeypatch):
-        monkeypatch.setattr(groebner_module, "is_unit_ideal", _refuse)
+        monkeypatch.setattr(groebner_module, "buchberger", _refuse)
         assert full_smoothness(_swap_n8()) is True
+
+    def test_a_true_mod_p_is_final(self, monkeypatch):
+        # neither the checked lift nor the exact engine runs after it
+        m = _swap_n8()
+        partials = [determinantal_quartic(m).derivative(i) for i in range(3)]
+        chart = chart_generators(m)[0]
+        monkeypatch.setattr(groebner_module, "_lift_holds", _refuse)
+        monkeypatch.setattr(groebner_module, "buchberger", _refuse)
+        assert projective_empty(partials) is True
+        assert unit_mod_p_or_q(chart) is True
 
     def test_charts_not_unit_mod_p_run_exactly(self, monkeypatch):
         # the first form vanishes mod p, so no chart is unit mod p
@@ -504,15 +514,14 @@ class TestCertificateDecides:
 
         def counted(gens):
             calls.append(gens)
-            return is_unit_ideal(gens)
+            return buchberger(gens)
 
-        monkeypatch.setattr(groebner_module, "is_unit_ideal", counted)
+        monkeypatch.setattr(groebner_module, "buchberger", counted)
         assert full_smoothness(m) is True
         assert len(calls) == 16
 
     def test_double_point_is_decided_by_the_lift(self, monkeypatch):
         # a rational chart that is not unit is proved so by the checked lift
-        monkeypatch.setattr(groebner_module, "is_unit_ideal", _refuse)
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
         assert full_smoothness(model_from_matrices(DOUBLE_POINT)) is False
 
@@ -521,7 +530,7 @@ class TestCertificateDecides:
         # a Klein quartic with unit coefficients
         q = power(x, 3) * y + power(y, 3) * z * Cyclotomic.zeta(8) + power(z, 3) * x
         partials = [q.derivative(i) for i in range(3)]
-        leads = [leading_term(g)[0] for g in buchberger(partials)]
+        leads = buchberger(partials)
         assert all(any(sum(m) == m[v] > 0 for m in leads) for v in range(3))
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
         assert quartic_smooth(q) is True
