@@ -137,7 +137,10 @@ def _pseudo_remainder(r0: list, s0: list, r1: list, s1: list):
     """One extended Euclidean step in Z[x]: r = c*r0 - q*r1 of degree below
     r1 for an integer c, and s = c*s0 - q*s1, both divided by their common
     content.  Each leading term t*x^(k+deg r1) of r is cleared by
-    r <- (l/g)*r - (t/g)*x^k*r1, l the lead of r1 and g = gcd(l, t)."""
+    r <- (l/g)*r - (t/g)*x^k*r1, l the lead of r1 and g = gcd(l, t): g
+    divides l and t, so every step stays in integers, and the content
+    divides every coefficient.  With s0 = [0] and s1 = [1], s is -q; when r1
+    divides r0, r = 0 and s is the quotient r0/r1 up to a rational factor."""
     r, s = list(r0), list(s0)
     lead, deg = r1[-1], len(r1) - 1
     while len(r) > deg:

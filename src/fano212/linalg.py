@@ -84,17 +84,3 @@ def proj_normalize(vec):
             inv = v.inverse()
             return [u * inv for u in vec]
     raise ValueError("cannot normalize the zero vector")
-
-
-def proj_equal(u, v) -> bool:
-    """Projective equality: u = c*v for some nonzero scalar."""
-    if len(u) != len(v):
-        return False
-    if all(x.is_zero() for x in u) or all(x.is_zero() for x in v):
-        return False
-    for i in range(len(u)):
-        for j in range(len(u)):
-            if not (u[i] * v[j] - u[j] * v[i]).is_zero():
-                return False
-    # supports must agree
-    return all(x.is_zero() == y.is_zero() for x, y in zip(u, v))

@@ -17,19 +17,18 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, count
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
-from .cyclotomic import (Cyclotomic, _divmod_monic, _lower_terms, _rational_reconstruction,
-                         _trim, cyc, euler_phi)
-from .groebner import (DegreeCapExceeded, _fp_field, _fp_value, projective_empty,
+from .cyclotomic import (Cyclotomic, _pseudo_remainder, _rational_reconstruction, _trim, cyc,
+                         euler_phi)
+from .groebner import (DegreeCapExceeded, _fp_field, _fp_value, _is_prime, projective_empty,
                        unit_mod_p_or_q)
 from .linalg import (
     mat_mul,
     mat_transpose,
     matrix_rank,
     nullspace,
-    proj_equal,
     proj_normalize,
 )
 from .multipoly import MultiPoly, maximal_minors, minors, poly_det
@@ -333,16 +332,16 @@ def curve_point_to_quartic_point(m: ModelTriple, c, side: Side = Side.FIRST):
 # -- exact curve-point search ----------------------------------------------------
 
 
-def _poly_gcd(a, b):
-    """Monic gcd over Q of two dense polynomials (constant term first);
-    [] when both are zero.  Each divisor is made monic first, which leaves
-    the remainder as it was."""
-    a, b = _trim(a), _trim(b)
+def _primitive_gcd(a, b):
+    """A gcd in Z[x] of two dense integer polynomials (constant term first),
+    b without zero leading coefficients, by Brown's primitive PRS: each
+    pseudo-remainder (_pseudo_remainder) is divided by its content.  A step
+    scales by nonzero integers, which leaves the common divisors over Q as
+    they are, so the result is a nonzero rational multiple of the gcd over
+    Q."""
     while b:
-        b = [c / b[-1] for c in b]
-        _divmod_monic(a, _lower_terms(b), len(b) - 1)
-        a, b = b, _trim(a[:len(b) - 1])
-    return [c / a[-1] for c in a]
+        a, b = b, _pseudo_remainder(a, [], b, [])[0]
+    return a
 
 
 def _horner(coeffs, x):
@@ -357,9 +356,16 @@ def _rational_roots(coeffs):
     its Cyclotomic coefficients (constant term first), in no fixed order.
 
     A rational t is a root iff it is a root of every power-basis coordinate
-    polynomial, hence of their gcd g over Q.  The root t = 0 is read off g and
-    divided out, and g is made squarefree; scaled to integers a_0..a_d it has
-    a_0 != 0, so a root u/v in lowest terms has |u| <= |a_0| and v | a_d.
+    polynomial, read here in integers: the numerators at the lcm conductor,
+    scaled to the lcm denominator.  Their gcd g in Z[x] (_primitive_gcd),
+    with its content divided out, is primitive, so by Gauss's lemma it
+    divides each of them in Z[x] and has the roots of their gcd over Q.  The
+    root t = 0 is read off g and divided out.  The squarefree part
+    g / gcd(g, g') is the cofactor of one pseudo-division of g by
+    d = gcd(g, g'): as d divides g the remainder is 0, so c*g = q*d for the
+    integer c the division scales by, and the cofactor -q, made primitive,
+    is that part up to sign.  Its coefficients a_0..a_d have a_0 != 0, so a
+    root u/v in lowest terms has |u| <= |a_0| and v | a_d.
 
     Why every root is found: take the least prime p not dividing a_d at which
     every root of g mod p is simple (any p dividing neither a_d nor the
@@ -373,25 +379,25 @@ def _rational_roots(coeffs):
     exactly, so nothing else is returned.
     """
     n = lcm(*(c.n for c in coeffs))
-    lifted = [c.lift(n).coeffs for c in coeffs]
+    den = lcm(*(c.den for c in coeffs))
+    rows = [[den // c.den * v for v in c.lift(n).num] for c in coeffs]
     g = []
-    for k in range(euler_phi(n)):
-        g = _poly_gcd(g, [c[k] for c in lifted])
+    for column in zip(*rows):
+        g = _primitive_gcd(g, _trim(column))
     if not g:
         raise ValueError("the zero polynomial vanishes at every t")
+    content = gcd(*g)
+    g = [c // content for c in g]
     roots = [Fraction(0)] if g[0] == 0 else []
     while g[0] == 0:
         g = g[1:]
-    d = _poly_gcd(g, [k * c for k, c in enumerate(g)][1:])
-    _divmod_monic(g, _lower_terms(d), len(d) - 1)
-    g = g[len(d) - 1:]
-    scale = lcm(*(c.denominator for c in g))
-    a = [int(c * scale) for c in g]
+    d = _primitive_gcd(g, [k * c for k, c in enumerate(g)][1:])
+    a = _pseudo_remainder(g, [0], d, [1])[1]
     if len(a) < 2:
         return roots
     da = [k * c for k, c in enumerate(a)][1:]
     for p in count(2):
-        if all(p % q for q in range(2, p)) and a[-1] % p:
+        if _is_prime(p) and a[-1] % p:
             residues = [r for r in range(p) if _horner(a, r) % p == 0]
             if all(_horner(da, r) % p for r in residues):
                 break
@@ -464,6 +470,8 @@ def sample_curve_points(m: ModelTriple, side: Side = Side.FIRST, seed: int = 0,
                 c = quartic_point_to_curve_point(m, point, side)
             except ValueError:
                 continue
-            if not any(proj_equal(list(c), list(p)) for p in found):
+            # proj_normalize sets the first nonzero coordinate to 1, so
+            # equal points are equal tuples
+            if c not in found:
                 found.append(c)
     return found

@@ -7,6 +7,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt, lcm
 
 import pytest
 
@@ -233,6 +234,20 @@ def decided_tables(span):
 # -- oracles -------------------------------------------------------------------
 
 
+def proj_equal(u, v) -> bool:
+    """Projective equality: u = c*v for some nonzero scalar."""
+    if len(u) != len(v):
+        return False
+    if all(x.is_zero() for x in u) or all(x.is_zero() for x in v):
+        return False
+    for i in range(len(u)):
+        for j in range(len(u)):
+            if not (u[i] * v[j] - u[j] * v[i]).is_zero():
+                return False
+    # supports must agree
+    return all(x.is_zero() == y.is_zero() for x, y in zip(u, v))
+
+
 def action_image(mat, spec):
     """sigma . M for a form matrix M, as the matrix product D M^T for a swap
     and A M B for a diagonal action, where D (or A) and B are the diagonal
@@ -394,6 +409,39 @@ def qp_eval(p, t):
     """The value at t of a polynomial in t, its coefficients constant term
     first."""
     return sum(c * t**k for k, c in enumerate(p))
+
+
+def _divisors(a: int) -> set:
+    """The positive divisors of a nonzero integer, by trial up to its square
+    root."""
+    a = abs(a)
+    small = [d for d in range(1, isqrt(a) + 1) if a % d == 0]
+    return set(small) | {a // d for d in small}
+
+
+def rational_roots_oracle(coeffs) -> set:
+    """The rational roots of a nonzero polynomial over Q(zeta_N), its
+    Cyclotomic coefficients constant term first, by the rational root
+    theorem.  A root is a root of each power-basis coordinate polynomial; in
+    the first nonzero one, scaled to integers h_0..h_d, t = 0 is read off h_0
+    and every other root is some +-u/v with u dividing the lowest nonzero h_i
+    and v dividing h_d.  A candidate that is a root of h is kept when the
+    whole polynomial vanishes there."""
+    n = lcm(*(c.n for c in coeffs))
+    column = next(col for col in zip(*(c.lift(n).coeffs for c in coeffs)) if any(col))
+    scale = lcm(*(x.denominator for x in column))
+    h = [int(x * scale) for x in column]
+    while h[-1] == 0:
+        h.pop()
+    candidates = {Fraction(0)} if h[0] == 0 else set()
+    low = next(x for x in h if x)
+    for u in _divisors(low):
+        for v in _divisors(h[-1]):
+            for t in (Fraction(u, v), Fraction(-u, v)):
+                if sum(x * t.numerator**k * t.denominator**(len(h) - 1 - k)
+                       for k, x in enumerate(h)) == 0:
+                    candidates.add(t)
+    return {t for t in candidates if qp_eval(coeffs, t) == 0}
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from conftest import (
     groebner,
     hrr_euler,
     planted_quartic_point_model,
+    proj_equal,
     variables,
 )
 
@@ -56,7 +57,6 @@ from fano212.cyclotomic import (
     euler_phi,
 )
 from fano212.groebner import hilbert_polynomial
-from fano212.linalg import proj_equal
 from fano212.model import (
     Side,
     bilinear_forms,

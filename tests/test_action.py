@@ -15,6 +15,7 @@ from conftest import (
     lifted,
     oracle_pencil,
     pencil_eigen_check,
+    proj_equal,
     random_rational_matrix,
     solve,
     variables,
@@ -41,7 +42,7 @@ from fano212.action import (
 )
 from fano212.cyclotomic import Cyclotomic, cyc
 from fano212.instancefile import parse_instance
-from fano212.linalg import mat_mul, matrix_rank, proj_equal
+from fano212.linalg import mat_mul, matrix_rank
 from fano212.model import InputError, ModelTriple, combine, determinantal_quartic, \
     model_from_matrices, quartic_smooth
 from fano212.multipoly import MultiPoly

@@ -1,11 +1,13 @@
+import hashlib
 import os
 import random
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -13,8 +15,10 @@ from conftest import (
     leibniz,
     planted_quartic_point_model,
     power,
+    proj_equal,
     qp_eval,
     random_rational_matrix,
+    rational_roots_oracle,
     rank_one_at_vertex_model,
     univariate_coeffs,
     variables,
@@ -33,7 +37,6 @@ from fano212.groebner import (
 )
 from fano212.action import random_diagonal_model, random_equivariant_model
 from fano212.instancefile import load_instance
-from fano212.linalg import proj_equal
 from fano212.model import (
     InputError,
     ModelTriple,
@@ -396,6 +399,10 @@ ZETA8 = Cyclotomic.zeta(8)
         # the coordinates (2T - 3)(T^2 + 1) and (2T - 3)(T^3 - 2T + 4) share a
         # non-monic factor, reached through several non-monic divisors
         ((T * 2 - 3) * (T * T + 1 + (power(T, 3) - T * 2 + 4) * ZETA4), {Fraction(3, 2)}),
+        # denominators 35, 7 and 35, whose numerators over 35 share the content 6
+        ((T * 3 - 2) * (T + 4) * Fraction(6, 35), {Fraction(2, 3), Fraction(-4)}),
+        # a repeated non-monic factor: the squarefree part keeps -3/4 once
+        (power(T * 4 + 3, 3) * (T * T - 2), {Fraction(-3, 4)}),
     ],
 )
 def test_rational_roots(poly, roots):
@@ -404,6 +411,36 @@ def test_rational_roots(poly, roots):
     assert set(found) == roots
 
 
+def t_poly(coeffs) -> MultiPoly:
+    """The polynomial in T with the given integer coefficients, constant
+    term first."""
+    return sum((c * power(T, k) for k, c in enumerate(coeffs)), MultiPoly.zero(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(1, 3)),
+                        max_size=2),
+       zeros=st.integers(0, 2),
+       cofactor=st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda c: c[-1]),
+       second=st.lists(st.integers(-9, 9), max_size=3))
+# both coordinates over Q(zeta_8) share the non-monic factor t * (3t - 2)^2
+@example(factors=[(2, 3, 2)], zeros=1, cofactor=[1, 0, 1], second=[4, -2, 0, 1])
+def test_rational_roots_match_the_root_theorem(factors, zeros, cofactor, second):
+    # t^zeros times planted factors (v*t - u)^k, times cofactor + second * zeta_8
+    planted = power(T, zeros)
+    for u, v, k in factors:
+        planted = planted * power(T * v - u, k)
+    coeffs = univariate_coeffs(planted * (t_poly(cofactor) + t_poly(second) * ZETA8), 0)
+    found = _rational_roots(coeffs)
+    assert len(found) == len(set(found))
+    assert set(found) == rational_roots_oracle(coeffs)
+    assert {Fraction(u, v) for u, v, _ in factors} | ({Fraction(0)} if zeros else set()) <= set(found)
+
+
+# sha256 of the reprs of sample_curve_points on planted-7, planted-8 and
+# swap_n8, both sides, seeds 0-5, 5 attempts (14 points, one line per call);
+# a declared change of the sampler's output updates it in the same change
+SAMPLER_SHA256 = "eed8929bc180f5faead605c586b9c1ec5cb74d2cad1897c79429e8459485f1fa"
 LINE_MODELS = ["planted-7", "planted-8", "swap_n8", "generated-swap", "generated-diagonal"]
 PLANTED_POINT = (1, 1, 2)  # planted_quartic_point_model's point
 LINE_POINTS = st.tuples(*[st.integers(-3, 3)] * 3)
@@ -451,6 +488,25 @@ class TestSampleCurvePoints:
             pencil = [[sum((c * mat[j][k] for c, mat in zip(point, m.matrices)), cyc(0))
                        for k in range(4)] for j in range(4)]
             assert qp_eval(coeffs, t) == leibniz(pencil)
+
+    # on these seeds several of the 20 lines meet the same point: planted-7's
+    # one point is reached 4 times (seed 5) and 3 times (seed 9), planted-8's
+    # two points 5 times in all (seed 2) and 7 times (seed 5), on either side
+    @pytest.mark.parametrize("which, seeds", [("planted-7", (5, 9)), ("planted-8", (2, 5))])
+    @pytest.mark.parametrize("side", list(Side))
+    def test_no_point_is_returned_twice(self, which, seeds, side):
+        for seed in seeds:
+            points = sample_curve_points(line_model(which), side, seed=seed, attempts=20)
+            assert points
+            assert not any(proj_equal(list(c), list(d)) for c, d in combinations(points, 2))
+
+    def test_sampler_output_is_pinned(self):
+        lines = ["%s %s %d %r" % (which, side.value, seed,
+                                  sample_curve_points(line_model(which), side, seed=seed,
+                                                      attempts=5))
+                 for which in ("planted-7", "planted-8", "swap_n8") for side in Side
+                 for seed in range(6)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SAMPLER_SHA256
 
     def test_degenerate_pencil_refused(self):
         # a common left kernel: the first rows of all three matrices are zero
