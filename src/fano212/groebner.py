@@ -38,7 +38,9 @@ above the input's, and w comes from max(DEGREE_CAP, input degree).  A
 product of two such monomials, which the product criterion forms, stays
 below 2^w in each field, so no field carries into the next.  Tuples are
 packed on entry to the engine, and only leading monomials are unpacked on
-exit; the bijection keeps every order, term order included.
+exit; the bijection keeps every order, term order included.  A normal
+form finds each monomial's reducer through a memo that lives for one
+Buchberger run or one lift check, whose lead list only grows (_normal_form).
 
 S-pair selection uses the normal strategy (smallest lcm in grevlex): pending
 pairs sit in a heap keyed by (-M(lcm), insertion order), so among equal
@@ -150,20 +152,27 @@ def _s_polynomial(fd, gd, lcm: int) -> dict:
     return terms
 
 
-def _normal_form(p: dict, lead_data, guard: int, prime=None) -> dict:
+def _normal_form(p: dict, lead_data, guard: int, prime=None, memo=None) -> dict:
     """Full remainder of p by the monic (leading monomial, terms) pairs.
 
     Monomials come off a heap, largest first, and a stale entry (its term
-    cancelled) is skipped.  Mod prime the work values are plain integers,
-    reduced only when they come off the heap, where one that is 0 mod prime
-    is dropped.  That is sound: reduction mod prime is a ring map, so each
-    value agrees mod prime with the one that reducing after every operation
-    would give, and a value is read (dropped, or used to scale a reducer)
-    only once it has come off the heap and been reduced."""
+    cancelled) is skipped.  A term is reduced by the first element in list
+    order whose lead divides it.  memo maps a packed monomial to that
+    element, or to the number of leads already ruled out, where its next
+    scan resumes.  Callers share one memo among calls only while lead_data
+    just grows at its end, so a divisor found stays the first and none is
+    missed: every remainder is the one a full scan gives.  Mod prime the
+    work values are plain integers, reduced only when they come off the
+    heap, where one that is 0 mod prime is dropped.  That is sound:
+    reduction mod prime is a ring map, so each value agrees mod prime with
+    the one that reducing after every operation would give, and a value is
+    read (dropped, or used to scale a reducer) only once it has come off the
+    heap and been reduced."""
     work = dict(p)
     remainder = {}
     heap = list(work)
     heapq.heapify(heap)
+    memo = {} if memo is None else memo
     while heap:
         mono = heapq.heappop(heap)
         coef = work.pop(mono, 0)
@@ -171,27 +180,32 @@ def _normal_form(p: dict, lead_data, guard: int, prime=None) -> dict:
             coef %= prime
         if not coef:
             continue
-        for lm, g in lead_data:
-            shift = mono - lm
-            if not shift & guard:
-                factor = -coef
-                for ge, gc in g.items():
-                    key = ge + shift
-                    if key == mono:
-                        continue
-                    value = work.get(key)
-                    if value is None:
-                        work[key] = factor * gc
-                        heapq.heappush(heap, key)
-                    else:
-                        value = value + factor * gc
-                        if value:
-                            work[key] = value
-                        else:
-                            del work[key]
-                break
-        else:
-            remainder[mono] = coef
+        hit = memo.get(mono, 0)
+        if type(hit) is int:
+            for element in lead_data[hit:] if hit else lead_data:
+                if not (mono - element[0]) & guard:
+                    hit = memo[mono] = element
+                    break
+            else:
+                memo[mono] = len(lead_data)
+                remainder[mono] = coef
+                continue
+        lm, g = hit
+        shift, factor = mono - lm, -coef
+        for ge, gc in g.items():
+            key = ge + shift
+            if key == mono:
+                continue
+            value = work.get(key)
+            if value is None:
+                work[key] = factor * gc
+                heapq.heappush(heap, key)
+            else:
+                value = value + factor * gc
+                if value:
+                    work[key] = value
+                else:
+                    del work[key]
     return remainder
 
 
@@ -226,6 +240,7 @@ def _basis(polys, nvars, prime=None):
     pairs = []
     counter = itertools.count()
     done = set()
+    memo = {}                        # the basis only grows: one reducer memo
     queued = 0                       # elements whose pairs are in the heap
     while True:
         for j in range(queued, len(leads)):
@@ -258,7 +273,7 @@ def _basis(polys, nvars, prime=None):
                 break
         else:
             remainder = _normal_form(
-                _s_polynomial(basis[i], basis[j], lcm), basis, guard, prime
+                _s_polynomial(basis[i], basis[j], lcm), basis, guard, prime, memo
             )
             if remainder:
                 element = _monic(remainder, prime)
@@ -434,15 +449,15 @@ def _lift_holds(generators, run) -> bool:
                 return False
             element[m] = _int_or_fraction(q)
         lifted.append((lm, element))
-    leads, lcms = [lm for lm, _ in lifted], _pair_lcms(w, nvars)
+    leads, lcms, memo = [lm for lm, _ in lifted], _pair_lcms(w, nvars), {}
     for j in range(len(lifted)):
         for i, lcm in enumerate(lcms(leads, j)):
             if lcm != leads[i] + leads[j] and _normal_form(
-                    _s_polynomial(lifted[i], lifted[j], lcm), lifted, guard):
+                    _s_polynomial(lifted[i], lifted[j], lcm), lifted, guard, None, memo):
                 return False
     return not any(
         _normal_form({_pack(m, w): _int_or_fraction(c.to_rational())
-                      for m, c in g.terms.items()}, lifted, guard)
+                      for m, c in g.terms.items()}, lifted, guard, None, memo)
         for g in generators
     )
 

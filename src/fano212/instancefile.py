@@ -21,8 +21,8 @@ for the declared conductor N.  Serialization is canonical: parsing then
 serializing is byte-idempotent.
 
 The entries are built in the field their literals generate with the action,
-not in Q(zeta_N).  Each literal is read once, into its terms.  Let g be the
-gcd of N and every exponent of z in the three matrices, and
+not in Q(zeta_N).  Each distinct entry text is read once, into its terms.
+Let g be the gcd of N and every exponent of z in the three matrices, and
 M = lcm(N/g, gcd(N, order)).  M divides N, and N/M divides every exponent,
 so each entry is built directly in Q(zeta_M) through
 zeta_N^e = zeta_M^(e*M/N), the embedding of `Cyclotomic.lift`.  This is
@@ -118,6 +118,9 @@ def _at(line: int, read, *args):
 
 
 def parse_instance(text: str) -> Instance:
+    """The instance a file's text declares, or a ParseError at its first bad
+    line.  Each distinct entry text is read once, at its first line, and folded
+    once the field is known: equal entries share one immutable Cyclotomic."""
     fields: dict = {}
     matrices: dict = {}
     current = None  # (index, rows)
@@ -187,7 +190,7 @@ def parse_instance(text: str) -> Instance:
     weights2 = ints("weights2") if "weights2" in fields else None
     declared = ints("exponents") if "exponents" in fields else None
 
-    grids = []
+    grids, literals = [], {}  # literals: each distinct entry text -> its terms
     g = conductor  # gcd of the conductor and every exponent of z
     for index in (1, 2, 3):
         if index not in matrices:
@@ -208,22 +211,22 @@ def parse_instance(text: str) -> Instance:
                     "matrix.%d row has %d entries, expected 4" % (index, len(entries)),
                     code="matrix-shape",
                 )
-            row = []
             for entry in entries:
-                try:
-                    terms = _literal_terms(entry)
-                except LiteralError as exc:
-                    raise ParseError(lineno, str(exc), code="bad-literal")
-                g = gcd(g, *(e for *_, e in terms if e is not None))
-                row.append(terms)
-            grid.append(row)
+                if entry not in literals:
+                    try:
+                        literals[entry] = terms = _literal_terms(entry)
+                    except LiteralError as exc:
+                        raise ParseError(lineno, str(exc), code="bad-literal")
+                    g = gcd(g, *(e for *_, e in terms if e is not None))
+            grid.append(entries)
         grids.append(grid)
 
     spec = ActionSpec(order=order, weights=weights, swap=swap, weights2=weights2)
     validate_action(spec)
     field = lcm(conductor // g, gcd(conductor, order))
-    model = model_from_matrices([[[_fold_terms(terms, conductor, field) for terms in row]
-                                  for row in grid] for grid in grids])
+    value = {entry: _fold_terms(terms, conductor, field) for entry, terms in literals.items()}
+    model = model_from_matrices([[[value[entry] for entry in row] for row in grid]
+                                 for grid in grids])
     validate_model(model)
     return Instance(model=model, spec=spec, conductor=conductor,
                     declared_exponents=declared)

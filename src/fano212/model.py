@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, count
 from math import gcd, lcm
 from operator import add
@@ -257,7 +256,7 @@ def full_smoothness(m: ModelTriple) -> bool:
     so it gives False.
 
     The 3x3 minors are those of the homogeneous Jacobian in all eight
-    variables, each taken once, when a chart first needs it, and then
+    variables, all 56 taken in one expansion (minors) and then
     dehomogenised: setting x_i = y_j = 1 is a ring map that commutes with
     the derivative in every chart variable, so they equal the minors of the
     chart's own Jacobian, in the same order.
@@ -268,18 +267,14 @@ def full_smoothness(m: ModelTriple) -> bool:
     """
     validate_model(m)
     forms = bilinear_forms(m)
-    jac = [[f.derivative(v) for v in range(8)] for f in forms]
-
-    @cache
-    def minor(cols):
-        return poly_det([[row[c] for c in cols] for row in jac])
-
+    minor = dict(zip(combinations(range(8), 3),
+                     minors([[f.derivative(v) for v in range(8)] for f in forms], 3)))
     for i in range(4):
         for j in range(4):
             chart = (i, 4 + j)
             variables = [v for v in range(8) if v not in chart]
             gens = [f.dehomogenize(chart) for f in forms]
-            gens += [minor(cols).dehomogenize(chart) for cols in combinations(variables, 3)]
+            gens += [minor[cols].dehomogenize(chart) for cols in combinations(variables, 3)]
             gens = [f for f in gens if not f.is_zero()]
             try:
                 if not unit_mod_p_or_q(gens):
@@ -447,9 +442,11 @@ def sample_curve_points(m: ModelTriple, side: Side = Side.FIRST, seed: int = 0,
     pencil matrix is linear in its coefficients.  It takes the exact
     rational roots t (a line on which the quartic is constant in t is
     skipped), and maps each point a + t*b to the sided centre with
-    quartic_point_to_curve_point.  A point where that map raises ValueError
-    has a kernel of dimension other than one, a singular point of the
-    quartic, and is skipped.  For a rational model the kernel map is a
+    quartic_point_to_curve_point, once per point of P2.  Proportional draws
+    (a = 0 among them) span no line and can give only the zero vector, so
+    they are skipped.  A point where that map raises ValueError has a kernel
+    of dimension other than one, a singular point of the quartic, and is
+    skipped.  For a rational model the kernel map is a
     bijection over Q between the smooth quartic and the centre, so the points
     this can find are exactly the rational points of the centre.  Returns a
     (possibly empty) list of projective 4-tuples; an empty list means no
@@ -457,15 +454,21 @@ def sample_curve_points(m: ModelTriple, side: Side = Side.FIRST, seed: int = 0,
     """
     rng = random.Random(seed)
     q = determinantal_quartic(m)  # refuses a degenerate pencil
-    found = []
+    found, seen = [], set()
     for _ in range(attempts):
         a = [rng.randint(-2, 2) for _ in range(3)]
         b = [rng.randint(-2, 2) for _ in range(3)]
+        if not any(a[i] * b[j] - a[j] * b[i] for i, j in ((0, 1), (0, 2), (1, 2))):
+            continue
         coeffs = _line_quartic(q, a, b)
         if len(coeffs) < 2:
             continue
         for root in _rational_roots(coeffs):
             point = [a[i] + root * b[i] for i in range(3)]
+            key = tuple(v / next(u for u in point if u) for v in point)
+            if key in seen:
+                continue
+            seen.add(key)
             try:
                 c = quartic_point_to_curve_point(m, point, side)
             except ValueError:

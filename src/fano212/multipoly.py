@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over cyclotomic coefficients.
 
 Terms map exponent tuples to nonzero Cyclotomic coefficients; the zero
-polynomial has an empty term map.  Includes the one determinant, poly_det,
-for small matrices of scalars or polynomials, worked in integers (its
-docstring says why that is exact), and the minors of polynomial matrices.
+polynomial has an empty term map.  Includes the minors of small matrices of
+scalars or polynomials, one integer expansion per row subset (_expand says
+why that is exact), with poly_det as the square case.
 """
 
 from __future__ import annotations
@@ -188,16 +188,34 @@ def _accumulate(terms: dict, exps, coef) -> None:
 
 def poly_det(rows):
     """Determinant of a square matrix of MultiPoly or scalar (int, Fraction,
-    Cyclotomic) entries, a Cyclotomic for a scalar matrix: cofactor expansion
-    along the first row, in integers.
+    Cyclotomic) entries, a Cyclotomic for a scalar matrix: its one maximal
+    minor (_expand)."""
+    size = len(rows)
+    if any(len(r) != size for r in rows):
+        raise ValueError("matrix is not square")
+    return _expand(rows, [tuple(range(size))])[0]
+
+
+def minors(rows, k: int) -> list:
+    """Every k x k minor of a polynomial matrix: row subsets in lexicographic
+    order and, within each, column subsets in lexicographic order, all from
+    one expansion per row subset (_expand), which shares their sub-minors."""
+    subsets = list(combinations(range(len(rows[0])), k))
+    return [det for sub in combinations(rows, k) for det in _expand(sub, subsets)]
+
+
+def _expand(rows, subsets) -> list:
+    """The determinants of the rows restricted to each column subset, whose
+    size is the number of rows: cofactor expansion along the first row, in
+    integers.
 
     N is the lcm of the entries' conductors, and row r is scaled by the lcm
     d_r of its denominators, so each entry maps a packed monomial to its
     nonzero integer numerators over Q(zeta_N), as pairs (k, c) for c*z^k.
     A minor sums its products unreduced, as convolutions of length
-    2*phi(N) - 1, and is reduced mod Phi_N once; the determinant is the
-    whole minor over the product of the d_r.  This is exact: z -> zeta_N is
-    a ring map from Z[z][x] onto Z[zeta_N][x] and det is a polynomial in the
+    2*phi(N) - 1, and is reduced mod Phi_N once; a determinant is the whole
+    minor over the product of the d_r.  This is exact: z -> zeta_N is a ring
+    map from Z[z][x] onto Z[zeta_N][x] and det is a polynomial in the
     entries, so any intermediate may be reduced mod Phi_N; d_r comes out of
     row r by multilinearity; and x^e packs to sum(e_i * 2^(w*i)), where
     fields are only ever added and no exponent of a product of `size`
@@ -205,11 +223,11 @@ def poly_det(rows):
     2^w, so no field overflows into the next.
 
     A minor on the rows from the third on is met once for each order in
-    which the rows above pick the missing columns; every minor is expanded
-    once per call, so a 4x4 determinant takes 28 entry products, not 40."""
+    which the rows above pick the missing columns, and again by every
+    subset that holds its columns; it is keyed by its columns alone, as its
+    rows are the last len(cols), and expanded once per call, so a 4x4
+    determinant takes 28 entry products, not 40."""
     size = len(rows)
-    if any(len(r) != size for r in rows):
-        raise ValueError("matrix is not square")
     polys = [e for r in rows for e in r if isinstance(e, MultiPoly)]
     nvars = polys[0].nvars if polys else 0
     if any(p.nvars != nvars for p in polys):
@@ -252,22 +270,12 @@ def poly_det(rows):
         return result
 
     den, mask = prod(dens), (1 << w) - 1
-    det = {m: Cyclotomic._lowest(n, tuple(map(dict(v).get, range(phi), [0] * phi)), den)
-           for m, v in minor(tuple(range(size))).items()}
+    dets = [{m: Cyclotomic._lowest(n, tuple(map(dict(v).get, range(phi), [0] * phi)), den)
+             for m, v in minor(cols).items()} for cols in subsets]
     if not polys:
-        return det.get(0, cyc(0, n))
-    return MultiPoly._of(nvars, {tuple([m >> s & mask for s in shifts]): c
-                                 for m, c in det.items()})
-
-
-def minors(rows, k: int) -> list:
-    """Every k x k minor of a polynomial matrix: row subsets in lexicographic
-    order and, within each, column subsets in lexicographic order."""
-    return [
-        poly_det([[row[c] for c in cols] for row in sub])
-        for sub in combinations(rows, k)
-        for cols in combinations(range(len(rows[0])), k)
-    ]
+        return [det.get(0, cyc(0, n)) for det in dets]
+    return [MultiPoly._of(nvars, {tuple([m >> s & mask for s in shifts]): c
+                                  for m, c in det.items()}) for det in dets]
 
 
 def maximal_minors(rows) -> tuple:

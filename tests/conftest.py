@@ -7,12 +7,12 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
 from fano212.cohomology import InconclusiveCohomology, koszul_cohomology_on_X
-from fano212.cyclotomic import Cyclotomic, cyc
+from fano212.cyclotomic import Cyclotomic, _fold_terms, _literal_terms, cyc
 from fano212.groebner import _exact_basis, _guard, _interreduce, _unpack, monomial_divides
 from fano212.linalg import mat_mul, mat_transpose, nullspace, rref
 from fano212.model import (
@@ -325,6 +325,24 @@ def lifted(text, conductor, k):
     """An instance text declared at a new conductor, each z^j written z^(kj)."""
     text = re.sub(r"^conductor = \d+$", "conductor = %d" % conductor, text, flags=re.M)
     return re.sub(r"z(?:\^(\d+))?", lambda m: "z^%d" % (k * int(m.group(1) or 1)), text)
+
+
+def per_entry_model(text):
+    """The model of a valid instance text with no comments, built entry by
+    entry: every entry read into its terms, g the gcd of the conductor and
+    every exponent of z, and every entry folded on its own into Q(zeta_M),
+    M = lcm(N/g, gcd(N, order)).  An oracle of parse_instance, which reads
+    and folds each distinct entry text once."""
+    head = dict(re.findall(r"^(\w+) = (.*)$", text, flags=re.M))
+    conductor, order = int(head["conductor"]), int(head["order"])
+    grids = [[[_literal_terms(entry.strip()) for entry in line.split(",")]
+              for line in section.splitlines()[1:] if line.strip()]
+             for section in text.split("[matrix.")[1:]]
+    g = gcd(conductor, *(e for grid in grids for row in grid for terms in row
+                         for *_, e in terms if e is not None))
+    field = lcm(conductor // g, gcd(conductor, order))
+    return model_from_matrices([[[_fold_terms(terms, conductor, field) for terms in row]
+                                 for row in grid] for grid in grids])
 
 
 def fiber_section(m, side, point):

@@ -107,6 +107,27 @@ def test_packed_normal_form_is_the_plain_division(data):
     assert MultiPoly(nvars, unpacked) == normal_form(p, basis)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_shared_reducer_memo_leaves_every_remainder(data):
+    # one memo across normal forms by a list that only grows, as in a
+    # Buchberger run, finds each term's first divisor as a fresh scan does
+    nvars = data.draw(st.integers(1, 4))
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
+    polynomial = st.dictionaries(monomial, st.integers(-3, 3), max_size=5).map(
+        lambda terms: MultiPoly(nvars, terms))
+    basis = data.draw(st.lists(polynomial.filter(bool), min_size=1, max_size=4))
+    polys = data.draw(st.lists(polynomial, min_size=1, max_size=6))
+    w = _width(max(g.degree() for g in polys + basis))
+    leads, memo = [_monic(_pack_terms(g.terms, w)) for g in basis], {}
+    for i, p in enumerate(polys):
+        size = 1 + i * len(basis) // len(polys)
+        shared = _normal_form(_pack_terms(p.terms, w), leads[:size], _guard(w, nvars),
+                              None, memo)
+        unpacked = {_unpack(m, w, nvars): c for m, c in shared.items()}
+        assert MultiPoly(nvars, unpacked) == normal_form(p, basis[:size])
+
+
 def test_already_reduced_basis():
     x, y = variables(2)
     gb = groebner([x, y])

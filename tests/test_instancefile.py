@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lifted
+from conftest import lifted, per_entry_model
 
 from fano212.cyclotomic import Cyclotomic
 from fano212.instancefile import (
@@ -162,6 +162,51 @@ class TestWorkingField:
         assert all(v.n == 16 for v in entries(inst))
         assert inst.model.matrices[2][2][2] == Cyclotomic.zeta(16)
         assert serialize_instance(inst) == text
+
+
+class TestDistinctTexts:
+    """parse_instance reads and folds each distinct entry text once."""
+
+    def test_bad_literal_on_two_lines_is_reported_at_the_first(self):
+        text = data_text("symmetric_n2.txt").replace(
+            "-4, -5, 0, -6", "-4, 2*zz, 0, -6").replace("-6, 1, -2, -2", "-6, 1, 2*zz, -2")
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert exc.value.code == "bad-literal" and exc.value.line == 8
+        assert str(exc.value) == "line 8: bad term '2*zz' in literal '2*zz'"
+
+    @pytest.mark.parametrize("text", [
+        data_text("swap_n8.txt"),
+        data_text("symmetric_n2.txt"),
+        lifted(data_text("swap_n8.txt"), 504, 63),
+        lifted(data_text("swap_n8.txt"), 16, 2),
+    ], ids=["swap_n8", "symmetric_n2", "swap_n8-at-504", "swap_n8-at-16"])
+    def test_repeated_texts_give_the_per_entry_model(self, text):
+        inst, oracle = parse_instance(text), per_entry_model(text)
+        values = entries(inst)
+        assert [(v.n, v.num, v.den) for v in values] == [
+            (v.n, v.num, v.den) for mat in oracle.matrices for row in mat for v in row]
+        assert inst.model == oracle
+        # equal texts share one value: fewer objects than entries
+        texts = {e.strip() for line in text.split("[matrix.1]")[1].splitlines()
+                 for e in line.split(",") if e.strip() and not e.startswith("[")}
+        assert len({id(v) for v in values}) == len(texts) < len(values)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.sampled_from(["0", "1", "-2", "z", "3*z^2", "z^4 - 1", "1/2*z^6",
+                                     "z^4-1", "-z^3 + 1/3"]), min_size=48, max_size=48))
+    def test_drawn_grids_give_the_per_entry_model(self, pool):
+        rows = [", ".join(pool[4 * r:4 * r + 4]) for r in range(12)]
+        text = "conductor = 8\norder = 2\nswap = true\nweights = 0, 0, 0, 0\n" + "".join(
+            "\n[matrix.%d]\n%s\n" % (i + 1, "\n".join(rows[4 * i:4 * i + 4])) for i in range(3))
+        try:
+            inst = parse_instance(text)
+        except InputError as exc:
+            assert exc.code == "dependent-forms"
+            return
+        assert [(v.n, v.num, v.den) for v in entries(inst)] == [
+            (v.n, v.num, v.den) for mat in per_entry_model(text).matrices
+            for row in mat for v in row]
 
 
 SWAP8_LINES = data_text("swap_n8.txt").splitlines()

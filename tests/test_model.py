@@ -500,6 +500,29 @@ class TestSampleCurvePoints:
             assert points
             assert not any(proj_equal(list(c), list(d)) for c, d in combinations(points, 2))
 
+    @pytest.mark.parametrize("which", ["planted-7", "planted-8"])
+    def test_no_kernel_map_of_the_zero_vector_or_of_a_repeated_point(self, which,
+                                                                     monkeypatch):
+        # a proportional draw (a = 0 among them) is refused before its line,
+        # and each point of P2 is mapped once
+        mapped, kernel_map = [], model_module.quartic_point_to_curve_point
+
+        def wrapped(m, p, side=Side.FIRST):
+            mapped.append([Fraction(v) for v in p])
+            return kernel_map(m, p, side)
+
+        monkeypatch.setattr(model_module, "quartic_point_to_curve_point", wrapped)
+        m, total = line_model(which), 0
+        for side in Side:
+            for seed in range(24):
+                mapped.clear()
+                sample_curve_points(m, side, seed=seed, attempts=5)
+                assert all(any(p) for p in mapped)
+                keys = [tuple(v / next(u for u in p if u) for v in p) for p in mapped]
+                assert len(set(keys)) == len(keys)
+                total += len(keys)
+        assert total
+
     def test_sampler_output_is_pinned(self):
         lines = ["%s %s %d %r" % (which, side.value, seed,
                                   sample_curve_points(line_model(which), side, seed=seed,

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,37 @@ def test_two_by_two_minors_in_row_then_column_order():
     ]
     assert len(expected) == 18
     assert minors(rows, 2) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_minors_match_the_leibniz_sum_minor_by_minor(data):
+    # one expansion per row subset shares its sub-minors among the column
+    # subsets; each minor, in order, is still the Leibniz sum of its own
+    # submatrix, over Q and over Q(zeta_8), zero rows included
+    k = data.draw(st.sampled_from([2, 3]), label="k")
+    width = data.draw(st.integers(k, 8), label="width")
+    n = data.draw(st.sampled_from([1, 8]), label="conductor")
+    zero_rows = data.draw(st.sets(st.integers(0, 2), max_size=2), label="zero_rows")
+    xs = variables(4)
+
+    def form():
+        poly = MultiPoly.zero(4)
+        for x in data.draw(st.lists(st.sampled_from(xs), max_size=3)):
+            coords = data.draw(st.lists(st.integers(-2, 2), min_size=euler_phi(n),
+                                        max_size=euler_phi(n)))
+            poly = poly + x * Cyclotomic(n, [Fraction(c, data.draw(st.integers(1, 2)))
+                                             for c in coords])
+        return poly
+
+    rows = [[MultiPoly.zero(4) if r in zero_rows else form() for _ in range(width)]
+            for r in range(3)]
+    expected = [leibniz([[row[c] for c in cols] for row in sub])
+                for sub in combinations(rows, k) for cols in combinations(range(width), k)]
+    got = minors(rows, k)
+    assert len(got) == len(expected)
+    for f, g in zip(got, expected):
+        assert isinstance(f, MultiPoly) and f == g
 
 
 def test_dehomogenize():
