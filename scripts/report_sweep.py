@@ -6,10 +6,11 @@ Usage (from the root of a checkout; takes no options, writes to stdout):
     python scripts/report_sweep.py > sweep.txt
     cmp sweep_before.txt sweep_after.txt
 
-The corpus is tests/data plus one instance generated for each cell of
-run_survey.py's grids at seeds 0 and 1.  The sweep prints, for every
-instance, the --format tree report and the exit code of validate, smooth,
-verify, chars --oracle, verdict, gfano, hilbert on both sides and picard;
+The corpus is tests/data plus the instance that run_survey.generate draws
+for each cell of run_survey.py's grids at seeds 0 and 1.  The sweep runs
+the CLI in process (run_survey.run) and prints, for every instance, the
+--format tree report and the exit code of validate, smooth, verify,
+chars --oracle, verdict, gfano, hilbert on both sides and picard;
 then smooth --full on tests/data and on a fixed rational triple with a
 double point (exit 1: its first chart is not the unit ideal, so the exact
 Groebner engine decides it).  Then validate on hostile files, each exit 2
@@ -33,25 +34,17 @@ parsed back, the sample_curve_points output on both sides for the generated
 instances of order 2, and a line counting the reports.
 """
 
-import contextlib
-import io
 import os
 import re
 import sys
 import tempfile
-from math import lcm
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from fano212.action import (  # noqa: E402
-    random_diagonal_model,
-    random_equivariant_model,
-)
-from fano212.cli import main as cli_main  # noqa: E402
-from fano212.instancefile import Instance, load_instance, serialize_instance  # noqa: E402
-from fano212.model import InputError, Side, sample_curve_points  # noqa: E402
-from run_survey import DIAGONAL_GRID, SWAP_GRID  # noqa: E402
+from fano212.instancefile import load_instance, serialize_instance  # noqa: E402
+from fano212.model import Side, sample_curve_points  # noqa: E402
+from run_survey import CELLS, generate, run  # noqa: E402
 
 DATA = os.path.join(ROOT, "tests", "data")
 SEEDS = (0, 1)
@@ -135,13 +128,6 @@ OVERLONG = (
 LONG_PATH = "/nonexistent" + "/a" * 150
 
 
-def run(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli_main(argv + ["--format", "tree"])
-    return code, buf.getvalue()
-
-
 def report(label, path, argv):
     code, out = run(argv if path is None else argv + ["--input", path])
     print("== %s: %s -> exit %d" % (label, " ".join(argv), code))
@@ -151,22 +137,9 @@ def report(label, path, argv):
 def generated():
     """(label, Instance or error text) for every grid cell and seed."""
     for seed in SEEDS:
-        cells = [(n, w, None, s) for n, w, s in SWAP_GRID] + list(DIAGONAL_GRID)
-        for n, weights, weights2, exponents in cells:
+        for n, weights, weights2, exponents in CELLS:
             label = "n=%d r=%s r2=%s s=%s seed=%d" % (n, weights, weights2, exponents, seed)
-            try:
-                if weights2 is None:
-                    model, spec = random_equivariant_model(n, weights, exponents, seed=seed)
-                else:
-                    model, spec = random_diagonal_model(
-                        n, weights, weights2, exponents, seed=seed
-                    )
-            except InputError as exc:
-                yield label, str(exc)
-                continue
-            yield label, Instance(model=model, spec=spec,
-                                  conductor=lcm(model.conductor, n),
-                                  declared_exponents=exponents)
+            yield label, generate(n, weights, weights2, exponents, seed)
 
 
 def conductor_variants():

@@ -1,33 +1,30 @@
 #!/usr/bin/env python3
-"""Survey a grid of cyclic actions: generate smooth equivariant instances,
-compare character formulas against the symbolic oracles, and tabulate the
-linearisability verdicts.
+"""Survey a grid of cyclic actions: generate smooth equivariant instances
+and run the CLI's verify and verdict on each (with --hilbert also hilbert on
+both sides), so that "verified" means here what it means to fano212.  A row
+gives each command's exit code, the verdict and the Hilbert polynomials; a
+cell fails when the generator refuses it or a command exits non-zero.
+scripts/report_sweep.py draws its corpus with generate and runs it with run.
 
 Usage:
     python scripts/run_survey.py [--seed N] [--per-combo K] [--hilbert]
 """
 
 import argparse
+import contextlib
+import io
+import os
 import sys
+import tempfile
 import time
+from math import lcm
 
 sys.path.insert(0, "src")
 
-from fano212.action import (
-    invariant_pencil,
-    random_diagonal_model,
-    random_equivariant_model,
-)
-from fano212.characters import (
-    characters_differ,
-    curve_action_oracle,
-    ij_characters,
-    ij_oracle,
-    jac_curve_characters,
-    verdict,
-)
-from fano212.groebner import hilbert_polynomial, qp_str
-from fano212.model import InputError, Side, minor_cubics
+from fano212.action import random_diagonal_model, random_equivariant_model
+from fano212.cli import main as cli_main
+from fano212.instancefile import Instance, serialize_instance
+from fano212.model import InputError
 
 SWAP_GRID = [
     (2, (0, 0, 0, 0), (0, 0, 0)),
@@ -50,9 +47,33 @@ DIAGONAL_GRID = [
     (4, (0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 1)),
 ]
 
+# (order, weights, weights2, exponents): weights2 is None for a swap cell
+CELLS = [(n, w, None, s) for n, w, s in SWAP_GRID] + DIAGONAL_GRID
+# the commands of a survey row, each with the report key whose value it shows
+COMMANDS = [(["verify"], None), (["verdict"], "verdict")]
+HILBERT = [(["hilbert", "--side", side], "hilbert.polynomial") for side in ("first", "second")]
 
-def fmt_chars(c):
-    return "{%s}" % ",".join(str(e) for e in c.exponents)
+
+def generate(n, weights, weights2, exponents, seed):
+    """The generator's Instance for a swap cell (weights2 None) or a diagonal
+    one, declaring the cell's exponents, or the text of its refusal."""
+    try:
+        if weights2 is None:
+            model, spec = random_equivariant_model(n, weights, exponents, seed=seed)
+        else:
+            model, spec = random_diagonal_model(n, weights, weights2, exponents, seed=seed)
+    except InputError as exc:
+        return str(exc)
+    return Instance(model=model, spec=spec, conductor=lcm(model.conductor, n),
+                    declared_exponents=exponents)
+
+
+def run(argv):
+    """The exit code and --format tree report of fano212 on argv, in process."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(argv + ["--format", "tree"])
+    return code, buf.getvalue()
 
 
 def main():
@@ -65,76 +86,32 @@ def main():
     args = parser.parse_args()
 
     started = time.monotonic()
-    rows = []
+    commands = COMMANDS + (HILBERT if args.hilbert else [])
     failures = 0
-    for n, weights, exps in SWAP_GRID:
-        for k in range(args.per_combo):
-            seed = args.seed + 1000 * k
-            try:
-                model, spec = random_equivariant_model(n, weights, exps, seed=seed)
-            except InputError as exc:
-                rows.append((n, weights, exps, "generation failed: %s" % exc))
-                failures += 1
-                continue
-            pencil = invariant_pencil(model, spec)
-            jac = jac_curve_characters(pencil.exponents, weights, n)
-            ij = ij_characters(pencil.exponents, weights, n)
-            ok = (
-                jac == curve_action_oracle(pencil)
-                and ij == ij_oracle(pencil)
-                and characters_differ(jac, ij)
-            )
-            extra = ""
-            if args.hilbert:
-                hp = hilbert_polynomial(minor_cubics(model, Side.FIRST))
-                extra = " hilbert=%s" % qp_str(hp)
-                ok = ok and qp_str(hp) == "6*t - 2"
-            if not ok:
-                failures += 1
-            rows.append(
-                (
-                    n,
-                    weights,
-                    exps,
-                    "jac=%s ij=%s verdict=%s %s%s"
-                    % (
-                        fmt_chars(jac),
-                        fmt_chars(ij),
-                        verdict(spec).value,
-                        "OK" if ok else "MISMATCH",
-                        extra,
-                    ),
-                )
-            )
-
-    for n, a, b, exps in DIAGONAL_GRID:
-        try:
-            model, spec = random_diagonal_model(n, a, b, exps, seed=args.seed)
-        except InputError as exc:
-            rows.append((n, a, exps, "generation failed: %s" % exc))
-            failures += 1
-            continue
-        pencil = invariant_pencil(model, spec)
-        curve = curve_action_oracle(pencil)
-        same = ij_oracle(pencil) == curve
-        if not same:
-            failures += 1
-        rows.append(
-            (
-                n,
-                (a, b),
-                exps,
-                "curve=%s ij=curve:%s verdict=%s"
-                % (fmt_chars(curve), same, verdict(spec).value),
-            )
-        )
-
-    for n, weights, exps, summary in rows:
-        print("n=%d r=%s s=%s  %s" % (n, weights, exps, summary))
-    print(
-        "\n%d cells, %d failures, %.1fs"
-        % (len(rows), failures, time.monotonic() - started)
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.txt")
+        for n, weights, weights2, exponents in CELLS:
+            for k in range(args.per_combo):
+                seed = args.seed + 1000 * k
+                label = "n=%d r=%s r2=%s s=%s seed=%d" % (n, weights, weights2, exponents, seed)
+                inst = generate(n, weights, weights2, exponents, seed)
+                if isinstance(inst, str):
+                    print("%s  generation failed: %s  FAIL" % (label, inst))
+                    failures += 1
+                    continue
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(serialize_instance(inst))
+                fields, failed = [label], False
+                for argv, key in commands:
+                    code, out = run(argv + ["--input", path])
+                    values = dict(line.partition(" = ")[::2] for line in out.splitlines())
+                    field = "%s=%d" % ("-".join(argv[::2]), code)
+                    fields.append("%s (%s)" % (field, values[key]) if key in values else field)
+                    failed |= code != 0
+                failures += failed
+                print("  ".join(fields + ["FAIL"] * failed))
+    print("\n%d cells, %d failures, %.1fs"
+          % (len(CELLS) * args.per_combo, failures, time.monotonic() - started))
     return 1 if failures else 0
 
 

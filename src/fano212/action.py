@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
-from operator import add
 
 from .cyclotomic import Cyclotomic, cyc
 from .groebner import empty_mod_p
-from .linalg import nullspace, rref
+from .linalg import rref
 from .model import ModelTriple, combine, determinantal_quartic, validate_model, InputError
 from .multipoly import poly_det
 
@@ -164,12 +162,17 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
     - In-block check.  Then P is the sum of its blocks, and sigma, which
       commutes with tau, maps each block to itself; so P is sigma-stable
       exactly when sigma(B_k) lies in the span of each block's echelon basis
-      B: T holds its entries on the pivots, and the others are checked.  For
-      a diagonal action sigma = tau, and each B_k is an eigenvector.
-    - The split.  For a swap T^2 = w^mu, with mu even as the weights share
-      parity, so T is diagonalisable with eigenvalues w^(mu/2) and
-      w^(mu/2 + n/2) = -w^(mu/2): their nullspaces hold the block's
-      eigenvectors, and no eigenvalue is missing.
+      B: its entries on the pivots give the combination of B, and the
+      others are checked against it.  For a diagonal action sigma = tau,
+      and each B_k is an eigenvector.
+    - The split.  For a swap sigma^2 = tau = w^mu on a block, with mu even
+      as the weights share parity, so sigma^2 = lambda^2 there for lambda =
+      w^(mu/2) and for -lambda = w^(mu/2 + n/2).  Each u of the block is the
+      sum of its lambda- and -lambda-components, on which sigma acts by
+      lambda and -lambda, so u + lambda^-1 sigma(u) is twice its
+      lambda-component.  These components of the block's basis span the
+      lambda-eigenspace: the echelon form of u + lambda^-1 sigma(u) over the
+      basis is an eigenbasis, and no eigenvalue is missing.
     Only a refusal finds the first M_j with sigma(M_j) outside P, for its
     message, against the echelon form of the three forms.  Every product is
     taken at the forms' conductor, then rotated by its power of w."""
@@ -203,19 +206,19 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
         j = next(j for j, u in enumerate(rows) if outside(u, red[:3], pivots, range(16)))
         raise InputError("pencil-not-invariant", "the action does not preserve the span of "
                          "the three forms (form %d maps outside the pencil)" % (j + 1))
-    for k, basis, pivots, cols in blocks:
+    for k, basis, _, cols in blocks:
         if not spec.swap:
             found += [(k, [u.get(c, zero) for c in range(16)]) for u in basis]
             continue
-        t = [[u[source[p]].rotated(n, twist[p]) for u in basis] for p in pivots]
-        for s in (k // 2, k // 2 + n // 2):
-            lam = Cyclotomic.zeta(n, s)
-            for vec in nullspace([[x - lam if i == j else x for j, x in enumerate(row)]
-                                  for i, row in enumerate(t)]):
-                u = [zero] * 16
-                for c in cols:
-                    u[c] = reduce(add, (x * b[c] for x, b in zip(vec, basis)))
-                found.append((s, u))
+        # u and lambda^-1 sigma(u) for lambda = w^(k/2); for -lambda it is negated
+        pairs = [[(u[c], u[source[c]].rotated(n, twist[c] - k // 2)) for c in cols]
+                 for u in basis]
+        for s, rows in ((k // 2, [[a + b for a, b in p] for p in pairs]),
+                        (k // 2 + n // 2, [[a - b for a, b in p] for p in pairs])):
+            red, pivots = rref(rows)
+            for row in red[:len(pivots)]:
+                u = dict(zip(cols, row))
+                found.append((s, [u.get(c, zero) for c in range(16)]))
     found.sort(key=lambda item: item[0])
     return InvariantPencil(tuple(tuple(tuple(u[4 * p:4 * p + 4]) for p in range(4))
                                  for _, u in found), tuple(s for s, _ in found), spec)

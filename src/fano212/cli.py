@@ -51,7 +51,6 @@ from .instancefile import (
 from .model import (
     InputError,
     Side,
-    SmoothnessInconclusive,
     determinantal_quartic,
     full_smoothness,
     minor_cubics,
@@ -398,7 +397,7 @@ def main(argv=None) -> int:
             exc.filename = _excerpt(exc.filename)
         report.put("error", "io-error: %s" % exc)
         code = EXIT_INVALID
-    except (DegreeCapExceeded, SmoothnessInconclusive, InconclusiveCohomology) as exc:
+    except (DegreeCapExceeded, InconclusiveCohomology) as exc:
         report.put("error", "inconclusive: %s" % exc)
         code = EXIT_INCONCLUSIVE
     except OracleError as exc:

@@ -51,10 +51,6 @@ class InputError(ValueError):
 InvalidModel = InputError
 
 
-class SmoothnessInconclusive(RuntimeError):
-    """The chart-wise Groebner run hit the degree cap; not a verdict."""
-
-
 @dataclass(frozen=True)
 class ModelTriple:
     matrices: tuple  # three 4x4 tuples of Cyclotomic
@@ -241,8 +237,8 @@ def full_smoothness(m: ModelTriple) -> bool:
     the three forms and the 3x3 minors of their Jacobian in the six chart
     variables must be the unit ideal.  A chart passes when it is unit mod p
     or over Q (unit_mod_p_or_q: one mod-p run, then its checked lift or an
-    exact run).  Raises SmoothnessInconclusive when an exact chart
-    computation exceeds the Buchberger degree cap.
+    exact run).  Raises DegreeCapExceeded, naming the chart, when an exact
+    chart computation exceeds the Buchberger degree cap.
 
     Unit mod p alone does not make a chart unit over Q, yet the mix is
     sound.  Scale a singular point P of X over Qbar so that on each factor
@@ -280,7 +276,7 @@ def full_smoothness(m: ModelTriple) -> bool:
                 if not unit_mod_p_or_q(gens):
                     return False
             except DegreeCapExceeded as exc:
-                raise SmoothnessInconclusive(
+                raise DegreeCapExceeded(
                     "chart x%d=1, y%d=1 exceeded the degree cap: %s" % (i, j, exc)
                 ) from exc
     return True

@@ -9,11 +9,14 @@ import pytest
 
 from conftest import rank_one_at_vertex_model
 
-from fano212 import cohomology
+from fano212 import cli, cohomology
 from fano212.action import ActionSpec, random_diagonal_model
 from fano212.cli import main
 from fano212.cohomology import CohTable
 from fano212.instancefile import Instance, save_instance
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
+import run_survey  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SYMMETRIC = os.path.join(DATA, "symmetric_n2.txt")
@@ -467,6 +470,36 @@ def test_report_sweep_output_is_pinned():
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "report_sweep.py")
     result = subprocess.run([sys.executable, script], capture_output=True, check=True)
     assert hashlib.sha256(result.stdout).hexdigest() == SWEEP_SHA256
+
+
+def survey(monkeypatch, capsys, *args):
+    """The exit code and rows of scripts/run_survey.py on args, in process."""
+    monkeypatch.setattr(sys, "argv", ["run_survey.py", *args])
+    code = run_survey.main()
+    return code, capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_survey_passes_every_cell(monkeypatch, capsys, seed):
+    code, rows = survey(monkeypatch, capsys, "--hilbert", "--seed", seed)
+    assert code == 0
+    assert rows[-1].startswith("15 cells, 0 failures, ")
+    assert all("hilbert-second=0 (6*t - 2)" in row for row in rows[:15])
+
+
+def test_survey_flags_a_diagonal_formula_that_drops_the_second_weights(monkeypatch, capsys):
+    # the survey reads the formula through verify: summed over the first four
+    # weights only, it is wrong where the second ones do not sum to 0 mod n,
+    # the two diagonal cells of order 4 (the order-2 cell's sum to 2)
+    real = cli.jac_curve_characters
+    monkeypatch.setattr(cli, "jac_curve_characters", lambda s, r, n: real(s, r[:4], n))
+    code, rows = survey(monkeypatch, capsys, "--hilbert")
+    assert code == 1
+    assert rows[-1].startswith("15 cells, 2 failures, ")
+    flagged = [row.split(" seed=")[0] for row in rows if row.endswith("  FAIL")]
+    assert flagged == ["n=4 r=(0, 1, 2, 3) r2=(0, 2, 1, 3) s=(0, 0, 1)",
+                       "n=4 r=(0, 1, 2, 3) r2=(0, 2, 1, 3) s=(0, 1, 1)"]
+    assert all(" verify=1 " in row for row in rows if row.endswith("  FAIL"))
 
 
 def test_module_entry_point():

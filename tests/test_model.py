@@ -29,6 +29,7 @@ from fano212 import linalg as linalg_module
 from fano212 import model as model_module
 from fano212.cyclotomic import Cyclotomic, cyc
 from fano212.groebner import (
+    DegreeCapExceeded,
     _fp_field,
     buchberger,
     hilbert_polynomial,
@@ -41,7 +42,6 @@ from fano212.model import (
     InputError,
     ModelTriple,
     Side,
-    SmoothnessInconclusive,
     _line_quartic,
     _rational_roots,
     bilinear_forms,
@@ -552,7 +552,7 @@ def test_inconclusive_smoothness_says_how_far_it_got(monkeypatch):
     rng = random.Random(7)
     m = model_from_matrices([random_rational_matrix(rng, -1, 1) for _ in range(3)])
     monkeypatch.setattr(groebner_module, "DEGREE_CAP", 2)
-    with pytest.raises(SmoothnessInconclusive, match=(
+    with pytest.raises(DegreeCapExceeded, match=(
         r"^chart x0=1, y0=1 exceeded the degree cap: S-pair degree 3 exceeds "
         r"cap 2 \(basis size \d+, pending pairs \d+\)$"
     )):
