@@ -19,7 +19,7 @@ import tempfile
 import time
 from math import lcm
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from fano212.action import random_diagonal_model, random_equivariant_model
 from fano212.cli import main as cli_main

@@ -261,7 +261,8 @@ def invariant_sublattice(swap: bool):
 def _matrix(n: int, entries):
     """The 4x4 matrix over Q(zeta_n) with the entries {(i, j): value}, and 0
     elsewhere."""
-    return tuple(tuple(entries.get((i, j), cyc(0, n)) for j in range(4)) for i in range(4))
+    zero = cyc(0, n)
+    return tuple(tuple(entries.get((i, j), zero) for j in range(4)) for i in range(4))
 
 
 def transpose_twist_eigenbasis(n: int, weights, s: int):

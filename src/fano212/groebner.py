@@ -42,11 +42,13 @@ exit; the bijection keeps every order, term order included.  A normal
 form finds each monomial's reducer through a memo that lives for one
 Buchberger run or one lift check, whose lead list only grows (_normal_form).
 
-S-pair selection uses the normal strategy (smallest lcm in grevlex): pending
-pairs sit in a heap keyed by (-M(lcm), insertion order), so among equal
-lcms the pair queued first is taken first.  The product and chain criteria
-prune pairs.  S-pair degrees are capped so a runaway computation fails
-loudly instead of hanging.
+A run first inter-reduces its inputs, each by those kept before it, which
+keeps the ideal and drops the linearly dependent ones (_basis).  One pair
+loop (_pairs) serves the run and the lift check: it uses the normal
+strategy (smallest lcm in grevlex), with pending pairs in a heap keyed by
+(-M(lcm), insertion order), so among equal lcms the pair queued first is
+taken first.  The product and chain criteria prune pairs.  S-pair degrees
+are capped so a runaway computation fails loudly instead of hanging.
 """
 
 from __future__ import annotations
@@ -216,39 +218,24 @@ def _pair_key(i, j):
     return (i, j) if i < j else (j, i)
 
 
-def _basis(polys, nvars, prime=None):
-    """Buchberger on nonzero {mono: coef} dicts in nvars variables.  Returns
-    (basis, w): the monic basis as (leading monomial, terms) pairs packed
-    with field width w.  As soon as an input element or a remainder is
-    constant the basis is just that constant 1, a Groebner basis of the unit
-    ideal.  Raises DegreeCapExceeded when the next pair's lcm is above
-    DEGREE_CAP."""
-    # an S-pair above DEGREE_CAP is never formed, and no remainder term is
-    # above its S-pair's degree
-    top = max((sum(m) for p in polys for m in p), default=0)
-    w = _width(max(DEGREE_CAP, top))
-    guard = _guard(w, nvars)
-    lcms = _pair_lcms(w, nvars)
-    basis = [_monic(_pack_terms(p, w), prime) for p in polys]
-    for element in basis:
-        if element[0] == 0:
-            return [element], w
-    leads = [lm for lm, _ in basis]
-    # (-lcm, insertion counter, i, j): the grevlex-smallest lcm is the
-    # largest int, and the counter makes the first-inserted pair win among
-    # equal lcms.
-    pairs = []
-    counter = itertools.count()
-    done = set()
-    memo = {}                        # the basis only grows: one reducer memo
-    queued = 0                       # elements whose pairs are in the heap
+def _pairs(leads, w: int, nvars: int):
+    """The S-pairs (lcm, i, j) of the packed leads that Buchberger's product
+    and chain criteria keep, by the normal strategy: pending pairs sit in a
+    heap keyed by (-lcm, insertion order), so the grevlex-smallest lcm comes
+    first and among equal lcms the pair queued first.  leads may grow
+    between steps, and the pairs of a new lead are queued at the next one.
+    Every pair taken is done; it is skipped when its leads are coprime, or
+    when some other lead k divides its lcm and (i, k) and (j, k) are done.
+    Raises DegreeCapExceeded when the next pair's lcm is above DEGREE_CAP."""
+    guard, lcms = _guard(w, nvars), _pair_lcms(w, nvars)
+    pairs, counter, done, queued = [], itertools.count(), set(), 0
     while True:
         for j in range(queued, len(leads)):
             for i, lcm in enumerate(lcms(leads, j)):
                 heapq.heappush(pairs, (-lcm, next(counter), i, j))
         queued = len(leads)
         if not pairs:
-            return basis, w
+            return
         lcm = -pairs[0][0]
         degree = -(lcm >> (w * nvars))
         if degree > DEGREE_CAP:
@@ -258,29 +245,54 @@ def _basis(polys, nvars, prime=None):
             )
         _, _, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        # product criterion
         if lcm == leads[i] + leads[j]:
             continue
-        # chain criterion
-        for k in range(len(leads)):
-            if (
-                k != i
-                and k != j
-                and not (lcm - leads[k]) & guard
-                and _pair_key(i, k) in done
-                and _pair_key(j, k) in done
-            ):
+        for k, lead in enumerate(leads):
+            if (not (lcm - lead) & guard and k != i and k != j
+                    and _pair_key(i, k) in done and _pair_key(j, k) in done):
                 break
         else:
-            remainder = _normal_form(
-                _s_polynomial(basis[i], basis[j], lcm), basis, guard, prime, memo
-            )
-            if remainder:
-                element = _monic(remainder, prime)
-                if element[0] == 0:
-                    return [element], w
-                basis.append(element)
-                leads.append(element[0])
+            yield lcm, i, j
+
+
+def _basis(polys, nvars, prime=None):
+    """Buchberger on nonzero {mono: coef} dicts in nvars variables.  Returns
+    (basis, w): the monic basis as (leading monomial, terms) pairs packed
+    with field width w.  As soon as a reduced input or a remainder is
+    constant the basis is just that constant 1, a Groebner basis of the unit
+    ideal.  Raises DegreeCapExceeded when the next pair's lcm is above
+    DEGREE_CAP.
+
+    The inputs are inter-reduced first: each, in input order, is replaced by
+    its normal form against those kept before it, and dropped when that is
+    0.  This keeps the ideal, and so every leading ideal and answer: each
+    kept input differs from its input by a combination of the earlier kept
+    ones, so they generate the ideal of the inputs seen so far, and mod
+    prime the same holds of the images.  A normal form never raises a
+    degree, so w still holds."""
+    # an S-pair above DEGREE_CAP is never formed, and no remainder term is
+    # above its S-pair's degree
+    top = max((sum(m) for p in polys for m in p), default=0)
+    w = _width(max(DEGREE_CAP, top))
+    guard = _guard(w, nvars)
+    basis, leads, memo = [], [], {}  # the basis only grows: one reducer memo
+
+    def adds_unit(terms):
+        """Append the monic normal form of terms unless it is 0; whether it
+        is 1."""
+        remainder = _normal_form(terms, basis, guard, prime, memo)
+        if not remainder:
+            return False
+        basis.append(_monic(remainder, prime))
+        leads.append(basis[-1][0])
+        return leads[-1] == 0
+
+    if any(adds_unit(_pack_terms(p, w)) for p in polys):
+        return basis[-1:], w
+    for lcm, i, j in _pairs(leads, w, nvars):
+        if adds_unit(_s_polynomial(basis[i], basis[j], lcm)):
+            return basis[-1:], w
+    return basis, w
 
 
 def _interreduce(basis, guard: int, prime=None):
@@ -423,19 +435,24 @@ def _mod_p_basis(generators):
 def _lift_holds(generators, run) -> bool:
     """Whether the run (_mod_p_basis) of rational generators, interreduced mod
     p and rebuilt by rational reconstruction (|num|, |den| <= sqrt(p/2)), is
-    a G over Q modulo which every S-pair that the product criterion keeps,
-    and every generator, reduces to 0.  False for a generator over Q(zeta_N)
-    or of degree 2^(w-1) or more (a term that vanished mod p).
+    a G over Q modulo which every S-pair that the product and chain criteria
+    keep (_pairs), and every generator, reduces to 0.  False for a generator
+    over Q(zeta_N) or of degree 2^(w-1) or more (a term that vanished mod p).
 
     Sound with no lucky prime: G is a Groebner basis of <G> (Buchberger's
-    criterion), which holds I.  Reconstruction keeps 1 and sends no residue
-    to 0, so G has the monic leads mod p.  If no element of the run *is* a
-    nonzero constant (packed lead 0), 1 is not in <G> nor in I (having a
-    constant term is no test: x1 - 1 has one).  A homogeneous G whose leading
-    ideal lacks a pure power of a variable has a projective zero, one of I.
-    No field overflows w: each pair of G was a pair of the run, of degree at
-    most DEGREE_CAP, and no term of an S-polynomial, generator or remainder
-    has a degree above its lcm or generator."""
+    criterion), which holds I.  The chain criterion keeps that sound: a pair
+    (i, j) skipped via k has a representation below its lcm m, as S(i, j) is
+    (m / lcm(i, k)) S(i, k) - (m / lcm(j, k)) S(j, k), built from pairs done
+    earlier; by induction on processing order every pair has one, so G is a
+    Groebner basis.  Reconstruction keeps 1 and sends no residue to 0, so G
+    has the monic leads mod p.  If no element of the run *is* a nonzero
+    constant (packed lead 0), 1 is not in <G> nor in I (having a constant
+    term is no test: x1 - 1 has one).  A homogeneous G whose leading ideal
+    lacks a pure power of a variable has a projective zero, one of I.
+    No field overflows w, nor does the cap fire: each pair of G was a pair
+    of the run, of degree at most DEGREE_CAP, and no term of an
+    S-polynomial, generator or remainder has a degree above its lcm or
+    generator."""
     basis, w, nvars, prime = run
     if any(g.degree() >> (w - 1) or not all(c.is_rational() for c in g.terms.values())
            for g in generators):
@@ -449,12 +466,10 @@ def _lift_holds(generators, run) -> bool:
                 return False
             element[m] = _int_or_fraction(q)
         lifted.append((lm, element))
-    leads, lcms, memo = [lm for lm, _ in lifted], _pair_lcms(w, nvars), {}
-    for j in range(len(lifted)):
-        for i, lcm in enumerate(lcms(leads, j)):
-            if lcm != leads[i] + leads[j] and _normal_form(
-                    _s_polynomial(lifted[i], lifted[j], lcm), lifted, guard, None, memo):
-                return False
+    memo = {}
+    for lcm, i, j in _pairs([lm for lm, _ in lifted], w, nvars):
+        if _normal_form(_s_polynomial(lifted[i], lifted[j], lcm), lifted, guard, None, memo):
+            return False
     return not any(
         _normal_form({_pack(m, w): _int_or_fraction(c.to_rational())
                       for m, c in g.terms.items()}, lifted, guard, None, memo)

@@ -273,7 +273,8 @@ def _expand(rows, subsets) -> list:
     dets = [{m: Cyclotomic._lowest(n, tuple(map(dict(v).get, range(phi), [0] * phi)), den)
              for m, v in minor(cols).items()} for cols in subsets]
     if not polys:
-        return [det.get(0, cyc(0, n)) for det in dets]
+        zero = cyc(0, n)
+        return [det.get(0, zero) for det in dets]
     return [MultiPoly._of(nvars, {tuple([m >> s & mask for s in shifts]): c
                                   for m, c in det.items()}) for det in dets]
 

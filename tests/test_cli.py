@@ -502,6 +502,16 @@ def test_survey_flags_a_diagonal_formula_that_drops_the_second_weights(monkeypat
     assert all(" verify=1 " in row for row in rows if row.endswith("  FAIL"))
 
 
+def test_survey_runs_from_any_directory(tmp_path):
+    # the script finds the package from its own path, not the working directory
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts",
+                          "run_survey.py")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "fano212", "cohomology", "--a", "0", "--b", "0"],

@@ -13,8 +13,10 @@ from conftest import (exact_basis, exactly_unit, grevlex_key, groebner, leading_
 from fano212 import groebner as groebner_module
 from fano212.cyclotomic import Cyclotomic, _rational_reconstruction, cyc, cyclotomic_coeffs
 from fano212.groebner import (
+    _exact_basis,
     _fp_field,
     _guard,
+    _interreduce,
     _lift_holds,
     _mod_p_basis,
     _monic,
@@ -333,21 +335,33 @@ def test_both_coefficient_domains_give_one_reduced_basis(ideal):
     assert groebner(twisted) == groebner(ideal())
 
 
-# Leading monomials of the non-reduced bases, in order, as the normal
-# strategy with first-queued-first tie-breaking builds them.  The three
-# quadrics share the lead x0^2, so their pairs tie and the order in which
-# tied pairs are taken shows in the appended elements.
+def _binomial_triple():
+    # the inputs x0*x1 - x2^2, x0*x3 - x0*x2 and x1*x2 + 2*x0*x1, whose third
+    # reduces by the first to x1*x2 + 2*x2^2: the leads x0*x1, x0*x2, x1*x2
+    # of the reduced inputs share the lcm x0*x1*x2
+    v = variables(4)
+    return [v[0] * v[1] - power(v[2], 2), v[0] * v[3] - v[0] * v[2],
+            v[1] * v[2] + v[0] * v[1] * 2]
+
+
+# Leading monomials of the non-reduced bases, in order, as the inter-reduced
+# inputs and the normal strategy with first-queued-first tie-breaking build
+# them.  The three quadrics share the lead x0^2, so their inputs reduce to
+# the leads x0^2, x0*x1, x1^2.  The binomials' three pairs tie, and the
+# order in which tied pairs are taken shows in the appended x2^3 and x2^2*x3.
 PINNED_LEADS = {
     _twisted_cubic: [(0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0)],
     _quadric_triple: [
-        (2, 0, 0, 0), (2, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0),
-        (0, 2, 0, 0), (1, 0, 2, 0), (0, 1, 2, 0), (0, 0, 4, 0),
+        (2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (1, 0, 2, 0), (0, 1, 2, 0), (0, 0, 4, 0),
+    ],
+    _binomial_triple: [
+        (1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 3, 0), (0, 0, 2, 1), (2, 0, 0, 2),
     ],
 }
 
 
 @pytest.mark.parametrize("domain", ["integer", "zeta4", "modp"])
-@pytest.mark.parametrize("ideal", [_twisted_cubic, _quadric_triple])
+@pytest.mark.parametrize("ideal", [_twisted_cubic, _quadric_triple, _binomial_triple])
 def test_pair_order_pins_the_non_reduced_basis(ideal, domain):
     # Q ("integer": rational input), Q(zeta_4) and F_p run one monic engine,
     # so all three meet the pins
@@ -398,6 +412,35 @@ def test_groebner_gives_the_reduced_basis(gens):
             assert j == i or not any(monomial_divides(m, t) for t in g.terms)
     # it spans an ideal holding every generator
     assert all(normal_form(g, gb).is_zero() for g in gens)
+
+
+_linear = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["modp", "rational", "zeta4"]))
+def test_inter_reduced_inputs_keep_the_reduced_basis(data, domain):
+    # combinations of the generators lie in their ideal, so mixed in among
+    # them they leave the reduced basis, which the ideal alone fixes
+    v = variables(3)
+    quadrics = [a * b for a, b in itertools.combinations_with_replacement(v, 2)]
+    quadric = st.lists(st.integers(-2, 2), min_size=6, max_size=6).map(
+        lambda c: sum((q * k for q, k in zip(quadrics, c)), MultiPoly.zero(3)))
+    gens = data.draw(st.lists(quadric.filter(bool), min_size=1, max_size=3))
+    if domain == "zeta4":
+        gens[0] = gens[0] * Cyclotomic.zeta(4)
+    combos = [sum((g * sum((x * k for x, k in zip(v, data.draw(_linear))), MultiPoly.zero(3))
+                   for g in gens), MultiPoly.zero(3)) for _ in range(data.draw(st.integers(1, 3)))]
+    mixed = data.draw(st.permutations(gens + [c for c in combos if c]))
+
+    def reduced(generators):
+        if domain == "modp":
+            basis, w, nvars, prime = _mod_p_basis(generators)
+        else:
+            (basis, w, nvars), prime = _exact_basis(generators), None
+        return _interreduce(basis, _guard(w, nvars), prime)
+
+    assert reduced(mixed) == reduced(gens)
 
 
 # -- the F_p certificate ---------------------------------------------------------
@@ -593,6 +636,18 @@ class TestCheckedLift:
         calls = _counting_buchberger(monkeypatch)
         assert projective_empty(gens) is True
         assert len(calls) == 1
+
+    def test_the_chain_criterion_skips_only_after_both_pairs_are_done(self):
+        # a hand-built run with G = {x*y - z, y*z - x, x*z - y}: the three lcms
+        # are x*y*z, each divisible by the third lead, and the first pair
+        # taken, S = x^2 - z^2, does not reduce to 0, so G is no Groebner basis
+        p = _fp_field(1)[0]
+        x, y, z = variables(3)
+        gens = [x * y - z, y * z - x, x * z - y]
+        w = _width(groebner_module.DEGREE_CAP)
+        run = ([_monic({_pack(m, w): int(c.to_rational()) % p for m, c in g.terms.items()}, p)
+                for g in gens], w, 3, p)
+        assert not _lift_holds(gens, run)
 
     def test_a_term_that_vanishes_mod_p_above_the_width_falls_back(self):
         # mod p the run sees degree 1 only, so x^40 does not fit its fields

@@ -31,6 +31,7 @@ from fano212.cyclotomic import Cyclotomic, cyc
 from fano212.groebner import (
     DegreeCapExceeded,
     _fp_field,
+    _mod_p_basis,
     buchberger,
     hilbert_polynomial,
     projective_empty,
@@ -656,6 +657,25 @@ def test_chart_generators_are_the_minors_of_the_chart_jacobian(monkeypatch, name
     monkeypatch.setattr(model_module, "unit_mod_p_or_q", record)
     assert full_smoothness(m) is True
     assert seen == chart_generators(m)
+
+
+@pytest.mark.parametrize("name, reductions", [("swap_n8", 3), ("double_point", 100)])
+def test_the_mod_p_chart_run_reduces_a_pinned_number_of_s_pairs(monkeypatch, name, reductions):
+    # a guard on wasted work: on chart x0=1, y0=1 the inter-reduced inputs
+    # and the product and chain criteria leave this many S-polynomials to
+    # reduce; the smooth swap_n8 chart is unit, the double point's is not
+    m = _swap_n8() if name == "swap_n8" else model_from_matrices(DOUBLE_POINT)
+    formed = []
+    s_polynomial = groebner_module._s_polynomial
+
+    def counted(*args):
+        formed.append(args)
+        return s_polynomial(*args)
+
+    monkeypatch.setattr(groebner_module, "_s_polynomial", counted)
+    run = _mod_p_basis(chart_generators(m)[0])
+    assert len(formed) == reductions
+    assert (len(run[0]) == 1) is (name == "swap_n8")
 
 
 def _data_model(name):
