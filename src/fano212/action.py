@@ -227,12 +227,6 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
 # -- Picard lattice --------------------------------------------------------------
 
 
-def is_gfano(spec: ActionSpec) -> bool:
-    """The invariant Picard lattice has rank one exactly when the action
-    swaps the two hyperplane classes."""
-    return spec.swap
-
-
 def picard_involution(c: DivisorClass) -> DivisorClass:
     """The lattice involution exchanging the two blowdown structures:
     H -> 3H - E, E -> 8H - 3E."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .action import ActionSpec, InvariantPencil, is_gfano
+from .action import ActionSpec, InvariantPencil, invariant_sublattice
 from .cohomology import equivariant_top_exponent
 from .model import ModelTriple, determinantal_quartic
 
@@ -127,6 +127,7 @@ class Verdict(Enum):
 
 
 def verdict(spec: ActionSpec) -> Verdict:
-    """Linearisable exactly when the invariant Picard rank is two, i.e. when
-    the action never swaps the two hyperplane classes."""
-    return Verdict.NOT_LINEARISABLE if is_gfano(spec) else Verdict.LINEARISABLE
+    """Not linearisable exactly when the invariant Picard lattice has rank
+    one, the lattice that `picard` prints."""
+    rank = len(invariant_sublattice(spec.swap))
+    return Verdict.NOT_LINEARISABLE if rank == 1 else Verdict.LINEARISABLE

@@ -17,7 +17,6 @@ from math import lcm
 from .action import (
     invariant_pencil,
     invariant_sublattice,
-    is_gfano,
     picard_involution,
     projective_order,
     random_equivariant_model,
@@ -81,11 +80,10 @@ class Report:
     def render_tree(self) -> str:
         return "\n".join("%s = %s" % (k, v) for k, v in self.items) + "\n"
 
-    def render_plain(self, elapsed: float | None = None) -> str:
+    def render_plain(self, elapsed: float) -> str:
         width = max((len(k) for k, _ in self.items), default=0)
         lines = ["%-*s  %s" % (width, k, v) for k, v in self.items]
-        if elapsed is not None:
-            lines.append("%-*s  %.3fs" % (width, "timing", elapsed))
+        lines.append("%-*s  %.3fs" % (width, "timing", elapsed))
         return "\n".join(lines) + "\n"
 
 
@@ -145,10 +143,9 @@ def cmd_smooth(inst: Instance, args, report: Report) -> int:
     q = determinantal_quartic(inst.model)
     smooth_q = quartic_smooth(q)
     report.put("quartic.smooth", smooth_q)
-    # a smooth quartic has no rank-<=1 point (rank_locus_check)
-    rank_ok = smooth_q or rank_locus_check(inst.model, Side.FIRST)
-    report.put("rank-locus.no-rank-le-1", rank_ok)
-    ok = smooth_q and rank_ok
+    # a smooth quartic has no rank-<=1 point (rank_locus_check), so smooth_q decides
+    report.put("rank-locus.no-rank-le-1", smooth_q or rank_locus_check(inst.model))
+    ok = smooth_q
     if args.full:
         full = full_smoothness(inst.model)
         report.put("smooth.full", full)
@@ -158,7 +155,7 @@ def cmd_smooth(inst: Instance, args, report: Report) -> int:
 
 
 def cmd_gfano(inst: Instance, args, report: Report) -> int:
-    flag = is_gfano(inst.spec)
+    flag = len(invariant_sublattice(inst.spec.swap)) == 1
     report.put("gfano", flag)
     if flag:
         report.put(
@@ -323,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(input=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_input=True):
+    def add(name, handler, help_text, needs_input=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         # Accepted before or after the subcommand.  SUPPRESS keeps an absent
         # flag from overwriting the global one; given after, it wins.
         p.add_argument("--format", choices=("plain", "tree"),
@@ -333,28 +331,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="instance file")
         return p
 
-    add("validate", "check the model and the action declaration")
-    p = add("smooth", "quartic and rank-locus smoothness checks")
+    add("validate", cmd_validate, "check the model and the action declaration")
+    p = add("smooth", cmd_smooth, "quartic and rank-locus smoothness checks")
     p.add_argument("--full", action="store_true",
                    help="run the 16-chart Jacobian criterion (slow)")
-    add("gfano", "report whether the invariant Picard rank is 1")
-    p = add("chars", "character multisets of both Lie algebras")
+    add("gfano", cmd_gfano, "report whether the invariant Picard rank is 1")
+    p = add("chars", cmd_chars, "character multisets of both Lie algebras")
     p.add_argument("--oracle", action="store_true",
                    help="also run the symbolic eigenvalue oracles")
-    add("verify", "formula-versus-oracle agreement for both Jacobians")
-    p = add("cohomology", "line-bundle cohomology tables on X", needs_input=False)
+    add("verify", cmd_verify, "formula-versus-oracle agreement for both Jacobians")
+    p = add("cohomology", cmd_cohomology, "line-bundle cohomology tables on X", needs_input=False)
     # integers are read as text, so that main reports an oversized one
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p = add("hilbert", "Hilbert polynomial of the blowdown centre")
+    p = add("hilbert", cmd_hilbert, "Hilbert polynomial of the blowdown centre")
     p.add_argument("--side", choices=("first", "second"), default="first")
-    p = add("picard", "Picard lattice involution and invariant sublattice",
+    p = add("picard", cmd_picard, "Picard lattice involution and invariant sublattice",
             needs_input=False)
     p.add_argument("--input", help="instance file (for its swap flag)")
     p.add_argument("--swap", choices=("true", "false"), default="true",
                    help="swap flag when no instance is given")
-    add("verdict", "linearisability verdict for the declared action")
-    p = add("random", "generate a random equivariant instance", needs_input=False)
+    add("verdict", cmd_verdict, "linearisability verdict for the declared action")
+    p = add("random", cmd_random, "generate a random equivariant instance", needs_input=False)
     p.add_argument("--order", required=True)
     p.add_argument("--weights", required=True, help="r0,r1,r2,r3")
     p.add_argument("--exponents", required=True, help="s1,s2,s3")
@@ -365,20 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = build_parser()
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "smooth": cmd_smooth,
-    "gfano": cmd_gfano,
-    "chars": cmd_chars,
-    "verify": cmd_verify,
-    "cohomology": cmd_cohomology,
-    "hilbert": cmd_hilbert,
-    "picard": cmd_picard,
-    "verdict": cmd_verdict,
-    "random": cmd_random,
-}
-
-
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     report = Report()
@@ -388,7 +372,7 @@ def main(argv=None) -> int:
         inst = None if args.input is None else load_instance(args.input)
         if inst is not None and args.command != "picard":
             _echo_instance(report, inst)
-        code = _HANDLERS[args.command](inst, args, report)
+        code = args.handler(inst, args, report)
     except InputError as exc:
         report.put("error", "%s: %s" % (exc.code, exc))
         code = EXIT_INVALID

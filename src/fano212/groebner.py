@@ -575,15 +575,6 @@ def qp_add(p, q):
     return qp_trim([a + b for a, b in itertools.zip_longest(p, q, fillvalue=Fraction(0))])
 
 
-def qp_shift_minus_one(p):
-    """p(t) -> p(t - 1)."""
-    result = (Fraction(0),)
-    for c in reversed(p):
-        # result * (t - 1) + c
-        result = qp_add((Fraction(c),) + result, tuple(-a for a in result))
-    return result
-
-
 def qp_binomial(k: int):
     """C(t + k, k) as a polynomial in t."""
     result = (Fraction(1),)
@@ -622,16 +613,15 @@ def _minimalize(monos):
 
 
 def _monomial_quotient_hp(gens, nvars, cache):
-    """Hilbert polynomial of k[x_1..x_nvars] / (monomial ideal)."""
+    """Hilbert polynomial of k[x_1..x_nvars] / (monomial ideal), as the nvars
+    integers h with HP(t) = sum of h_k * C(t + k, k)."""
     key = (gens, nvars)
     if key in cache:
         return cache[key]
-    if any(sum(m) == 0 for m in gens):
-        result = (Fraction(0),)
-    elif nvars == 0:
-        result = (Fraction(0),)
+    if nvars == 0 or any(sum(m) == 0 for m in gens):
+        result = (0,) * nvars
     elif not gens:
-        result = qp_binomial(nvars - 1)
+        result = (0,) * (nvars - 1) + (1,)
     else:
         # pivot on the variable occurring in the most generators
         counts = [0] * nvars
@@ -651,10 +641,12 @@ def _monomial_quotient_hp(gens, nvars, cache):
                 for m in gens
             )
         )
-        result = qp_add(
-            _monomial_quotient_hp(plus, nvars - 1, cache),
-            qp_shift_minus_one(_monomial_quotient_hp(colon, nvars, cache)),
-        )
+        # HP(S/I)(t) = HP(S/(I + x))(t) + HP(S/(I : x))(t - 1), and
+        # C(t - 1 + k, k) = C(t + k, k) - C(t + k - 1, k - 1) turns the shift
+        # into h_j -> h_j - h_(j+1)
+        h = _monomial_quotient_hp(colon, nvars, cache) + (0,)
+        result = tuple(a + b - c for a, b, c in
+                       zip(_monomial_quotient_hp(plus, nvars - 1, cache) + (0,), h, h[1:]))
     cache[key] = result
     return result
 
@@ -670,4 +662,7 @@ def hilbert_polynomial(generators):
     if any(not g.is_homogeneous() for g in generators):
         raise NonHomogeneousIdeal("Hilbert polynomial needs homogeneous input")
     leads = _minimalize(tuple(buchberger(generators)))
-    return _monomial_quotient_hp(leads, generators[0].nvars, {})
+    result = (Fraction(0),)
+    for k, h in enumerate(_monomial_quotient_hp(leads, generators[0].nvars, {})):
+        result = qp_add(result, tuple(h * c for c in qp_binomial(k)))
+    return result

@@ -212,7 +212,7 @@ def quartic_smooth(q: MultiPoly) -> bool:
     return projective_empty(partials)
 
 
-def rank_locus_check(m: ModelTriple, side: Side = Side.FIRST) -> bool:
+def rank_locus_check(m: ModelTriple) -> bool:
     """True iff the matrix of linear forms never drops to rank <= 1 on P3:
     the 18 2x2 minors have empty projective vanishing locus.
 
@@ -222,8 +222,8 @@ def rank_locus_check(m: ModelTriple, side: Side = Side.FIRST) -> bool:
     dimension >= 2, so det M(a) vanishes on a line l in P2; it is not
     identically zero (determinantal_quartic refuses that), so it is l*C for
     a cubic C, and it is singular on the nonempty l meet C.  The same holds
-    on the second side with the transposes."""
-    quadrics = [f for f in minors(coeff_matrix(m, side), 2) if not f.is_zero()]
+    on the second side, which is this check on m.transposed()."""
+    quadrics = [f for f in minors(coeff_matrix(m), 2) if not f.is_zero()]
     if not quadrics:
         return False
     return projective_empty(quadrics)

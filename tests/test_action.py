@@ -32,7 +32,6 @@ from fano212.action import (
     invariant_pencil,
     invariant_sublattice,
     involution_fixed_lattice,
-    is_gfano,
     picard_involution,
     projective_order,
     random_diagonal_model,
@@ -412,13 +411,6 @@ class TestInvariantPencil:
 
 
 class TestPicardLattice:
-    def test_gfano_flag(self):
-        assert is_gfano(ActionSpec(2, (0, 0, 0, 0))) is True
-        assert (
-            is_gfano(ActionSpec(2, (0, 0, 1, 1), swap=False, weights2=(0, 1, 0, 1)))
-            is False
-        )
-
     def test_involution_is_an_involution(self):
         for c in [H, E, DivisorClass(2, -5), DivisorClass(-1, 7)]:
             assert picard_involution(picard_involution(c)) == c

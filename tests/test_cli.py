@@ -373,6 +373,21 @@ class TestSubcommands:
         _, out = run_cli(capsys, "gfano", "--input", SYMMETRIC)
         assert "rank 1" in out
 
+    def test_one_picard_rank_across_commands(self, tmp_path, capsys):
+        # gfano, verdict and picard --input all answer from the one invariant
+        # Picard rank: a swap gives rank 1, a diagonal action rank 2
+        diagonal = str(tmp_path / "diagonal.txt")
+        save_instance(run_survey.generate(2, (0, 0, 1, 1), (0, 1, 0, 1), (0, 0, 1), 0), diagonal)
+        ranks = []
+        for path in (SWAP8, SYMMETRIC, diagonal):
+            answers = [run_cli(capsys, "--format", "tree", cmd, "--input", path)[1]
+                       for cmd in ("gfano", "verdict", "picard")]
+            rank_one = "invariant-sublattice.rank = 1\n" in answers[2]
+            assert ("gfano = True\n" in answers[0]) is rank_one
+            assert ("verdict = not linearisable\n" in answers[1]) is rank_one
+            ranks.append(rank_one)
+        assert ranks == [True, True, False]
+
 
 class TestRandomGeneration:
     def test_write_and_verify(self, tmp_path, capsys):

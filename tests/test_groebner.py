@@ -52,9 +52,8 @@ def _mod_p_leads(generators):
 def count_standard_monomials(lead_monos, nvars, degree):
     """Brute-force count of degree-d monomials outside the leading ideal."""
     count = 0
-    for exps in itertools.product(range(degree + 1), repeat=nvars):
-        if sum(exps) != degree:
-            continue
+    for picks in itertools.combinations_with_replacement(range(nvars), degree):
+        exps = tuple(picks.count(i) for i in range(nvars))
         if not any(all(x >= y for x, y in zip(exps, m)) for m in lead_monos):
             count += 1
     return count
@@ -261,18 +260,22 @@ class TestHilbert:
             hilbert_polynomial([])
 
     def test_monomial_ideals_against_counting(self):
+        # 1-5 variables and degrees 1-3, so that the recursion meets one
+        # variable, a unit generator (the colon of a variable) and a pivot
+        # that every generator uses
         rng = random.Random(21)
-        for _ in range(10):
-            monos = set()
-            for _ in range(rng.randint(1, 6)):
-                a = rng.randint(0, 2)
-                b = rng.randint(0, 2 - a)
-                c = rng.randint(0, 2 - a - b) if a + b < 2 else 0
-                d = 2 - a - b - c
-                monos.add((a, b, c, d))
-            hp = hilbert_polynomial([MultiPoly(4, {m: 1}) for m in monos])
-            for t in range(5, 11):
-                assert qp_eval(hp, t) == count_standard_monomials(monos, 4, t)
+        for nvars in range(1, 6):
+            for _ in range(8):
+                monos = set()
+                for _ in range(rng.randint(1, 6)):
+                    picks = rng.choices(range(nvars), k=rng.randint(1, 3))
+                    monos.add(tuple(picks.count(i) for i in range(nvars)))
+                hp = hilbert_polynomial([MultiPoly(nvars, {m: 1}) for m in monos])
+                # inclusion-exclusion over the generators shows the Hilbert
+                # function is the polynomial from deg lcm - nvars + 1 on
+                start = max(sum(max(e) for e in zip(*monos)) - nvars + 1, 0)
+                for t in range(start, start + 4):
+                    assert qp_eval(hp, t) == count_standard_monomials(monos, nvars, t)
 
 
 def test_degree_cap(monkeypatch):

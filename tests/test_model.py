@@ -327,18 +327,18 @@ class TestQuarticSmooth:
 class TestRankLocus:
     def test_smooth_instance(self, planted_model):
         m, _ = planted_model
-        assert rank_locus_check(m, Side.FIRST) is True
+        assert rank_locus_check(m) is True
 
     def test_rank_one_at_vertex(self):
         m = rank_one_at_vertex_model()
-        assert rank_locus_check(m, Side.FIRST) is False
+        assert rank_locus_check(m) is False
         # the lemma of rank_locus_check: the quartic vanishes on the line of
         # the a with e0^T M(a) = 0, and is singular on it
         assert quartic_smooth(determinantal_quartic(m)) is False
 
     def test_degenerate_triple(self):
         m = model_from_matrices([identity4(), e_matrix(0, 0), e_matrix(1, 1)])
-        assert rank_locus_check(m, Side.FIRST) is False
+        assert rank_locus_check(m) is False
 
 
 class TestCurveQuarticMaps:
@@ -699,11 +699,12 @@ SURVEY_MODELS = [(cell, seed) for seed in (0, 1) for cell in SWAP_GRID + DIAGONA
 @pytest.mark.parametrize("source", DATA_MODELS + SURVEY_MODELS, ids=str)
 def test_smooth_quartic_has_no_rank_le_1_point(source):
     # the lemma that lets `smooth` skip rank_locus_check, computed on both
-    # sides rather than read off the quartic
+    # sides (the second as the first side of the transpose) rather than read
+    # off the quartic
     m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
     assert quartic_smooth(determinantal_quartic(m)) is True
-    assert rank_locus_check(m, Side.FIRST) is True
-    assert rank_locus_check(m, Side.SECOND) is True
+    assert rank_locus_check(m) is True
+    assert rank_locus_check(m.transposed()) is True
 
 
 # SWAP_GRID[::3] is one swap cell of each order 2, 4, 6 and 8
@@ -736,7 +737,7 @@ class TestFullSmoothness:
         validate_model(m)
         q = determinantal_quartic(m)
         assert quartic_smooth(q)
-        assert rank_locus_check(m, Side.FIRST)
+        assert rank_locus_check(m)
         assert hilbert_polynomial(minor_cubics(m, Side.FIRST)) == (
             Fraction(-2),
             Fraction(6),
