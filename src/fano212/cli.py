@@ -37,7 +37,7 @@ from .characters import (
 )
 from .cohomology import InconclusiveCohomology, euler_chase, koszul_cohomology_on_X, kunneth
 from .cyclotomic import _excerpt
-from .groebner import DegreeCapExceeded, hilbert_polynomial, qp_str
+from .groebner import DegreeCapExceeded, qp_str
 from .instancefile import (
     Instance,
     check_field,
@@ -50,9 +50,9 @@ from .instancefile import (
 from .model import (
     InputError,
     Side,
+    centre_hilbert_polynomial,
     determinantal_quartic,
     full_smoothness,
-    minor_cubics,
     quartic_smooth,
     rank_locus_check,
 )
@@ -227,7 +227,7 @@ def cmd_cohomology(inst, args, report: Report) -> int:
 
 def cmd_hilbert(inst: Instance, args, report: Report) -> int:
     side = Side.SECOND if args.side == "second" else Side.FIRST
-    hp = qp_str(hilbert_polynomial(minor_cubics(inst.model, side)))
+    hp = qp_str(centre_hilbert_polynomial(inst.model, side))
     report.put("hilbert.polynomial", hp)
     expected = hp == "6*t - 2"
     report.put("hilbert.curve-of-degree-6-genus-3", expected)

@@ -9,12 +9,12 @@ work.  Mod p the coefficients are ints; exact runs take Fractions when
 every input coefficient is rational and Cyclotomic values otherwise.  Both
 ideal questions are read off leading monomials by one ladder (_decide): a
 mod-p run proves yes, its checked lift proves no, and an exact run decides
-the rest.  Hilbert polynomials stay exact.
+the rest.  A Hilbert polynomial takes the exact run; `hilbert` asks for one
+only where the mod-p certificate of model.centre_hilbert_polynomial fails.
 The Fraction branch pays for its lines: over two runs of 9 interleaved
 repeats (Python 3.11, 2 cores), the 35 exact runs on rational ideals in
 scripts/report_sweep.py take 0.088-0.096 s at best and 0.107-0.131 s in the
-median as Fractions, against 0.130-0.135 s and 0.139-0.177 s as Cyclotomic
-values.
+median as Fractions, against 0.130-0.135 s and 0.139-0.177 s as Cyclotomic.
 Every run, exact or mod p, ends at its first constant element, input or
 remainder, with that constant 1 alone: a Groebner basis of the unit ideal.
 

@@ -11,11 +11,14 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
+from fano212 import model as model_module
 from fano212.cohomology import InconclusiveCohomology, koszul_cohomology_on_X
 from fano212.cyclotomic import Cyclotomic, _fold_terms, _literal_terms, cyc
-from fano212.groebner import _exact_basis, _guard, _interreduce, _unpack, monomial_divides
+from fano212.groebner import (_exact_basis, _guard, _interreduce, _unpack, hilbert_polynomial,
+                              monomial_divides)
 from fano212.linalg import mat_mul, mat_transpose, nullspace, rref
 from fano212.model import (
+    _LINE,
     InputError,
     coeff_matrix,
     determinantal_quartic,
@@ -131,6 +134,41 @@ def planted_quartic_point_model(seed: int, point=(1, 1, 2), entry_range=3):
         if not quartic_smooth(q):
             continue
         return model, tuple(pt)
+
+
+def planted_centre_point_model(seed: int):
+    """A valid model with a smooth determinantal quartic whose first centre
+    holds the point a of the line that centre_hilbert_polynomial tests: the
+    third matrix is corrected by a rank-one term so that a^T M(c) = 0 for
+    c = (1, 1, 2), which makes the rows a^T M_i dependent."""
+    rng = random.Random(seed)
+    a, c = [Fraction(v) for v in _LINE[0]], (1, 1, 2)
+    aa = sum(v * v for v in a)
+    while True:
+        m1, m2, m3 = (random_rational_matrix(rng) for _ in range(3))
+        w = [sum(a[j] * (c[0] * m1[j][k] + c[1] * m2[j][k] + c[2] * m3[j][k]) for j in range(4))
+             for k in range(4)]
+        m3 = [[m3[j][k] - a[j] * w[k] / (c[2] * aa) for k in range(4)] for j in range(4)]
+        model = model_from_matrices([m1, m2, m3])
+        try:
+            validate_model(model)
+            if quartic_smooth(determinantal_quartic(model)):
+                return model
+        except InputError:
+            continue
+
+
+def exact_hilbert_runs(monkeypatch):
+    """The generator lists that reach the exact hilbert_polynomial, the
+    fallback of centre_hilbert_polynomial, recorded on their way through."""
+    runs = []
+
+    def record(generators):
+        runs.append(generators)
+        return hilbert_polynomial(generators)
+
+    monkeypatch.setattr(model_module, "hilbert_polynomial", record)
+    return runs
 
 
 def adjugate4(m):

@@ -7,13 +7,15 @@ from math import lcm
 
 import pytest
 
-from conftest import rank_one_at_vertex_model
+from conftest import exact_hilbert_runs, planted_centre_point_model, rank_one_at_vertex_model
 
 from fano212 import cli, cohomology
+from fano212 import model as model_module
 from fano212.action import ActionSpec, random_diagonal_model
 from fano212.cli import main
 from fano212.cohomology import CohTable
 from fano212.instancefile import Instance, save_instance
+from fano212.model import model_from_matrices
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
 import run_survey  # noqa: E402
@@ -23,6 +25,22 @@ SYMMETRIC = os.path.join(DATA, "symmetric_n2.txt")
 SWAP8 = os.path.join(DATA, "swap_n8.txt")
 BAD_PARITY = os.path.join(DATA, "bad_parity.txt")
 BAD_SHAPE = os.path.join(DATA, "bad_shape.txt")
+
+
+# perfbench/workloads.py's double_point_matrices at seeds 0, 1 and 3: X has a
+# double point at (e0, e0), and both centres contain a surface
+DOUBLE_POINTS = {
+    0: ([[0, 0, 0, 0], [0, 1, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 1]],
+        [[0, 0, 1, 0], [-1, 0, -1, -1], [0, 0, 0, 0], [0, -1, -1, 0]]),
+    1: ([[0, 0, 0, 0], [0, 0, 0, 0], [0, -1, 1, 0], [0, 0, 0, 0]],
+        [[0, 1, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1], [0, 1, 0, 1]],
+        [[0, 0, 1, 0], [-1, 0, 0, -1], [0, 0, 0, -1], [-1, 0, 0, 1]]),
+    3: ([[0, 0, 0, 0], [0, 0, 0, -1], [0, 1, 0, 0], [0, 0, 0, 0]],
+        [[0, -1, 0, -1], [-1, 0, 0, 1], [-1, 0, 1, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 1, 0], [1, 0, 1, 0]]),
+}
+DOUBLE_POINT_HILBERT = {0: "t^2 + 3*t", 1: "1/2*t^2 + 9/2*t - 1", 3: "1/2*t^2 + 9/2*t - 1"}
 
 
 def run_cli(capsys, *args):
@@ -333,6 +351,47 @@ class TestSubcommands:
         assert code == 0
         assert "6*t - 2" in out
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize("name", ["swap_n8.txt", "symmetric_n2.txt"])
+    def test_hilbert_on_the_data_files_makes_no_exact_run(self, monkeypatch, capsys, name,
+                                                          side):
+        # the line certificate answers both files: a return to the exact
+        # engine, in either namespace it could be called from, fails here
+        def refuse(generators):
+            raise AssertionError("the exact Hilbert polynomial ran")
+
+        monkeypatch.setattr(cli, "hilbert_polynomial", refuse, raising=False)
+        monkeypatch.setattr(model_module, "hilbert_polynomial", refuse)
+        code, out = run_cli(capsys, "--format", "tree", "hilbert", "--side", side,
+                            "--input", os.path.join(DATA, name))
+        assert code == 0
+        assert "hilbert.polynomial = 6*t - 2" in out
+
+    @pytest.mark.parametrize("seed", sorted(DOUBLE_POINTS))
+    def test_hilbert_of_a_centre_with_a_surface_is_exact(self, tmp_path, monkeypatch, capsys,
+                                                         seed):
+        # a centre that contains a surface meets the line, so the certificate
+        # declines on each side and the exact run gives its polynomial
+        runs = exact_hilbert_runs(monkeypatch)
+        path = write_model(tmp_path, model_from_matrices(DOUBLE_POINTS[seed]))
+        for count, side in enumerate(["first", "second"], start=1):
+            code, out = run_cli(capsys, "--format", "tree", "hilbert", "--side", side,
+                                "--input", path)
+            assert (code, len(runs)) == (1, count)
+            assert "hilbert.polynomial = %s\n" % DOUBLE_POINT_HILBERT[seed] in out
+
+    def test_hilbert_falls_back_when_the_line_meets_the_centre(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # X is smooth and its first centre passes through a point of the
+        # certificate's line: that side takes the exact run, the second none
+        runs = exact_hilbert_runs(monkeypatch)
+        path = write_model(tmp_path, planted_centre_point_model(seed=0))
+        for side in ["first", "second"]:
+            code, out = run_cli(capsys, "--format", "tree", "hilbert", "--side", side,
+                                "--input", path)
+            assert (code, len(runs)) == (0, 1)
+            assert "hilbert.polynomial = 6*t - 2" in out
+
     def test_picard_without_input(self, capsys):
         code, out = run_cli(capsys, "--format", "tree", "picard", "--swap", "true")
         assert code == 0
@@ -485,6 +544,14 @@ def test_report_sweep_output_is_pinned():
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "report_sweep.py")
     result = subprocess.run([sys.executable, script], capture_output=True, check=True)
     assert hashlib.sha256(result.stdout).hexdigest() == SWEEP_SHA256
+
+
+def test_bench_smoke_passes():
+    # the benchmark's known-answer checks hold on the toolkit as it stands
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")
+    result = subprocess.run([sys.executable, script, "--smoke"], capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1] == "smoke passed"
 
 
 def survey(monkeypatch, capsys, *args):

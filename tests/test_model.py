@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    exact_hilbert_runs,
     fiber_section,
     leibniz,
     planted_quartic_point_model,
@@ -46,6 +47,7 @@ from fano212.model import (
     _line_quartic,
     _rational_roots,
     bilinear_forms,
+    centre_hilbert_polynomial,
     coeff_matrix,
     curve_point_to_quartic_point,
     determinantal_quartic,
@@ -705,6 +707,22 @@ def test_smooth_quartic_has_no_rank_le_1_point(source):
     assert quartic_smooth(determinantal_quartic(m)) is True
     assert rank_locus_check(m) is True
     assert rank_locus_check(m.transposed()) is True
+
+
+# every cell of run_survey.py (its CELLS are these two grids) at seeds 0-3
+CENTRE_MODELS = [(cell, seed) for seed in range(4) for cell in SWAP_GRID + DIAGONAL_GRID]
+
+
+@pytest.mark.parametrize("source", DATA_MODELS + CENTRE_MODELS, ids=str)
+def test_every_survey_centre_is_certified(monkeypatch, source):
+    # the line certificate holds on both sides with no exact run, and the
+    # exact engine agrees that the centre has Hilbert polynomial 6t - 2
+    m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
+    runs = exact_hilbert_runs(monkeypatch)
+    for side in Side:
+        assert centre_hilbert_polynomial(m, side) == (Fraction(-2), Fraction(6))
+        assert hilbert_polynomial(minor_cubics(m, side)) == (Fraction(-2), Fraction(6))
+    assert runs == []
 
 
 # SWAP_GRID[::3] is one swap cell of each order 2, 4, 6 and 8
