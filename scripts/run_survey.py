@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Survey a grid of cyclic actions: generate smooth equivariant instances
-and run the CLI's verify and verdict on each (with --hilbert also hilbert on
-both sides), so that "verified" means here what it means to fano212.  A row
-gives each command's exit code, the verdict and the Hilbert polynomials; a
-cell fails when the generator refuses it or a command exits non-zero.
+"""Survey a grid of cyclic actions: generate one smooth equivariant instance
+per cell and run the CLI's verify, verdict and hilbert on both sides on
+each, so that "verified" means here what it means to fano212.  A row gives
+each command's exit code, the verdict and the Hilbert polynomials; a cell
+fails when the generator refuses it or a command exits non-zero.
 scripts/report_sweep.py draws its corpus with generate and runs it with run.
 
 Usage:
-    python scripts/run_survey.py [--seed N] [--per-combo K] [--hilbert]
+    python scripts/run_survey.py [--seed N]
 """
 
 import argparse
@@ -50,8 +50,8 @@ DIAGONAL_GRID = [
 # (order, weights, weights2, exponents): weights2 is None for a swap cell
 CELLS = [(n, w, None, s) for n, w, s in SWAP_GRID] + DIAGONAL_GRID
 # the commands of a survey row, each with the report key whose value it shows
-COMMANDS = [(["verify"], None), (["verdict"], "verdict")]
-HILBERT = [(["hilbert", "--side", side], "hilbert.polynomial") for side in ("first", "second")]
+COMMANDS = [(["verify"], None), (["verdict"], "verdict")] + [
+    (["hilbert", "--side", side], "hilbert.polynomial") for side in ("first", "second")]
 
 
 def generate(n, weights, weights2, exponents, seed):
@@ -79,39 +79,31 @@ def run(argv):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--per-combo", type=int, default=1,
-                        help="instances per (order, weights, exponents) cell")
-    parser.add_argument("--hilbert", action="store_true",
-                        help="also verify the 6t-2 Hilbert polynomial per instance")
-    args = parser.parse_args()
+    seed = parser.parse_args().seed
 
     started = time.monotonic()
-    commands = COMMANDS + (HILBERT if args.hilbert else [])
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.txt")
         for n, weights, weights2, exponents in CELLS:
-            for k in range(args.per_combo):
-                seed = args.seed + 1000 * k
-                label = "n=%d r=%s r2=%s s=%s seed=%d" % (n, weights, weights2, exponents, seed)
-                inst = generate(n, weights, weights2, exponents, seed)
-                if isinstance(inst, str):
-                    print("%s  generation failed: %s  FAIL" % (label, inst))
-                    failures += 1
-                    continue
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(serialize_instance(inst))
-                fields, failed = [label], False
-                for argv, key in commands:
-                    code, out = run(argv + ["--input", path])
-                    values = dict(line.partition(" = ")[::2] for line in out.splitlines())
-                    field = "%s=%d" % ("-".join(argv[::2]), code)
-                    fields.append("%s (%s)" % (field, values[key]) if key in values else field)
-                    failed |= code != 0
-                failures += failed
-                print("  ".join(fields + ["FAIL"] * failed))
-    print("\n%d cells, %d failures, %.1fs"
-          % (len(CELLS) * args.per_combo, failures, time.monotonic() - started))
+            label = "n=%d r=%s r2=%s s=%s seed=%d" % (n, weights, weights2, exponents, seed)
+            inst = generate(n, weights, weights2, exponents, seed)
+            if isinstance(inst, str):
+                print("%s  generation failed: %s  FAIL" % (label, inst))
+                failures += 1
+                continue
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(serialize_instance(inst))
+            fields, failed = [label], False
+            for argv, key in COMMANDS:
+                code, out = run(argv + ["--input", path])
+                values = dict(line.partition(" = ")[::2] for line in out.splitlines())
+                field = "%s=%d" % ("-".join(argv[::2]), code)
+                fields.append("%s (%s)" % (field, values[key]) if key in values else field)
+                failed |= code != 0
+            failures += failed
+            print("  ".join(fields + ["FAIL"] * failed))
+    print("\n%d cells, %d failures, %.1fs" % (len(CELLS), failures, time.monotonic() - started))
     return 1 if failures else 0
 
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact arithmetic in cyclotomic fields Q(zeta_N), and its image in F_p.
 
 An element holds its coordinates in the power basis 1, z, ..., z^(phi(N)-1)
 as integer numerators over one denominator den > 0, in lowest terms
@@ -27,6 +27,7 @@ the inverse is den*s/r exactly.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -409,6 +410,80 @@ def cyc(value, n: int = 1) -> Cyclotomic:
     if isinstance(value, Cyclotomic):
         return value
     return Cyclotomic.from_rational(value, n)
+
+
+# -- the image in F_p ---------------------------------------------------------
+
+_MILLER_RABIN_BOUND = 3_215_031_751
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: exact for n < 3,215,031,751."""
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _fp_field(n: int):
+    """(p, powers): the least prime p = 1 mod n above 2^31, and the powers
+    r^k mod p, k < n, of an r of order n in F_p, hence a root of Phi_n mod p
+    (p does not divide n).  None when no such p lies below the bound where
+    Miller-Rabin is exact, which no n <= 1024 reaches."""
+    p = (2**31 // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    if p >= _MILLER_RABIN_BOUND:
+        return None
+    for g in itertools.count(2):
+        r = pow(g, (p - 1) // n, p)
+        if all(pow(r, n // q, p) != 1 for q in _prime_factors(n)):
+            return p, [pow(r, k, p) for k in range(n)]
+
+
+def _fp_image(values):
+    """(p, images): the residues in [0, p) of a flat list of Cyclotomic
+    values under zeta_N -> r, for N the lcm of their conductors and p and
+    the powers of r from _fp_field(N); None when there is no such p or p
+    divides a denominator.
+
+    As r is a root of Phi_N mod p, zeta_N -> r is a ring map from
+    Z[zeta_N][1/D] to F_p when p does not divide D, the lcm of the
+    denominators (as p is prime, when it divides none of them).  The zeta_c
+    of a conductor c | N is zeta_N^(N/c), so num/den maps to the sum of
+    num[k] * r^(k*N/c) over den.  Sums, products, minors and polynomial
+    identities of the values hold of the images, so a value whose image is
+    nonzero is nonzero, a rank mod p is at most the rank over Q(zeta_N),
+    and a common zero over Qbar of polynomials with these coefficients
+    reduces to one of their images (groebner._decide)."""
+    n = lcm(*(v.n for v in values))
+    setup = _fp_field(n)
+    if setup is None:
+        return None
+    (prime, powers), images = setup, []
+    for v in values:
+        step, den = n // v.n, v.den
+        value = sum(c * powers[k * step] for k, c in enumerate(v.num) if c)
+        if den != 1:
+            if den % prime == 0:
+                return None
+            value *= pow(den, -1, prime)
+        images.append(value % prime)
+    return prime, images
 
 
 # -- text form ---------------------------------------------------------------

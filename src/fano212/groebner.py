@@ -5,16 +5,20 @@ its projective locus empty) and Hilbert polynomials of homogeneous ideals.
 One monic engine serves three coefficient domains.  Polynomials are
 {mono: coef} dicts and every basis element is scaled to leading coefficient
 1, so one S-polynomial, one normal form and one Buchberger run do all the
-work.  Mod p the coefficients are ints; exact runs take Fractions when
-every input coefficient is rational and Cyclotomic values otherwise.  Both
-ideal questions are read off leading monomials by one ladder (_decide): a
-mod-p run proves yes, its checked lift proves no, and an exact run decides
-the rest.  A Hilbert polynomial takes the exact run; `hilbert` asks for one
-only where the mod-p certificate of model.centre_hilbert_polynomial fails.
-The Fraction branch pays for its lines: over two runs of 9 interleaved
-repeats (Python 3.11, 2 cores), the 35 exact runs on rational ideals in
-scripts/report_sweep.py take 0.088-0.096 s at best and 0.107-0.131 s in the
-median as Fractions, against 0.130-0.135 s and 0.139-0.177 s as Cyclotomic.
+work.  Mod p the coefficients are ints, the images of cyclotomic._fp_image;
+exact runs take Fractions when every input coefficient is rational and
+Cyclotomic values otherwise.  Both ideal questions are read off leading
+monomials by one ladder (_decide): a mod-p run proves yes, its checked lift
+proves no, and an exact run decides the rest.  A Hilbert polynomial takes
+the exact run; `hilbert` asks for one only where the mod-p certificate of
+model.centre_hilbert_polynomial fails.
+The Fraction branch pays for its lines.  scripts/report_sweep.py now makes
+one exact run and a bench pass none, so it is timed on five rational ideals
+the exact engine would take: both centres of report_sweep's double point,
+its quartic partials and its rank-locus quadrics, and the first centre of
+tests/data/symmetric_n2.txt.  Over two runs of 9 interleaved repeats
+(Python 3.11, 2 cores) the five take 7.7-7.8 ms at best and 8.1-8.2 ms in
+the median as Fractions, against 9.7-9.8 ms and 9.9-10.1 ms as Cyclotomic.
 Every run, exact or mod p, ends at its first constant element, input or
 remainder, with that constant 1 alone: a Groebner basis of the unit ideal.
 
@@ -56,10 +60,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 
-from .cyclotomic import _prime_factors, _rational_reconstruction, join_signed
+from .cyclotomic import _fp_image, _rational_reconstruction, join_signed
 
 DEGREE_CAP = 30
 
@@ -343,88 +346,22 @@ def buchberger(generators):
 
 # -- prime-field runs ------------------------------------------------------------
 #
-# The generators are mapped to F_p[x] for a prime p = 1 mod N, with zeta_N
-# sent to a root r of Phi_N mod p, and the pair loop runs there on monic
-# {mono: int mod p} terms.
-
-_MILLER_RABIN_BOUND = 3_215_031_751
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: exact for n < 3,215,031,751."""
-    for a in (2, 3, 5, 7):
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _fp_field(n: int):
-    """(p, powers): the least prime p = 1 mod n above 2^31, and the powers
-    r^k mod p, k < n, of an r of order n in F_p, hence a root of Phi_n mod p
-    (p does not divide n).  None when no such p lies below the bound where
-    Miller-Rabin is exact, which no n <= 1024 reaches."""
-    p = (2**31 // n + 1) * n + 1
-    while not _is_prime(p):
-        p += n
-    if p >= _MILLER_RABIN_BOUND:
-        return None
-    for g in itertools.count(2):
-        r = pow(g, (p - 1) // n, p)
-        if all(pow(r, n // q, p) != 1 for q in _prime_factors(n)):
-            return p, [pow(r, k, p) for k in range(n)]
-
-
-def _fp_value(coef, n: int, prime: int, powers) -> int | None:
-    """The image of a Cyclotomic in F_p: zeta_n maps to powers[1] = r, so
-    the zeta_c of conductor c maps to powers[n // c].  None when p divides
-    the denominator."""
-    if coef.den % prime == 0:
-        return None
-    step = n // coef.n
-    value = sum(c * powers[k * step] for k, c in enumerate(coef.num) if c)
-    if coef.den != 1:
-        value *= pow(coef.den, -1, prime)
-    return value % prime
-
-
-def _fp_terms(poly, n: int, prime: int, powers) -> dict | None:
-    """The image of poly in F_p[x] (_fp_value), or None when p divides a
-    denominator, that is, as p is prime, the lcm of the coefficients' ones."""
-    terms = {mono: _fp_value(coef, n, prime, powers) for mono, coef in poly.terms.items()}
-    return None if None in terms.values() else {mono: v for mono, v in terms.items() if v}
-
+# The generators are mapped to F_p[x] by cyclotomic._fp_image, and the pair
+# loop runs there on monic {mono: int mod p} terms.
 
 def _mod_p_basis(generators):
-    """(basis, w, nvars, p): _basis on the image in F_p[x], p and the powers
-    of r from _fp_field at the lcm N of the conductors; None, and no report,
-    when a denominator is divisible by p or the run exceeds the degree cap."""
-    n = lcm(*(c.n for g in generators for c in g.terms.values()))
-    setup = _fp_field(n)
-    if setup is None:
+    """(basis, w, nvars, p): _basis on the image in F_p[x] of the generators,
+    their coefficients mapped by one _fp_image call; None, and no report,
+    when that has no image or the run exceeds the degree cap."""
+    image = _fp_image([c for g in generators for c in g.terms.values()])
+    if image is None:
         return None
-    prime, powers = setup
+    prime, values = image
+    values = iter(values)
+    # zip draws a monomial first, so each g takes just its own images
+    polys = [terms for terms in ({m: v for m, v in zip(g.terms, values) if v} for g in generators)
+             if terms]
     nvars = generators[0].nvars if generators else 0
-    polys = []
-    for g in generators:
-        terms = _fp_terms(g, n, prime, powers)
-        if terms is None:
-            return None
-        if terms:
-            polys.append(terms)
     try:
         basis, w = _basis(polys, nvars, prime)
     except DegreeCapExceeded:

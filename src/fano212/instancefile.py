@@ -29,9 +29,9 @@ zeta_N^e = zeta_M^(e*M/N), the embedding of `Cyclotomic.lift`.  This is
 exact: Q(zeta_M) is a subfield of Q(zeta_N) under that embedding, so every
 equality, rank, kernel, pencil and Groebner answer is computed on the same
 elements under the same embedding, in phi(M) coordinates instead of phi(N).
-The mod-p certificate of `groebner` may now pick its prime p = 1 mod a
-smaller conductor; its soundness argument holds for any such p, and the
-answers it leads to do not change.  When N divides the order, M = N, so a
+The mod-p certificates (`cyclotomic._fp_image`) may now pick their prime
+p = 1 mod a smaller conductor; their argument holds for any such p, and the
+answers they lead to do not change.  When N divides the order, M = N, so a
 file whose conductor is its order keeps its field and its prime.
 `Instance.conductor` stays the declared N, and serialization lifts every
 entry back to Q(zeta_N).

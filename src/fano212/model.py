@@ -19,17 +19,10 @@ from itertools import combinations, count, permutations
 from math import gcd, lcm
 from operator import add
 
-from .cyclotomic import (Cyclotomic, _pseudo_remainder, _rational_reconstruction, _trim, cyc,
-                         euler_phi)
-from .groebner import (DegreeCapExceeded, _fp_field, _fp_value, _is_prime, hilbert_polynomial,
-                       projective_empty, unit_mod_p_or_q)
-from .linalg import (
-    mat_mul,
-    mat_transpose,
-    matrix_rank,
-    nullspace,
-    proj_normalize,
-)
+from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
+                         _rational_reconstruction, _trim, cyc, euler_phi)
+from .groebner import DegreeCapExceeded, hilbert_polynomial, projective_empty, unit_mod_p_or_q
+from .linalg import mat_mul, mat_transpose, matrix_rank, nullspace, proj_normalize
 from .multipoly import MultiPoly, maximal_minors, minors, poly_det
 
 
@@ -84,20 +77,14 @@ def model_from_matrices(ms) -> ModelTriple:
 def validate_model(m: ModelTriple) -> None:
     """Reject triples whose three bilinear forms are linearly dependent.
 
-    Rank 3 of the forms' image in F_p certifies rank 3 over Q(zeta_N), for N
-    the lcm of the entries' conductors and p and the powers of r from
-    _fp_field(N); only a lower rank mod p, or p dividing a denominator,
-    takes the exact rank.  As r is a root of Phi_N mod p, zeta_N -> r is a
-    ring map from Z[zeta_N][1/D] to F_p when p does not divide D, the lcm of
-    the denominators: a 3x3 minor of the forms maps to that minor of the
-    image, and one nonzero mod p is nonzero before reduction."""
+    Rank 3 of the forms' image in F_p (_fp_image) certifies rank 3 over
+    Q(zeta_N), as a 3x3 minor nonzero mod p is nonzero before reduction;
+    only a lower rank mod p, or no image, takes the exact rank."""
     rows = [[v for row in mat for v in row] for mat in m.matrices]
-    n = lcm(*(v.n for row in rows for v in row))
-    setup = _fp_field(n)
-    if setup is not None:
-        prime, powers = setup
-        image = [[_fp_value(v, n, prime, powers) for v in row] for row in rows]
-        if not any(None in row for row in image) and _rank_mod_p(image, prime) == 3:
+    image = _fp_image(rows[0] + rows[1] + rows[2])
+    if image is not None:
+        prime, values = image
+        if _rank_mod_p([values[:16], values[16:32], values[32:]], prime) == 3:
             return
     if matrix_rank(rows) != 3:
         raise InputError(
@@ -107,15 +94,17 @@ def validate_model(m: ModelTriple) -> None:
 
 
 def _rank_mod_p(rows, prime: int) -> int:
-    """The rank of a matrix of residues mod the prime: each nonzero row in
-    turn is a pivot row, cleared from the rows after it."""
-    rank = 0
+    """The rank of a matrix of residues in [0, prime): each nonzero row in
+    turn is scaled to a pivot 1 and cleared from the rows after it, and rows
+    that are or become zero drop out."""
+    rank, rows = 0, [r for r in rows if any(r)]
     while rows:
         top, *rows = rows
-        col = next((c for c, x in enumerate(top) if x), None)
-        if col is not None:
-            f, rank = pow(top[col], -1, prime), rank + 1
-            rows = [[(x - r[col] * f * y) % prime for x, y in zip(r, top)] for r in rows]
+        col = next(c for c, x in enumerate(top) if x)
+        f, rank = pow(top[col], -1, prime), rank + 1
+        top = [x * f % prime for x in top]
+        rows = [[(x - r[col] * y) % prime for x, y in zip(r, top)] if r[col] else r for r in rows]
+        rows = [r for r in rows if any(r)]
     return rank
 
 
@@ -199,9 +188,9 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
     minor_cubics gives it, read as 6t - 2 off a certificate mod p when one
     holds.
 
-    The sided matrices are mapped to F_p as in validate_model, and the 3x4
-    matrix of linear forms is restricted to the line L = {s*a + t*b} (_LINE):
-    each entry becomes a binary linear form and each maximal minor a binary
+    The sided matrices are mapped to F_p (_fp_image), and the 3x4 matrix of
+    linear forms is restricted to the line L = {s*a + t*b} (_LINE): each
+    entry becomes a binary linear form and each maximal minor a binary
     cubic f_k, by the six terms of the Leibniz sum.  The certificate is rank
     6 of the 12x6 Macaulay matrix of s^2, st, t^2 times the f_k, the degree-5
     part of the ideal they generate.  A common zero of the f_k over the
@@ -217,33 +206,30 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
     Then the Eagon-Northcott complex 0 -> S(-4)^3 -> S(-3)^4 -> S resolves
     S/I (J. A. Eagon and D. G. Northcott, Proc. Roy. Soc. A 269, 1962;
     D. Eisenbud, The Geometry of Syzygies, Ch. 3), and
-    HP(t) = C(t+3, 3) - 4 C(t, 3) + 3 C(t-1, 3) = 6t - 2.  A lower rank, p
-    dividing a denominator, or no prime from _fp_field takes the exact
-    hilbert_polynomial."""
-    mats = m.sided(side).matrices
-    n = lcm(*(v.n for mat in mats for row in mat for v in row))
-    setup = _fp_field(n)
-    if setup is not None:
-        prime, powers = setup
-        image = [[[_fp_value(v, n, prime, powers) for v in row] for row in mat] for mat in mats]
-        if not any(None in row for mat in image for row in mat):
-            # entry (i, j) on L: the s and t coefficients a^T M_i e_j, b^T M_i e_j
-            (a0, a1, a2, a3), (b0, b1, b2, b3) = _LINE
-            lines = [[(a0 * w + a1 * x + a2 * y + a3 * z, b0 * w + b1 * x + b2 * y + b3 * z)
-                      for w, x, y, z in zip(*mat)] for mat in image]
-            rows = []
-            for cols in combinations(range(4), 3):
-                cubic = [0] * 4
-                for perm, sign in _SIGNED:
-                    # sign * (a s + b t)(c s + d t)(e s + f t)
-                    (a, b), (c, d), (e, f) = [lines[i][cols[k]] for i, k in enumerate(perm)]
-                    ac, bd, mid = sign * a * c, sign * b * d, sign * (a * d + b * c)
-                    cubic = [cubic[0] + ac * e, cubic[1] + ac * f + mid * e,
-                             cubic[2] + mid * f + bd * e, cubic[3] + bd * f]
-                cubic = [c % prime for c in cubic]
-                rows += [[0] * k + cubic + [0] * (2 - k) for k in range(3)]
-            if _rank_mod_p(rows, prime) == 6:
-                return (Fraction(-2), Fraction(6))
+    HP(t) = C(t+3, 3) - 4 C(t, 3) + 3 C(t-1, 3) = 6t - 2.  A lower rank, or
+    no image, takes the exact hilbert_polynomial."""
+    image = _fp_image([v for mat in m.sided(side).matrices for row in mat for v in row])
+    if image is not None:
+        prime, values = image
+        # entry (i, j) on L: the s and t coefficients a^T M_i e_j, b^T M_i e_j,
+        # column j of M_i being values[k + j:k + 16:4] for k = 16*i
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = _LINE
+        lines = [[(a0 * w + a1 * x + a2 * y + a3 * z, b0 * w + b1 * x + b2 * y + b3 * z)
+                  for w, x, y, z in (values[k + j:k + 16:4] for j in range(4))]
+                 for k in (0, 16, 32)]
+        rows = []
+        for cols in combinations(range(4), 3):
+            cubic = [0] * 4
+            for perm, sign in _SIGNED:
+                # sign * (a s + b t)(c s + d t)(e s + f t)
+                (a, b), (c, d), (e, f) = [lines[i][cols[k]] for i, k in enumerate(perm)]
+                ac, bd, mid = sign * a * c, sign * b * d, sign * (a * d + b * c)
+                cubic = [cubic[0] + ac * e, cubic[1] + ac * f + mid * e,
+                         cubic[2] + mid * f + bd * e, cubic[3] + bd * f]
+            cubic = [c % prime for c in cubic]
+            rows += [[0] * k + cubic + [0] * (2 - k) for k in range(3)]
+        if _rank_mod_p(rows, prime) == 6:
+            return (Fraction(-2), Fraction(6))
     return hilbert_polynomial(minor_cubics(m, side))
 
 

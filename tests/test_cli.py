@@ -563,7 +563,7 @@ def survey(monkeypatch, capsys, *args):
 
 @pytest.mark.parametrize("seed", ["0", "1"])
 def test_survey_passes_every_cell(monkeypatch, capsys, seed):
-    code, rows = survey(monkeypatch, capsys, "--hilbert", "--seed", seed)
+    code, rows = survey(monkeypatch, capsys, "--seed", seed)
     assert code == 0
     assert rows[-1].startswith("15 cells, 0 failures, ")
     assert all("hilbert-second=0 (6*t - 2)" in row for row in rows[:15])
@@ -575,7 +575,7 @@ def test_survey_flags_a_diagonal_formula_that_drops_the_second_weights(monkeypat
     # the two diagonal cells of order 4 (the order-2 cell's sum to 2)
     real = cli.jac_curve_characters
     monkeypatch.setattr(cli, "jac_curve_characters", lambda s, r, n: real(s, r[:4], n))
-    code, rows = survey(monkeypatch, capsys, "--hilbert")
+    code, rows = survey(monkeypatch, capsys)
     assert code == 1
     assert rows[-1].startswith("15 cells, 2 failures, ")
     flagged = [row.split(" seed=")[0] for row in rows if row.endswith("  FAIL")]
@@ -595,10 +595,15 @@ def test_survey_runs_from_any_directory(tmp_path):
 
 
 def test_module_entry_point():
+    # the checkout's src first on the path, so no installed package is needed
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "fano212", "cohomology", "--a", "0", "--b", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "cohomology.on-X" in result.stdout

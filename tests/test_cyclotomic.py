@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from fano212.cyclotomic import (
     Cyclotomic,
+    _fp_field,
+    _fp_image,
     cyc,
     cyclotomic_coeffs,
     euler_phi,
@@ -265,6 +267,41 @@ def test_negative_roots_with_even_conductor(n, k):
     # the sign character is the exponent shift n/2: -zeta_n^k = zeta_n^(k + n/2)
     assert -Cyclotomic.zeta(n, k) == Cyclotomic.zeta(n, k + n // 2)
     assert -Cyclotomic.zeta(n, k) != Cyclotomic.zeta(n, k)
+
+
+# -- the image in F_p ------------------------------------------------------------
+
+
+def fraction_image(a, n, p, r):
+    """The image of a under zeta_n -> r mod p, for a conductor dividing n: the
+    sum of coeffs[k] * r^(k*n/c) as a Fraction, then reduced mod p."""
+    q = sum(c * pow(r, k * n // a.n, p) for k, c in enumerate(a.coeffs))
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fp_image_agrees_with_a_fraction_sum(data):
+    values = [data.draw(cyclotomics(n)) for n in (4, 8, 24, 1, 8, 4)]
+    p, powers = _fp_field(24)
+    assert _fp_image(values) == (p, [fraction_image(a, 24, p, powers[1]) for a in values])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([4, 8, 24]), st.sampled_from([4, 8, 24]), st.data())
+def test_fp_image_is_a_ring_map(m, n, data):
+    x, y = data.draw(cyclotomics(m)), data.draw(cyclotomics(n))
+    p, (image_x, image_y, product, total) = _fp_image([x, y, x * y, x + y])
+    assert product == image_x * image_y % p
+    assert total == (image_x + image_y) % p
+
+
+def test_fp_image_is_none_when_p_divides_a_denominator():
+    p = _fp_field(8)[0]
+    assert _fp_image([Cyclotomic.zeta(8), cyc(Fraction(1, p))]) is None
+    assert _fp_image([Cyclotomic(8, [1, Fraction(3, 2 * p), 0, 0])]) is None
+    # p in a numerator is no obstacle: the value maps to 0
+    assert _fp_image([Cyclotomic.zeta(8), cyc(p)]) == (p, [_fp_field(8)[1][1], 0])
 
 
 def test_small_cyclotomic_polynomials():

@@ -11,10 +11,10 @@ from conftest import (exact_basis, exactly_unit, grevlex_key, groebner, leading_
                       normal_form, power, qp_eval, variables)
 
 from fano212 import groebner as groebner_module
-from fano212.cyclotomic import Cyclotomic, _rational_reconstruction, cyc, cyclotomic_coeffs
+from fano212.cyclotomic import (Cyclotomic, _fp_field, _rational_reconstruction, cyc,
+                                cyclotomic_coeffs)
 from fano212.groebner import (
     _exact_basis,
-    _fp_field,
     _guard,
     _interreduce,
     _lift_holds,

@@ -28,10 +28,9 @@ from conftest import (
 from fano212 import groebner as groebner_module
 from fano212 import linalg as linalg_module
 from fano212 import model as model_module
-from fano212.cyclotomic import Cyclotomic, cyc
+from fano212.cyclotomic import Cyclotomic, _fp_field, cyc
 from fano212.groebner import (
     DegreeCapExceeded,
-    _fp_field,
     _mod_p_basis,
     buchberger,
     hilbert_polynomial,
@@ -45,6 +44,7 @@ from fano212.model import (
     ModelTriple,
     Side,
     _line_quartic,
+    _rank_mod_p,
     _rational_roots,
     bilinear_forms,
     centre_hilbert_polynomial,
@@ -94,6 +94,31 @@ class TestValidation:
         with pytest.raises(model_module.InvalidModel) as exc:
             validate_model(m)
         assert exc.value.code == "dependent-forms"
+
+
+def rank_by_minors(rows, prime):
+    """The largest k with a k x k minor nonzero mod the prime, each minor a
+    Leibniz sum; 0 when every entry is 0 mod the prime."""
+    for k in range(min(len(rows), len(rows[0])), 0, -1):
+        if any(leibniz([[row[j] for j in cols] for row in sub]) % prime
+               for sub in combinations(rows, k)
+               for cols in combinations(range(len(rows[0])), k)):
+            return k
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_mod_p_is_the_largest_nonzero_minor(data):
+    # rows drawn from a pool of at most three and a zero row, so that zero and
+    # repeated rows are common
+    ncols = data.draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 6), min_size=ncols, max_size=ncols)
+    pool = data.draw(st.lists(row, min_size=1, max_size=3)) + [[0] * ncols]
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    copy = [list(r) for r in rows]
+    assert _rank_mod_p(rows, 7) == rank_by_minors(copy, 7)
+    assert rows == copy  # the input is left as it was
 
 
 def _exact_ranks(monkeypatch):
