@@ -12,14 +12,15 @@ the CLI in process (run_survey.run) and prints, for every instance, the
 --format tree report and the exit code of validate, smooth, verify,
 chars --oracle, verdict, gfano, hilbert on both sides and picard;
 then smooth --full on tests/data and on a fixed rational triple with a
-double point (exit 1: its first chart is not the unit ideal, so the exact
-Groebner engine decides it).  Then validate on hostile files, each exit 2
-with a short error line: one that is not UTF-8, tests/data/swap_n8.txt
-with a swap flag, a key, a section header (unknown, unterminated, or with
-a bad matrix index) or a literal (malformed, or with a bad term) of about
-100,000 characters or with a key of 100,000 control characters, and a
-path of 312 characters that does not exist.  Then tests/data/swap_n8.txt
-declared at conductors 24, 504 and 1024, its literals lifted from z^j to
+double point (exit 1: the checked lift of the mod-p run decides that its
+first chart is not the unit ideal; the sweep's one exact Groebner run is
+quartic_smooth on that model's quartic partials, whose lift fails).  Then
+validate on hostile files, each exit 2 with a short error line: one that
+is not UTF-8, tests/data/swap_n8.txt with a swap flag, a key, a section
+header (unknown, unterminated, or with a bad matrix index) or a literal
+(malformed, or with a bad term) of about 100,000 characters or with a key
+of 100,000 control characters, and a path of 312 characters that does
+not exist.  Then tests/data/swap_n8.txt declared at conductors 24, 504 and 1024, its literals lifted from z^j to
 z^(kj) for k = N/8, and read unlifted at conductors 105 and 210, where z is
 no longer zeta_8 (validate exits 2): for each, validate, verify, chars --oracle,
 verdict, smooth --full and hilbert.  Then the commands that run without an
@@ -224,4 +225,12 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, so that the
+        # flush at exit raises no second error (the idiom of Python's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

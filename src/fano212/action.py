@@ -80,11 +80,10 @@ MINUS_K = DivisorClass(4, -1)
 
 
 def _diag_projective_order(weights, n: int) -> int:
-    """Smallest k with diag(w^{k r_i}) scalar."""
-    for k in range(1, n + 1):
-        if len({(k * w) % n for w in weights}) == 1:
-            return k
-    return n
+    """Smallest k with diag(w^{k r_i}) scalar: n | k(r_i - r_0) for every i,
+    so k is the lcm of the n/gcd(n, r_i - r_0), and
+    lcm(n/gcd(n, a), n/gcd(n, b)) = n/gcd(n, a, b)."""
+    return n // gcd(n, *(w - weights[0] for w in weights))
 
 
 def projective_order(spec: ActionSpec) -> int:
@@ -92,7 +91,7 @@ def projective_order(spec: ActionSpec) -> int:
 
     A swap never acts as the identity, so a swap action has order twice the
     projective order of D; a diagonal action has the lcm of the two factor
-    orders.  Computed by brute force over powers.
+    orders.
     """
     n = spec.order
     if spec.swap:

@@ -331,10 +331,6 @@ class Cyclotomic:
                     self.n, _reduce_mod_phi(self.n, dense), self.den * other.den)
         elif type(other) is int:
             return Cyclotomic._lowest(self.n, tuple([c * other for c in self.num]), self.den)
-        elif isinstance(other, Fraction):
-            return Cyclotomic._lowest(
-                self.n, tuple([c * other.numerator for c in self.num]),
-                self.den * other.denominator)
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -358,17 +354,10 @@ class Cyclotomic:
         return Cyclotomic._lowest(self.n, num, abs(r1[0]))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            scale = q.denominator if q > 0 else -q.denominator
-            return Cyclotomic._lowest(
-                self.n, tuple(c * scale for c in self.num), self.den * abs(q.numerator)
-            )
-        if not isinstance(other, Cyclotomic):
+        a, b = self._pair(other)
+        if a is None:
             return NotImplemented
-        return self * other.inverse()
+        return a * b.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -559,15 +548,16 @@ def _fold_terms(terms, conductor: int, n: int) -> Cyclotomic:
     return Cyclotomic._lowest(n, _reduce_mod_phi(n, dense), den)
 
 
-def _format_term(coef: Fraction, power: int) -> str:
+def _format_term(coef: Fraction, power: int, var: str) -> str:
+    """coef * var^power as a term: no coefficient 1, a bare "-" for -1."""
     if power == 0:
         return str(coef)
-    z = "z" if power == 1 else "z^%d" % power
+    mono = var if power == 1 else "%s^%d" % (var, power)
     if coef == 1:
-        return z
+        return mono
     if coef == -1:
-        return "-" + z
-    return "%s*%s" % (coef, z)
+        return "-" + mono
+    return "%s*%s" % (coef, mono)
 
 
 def join_signed(terms) -> str:
@@ -587,5 +577,5 @@ def join_signed(terms) -> str:
 def format_cyclotomic(a: Cyclotomic) -> str:
     """Canonical literal: terms by ascending power, minimal coefficients."""
     return join_signed(
-        _format_term(coef, power) for power, coef in enumerate(a.coeffs) if coef
+        _format_term(coef, power, "z") for power, coef in enumerate(a.coeffs) if coef
     )

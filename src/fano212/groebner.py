@@ -6,19 +6,12 @@ One monic engine serves three coefficient domains.  Polynomials are
 {mono: coef} dicts and every basis element is scaled to leading coefficient
 1, so one S-polynomial, one normal form and one Buchberger run do all the
 work.  Mod p the coefficients are ints, the images of cyclotomic._fp_image;
-exact runs take Fractions when every input coefficient is rational and
-Cyclotomic values otherwise.  Both ideal questions are read off leading
-monomials by one ladder (_decide): a mod-p run proves yes, its checked lift
-proves no, and an exact run decides the rest.  A Hilbert polynomial takes
-the exact run; `hilbert` asks for one only where the mod-p certificate of
+exact runs take the polynomials' own Cyclotomic values, rational or not.
+Both ideal questions are read off leading monomials by one ladder
+(_decide): a mod-p run proves yes, its checked lift proves no, and an exact
+run decides the rest.  A Hilbert polynomial takes the exact run; `hilbert`
+asks for one only where the mod-p certificate of
 model.centre_hilbert_polynomial fails.
-The Fraction branch pays for its lines.  scripts/report_sweep.py now makes
-one exact run and a bench pass none, so it is timed on five rational ideals
-the exact engine would take: both centres of report_sweep's double point,
-its quartic partials and its rank-locus quadrics, and the first centre of
-tests/data/symmetric_n2.txt.  Over two runs of 9 interleaved repeats
-(Python 3.11, 2 cores) the five take 7.7-7.8 ms at best and 8.1-8.2 ms in
-the median as Fractions, against 9.7-9.8 ms and 9.9-10.1 ms as Cyclotomic.
 Every run, exact or mod p, ends at its first constant element, input or
 remainder, with that constant 1 alone: a Groebner basis of the unit ideal.
 
@@ -62,7 +55,7 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from .cyclotomic import _fp_image, _rational_reconstruction, join_signed
+from .cyclotomic import _format_term, _fp_image, _rational_reconstruction, join_signed
 
 DEGREE_CAP = 30
 
@@ -320,20 +313,18 @@ def _interreduce(basis, guard: int, prime=None):
 
 
 def _exact_basis(generators):
-    """(basis, w, nvars): _basis on the nonzero generators over Q or
-    Q(zeta_N), with nvars 0 when there are none.  The coefficients are
-    Fractions when every input one is rational, which pays (see the module
-    docstring), and Cyclotomic values otherwise."""
+    """(basis, w, nvars): _basis on the nonzero generators over Q(zeta_N),
+    with nvars 0 when there are none.  The coefficients are the generators'
+    own Cyclotomic values, rational ones too: no bench workload makes an
+    exact run and scripts/report_sweep.py makes one, and on the rational
+    ideals of its double point (both centres, the quartic partials) a run
+    takes 1.0-2.2 ms against 0.9-1.6 ms as Fractions (best of 9, two runs,
+    Python 3.11)."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return [], 0, 0
-    nvars = gens[0].nvars
-    if all(c.is_rational() for g in gens for c in g.terms.values()):
-        polys = [{m: c.to_rational() for m, c in g.terms.items()} for g in gens]
-    else:
-        polys = [g.terms for g in gens]
-    basis, w = _basis(polys, nvars)
-    return basis, w, nvars
+    basis, w = _basis([g.terms for g in gens], gens[0].nvars)
+    return basis, w, gens[0].nvars
 
 
 def buchberger(generators):
@@ -523,18 +514,9 @@ def qp_binomial(k: int):
 
 
 def qp_str(p) -> str:
-    parts = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c == 0 and len(p) > 1:
-            continue
-        if k == 0:
-            body = str(c)
-        else:
-            mono = "t" if k == 1 else "t^%d" % k
-            body = mono if c == 1 else ("-" + mono if c == -1 else "%s*%s" % (c, mono))
-        parts.append(body)
-    return join_signed(parts)
+    """A polynomial in t, its coefficients constant term first, as text:
+    terms from the highest power down, in the form of format_cyclotomic."""
+    return join_signed(_format_term(p[k], k, "t") for k in range(len(p) - 1, -1, -1) if p[k])
 
 
 def monomial_divides(a, b) -> bool:

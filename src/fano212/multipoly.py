@@ -127,23 +127,17 @@ class MultiPoly:
     # -- evaluation and maps ------------------------------------------------
 
     def evaluate(self, point) -> Cyclotomic:
+        """The sum of c * prod(v_i^e_i) over the terms c*x^e."""
         point = [cyc(v) for v in point]
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
-        return sum(self.scale_vars(point).terms.values(), cyc(0))
-
-    def scale_vars(self, scalars) -> "MultiPoly":
-        """Substitute x_i -> scalars[i] * x_i (fast path for diagonal actions)."""
-        scalars = [cyc(s) for s in scalars]
-        terms = {}
+        total = cyc(0)
         for exps, coef in self.terms.items():
-            factor = coef
-            for s, e in zip(scalars, exps):
+            for v, e in zip(point, exps):
                 if e:
-                    factor = factor * s**e
-            if factor:
-                terms[exps] = factor
-        return MultiPoly._of(self.nvars, terms)
+                    coef = coef * v**e
+            total = total + coef
+        return total
 
     def derivative(self, index: int) -> "MultiPoly":
         terms = {}
@@ -153,7 +147,8 @@ class MultiPoly:
                 new = list(exps)
                 new[index] = e - 1
                 terms[tuple(new)] = coef * e
-        return MultiPoly(self.nvars, terms)
+        # coef * e is nonzero, and distinct exps give distinct new ones
+        return MultiPoly._of(self.nvars, terms)
 
     def dehomogenize(self, chart) -> "MultiPoly":
         """Substitute 1 for every variable index in `chart`."""

@@ -394,6 +394,14 @@ def fiber_section(m, side, point):
     return (values[0], -values[1], values[2], -values[3])
 
 
+def brute_force_projective_order(weights, n: int) -> int:
+    """The smallest k in 1..n with diag(w^{k r_i}) scalar, that is with every
+    k*r_i equal mod n, found by trying each k in turn."""
+    for k in range(1, n + 1):
+        if len({k * w % n for w in weights}) == 1:
+            return k
+
+
 def grevlex_key(mono):
     """Sort key: grevlex-larger monomials get larger keys."""
     return (sum(mono), tuple(-e for e in reversed(mono)))

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import time
@@ -11,6 +12,7 @@ from conftest import (
     SWAP_COMBOS,
     action_image,
     action_matrix,
+    brute_force_projective_order,
     eigen_relation_holds,
     lifted,
     oracle_pencil,
@@ -22,6 +24,7 @@ from conftest import (
 )
 
 from fano212.action import (
+    _diag_projective_order,
     _sigma_on_entries,
     E,
     H,
@@ -106,6 +109,12 @@ class TestProjectiveOrder:
         pts = sample_points()
         for spec in specs:
             assert projective_order(spec) == sigma_orbit_order(spec, pts)
+
+    def test_closed_form_matches_brute_force(self):
+        for n in range(1, 9):
+            for weights in itertools.product(range(n), repeat=4):
+                expected = brute_force_projective_order(weights, n)
+                assert _diag_projective_order(weights, n) == expected, (weights, n)
 
     def test_mixed_parity_weights_have_doubled_order(self):
         # these declared orders are wrong; the computed order is the oracle's

@@ -594,6 +594,20 @@ def test_survey_runs_from_any_directory(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("script", ["run_survey.py", "report_sweep.py"])
+def test_script_stops_quietly_when_its_reader_closes_the_pipe(script):
+    # as `script | head -1` does; unbuffered, so each row is written at once
+    # and the next write after the close meets the closed pipe
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts", script)
+    proc = subprocess.Popen([sys.executable, path], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONUNBUFFERED="1"))
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.wait()
+    assert b"Traceback" not in stderr, stderr.decode()
+
+
 def test_module_entry_point():
     # the checkout's src first on the path, so no installed package is needed
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")

@@ -33,19 +33,20 @@ def test_arity_mismatch():
         variables(2)[0].evaluate([1, 2, 3])
 
 
-def test_scale_vars_is_a_ring_map():
-    # x_i -> s_i * x_i on the variables and constants, extended as a ring map
+def test_evaluate_is_a_ring_map_at_zeta_coordinates():
+    # evaluation at a point with a zeta_4 coordinate: x_i -> point[i] on the
+    # variables and constants, extended as a ring map
     rng = random.Random(3)
-    scalars = [cyc(2), Cyclotomic.zeta(4), cyc(Fraction(-1, 2))]
-    for x, s in zip(variables(3), scalars):
-        assert x.scale_vars(scalars) == x * s
-    assert MultiPoly.constant(5, 3).scale_vars(scalars) == MultiPoly.constant(5, 3)
+    point = [cyc(2), Cyclotomic.zeta(4), cyc(Fraction(-1, 2))]
+    for x, v in zip(variables(3), point):
+        assert x.evaluate(point) == v
+    assert MultiPoly.constant(5, 3).evaluate(point) == 5
     for _ in range(5):
         p, q = random_poly(rng), random_poly(rng)
-        assert (p * q).scale_vars(scalars) == p.scale_vars(scalars) * q.scale_vars(scalars)
-        assert (p + q).scale_vars(scalars) == p.scale_vars(scalars) + q.scale_vars(scalars)
+        assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+        assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
     x = variables(1)[0]
-    assert power(x, 4).scale_vars([Cyclotomic.zeta(4)]) == power(x, 4)
+    assert power(x, 4).evaluate([Cyclotomic.zeta(4)]) == 1
 
 
 def test_evaluate_is_ring_homomorphic():
