@@ -14,11 +14,11 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import Cyclotomic, cyc
+from .cyclotomic import Cyclotomic, _fp_image, cyc
 from .groebner import empty_mod_p
 from .linalg import rref
-from .model import ModelTriple, combine, determinantal_quartic, validate_model, InputError
-from .multipoly import poly_det
+from .model import (ModelTriple, _rank_mod_p, combine, determinantal_quartic, validate_model,
+                    InputError)
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,8 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
       commutes with tau, maps each block to itself; so P is sigma-stable
       exactly when sigma(B_k) lies in the span of each block's echelon basis
       B: its entries on the pivots give the combination of B, and the
-      others are checked against it.  For a diagonal action sigma = tau,
+      others are checked against it.  For a diagonal action sigma = tau is
+      the scalar w^k on block k, so the check cannot fail and is skipped,
       and each B_k is an eigenvector.
     - The split.  For a swap sigma^2 = tau = w^mu on a block, with mu even
       as the weights share parity, so sigma^2 = lambda^2 there for lambda =
@@ -171,7 +172,9 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
       lambda and -lambda, so u + lambda^-1 sigma(u) is twice its
       lambda-component.  These components of the block's basis span the
       lambda-eigenspace: the echelon form of u + lambda^-1 sigma(u) over the
-      basis is an eigenbasis, and no eigenvalue is missing.
+      basis is an eigenbasis, and no eigenvalue is missing.  A block of
+      rank 1 is its own eigenvector u, with sigma(u) = +-lambda u; u is 1 at
+      its pivot, so lambda^-1 sigma(u) there is the sign.
     Only a refusal finds the first M_j with sigma(M_j) outside P, for its
     message, against the echelon form of the three forms.  Every product is
     taken at the forms' conductor, then rotated by its power of w."""
@@ -199,15 +202,21 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
         red, pivots = rref([[row[c] for c in cols] for row in rows])
         blocks.append((k, [dict(zip(cols, u)) for u in red[:len(pivots)]],
                        [cols[i] for i in pivots], cols))
-    if sum(len(block[2]) for block in blocks) != 3 or any(
+    if sum(len(block[2]) for block in blocks) != 3 or spec.swap and any(
             outside(u, *block[1:]) for block in blocks for u in block[1]):
         red, pivots = rref(rows)
         j = next(j for j, u in enumerate(rows) if outside(u, red[:3], pivots, range(16)))
         raise InputError("pencil-not-invariant", "the action does not preserve the span of "
                          "the three forms (form %d maps outside the pencil)" % (j + 1))
-    for k, basis, _, cols in blocks:
+    for k, basis, pivots, cols in blocks:
         if not spec.swap:
             found += [(k, [u.get(c, zero) for c in range(16)]) for u in basis]
+            continue
+        if len(basis) == 1:
+            (u,), (p,) = basis, pivots
+            sign = u[source[p]].rotated(n, twist[p] - k // 2)
+            found.append((k // 2 if sign == 1 else k // 2 + n // 2,
+                          [u.get(c, zero) for c in range(16)]))
             continue
         # u and lambda^-1 sigma(u) for lambda = w^(k/2); for -lambda it is negated
         pairs = [[(u[c], u[source[c]].rotated(n, twist[c] - k // 2)) for c in cols]
@@ -277,15 +286,97 @@ def diagonal_twist_eigenbasis(n: int, weights, weights2, s: int):
 _ATTEMPTS = 50
 
 
+def _quartic_mod_p(forms, prime: int):
+    """det(x*M1 + y*M2 + z*M3) mod prime for the three matrices given as
+    rows of 16 residues (row-major), as {(a, b, c): residue} with zero
+    residues dropped: one cofactor expansion along the first row, whose
+    minors on the last rows are keyed by their columns and expanded once, as
+    multipoly._expand does.  Each monomial x^a y^b z^c is packed as
+    a + 16b + 256c, which no sum of degrees up to 4 overflows."""
+    entries = [{m: v for m, v in zip((1, 16, 256), column) if v} for column in zip(*forms)]
+    memo = {(c,): entries[12 + c] for c in range(4)}  # the 1x1 minors, on the last row
+
+    def minor(cols):
+        if cols in memo:
+            return memo[cols]
+        row, acc = entries[16 - 4 * len(cols):], {}
+        for pos, c in enumerate(cols):
+            sub = minor(cols[:pos] + cols[pos + 1:])
+            for m1, a in row[c].items():
+                a = -a if pos % 2 else a
+                for m2, b in sub.items():
+                    acc[m1 + m2] = acc.get(m1 + m2, 0) + a * b
+        memo[cols] = {m: v % prime for m, v in acc.items() if v % prime}
+        return memo[cols]
+
+    return {(m & 15, m >> 4 & 15, m >> 8): v for m, v in minor((0, 1, 2, 3)).items()}
+
+
+def _rejection(flat, images, merged, n: int, prime: int):
+    """Why _random_model rejects the draw whose form i is the sum of
+    merged[i][k] * flat[k], decided mod prime on images[k], the pairs
+    (e, residue) of the nonzero entries e (row-major) of flat[k]: the text
+    of an exact refusal of validate_model or determinantal_quartic, or that
+    the quartic is singular mod p; None when its partials have an empty
+    locus mod p."""
+    forms = []
+    for cs in merged:
+        form = [0] * 16
+        for c, pairs in zip(cs, images):
+            for e, r in pairs if c else ():
+                form[e] += c * r
+        forms.append([x % prime for x in form])
+    q = _quartic_mod_p(forms, prime)
+    if not q or _rank_mod_p(forms, prime) < 3:
+        try:
+            model = ModelTriple(tuple(combine(cs, flat) for cs in merged), n)
+            validate_model(model)
+            determinantal_quartic(model)
+        except InputError as exc:
+            return str(exc)
+    partials = [{m[:i] + (m[i] - 1,) + m[i + 1:]: m[i] * v % prime for m, v in q.items() if m[i]}
+                for i in range(3)]
+    if not empty_mod_p([d for d in partials if d], 3, prime):
+        return "determinantal quartic is singular mod p"
+    return None
+
+
 def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
     """Draw each form from the eigenspace eigenbasis(s) of its exponent s,
     with integer coefficients in -3..3, then change the basis of the pencil
     by a random invertible integer matrix with entries in -2..2.  Resample,
-    _ATTEMPTS draws at most, until the partials of the determinantal quartic
-    have an empty locus mod p (empty_mod_p), which proves it smooth over
-    Qbar.  Any other draw is dropped unproved, as a rejection needs no proof:
-    a quartic smooth over Q but singular mod p is resampled too, which may
-    change the draw returned but not that it is smooth."""
+    _ATTEMPTS draws at most, until the forms are independent,
+    det(x*M1 + y*M2 + z*M3) is not identically zero and its partials have
+    an empty locus mod p, which proves it smooth over Qbar.  Any other draw
+    is dropped unproved, as a rejection needs no proof: a quartic smooth
+    over Q but singular mod p is resampled too, which may change the draw
+    returned but not that it is smooth.
+
+    Each draw is decided in F_p (_rejection).  Every nonzero eigenbasis
+    entry has conductor n, so _fp_image maps them, once per call, at the
+    prime of _fp_field(n), where validate_model and groebner._mod_p_basis
+    map a draw's exact forms and partials.  Form i is the sum of c_ik * B_k
+    over the eigenbasis matrices B_k of all three exponents, c_ik being the
+    change-of-basis entry times the eigenspace coefficient.  Reduction mod
+    p is a ring map, so it commutes with these combinations, det and each
+    derivative: the images of a draw's forms, quartic and partials are the
+    combinations of the eigenbasis images, their determinant
+    (_quartic_mod_p) and its partials.  So each test is the exact route's
+    on equal inputs:
+    - a change of basis has rank 3 mod p iff its determinant, at most
+      3! * 2^3 = 48 < p in size, is nonzero;
+    - rank 3 of the forms mod p is validate_model's own certificate, and a
+      nonzero quartic image proves the exact quartic nonzero; a lower rank
+      or a zero image takes validate_model and determinantal_quartic on the
+      exact forms (combine);
+    - empty_mod_p makes the run that _mod_p_basis makes on the exact
+      partials.
+    Exact forms are built only for the draw returned and for those
+    fallbacks, which only name a failure: forms of rank below 3 mod p, or a
+    zero image, make the quartic singular mod p (a pencil member that
+    vanishes mod p is a point of multiplicity 4).  Cyclotomic values are
+    canonical, so one combine with the c_ik gives the bytes of the two
+    stages, forms then change of basis, that it stands for."""
     n = spec.order
     bases = []
     for s in exponents:
@@ -295,28 +386,29 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
                              "the eigenspace for exponent %d mod %d is zero" % (s, n))
         bases.append(basis)
     validate_action(spec)
+    flat = [mat for basis in bases for mat in basis]
+    # the nonzero entries (k, e, value), entry e of flat[k] in row-major order
+    entries = [(k, e, v) for k, mat in enumerate(flat)
+               for e, v in enumerate(v for row in mat for v in row) if v]
+    image = _fp_image([v for _, _, v in entries])
+    if image is None:
+        raise InputError("no-smooth-instance", "no prime field for conductor %d" % n)
+    prime, images = image[0], [[] for _ in flat]
+    for (k, e, _), r in zip(entries, image[1]):
+        images[k].append((e, r))
+    spans = [j for j, basis in enumerate(bases) for _ in basis]  # the form of flat[k]
     rng = random.Random(seed)
     failure = "no draw attempted"
     for _ in range(_ATTEMPTS):
-        mats = tuple(
-            combine([rng.randint(-3, 3) for _ in b], b) for b in bases
-        )
+        coeffs = [rng.randint(-3, 3) for _ in flat]
         while True:
             rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-            if poly_det(rows):
+            if _rank_mod_p([[x % prime for x in row] for row in rows], prime) == 3:
                 break
-        mats = tuple(combine(row, mats) for row in rows)
-        try:
-            model = ModelTriple(mats, n)
-            validate_model(model)
-            q = determinantal_quartic(model)
-        except InputError as exc:
-            failure = str(exc)
-            continue
-        if not empty_mod_p([q.derivative(i) for i in range(3)]):
-            failure = "determinantal quartic is singular mod p"
-            continue
-        return model, spec
+        merged = [[row[j] * c for j, c in zip(spans, coeffs)] for row in rows]
+        failure = _rejection(flat, images, merged, n, prime)
+        if failure is None:
+            return ModelTriple(tuple(combine(cs, flat) for cs in merged), n), spec
     raise InputError("no-smooth-instance", "no smooth instance in %d attempts "
                      "(last failure: %s)" % (_ATTEMPTS, failure))
 

@@ -337,13 +337,25 @@ def buchberger(generators):
 
 # -- prime-field runs ------------------------------------------------------------
 #
-# The generators are mapped to F_p[x] by cyclotomic._fp_image, and the pair
-# loop runs there on monic {mono: int mod p} terms.
+# The pair loop runs in F_p[x] on monic {mono: int mod p} terms.  The
+# generators are mapped there by cyclotomic._fp_image, or come as residue
+# dicts (empty_mod_p).
+
+def _mod_p_run(polys, nvars: int, prime: int):
+    """(basis, w, nvars, prime): _basis on {exponent tuple: residue in
+    [0, prime)} dicts, none of them empty, in nvars variables; None when the
+    run exceeds the degree cap."""
+    try:
+        basis, w = _basis(polys, nvars, prime)
+    except DegreeCapExceeded:
+        return None
+    return basis, w, nvars, prime
+
 
 def _mod_p_basis(generators):
-    """(basis, w, nvars, p): _basis on the image in F_p[x] of the generators,
-    their coefficients mapped by one _fp_image call; None, and no report,
-    when that has no image or the run exceeds the degree cap."""
+    """_mod_p_run on the image in F_p[x] of the generators, their
+    coefficients mapped by one _fp_image call; None, and no report, when
+    that has no image or the run exceeds the degree cap."""
     image = _fp_image([c for g in generators for c in g.terms.values()])
     if image is None:
         return None
@@ -352,12 +364,7 @@ def _mod_p_basis(generators):
     # zip draws a monomial first, so each g takes just its own images
     polys = [terms for terms in ({m: v for m, v in zip(g.terms, values) if v} for g in generators)
              if terms]
-    nvars = generators[0].nvars if generators else 0
-    try:
-        basis, w = _basis(polys, nvars, prime)
-    except DegreeCapExceeded:
-        return None
-    return basis, w, nvars, prime
+    return _mod_p_run(polys, generators[0].nvars if generators else 0, prime)
 
 
 def _lift_holds(generators, run) -> bool:
@@ -399,7 +406,7 @@ def _lift_holds(generators, run) -> bool:
         if _normal_form(_s_polynomial(lifted[i], lifted[j], lcm), lifted, guard, None, memo):
             return False
     return not any(
-        _normal_form({_pack(m, w): _int_or_fraction(c.to_rational())
+        _normal_form({_pack(m, w): c.num[0] if c.den == 1 else Fraction(c.num[0], c.den)
                       for m, c in g.terms.items()}, lifted, guard, None, memo)
         for g in generators
     )
@@ -424,23 +431,22 @@ def _empty_locus(leads, nvars: int) -> bool:
     return all(any(m[var] == sum(m) for m in leads) for var in range(nvars))
 
 
-def _holds_mod_p(generators, holds):
-    """(answer, run): the run of _mod_p_basis (None when there is none), and
-    whether holds is True of its leading monomials."""
-    run = _mod_p_basis(generators)
+def _holds_mod_p(run, holds) -> bool:
+    """Whether holds is True of the leading monomials of a mod-p run
+    (_mod_p_run); False when there is no run."""
     if run is None:
-        return False, None
+        return False
     basis, w, nvars, _ = run
-    return holds([_unpack(lm, w, nvars) for lm, _ in basis], nvars), run
+    return holds([_unpack(lm, w, nvars) for lm, _ in basis], nvars)
 
 
 def _decide(generators, holds) -> bool:
     """Whether holds (_is_unit or _empty_locus), a property of the leading
     ideal, is True of the ideal of the nonzero generators mod p or over
     Q(zeta_N).  The answer is read off the first of three rungs that gives
-    one: a True of the mod-p run (_holds_mod_p); a False of that run once its
-    lift holds (_lift_holds), as the lifted basis over Q has the run's
-    leading ideal; else the exact run's leads (buchberger).
+    one: a True of the mod-p run (_mod_p_basis, _holds_mod_p); a False of
+    that run once its lift holds (_lift_holds), as the lifted basis over Q
+    has the run's leading ideal; else the exact run's leads (buchberger).
 
     The rule is one-sided: a True mod p is final, a False needs the lift.
     For an empty projective locus a True mod p holds over Qbar too: a common
@@ -450,8 +456,8 @@ def _decide(generators, holds) -> bool:
     coefficient lies in Z_(p)[zeta_N] and zeta_N reduces to r.  A unit ideal
     mod p need not be unit over Q (p*x - 1 is not); full_smoothness argues
     why a chart unit mod p or over Q is sound all the same."""
-    answer, run = _holds_mod_p(generators, holds)
-    if answer:
+    run = _mod_p_basis(generators)
+    if _holds_mod_p(run, holds):
         return True
     if run is not None and _lift_holds(generators, run):
         return False
@@ -465,11 +471,14 @@ def unit_mod_p_or_q(generators) -> bool:
     return _decide([g for g in generators if not g.is_zero()], _is_unit)
 
 
-def empty_mod_p(generators) -> bool:
-    """Whether the homogeneous generators, not all zero, have an empty
-    projective locus mod p: the first rung of projective_empty, so a True
-    proves the locus over Qbar empty (_decide) and a False proves nothing."""
-    return _holds_mod_p(generators, _empty_locus)[0]
+def empty_mod_p(polys, nvars: int, prime: int) -> bool:
+    """Whether homogeneous polynomials mod prime, given as {exponent tuple:
+    residue} dicts with no zero residue, none of them empty, have an empty
+    projective locus over the algebraic closure of F_prime (_mod_p_run).
+    When they are the images under _fp_image of polynomials over Q(zeta_N),
+    at its prime, this is the first rung of projective_empty: a True proves
+    the locus over Qbar empty (_decide) and a False proves nothing."""
+    return _holds_mod_p(_mod_p_run(polys, nvars, prime), _empty_locus)
 
 
 def projective_empty(generators) -> bool:

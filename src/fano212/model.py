@@ -23,7 +23,7 @@ from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
                          _rational_reconstruction, _trim, cyc, euler_phi)
 from .groebner import DegreeCapExceeded, hilbert_polynomial, projective_empty, unit_mod_p_or_q
 from .linalg import mat_mul, mat_transpose, matrix_rank, nullspace, proj_normalize
-from .multipoly import MultiPoly, maximal_minors, minors, poly_det
+from .multipoly import MultiPoly, _expand, maximal_minors, minors, poly_det
 
 
 class Side(Enum):
@@ -297,10 +297,11 @@ def full_smoothness(m: ModelTriple) -> bool:
     so it gives False.
 
     The 3x3 minors are those of the homogeneous Jacobian in all eight
-    variables, all 56 taken in one expansion (minors) and then
-    dehomogenised: setting x_i = y_j = 1 is a ring map that commutes with
-    the derivative in every chart variable, so they equal the minors of the
-    chart's own Jacobian, in the same order.
+    variables, dehomogenised: setting x_i = y_j = 1 is a ring map that
+    commutes with the derivative in every chart variable, so they equal the
+    minors of the chart's own Jacobian, in the same order.  A chart's minors
+    are expanded when the loop reaches it, the columns not met before in one
+    _expand, so a False at chart x0=1, y0=1 takes 20 of the 56.
 
     The quartic decides the same question (X is smooth iff det M(a) is), and
     `smooth` answers from it; this chart-wise run shares none of that
@@ -308,14 +309,16 @@ def full_smoothness(m: ModelTriple) -> bool:
     """
     validate_model(m)
     forms = bilinear_forms(m)
-    minor = dict(zip(combinations(range(8), 3),
-                     minors([[f.derivative(v) for v in range(8)] for f in forms], 3)))
+    jacobian, minor = [[f.derivative(v) for v in range(8)] for f in forms], {}
     for i in range(4):
         for j in range(4):
             chart = (i, 4 + j)
-            variables = [v for v in range(8) if v not in chart]
+            subsets = list(combinations([v for v in range(8) if v not in chart], 3))
+            new = [cols for cols in subsets if cols not in minor]
+            if new:
+                minor.update(zip(new, _expand(jacobian, new)))
             gens = [f.dehomogenize(chart) for f in forms]
-            gens += [minor[cols].dehomogenize(chart) for cols in combinations(variables, 3)]
+            gens += [minor[cols].dehomogenize(chart) for cols in subsets]
             gens = [f for f in gens if not f.is_zero()]
             try:
                 if not unit_mod_p_or_q(gens):

@@ -14,13 +14,15 @@ import pytest
 from fano212 import model as model_module
 from fano212.cohomology import InconclusiveCohomology, koszul_cohomology_on_X
 from fano212.cyclotomic import Cyclotomic, _fold_terms, _literal_terms, cyc
-from fano212.groebner import (_exact_basis, _guard, _interreduce, _unpack, hilbert_polynomial,
-                              monomial_divides)
+from fano212.groebner import (_exact_basis, _guard, _interreduce, _mod_p_basis, _unpack,
+                              hilbert_polynomial, monomial_divides)
 from fano212.linalg import mat_mul, mat_transpose, nullspace, rref
 from fano212.model import (
     _LINE,
     InputError,
+    ModelTriple,
     coeff_matrix,
+    combine,
     determinantal_quartic,
     model_from_matrices,
     quartic_smooth,
@@ -357,6 +359,30 @@ def oracle_pencil(m, spec):
         if not leibniz(shifted):
             exponents += [k] * len(nullspace(shifted))
     return exponents
+
+
+def exact_rejection(bases, coeffs, rows, n: int):
+    """Why a draw of the generator is rejected, on its exact forms, or None
+    when it is kept: form j is the combination of bases[j] with coeffs[j],
+    the pencil is changed by the integer rows, validate_model and
+    determinantal_quartic refuse dependent forms and a zero pencil, and the
+    quartic is kept when the images of its exact partials under _fp_image
+    (groebner._mod_p_basis) have an empty projective locus mod p: a leading
+    ideal with a pure power of every variable.  It shares the Groebner run
+    with action._rejection, which maps the eigenbasis to F_p instead of the
+    partials, so it checks that image arithmetic, not the run."""
+    forms = [combine(cs, basis) for cs, basis in zip(coeffs, bases)]
+    model = ModelTriple(tuple(combine(row, forms) for row in rows), n)
+    try:
+        validate_model(model)
+        q = determinantal_quartic(model)
+    except InputError as exc:
+        return str(exc)
+    run = _mod_p_basis([q.derivative(i) for i in range(3)])
+    leads = [] if run is None else [_unpack(lm, run[1], 3) for lm, _ in run[0]]
+    if all(any(m[v] == sum(m) for m in leads) for v in range(3)):
+        return None
+    return "determinantal quartic is singular mod p"
 
 
 def lifted(text, conductor, k):

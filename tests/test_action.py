@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import os
 import random
 import time
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from conftest import (
     action_matrix,
     brute_force_projective_order,
     eigen_relation_holds,
+    exact_rejection,
     lifted,
     oracle_pencil,
     pencil_eigen_check,
@@ -23,8 +26,10 @@ from conftest import (
     variables,
 )
 
+from fano212 import action as action_module
 from fano212.action import (
     _diag_projective_order,
+    _rejection,
     _sigma_on_entries,
     E,
     H,
@@ -42,8 +47,8 @@ from fano212.action import (
     transpose_twist_eigenbasis,
     validate_action,
 )
-from fano212.cyclotomic import Cyclotomic, cyc
-from fano212.instancefile import parse_instance
+from fano212.cyclotomic import Cyclotomic, _fp_image, cyc
+from fano212.instancefile import Instance, parse_instance, serialize_instance
 from fano212.linalg import mat_mul, matrix_rank
 from fano212.model import InputError, ModelTriple, combine, determinantal_quartic, \
     model_from_matrices, quartic_smooth
@@ -537,3 +542,87 @@ class TestGenerators:
         pencil = invariant_pencil(m, spec)
         assert sorted(pencil.exponents) == [0, 0, 1]
         assert pencil_eigen_check(pencil)
+
+
+# sha256 of serialize_instance over SWAP_COMBOS + DIAGONAL_COMBOS at seeds
+# 0-3, cell by cell, as the generator wrote them when it decided each draw
+# on its exact forms and partials
+GENERATOR_SHA256 = "8c6dae82552618b9fcc0d96c06094b52fb63fd681bc07c4779032219c3ada86a"
+
+# cells whose every draw is refused: a quartic that is the square of a
+# Pfaffian, an identically zero pencil, dependent forms
+REFUSING = [(2, (0, 0, 0, 0), (1, 1, 1)), (4, (0, 2, 2, 2), (0, 0, 0)),
+            (4, (0, 2, 2, 2), (0, 1, 2))]
+
+
+def test_generated_instances_are_pinned():
+    digest = hashlib.sha256()
+    for cell in SWAP_COMBOS + DIAGONAL_COMBOS:
+        for seed in range(4):
+            if len(cell) == 3:
+                m, spec = random_equivariant_model(*cell, seed=seed)
+            else:
+                m, spec = random_diagonal_model(*cell, seed=seed)
+            inst = Instance(model=m, spec=spec, conductor=lcm(m.conductor, spec.order),
+                            declared_exponents=cell[-1])
+            digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == GENERATOR_SHA256
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_draw_is_decided_in_f_p_as_on_its_exact_partials(data):
+    cell = data.draw(st.sampled_from(SWAP_COMBOS + DIAGONAL_COMBOS) | st.sampled_from(REFUSING))
+    spec = (ActionSpec(cell[0], cell[1]) if len(cell) == 3
+            else ActionSpec(cell[0], cell[1], swap=False, weights2=cell[2]))
+    bases = [_eigenbasis(spec, s) for s in cell[-1]]
+    coeffs = [data.draw(st.lists(st.integers(-3, 3), min_size=len(b), max_size=len(b)))
+              for b in bases]
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                              min_size=3, max_size=3))
+    flat = [mat for basis in bases for mat in basis]
+    prime, values = _fp_image([v for mat in flat for row in mat for v in row])
+    images = [[(e, r) for e, r in enumerate(values[16 * k:16 * k + 16]) if r]
+              for k in range(len(flat))]
+    merged = [[row[j] * c for j, cs in enumerate(coeffs) for c in cs] for row in rows]
+    assert (_rejection(flat, images, merged, spec.order, prime)
+            == exact_rejection(bases, coeffs, rows, spec.order))
+
+
+def _counted(monkeypatch, *names):
+    """Count the calls that action makes to each of the names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(action_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(action_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("cell, seed, draws, combines", [
+    (REFUSING[0], 5, 50, 0),
+    ((4, (0, 0, 2, 2), (0, 1, 2)), 0, 2, 3),
+])
+def test_only_the_returned_draw_is_built_exactly(monkeypatch, cell, seed, draws, combines):
+    # a guard on wasted work: a draw is decided in F_p, so no exact quartic
+    # is expanded, and only the returned draw's three forms are combined
+    calls = _counted(monkeypatch, "_rejection", "combine", "determinantal_quartic")
+    if combines:
+        random_equivariant_model(*cell, seed=seed)
+    else:
+        with pytest.raises(InputError, match="no smooth instance in 50 attempts"):
+            random_equivariant_model(*cell, seed=seed)
+    assert calls == {"_rejection": draws, "combine": combines, "determinantal_quartic": 0}
+
+
+def test_a_rank_lost_mod_p_falls_back_to_the_exact_rank(monkeypatch):
+    # rank 3 mod p certifies independent forms, a lower rank proves nothing:
+    # forms that seem dependent mod p are decided by the exact rank, and
+    # the draw that independent forms give is still returned
+    cell = (4, (0, 0, 2, 2), (0, 1, 2))
+    expected, _ = random_equivariant_model(*cell, seed=0)
+    rank = action_module._rank_mod_p
+    monkeypatch.setattr(action_module, "_rank_mod_p",
+                        lambda rows, prime: 2 if len(rows[0]) == 16 else rank(rows, prime))
+    assert random_equivariant_model(*cell, seed=0)[0].matrices == expected.matrices

@@ -534,6 +534,13 @@ class TestRandomGeneration:
         assert ("no-smooth-instance: no smooth instance in 50 attempts (last failure: "
                 "determinantal quartic is singular mod p)") in out
 
+    def test_order_1024_refuses_every_draw(self, capsys):
+        code, out = run_cli(capsys, "--format", "tree", "random", "--order", "1024",
+                            "--weights", "0,2,4,6", "--exponents", "0,1,4", "--seed", "1")
+        assert (code, out) == (2, "error = no-smooth-instance: no smooth instance in 50 "
+                               "attempts (last failure: determinantal quartic is singular "
+                               "mod p)\n")
+
 
 # sha256 of the stdout of scripts/report_sweep.py (5,020 lines, 441 reports);
 # a declared change of the toolkit's output updates it in the same change
