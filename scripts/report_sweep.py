@@ -27,9 +27,9 @@ verdict, smooth --full and hilbert.  Then the commands that run without an
 instance: cohomology for every twist (a, b) in -5..3 (some are exit 3),
 then at (10^10, 1) (row 0), at (-10^10, -1) (row 6) and at a twist above
 the bound (exit 2), picard for both swap flags, and random for a valid
-cell, then, each exit 2, an order above the field limit, an empty
-eigenspace and antisymmetric forms, whose quartic is a square: the
-generator gives up, and its last failure is in the report.  Last come the serialized
+cell, then, each exit 2, an order above the field limit, a valid action
+(order 8) with an empty eigenspace and antisymmetric forms, whose quartic
+is a square: the generator gives up, and its last failure is in the report.  Last come the serialized
 text of each generated instance and of each conductor variant of swap_n8 as
 parsed back, the sample_curve_points output on both sides for the generated
 instances of order 2, and a line counting the reports.
@@ -80,7 +80,7 @@ WITHOUT_INPUT = (
     + [
         ["random", "--order", "4", "--weights", "0,0,2,2", "--exponents", "0,1,2"],
         ["random", "--order", "2048", "--weights", "0,0,0,0", "--exponents", "0,0,0"],
-        ["random", "--order", "4", "--weights", "0,0,0,0", "--exponents", "1,1,1"],
+        ["random", "--order", "8", "--weights", "0,0,0,2", "--exponents", "0,0,3"],
         ["random", "--order", "2", "--weights", "0,0,0,0", "--exponents", "1,1,1",
          "--seed", "1"],
     ]

@@ -19,6 +19,7 @@ from .groebner import empty_mod_p
 from .linalg import rref
 from .model import (ModelTriple, _rank_mod_p, combine, determinantal_quartic, validate_model,
                     InputError)
+from .multipoly import _minors_mod_p
 
 
 @dataclass(frozen=True)
@@ -286,32 +287,6 @@ def diagonal_twist_eigenbasis(n: int, weights, weights2, s: int):
 _ATTEMPTS = 50
 
 
-def _quartic_mod_p(forms, prime: int):
-    """det(x*M1 + y*M2 + z*M3) mod prime for the three matrices given as
-    rows of 16 residues (row-major), as {(a, b, c): residue} with zero
-    residues dropped: one cofactor expansion along the first row, whose
-    minors on the last rows are keyed by their columns and expanded once, as
-    multipoly._expand does.  Each monomial x^a y^b z^c is packed as
-    a + 16b + 256c, which no sum of degrees up to 4 overflows."""
-    entries = [{m: v for m, v in zip((1, 16, 256), column) if v} for column in zip(*forms)]
-    memo = {(c,): entries[12 + c] for c in range(4)}  # the 1x1 minors, on the last row
-
-    def minor(cols):
-        if cols in memo:
-            return memo[cols]
-        row, acc = entries[16 - 4 * len(cols):], {}
-        for pos, c in enumerate(cols):
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            for m1, a in row[c].items():
-                a = -a if pos % 2 else a
-                for m2, b in sub.items():
-                    acc[m1 + m2] = acc.get(m1 + m2, 0) + a * b
-        memo[cols] = {m: v % prime for m, v in acc.items() if v % prime}
-        return memo[cols]
-
-    return {(m & 15, m >> 4 & 15, m >> 8): v for m, v in minor((0, 1, 2, 3)).items()}
-
-
 def _rejection(flat, images, merged, n: int, prime: int):
     """Why _random_model rejects the draw whose form i is the sum of
     merged[i][k] * flat[k], decided mod prime on images[k], the pairs
@@ -326,7 +301,10 @@ def _rejection(flat, images, merged, n: int, prime: int):
             for e, r in pairs if c else ():
                 form[e] += c * r
         forms.append([x % prime for x in form])
-    q = _quartic_mod_p(forms, prime)
+    # entry e of x*M1 + y*M2 + z*M3, x^a y^b z^c packed as a + 16b + 256c
+    entries = [{m: v for m, v in zip((1, 16, 256), column) if v} for column in zip(*forms)]
+    q = _minors_mod_p([entries[4 * i:4 * i + 4] for i in range(4)], [(0, 1, 2, 3)], prime)[0]
+    q = {(m & 15, m >> 4 & 15, m >> 8): v for m, v in q.items()}
     if not q or _rank_mod_p(forms, prime) < 3:
         try:
             model = ModelTriple(tuple(combine(cs, flat) for cs in merged), n)
@@ -361,7 +339,7 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
     p is a ring map, so it commutes with these combinations, det and each
     derivative: the images of a draw's forms, quartic and partials are the
     combinations of the eigenbasis images, their determinant
-    (_quartic_mod_p) and its partials.  So each test is the exact route's
+    (_minors_mod_p) and its partials.  So each test is the exact route's
     on equal inputs:
     - a change of basis has rank 3 mod p iff its determinant, at most
       3! * 2^3 = 48 < p in size, is nonzero;
@@ -377,6 +355,7 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
     vanishes mod p is a point of multiplicity 4).  Cyclotomic values are
     canonical, so one combine with the c_ik gives the bytes of the two
     stages, forms then change of basis, that it stands for."""
+    validate_action(spec)
     n = spec.order
     bases = []
     for s in exponents:
@@ -385,7 +364,6 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
             raise InputError("empty-eigenspace",
                              "the eigenspace for exponent %d mod %d is zero" % (s, n))
         bases.append(basis)
-    validate_action(spec)
     flat = [mat for basis in bases for mat in basis]
     # the nonzero entries (k, e, value), entry e of flat[k] in row-major order
     entries = [(k, e, v) for k, mat in enumerate(flat)

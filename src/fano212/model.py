@@ -15,15 +15,16 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, count, permutations
+from itertools import combinations, count
 from math import gcd, lcm
 from operator import add
 
 from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
                          _rational_reconstruction, _trim, cyc, euler_phi)
-from .groebner import DegreeCapExceeded, hilbert_polynomial, projective_empty, unit_mod_p_or_q
+from .groebner import (DegreeCapExceeded, empty_mod_p, hilbert_polynomial, projective_empty,
+                       unit_mod_p_or_q)
 from .linalg import mat_mul, mat_transpose, matrix_rank, nullspace, proj_normalize
-from .multipoly import MultiPoly, _expand, maximal_minors, minors, poly_det
+from .multipoly import MultiPoly, _expand, _minors_mod_p, maximal_minors, minors, poly_det
 
 
 class Side(Enum):
@@ -177,10 +178,8 @@ def minor_cubics(m: ModelTriple, side: Side = Side.FIRST) -> list:
     return cubics
 
 
-# the points a, b of the line {s*a + t*b} of P3 on which the centre is tested,
-# and the permutations of three rows with their signs, in permutations' order
+# the points a, b of the line {s*a + t*b} of P3 on which the centre is tested
 _LINE = ((1, -2, 3, 5), (2, 7, -1, 1))
-_SIGNED = tuple(zip(permutations(range(3)), (1, -1, -1, 1, 1, -1)))
 
 
 def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
@@ -189,46 +188,31 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
     holds.
 
     The sided matrices are mapped to F_p (_fp_image), and the 3x4 matrix of
-    linear forms is restricted to the line L = {s*a + t*b} (_LINE): each
-    entry becomes a binary linear form and each maximal minor a binary
-    cubic f_k, by the six terms of the Leibniz sum.  The certificate is rank
-    6 of the 12x6 Macaulay matrix of s^2, st, t^2 times the f_k, the degree-5
-    part of the ideal they generate.  A common zero of the f_k over the
-    algebraic closure of F_p would be a zero of every row, which s^5 or t^5
-    is not, so rank 6 proves there is none; coprime cubics reach rank 6, as
-    they generate every form of degree 5 (two of them already give the
-    Sylvester matrix of a nonzero resultant).  Restriction to L and the map
-    to F_p are ring maps, so the f_k are the images of the minors of the
-    exact matrix on L, and by the argument in _decide's docstring the centre
-    misses L over Qbar too.  A centre that contains a surface meets every
-    line, so V(I) has dimension at most 1: I, the ideal of maximal minors,
-    has height at least 2, and at most 4 - 3 + 1 = 2 (Eagon and Northcott).
-    Then the Eagon-Northcott complex 0 -> S(-4)^3 -> S(-3)^4 -> S resolves
-    S/I (J. A. Eagon and D. G. Northcott, Proc. Roy. Soc. A 269, 1962;
+    linear forms is restricted to the line L = {s*a + t*b} (_LINE), each
+    entry a binary linear form; its maximal minors (_minors_mod_p) are
+    binary cubics.  Restriction to L and the map to F_p are ring maps, so
+    the cubics are the images of the minors of the exact matrix on L; when
+    empty_mod_p finds no common zero of them the centre misses L over Qbar
+    (_decide).  A centre that contains a surface meets every line, so V(I)
+    has dimension at most 1: I, the ideal of maximal minors, has height at
+    least 2, and at most 4 - 3 + 1 = 2 (Eagon and Northcott).  Then the
+    Eagon-Northcott complex 0 -> S(-4)^3 -> S(-3)^4 -> S resolves S/I
+    (J. A. Eagon and D. G. Northcott, Proc. Roy. Soc. A 269, 1962;
     D. Eisenbud, The Geometry of Syzygies, Ch. 3), and
-    HP(t) = C(t+3, 3) - 4 C(t, 3) + 3 C(t-1, 3) = 6t - 2.  A lower rank, or
-    no image, takes the exact hilbert_polynomial."""
+    HP(t) = C(t+3, 3) - 4 C(t, 3) + 3 C(t-1, 3) = 6t - 2.  A common zero mod
+    p, or no image, takes the exact hilbert_polynomial."""
     image = _fp_image([v for mat in m.sided(side).matrices for row in mat for v in row])
     if image is not None:
         prime, values = image
-        # entry (i, j) on L: the s and t coefficients a^T M_i e_j, b^T M_i e_j,
-        # column j of M_i being values[k + j:k + 16:4] for k = 16*i
+        # entry (i, j) on L: s * a^T M_i e_j + t * b^T M_i e_j, column j of M_i
+        # being values[k + j:k + 16:4] for k = 16*i, and s^u t^v packed as u + 16v
         (a0, a1, a2, a3), (b0, b1, b2, b3) = _LINE
-        lines = [[(a0 * w + a1 * x + a2 * y + a3 * z, b0 * w + b1 * x + b2 * y + b3 * z)
+        lines = [[{1: a0 * w + a1 * x + a2 * y + a3 * z, 16: b0 * w + b1 * x + b2 * y + b3 * z}
                   for w, x, y, z in (values[k + j:k + 16:4] for j in range(4))]
                  for k in (0, 16, 32)]
-        rows = []
-        for cols in combinations(range(4), 3):
-            cubic = [0] * 4
-            for perm, sign in _SIGNED:
-                # sign * (a s + b t)(c s + d t)(e s + f t)
-                (a, b), (c, d), (e, f) = [lines[i][cols[k]] for i, k in enumerate(perm)]
-                ac, bd, mid = sign * a * c, sign * b * d, sign * (a * d + b * c)
-                cubic = [cubic[0] + ac * e, cubic[1] + ac * f + mid * e,
-                         cubic[2] + mid * f + bd * e, cubic[3] + bd * f]
-            cubic = [c % prime for c in cubic]
-            rows += [[0] * k + cubic + [0] * (2 - k) for k in range(3)]
-        if _rank_mod_p(rows, prime) == 6:
+        cubics = _minors_mod_p(lines, list(combinations(range(4), 3)), prime)
+        cubics = [{(m & 15, m >> 4): v for m, v in f.items()} for f in cubics if f]
+        if empty_mod_p(cubics, 2, prime):
             return (Fraction(-2), Fraction(6))
     return hilbert_polynomial(minor_cubics(m, side))
 

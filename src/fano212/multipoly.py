@@ -3,7 +3,8 @@
 Terms map exponent tuples to nonzero Cyclotomic coefficients; the zero
 polynomial has an empty term map.  Includes the minors of small matrices of
 scalars or polynomials, one integer expansion per row subset (_expand says
-why that is exact), with poly_det as the square case.
+why that is exact), with poly_det as the square case, and their images mod p
+(_minors_mod_p).
 """
 
 from __future__ import annotations
@@ -219,9 +220,9 @@ def _expand(rows, subsets) -> list:
 
     A minor on the rows from the third on is met once for each order in
     which the rows above pick the missing columns, and again by every
-    subset that holds its columns; it is keyed by its columns alone, as its
-    rows are the last len(cols), and expanded once per call, so a 4x4
-    determinant takes 28 entry products, not 40."""
+    subset that holds its columns.  Its rows are the last len(cols), so the
+    column-keyed memo keys it by its columns alone and expands it once per
+    call: a 4x4 determinant takes 28 entry products, not 40."""
     size = len(rows)
     polys = [e for r in rows for e in r if isinstance(e, MultiPoly)]
     nvars = polys[0].nvars if polys else 0
@@ -272,6 +273,35 @@ def _expand(rows, subsets) -> list:
         return [det.get(0, zero) for det in dets]
     return [MultiPoly._of(nvars, {tuple([m >> s & mask for s in shifts]): c
                                   for m, c in det.items()}) for det in dets]
+
+
+def _minors_mod_p(rows, subsets, prime: int) -> list:
+    """_expand's minors mod prime, for entries that map packed monomials to
+    integers, packed so that no product of len(rows) entries overflows a
+    field: the same expansion along the first row and column-keyed memo,
+    each minor reduced mod prime once, as {packed monomial: residue} with
+    no zero residue.  Reduction mod prime is a ring map, so these are the
+    images of the integer minors."""
+
+    def reduced(acc):
+        return {m: v % prime for m, v in acc.items() if v % prime}
+
+    memo = {(c,): reduced(entry) for c, entry in enumerate(rows[-1])}  # the 1x1 minors
+
+    def minor(cols):
+        if cols in memo:
+            return memo[cols]
+        row, acc = rows[-len(cols)], {}
+        for pos, c in enumerate(cols):
+            sub = minor(cols[:pos] + cols[pos + 1:]) if row[c] else None
+            for m1, a in row[c].items() if sub else ():
+                a = -a if pos % 2 else a
+                for m2, b in sub.items():
+                    acc[m1 + m2] = acc.get(m1 + m2, 0) + a * b
+        memo[cols] = reduced(acc)
+        return memo[cols]
+
+    return [minor(cols) for cols in subsets]
 
 
 def maximal_minors(rows) -> tuple:

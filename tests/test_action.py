@@ -506,10 +506,18 @@ class TestGenerators:
         assert quartic_smooth(determinantal_quartic(m)) is True
 
     def test_empty_eigenspace_detected(self):
+        # a valid action of order 8 with no form of exponent 3
         with pytest.raises(InputError) as exc:
-            random_equivariant_model(4, (0, 0, 0, 0), (1, 0, 0), seed=5)
+            random_equivariant_model(8, (0, 0, 0, 2), (0, 0, 3), seed=5)
         assert exc.value.code == "empty-eigenspace"
         assert "eigenspace" in str(exc.value)
+
+    @pytest.mark.parametrize("n, code", [(4, "order-mismatch"), (3, "odd-order")])
+    def test_action_is_checked_before_the_eigenspaces(self, n, code):
+        # D = 1 gives projective order 2, not 4 or 3, and exponent 1 has no eigenspace
+        with pytest.raises(InputError) as exc:
+            random_equivariant_model(n, (0, 0, 0, 0), (1, 0, 0), seed=5)
+        assert exc.value.code == code
 
     def test_eigen_relation_exact(self):
         # each form is drawn as an integer combination of the eigenbasis of

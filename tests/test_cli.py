@@ -186,8 +186,13 @@ class TestExitCodes:
         (["random", "--order", "9" * 5000, "--weights", "0,0,2,2", "--exponents", "0,1,2"],
          "conductor-too-large: working field lcm(conductor, order) is above the limit "
          "1024"),
+        (["random", "--order", "8", "--weights", "0,0,0,2", "--exponents", "0,0,3"],
+         "empty-eigenspace: the eigenspace for exponent 3 mod 8 is zero"),
+        # the action is checked before any eigenspace is built
         (["random", "--order", "4", "--weights", "0,0,0,0", "--exponents", "1,1,1"],
-         "empty-eigenspace: the eigenspace for exponent 1 mod 4 is zero"),
+         "order-mismatch: declared order 4 but sigma has projective order 2"),
+        (["random", "--order", "3", "--weights", "0,0,0,0", "--exponents", "1,1,1"],
+         "odd-order: a swap action has even order, got 3"),
         (["cohomology", "--a", "0", "--b", "1.5"], "bad-twist: --a and --b must be integers"),
         (["cohomology", "--a", "9" * 5000, "--b", "0"],
          "twist-too-large: |a| and |b| must be at most 10^100"),
@@ -235,6 +240,7 @@ class TestExitCodes:
     ], ids=["parity", "matrix-shape", "conductor-too-large", "bad-order", "bad-literal",
             "pencil-not-invariant", "random-bad-weights", "random-bad-exponents",
             "random-bad-order", "random-conductor-too-large", "random-empty-eigenspace",
+            "random-order-mismatch", "random-odd-order",
             "bad-twist", "twist-too-large", "io-error", "conductor-past-the-digit-limit",
             "order-past-the-digit-limit", "negative-order-past-the-digit-limit",
             "malformed-long-conductor", "random-bad-seed", "random-seed-too-large",
@@ -544,7 +550,7 @@ class TestRandomGeneration:
 
 # sha256 of the stdout of scripts/report_sweep.py (5,020 lines, 441 reports);
 # a declared change of the toolkit's output updates it in the same change
-SWEEP_SHA256 = "7933e4adfe33cba9641becf692431f87b7bd4cb6d7e6210f02ab5bff22fb9f4d"
+SWEEP_SHA256 = "6ce3b0972a6e94e72791788c64aa2bd922dd231a39c8caa4fa92fde9dd6dbd75"
 
 
 def test_report_sweep_output_is_pinned():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import leibniz, power, variables
-from fano212.cyclotomic import Cyclotomic, cyc, euler_phi
-from fano212.multipoly import MultiPoly, maximal_minors, minors, poly_det
+from fano212.cyclotomic import Cyclotomic, _fp_field, cyc, euler_phi
+from fano212.multipoly import MultiPoly, _minors_mod_p, maximal_minors, minors, poly_det
 
 
 def random_poly(rng, nvars=3, max_degree=2, nterms=4):
@@ -291,6 +291,32 @@ def test_minors_match_the_leibniz_sum_minor_by_minor(data):
     assert len(got) == len(expected)
     for f, g in zip(got, expected):
         assert isinstance(f, MultiPoly) and f == g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_minors_mod_p_are_the_exact_minors_reduced(data):
+    # the F_p twin of _expand on integer linear forms in x, y, z: every 3x3
+    # minor of a 3x4 matrix and the 4x4 determinant, at p = 7, where entries
+    # and products cancel mod p, and at the prime of _fp_field(1), with
+    # entries that are 0 or 0 mod p
+    prime = data.draw(st.sampled_from([7, _fp_field(1)[0]]), label="prime")
+    size = data.draw(st.sampled_from([3, 4]), label="rows")
+    coefficient = st.integers(-9, 9) | st.sampled_from([0, prime, -prime, 2 * prime])
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    grid = [[data.draw(st.lists(coefficient, min_size=3, max_size=3)) for _ in range(4)]
+            for _ in range(size)]
+    exact = [[MultiPoly(3, dict(zip(units, cs))) for cs in row] for row in grid]
+    # x^a y^b z^c packed as a + 16b + 256c
+    packed = [[dict(zip((1, 16, 256), cs)) for cs in row] for row in grid]
+    subsets = list(combinations(range(4), size))
+    expected = minors(exact, 3) if size == 3 else [poly_det(exact)]
+    got = _minors_mod_p(packed, subsets, prime)
+    assert len(got) == len(expected)
+    for f, g in zip(got, expected):
+        assert all(c.den == 1 for c in g.terms.values())
+        assert f == {a + 16 * b + 256 * c: v.num[0] % prime
+                     for (a, b, c), v in g.terms.items() if v.num[0] % prime}
 
 
 def test_dehomogenize():
