@@ -24,7 +24,7 @@ from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
 from .groebner import (DegreeCapExceeded, empty_mod_p, hilbert_polynomial, projective_empty,
                        unit_mod_p_or_q)
 from .linalg import mat_mul, mat_transpose, matrix_rank, nullspace, proj_normalize
-from .multipoly import MultiPoly, _expand, _minors_mod_p, maximal_minors, minors, poly_det
+from .multipoly import MultiPoly, _cofactors, _expand, maximal_minors, minors, poly_det
 
 
 class Side(Enum):
@@ -189,7 +189,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
 
     The sided matrices are mapped to F_p (_fp_image), and the 3x4 matrix of
     linear forms is restricted to the line L = {s*a + t*b} (_LINE), each
-    entry a binary linear form; its maximal minors (_minors_mod_p) are
+    entry a binary linear form; its maximal minors (_cofactors) are
     binary cubics.  Restriction to L and the map to F_p are ring maps, so
     the cubics are the images of the minors of the exact matrix on L; when
     empty_mod_p finds no common zero of them the centre misses L over Qbar
@@ -210,7 +210,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
         lines = [[{1: a0 * w + a1 * x + a2 * y + a3 * z, 16: b0 * w + b1 * x + b2 * y + b3 * z}
                   for w, x, y, z in (values[k + j:k + 16:4] for j in range(4))]
                  for k in (0, 16, 32)]
-        cubics = _minors_mod_p(lines, list(combinations(range(4), 3)), prime)
+        cubics = _cofactors(lines, list(combinations(range(4), 3)), prime)
         cubics = [{(m & 15, m >> 4): v for m, v in f.items()} for f in cubics if f]
         if empty_mod_p(cubics, 2, prime):
             return (Fraction(-2), Fraction(6))

@@ -2,16 +2,17 @@
 
 Terms map exponent tuples to nonzero Cyclotomic coefficients; the zero
 polynomial has an empty term map.  Includes the minors of small matrices of
-scalars or polynomials, one integer expansion per row subset (_expand says
-why that is exact), with poly_det as the square case, and their images mod p
-(_minors_mod_p).
+scalars or polynomials, with poly_det as the square case: one cofactor
+expansion per row subset (_cofactors), in integers over Q(zeta_N) with each
+numerator polynomial packed into one int (_expand says why that is exact),
+and the same expansion reduced mod p for the certificates in F_p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import lshift
 
 from .cyclotomic import Cyclotomic, _divmod_monic, _phi_terms, cyc, euler_phi
@@ -202,27 +203,25 @@ def minors(rows, k: int) -> list:
 
 def _expand(rows, subsets) -> list:
     """The determinants of the rows restricted to each column subset, whose
-    size is the number of rows: cofactor expansion along the first row, in
-    integers.
+    size is the number of rows, as integers through _cofactors.
 
     N is the lcm of the entries' conductors, and row r is scaled by the lcm
-    d_r of its denominators, so each entry maps a packed monomial to its
-    nonzero integer numerators over Q(zeta_N), as pairs (k, c) for c*z^k.
-    A minor sums its products unreduced, as convolutions of length
-    2*phi(N) - 1, and is reduced mod Phi_N once; a determinant is the whole
-    minor over the product of the d_r.  This is exact: z -> zeta_N is a ring
-    map from Z[z][x] onto Z[zeta_N][x] and det is a polynomial in the
-    entries, so any intermediate may be reduced mod Phi_N; d_r comes out of
-    row r by multilinearity; and x^e packs to sum(e_i * 2^(w*i)), where
-    fields are only ever added and no exponent of a product of `size`
-    entries is above size times the largest entry degree, which is below
-    2^w, so no field overflows into the next.
-
-    A minor on the rows from the third on is met once for each order in
-    which the rows above pick the missing columns, and again by every
-    subset that holds its columns.  Its rows are the last len(cols), so the
-    column-keyed memo keys it by its columns alone and expands it once per
-    call: a 4x4 determinant takes 28 entry products, not 40."""
+    d_r of its denominators, so each coefficient of an entry is a numerator
+    polynomial a(z) in Z[z] of degree below phi(N), passed as the one
+    integer a(2^B), and x^e packs to sum(e_i * 2^(w*i)).  A minor's
+    coefficient comes back as P(2^B) for P in Z[z] of degree at most
+    size*(phi - 1).  The Leibniz sum has size! terms, each a product of one
+    entry per row, and no coefficient of such a product is larger in size
+    than the product of the entries' ||.||_1 (the sum of the sizes of all
+    their numerator coefficients); so each coefficient of P is at most
+    size! * prod_r max_c ||entry_rc||_1 < 2^(B-1) in size, and P is read
+    off the balanced base-2^B digits of P(2^B).  P is reduced mod Phi_N
+    once; a determinant is the whole minor over the product of the d_r.
+    This is exact: z -> zeta_N and z -> 2^B are ring maps from Z[z][x],
+    and det is a polynomial in the entries; d_r comes out of row r by
+    multilinearity; and no field of a packed monomial overflows, as fields
+    are only ever added and no exponent of a product of `size` entries is
+    above size times the largest entry degree, which is below 2^w."""
     size = len(rows)
     polys = [e for r in rows for e in r if isinstance(e, MultiPoly)]
     nvars = polys[0].nvars if polys else 0
@@ -235,39 +234,26 @@ def _expand(rows, subsets) -> list:
     w = (size * max((sum(e) for r in grid for t in r for e in t), default=0)).bit_length()
     shifts = [w * i for i in range(nvars)]
     dens = [lcm(*(c.den for t in r for c in t.values())) for r in grid]
-    mats = [[{sum(map(lshift, e, shifts)): [(k, x * (d // c.den))
-                                            for k, x in enumerate(c.lift(n).num) if x]
+    nums = [[{sum(map(lshift, e, shifts)): [x * (d // c.den) for x in c.lift(n).num]
               for e, c in t.items()} for t in r] for r, d in zip(grid, dens)]
-    memo = {(c,): entry for c, entry in enumerate(mats[-1])}  # the 1x1 minors
+    bound = factorial(size) * prod(max(sum(abs(x) for a in t.values() for x in a) for t in r)
+                                   for r in nums)
+    b = bound.bit_length() + 1  # the least B with 2^(B-1) > bound
+    mats = [[{m: sum(x << b * k for k, x in enumerate(a)) for m, a in t.items()} for t in r]
+            for r in nums]
+    den, mask, half, digit = prod(dens), (1 << w) - 1, 1 << b - 1, (1 << b) - 1
 
-    def minor(cols):
-        if cols in memo:
-            return memo[cols]
-        r, acc = size - len(cols), {}
-        for pos, c in enumerate(cols):
-            sub = minor(cols[:pos] + cols[pos + 1:]) if mats[r][c] else None
-            for m1, a in mats[r][c].items() if sub else ():
-                if pos % 2:
-                    a = [(i, -x) for i, x in a]
-                for m2, b in sub.items():
-                    out = acc.get(m1 + m2)
-                    if out is None:
-                        out = acc[m1 + m2] = [0] * (2 * phi - 1)
-                    for i, x in a:
-                        for j, y in b:
-                            out[i + j] += x * y
-        result = {}
-        for m, v in acc.items():
-            _divmod_monic(v, phi_terms, phi)
-            v = [(k, x) for k, x in enumerate(v[:phi]) if x]
-            if v:
-                result[m] = v
-        memo[cols] = result
-        return result
+    def coefficient(v):
+        """The element of Q(zeta_N) whose numerator polynomial is v at 2^B."""
+        digits = []
+        for _ in range(size * (phi - 1) + 1):
+            digits.append((v + half & digit) - half)
+            v = v - digits[-1] >> b
+        _divmod_monic(digits, phi_terms, phi)
+        return Cyclotomic._lowest(n, tuple(digits[:phi]), den)
 
-    den, mask = prod(dens), (1 << w) - 1
-    dets = [{m: Cyclotomic._lowest(n, tuple(map(dict(v).get, range(phi), [0] * phi)), den)
-             for m, v in minor(cols).items()} for cols in subsets]
+    dets = [{m: c for m, c in ((m, coefficient(v)) for m, v in minor.items()) if c}
+            for minor in _cofactors(mats, subsets, None)]
     if not polys:
         zero = cyc(0, n)
         return [det.get(0, zero) for det in dets]
@@ -275,15 +261,24 @@ def _expand(rows, subsets) -> list:
                                   for m, c in det.items()}) for det in dets]
 
 
-def _minors_mod_p(rows, subsets, prime: int) -> list:
-    """_expand's minors mod prime, for entries that map packed monomials to
+def _cofactors(rows, subsets, prime) -> list:
+    """The determinants of the rows restricted to each column subset, whose
+    size is the number of rows, for entries that map packed monomials to
     integers, packed so that no product of len(rows) entries overflows a
-    field: the same expansion along the first row and column-keyed memo,
-    each minor reduced mod prime once, as {packed monomial: residue} with
-    no zero residue.  Reduction mod prime is a ring map, so these are the
-    images of the integer minors."""
+    field: cofactor expansion along the first row, each minor reduced mod
+    prime once, or not at all when prime is None, as {packed monomial:
+    integer} with no zero.  Reduction mod prime is a ring map, so these are
+    the images of the integer minors.
+
+    A minor on the rows from the third on is met once for each order in
+    which the rows above pick the missing columns, and again by every
+    subset that holds its columns.  Its rows are the last len(cols), so the
+    column-keyed memo keys it by its columns alone and expands it once per
+    call: a 4x4 determinant takes 28 entry products, not 40."""
 
     def reduced(acc):
+        if prime is None:
+            return {m: v for m, v in acc.items() if v}
         return {m: v % prime for m, v in acc.items() if v % prime}
 
     memo = {(c,): reduced(entry) for c, entry in enumerate(rows[-1])}  # the 1x1 minors

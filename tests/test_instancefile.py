@@ -76,6 +76,22 @@ class TestErrors:
             parse_instance(text)
         assert exc.value.code == "matrix-shape"
 
+    @pytest.mark.parametrize("edit, code, line", [
+        (lambda t: t.replace("swap = true", "order = 8"), "syntax", 3),
+        (lambda t: t.replace("[matrix.2]", "[matrix.1]"), "syntax", 13),
+        (lambda t: t.replace("order = 8\n", ""), "missing-key", 0),
+        (lambda t: t[:t.index("[matrix.3]")], "matrix-shape", 0),
+        (lambda t: t.replace("[matrix.3]", "[matrix.4]"), "matrix-shape", 19),
+        (lambda t: t.replace("exponents", "weights2 = 0, 2, 4, 6\nexponents"),
+         "extra-weights2", None),
+    ], ids=["duplicate-key", "duplicate-section", "missing-order", "missing-matrix-3",
+            "matrix-4", "weights2-on-a-swap"])
+    def test_swap_n8_variant_is_refused(self, edit, code, line):
+        with pytest.raises(InputError) as exc:
+            parse_instance(edit(data_text("swap_n8.txt")))
+        assert exc.value.code == code
+        assert getattr(exc.value, "line", None) == line
+
     def test_bad_conductor(self):
         with pytest.raises(ParseError) as exc:
             parse_instance("conductor = 0\norder = 2\nswap = true\nweights = 0,0,0,0\n")

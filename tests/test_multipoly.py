@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import leibniz, power, variables
 from fano212.cyclotomic import Cyclotomic, _fp_field, cyc, euler_phi
-from fano212.multipoly import MultiPoly, _minors_mod_p, maximal_minors, minors, poly_det
+from fano212.multipoly import MultiPoly, _cofactors, maximal_minors, minors, poly_det
 
 
 def random_poly(rng, nvars=3, max_degree=2, nterms=4):
@@ -295,14 +295,16 @@ def test_minors_match_the_leibniz_sum_minor_by_minor(data):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_minors_mod_p_are_the_exact_minors_reduced(data):
-    # the F_p twin of _expand on integer linear forms in x, y, z: every 3x3
-    # minor of a 3x4 matrix and the 4x4 determinant, at p = 7, where entries
-    # and products cancel mod p, and at the prime of _fp_field(1), with
-    # entries that are 0 or 0 mod p
-    prime = data.draw(st.sampled_from([7, _fp_field(1)[0]]), label="prime")
+def test_cofactors_are_the_exact_minors_reduced(data):
+    # the one cofactor expansion on integer linear forms in x, y, z: every
+    # 3x3 minor of a 3x4 matrix and the 4x4 determinant, at p = 7, where
+    # entries and products cancel mod p, at the prime of _fp_field(1), with
+    # entries that are 0 or 0 mod p, and unreduced (prime None), where they
+    # are the exact integer minors
+    p = _fp_field(1)[0]
+    prime = data.draw(st.sampled_from([7, p, None]), label="prime")
     size = data.draw(st.sampled_from([3, 4]), label="rows")
-    coefficient = st.integers(-9, 9) | st.sampled_from([0, prime, -prime, 2 * prime])
+    coefficient = st.integers(-9, 9) | st.sampled_from([0, 7, -7, 14, p, -p, 2 * p])
     units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     grid = [[data.draw(st.lists(coefficient, min_size=3, max_size=3)) for _ in range(4)]
             for _ in range(size)]
@@ -311,12 +313,47 @@ def test_minors_mod_p_are_the_exact_minors_reduced(data):
     packed = [[dict(zip((1, 16, 256), cs)) for cs in row] for row in grid]
     subsets = list(combinations(range(4), size))
     expected = minors(exact, 3) if size == 3 else [poly_det(exact)]
-    got = _minors_mod_p(packed, subsets, prime)
+    got = _cofactors(packed, subsets, prime)
     assert len(got) == len(expected)
     for f, g in zip(got, expected):
         assert all(c.den == 1 for c in g.terms.values())
-        assert f == {a + 16 * b + 256 * c: v.num[0] % prime
-                     for (a, b, c), v in g.terms.items() if v.num[0] % prime}
+        residues = {a + 16 * b + 256 * c: v.num[0] if prime is None else v.num[0] % prime
+                    for (a, b, c), v in g.terms.items()}
+        assert f == {m: v for m, v in residues.items() if v}
+
+
+def test_kronecker_bound_is_met_exactly():
+    # 2x2 scalar determinants whose size is the bound 2! * L * L on the
+    # digits of the Kronecker integers: one bit less, or no 2!, misreads them
+    big = 2**40
+    assert poly_det([[big, big], [-big, big]]) == cyc(2 * big * big)
+    assert poly_det([[big, big], [big, -big]]) == cyc(-2 * big * big)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_kronecker_minors_match_the_leibniz_sum(data):
+    # dense linear forms, every numerator coefficient drawn up to 2^64 in
+    # size over a denominator, so each packed coefficient is a full base-2^B
+    # number with digits of both signs: the minors of a size x 4 matrix and
+    # poly_det against Leibniz
+    n = data.draw(st.sampled_from([1, 8, 12, 60]), label="conductor")
+    size = data.draw(st.sampled_from([2, 3, 4]), label="size")
+    coefficient = st.integers(-2**64, 2**64) | st.sampled_from([2**64, -2**64])
+
+    def entry():
+        terms = MultiPoly.zero(2)
+        for x in variables(2):
+            coords = data.draw(st.lists(coefficient, min_size=euler_phi(n),
+                                        max_size=euler_phi(n)))
+            terms = terms + x * (Cyclotomic(n, coords) / data.draw(st.integers(1, 3)))
+        return terms
+
+    rows = [[entry() for _ in range(4)] for _ in range(size)]
+    subsets = list(combinations(range(4), size))
+    expected = [leibniz([[row[c] for c in cols] for row in rows]) for cols in subsets]
+    assert minors(rows, size) == expected
+    assert poly_det([row[:size] for row in rows]) == expected[0]
 
 
 def test_dehomogenize():
