@@ -140,6 +140,28 @@ def cmd_validate(inst: Instance, args, report: Report) -> int:
 
 
 def cmd_smooth(inst: Instance, args, report: Report) -> int:
+    """`smooth`: X is smooth iff its determinantal quartic Delta(a) =
+    det M(a), M(a) = sum a_i M_i, is, so the answer is quartic_smooth's;
+    --full adds full_smoothness, which shares none of this argument.
+
+    X is singular at (x, y) iff sum a_i grad f_i vanishes there for some
+    a != 0, that is M(a) y = 0 and x^T M(a) = 0, as grad_x f_i = M_i y and
+    grad_y f_i = M_i^T x; then det M(a) = 0.
+    - Delta smooth => X smooth.  Take such (x, y, a).  If M(a) has corank 1,
+      adj M(a) = c y x^T with c != 0, and by Jacobi's formula
+      dDelta/da_i (a) = tr(adj M(a) M_i) = c x^T M_i y = c f_i(x, y) = 0.
+      If the corank is 2 or more, every 3x3 minor of M(a) vanishes, and so
+      does every first partial of Delta at a.  Either way Delta is singular
+      at a.
+    - X smooth => Delta smooth.  Take a singular point a of Delta.  If M(a)
+      has corank 1, x and y spanning its left and right kernels give
+      adj M(a) = c y x^T, c != 0, so Jacobi's formula makes every f_i(x, y)
+      = 0, and sum a_i grad f_i = 0 there: X is singular at (x, y).  If the
+      corank is 2 or more, take x and y in the two kernels: f_a =
+      x^T M(a) y vanishes there identically, and two other forms of the
+      pencil restrict to (1, 1)-forms on P1 x P1 (or on a larger product),
+      which always meet, their intersection number being 2.  At a common
+      zero every f_i vanishes and sum a_i grad f_i = 0, so X is singular."""
     q = determinantal_quartic(inst.model)
     smooth_q = quartic_smooth(q)
     report.put("quartic.smooth", smooth_q)

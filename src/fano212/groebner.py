@@ -440,11 +440,12 @@ def _holds_mod_p(run, holds) -> bool:
     return holds([_unpack(lm, w, nvars) for lm, _ in basis], nvars)
 
 
-def _decide(generators, holds) -> bool:
+def _decide(generators, holds, run) -> bool:
     """Whether holds (_is_unit or _empty_locus), a property of the leading
     ideal, is True of the ideal of the nonzero generators mod p or over
-    Q(zeta_N).  The answer is read off the first of three rungs that gives
-    one: a True of the mod-p run (_mod_p_basis, _holds_mod_p); a False of
+    Q(zeta_N), given run, the mod-p run of their images (_mod_p_basis), or
+    None when there is none.  The answer is read off the first of three
+    rungs that gives one: a True of the mod-p run (_holds_mod_p); a False of
     that run once its lift holds (_lift_holds), as the lifted basis over Q
     has the run's leading ideal; else the exact run's leads (buchberger).
 
@@ -456,7 +457,6 @@ def _decide(generators, holds) -> bool:
     coefficient lies in Z_(p)[zeta_N] and zeta_N reduces to r.  A unit ideal
     mod p need not be unit over Q (p*x - 1 is not); full_smoothness argues
     why a chart unit mod p or over Q is sound all the same."""
-    run = _mod_p_basis(generators)
     if _holds_mod_p(run, holds):
         return True
     if run is not None and _lift_holds(generators, run):
@@ -464,11 +464,13 @@ def _decide(generators, holds) -> bool:
     return holds(buchberger(generators), generators[0].nvars)
 
 
-def unit_mod_p_or_q(generators) -> bool:
-    """Whether the ideal is unit mod p (a unit run of _mod_p_basis ends at a
-    constant) or over Q, which the run's lift or else the exact run decides
-    (_decide).  p*x - 1 is unit mod p, yet not over Q."""
-    return _decide([g for g in generators if not g.is_zero()], _is_unit)
+def unit_mod_p_or_q(generators, run) -> bool:
+    """Whether the ideal is unit mod p, as run, the mod-p run of the images
+    of the nonzero generators (_mod_p_run, at the caller's prime; None for
+    no run), shows by ending at a constant, or over Q, which the run's lift
+    or else the exact run decides (_decide).  p*x - 1 is unit mod p, yet not
+    over Q."""
+    return _decide([g for g in generators if not g.is_zero()], _is_unit, run)
 
 
 def empty_mod_p(polys, nvars: int, prime: int) -> bool:
@@ -492,7 +494,7 @@ def projective_empty(generators) -> bool:
         return False
     if any(not g.is_homogeneous() for g in gens):
         raise NonHomogeneousIdeal("projective emptiness needs homogeneous input")
-    return _decide(gens, _empty_locus)
+    return _decide(gens, _empty_locus, _mod_p_basis(gens))
 
 
 # -- Hilbert polynomials --------------------------------------------------------

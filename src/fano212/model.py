@@ -21,10 +21,11 @@ from operator import add
 
 from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
                          _rational_reconstruction, _trim, cyc, euler_phi)
-from .groebner import (DegreeCapExceeded, empty_mod_p, hilbert_polynomial, projective_empty,
-                       unit_mod_p_or_q)
+from .groebner import (DegreeCapExceeded, _holds_mod_p, _is_unit, _mod_p_run, empty_mod_p,
+                       hilbert_polynomial, projective_empty, unit_mod_p_or_q)
 from .linalg import mat_mul, mat_transpose, matrix_rank, nullspace, proj_normalize
-from .multipoly import MultiPoly, _cofactors, _expand, maximal_minors, minors, poly_det
+from .multipoly import (MultiPoly, _cofactors, _expand, _restrict, maximal_minors, minors,
+                        poly_det)
 
 
 class Side(Enum):
@@ -116,21 +117,29 @@ def combine(coeffs, matrices):
     """The 4x4 matrix sum of c * M over paired coefficients and matrices.
 
     A matrix whose c is not rational is multiplied out first.  Then each
-    entry is one sum of integer numerators: with N the lcm of the conductors
-    and D of the denominators d * den(x) of the rational c = a/d and the
-    entries x, it adds a * D / (d * den(x)) times the numerators of x lifted
-    to N, and is brought to lowest terms once."""
+    entry is one sum of integer numerators over its nonzero terms: with N
+    the lcm of the conductors of the c and of the entries x there, zero or
+    not, and D that of the denominators d * den(x) of the nonzero terms, d
+    that of the rational c = a/d, it adds a * D / (d * den(x)) times the
+    numerators of x lifted to N, and is brought to lowest terms once."""
     coeffs = [cyc(c) for c in coeffs]
     base = lcm(*(c.n for c in coeffs))
-    terms = [(c.num[0], c.den, mat) if c.is_rational() else
-             (1, 1, tuple(tuple(c * x for x in row) for row in mat))
-             for c, mat in zip(coeffs, matrices)]
+    conductors = [lcm(base, *ns) for ns in zip(*([x.n for row in mat for x in row]
+                                                  for mat in matrices))]
+    parts = [[] for _ in conductors]
+    for c, mat in zip(coeffs, matrices):
+        if c.is_rational():
+            a, d = c.num[0], c.den
+        else:
+            (a, d), mat = (1, 1), [[c * x for x in row] for row in mat]
+        if a:
+            for part, x in zip(parts, (x for row in mat for x in row)):
+                if x:
+                    part.append((a, d, x))
     out = []
-    for xs in zip(*([(a, d, x) for row in mat for x in row] for a, d, mat in terms)):
-        n = lcm(base, *[x.n for _, _, x in xs])
-        den = lcm(*[d * x.den for _, d, x in xs])
-        scaled = [[den // (d * x.den) * a * v for v in x.lift(n).num] for a, d, x in xs
-                  if a and x]
+    for n, part in zip(conductors, parts):
+        den = lcm(*[d * x.den for _, d, x in part])
+        scaled = [[den // (d * x.den) * a * v for v in x.lift(n).num] for a, d, x in part]
         num = tuple(map(sum, zip(*scaled))) if len(scaled) > 1 else tuple(*scaled)
         out.append(Cyclotomic._lowest(n, num or (0,) * euler_phi(n), den))
     return tuple(tuple(out[4 * j:4 * j + 4]) for j in range(4))
@@ -258,59 +267,159 @@ def rank_locus_check(m: ModelTriple) -> bool:
     return projective_empty(quadrics)
 
 
+# the cells (i, j) of P3 x P3, in the order of their charts x_i = 1, y_j = 1,
+# and the column subsets of a 3x8 matrix, in lexicographic order
+_CELLS = [(i, j) for i in range(4) for j in range(4)]
+_TRIPLES = list(combinations(range(8), 3))
+
+
+def _singular_coordinate_point(m: ModelTriple, i: int, j: int, image) -> bool:
+    """Whether the coordinate point (e_i, e_j) is a singular point of X
+    (full_smoothness, step 1).  Where every M_k[i][j] is 0 the Jacobian of
+    the forms is the scalar 3x8 matrix with row k (column j of M_k, row i of
+    M_k), as grad_x F_k = M_k y and grad_y F_k = M_k^T x.  Rank 3 of its
+    image at the call's prime (image, from _fp_image; _rank_mod_p) certifies
+    rank 3; a lower rank mod p, or no image, is confirmed by the 56 exact
+    3x3 minors, one _expand of scalars, which takes no inverse."""
+    if any(mat[i][j] for mat in m.matrices):
+        return False
+    if image is not None:
+        prime, values = image
+        rows = [values[k + j:k + 16:4] + values[k + 4 * i:k + 4 * i + 4] for k in (0, 16, 32)]
+        if _rank_mod_p(rows, prime) == 3:
+            return False
+    rows = [[row[j] for row in mat] + list(mat[i]) for mat in m.matrices]
+    return not any(_expand(rows, _TRIPLES))
+
+
+def _jacobian_mod_p(values, prime):
+    """(forms, minors): the three forms and the 56 3x3 minors of their 3x8
+    Jacobian mod prime, keyed by column subset, as {exponent tuple: residue}
+    dicts in x0..x3, y0..y3, from the images of the 48 entries (row-major,
+    M1 first).  Row k of the Jacobian holds grad_x F_k = M_k y, then
+    grad_y F_k = M_k^T x: linear forms packed 2 bits a variable for
+    _cofactors, as no exponent of a product of three is above 3.  Reduction
+    mod p is a ring map that commutes with each derivative and with det, so
+    these are the images of bilinear_forms and of the exact minors."""
+    forms = [{e: r for e, r in zip(_XY, values[k:k + 16]) if r} for k in (0, 16, 32)]
+    rows = [[{1 << 8 + 2 * b: r for b, r in enumerate(values[k + 4 * a:k + 4 * a + 4]) if r}
+             for a in range(4)]
+            + [{1 << 2 * a: r for a, r in enumerate(values[k + b:k + 16:4]) if r} for b in range(4)]
+            for k in (0, 16, 32)]
+    dets = _cofactors(rows, _TRIPLES, prime)
+    exponents = {packed: tuple([packed >> s & 3 for s in range(0, 16, 2)])
+                 for packed in {packed for det in dets for packed in det}}
+    return forms, {cols: {exponents[packed]: r for packed, r in det.items()}
+                   for cols, det in zip(_TRIPLES, dets)}
+
+
 def full_smoothness(m: ModelTriple) -> bool:
     """Chart-wise Jacobian criterion for smoothness of the complete
-    intersection X in P3 x P3.
+    intersection X in P3 x P3, decided over the 16 coordinate strata.
 
-    On each of the 16 affine charts x_i = 1, y_j = 1 the ideal generated by
-    the three forms and the 3x3 minors of their Jacobian in the six chart
-    variables must be the unit ideal.  A chart passes when it is unit mod p
-    or over Q (unit_mod_p_or_q: one mod-p run, then its checked lift or an
-    exact run).  Raises DegreeCapExceeded, naming the chart, when an exact
-    chart computation exceeds the Buchberger degree cap.
+    X is smooth iff on each affine chart x_i = 1, y_j = 1 the three forms
+    and the 3x3 minors of their Jacobian in the six chart variables
+    generate the unit ideal.  Those minors are the ones of the homogeneous
+    Jacobian in all eight variables without the columns x_i and y_j,
+    dehomogenised: setting x_i = y_j = 1 is a ring map that commutes with
+    the derivative in every chart variable.  The stratum S_ij is the part of
+    chart (i, j) where x_0 .. x_(i-1) and y_0 .. y_(j-1) are 0, and its
+    generators are the chart's, restricted there (_restrict).  Then:
 
-    Unit mod p alone does not make a chart unit over Q, yet the mix is
-    sound.  Scale a singular point P of X over Qbar so that on each factor
-    its coordinates are integral at a prime above p and one is a unit; it
+    1. Each coordinate point (e_i, e_j) is decided exactly, by substitution
+       (_singular_coordinate_point): it lies on X iff every M_k[i][j] is 0,
+       and it is singular iff the scalar 3x8 Jacobian there has rank below
+       3.  By Euler's relation, sum_a x_a dF/dx_a = F = 0 on X, the column
+       of x_i lies in the span of the other x columns, and the column of y_j
+       in that of the other y columns, so that rank is the chart
+       Jacobian's.  A singular one answers False with no Groebner run.
+    2. One loop over the 16 cells.  The 48 entries are mapped to F_p once
+       (_fp_image, at the prime of _fp_field(N), N the model's conductor,
+       the lcm of the entries'), the forms and the 56 minors are taken mod
+       p from those images (_jacobian_mod_p), and each stratum restricts
+       them, as reduction commutes with setting variables to 0 or 1.  A
+       cell whose stratum is unit mod p is done.
+    3. Any other cell runs the ladder of chart (i, j) (unit_mod_p_or_q: the
+       chart's mod-p run at the same prime, then its checked lift or an
+       exact run), and a False there is final.  Stratum (0, 0) is chart
+       (0, 0), so that cell reuses its run.  The exact minors are expanded
+       when a fallback first needs them, the columns not met before in one
+       _expand.
+
+    Cover and soundness.  Over any field each point of P3 x P3 lies in
+    exactly one S_ij: i and j index its first nonzero coordinates.  Take a
+    singular point P of X over Qbar, scaled so that on each factor its
+    coordinates are integral at a prime above p and one is a unit.  It
     reduces to a point P' over the algebraic closure of F_p, which lies in
-    some chart (i, j): x_i(P') and y_j(P') are nonzero.  Then x_i(P) and
-    y_j(P) are units at that prime, so P lies in chart (i, j) too, with
-    chart coordinates that are integral and reduce to those of P'.  The
-    chart generators vanish at P and have integral coefficients, so their
-    images vanish at P': chart (i, j) is neither unit mod p nor unit over Q,
-    so it gives False.
+    one S_ij.  x_i(P') and y_j(P') are nonzero, so x_i(P) and y_j(P) are
+    units at the prime: P can be normalised to x_i = y_j = 1, it lies in
+    chart (i, j), and its chart coordinates are integral and reduce to
+    those of P'.  The chart generators vanish at P and have integral
+    coefficients, so their images vanish at P'.  At P', where x_k = 0 for
+    k < i and y_k = 0 for k < j, the stratum generators are those same
+    images, so S_ij is not unit mod p and cell (i, j) falls back.
 
-    The 3x3 minors are those of the homogeneous Jacobian in all eight
-    variables, dehomogenised: setting x_i = y_j = 1 is a ring map that
-    commutes with the derivative in every chart variable, so they equal the
-    minors of the chart's own Jacobian, in the same order.  A chart's minors
-    are expanded when the loop reaches it, the columns not met before in one
-    _expand, so a False at chart x0=1, y0=1 takes 20 of the 56.
+    Why the fallback may use the chart, mod p or over Q: P lies in chart
+    (i, j), so the chart is not unit over Q, and P' lies in it, so it is
+    not unit mod p either; its ladder answers False.  A stratum decided
+    over Q would not do, and none is: a stratum holds only its own
+    Qbar-points, and P may lie in another stratum than P' (x_0(P) = p,
+    x_1(P) = 1 puts P in S_0j and P' in S_1j), so a stratum unit over Q
+    says nothing of the P' in it.
 
-    The quartic decides the same question (X is smooth iff det M(a) is), and
-    `smooth` answers from it; this chart-wise run shares none of that
-    argument, so `smooth --full` keeps it as the independent oracle.
+    Why one prime: the argument reduces P at one p and needs the cell of
+    P' to have been tested at that p.  A cell tested at another prime q
+    could miss P, whose reduction mod q may lie in another cell, and so
+    could every cell at its own prime.  _fp_image takes its prime from the
+    conductors of the values it is given, so a stratum whose zeta_N entries
+    were all set to 0 would get another one; here every mod-p answer, the
+    coordinate points' ranks included, comes from one image.
+
+    Raises DegreeCapExceeded, naming the chart, when an exact chart
+    computation exceeds the Buchberger degree cap.  The quartic decides the
+    same question (X is smooth iff det M(a) is: cli.cmd_smooth), and
+    `smooth` answers from it; this run shares none of that argument, so
+    `smooth --full` keeps it as the independent oracle.
     """
     validate_model(m)
-    forms = bilinear_forms(m)
-    jacobian, minor = [[f.derivative(v) for v in range(8)] for f in forms], {}
-    for i in range(4):
-        for j in range(4):
-            chart = (i, 4 + j)
-            subsets = list(combinations([v for v in range(8) if v not in chart], 3))
-            new = [cols for cols in subsets if cols not in minor]
-            if new:
-                minor.update(zip(new, _expand(jacobian, new)))
-            gens = [f.dehomogenize(chart) for f in forms]
-            gens += [minor[cols].dehomogenize(chart) for cols in subsets]
-            gens = [f for f in gens if not f.is_zero()]
-            try:
-                if not unit_mod_p_or_q(gens):
-                    return False
-            except DegreeCapExceeded as exc:
-                raise DegreeCapExceeded(
-                    "chart x%d=1, y%d=1 exceeded the degree cap: %s" % (i, j, exc)
-                ) from exc
+    image = _fp_image([v for mat in m.matrices for row in mat for v in row])
+    if any(_singular_coordinate_point(m, i, j, image) for i, j in _CELLS):
+        return False
+    if image is not None:
+        prime = image[0]
+        forms_p, minors_p = _jacobian_mod_p(image[1], prime)
+
+    def mod_p_run(chart, zeros, subsets):
+        gens = [_restrict(f, chart, zeros) for f in forms_p]
+        gens += [_restrict(minors_p[cols], chart, zeros) for cols in subsets]
+        return _mod_p_run([f for f in gens if f], 8, prime)
+
+    forms, minor = None, {}
+    for i, j in _CELLS:
+        chart, zeros = (i, 4 + j), (*range(i), *range(4, 4 + j))
+        subsets = [cols for cols in _TRIPLES if i not in cols and 4 + j not in cols]
+        run = None
+        if image is not None:
+            run = mod_p_run(chart, zeros, subsets)
+            if _holds_mod_p(run, _is_unit):
+                continue
+            if zeros:  # stratum (0, 0) is chart (0, 0): its run is the chart's
+                run = mod_p_run(chart, (), subsets)
+        if forms is None:
+            forms = bilinear_forms(m)
+            jacobian = [[f.derivative(v) for v in range(8)] for f in forms]
+        new = [cols for cols in subsets if cols not in minor]
+        if new:
+            minor.update(zip(new, _expand(jacobian, new)))
+        gens = [f.dehomogenize(chart) for f in forms]
+        gens += [minor[cols].dehomogenize(chart) for cols in subsets]
+        try:
+            if not unit_mod_p_or_q(gens, run):
+                return False
+        except DegreeCapExceeded as exc:
+            raise DegreeCapExceeded(
+                "chart x%d=1, y%d=1 exceeded the degree cap: %s" % (i, j, exc)
+            ) from exc
     return True
 
 

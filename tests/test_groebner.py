@@ -481,6 +481,11 @@ def _counting_buchberger(monkeypatch):
     return calls
 
 
+def unit(generators):
+    """unit_mod_p_or_q with the generators' own mod-p run."""
+    return unit_mod_p_or_q(generators, _mod_p_basis(generators))
+
+
 class TestCertificateFallbacks:
     def test_a_generator_killed_mod_p_falls_back(self, monkeypatch):
         p = _fp_field(1)[0]
@@ -497,7 +502,7 @@ class TestCertificateFallbacks:
         assert projective_empty([x, y, z * Fraction(1, p)]) is True
         assert projective_empty([x * x, y * Fraction(3, p)]) is False
         assert len(calls) == 2
-        assert unit_mod_p_or_q([x * Fraction(1, p) - 1]) is False
+        assert unit([x * Fraction(1, p) - 1]) is False
 
     def test_unit_mod_p_is_not_unit_over_q(self, monkeypatch):
         p = _fp_field(1)[0]
@@ -505,7 +510,7 @@ class TestCertificateFallbacks:
         assert exactly_unit([x * p - 1]) is False
         # a True mod p is final: neither the lift nor the exact engine runs
         _refuse_after_mod_p(monkeypatch)
-        assert unit_mod_p_or_q([x * p - 1]) is True
+        assert unit([x * p - 1]) is True
 
     def test_a_mod_p_cap_overflow_falls_back(self, monkeypatch):
         x, y, z = variables(3)
@@ -593,7 +598,7 @@ class TestCheckedLift:
         x, y, z = variables(3)
         _refuse_exact(monkeypatch)
         # not unit, though the reduced basis x - 1/2, y^2 - 3 has constant terms
-        assert unit_mod_p_or_q([x * 2 - 1, y * y - x * 6]) is False
+        assert unit([x * 2 - 1, y * y - x * 6]) is False
         # the point (1 : 2 : 3)
         assert projective_empty([x * 2 - y, x * 3 - z]) is False
         assert projective_empty([x * x - y * z * Fraction(1, 6), y * 3 - z * 2]) is False
@@ -608,7 +613,7 @@ class TestCheckedLift:
         assert not _lift_holds(gens, _mod_p_basis(gens))
         calls = _counting_buchberger(monkeypatch)
         assert projective_empty(gens) is False
-        assert unit_mod_p_or_q([g.dehomogenize((2,)) for g in gens]) is False
+        assert unit([g.dehomogenize((2,)) for g in gens]) is False
         assert len(calls) == 2
 
     def test_a_generator_that_vanishes_mod_p_fails_the_input_check(self, monkeypatch):
@@ -621,7 +626,7 @@ class TestCheckedLift:
         assert not _lift_holds(gens, _mod_p_basis(gens))
         calls = _counting_buchberger(monkeypatch)
         assert projective_empty(gens) is True
-        assert unit_mod_p_or_q([x, x * y + p]) is True
+        assert unit([x, x * y + p]) is True
         assert len(calls) == 2
 
     def test_a_basis_groebner_only_mod_p_fails_the_s_pair_check(self, monkeypatch):
@@ -659,7 +664,7 @@ class TestCheckedLift:
         gens = [power(x, 40) * p + y - 1]
         assert 40 >= 2 ** (_mod_p_basis(gens)[1] - 1)
         assert not _lift_holds(gens, _mod_p_basis(gens))
-        assert unit_mod_p_or_q(gens) is False
+        assert unit(gens) is False
 
 
 def _empty_locus_mod_p(gens):
@@ -690,4 +695,4 @@ def test_certified_answers_are_the_exact_ones(data):
     chart = [g for g in chart if not g.is_zero()]
     leads = _mod_p_leads(chart)
     unit_mod_p = leads is not None and (0,) * nvars in leads
-    assert unit_mod_p_or_q(chart) is (unit_mod_p or exactly_unit(chart))
+    assert unit(chart) is (unit_mod_p or exactly_unit(chart))

@@ -21,6 +21,7 @@ from conftest import (
     random_rational_matrix,
     rational_roots_oracle,
     rank_one_at_vertex_model,
+    solve,
     univariate_coeffs,
     variables,
 )
@@ -28,7 +29,7 @@ from conftest import (
 from fano212 import groebner as groebner_module
 from fano212 import linalg as linalg_module
 from fano212 import model as model_module
-from fano212.cyclotomic import Cyclotomic, _fp_field, cyc
+from fano212.cyclotomic import Cyclotomic, _fp_field, _fp_image, cyc
 from fano212.groebner import (
     DegreeCapExceeded,
     _mod_p_basis,
@@ -39,13 +40,16 @@ from fano212.groebner import (
 )
 from fano212.action import random_diagonal_model, random_equivariant_model
 from fano212.instancefile import load_instance
+from fano212.linalg import mat_mul, mat_transpose, matrix_rank
 from fano212.model import (
+    _CELLS,
     InputError,
     ModelTriple,
     Side,
     _line_quartic,
     _rank_mod_p,
     _rational_roots,
+    _singular_coordinate_point,
     bilinear_forms,
     centre_hilbert_polynomial,
     coeff_matrix,
@@ -609,10 +613,12 @@ class TestCertificateDecides:
         monkeypatch.setattr(groebner_module, "_lift_holds", _refuse)
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
         assert projective_empty(partials) is True
-        assert unit_mod_p_or_q(chart) is True
+        assert unit_mod_p_or_q(chart, _mod_p_basis(chart)) is True
 
     def test_charts_not_unit_mod_p_run_exactly(self, monkeypatch):
-        # the first form vanishes mod p, so no chart is unit mod p
+        # the first form vanishes mod p, so no chart is unit mod p; five
+        # strata, of few free variables, are unit with F2 and F3 alone, and
+        # the other 11 cells run their charts exactly
         m = _swap_n8()
         p = _fp_field(m.conductor)[0]
         scaled = tuple(tuple(v * p for v in row) for row in m.matrices[0])
@@ -625,12 +631,16 @@ class TestCertificateDecides:
 
         monkeypatch.setattr(groebner_module, "buchberger", counted)
         assert full_smoothness(m) is True
-        assert len(calls) == 16
+        assert len(calls) == 11
 
-    def test_double_point_is_decided_by_the_lift(self, monkeypatch):
-        # a rational chart that is not unit is proved so by the checked lift
+    def test_a_moved_double_point_is_decided_by_the_lift(self, monkeypatch):
+        # no coordinate point is singular, so stratum (0, 0) falls back to
+        # chart (0, 0), a rational chart that is not unit: the checked lift
+        # proves it so
+        m = moved(DOUBLE_POINT, (1, 1, -1, 2), (1, 0, 2, 1))
+        assert not any(_singular_coordinate_point(m, i, j, None) for i, j in _CELLS)
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
-        assert full_smoothness(model_from_matrices(DOUBLE_POINT)) is False
+        assert full_smoothness(m) is False
 
     def test_smooth_quartic_over_q_zeta8(self, monkeypatch):
         x, y, z = variables(3)
@@ -656,6 +666,100 @@ DOUBLE_POINT = (
 )
 
 
+
+def _unimodular(u):
+    """An integer matrix U of determinant -1 or 1 with first column u, which
+    has a coordinate 1 at some index a: the identity with column a replaced
+    by u, then columns 0 and a swapped."""
+    a = list(u).index(1)
+    columns = [[int(r == k) for r in range(4)] for k in range(4)]
+    columns[a] = list(u)
+    columns[0], columns[a] = columns[a], columns[0]
+    return [[cyc(c[r]) for c in columns] for r in range(4)]
+
+
+def moved(matrices, u, v):
+    """The triple in the coordinates x = A x', y = B y', for A = U^-1 and
+    B = V^-1 with U, V unimodular of first columns u and v (_unimodular):
+    M_k becomes A^T M_k B, and a point (e0, e0) of X moves to (u, v)."""
+    a, b = (mat_transpose([solve(w, [cyc(int(r == k)) for r in range(4)]) for k in range(4)])
+            for w in (_unimodular(u), _unimodular(v)))
+    return model_from_matrices([mat_mul(mat_mul(mat_transpose(a), [[cyc(x) for x in row]
+                                                                  for row in mat]), b)
+                                for mat in matrices])
+
+
+def reversed_coordinates(matrices, x=True, y=True):
+    """The triple with the x and/or y coordinates in reverse order, which
+    moves a point (e0, e0) of X to (e3, e3), (e3, e0) or (e0, e3)."""
+    return model_from_matrices([[row[::-1] if y else row for row in (mat[::-1] if x else mat)]
+                                for mat in matrices])
+
+
+class TestStrata:
+    def test_a_singular_coordinate_point_needs_no_groebner_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(groebner_module, "_basis", lambda *args: runs.append(args))
+        assert full_smoothness(model_from_matrices(DOUBLE_POINT)) is False
+        assert runs == []
+
+    @pytest.mark.parametrize("x, y", [(True, True), (False, True)], ids=["e3,e3", "e0,e3"])
+    def test_a_double_point_at_another_coordinate_point(self, x, y):
+        m = reversed_coordinates(DOUBLE_POINT, x, y)
+        assert _singular_coordinate_point(m, 3 if x else 0, 3, None)
+        assert full_smoothness(m) is False
+
+    @pytest.mark.parametrize("u, cell", [((0, 0, 1, 2), (2, 3)), ((1, 2, -1, 3), (0, 3))],
+                             ids=["S_23", "S_03"])
+    def test_a_double_point_inside_a_stratum(self, u, cell):
+        # the double point (u, e3) is no coordinate point, and it lies in the
+        # stratum of cell: only that cell's chart can find it
+        m = moved(DOUBLE_POINT, u, (0, 0, 0, 1))
+        assert not any(_singular_coordinate_point(m, i, j, None) for i, j in _CELLS)
+        forms = bilinear_forms(m)
+        point = [cyc(c) for c in u + (0, 0, 0, 1)]
+        assert all(f.evaluate(point).is_zero() for f in forms)
+        jacobian = [[f.derivative(v).evaluate(point) for v in range(8)] for f in forms]
+        assert matrix_rank(jacobian) < 3
+        assert cell == (next(k for k, c in enumerate(u) if c), 3)
+        assert full_smoothness(m) is False
+
+    def test_a_point_that_reduces_into_another_stratum(self):
+        # the double point ((p, 1, 0, 0), e0) lies in S_00 over Q and reduces
+        # into S_10 mod p: stratum (1, 0) is not unit mod p, though unit over
+        # Q, and its chart, which holds the point, answers False
+        p = _fp_field(1)[0]
+        m = moved(DOUBLE_POINT, (p, 1, 0, 0), (1, 0, 0, 0))
+        assert not any(_singular_coordinate_point(m, i, j, None) for i, j in _CELLS)
+        assert full_smoothness(m) is False
+
+    def test_smooth_swap_n8_reaches_no_chart_ladder(self, monkeypatch):
+        # every stratum is unit mod p, and the coordinate points on X (each
+        # form vanishes there) are smooth
+        m = _swap_n8()
+        on_x = [(i, j) for i, j in _CELLS if not any(mat[i][j] for mat in m.matrices)]
+        assert on_x
+        ladders = []
+        monkeypatch.setattr(model_module, "unit_mod_p_or_q", lambda *a: ladders.append(a))
+        assert full_smoothness(m) is True
+        assert ladders == []
+
+    def test_one_prime_for_every_mod_p_run(self, monkeypatch):
+        # the zeta_8 entries are all at (0, 0), in row 0 and column 0, so a
+        # stratum with i, j >= 1 has rational generators: a prime taken from
+        # them would be that of conductor 1
+        rng = random.Random(5)
+        grids = [random_rational_matrix(rng, -2, 2) for _ in range(3)]
+        for k, grid in enumerate(grids):
+            grid[0][0] = Cyclotomic.zeta(8, k + 1) + k
+        m = model_from_matrices(grids)
+        assert m.conductor == 8
+        seen = _recorded_runs(monkeypatch)
+        assert full_smoothness(m) is True
+        assert len(seen) == 16
+        assert {prime for _, _, prime in seen} == {_fp_field(8)[0]}
+
+
 def chart_generators(m):
     """The generators of each chart in turn, built on the chart itself:
     dehomogenise the forms, take their Jacobian in the six chart variables,
@@ -672,18 +776,45 @@ def chart_generators(m):
     return charts
 
 
-@pytest.mark.parametrize("name", ["swap_n8", "double_point"])
-def test_chart_generators_are_the_minors_of_the_chart_jacobian(monkeypatch, name):
-    m = _swap_n8() if name == "swap_n8" else model_from_matrices(DOUBLE_POINT)
-    seen = []
+def _recorded_runs(monkeypatch):
+    """(polys, nvars, prime) of each mod-p run that full_smoothness makes, in
+    model or groebner, recorded; the runs go ahead."""
+    seen, run = [], groebner_module._mod_p_run
 
-    def record(gens):
-        seen.append(gens)
-        return True
+    def record(polys, nvars, prime):
+        seen.append((polys, nvars, prime))
+        return run(polys, nvars, prime)
 
-    monkeypatch.setattr(model_module, "unit_mod_p_or_q", record)
+    monkeypatch.setattr(model_module, "_mod_p_run", record)
+    monkeypatch.setattr(groebner_module, "_mod_p_run", record)
+    return seen
+
+
+def on_stratum(chart, i, j):
+    """The images in F_p of the exact chart generators of cell (i, j), at the
+    prime of _fp_image, restricted to the stratum: terms with a variable
+    x_k, k < i, or y_k, k < j, dropped, and polynomials that vanish there
+    dropped."""
+    prime, values = _fp_image([c for g in chart for c in g.terms.values()])
+    values, images = iter(values), []
+    for g in chart:
+        terms = {e: r for e, r in zip(g.terms, values)
+                 if r and not any(e[:i]) and not any(e[4:4 + j])}
+        if terms:
+            images.append(terms)
+    return prime, images
+
+
+@pytest.mark.parametrize("name", ["swap_n8.txt", "symmetric_n2.txt"])
+def test_each_stratum_run_takes_the_chart_minors_restricted(monkeypatch, name):
+    # every stratum is unit mod p, so each cell makes one run: on the images
+    # of the Jacobian minors built on the chart itself, restricted
+    m = _data_model(name)
+    seen = _recorded_runs(monkeypatch)
     assert full_smoothness(m) is True
-    assert seen == chart_generators(m)
+    expected = [on_stratum(chart, i, j) for (i, j), chart in zip(_CELLS, chart_generators(m))]
+    assert [(prime, polys) for polys, _, prime in seen] == expected
+    assert {nvars for _, nvars, _ in seen} == {8}
 
 
 @pytest.mark.parametrize("name, reductions", [("swap_n8", 3), ("double_point", 100)])
@@ -750,14 +881,19 @@ def test_every_survey_centre_is_certified(monkeypatch, source):
     assert runs == []
 
 
+@pytest.mark.parametrize("source", SURVEY_MODELS, ids=str)
+def test_every_survey_instance_is_smooth_by_the_charts(source):
+    # the generator's contract, a smooth X, checked by the oracle that shares
+    # no argument with the quartic it was drawn on
+    assert full_smoothness(_generated_model(*source)) is True
+
+
 # SWAP_GRID[::3] is one swap cell of each order 2, 4, 6 and 8
-@pytest.mark.slow
 @pytest.mark.parametrize(
     "source", ["singular", "double point"] + DATA_MODELS
     + [(cell, 0) for cell in SWAP_GRID[::3] + DIAGONAL_GRID[:1]], ids=str)
 def test_quartic_decides_what_the_charts_decide(request, source):
-    # X is smooth iff its determinantal quartic is, so the two checks agree;
-    # about 2 s in all, so slow
+    # X is smooth iff its determinantal quartic is, so the two checks agree
     if source == "singular":
         m = request.getfixturevalue("singular_model")
     elif source == "double point":
@@ -769,7 +905,6 @@ def test_quartic_decides_what_the_charts_decide(request, source):
     assert smooth is (source not in ("singular", "double point"))
 
 
-@pytest.mark.slow
 class TestFullSmoothness:
     def test_coherence_of_smoothness_checks(self):
         # a verified-smooth instance passes all four checks at once

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import leibniz, power, variables
 from fano212.cyclotomic import Cyclotomic, _fp_field, cyc, euler_phi
-from fano212.multipoly import MultiPoly, _cofactors, maximal_minors, minors, poly_det
+from fano212.multipoly import (_SHIFT_BITS, MultiPoly, _balanced_digits, _cofactors, _restrict,
+                               maximal_minors, minors, poly_det)
 
 
 def random_poly(rng, nvars=3, max_degree=2, nterms=4):
@@ -355,6 +356,48 @@ def test_kronecker_minors_match_the_leibniz_sum(data):
     assert minors(rows, size) == expected
     assert poly_det([row[:size] for row in rows]) == expected[0]
 
+
+def shift_reader(v, count, b):
+    """The balanced base-2^b digits of v read one at a time, shifting v by b
+    bits after each."""
+    half, mask, digits = 1 << b - 1, (1 << b) - 1, []
+    for _ in range(count):
+        digits.append((v + half & mask) - half)
+        v = v - digits[-1] >> b
+    return digits
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_balanced_digits_match_the_shift_reader(data):
+    # digit vectors up to just past _SHIFT_BITS bits, so on both sides of it
+    # for b above 25 (at most 160 digits), with the extreme digits
+    # -2^(b-1) and 2^(b-1) - 1 common
+    b = data.draw(st.integers(1, 130), label="b")
+    count = data.draw(st.integers(1, min(160, _SHIFT_BITS // b + 2)), label="count")
+    half = 1 << b - 1
+    digit = st.integers(-half, half - 1) | st.sampled_from([-half, half - 1, 0])
+    digits = data.draw(st.lists(digit, min_size=count, max_size=count), label="digits")
+    v = sum(d << b * k for k, d in enumerate(digits))
+    assert _balanced_digits(v, count, b) == shift_reader(v, count, b) == digits
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_restrict_is_the_substitution(data):
+    # values at points with 1 at the ones' variables and 0 at the zeros'
+    nvars = data.draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    p = MultiPoly(nvars, data.draw(st.dictionaries(exps, st.integers(-5, 5), max_size=8)))
+    roles = data.draw(st.lists(st.sampled_from("10x"), min_size=nvars, max_size=nvars))
+    chart = [v for v, r in enumerate(roles) if r == "1"]
+    zeros = [v for v, r in enumerate(roles) if r == "0"]
+    q = MultiPoly._of(nvars, _restrict(p.terms, chart, zeros))
+    for v in chart + zeros:
+        assert all(e[v] == 0 for e in q.terms)
+    point = [data.draw(st.integers(-3, 3)) for _ in range(nvars)]
+    at = [1 if r == "1" else 0 if r == "0" else c for r, c in zip(roles, point)]
+    assert q.evaluate(at) == p.evaluate(at)
 
 def test_dehomogenize():
     x, y = variables(2)
