@@ -17,8 +17,8 @@ from math import gcd
 from .cyclotomic import Cyclotomic, _fp_image, cyc
 from .groebner import empty_mod_p
 from .linalg import rref
-from .model import (ModelTriple, _rank_mod_p, combine, determinantal_quartic, validate_model,
-                    InputError)
+from .model import (ModelTriple, _pencil, _rank_mod_p, combine, determinantal_quartic,
+                    validate_model, InputError)
 from .multipoly import _cofactors
 
 
@@ -301,10 +301,8 @@ def _rejection(flat, images, merged, n: int, prime: int):
             for e, r in pairs if c else ():
                 form[e] += c * r
         forms.append([x % prime for x in form])
-    # entry e of x*M1 + y*M2 + z*M3, x^a y^b z^c packed as a + 16b + 256c
-    entries = [{m: v for m, v in zip((1, 16, 256), column) if v} for column in zip(*forms)]
-    q = _cofactors([entries[4 * i:4 * i + 4] for i in range(4)], [(0, 1, 2, 3)], prime)[0]
-    q = {(m & 15, m >> 4 & 15, m >> 8): v for m, v in q.items()}
+    grids = [[form[a:a + 4] for a in range(0, 16, 4)] for form in forms]
+    q = _cofactors(_pencil(grids), [(0, 1, 2, 3)], prime)[0]
     if not q or _rank_mod_p(forms, prime) < 3:
         try:
             model = ModelTriple(tuple(combine(cs, flat) for cs in merged), n)
@@ -338,9 +336,9 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
     change-of-basis entry times the eigenspace coefficient.  Reduction mod
     p is a ring map, so it commutes with these combinations, det and each
     derivative: the images of a draw's forms, quartic and partials are the
-    combinations of the eigenbasis images, their determinant (_cofactors,
-    the expansion poly_det makes over Q(zeta_N)) and its partials.  So each
-    test is the exact route's on equal inputs:
+    combinations of the eigenbasis images, their determinant (_cofactors on
+    _pencil, as determinantal_quartic over Q(zeta_N)) and its partials.  So
+    each test is the exact route's on equal inputs:
     - a change of basis has rank 3 mod p iff its determinant, at most
       3! * 2^3 = 48 < p in size, is nonzero;
     - rank 3 of the forms mod p is validate_model's own certificate, and a

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
                          _rational_reconstruction, _trim, cyc, euler_phi)
@@ -79,20 +79,31 @@ def model_from_matrices(ms) -> ModelTriple:
 def validate_model(m: ModelTriple) -> None:
     """Reject triples whose three bilinear forms are linearly dependent.
 
-    Rank 3 of the forms' image in F_p (_fp_image) certifies rank 3 over
+    Rank 3 of the forms' image in F_p (_image) certifies rank 3 over
     Q(zeta_N), as a 3x3 minor nonzero mod p is nonzero before reduction;
     only a lower rank mod p, or no image, takes the exact rank."""
-    rows = [[v for row in mat for v in row] for mat in m.matrices]
-    image = _fp_image(rows[0] + rows[1] + rows[2])
+    image = _image(m.matrices)
     if image is not None:
-        prime, values = image
-        if _rank_mod_p([values[:16], values[16:32], values[32:]], prime) == 3:
+        prime, grids = image
+        if _rank_mod_p([[v for row in mat for v in row] for mat in grids], prime) == 3:
             return
-    if matrix_rank(rows) != 3:
+    if matrix_rank([[v for row in mat for v in row] for mat in m.matrices]) != 3:
         raise InputError(
             "dependent-forms",
             "the three bilinear forms are linearly dependent",
         )
+
+
+def _image(matrices):
+    """(p, grids): the images in F_p of the entries of 4x4 matrices, from
+    one _fp_image call, in the matrices' own shape, so grids[k][a][b] is the
+    image of matrices[k][a][b]; None when there is no image."""
+    image = _fp_image([v for mat in matrices for row in mat for v in row])
+    if image is None:
+        return None
+    prime, values = image
+    return prime, [[values[k:k + 4] for k in range(16 * i, 16 * i + 16, 4)]
+                   for i in range(len(matrices))]
 
 
 def _rank_mod_p(rows, prime: int) -> int:
@@ -150,28 +161,38 @@ def _units(nvars: int):
     return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
 
 
-_X3, _X4, _X8 = _units(3), _units(4), _units(8)
+_X2, _X3, _X4, _X8 = _units(2), _units(3), _units(4), _units(8)
 # x_j * y_k in x0..x3, y0..y3, in the row-major order of a matrix's entries
 _XY = [tuple(map(add, x, y)) for x in _X8[:4] for y in _X8[4:]]
 
 
-def _form(coeffs, monomials) -> MultiPoly:
-    """The polynomial sum of c * x^e over paired coefficients and exponent
-    tuples, written as a term dict."""
-    return MultiPoly._of(
-        len(monomials[0]),
-        {e: c for c, e in zip(coeffs, monomials) if not c.is_zero()},
-    )
+def _form(coeffs, monomials) -> dict:
+    """The sum of c * x^e over paired coefficients, Cyclotomic or residues,
+    and exponent tuples, as a term dict with no zero coefficient; the exact
+    callers wrap it in MultiPoly._of."""
+    return {e: c for c, e in zip(coeffs, monomials) if c}
+
+
+def _pencil(grids) -> list:
+    """The 4x4 matrix x*M1 + y*M2 + z*M3 of term dicts (_form) in x, y, z."""
+    return [[_form(entry, _X3) for entry in zip(*rows)] for rows in zip(*grids)]
+
+
+def _jacobian(grids) -> list:
+    """The 3x8 Jacobian of the forms x^T M_k y as term dicts (_form) in
+    x0..x3, y0..y3: row k is grad_x F_k = M_k y, then grad_y F_k = M_k^T x."""
+    return [[_form(row, _X8[4:]) for row in mat] + [_form(col, _X8[:4]) for col in zip(*mat)]
+            for mat in grids]
 
 
 def bilinear_forms(m: ModelTriple):
     """The three forms x^T M_i y as polynomials in x0..x3, y0..y3."""
-    return [_form([v for row in mat for v in row], _XY) for mat in m.matrices]
+    return [MultiPoly._of(8, _form([v for row in mat for v in row], _XY)) for mat in m.matrices]
 
 
 def coeff_matrix(m: ModelTriple, side: Side = Side.FIRST):
     """3x4 matrix of linear forms in x0..x3; row i is x^T M_i (or x^T M_i^T)."""
-    return [[_form(col, _X4) for col in zip(*mat)] for mat in m.sided(side).matrices]
+    return [[MultiPoly._of(4, _form(c, _X4)) for c in zip(*mat)] for mat in m.sided(side).matrices]
 
 
 def minor_cubics(m: ModelTriple, side: Side = Side.FIRST) -> list:
@@ -196,7 +217,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
     minor_cubics gives it, read as 6t - 2 off a certificate mod p when one
     holds.
 
-    The sided matrices are mapped to F_p (_fp_image), and the 3x4 matrix of
+    The sided matrices are mapped to F_p (_image), and the 3x4 matrix of
     linear forms is restricted to the line L = {s*a + t*b} (_LINE), each
     entry a binary linear form; its maximal minors (_cofactors) are
     binary cubics.  Restriction to L and the map to F_p are ring maps, so
@@ -210,18 +231,14 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
     D. Eisenbud, The Geometry of Syzygies, Ch. 3), and
     HP(t) = C(t+3, 3) - 4 C(t, 3) + 3 C(t-1, 3) = 6t - 2.  A common zero mod
     p, or no image, takes the exact hilbert_polynomial."""
-    image = _fp_image([v for mat in m.sided(side).matrices for row in mat for v in row])
+    image = _image(m.sided(side).matrices)
     if image is not None:
-        prime, values = image
-        # entry (i, j) on L: s * a^T M_i e_j + t * b^T M_i e_j, column j of M_i
-        # being values[k + j:k + 16:4] for k = 16*i, and s^u t^v packed as u + 16v
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = _LINE
-        lines = [[{1: a0 * w + a1 * x + a2 * y + a3 * z, 16: b0 * w + b1 * x + b2 * y + b3 * z}
-                  for w, x, y, z in (values[k + j:k + 16:4] for j in range(4))]
-                 for k in (0, 16, 32)]
+        prime, grids = image
+        # entry (i, j) on L: s * a^T M_i e_j + t * b^T M_i e_j, in s, t
+        lines = [[_form([sum(map(mul, point, col)) for point in _LINE], _X2) for col in zip(*mat)]
+                 for mat in grids]
         cubics = _cofactors(lines, list(combinations(range(4), 3)), prime)
-        cubics = [{(m & 15, m >> 4): v for m, v in f.items()} for f in cubics if f]
-        if empty_mod_p(cubics, 2, prime):
+        if empty_mod_p([f for f in cubics if f], 2, prime):
             return (Fraction(-2), Fraction(6))
     return hilbert_polynomial(minor_cubics(m, side))
 
@@ -231,8 +248,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
 
 def determinantal_quartic(m: ModelTriple) -> MultiPoly:
     """Q(x, y, z) = det(x*M1 + y*M2 + z*M3)."""
-    q = poly_det([[_form(entry, _X3) for entry in zip(*rows)]
-                  for rows in zip(*m.matrices)])
+    q = poly_det([[MultiPoly._of(3, t) for t in row] for row in _pencil(m.matrices)])
     if q.is_zero():
         raise InputError("degenerate-pencil", "det(xM1 + yM2 + zM3) is identically zero")
     return q
@@ -278,39 +294,17 @@ def _singular_coordinate_point(m: ModelTriple, i: int, j: int, image) -> bool:
     (full_smoothness, step 1).  Where every M_k[i][j] is 0 the Jacobian of
     the forms is the scalar 3x8 matrix with row k (column j of M_k, row i of
     M_k), as grad_x F_k = M_k y and grad_y F_k = M_k^T x.  Rank 3 of its
-    image at the call's prime (image, from _fp_image; _rank_mod_p) certifies
+    image at the call's prime (image, from _image; _rank_mod_p) certifies
     rank 3; a lower rank mod p, or no image, is confirmed by the 56 exact
     3x3 minors, one _expand of scalars, which takes no inverse."""
+    def jacobian(grids):  # on either ring: row k is column j of M_k, then row i
+        return [[row[j] for row in mat] + list(mat[i]) for mat in grids]
+
     if any(mat[i][j] for mat in m.matrices):
         return False
-    if image is not None:
-        prime, values = image
-        rows = [values[k + j:k + 16:4] + values[k + 4 * i:k + 4 * i + 4] for k in (0, 16, 32)]
-        if _rank_mod_p(rows, prime) == 3:
-            return False
-    rows = [[row[j] for row in mat] + list(mat[i]) for mat in m.matrices]
-    return not any(_expand(rows, _TRIPLES))
-
-
-def _jacobian_mod_p(values, prime):
-    """(forms, minors): the three forms and the 56 3x3 minors of their 3x8
-    Jacobian mod prime, keyed by column subset, as {exponent tuple: residue}
-    dicts in x0..x3, y0..y3, from the images of the 48 entries (row-major,
-    M1 first).  Row k of the Jacobian holds grad_x F_k = M_k y, then
-    grad_y F_k = M_k^T x: linear forms packed 2 bits a variable for
-    _cofactors, as no exponent of a product of three is above 3.  Reduction
-    mod p is a ring map that commutes with each derivative and with det, so
-    these are the images of bilinear_forms and of the exact minors."""
-    forms = [{e: r for e, r in zip(_XY, values[k:k + 16]) if r} for k in (0, 16, 32)]
-    rows = [[{1 << 8 + 2 * b: r for b, r in enumerate(values[k + 4 * a:k + 4 * a + 4]) if r}
-             for a in range(4)]
-            + [{1 << 2 * a: r for a, r in enumerate(values[k + b:k + 16:4]) if r} for b in range(4)]
-            for k in (0, 16, 32)]
-    dets = _cofactors(rows, _TRIPLES, prime)
-    exponents = {packed: tuple([packed >> s & 3 for s in range(0, 16, 2)])
-                 for packed in {packed for det in dets for packed in det}}
-    return forms, {cols: {exponents[packed]: r for packed, r in det.items()}
-                   for cols, det in zip(_TRIPLES, dets)}
+    if image is not None and _rank_mod_p(jacobian(image[1]), image[0]) == 3:
+        return False
+    return not any(_expand(jacobian(m.matrices), _TRIPLES))
 
 
 def full_smoothness(m: ModelTriple) -> bool:
@@ -334,17 +328,20 @@ def full_smoothness(m: ModelTriple) -> bool:
        in that of the other y columns, so that rank is the chart
        Jacobian's.  A singular one answers False with no Groebner run.
     2. One loop over the 16 cells.  The 48 entries are mapped to F_p once
-       (_fp_image, at the prime of _fp_field(N), N the model's conductor,
-       the lcm of the entries'), the forms and the 56 minors are taken mod
-       p from those images (_jacobian_mod_p), and each stratum restricts
-       them, as reduction commutes with setting variables to 0 or 1.  A
-       cell whose stratum is unit mod p is done.
+       (_image, at the prime of _fp_field(N), N the model's conductor, the
+       lcm of the entries'), the forms and the 56 minors are taken mod p
+       from those images (_form, _jacobian and _cofactors, the builders of
+       the exact ones), and each stratum restricts them, as reduction
+       commutes with setting variables to 0 or 1.  A cell whose stratum is
+       unit mod p is done.
     3. Any other cell runs the ladder of chart (i, j) (unit_mod_p_or_q: the
        chart's mod-p run at the same prime, then its checked lift or an
        exact run), and a False there is final.  Stratum (0, 0) is chart
-       (0, 0), so that cell reuses its run.  The exact minors are expanded
-       when a fallback first needs them, the columns not met before in one
-       _expand.
+       (0, 0), so that cell reuses its run.  Another chart holds its
+       stratum, so its run mod p serves only the lift, which refuses a
+       form that is not rational: it runs only if all 48 entries are.  The
+       exact minors are expanded when a fallback first needs them, the
+       columns not met before in one _expand.
 
     Cover and soundness.  Over any field each point of P3 x P3 lies in
     exactly one S_ij: i and j index its first nonzero coordinates.  Take a
@@ -382,12 +379,14 @@ def full_smoothness(m: ModelTriple) -> bool:
     `smooth --full` keeps it as the independent oracle.
     """
     validate_model(m)
-    image = _fp_image([v for mat in m.matrices for row in mat for v in row])
+    image = _image(m.matrices)
     if any(_singular_coordinate_point(m, i, j, image) for i, j in _CELLS):
         return False
     if image is not None:
-        prime = image[0]
-        forms_p, minors_p = _jacobian_mod_p(image[1], prime)
+        prime, grids = image
+        forms_p = [_form([v for row in mat for v in row], _XY) for mat in grids]
+        minors_p = dict(zip(_TRIPLES, _cofactors(_jacobian(grids), _TRIPLES, prime)))
+    rational = all(v.is_rational() for mat in m.matrices for row in mat for v in row)
 
     def mod_p_run(chart, zeros, subsets):
         gens = [_restrict(f, chart, zeros) for f in forms_p]
@@ -404,10 +403,10 @@ def full_smoothness(m: ModelTriple) -> bool:
             if _holds_mod_p(run, _is_unit):
                 continue
             if zeros:  # stratum (0, 0) is chart (0, 0): its run is the chart's
-                run = mod_p_run(chart, (), subsets)
+                run = mod_p_run(chart, (), subsets) if rational else None
         if forms is None:
             forms = bilinear_forms(m)
-            jacobian = [[f.derivative(v) for v in range(8)] for f in forms]
+            jacobian = [[MultiPoly._of(8, t) for t in row] for row in _jacobian(m.matrices)]
         new = [cols for cols in subsets if cols not in minor]
         if new:
             minor.update(zip(new, _expand(jacobian, new)))

@@ -3,9 +3,9 @@
 Terms map exponent tuples to nonzero Cyclotomic coefficients; the zero
 polynomial has an empty term map.  Includes the minors of small matrices of
 scalars or polynomials, with poly_det as the square case: one cofactor
-expansion per row subset (_cofactors), in integers over Q(zeta_N) with each
-numerator polynomial packed into one int (_expand says why that is exact),
-and the same expansion reduced mod p for the certificates in F_p.
+expansion per row subset (_cofactors, the one place monomials are packed),
+in integers over Q(zeta_N) with each numerator polynomial one int (_expand
+says why that is exact), and the same expansion mod p for F_p certificates.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
-from operator import lshift
 
 from .cyclotomic import Cyclotomic, _divmod_monic, _phi_terms, cyc, euler_phi
 
@@ -223,20 +222,17 @@ def _expand(rows, subsets) -> list:
     N is the lcm of the entries' conductors, and row r is scaled by the lcm
     d_r of its denominators, so each coefficient of an entry is a numerator
     polynomial a(z) in Z[z] of degree below phi(N), passed as the one
-    integer a(2^B), and x^e packs to sum(e_i * 2^(w*i)).  A minor's
-    coefficient comes back as P(2^B) for P in Z[z] of degree at most
-    size*(phi - 1).  The Leibniz sum has size! terms, each a product of one
-    entry per row, and no coefficient of such a product is larger in size
-    than the product of the entries' ||.||_1 (the sum of the sizes of all
-    their numerator coefficients); so each coefficient of P is at most
-    size! * prod_r max_c ||entry_rc||_1 < 2^(B-1) in size, and P is read
-    off the balanced base-2^B digits of P(2^B).  P is reduced mod Phi_N
-    once; a determinant is the whole minor over the product of the d_r.
-    This is exact: z -> zeta_N and z -> 2^B are ring maps from Z[z][x],
-    and det is a polynomial in the entries; d_r comes out of row r by
-    multilinearity; and no field of a packed monomial overflows, as fields
-    are only ever added and no exponent of a product of `size` entries is
-    above size times the largest entry degree, which is below 2^w."""
+    integer a(2^B).  A minor's coefficient comes back as P(2^B) for P in
+    Z[z] of degree at most size*(phi - 1).  The Leibniz sum has size! terms,
+    each a product of one entry per row, and no coefficient of such a
+    product is larger in size than the product of the entries' ||.||_1 (the
+    sum of the sizes of all their numerator coefficients); so each
+    coefficient of P is at most size! * prod_r max_c ||entry_rc||_1 <
+    2^(B-1) in size, and P is read off the balanced base-2^B digits of
+    P(2^B).  P is reduced mod Phi_N once; a determinant is the whole minor
+    over the product of the d_r.  This is exact: z -> zeta_N and z -> 2^B
+    are ring maps from Z[z][x], and det is a polynomial in the entries; d_r
+    comes out of row r by multilinearity."""
     size = len(rows)
     polys = [e for r in rows for e in r if isinstance(e, MultiPoly)]
     nvars = polys[0].nvars if polys else 0
@@ -246,17 +242,15 @@ def _expand(rows, subsets) -> list:
              for e in r] for r in rows]
     n = lcm(*(c.n for r in grid for t in r for c in t.values()))
     phi, phi_terms = euler_phi(n), _phi_terms(n)
-    w = (size * max((sum(e) for r in grid for t in r for e in t), default=0)).bit_length()
-    shifts = [w * i for i in range(nvars)]
     dens = [lcm(*(c.den for t in r for c in t.values())) for r in grid]
-    nums = [[{sum(map(lshift, e, shifts)): [x * (d // c.den) for x in c.lift(n).num]
-              for e, c in t.items()} for t in r] for r, d in zip(grid, dens)]
+    nums = [[{e: [x * (d // c.den) for x in c.lift(n).num] for e, c in t.items()} for t in r]
+            for r, d in zip(grid, dens)]
     bound = factorial(size) * prod(max(sum(abs(x) for a in t.values() for x in a) for t in r)
                                    for r in nums)
     b = bound.bit_length() + 1  # the least B with 2^(B-1) > bound
-    mats = [[{m: sum(x << b * k for k, x in enumerate(a)) for m, a in t.items()} for t in r]
+    mats = [[{e: sum(x << b * k for k, x in enumerate(a)) for e, a in t.items()} for t in r]
             for r in nums]
-    den, mask = prod(dens), (1 << w) - 1
+    den = prod(dens)
 
     def coefficient(v):
         """The element of Q(zeta_N) whose numerator polynomial is v at 2^B."""
@@ -264,13 +258,12 @@ def _expand(rows, subsets) -> list:
         _divmod_monic(digits, phi_terms, phi)
         return Cyclotomic._lowest(n, tuple(digits[:phi]), den)
 
-    dets = [{m: c for m, c in ((m, coefficient(v)) for m, v in minor.items()) if c}
+    dets = [{e: c for e, c in ((e, coefficient(v)) for e, v in minor.items()) if c}
             for minor in _cofactors(mats, subsets, None)]
     if not polys:
         zero = cyc(0, n)
-        return [det.get(0, zero) for det in dets]
-    return [MultiPoly._of(nvars, {tuple([m >> s & mask for s in shifts]): c
-                                  for m, c in det.items()}) for det in dets]
+        return [det.get((), zero) for det in dets]
+    return [MultiPoly._of(nvars, det) for det in dets]
 
 
 # below this many bits a Kronecker integer is read by shifting, above it off
@@ -300,18 +293,25 @@ def _balanced_digits(v: int, count: int, b: int) -> list:
 
 def _cofactors(rows, subsets, prime) -> list:
     """The determinants of the rows restricted to each column subset, whose
-    size is the number of rows, for entries that map packed monomials to
-    integers, packed so that no product of len(rows) entries overflows a
-    field: cofactor expansion along the first row, each minor reduced mod
-    prime once, or not at all when prime is None, as {packed monomial:
-    integer} with no zero.  Reduction mod prime is a ring map, so these are
-    the images of the integer minors.
+    size is the number of rows, for entries {exponent tuple: integer}:
+    cofactor expansion along the first row, each minor reduced mod prime
+    once, or not at all when prime is None, as {exponent tuple: integer}
+    with no zero.  Reduction mod prime is a ring map, so these are the
+    images of the integer minors.  The expansion packs x^e into the int
+    sum(e_i * 2^(w*i)) and unpacks once at the end; no field overflows, as
+    fields are only ever added and no exponent of a product of len(rows)
+    entries is above len(rows) times the largest entry degree, below 2^w.
 
     A minor on the rows from the third on is met once for each order in
     which the rows above pick the missing columns, and again by every
     subset that holds its columns.  Its rows are the last len(cols), so the
     column-keyed memo keys it by its columns alone and expands it once per
     call: a 4x4 determinant takes 28 entry products, not 40."""
+    exps = {e for r in rows for t in r for e in t}
+    w = (len(rows) * max(map(sum, exps), default=0)).bit_length()
+    shifts = [w * i for i in range(len(next(iter(exps), ())))]
+    packed = {e: sum(x << s for x, s in zip(e, shifts)) for e in exps}
+    rows = [[{packed[e]: v for e, v in t.items()} for t in r] for r in rows]
 
     def reduced(acc):
         if prime is None:
@@ -333,7 +333,9 @@ def _cofactors(rows, subsets, prime) -> list:
         memo[cols] = reduced(acc)
         return memo[cols]
 
-    return [minor(cols) for cols in subsets]
+    dets, mask = [minor(cols) for cols in subsets], (1 << w) - 1
+    unpacked = {m: tuple([m >> s & mask for s in shifts]) for m in set().union(*dets)}
+    return [{unpacked[m]: v for m, v in det.items()} for det in dets]
 
 
 def maximal_minors(rows) -> tuple:

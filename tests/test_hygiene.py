@@ -1,9 +1,11 @@
-"""Static checks on the source: in the package, the tests and the scripts
-every imported name is used and every import is at module level; in the
-package and the scripts every module-level name but a dunder, and every
-public method, is read by the package, a script or the bench; the package
-imports nothing outside the standard library, and the error codes it raises
-are the ones README's table lists."""
+"""Static checks on the source: every file of the package, the tests, the
+scripts and the bench parses with Python 3.10's grammar, the oldest version
+CI runs; in the package, the tests and the scripts every imported name is
+used and every import is at module level; in the package and the scripts
+every module-level name but a dunder, and every public method, is read by
+the package, a script or the bench; the package imports nothing outside the
+standard library, and the error codes it raises are the ones README's table
+lists."""
 
 import ast
 import os
@@ -54,6 +56,36 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports(module):
     with open(CHECKED[module], encoding="utf-8") as handle:
         assert unused_imports(handle.read()) == []
+
+
+def newer_syntax(source: str):
+    """The message of the SyntaxError that parsing with Python 3.10's grammar
+    raises, the oldest version CI runs; None when the source parses."""
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError as exc:
+        return exc.msg
+    return None
+
+
+def test_checker_flags_syntax_newer_than_3_10():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert newer_syntax(source) is not None
+    assert newer_syntax(source.replace("except*", "except")) is None
+
+
+PARSED = sorted(
+    os.path.join(folder, name)
+    for top in ("src", "scripts", "tests", "perfbench")
+    for folder, _, files in os.walk(os.path.join(ROOT, top))
+    for name in files if name.endswith(".py")
+)
+
+
+@pytest.mark.parametrize("path", PARSED, ids=lambda path: os.path.relpath(path, ROOT))
+def test_parses_as_python_3_10(path):
+    with open(path, encoding="utf-8") as handle:
+        assert newer_syntax(handle.read()) is None
 
 
 def foreign_imports(source: str):

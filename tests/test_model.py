@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,6 +44,8 @@ from fano212.instancefile import load_instance
 from fano212.linalg import mat_mul, mat_transpose, matrix_rank
 from fano212.model import (
     _CELLS,
+    _image,
+    _pencil,
     InputError,
     ModelTriple,
     Side,
@@ -64,7 +67,7 @@ from fano212.model import (
     sample_curve_points,
     validate_model,
 )
-from fano212.multipoly import MultiPoly, minors
+from fano212.multipoly import MultiPoly, _cofactors, minors
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
 from run_survey import DIAGONAL_GRID, SWAP_GRID  # noqa: E402
@@ -618,7 +621,9 @@ class TestCertificateDecides:
     def test_charts_not_unit_mod_p_run_exactly(self, monkeypatch):
         # the first form vanishes mod p, so no chart is unit mod p; five
         # strata, of few free variables, are unit with F2 and F3 alone, and
-        # the other 11 cells run their charts exactly
+        # the other 11 cells run their charts exactly.  The model is not
+        # rational, so no lift can follow a chart's run mod p, and only the
+        # 16 strata run mod p
         m = _swap_n8()
         p = _fp_field(m.conductor)[0]
         scaled = tuple(tuple(v * p for v in row) for row in m.matrices[0])
@@ -630,8 +635,10 @@ class TestCertificateDecides:
             return buchberger(gens)
 
         monkeypatch.setattr(groebner_module, "buchberger", counted)
+        seen = _recorded_runs(monkeypatch)
         assert full_smoothness(m) is True
         assert len(calls) == 11
+        assert len(seen) == 16
 
     def test_a_moved_double_point_is_decided_by_the_lift(self, monkeypatch):
         # no coordinate point is singular, so stratum (0, 0) falls back to
@@ -711,10 +718,12 @@ class TestStrata:
 
     @pytest.mark.parametrize("u, cell", [((0, 0, 1, 2), (2, 3)), ((1, 2, -1, 3), (0, 3))],
                              ids=["S_23", "S_03"])
-    def test_a_double_point_inside_a_stratum(self, u, cell):
+    def test_a_double_point_inside_a_stratum(self, monkeypatch, u, cell):
         # the double point (u, e3) is no coordinate point, and it lies in the
-        # stratum of cell: only that cell's chart can find it
+        # stratum of cell: only that cell's chart can find it.  The model is
+        # rational, so the chart runs mod p and its checked lift decides it
         m = moved(DOUBLE_POINT, u, (0, 0, 0, 1))
+        monkeypatch.setattr(groebner_module, "buchberger", _refuse)
         assert not any(_singular_coordinate_point(m, i, j, None) for i, j in _CELLS)
         forms = bilinear_forms(m)
         point = [cyc(c) for c in u + (0, 0, 0, 1)]
@@ -886,6 +895,26 @@ def test_every_survey_instance_is_smooth_by_the_charts(source):
     # the generator's contract, a smooth X, checked by the oracle that shares
     # no argument with the quartic it was drawn on
     assert full_smoothness(_generated_model(*source)) is True
+
+
+@pytest.mark.parametrize("source", DATA_MODELS + SURVEY_MODELS, ids=str)
+def test_each_matrix_of_forms_is_built_once_for_both_rings(source):
+    # _image keeps each entry's image in its place, and the pencil built on
+    # those images has for determinant the image of the exact quartic, term
+    # by term, at the prime of the model's conductor
+    m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
+    prime, grids = _image(m.matrices)
+    anchor = Cyclotomic.zeta(lcm(*(v.n for mat in m.matrices for row in mat for v in row)))
+
+    def image(v):
+        at, (residue, _) = _fp_image([v, anchor])
+        assert at == prime
+        return residue
+
+    assert grids == [[[image(v) for v in row] for row in mat] for mat in m.matrices]
+    quartic = {e: image(c) for e, c in determinantal_quartic(m).terms.items()}
+    assert _cofactors(_pencil(grids), [(0, 1, 2, 3)], prime) == [
+        {e: r for e, r in quartic.items() if r}]
 
 
 # SWAP_GRID[::3] is one swap cell of each order 2, 4, 6 and 8

@@ -310,17 +310,46 @@ def test_cofactors_are_the_exact_minors_reduced(data):
     grid = [[data.draw(st.lists(coefficient, min_size=3, max_size=3)) for _ in range(4)]
             for _ in range(size)]
     exact = [[MultiPoly(3, dict(zip(units, cs))) for cs in row] for row in grid]
-    # x^a y^b z^c packed as a + 16b + 256c
-    packed = [[dict(zip((1, 16, 256), cs)) for cs in row] for row in grid]
+    entries = [[dict(zip(units, cs)) for cs in row] for row in grid]
     subsets = list(combinations(range(4), size))
     expected = minors(exact, 3) if size == 3 else [poly_det(exact)]
-    got = _cofactors(packed, subsets, prime)
+    got = _cofactors(entries, subsets, prime)
     assert len(got) == len(expected)
     for f, g in zip(got, expected):
         assert all(c.den == 1 for c in g.terms.values())
-        residues = {a + 16 * b + 256 * c: v.num[0] if prime is None else v.num[0] % prime
-                    for (a, b, c), v in g.terms.items()}
+        residues = {e: v.num[0] if prime is None else v.num[0] % prime
+                    for e, v in g.terms.items()}
         assert f == {m: v for m, v in residues.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cofactors_pack_monomials_without_overflow(data):
+    # integer entries in 0-4 variables, of degree 0-3, in 1-4 rows, so that
+    # len(rows) * degree crosses a power of two and a minor's exponent can
+    # fill its packed field: every minor, unpacked, is the Leibniz sum of
+    # the same entries as polynomials, unreduced and mod 7
+    nvars = data.draw(st.integers(0, 4), label="nvars")
+    degree = data.draw(st.integers(0, 3), label="degree")
+    size = data.draw(st.integers(1, 4), label="rows")
+    prime = data.draw(st.sampled_from([None, 7]), label="prime")
+    width = data.draw(st.integers(size, 4), label="width")
+
+    def monomial():
+        picks = data.draw(st.lists(st.integers(0, nvars - 1), max_size=degree)) if nvars else []
+        return tuple(picks.count(i) for i in range(nvars))
+
+    grid = [[{monomial(): data.draw(st.integers(-5, 5).filter(bool))
+              for _ in range(data.draw(st.integers(0, 3)))} for _ in range(width)]
+            for _ in range(size)]
+    subsets = list(combinations(range(width), size))
+    got = _cofactors(grid, subsets, prime)
+    assert len(got) == len(subsets)
+    for f, cols in zip(got, subsets):
+        g = leibniz([[MultiPoly(nvars, row[c]) for c in cols] for row in grid])
+        residues = {e: v.num[0] if prime is None else v.num[0] % prime
+                    for e, v in g.terms.items()}
+        assert f == {e: v for e, v in residues.items() if v}
 
 
 def test_kronecker_bound_is_met_exactly():
