@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Mutation check: each entry of MUTANTS breaks one place of the package on
+purpose, and the tests it names must fail on the broken copy.
+
+An entry is (file under src, exact old text, new text, test node ids).  For
+each, src is copied to a temporary directory, the old text, which must occur
+exactly once, is replaced by the new one, and pytest runs the nodes with the
+copy on the path: PYTHONPATH and pytest's `pythonpath` option, which
+pyproject.toml otherwise sets to the checkout's src.  A mutant is killed
+when pytest reports a failed test (exit 1).  Exits 0 when every mutant is
+killed; 1 when one survives, pytest cannot run its nodes, or an old text
+does not occur exactly once (then nothing is run).
+
+Usage:
+    python scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+SRC = os.path.join(ROOT, "src")
+
+MUTANTS = [
+    # the width of _cofactors' packed fields one bit short (never below 0, so
+    # the test fails on a wrong minor, not on a negative shift)
+    ("fano212/multipoly.py",
+     "w = (len(rows) * max(map(sum, exps), default=0)).bit_length()\n",
+     "w = max((len(rows) * max(map(sum, exps), default=0)).bit_length() - 1, 0)\n",
+     ["tests/test_multipoly.py::test_cofactors_pack_monomials_without_overflow"]),
+    # _derivative without the factor e
+    ("fano212/multipoly.py",
+     ": c * e[index]\n",
+     ": c\n",
+     ["tests/test_multipoly.py::test_derivative_product_rule"]),
+    # _derivative without the filter on e[index]
+    ("fano212/multipoly.py",
+     "for e, c in terms.items() if e[index]}",
+     "for e, c in terms.items()}",
+     ["tests/test_model.py::test_each_matrix_of_forms_is_built_once_for_both_rings"
+      "[swap_n8.txt]"]),
+    # full_smoothness dropping the image that validate_model checked
+    ("fano212/model.py",
+     "    image = validate_model(m)\n    if any(_singular_coordinate_point",
+     "    validate_model(m)\n    image = None\n    if any(_singular_coordinate_point",
+     ["tests/test_model.py::TestCertificateDecides::test_charts_not_unit_mod_p_run_exactly"]),
+]
+
+
+def unmatched(mutants, src=SRC):
+    """(file, old text) of each entry whose old text does not occur exactly
+    once in its file under src."""
+    found = []
+    for path, old, _, _ in mutants:
+        with open(os.path.join(src, path), encoding="utf-8") as handle:
+            if handle.read().count(old) != 1:
+                found.append((path, old))
+    return found
+
+
+def run_mutant(path, old, new, nodes) -> int:
+    """pytest's exit code on the nodes, run on a copy of src with old
+    replaced by new in path."""
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = os.path.join(scratch, "src")
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        target = os.path.join(copy, path)
+        with open(target, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=copy, PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "-o", "pythonpath=" + copy, *nodes],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+
+
+def main() -> int:
+    missing = unmatched(MUTANTS)
+    for path, old in missing:
+        print("old text not found exactly once in %s: %r" % (path, old))
+    if missing:
+        return 1
+    killed = 0
+    for path, old, new, nodes in MUTANTS:
+        code = run_mutant(path, old, new, nodes)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, "pytest exit %d" % code)
+        print("%-8s %s: %r -> %r" % (verdict, path, old.strip(), new.strip()))
+        killed += code == 1
+    print("%d of %d mutants killed" % (killed, len(MUTANTS)))
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

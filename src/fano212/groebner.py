@@ -15,8 +15,8 @@ model.centre_hilbert_polynomial fails.
 Every run, exact or mod p, ends at its first constant element, input or
 remainder, with that constant 1 alone: a Groebner basis of the unit ideal.
 
-Inside the engine a monomial e in n variables is one int (Monagan and
-Pearce's packed exponent vectors):
+In the engine and in multipoly._cofactors a monomial e in n variables is
+one int (Monagan and Pearce's packed exponent vectors):
 
     M(e) = sum(e_i * 2^(w*i)) - deg(e) * 2^(w*n)
 
@@ -90,7 +90,7 @@ def _pack(mono, w: int) -> int:
 
 def _unpack(packed: int, w: int, nvars: int):
     mask = (1 << w) - 1
-    return tuple(packed >> (w * i) & mask for i in range(nvars))
+    return tuple([packed >> (w * i) & mask for i in range(nvars)])
 
 
 def _pair_lcms(w: int, nvars: int):
@@ -342,9 +342,9 @@ def buchberger(generators):
 # dicts (empty_mod_p).
 
 def _mod_p_run(polys, nvars: int, prime: int):
-    """(basis, w, nvars, prime): _basis on {exponent tuple: residue in
-    [0, prime)} dicts, none of them empty, in nvars variables; None when the
-    run exceeds the degree cap."""
+    """(basis, w, nvars, prime): _basis on nonempty {exponent tuple:
+    integer} dicts in nvars variables, no coefficient 0 mod prime (_basis
+    reduces each in _normal_form); None when the run exceeds the degree cap."""
     try:
         basis, w = _basis(polys, nvars, prime)
     except DegreeCapExceeded:
@@ -474,9 +474,9 @@ def unit_mod_p_or_q(generators, run) -> bool:
 
 
 def empty_mod_p(polys, nvars: int, prime: int) -> bool:
-    """Whether homogeneous polynomials mod prime, given as {exponent tuple:
-    residue} dicts with no zero residue, none of them empty, have an empty
-    projective locus over the algebraic closure of F_prime (_mod_p_run).
+    """Whether homogeneous polynomials mod prime, given as nonempty
+    {exponent tuple: integer} dicts with no coefficient 0 mod prime, have an
+    empty projective locus over the algebraic closure of F_prime (_mod_p_run).
     When they are the images under _fp_image of polynomials over Q(zeta_N),
     at its prime, this is the first rung of projective_empty: a True proves
     the locus over Qbar empty (_decide) and a False proves nothing."""

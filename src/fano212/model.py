@@ -76,22 +76,23 @@ def model_from_matrices(ms) -> ModelTriple:
     return ModelTriple(tuple(matrices), conductor)
 
 
-def validate_model(m: ModelTriple) -> None:
-    """Reject triples whose three bilinear forms are linearly dependent.
-
-    Rank 3 of the forms' image in F_p (_image) certifies rank 3 over
-    Q(zeta_N), as a 3x3 minor nonzero mod p is nonzero before reduction;
-    only a lower rank mod p, or no image, takes the exact rank."""
+def validate_model(m: ModelTriple):
+    """Reject triples whose three bilinear forms are linearly dependent;
+    return the image checked, (p, grids) from _image, or None.  Rank 3 of the
+    forms' image in F_p certifies rank 3 over Q(zeta_N), as a 3x3 minor
+    nonzero mod p is nonzero before reduction; only a lower rank mod p, or no
+    image, takes the exact rank."""
     image = _image(m.matrices)
     if image is not None:
         prime, grids = image
         if _rank_mod_p([[v for row in mat for v in row] for mat in grids], prime) == 3:
-            return
+            return image
     if matrix_rank([[v for row in mat for v in row] for mat in m.matrices]) != 3:
         raise InputError(
             "dependent-forms",
             "the three bilinear forms are linearly dependent",
         )
+    return image
 
 
 def _image(matrices):
@@ -259,8 +260,7 @@ def quartic_smooth(q: MultiPoly) -> bool:
     projective zero."""
     if q.nvars != 3 or q.degree() != 4 or not q.is_homogeneous():
         raise ValueError("expected a homogeneous quartic in three variables")
-    partials = [q.derivative(i) for i in range(3)]
-    partials = [p for p in partials if not p.is_zero()]
+    partials = [p for p in map(q.derivative, range(3)) if not p.is_zero()]
     if len(partials) < 3:
         return False
     return projective_empty(partials)
@@ -328,8 +328,8 @@ def full_smoothness(m: ModelTriple) -> bool:
        in that of the other y columns, so that rank is the chart
        Jacobian's.  A singular one answers False with no Groebner run.
     2. One loop over the 16 cells.  The 48 entries are mapped to F_p once
-       (_image, at the prime of _fp_field(N), N the model's conductor, the
-       lcm of the entries'), the forms and the 56 minors are taken mod p
+       (validate_model's _image, at the prime of _fp_field(N), N the lcm of
+       the entries' conductors), the forms and the 56 minors are taken mod p
        from those images (_form, _jacobian and _cofactors, the builders of
        the exact ones), and each stratum restricts them, as reduction
        commutes with setting variables to 0 or 1.  A cell whose stratum is
@@ -378,8 +378,7 @@ def full_smoothness(m: ModelTriple) -> bool:
     `smooth` answers from it; this run shares none of that argument, so
     `smooth --full` keeps it as the independent oracle.
     """
-    validate_model(m)
-    image = _image(m.matrices)
+    image = validate_model(m)
     if any(_singular_coordinate_point(m, i, j, image) for i, j in _CELLS):
         return False
     if image is not None:

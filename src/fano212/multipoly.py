@@ -3,7 +3,7 @@
 Terms map exponent tuples to nonzero Cyclotomic coefficients; the zero
 polynomial has an empty term map.  Includes the minors of small matrices of
 scalars or polynomials, with poly_det as the square case: one cofactor
-expansion per row subset (_cofactors, the one place monomials are packed),
+expansion per row subset (_cofactors, monomials packed by groebner._pack),
 in integers over Q(zeta_N) with each numerator polynomial one int (_expand
 says why that is exact), and the same expansion mod p for F_p certificates.
 """
@@ -15,6 +15,7 @@ from itertools import combinations
 from math import factorial, lcm, prod
 
 from .cyclotomic import Cyclotomic, _divmod_monic, _phi_terms, cyc, euler_phi
+from .groebner import _pack, _unpack
 
 
 class MultiPoly:
@@ -141,15 +142,7 @@ class MultiPoly:
         return total
 
     def derivative(self, index: int) -> "MultiPoly":
-        terms = {}
-        for exps, coef in self.terms.items():
-            e = exps[index]
-            if e:
-                new = list(exps)
-                new[index] = e - 1
-                terms[tuple(new)] = coef * e
-        # coef * e is nonzero, and distinct exps give distinct new ones
-        return MultiPoly._of(self.nvars, terms)
+        return MultiPoly._of(self.nvars, _derivative(self.terms, index))
 
     def dehomogenize(self, chart) -> "MultiPoly":
         """Substitute 1 for every variable index in `chart` (_restrict)."""
@@ -192,6 +185,14 @@ def _restrict(terms: dict, ones, zeros=()) -> dict:
             exps = tuple(exps)
         _accumulate(out, exps, coef)
     return out
+
+
+def _derivative(terms: dict, index: int) -> dict:
+    """d/dx_index of a {exponent tuple: coefficient} dict, on Cyclotomic or
+    integer coefficients.  Integers are not reduced: for a residue r != 0
+    and an exponent k < p, k * r is not 0 mod p."""
+    return {e[:index] + (e[index] - 1,) + e[index + 1:]: c * e[index]
+            for e, c in terms.items() if e[index]}
 
 
 # -- polynomial matrices -------------------------------------------------------
@@ -277,7 +278,7 @@ def _balanced_digits(v: int, count: int, b: int) -> list:
     Adding the offset sum 2^(b-1) * 2^(b*k), k < count, to v adds 2^(b-1)
     to every digit, which makes them the plain base-2^b digits of the sum,
     all read off one bit string: linear in the size of v.  Peeling one digit
-    at a time, which shifts the whole int each time, is quadratic, yet
+    at a time, which rewrites the whole int each time, is quadratic, yet
     faster below _SHIFT_BITS bits (about 2 against 3.5 us at 10 digits of
     25 bits, 20 ms against 1.2 ms at 2045 digits of 120 bits)."""
     half, width = 1 << b - 1, count * b
@@ -297,9 +298,9 @@ def _cofactors(rows, subsets, prime) -> list:
     cofactor expansion along the first row, each minor reduced mod prime
     once, or not at all when prime is None, as {exponent tuple: integer}
     with no zero.  Reduction mod prime is a ring map, so these are the
-    images of the integer minors.  The expansion packs x^e into the int
-    sum(e_i * 2^(w*i)) and unpacks once at the end; no field overflows, as
-    fields are only ever added and no exponent of a product of len(rows)
+    images of the integer minors.  x^e is packed once (groebner._pack, whose
+    module docstring gives the packing) and unpacked at the end.  No field
+    carries: fields are only added, and no exponent of a product of len(rows)
     entries is above len(rows) times the largest entry degree, below 2^w.
 
     A minor on the rows from the third on is met once for each order in
@@ -309,8 +310,8 @@ def _cofactors(rows, subsets, prime) -> list:
     call: a 4x4 determinant takes 28 entry products, not 40."""
     exps = {e for r in rows for t in r for e in t}
     w = (len(rows) * max(map(sum, exps), default=0)).bit_length()
-    shifts = [w * i for i in range(len(next(iter(exps), ())))]
-    packed = {e: sum(x << s for x, s in zip(e, shifts)) for e in exps}
+    nvars = len(next(iter(exps), ()))
+    packed = {e: _pack(e, w) for e in exps}
     rows = [[{packed[e]: v for e, v in t.items()} for t in r] for r in rows]
 
     def reduced(acc):
@@ -329,12 +330,13 @@ def _cofactors(rows, subsets, prime) -> list:
             for m1, a in row[c].items() if sub else ():
                 a = -a if pos % 2 else a
                 for m2, b in sub.items():
-                    acc[m1 + m2] = acc.get(m1 + m2, 0) + a * b
+                    m = m1 + m2
+                    acc[m] = acc.get(m, 0) + a * b
         memo[cols] = reduced(acc)
         return memo[cols]
 
-    dets, mask = [minor(cols) for cols in subsets], (1 << w) - 1
-    unpacked = {m: tuple([m >> s & mask for s in shifts]) for m in set().union(*dets)}
+    dets = [minor(cols) for cols in subsets]
+    unpacked = {m: _unpack(m, w, nvars) for m in set().union(*dets)}
     return [{unpacked[m]: v for m, v in det.items()} for det in dets]
 
 

@@ -15,6 +15,9 @@ import sys
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "scripts"))
+from mutants import MUTANTS, unmatched  # noqa: E402
+
 SRC = os.path.join(ROOT, "src", "fano212")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 # the path of each module whose imports are checked: the package's by file
@@ -276,3 +279,10 @@ def test_error_codes_match_the_readme_table():
         with open(os.path.join(SRC, module), encoding="utf-8") as handle:
             raised |= error_codes(handle.read())
     assert raised and raised == readme_error_codes()
+
+
+def test_every_mutant_edits_one_place():
+    # scripts/mutants.py breaks what each entry says it breaks: its old text
+    # occurs exactly once and the new text differs; no subprocess is started
+    assert MUTANTS and unmatched(MUTANTS) == []
+    assert all(old != new for _, old, new, _ in MUTANTS)

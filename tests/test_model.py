@@ -67,7 +67,7 @@ from fano212.model import (
     sample_curve_points,
     validate_model,
 )
-from fano212.multipoly import MultiPoly, _cofactors, minors
+from fano212.multipoly import MultiPoly, _cofactors, _derivative, minors
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
 from run_survey import DIAGONAL_GRID, SWAP_GRID  # noqa: E402
@@ -901,7 +901,8 @@ def test_every_survey_instance_is_smooth_by_the_charts(source):
 def test_each_matrix_of_forms_is_built_once_for_both_rings(source):
     # _image keeps each entry's image in its place, and the pencil built on
     # those images has for determinant the image of the exact quartic, term
-    # by term, at the prime of the model's conductor
+    # by term, at the prime of the model's conductor; so has each partial
+    # derivative, taken by the one _derivative on either ring
     m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
     prime, grids = _image(m.matrices)
     anchor = Cyclotomic.zeta(lcm(*(v.n for mat in m.matrices for row in mat for v in row)))
@@ -912,17 +913,22 @@ def test_each_matrix_of_forms_is_built_once_for_both_rings(source):
         return residue
 
     assert grids == [[[image(v) for v in row] for row in mat] for mat in m.matrices]
-    quartic = {e: image(c) for e, c in determinantal_quartic(m).terms.items()}
-    assert _cofactors(_pencil(grids), [(0, 1, 2, 3)], prime) == [
-        {e: r for e, r in quartic.items() if r}]
+    q = determinantal_quartic(m)
+    quartic = {e: image(c) for e, c in q.terms.items()}
+    (quartic_mod_p,) = _cofactors(_pencil(grids), [(0, 1, 2, 3)], prime)
+    assert quartic_mod_p == {e: r for e, r in quartic.items() if r}
+    for i in range(3):
+        assert {e: r % prime for e, r in _derivative(quartic_mod_p, i).items() if r % prime} == {
+            e: image(c) for e, c in q.derivative(i).terms.items()}
 
 
 # SWAP_GRID[::3] is one swap cell of each order 2, 4, 6 and 8
 @pytest.mark.parametrize(
     "source", ["singular", "double point"] + DATA_MODELS
     + [(cell, 0) for cell in SWAP_GRID[::3] + DIAGONAL_GRID[:1]], ids=str)
-def test_quartic_decides_what_the_charts_decide(request, source):
-    # X is smooth iff its determinantal quartic is, so the two checks agree
+def test_quartic_decides_what_the_charts_decide(request, monkeypatch, source):
+    # X is smooth iff its determinantal quartic is, so the two checks agree;
+    # full_smoothness maps the model's 48 entries to F_p once, in validate_model
     if source == "singular":
         m = request.getfixturevalue("singular_model")
     elif source == "double point":
@@ -930,7 +936,15 @@ def test_quartic_decides_what_the_charts_decide(request, source):
     else:
         m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
     smooth = quartic_smooth(determinantal_quartic(m))
+    images = []
+
+    def fp_image(values):
+        images.append(len(values))
+        return _fp_image(values)
+
+    monkeypatch.setattr(model_module, "_fp_image", fp_image)
     assert smooth is full_smoothness(m)
+    assert images == [48]
     assert smooth is (source not in ("singular", "double point"))
 
 
