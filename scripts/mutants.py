@@ -47,6 +47,22 @@ MUTANTS = [
      "    image = validate_model(m)\n    if any(_singular_coordinate_point",
      "    validate_model(m)\n    image = None\n    if any(_singular_coordinate_point",
      ["tests/test_model.py::TestCertificateDecides::test_charts_not_unit_mod_p_run_exactly"]),
+    # rref's cross-multiplication without the pivot factor
+    ("fano212/linalg.py",
+     "[p * a - f * b if b else",
+     "[a - f * b if b else",
+     ["tests/test_linalg.py::test_rref_against_gauss_jordan_on_fractions"]),
+    # rref's mod-p branch without the reduction, which eliminates over Q
+    ("fano212/linalg.py",
+     "[(p * a - f * b) % prime for",
+     "[(p * a - f * b) for",
+     ["tests/test_model.py::test_rank_mod_p_is_the_largest_nonzero_minor"]),
+    # the rank-1 sign of invariant_pencil read as if u were 1 at its pivot
+    ("fano212/action.py",
+     "if sign == u[p] else",
+     "if sign == 1 else",
+     ["tests/test_action.py::test_pencil_matches_the_oracle",
+      "tests/test_action.py::test_refusal_matches_the_oracle"]),
 ]
 
 

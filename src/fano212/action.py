@@ -16,8 +16,8 @@ from math import gcd
 
 from .cyclotomic import Cyclotomic, _fp_image, cyc
 from .groebner import empty_mod_p
-from .linalg import rref
-from .model import (ModelTriple, _pencil, _rank_mod_p, combine, determinantal_quartic,
+from .linalg import matrix_rank, pivot_scales, rref
+from .model import (ModelTriple, _pencil, combine, determinantal_quartic,
                     validate_model, InputError)
 from .multipoly import _cofactors, _derivative
 
@@ -174,8 +174,8 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
       lambda-component.  These components of the block's basis span the
       lambda-eigenspace: the echelon form of u + lambda^-1 sigma(u) over the
       basis is an eigenbasis, and no eigenvalue is missing.  A block of
-      rank 1 is its own eigenvector u, with sigma(u) = +-lambda u; u is 1 at
-      its pivot, so lambda^-1 sigma(u) there is the sign.
+      rank 1 is its own eigenvector u, with sigma(u) = +-lambda u; u is
+      nonzero at its pivot p, so lambda^-1 sigma(u)[p] = +-u[p] is the sign.
     Only a refusal finds the first M_j with sigma(M_j) outside P, for its
     message, against the echelon form of the three forms.  Every product is
     taken at the forms' conductor, then rotated by its power of w."""
@@ -184,15 +184,18 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
     source, twist, mu = _sigma_on_entries(spec)
 
     def outside(u, basis, pivots, cols):
-        """Whether sigma(u) minus sum of sigma(u)[p] * row over the pivots p
-        and rows of the echelon basis is nonzero at one of the cols."""
+        """Whether D * sigma(u) minus sum of sigma(u)[p] * row over the pivots
+        p and rows of the echelon basis, each row scaled to the product D of
+        the pivots (pivot_scales), is nonzero at one of the cols."""
+        total, scales = pivot_scales(basis, pivots)
+        coeffs = [(p, row, u[source[p]] * s) for p, row, s in zip(pivots, basis, scales)]
         for c in (c for c in cols if c not in pivots):
-            total = u[source[c]].rotated(n, twist[c])
-            for p, row in zip(pivots, basis):
-                x = u[source[p]] * row[c]
+            diff = (u[source[c]] * total).rotated(n, twist[c])
+            for p, row, a in coeffs:
+                x = a * row[c]
                 if x:
-                    total = total - x.rotated(n, twist[p])
-            if total:
+                    diff = diff - x.rotated(n, twist[p])
+            if diff:
                 return True
         return False
 
@@ -216,7 +219,7 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
         if len(basis) == 1:
             (u,), (p,) = basis, pivots
             sign = u[source[p]].rotated(n, twist[p] - k // 2)
-            found.append((k // 2 if sign == 1 else k // 2 + n // 2,
+            found.append((k // 2 if sign == u[p] else k // 2 + n // 2,
                           [u.get(c, zero) for c in range(16)]))
             continue
         # u and lambda^-1 sigma(u) for lambda = w^(k/2); for -lambda it is negated
@@ -303,7 +306,7 @@ def _rejection(flat, images, merged, n: int, prime: int):
         forms.append([x % prime for x in form])
     grids = [[form[a:a + 4] for a in range(0, 16, 4)] for form in forms]
     q = _cofactors(_pencil(grids), [(0, 1, 2, 3)], prime)[0]
-    if not q or _rank_mod_p(forms, prime) < 3:
+    if not q or matrix_rank(forms, prime) < 3:
         try:
             model = ModelTriple(tuple(combine(cs, flat) for cs in merged), n)
             validate_model(model)
@@ -378,7 +381,7 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
         coeffs = [rng.randint(-3, 3) for _ in flat]
         while True:
             rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-            if _rank_mod_p([[x % prime for x in row] for row in rows], prime) == 3:
+            if matrix_rank([[x % prime for x in row] for row in rows], prime) == 3:
                 break
         merged = [[row[j] * c for j, c in zip(spans, coeffs)] for row in rows]
         failure = _rejection(flat, images, merged, n, prime)

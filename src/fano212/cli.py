@@ -54,7 +54,6 @@ from .model import (
     determinantal_quartic,
     full_smoothness,
     quartic_smooth,
-    rank_locus_check,
 )
 
 EXIT_OK = 0
@@ -165,8 +164,6 @@ def cmd_smooth(inst: Instance, args, report: Report) -> int:
     q = determinantal_quartic(inst.model)
     smooth_q = quartic_smooth(q)
     report.put("quartic.smooth", smooth_q)
-    # a smooth quartic has no rank-<=1 point (rank_locus_check), so smooth_q decides
-    report.put("rank-locus.no-rank-le-1", smooth_q or rank_locus_check(inst.model))
     ok = smooth_q
     if args.full:
         full = full_smoothness(inst.model)
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("validate", cmd_validate, "check the model and the action declaration")
-    p = add("smooth", cmd_smooth, "quartic and rank-locus smoothness checks")
+    p = add("smooth", cmd_smooth, "quartic smoothness check")
     p.add_argument("--full", action="store_true",
                    help="run the 16-chart Jacobian criterion (slow)")
     add("gfano", cmd_gfano, "report whether the invariant Picard rank is 1")

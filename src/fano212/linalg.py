@@ -1,13 +1,18 @@
-"""Exact dense linear algebra over cyclotomic scalars.
+"""Exact dense linear algebra over Q(zeta_N), or over F_p on residues.
 
-Gaussian elimination with exact pivots; pivot selection always takes the
-first row with a nonzero entry in the leftmost unresolved column, so results
-are deterministic.  Where the pivot row holds a zero, the scaling and the
-row update leave the entry as it is (0 * inv = 0 and a - f * 0 = a), so no
-scalar operation is run for it.
+One elimination serves both rings, by cross-multiplication and with no
+division: row_k <- p * row_k - a * row_r for the pivot p of row r and
+a = row_k[col].  As p is nonzero, each step is an invertible change of
+rows, so the row space stays the input's, and so do the pivot columns, the
+columns where the rank of the leading columns grows: the form left is the
+reduced row echelon form with row r scaled by its pivot value d_r.  The
+pivot is the first row with a nonzero entry in the leftmost column not yet
+used, so results are deterministic.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .cyclotomic import cyc
 
@@ -28,59 +33,69 @@ def _dot(u, v):
     return total
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+def rref(rows, prime=None):
+    """(rows, pivot_columns): the reduced row echelon form, row r scaled by
+    its pivot value, of Cyclotomic rows, or of residues mod prime when it is
+    given.  Over Q(zeta_N) a 0 in the pivot row costs one product, p * a,
+    and a 0 in both none."""
     m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
     pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if not m[r][col].is_zero():
-                pivot = r
-                break
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        pivot = next((r for r in range(k, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col].inverse()
-        m[row] = [v * inv if v else v for v in m[row]]
-        for r in range(len(m)):
-            if r != row and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [a - factor * b if b else a for a, b in zip(m[r], m[row])]
+        m[k], m[pivot] = m[pivot], m[k]
+        top, p = m[k], m[k][col]
+        for r, row in enumerate(m):
+            f = row[col]
+            if r == k or not f:
+                continue
+            if prime is None:
+                m[r] = [p * a - f * b if b else p * a if a else a for a, b in zip(row, top)]
+            else:
+                m[r] = [(p * a - f * b) % prime for a, b in zip(row, top)]
         pivots.append(col)
-        row += 1
-        if row == len(m):
+        if len(pivots) == len(m):
             break
     return m, pivots
 
-def matrix_rank(rows) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
+
+def matrix_rank(rows, prime=None) -> int:
+    return len(rref(rows, prime)[1])
+
+
+def pivot_scales(red, pivots):
+    """(D, [D / d_r]) for the pivot values d_r of rref's rows and D their
+    product, by products alone: row r times D / d_r has pivot D."""
+    d = [row[c] for row, c in zip(red, pivots)]
+    return prod(d, start=cyc(1)), [prod(d[:r] + d[r + 1:], start=cyc(1)) for r in range(len(d))]
 
 
 def nullspace(rows):
-    """Basis of the right kernel, one vector per free column, in column order."""
+    """Basis of the right kernel, one vector per free column, in column order:
+    D there and -row_r[free] * D / d_r at pivot column c_r (pivot_scales),
+    which row r sends to 0."""
     ncols = len(rows[0]) if rows else 0
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    total, scales = pivot_scales(red, pivots)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [cyc(0)] * ncols
-        vec[fc] = cyc(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+        vec[fc] = total
+        for row, pc, s in zip(red, pivots, scales):
+            vec[pc] = -row[fc] * s
         basis.append(vec)
     return basis
 
 
 def proj_normalize(vec):
-    """Scale so the first nonzero coordinate is 1."""
-    for v in vec:
-        if not v.is_zero():
+    """Scale so the first nonzero coordinate is 1, written cyc(1) whatever
+    the conductor of the vector (nullspace puts its products there)."""
+    for i, v in enumerate(vec):
+        if v:
             inv = v.inverse()
-            return [u * inv for u in vec]
+            out = [u * inv for u in vec]
+            out[i] = cyc(1)
+            return out
     raise ValueError("cannot normalize the zero vector")

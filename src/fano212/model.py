@@ -24,8 +24,7 @@ from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
 from .groebner import (DegreeCapExceeded, _holds_mod_p, _is_unit, _mod_p_run, empty_mod_p,
                        hilbert_polynomial, projective_empty, unit_mod_p_or_q)
 from .linalg import mat_mul, mat_transpose, matrix_rank, nullspace, proj_normalize
-from .multipoly import (MultiPoly, _cofactors, _expand, _restrict, maximal_minors, minors,
-                        poly_det)
+from .multipoly import MultiPoly, _cofactors, _expand, _restrict, maximal_minors, poly_det
 
 
 class Side(Enum):
@@ -85,7 +84,7 @@ def validate_model(m: ModelTriple):
     image = _image(m.matrices)
     if image is not None:
         prime, grids = image
-        if _rank_mod_p([[v for row in mat for v in row] for mat in grids], prime) == 3:
+        if matrix_rank([[v for row in mat for v in row] for mat in grids], prime) == 3:
             return image
     if matrix_rank([[v for row in mat for v in row] for mat in m.matrices]) != 3:
         raise InputError(
@@ -105,21 +104,6 @@ def _image(matrices):
     prime, values = image
     return prime, [[values[k:k + 4] for k in range(16 * i, 16 * i + 16, 4)]
                    for i in range(len(matrices))]
-
-
-def _rank_mod_p(rows, prime: int) -> int:
-    """The rank of a matrix of residues in [0, prime): each nonzero row in
-    turn is scaled to a pivot 1 and cleared from the rows after it, and rows
-    that are or become zero drop out."""
-    rank, rows = 0, [r for r in rows if any(r)]
-    while rows:
-        top, *rows = rows
-        col = next(c for c, x in enumerate(top) if x)
-        f, rank = pow(top[col], -1, prime), rank + 1
-        top = [x * f % prime for x in top]
-        rows = [[(x - r[col] * y) % prime for x, y in zip(r, top)] if r[col] else r for r in rows]
-        rows = [r for r in rows if any(r)]
-    return rank
 
 
 # -- the pencil, forms and matrices of linear forms -------------------------------
@@ -266,23 +250,6 @@ def quartic_smooth(q: MultiPoly) -> bool:
     return projective_empty(partials)
 
 
-def rank_locus_check(m: ModelTriple) -> bool:
-    """True iff the matrix of linear forms never drops to rank <= 1 on P3:
-    the 18 2x2 minors have empty projective vanishing locus.
-
-    A smooth determinantal quartic implies True, so `smooth` asks only when
-    quartic_smooth is False.  Say L(x), the 3x4 matrix with rows x^T M_i, has
-    rank <= 1 at some x != 0.  The a with x^T M(a) = 0 then form a space of
-    dimension >= 2, so det M(a) vanishes on a line l in P2; it is not
-    identically zero (determinantal_quartic refuses that), so it is l*C for
-    a cubic C, and it is singular on the nonempty l meet C.  The same holds
-    on the second side, which is this check on m.transposed()."""
-    quadrics = [f for f in minors(coeff_matrix(m), 2) if not f.is_zero()]
-    if not quadrics:
-        return False
-    return projective_empty(quadrics)
-
-
 # the cells (i, j) of P3 x P3, in the order of their charts x_i = 1, y_j = 1,
 # and the column subsets of a 3x8 matrix, in lexicographic order
 _CELLS = [(i, j) for i in range(4) for j in range(4)]
@@ -294,7 +261,7 @@ def _singular_coordinate_point(m: ModelTriple, i: int, j: int, image) -> bool:
     (full_smoothness, step 1).  Where every M_k[i][j] is 0 the Jacobian of
     the forms is the scalar 3x8 matrix with row k (column j of M_k, row i of
     M_k), as grad_x F_k = M_k y and grad_y F_k = M_k^T x.  Rank 3 of its
-    image at the call's prime (image, from _image; _rank_mod_p) certifies
+    image at the call's prime (image, from _image; matrix_rank) certifies
     rank 3; a lower rank mod p, or no image, is confirmed by the 56 exact
     3x3 minors, one _expand of scalars, which takes no inverse."""
     def jacobian(grids):  # on either ring: row k is column j of M_k, then row i
@@ -302,7 +269,7 @@ def _singular_coordinate_point(m: ModelTriple, i: int, j: int, image) -> bool:
 
     if any(mat[i][j] for mat in m.matrices):
         return False
-    if image is not None and _rank_mod_p(jacobian(image[1]), image[0]) == 3:
+    if image is not None and matrix_rank(jacobian(image[1]), image[0]) == 3:
         return False
     return not any(_expand(jacobian(m.matrices), _TRIPLES))
 

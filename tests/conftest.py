@@ -318,14 +318,14 @@ def pencil_eigen_check(pencil) -> bool:
 def solve(rows, rhs):
     """One exact solution of A x = b, or None when inconsistent.  Free
     variables are set to zero; with full column rank this is the unique
-    solution."""
+    solution.  rref keeps each pivot value, so the oracle divides by it."""
     ncols = len(rows[0])
     red, pivots = rref([list(r) + [v] for r, v in zip(rows, rhs)])
     if ncols in pivots:
         return None
     x = [cyc(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = red[r][ncols] / red[r][pc]
     return x
 
 

@@ -630,7 +630,7 @@ def test_a_rank_lost_mod_p_falls_back_to_the_exact_rank(monkeypatch):
     # the draw that independent forms give is still returned
     cell = (4, (0, 0, 2, 2), (0, 1, 2))
     expected, _ = random_equivariant_model(*cell, seed=0)
-    rank = action_module._rank_mod_p
-    monkeypatch.setattr(action_module, "_rank_mod_p",
+    rank = action_module.matrix_rank
+    monkeypatch.setattr(action_module, "matrix_rank",
                         lambda rows, prime: 2 if len(rows[0]) == 16 else rank(rows, prime))
     assert random_equivariant_model(*cell, seed=0)[0].matrices == expected.matrices

