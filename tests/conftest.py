@@ -15,7 +15,7 @@ from fano212 import model as model_module
 from fano212.cohomology import InconclusiveCohomology, koszul_cohomology_on_X
 from fano212.cyclotomic import Cyclotomic, _fold_terms, _literal_terms, cyc
 from fano212.groebner import (_exact_basis, _guard, _interreduce, _mod_p_basis, _unpack,
-                              hilbert_polynomial, monomial_divides)
+                              hilbert_polynomial, monomial_divides, projective_empty)
 from fano212.linalg import mat_mul, mat_transpose, nullspace, rref
 from fano212.model import (
     _LINE,
@@ -28,7 +28,7 @@ from fano212.model import (
     quartic_smooth,
     validate_model,
 )
-from fano212.multipoly import MultiPoly, maximal_minors
+from fano212.multipoly import MultiPoly, maximal_minors, minors
 
 # (order, weights, exponents) combinations verified to admit smooth swap
 # instances; spans orders 2, 4, 6, 8 with varied weights and exponents.
@@ -235,6 +235,20 @@ def rank_one_at_vertex_model():
     g2[0] = [0, 0, 0, 0]
     g3[0] = [0, 0, 0, 0]
     return model_from_matrices([g1, g2, g3])
+
+
+def rank_locus_oracle(m):
+    """True iff the matrix of linear forms never drops to rank <= 1 on P3:
+    its 2x2 minors have empty projective vanishing locus.
+
+    The lemma that lets `smooth` read its answer off the quartic alone: say
+    L(x), the 3x4 matrix with rows x^T M_i, has rank <= 1 at some x != 0.
+    The a with x^T M(a) = 0 then form a space of dimension >= 2, so det M(a)
+    vanishes on a line l in P2; it is not identically zero, so it is l*C
+    for a cubic C, and it is singular on the nonempty l meet C.  The same
+    holds on the second side, which is this oracle on m.transposed()."""
+    quadrics = [f for f in minors(coeff_matrix(m), 2) if not f.is_zero()]
+    return bool(quadrics) and projective_empty(quadrics)
 
 
 def _intersect(d1, d2, d3):

@@ -20,6 +20,8 @@ from conftest import (
     proj_equal,
     qp_eval,
     random_rational_matrix,
+    rank_locus_oracle,
+    rank_one_at_vertex_model,
     rational_roots_oracle,
     solve,
     univariate_coeffs,
@@ -357,6 +359,23 @@ class TestQuarticSmooth:
         x = variables(3)[0]
         with pytest.raises(ValueError):
             quartic_smooth(power(x, 3))
+
+
+class TestRankLocus:
+    def test_smooth_instance(self, planted_model):
+        m, _ = planted_model
+        assert rank_locus_oracle(m) is True
+
+    def test_rank_one_at_vertex(self):
+        m = rank_one_at_vertex_model()
+        assert rank_locus_oracle(m) is False
+        # the lemma of rank_locus_oracle: the quartic vanishes on the line of
+        # the a with e0^T M(a) = 0, and is singular on it
+        assert quartic_smooth(determinantal_quartic(m)) is False
+
+    def test_degenerate_triple(self):
+        m = model_from_matrices([identity4(), e_matrix(0, 0), e_matrix(1, 1)])
+        assert rank_locus_oracle(m) is False
 
 
 class TestCurveQuarticMaps:
@@ -847,7 +866,15 @@ DATA_MODELS = ["swap_n8.txt", "symmetric_n2.txt"]
 SURVEY_MODELS = [(cell, seed) for seed in (0, 1) for cell in SWAP_GRID + DIAGONAL_GRID]
 
 
-# every cell of run_survey.py (its CELLS are these two grids) at seeds 0-3
+@pytest.mark.parametrize("source", DATA_MODELS + SURVEY_MODELS, ids=str)
+def test_smooth_quartic_has_no_rank_le_1_point(source):
+    # the lemma that lets `smooth` read its answer off quartic_smooth alone,
+    # computed on both sides (the second as the first side of the transpose)
+    m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
+    assert quartic_smooth(determinantal_quartic(m)) is True
+    assert rank_locus_oracle(m) is True
+    assert rank_locus_oracle(m.transposed()) is True
+
 CENTRE_MODELS = [(cell, seed) for seed in range(4) for cell in SWAP_GRID + DIAGONAL_GRID]
 
 
@@ -931,6 +958,7 @@ class TestFullSmoothness:
         validate_model(m)
         q = determinantal_quartic(m)
         assert quartic_smooth(q)
+        assert rank_locus_oracle(m)
         assert hilbert_polynomial(minor_cubics(m, Side.FIRST)) == (
             Fraction(-2),
             Fraction(6),
