@@ -57,12 +57,17 @@ MUTANTS = [
      "[(p * a - f * b) % prime for",
      "[(p * a - f * b) for",
      ["tests/test_model.py::test_rank_mod_p_is_the_largest_nonzero_minor"]),
-    # the rank-1 sign of invariant_pencil read as if u were 1 at its pivot
+    # invariant_pencil accepting on the eigen-row count alone, not on the
+    # block ranks' sum
     ("fano212/action.py",
-     "if sign == u[p] else",
-     "if sign == 1 else",
-     ["tests/test_action.py::test_pencil_matches_the_oracle",
-      "tests/test_action.py::test_refusal_matches_the_oracle"]),
+     "if not len(found) == rank == 3:",
+     "if len(found) != 3:",
+     ["tests/test_action.py::test_a_block_that_sigma_leaves_is_refused"]),
+    # invariant_pencil's -lambda group built from sums, as the lambda group
+    ("fano212/action.py",
+     "[[a - b for a, b in p] for p in pairs]",
+     "[[a + b for a, b in p] for p in pairs]",
+     ["tests/test_action.py::TestInvariantPencil::test_pencil_spans_model"]),
 ]
 
 

@@ -154,42 +154,39 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
     s_j of its eigenvalues w^{s_j}, in ascending order.
 
     tau scales entry c by w^mu[c] (_sigma_on_entries), so the projection
-    pi_mu onto the block of entries with that mu is a polynomial in tau.
-    - Block ranks.  P lies in the sum of the pi_mu(P), whose dimension is the
-      sum of the ranks of the forms restricted to the blocks (each block's
-      echelon basis taken on its own columns, a dict), so P is
-      tau-stable exactly when the ranks add up to 3; if sigma-stable, it is.
-    - In-block check.  Then P is the sum of its blocks, and sigma, which
-      commutes with tau, maps each block to itself; so P is sigma-stable
-      exactly when sigma(B_k) lies in the span of each block's echelon basis
-      B: its entries on the pivots give the combination of B, and the
-      others are checked against it.  For a diagonal action sigma = tau is
-      the scalar w^k on block k, so the check cannot fail and is skipped,
-      and each B_k is an eigenvector.
-    - The split.  For a swap sigma^2 = tau = w^mu on a block, with mu even
-      as the weights share parity, so sigma^2 = lambda^2 there for lambda =
-      w^(mu/2) and for -lambda = w^(mu/2 + n/2).  Each u of the block is the
-      sum of its lambda- and -lambda-components, on which sigma acts by
-      lambda and -lambda, so u + lambda^-1 sigma(u) is twice its
-      lambda-component.  These components of the block's basis span the
-      lambda-eigenspace: the echelon form of u + lambda^-1 sigma(u) over the
-      basis is an eigenbasis, and no eigenvalue is missing.  A block of
-      rank 1 is its own eigenvector u, with sigma(u) = +-lambda u; u is
-      nonzero at its pivot p, so lambda^-1 sigma(u)[p] = +-u[p] is the sign.
-    Only a refusal finds the first M_j with sigma(M_j) outside P, for its
-    message, against the echelon form of the three forms.  Every product is
-    taken at the forms' conductor, then rotated by its power of w."""
+    pi_k onto the block of entries with mu = k is a polynomial in tau, and
+    P lies in the sum of the P_k = pi_k(P), of dimension the sum of the
+    ranks d_k of the forms restricted to the blocks (each block's echelon
+    basis taken on its own columns).  So the d_k add up to at least 3, with
+    equality exactly when P is tau-stable.  sigma commutes with tau, so it
+    maps each block to itself; each block's eigen-rows are:
+    - for a swap, tau = sigma^2 = w^k on block k, with k even as the weights
+      share parity, so sigma^2 = lambda^2 there for lambda = w^(k/2) and
+      -lambda = w^(k/2 + n/2).  For u in the block, u + lambda^-1 sigma(u)
+      and u - lambda^-1 sigma(u) are eigenvectors for lambda and -lambda,
+      and together they span u and sigma(u).  The echelon rows of each over
+      the block's basis are e_k independent eigenvectors spanning
+      P_k + sigma(P_k), so e_k >= d_k, with equality exactly when P_k is
+      sigma-stable;
+    - for a diagonal action, sigma = tau is the scalar w^k on block k, so
+      the basis itself is the eigen-rows (rref leaves a reduced form as it
+      is), and e_k = d_k always.
+    Hence P is sigma-stable exactly when every e_k = d_k and the d_k add up
+    to 3; the loop stops at the first block where either fails.  Only a
+    refusal then finds the first M_j with sigma(M_j) outside P, for its
+    message, against the echelon form of the three forms; its products are
+    taken at the forms' conductor, then rotated by their power of w."""
     validate_action(spec)
     n = spec.order
     source, twist, mu = _sigma_on_entries(spec)
 
-    def outside(u, basis, pivots, cols):
+    def outside(u, basis, pivots):
         """Whether D * sigma(u) minus sum of sigma(u)[p] * row over the pivots
         p and rows of the echelon basis, each row scaled to the product D of
-        the pivots (pivot_scales), is nonzero at one of the cols."""
+        the pivots (pivot_scales), is nonzero."""
         total, scales = pivot_scales(basis, pivots)
         coeffs = [(p, row, u[source[p]] * s) for p, row, s in zip(pivots, basis, scales)]
-        for c in (c for c in cols if c not in pivots):
+        for c in (c for c in range(16) if c not in pivots):
             diff = (u[source[c]] * total).rotated(n, twist[c])
             for p, row, a in coeffs:
                 x = a * row[c]
@@ -200,37 +197,33 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
         return False
 
     rows = [[v for row in mat for v in row] for mat in m.matrices]
-    zero, blocks, found = cyc(0), [], []
+    zero, rank, found = cyc(0), 0, []
     for k in set(mu):
         cols = [c for c in range(16) if mu[c] == k]
         red, pivots = rref([[row[c] for c in cols] for row in rows])
-        blocks.append((k, [dict(zip(cols, u)) for u in red[:len(pivots)]],
-                       [cols[i] for i in pivots], cols))
-    if sum(len(block[2]) for block in blocks) != 3 or spec.swap and any(
-            outside(u, *block[1:]) for block in blocks for u in block[1]):
-        red, pivots = rref(rows)
-        j = next(j for j, u in enumerate(rows) if outside(u, red[:3], pivots, range(16)))
-        raise InputError("pencil-not-invariant", "the action does not preserve the span of "
-                         "the three forms (form %d maps outside the pencil)" % (j + 1))
-    for k, basis, pivots, cols in blocks:
-        if not spec.swap:
-            found += [(k, [u.get(c, zero) for c in range(16)]) for u in basis]
-            continue
-        if len(basis) == 1:
-            (u,), (p,) = basis, pivots
-            sign = u[source[p]].rotated(n, twist[p] - k // 2)
-            found.append((k // 2 if sign == u[p] else k // 2 + n // 2,
-                          [u.get(c, zero) for c in range(16)]))
-            continue
-        # u and lambda^-1 sigma(u) for lambda = w^(k/2); for -lambda it is negated
-        pairs = [[(u[c], u[source[c]].rotated(n, twist[c] - k // 2)) for c in cols]
-                 for u in basis]
-        for s, rows in ((k // 2, [[a + b for a, b in p] for p in pairs]),
-                        (k // 2 + n // 2, [[a - b for a, b in p] for p in pairs])):
-            red, pivots = rref(rows)
+        basis = red[:len(pivots)]
+        rank += len(basis)
+        if spec.swap:
+            # u and lambda^-1 sigma(u) for lambda = w^(k/2); for -lambda it is negated
+            at = {c: i for i, c in enumerate(cols)}
+            pairs = [[(u[i], u[at[source[c]]].rotated(n, twist[c] - k // 2))
+                      for i, c in enumerate(cols)] for u in basis]
+            groups = ((k // 2, [[a + b for a, b in p] for p in pairs]),
+                      (k // 2 + n // 2, [[a - b for a, b in p] for p in pairs]))
+        else:
+            groups = ((k, basis),)
+        for s, group in groups:
+            red, pivots = rref(group)
             for row in red[:len(pivots)]:
                 u = dict(zip(cols, row))
                 found.append((s, [u.get(c, zero) for c in range(16)]))
+        if len(found) != rank or rank > 3:
+            break
+    if not len(found) == rank == 3:
+        red, pivots = rref(rows)
+        j = next(j for j, u in enumerate(rows) if outside(u, red[:3], pivots))
+        raise InputError("pencil-not-invariant", "the action does not preserve the span of "
+                         "the three forms (form %d maps outside the pencil)" % (j + 1))
     found.sort(key=lambda item: item[0])
     return InvariantPencil(tuple(tuple(tuple(u[4 * p:4 * p + 4]) for p in range(4))
                                  for _, u in found), tuple(s for s, _ in found), spec)

@@ -21,18 +21,6 @@ def mat_transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def mat_mul(a, b):
-    bt = mat_transpose(b)
-    return [[_dot(row, col) for col in bt] for row in a]
-
-
-def _dot(u, v):
-    total = cyc(0)
-    for x, y in zip(u, v):
-        total = total + x * y
-    return total
-
-
 def rref(rows, prime=None):
     """(rows, pivot_columns): the reduced row echelon form, row r scaled by
     its pivot value, of Cyclotomic rows, or of residues mod prime when it is

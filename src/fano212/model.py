@@ -23,7 +23,7 @@ from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
                          _rational_reconstruction, _trim, cyc, euler_phi)
 from .groebner import (DegreeCapExceeded, _holds_mod_p, _is_unit, _mod_p_run, empty_mod_p,
                        hilbert_polynomial, projective_empty, unit_mod_p_or_q)
-from .linalg import mat_mul, mat_transpose, matrix_rank, nullspace, proj_normalize
+from .linalg import mat_transpose, matrix_rank, nullspace, proj_normalize
 from .multipoly import MultiPoly, _cofactors, _expand, _restrict, maximal_minors, poly_det
 
 
@@ -110,7 +110,7 @@ def _image(matrices):
 
 
 def combine(coeffs, matrices):
-    """The 4x4 matrix sum of c * M over paired coefficients and matrices.
+    """The matrix sum of c * M over paired coefficients and matrices.
 
     A matrix whose c is not rational is multiplied out first.  Then each
     entry is one sum of integer numerators over its nonzero terms: with N
@@ -138,7 +138,8 @@ def combine(coeffs, matrices):
         scaled = [[den // (d * x.den) * a * v for v in x.lift(n).num] for a, d, x in part]
         num = tuple(map(sum, zip(*scaled))) if len(scaled) > 1 else tuple(*scaled)
         out.append(Cyclotomic._lowest(n, num or (0,) * euler_phi(n), den))
-    return tuple(tuple(out[4 * j:4 * j + 4]) for j in range(4))
+    width = len(matrices[0][0])
+    return tuple(tuple(out[j:j + width]) for j in range(0, len(out), width))
 
 
 def _units(nvars: int):
@@ -399,7 +400,7 @@ def quartic_point_to_curve_point(m: ModelTriple, p, side: Side = Side.FIRST):
     point lies on the quartic exactly when that determinant vanishes, that
     is, when the kernel is not zero.
     """
-    pencil = combine([cyc(v) for v in p], m.sided(side).matrices)
+    pencil = combine(p, m.sided(side).matrices)
     kernel = nullspace(mat_transpose(pencil))
     if not kernel:
         raise ValueError("the point does not lie on the determinantal quartic")
@@ -414,9 +415,9 @@ def quartic_point_to_curve_point(m: ModelTriple, p, side: Side = Side.FIRST):
 def curve_point_to_quartic_point(m: ModelTriple, c, side: Side = Side.FIRST):
     """Inverse kernel map: a point on the sided centre determines the unique
     pencil member [x:y:z] whose matrix annihilates it."""
-    c = [cyc(v) for v in c]
     # row i is c^T M_i, the matrix of linear forms at c
-    scalar_rows = [mat_mul([c], mat)[0] for mat in m.sided(side).matrices]
+    mats = m.sided(side).matrices
+    scalar_rows = combine(c, [[mat[k] for mat in mats] for k in range(4)])
     # the kernel of the columns gives the pencil coefficients, and the rank,
     # 3 minus its dimension
     kernel = nullspace(mat_transpose(scalar_rows))

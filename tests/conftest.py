@@ -16,7 +16,7 @@ from fano212.cohomology import InconclusiveCohomology, koszul_cohomology_on_X
 from fano212.cyclotomic import Cyclotomic, _fold_terms, _literal_terms, cyc
 from fano212.groebner import (_exact_basis, _guard, _interreduce, _mod_p_basis, _unpack,
                               hilbert_polynomial, monomial_divides, projective_empty)
-from fano212.linalg import mat_mul, mat_transpose, nullspace, rref
+from fano212.linalg import mat_transpose, nullspace, rref
 from fano212.model import (
     _LINE,
     InputError,
@@ -300,6 +300,11 @@ def proj_equal(u, v) -> bool:
                 return False
     # supports must agree
     return all(x.is_zero() == y.is_zero() for x, y in zip(u, v))
+
+
+def mat_mul(a, b):
+    """The matrix product of two grids of Cyclotomic entries."""
+    return [[sum((x * y for x, y in zip(row, col)), cyc(0)) for col in zip(*b)] for row in a]
 
 
 def action_image(mat, spec):

@@ -18,6 +18,7 @@ from conftest import (
     eigen_relation_holds,
     exact_rejection,
     lifted,
+    mat_mul,
     oracle_pencil,
     pencil_eigen_check,
     proj_equal,
@@ -49,7 +50,7 @@ from fano212.action import (
 )
 from fano212.cyclotomic import Cyclotomic, _fp_image, cyc
 from fano212.instancefile import Instance, parse_instance, serialize_instance
-from fano212.linalg import mat_mul, matrix_rank
+from fano212.linalg import matrix_rank
 from fano212.model import InputError, ModelTriple, combine, determinantal_quartic, \
     model_from_matrices, quartic_smooth
 from fano212.multipoly import MultiPoly
@@ -365,6 +366,24 @@ def test_refusal_matches_the_oracle(case):
     if message is None:
         exponents = oracle_pencil(m, spec)
         assert invariant_pencil(m, spec).exponents == tuple(exponents)
+
+
+def _units(*cells):
+    """The model of the matrix units E_ij at the cells (i, j)."""
+    return model_from_matrices([[[int((a, b) == cell) for b in range(4)] for a in range(4)]
+                                for cell in cells])
+
+
+@pytest.mark.parametrize("spec, m", [
+    # block mu = 0 has rank d = 2 but splits into 3 eigen-rows: E00 and E01 +- E10
+    (ActionSpec(4, (0, 0, 2, 2)), _units((0, 1), (0, 0), (0, 2))),
+    # one block, of rank 3, splits into 4 eigen-rows
+    (ActionSpec(2, (0, 0, 0, 0)), _units((0, 1), (0, 0), (1, 1))),
+], ids=["ranks-add-to-3", "one-block"])
+def test_a_block_that_sigma_leaves_is_refused(spec, m):
+    message = refusal(m, spec, invariant_pencil)
+    assert message == refusal(m, spec, action_matrix) is not None
+    assert "form 1 " in message
 
 
 def test_order_1024_reads_the_exponents_off_the_blocks():

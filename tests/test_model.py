@@ -15,6 +15,7 @@ from conftest import (
     exact_hilbert_runs,
     fiber_section,
     leibniz,
+    mat_mul,
     planted_quartic_point_model,
     power,
     proj_equal,
@@ -42,7 +43,7 @@ from fano212.groebner import (
 )
 from fano212.action import random_diagonal_model, random_equivariant_model
 from fano212.instancefile import load_instance
-from fano212.linalg import mat_mul, mat_transpose, matrix_rank
+from fano212.linalg import mat_transpose, matrix_rank
 from fano212.model import (
     _CELLS,
     _image,
