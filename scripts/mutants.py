@@ -47,6 +47,16 @@ MUTANTS = [
      "    image = validate_model(m)\n    if any(_singular_coordinate_point",
      "    validate_model(m)\n    image = None\n    if any(_singular_coordinate_point",
      ["tests/test_model.py::TestCertificateDecides::test_charts_not_unit_mod_p_run_exactly"]),
+    # the Kronecker bound without the factor size!, the number of Leibniz terms
+    ("fano212/multipoly.py",
+     "bound = factorial(size) * prod(",
+     "bound = prod(",
+     ["tests/test_multipoly.py::test_kronecker_bound_is_met_exactly"]),
+    # _singular_coordinate_point taking an exact rank 2 for a smooth point
+    ("fano212/model.py",
+     "matrix_rank(jacobian(m.matrices)) < 3",
+     "matrix_rank(jacobian(m.matrices)) < 2",
+     ["tests/test_model.py::TestStrata::test_a_singular_coordinate_point_needs_no_groebner_run"]),
     # rref's cross-multiplication without the pivot factor
     ("fano212/linalg.py",
      "[p * a - f * b if b else",

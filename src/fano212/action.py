@@ -19,7 +19,7 @@ from .groebner import empty_mod_p
 from .linalg import matrix_rank, pivot_scales, rref
 from .model import (ModelTriple, _pencil, combine, determinantal_quartic,
                     validate_model, InputError)
-from .multipoly import _cofactors, _derivative
+from .multipoly import _derivative, minors
 
 
 @dataclass(frozen=True)
@@ -286,10 +286,10 @@ _ATTEMPTS = 50
 def _rejection(flat, images, merged, n: int, prime: int):
     """Why _random_model rejects the draw whose form i is the sum of
     merged[i][k] * flat[k], decided mod prime on images[k], the pairs
-    (e, residue) of the nonzero entries e (row-major) of flat[k]: the text
-    of an exact refusal of validate_model or determinantal_quartic, or that
-    the quartic is singular mod p; None when its partials have an empty
-    locus mod p."""
+    (e, residue) of the nonzero entries e (row-major) of flat[k], with the
+    quartic's image one minor mod p (minors): the text of an exact refusal
+    of validate_model or determinantal_quartic, or that the quartic is
+    singular mod p; None when its partials have an empty locus mod p."""
     forms = []
     for cs in merged:
         form = [0] * 16
@@ -298,7 +298,7 @@ def _rejection(flat, images, merged, n: int, prime: int):
                 form[e] += c * r
         forms.append([x % prime for x in form])
     grids = [[form[a:a + 4] for a in range(0, 16, 4)] for form in forms]
-    q = _cofactors(_pencil(grids), [(0, 1, 2, 3)], prime)[0]
+    q = minors(_pencil(grids), [(0, 1, 2, 3)], prime)[0]
     if not q or matrix_rank(forms, prime) < 3:
         try:
             model = ModelTriple(tuple(combine(cs, flat) for cs in merged), n)
@@ -331,8 +331,8 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
     change-of-basis entry times the eigenspace coefficient.  Reduction mod
     p is a ring map, so it commutes with these combinations, det and each
     derivative: the images of a draw's forms, quartic and partials are the
-    combinations of the eigenbasis images, their determinant (_cofactors on
-    _pencil, as determinantal_quartic over Q(zeta_N)) and its partials.  So
+    combinations of the eigenbasis images, their determinant (minors mod p
+    on _pencil, as determinantal_quartic over Q(zeta_N)) and its partials.  So
     each test is the exact route's on equal inputs:
     - a change of basis has rank 3 mod p iff its determinant, at most
       3! * 2^3 = 48 < p in size, is nonzero;

@@ -24,7 +24,7 @@ from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
 from .groebner import (DegreeCapExceeded, _holds_mod_p, _is_unit, _mod_p_run, empty_mod_p,
                        hilbert_polynomial, projective_empty, unit_mod_p_or_q)
 from .linalg import mat_transpose, matrix_rank, nullspace, proj_normalize
-from .multipoly import MultiPoly, _cofactors, _expand, _restrict, maximal_minors, poly_det
+from .multipoly import MultiPoly, _restrict, minors, poly_det
 
 
 class Side(Enum):
@@ -154,8 +154,9 @@ _XY = [tuple(map(add, x, y)) for x in _X8[:4] for y in _X8[4:]]
 
 def _form(coeffs, monomials) -> dict:
     """The sum of c * x^e over paired coefficients, Cyclotomic or residues,
-    and exponent tuples, as a term dict with no zero coefficient; the exact
-    callers wrap it in MultiPoly._of."""
+    and exponent tuples, as a term dict with no zero coefficient: an entry
+    of the matrices whose minors (multipoly.minors) are taken on either
+    ring."""
     return {e: c for c, e in zip(coeffs, monomials) if c}
 
 
@@ -171,20 +172,15 @@ def _jacobian(grids) -> list:
             for mat in grids]
 
 
-def bilinear_forms(m: ModelTriple):
-    """The three forms x^T M_i y as polynomials in x0..x3, y0..y3."""
-    return [MultiPoly._of(8, _form([v for row in mat for v in row], _XY)) for mat in m.matrices]
-
-
-def coeff_matrix(m: ModelTriple, side: Side = Side.FIRST):
-    """3x4 matrix of linear forms in x0..x3; row i is x^T M_i (or x^T M_i^T)."""
-    return [[MultiPoly._of(4, _form(c, _X4)) for c in zip(*mat)] for mat in m.sided(side).matrices]
+_WITHOUT = [tuple(c for c in range(4) if c != i) for i in range(4)]
 
 
 def minor_cubics(m: ModelTriple, side: Side = Side.FIRST) -> list:
-    """Generators of the ideal of the blowdown centre: the nonzero 3x3 minors
-    of coeff_matrix."""
-    cubics = [f for f in maximal_minors(coeff_matrix(m, side)) if not f.is_zero()]
+    """Generators of the ideal of the blowdown centre: the nonzero 3x3 minors,
+    the one without column i at place i (_WITHOUT), of the 3x4 matrix of
+    linear forms in x0..x3 with row i x^T M_i (x^T M_i^T on side SECOND)."""
+    rows = [[_form(col, _X4) for col in zip(*mat)] for mat in m.sided(side).matrices]
+    cubics = [MultiPoly._of(4, f) for f in minors(rows, _WITHOUT) if f]
     if not cubics:
         raise InputError(
             "degenerate-rank",
@@ -205,7 +201,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
 
     The sided matrices are mapped to F_p (_image), and the 3x4 matrix of
     linear forms is restricted to the line L = {s*a + t*b} (_LINE), each
-    entry a binary linear form; its maximal minors (_cofactors) are
+    entry a binary linear form; its maximal minors (minors, mod p) are
     binary cubics.  Restriction to L and the map to F_p are ring maps, so
     the cubics are the images of the minors of the exact matrix on L; when
     empty_mod_p finds no common zero of them the centre misses L over Qbar
@@ -223,7 +219,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
         # entry (i, j) on L: s * a^T M_i e_j + t * b^T M_i e_j, in s, t
         lines = [[_form([sum(map(mul, point, col)) for point in _LINE], _X2) for col in zip(*mat)]
                  for mat in grids]
-        cubics = _cofactors(lines, list(combinations(range(4), 3)), prime)
+        cubics = minors(lines, list(combinations(range(4), 3)), prime)
         if empty_mod_p([f for f in cubics if f], 2, prime):
             return (Fraction(-2), Fraction(6))
     return hilbert_polynomial(minor_cubics(m, side))
@@ -234,7 +230,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
 
 def determinantal_quartic(m: ModelTriple) -> MultiPoly:
     """Q(x, y, z) = det(x*M1 + y*M2 + z*M3)."""
-    q = poly_det([[MultiPoly._of(3, t) for t in row] for row in _pencil(m.matrices)])
+    q = MultiPoly._of(3, poly_det(_pencil(m.matrices)))
     if q.is_zero():
         raise InputError("degenerate-pencil", "det(xM1 + yM2 + zM3) is identically zero")
     return q
@@ -263,8 +259,8 @@ def _singular_coordinate_point(m: ModelTriple, i: int, j: int, image) -> bool:
     the forms is the scalar 3x8 matrix with row k (column j of M_k, row i of
     M_k), as grad_x F_k = M_k y and grad_y F_k = M_k^T x.  Rank 3 of its
     image at the call's prime (image, from _image; matrix_rank) certifies
-    rank 3; a lower rank mod p, or no image, is confirmed by the 56 exact
-    3x3 minors, one _expand of scalars, which takes no inverse."""
+    rank 3; a lower rank mod p, or no image, is confirmed by the exact
+    matrix_rank, whose elimination takes no inverse."""
     def jacobian(grids):  # on either ring: row k is column j of M_k, then row i
         return [[row[j] for row in mat] + list(mat[i]) for mat in grids]
 
@@ -272,7 +268,15 @@ def _singular_coordinate_point(m: ModelTriple, i: int, j: int, image) -> bool:
         return False
     if image is not None and matrix_rank(jacobian(image[1]), image[0]) == 3:
         return False
-    return not any(_expand(jacobian(m.matrices), _TRIPLES))
+    return matrix_rank(jacobian(m.matrices)) < 3
+
+
+def _chart_terms(grids, prime=None):
+    """(forms, minor): the forms x^T M_k y and the 56 3x3 minors of their
+    Jacobian (_jacobian), keyed by column triple, as term dicts in x0..x3,
+    y0..y3 over the ring of the entries grids, mod prime when it is given."""
+    forms = [_form([v for row in mat for v in row], _XY) for mat in grids]
+    return forms, dict(zip(_TRIPLES, minors(_jacobian(grids), _TRIPLES, prime)))
 
 
 def full_smoothness(m: ModelTriple) -> bool:
@@ -298,18 +302,17 @@ def full_smoothness(m: ModelTriple) -> bool:
     2. One loop over the 16 cells.  The 48 entries are mapped to F_p once
        (validate_model's _image, at the prime of _fp_field(N), N the lcm of
        the entries' conductors), the forms and the 56 minors are taken mod p
-       from those images (_form, _jacobian and _cofactors, the builders of
-       the exact ones), and each stratum restricts them, as reduction
-       commutes with setting variables to 0 or 1.  A cell whose stratum is
-       unit mod p is done.
+       from those images (_chart_terms, the builder of the exact ones), and
+       each stratum restricts them, as reduction commutes with setting
+       variables to 0 or 1.  A cell whose stratum is unit mod p is done.
     3. Any other cell runs the ladder of chart (i, j) (unit_mod_p_or_q: the
        chart's mod-p run at the same prime, then its checked lift or an
        exact run), and a False there is final.  Stratum (0, 0) is chart
        (0, 0), so that cell reuses its run.  Another chart holds its
        stratum, so its run mod p serves only the lift, which refuses a
        form that is not rational: it runs only if all 48 entries are.  The
-       exact minors are expanded when a fallback first needs them, the
-       columns not met before in one _expand.
+       first fallback builds the exact forms and all 56 exact minors, with
+       the same _chart_terms, and each chart restricts them.
 
     Cover and soundness.  Over any field each point of P3 x P3 lies in
     exactly one S_ij: i and j index its first nonzero coordinates.  Take a
@@ -351,16 +354,17 @@ def full_smoothness(m: ModelTriple) -> bool:
         return False
     if image is not None:
         prime, grids = image
-        forms_p = [_form([v for row in mat for v in row], _XY) for mat in grids]
-        minors_p = dict(zip(_TRIPLES, _cofactors(_jacobian(grids), _TRIPLES, prime)))
+        terms_p = _chart_terms(grids, prime)
     rational = all(v.is_rational() for mat in m.matrices for row in mat for v in row)
 
-    def mod_p_run(chart, zeros, subsets):
-        gens = [_restrict(f, chart, zeros) for f in forms_p]
-        gens += [_restrict(minors_p[cols], chart, zeros) for cols in subsets]
-        return _mod_p_run([f for f in gens if f], 8, prime)
+    def restricted(terms, chart, zeros, subsets):
+        forms, minor = terms
+        return [_restrict(f, chart, zeros) for f in forms + [minor[cols] for cols in subsets]]
 
-    forms, minor = None, {}
+    def mod_p_run(chart, zeros, subsets):
+        return _mod_p_run([f for f in restricted(terms_p, chart, zeros, subsets) if f], 8, prime)
+
+    terms = None
     for i, j in _CELLS:
         chart, zeros = (i, 4 + j), (*range(i), *range(4, 4 + j))
         subsets = [cols for cols in _TRIPLES if i not in cols and 4 + j not in cols]
@@ -371,14 +375,8 @@ def full_smoothness(m: ModelTriple) -> bool:
                 continue
             if zeros:  # stratum (0, 0) is chart (0, 0): its run is the chart's
                 run = mod_p_run(chart, (), subsets) if rational else None
-        if forms is None:
-            forms = bilinear_forms(m)
-            jacobian = [[MultiPoly._of(8, t) for t in row] for row in _jacobian(m.matrices)]
-        new = [cols for cols in subsets if cols not in minor]
-        if new:
-            minor.update(zip(new, _expand(jacobian, new)))
-        gens = [f.dehomogenize(chart) for f in forms]
-        gens += [minor[cols].dehomogenize(chart) for cols in subsets]
+        terms = terms or _chart_terms(m.matrices)
+        gens = [MultiPoly._of(8, f) for f in restricted(terms, chart, (), subsets)]
         try:
             if not unit_mod_p_or_q(gens, run):
                 return False

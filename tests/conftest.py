@@ -21,14 +21,14 @@ from fano212.model import (
     _LINE,
     InputError,
     ModelTriple,
-    coeff_matrix,
+    Side,
     combine,
     determinantal_quartic,
     model_from_matrices,
     quartic_smooth,
     validate_model,
 )
-from fano212.multipoly import MultiPoly, maximal_minors, minors
+from fano212.multipoly import MultiPoly
 
 # (order, weights, exponents) combinations verified to admit smooth swap
 # instances; spans orders 2, 4, 6, 8 with varied weights and exponents.
@@ -95,6 +95,54 @@ def leibniz(rows):
             term = term * rows[i][j]
         total = total + term
     return total
+
+
+def leibniz_minors(rows, k: int) -> list:
+    """Every k x k minor of a matrix, row subsets in lexicographic order and,
+    within each, column subsets in lexicographic order, each its own Leibniz
+    sum."""
+    return [leibniz([[row[c] for c in cols] for row in sub]) for sub in combinations(rows, k)
+            for cols in combinations(range(len(rows[0])), k)]
+
+
+def maximal_minors(rows) -> tuple:
+    """The four 3x3 minors (f0, f1, f2, f3) of a 3x4 matrix, f_i the Leibniz
+    sum of the matrix without column i."""
+    return tuple(leibniz([[row[c] for c in range(4) if c != i] for row in rows])
+                 for i in range(4))
+
+
+def bilinear_forms(m) -> list:
+    """The three forms x^T M_k y as polynomials in x0..x3, y0..y3, summed
+    from variables."""
+    v = variables(8)
+    return [sum((v[a] * v[4 + b] * mat[a][b] for a in range(4) for b in range(4)),
+                MultiPoly.zero(8)) for mat in m.matrices]
+
+
+def coeff_matrix(m, side=Side.FIRST) -> list:
+    """The 3x4 matrix of linear forms in x0..x3 whose row k is x^T M_k, on the
+    sided triple, summed from variables."""
+    x = variables(4)
+    return [[sum((x[a] * mat[a][j] for a in range(4)), MultiPoly.zero(4)) for j in range(4)]
+            for mat in m.sided(side).matrices]
+
+
+def dehomogenize(p: MultiPoly, chart) -> MultiPoly:
+    """p with 1 put for each variable index in chart: the sum of its terms
+    with those exponents set to 0."""
+    return sum((MultiPoly(p.nvars, {tuple(0 if i in chart else k for i, k in enumerate(e)): c})
+                for e, c in p.terms.items()), MultiPoly.zero(p.nvars))
+
+
+def term_rows(rows) -> list:
+    """A matrix of MultiPoly or scalar (int, Fraction, Cyclotomic) entries as
+    the {exponent tuple: Cyclotomic} dicts that multipoly.minors and
+    poly_det take, a scalar c as c times the monomial of degree 0 in the
+    polynomials' variables (none for a scalar matrix)."""
+    nvars = next((e.nvars for row in rows for e in row if isinstance(e, MultiPoly)), 0)
+    return [[e.terms if isinstance(e, MultiPoly) else {(0,) * nvars: cyc(e)} if e else {}
+             for e in row] for row in rows]
 
 
 def random_rational_matrix(rng, lo=-3, hi=3):
@@ -247,7 +295,7 @@ def rank_locus_oracle(m):
     vanishes on a line l in P2; it is not identically zero, so it is l*C
     for a cubic C, and it is singular on the nonempty l meet C.  The same
     holds on the second side, which is this oracle on m.transposed()."""
-    quadrics = [f for f in minors(coeff_matrix(m), 2) if not f.is_zero()]
+    quadrics = [f for f in leibniz_minors(coeff_matrix(m), 2) if not f.is_zero()]
     return bool(quadrics) and projective_empty(quadrics)
 
 

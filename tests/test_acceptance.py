@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     DIAGONAL_COMBOS,
     SWAP_COMBOS,
+    bilinear_forms,
     decided_table,
     decided_tables,
     fiber_section,
@@ -59,7 +60,6 @@ from fano212.cyclotomic import (
 from fano212.groebner import hilbert_polynomial
 from fano212.model import (
     Side,
-    bilinear_forms,
     curve_point_to_quartic_point,
     determinantal_quartic,
     minor_cubics,

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (exact_basis, exactly_unit, grevlex_key, groebner, leading_term,
-                      normal_form, power, qp_eval, variables)
+from conftest import (dehomogenize, exact_basis, exactly_unit, grevlex_key, groebner,
+                      leading_term, normal_form, power, qp_eval, variables)
 
 from fano212 import groebner as groebner_module
 from fano212.cyclotomic import (Cyclotomic, _fp_field, _rational_reconstruction, cyc,
@@ -613,7 +613,7 @@ class TestCheckedLift:
         assert not _lift_holds(gens, _mod_p_basis(gens))
         calls = _counting_buchberger(monkeypatch)
         assert projective_empty(gens) is False
-        assert unit([g.dehomogenize((2,)) for g in gens]) is False
+        assert unit([dehomogenize(g, (2,)) for g in gens]) is False
         assert len(calls) == 2
 
     def test_a_generator_that_vanishes_mod_p_fails_the_input_check(self, monkeypatch):
@@ -691,7 +691,7 @@ def test_certified_answers_are_the_exact_ones(data):
     if not gens:
         return
     assert projective_empty(gens) is _exactly_empty(gens, nvars)
-    chart = [g.dehomogenize((0,)) for g in gens]
+    chart = [dehomogenize(g, (0,)) for g in gens]
     chart = [g for g in chart if not g.is_zero()]
     leads = _mod_p_leads(chart)
     unit_mod_p = leads is not None and (0,) * nvars in leads

@@ -12,9 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bilinear_forms,
+    coeff_matrix,
+    dehomogenize,
     exact_hilbert_runs,
     fiber_section,
     leibniz,
+    leibniz_minors,
     mat_mul,
     planted_quartic_point_model,
     power,
@@ -46,6 +50,7 @@ from fano212.instancefile import load_instance
 from fano212.linalg import mat_transpose, matrix_rank
 from fano212.model import (
     _CELLS,
+    _chart_terms,
     _image,
     _pencil,
     InputError,
@@ -54,9 +59,7 @@ from fano212.model import (
     _line_quartic,
     _rational_roots,
     _singular_coordinate_point,
-    bilinear_forms,
     centre_hilbert_polynomial,
-    coeff_matrix,
     curve_point_to_quartic_point,
     determinantal_quartic,
     full_smoothness,
@@ -67,7 +70,7 @@ from fano212.model import (
     sample_curve_points,
     validate_model,
 )
-from fano212.multipoly import MultiPoly, _cofactors, _derivative, minors
+from fano212.multipoly import MultiPoly, _derivative, minors
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
 from run_survey import DIAGONAL_GRID, SWAP_GRID  # noqa: E402
@@ -203,6 +206,7 @@ class TestBilinearForms:
         grids = [random_rational_matrix(rng) for _ in range(3)]
         m = model_from_matrices(grids)
         forms = bilinear_forms(m)
+        assert [MultiPoly._of(8, f) for f in _chart_terms(m.matrices)[0]] == forms
         for grid, f in zip(grids, forms):
             for j in range(4):
                 for k in range(4):
@@ -627,7 +631,8 @@ class TestCertificateDecides:
         # strata, of few free variables, are unit with F2 and F3 alone, and
         # the other 11 cells run their charts exactly.  The model is not
         # rational, so no lift can follow a chart's run mod p, and only the
-        # 16 strata run mod p
+        # 16 strata run mod p.  Each exact run takes the generators of a
+        # chart built on the chart itself, in cell order
         m = _swap_n8()
         p = _fp_field(m.conductor)[0]
         scaled = tuple(tuple(v * p for v in row) for row in m.matrices[0])
@@ -643,6 +648,10 @@ class TestCertificateDecides:
         assert full_smoothness(m) is True
         assert len(calls) == 11
         assert len(seen) == 16
+        charts = chart_generators(m)
+        assert all(list(gens) in charts for gens in calls)
+        cells = [charts.index(list(gens)) for gens in calls]
+        assert cells == sorted(set(cells))
 
     def test_a_moved_double_point_is_decided_by_the_lift(self, monkeypatch):
         # no coordinate point is singular, so stratum (0, 0) falls back to
@@ -782,10 +791,10 @@ def chart_generators(m):
     for i in range(4):
         for j in range(4):
             chart = (i, 4 + j)
-            local = [f.dehomogenize(chart) for f in forms]
+            local = [dehomogenize(f, chart) for f in forms]
             variables = [v for v in range(8) if v not in chart]
             jac = [[f.derivative(v) for v in variables] for f in local]
-            charts.append([f for f in local + minors(jac, 3) if not f.is_zero()])
+            charts.append([f for f in local + leibniz_minors(jac, 3) if not f.is_zero()])
     return charts
 
 
@@ -916,7 +925,7 @@ def test_each_matrix_of_forms_is_built_once_for_both_rings(source):
     assert grids == [[[image(v) for v in row] for row in mat] for mat in m.matrices]
     q = determinantal_quartic(m)
     quartic = {e: image(c) for e, c in q.terms.items()}
-    (quartic_mod_p,) = _cofactors(_pencil(grids), [(0, 1, 2, 3)], prime)
+    (quartic_mod_p,) = minors(_pencil(grids), [(0, 1, 2, 3)], prime)
     assert quartic_mod_p == {e: r for e, r in quartic.items() if r}
     for i in range(3):
         assert {e: r % prime for e, r in _derivative(quartic_mod_p, i).items() if r % prime} == {

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import leibniz, power, variables
+from conftest import leibniz, power, term_rows, variables
 from fano212.cyclotomic import Cyclotomic, _fp_field, cyc, euler_phi
 from fano212.multipoly import (_SHIFT_BITS, MultiPoly, _balanced_digits, _cofactors, _restrict,
-                               maximal_minors, minors, poly_det)
+                               minors, poly_det)
 
 
 def random_poly(rng, nvars=3, max_degree=2, nterms=4):
@@ -70,7 +70,7 @@ def test_derivative_product_rule():
 class TestDeterminant:
     def test_2x2(self):
         x, y, z, w = variables(4)
-        assert poly_det([[x, y], [z, w]]) == x * w - y * z
+        assert poly_det(term_rows([[x, y], [z, w]])) == (x * w - y * z).terms
 
     def test_diagonal(self):
         ls = variables(4)
@@ -78,25 +78,25 @@ class TestDeterminant:
             [ls[i] if i == j else MultiPoly.zero(4) for j in range(4)]
             for i in range(4)
         ]
-        assert poly_det(rows) == ls[0] * ls[1] * ls[2] * ls[3]
+        assert poly_det(term_rows(rows)) == (ls[0] * ls[1] * ls[2] * ls[3]).terms
 
     def test_x_times_identity(self):
         x = variables(1)[0]
         zero = MultiPoly.zero(1)
         rows = [[x if i == j else zero for j in range(4)] for i in range(4)]
-        assert poly_det(rows) == power(x, 4)
+        assert poly_det(term_rows(rows)) == power(x, 4).terms
 
     def test_scalar_entries_match_the_leibniz_sum(self):
         rng = random.Random(12)
         ints = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         ints[0][1] = 0
-        assert poly_det(ints) == leibniz(ints) != 0
+        assert poly_det(term_rows(ints)) == {(): cyc(leibniz(ints))} and leibniz(ints) != 0
         zeta = Cyclotomic.zeta(8)
         cycs = [[zeta ** rng.randint(0, 7) * rng.randint(-3, 3) + rng.randint(-2, 2)
                  for _ in range(3)] for _ in range(3)]
         cycs[0][0] = cyc(0, 8)
-        det = poly_det(cycs)
-        assert isinstance(det, Cyclotomic) and det == leibniz(cycs) != 0
+        det = poly_det(term_rows(cycs))
+        assert det == {(): leibniz(cycs)} and leibniz(cycs) != 0
 
     @pytest.mark.parametrize("size", [4, 5])
     def test_linear_form_entries_match_the_leibniz_sum(self, size):
@@ -108,7 +108,7 @@ class TestDeterminant:
                      MultiPoly.zero(3)) if rng.random() < 0.7 else MultiPoly.zero(3)
                  for _ in range(size)] for _ in range(size)]
         rows[0][0] = MultiPoly.zero(3)
-        det = poly_det(rows)
+        det = MultiPoly._of(3, poly_det(term_rows(rows)))
         assert det == leibniz(rows) and not det.is_zero()
         assert det.is_homogeneous() and det.degree() == size
 
@@ -142,8 +142,8 @@ class TestDeterminant:
             den = data.draw(st.sampled_from([1, 2, 3, 4, 6]))
             rows.append([MultiPoly.zero(nvars) if r == zero_row else entry(den)
                          for _ in range(size)])
-        det = poly_det(rows)
-        assert isinstance(det, MultiPoly) and det == MultiPoly.zero(nvars) + leibniz(rows)
+        det = MultiPoly._of(nvars, poly_det(term_rows(rows)))
+        assert det == MultiPoly.zero(nvars) + leibniz(rows)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.sampled_from(["int", "Fraction", "Cyclotomic"]), st.data())
@@ -158,15 +158,15 @@ class TestDeterminant:
             return Cyclotomic.zeta(n, data.draw(st.integers(0, n - 1))) * value
 
         rows = [[scalar() for _ in range(size)] for _ in range(size)]
-        det = poly_det(rows)
-        assert isinstance(det, Cyclotomic) and det == leibniz(rows)
+        det = poly_det(term_rows(rows))
+        assert set(det) <= {()} and det.get((), 0) == leibniz(rows)
 
     def test_mixed_conductors_lift_to_their_lcm(self):
         x, y = variables(2)
         z3, z4, z5 = Cyclotomic.zeta(3), Cyclotomic.zeta(4), Cyclotomic.zeta(5)
         rows = [[x * z3 + y, x * Fraction(1, 2)], [y * z4 - x, x * z5 + y * z3]]
-        det = poly_det(rows)
-        assert det == leibniz(rows) and {c.n for c in det.terms.values()} == {60}
+        det = poly_det(term_rows(rows))
+        assert det == leibniz(rows).terms and {c.n for c in det.values()} == {60}
 
     def test_dense_3x3_at_conductor_504(self):
         rng = random.Random(504)
@@ -174,21 +174,15 @@ class TestDeterminant:
         rows = [[MultiPoly(2, {u: Cyclotomic(504, [rng.randint(-2, 2) for _ in range(144)])
                                for u in units}) for _ in range(3)] for _ in range(3)]
         rows[1][2] = rows[1][2] * Cyclotomic(8, [0, Fraction(1, 3), 0, 1])
-        det = poly_det(rows)
+        det = MultiPoly._of(2, poly_det(term_rows(rows)))
         assert det == leibniz(rows) and det.degree() == 3
-
-    def test_non_square_rejected(self):
-        x = variables(1)[0]
-        with pytest.raises(ValueError):
-            poly_det([[x, x], [x, x], [x, x]])
-        with pytest.raises(ValueError, match="arities"):
-            poly_det([[x, x], [x, variables(2)[0]]])
 
     def test_row_swap_negates(self):
         rng = random.Random(1)
         rows = [[random_poly(rng, nvars=2, nterms=2) for _ in range(3)] for _ in range(3)]
         swapped = [rows[1], rows[0], rows[2]]
-        assert poly_det(swapped) == -poly_det(rows)
+        det = MultiPoly._of(2, poly_det(term_rows(rows)))
+        assert MultiPoly._of(2, poly_det(term_rows(swapped))) == -det
 
     def test_multilinear_in_rows(self):
         rng = random.Random(2)
@@ -199,9 +193,13 @@ class TestDeterminant:
             rows[1],
             rows[2],
         ]
-        assert poly_det(combined) == poly_det(rows) + poly_det(
-            [extra, rows[1], rows[2]]
-        )
+        dets = [MultiPoly._of(2, poly_det(term_rows(r)))
+                for r in (combined, rows, [extra, rows[1], rows[2]])]
+        assert dets[0] == dets[1] + dets[2]
+
+
+# the column subsets of a 3x4 matrix, the one without column i at place i
+WITHOUT = [tuple(c for c in range(4) if c != i) for i in range(4)]
 
 
 class TestMaximalMinors:
@@ -211,11 +209,11 @@ class TestMaximalMinors:
         rows = [
             [one if i == j else zero for j in range(4)] for i in range(3)
         ]
-        minors = maximal_minors(rows)
+        dets = minors(term_rows(rows), WITHOUT)
         # deleting column 3 leaves the identity; every other minor drops an
         # identity column and vanishes
-        assert minors[3] == one
-        assert all(minors[k].is_zero() for k in range(3))
+        assert dets[3] == one.terms
+        assert dets[:3] == [{}, {}, {}]
 
     def test_degrees_on_linear_entries(self):
         rng = random.Random(4)
@@ -232,16 +230,11 @@ class TestMaximalMinors:
             ]
             for _ in range(3)
         ]
-        minors = maximal_minors(rows)
-        for f in minors:
+        for terms in minors(term_rows(rows), WITHOUT):
+            f = MultiPoly._of(4, terms)
             if not f.is_zero():
                 assert f.degree() == 3
                 assert f.is_homogeneous()
-
-    def test_wrong_shape(self):
-        x = variables(1)[0]
-        with pytest.raises(ValueError):
-            maximal_minors([[x] * 4] * 2)
 
 
 def test_two_by_two_minors_in_row_then_column_order():
@@ -260,7 +253,9 @@ def test_two_by_two_minors_in_row_then_column_order():
         for c1 in range(4) for c2 in range(c1 + 1, 4)
     ]
     assert len(expected) == 18
-    assert minors(rows, 2) == expected
+    pairs = list(combinations(range(4), 2))
+    got = [f for sub in combinations(rows, 2) for f in minors(term_rows(sub), pairs)]
+    assert got == [f.terms for f in expected]
 
 
 @settings(max_examples=80, deadline=None)
@@ -288,10 +283,11 @@ def test_minors_match_the_leibniz_sum_minor_by_minor(data):
             for r in range(3)]
     expected = [leibniz([[row[c] for c in cols] for row in sub])
                 for sub in combinations(rows, k) for cols in combinations(range(width), k)]
-    got = minors(rows, k)
+    subsets = list(combinations(range(width), k))
+    got = [f for sub in combinations(rows, k) for f in minors(term_rows(sub), subsets)]
     assert len(got) == len(expected)
     for f, g in zip(got, expected):
-        assert isinstance(f, MultiPoly) and f == g
+        assert MultiPoly._of(4, f) == g
 
 
 @settings(max_examples=80, deadline=None)
@@ -312,13 +308,13 @@ def test_cofactors_are_the_exact_minors_reduced(data):
     exact = [[MultiPoly(3, dict(zip(units, cs))) for cs in row] for row in grid]
     entries = [[dict(zip(units, cs)) for cs in row] for row in grid]
     subsets = list(combinations(range(4), size))
-    expected = minors(exact, 3) if size == 3 else [poly_det(exact)]
+    expected = minors(term_rows(exact), subsets)
     got = _cofactors(entries, subsets, prime)
     assert len(got) == len(expected)
     for f, g in zip(got, expected):
-        assert all(c.den == 1 for c in g.terms.values())
+        assert all(c.den == 1 for c in g.values())
         residues = {e: v.num[0] if prime is None else v.num[0] % prime
-                    for e, v in g.terms.items()}
+                    for e, v in g.items()}
         assert f == {m: v for m, v in residues.items() if v}
 
 
@@ -356,8 +352,8 @@ def test_kronecker_bound_is_met_exactly():
     # 2x2 scalar determinants whose size is the bound 2! * L * L on the
     # digits of the Kronecker integers: one bit less, or no 2!, misreads them
     big = 2**40
-    assert poly_det([[big, big], [-big, big]]) == cyc(2 * big * big)
-    assert poly_det([[big, big], [big, -big]]) == cyc(-2 * big * big)
+    assert poly_det(term_rows([[big, big], [-big, big]])) == {(): cyc(2 * big * big)}
+    assert poly_det(term_rows([[big, big], [big, -big]])) == {(): cyc(-2 * big * big)}
 
 
 @settings(max_examples=25, deadline=None)
@@ -381,9 +377,9 @@ def test_kronecker_minors_match_the_leibniz_sum(data):
 
     rows = [[entry() for _ in range(4)] for _ in range(size)]
     subsets = list(combinations(range(4), size))
-    expected = [leibniz([[row[c] for c in cols] for row in rows]) for cols in subsets]
-    assert minors(rows, size) == expected
-    assert poly_det([row[:size] for row in rows]) == expected[0]
+    expected = [leibniz([[row[c] for c in cols] for row in rows]).terms for cols in subsets]
+    assert minors(term_rows(rows), subsets) == expected
+    assert poly_det(term_rows([row[:size] for row in rows])) == expected[0]
 
 
 def shift_reader(v, count, b):
@@ -431,8 +427,9 @@ def test_restrict_is_the_substitution(data):
 def test_dehomogenize():
     x, y = variables(2)
     p = x * x * y
-    assert p.dehomogenize([0]) == y
-    assert MultiPoly.constant(1, 2).dehomogenize([0]) == MultiPoly.constant(1, 2)
+    assert MultiPoly._of(2, _restrict(p.terms, [0])) == y
+    one = MultiPoly.constant(1, 2)
+    assert MultiPoly._of(2, _restrict(one.terms, [0])) == one
 
 
 def test_dehomogenize_support_recovery():
@@ -446,7 +443,7 @@ def test_dehomogenize_support_recovery():
             c = 3 - a - b
             terms[(a, b, c)] = rng.randint(1, 3)
         p = MultiPoly(3, terms)
-        chart = p.dehomogenize([2])
+        chart = MultiPoly._of(3, _restrict(p.terms, [2]))
         rehom = {
             (e[0], e[1], 3 - e[0] - e[1]) for e in chart.terms
         }
