@@ -932,6 +932,32 @@ def test_each_matrix_of_forms_is_built_once_for_both_rings(source):
             e: image(c) for e, c in q.derivative(i).terms.items()}
 
 
+@pytest.mark.parametrize("name", DATA_MODELS)
+def test_chart_terms_are_built_once_for_both_rings(name):
+    # full_smoothness takes its forms and 56 Jacobian minors mod p and, on a
+    # fallback, exactly, from one builder: on the entries' images it gives
+    # the images of the exact forms and minors, term by term, keyed alike
+    m = _data_model(name)
+    prime, grids = _image(m.matrices)
+    anchor = Cyclotomic.zeta(lcm(*(v.n for mat in m.matrices for row in mat for v in row)))
+
+    def image(terms):
+        out = {}
+        for e, c in terms.items():
+            at, (residue, _) = _fp_image([c, anchor])
+            assert at == prime
+            if residue:
+                out[e] = residue
+        return out
+
+    forms, minor = _chart_terms(m.matrices)
+    forms_p, minor_p = _chart_terms(grids, prime)
+    assert forms_p == [image(f) for f in forms]
+    assert list(minor_p) == list(minor) and len(minor) == 56
+    assert minor_p == {cols: image(f) for cols, f in minor.items()}
+    assert any(minor.values())
+
+
 # SWAP_GRID[::3] is one swap cell of each order 2, 4, 6 and 8
 @pytest.mark.parametrize(
     "source", ["singular", "double point"] + DATA_MODELS

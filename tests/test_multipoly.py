@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import leibniz, power, term_rows, variables
-from fano212.cyclotomic import Cyclotomic, _fp_field, cyc, euler_phi
+from fano212.cyclotomic import Cyclotomic, _fp_field, _fp_image, cyc, euler_phi
 from fano212.multipoly import (_SHIFT_BITS, MultiPoly, _balanced_digits, _cofactors, _restrict,
                                minors, poly_det)
 
@@ -380,6 +380,39 @@ def test_kronecker_minors_match_the_leibniz_sum(data):
     expected = [leibniz([[row[c] for c in cols] for row in rows]).terms for cols in subsets]
     assert minors(term_rows(rows), subsets) == expected
     assert poly_det(term_rows([row[:size] for row in rows])) == expected[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_minors_mod_p_are_the_images_of_the_exact_minors(data):
+    # one entry type on both rings: the images under _fp_image of Cyclotomic
+    # linear forms, given with the prime, expand to the images of the exact
+    # minors, term by term, as reduction mod p is a ring map
+    n = data.draw(st.sampled_from([1, 3, 8, 12]), label="conductor")
+    size = data.draw(st.sampled_from([2, 3, 4]), label="size")
+    anchor = Cyclotomic.zeta(n)
+    prime = _fp_field(n)[0]
+
+    def image(v):
+        at, (residue, _) = _fp_image([v, anchor])
+        assert at == prime
+        return residue
+
+    def entry():
+        terms = {}
+        for e in [(1, 0), (0, 1)]:
+            value = Cyclotomic.zeta(n, data.draw(st.integers(0, n - 1))) * Fraction(
+                data.draw(st.integers(-4, 4)), data.draw(st.sampled_from([1, 2, 3])))
+            if value:
+                terms[e] = value
+        return terms
+
+    rows = [[entry() for _ in range(4)] for _ in range(size)]
+    subsets = list(combinations(range(4), size))
+    images = [[{e: image(c) for e, c in t.items()} for t in row] for row in rows]
+    expected = [{e: r for e, r in ((e, image(c)) for e, c in f.items()) if r}
+                for f in minors(rows, subsets)]
+    assert minors(images, subsets, prime) == expected
 
 
 def shift_reader(v, count, b):
