@@ -78,6 +78,22 @@ MUTANTS = [
      "[[a - b for a, b in p] for p in pairs]",
      "[[a + b for a, b in p] for p in pairs]",
      ["tests/test_action.py::TestInvariantPencil::test_pencil_spans_model"]),
+    # the emptiness stop of _basis firing at pure powers of nvars - 1
+    # variables
+    ("fano212/groebner.py",
+     "        return len(powers) == nvars\n",
+     "        return len(powers) == nvars - 1\n",
+     ["tests/test_groebner.py::test_an_emptiness_run_stops_at_pure_powers_of_every_variable"]),
+    # the coordinate-point substitution without the monomial x_0^3 x_1
+    ("fano212/model.py",
+     "for k in range(3)) for i in range(3)]\n",
+     "for k in range(3)) for i in range(3) if (j, i) != (0, 1)]\n",
+     ["tests/test_model.py::TestSmoothImage::test_every_coordinate_monomial_counts"]),
+    # _rejection deciding on the eigenforms with the third one dropped
+    ("fano212/action.py",
+     "forms[spans[k]][e] += coeffs[k] * r\n",
+     "forms[spans[k]][e] += coeffs[k] * r * (spans[k] < 2)\n",
+     ["tests/test_action.py::test_generated_instances_are_pinned"]),
 ]
 
 

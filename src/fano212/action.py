@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, _fp_image, cyc
-from .groebner import empty_mod_p
+from .cyclotomic import Cyclotomic, _fp_image, cyc, euler_phi
 from .linalg import matrix_rank, pivot_scales, rref
-from .model import (ModelTriple, _pencil, combine, determinantal_quartic,
-                    validate_model, InputError)
-from .multipoly import _derivative, minors
+from .model import (ModelTriple, _smooth_image, determinantal_quartic, validate_model,
+                    InputError)
 
 
 @dataclass(frozen=True)
@@ -283,33 +281,66 @@ def diagonal_twist_eigenbasis(n: int, weights, weights2, s: int):
 _ATTEMPTS = 50
 
 
-def _rejection(flat, images, merged, n: int, prime: int):
-    """Why _random_model rejects the draw whose form i is the sum of
-    merged[i][k] * flat[k], decided mod prime on images[k], the pairs
-    (e, residue) of the nonzero entries e (row-major) of flat[k], with the
-    quartic's image one minor mod p (minors): the text of an exact refusal
-    of validate_model or determinantal_quartic, or that the quartic is
-    singular mod p; None when its partials have an empty locus mod p."""
-    forms = []
-    for cs in merged:
-        form = [0] * 16
-        for c, pairs in zip(cs, images):
-            for e, r in pairs if c else ():
-                form[e] += c * r
-        forms.append([x % prime for x in form])
-    grids = [[form[a:a + 4] for a in range(0, 16, 4)] for form in forms]
-    q = minors(_pencil(grids), [(0, 1, 2, 3)], prime)[0]
+def _sparse_image(flat):
+    """(entries, prime, residues): the nonzero entries (k, e, value) of the
+    matrices flat, e row-major in flat[k], and their residues mod prime from
+    one _fp_image call; None when there is no image.  Sparse, as a dense
+    image took 2-3x as long, and its sums 6x."""
+    entries = [(k, e, v) for k, mat in enumerate(flat)
+               for e, v in enumerate(v for row in mat for v in row) if v]
+    image = _fp_image([v for _, _, v in entries])
+    return None if image is None else (entries, *image)
+
+
+def _sparse_forms(entries, rows, n: int):
+    """The matrices combine(cs, flat) for each row cs of integers, summed
+    from the nonzero entries (k, e, v) of flat alone (_sparse_image): entry
+    e of matrix i is the sum of rows[i][k] * v over its listed entries, one
+    integer sum of numerators over the lcm of their denominators, brought to
+    lowest terms once.  Every entry of flat, zeros included, has conductor
+    n, so combine gives every entry conductor n too, and these bytes."""
+    phi, out = euler_phi(n), []
+    for cs in rows:
+        parts = [[] for _ in range(16)]
+        for k, e, v in entries:
+            if cs[k]:
+                parts[e].append((cs[k], v))
+        form = []
+        for part in parts:
+            den, num = lcm(*(v.den for _, v in part)), [0] * phi
+            for c, v in part:
+                scale = c * (den // v.den)
+                num = [a + scale * b for a, b in zip(num, v.lift(n).num)]
+            form.append(Cyclotomic._lowest(n, tuple(num), den))
+        out.append(tuple(tuple(form[a:a + 4]) for a in range(0, 16, 4)))
+    return tuple(out)
+
+
+def _rejection(entries, residues, spans, coeffs, n: int, prime: int):
+    """Why _random_model rejects the draw whose eigenforms are the E_j, E_j
+    the sum of coeffs[k] * flat[k] over the k with spans[k] = j, decided mod
+    prime on the residues of the nonzero entries of flat (_sparse_image):
+    the text of an exact refusal of validate_model or determinantal_quartic
+    on the E_j, or that their quartic is singular mod p; None when its image
+    proves it smooth (model._smooth_image).  _random_model says why the
+    E_j decide a draw whose forms are R * E, R invertible mod p."""
+    forms = [[0] * 16 for _ in range(3)]
+    for (k, e, _), r in zip(entries, residues):
+        forms[spans[k]][e] += coeffs[k] * r
+    forms = [[x % prime for x in form] for form in forms]
+    q, smooth = _smooth_image([[form[a:a + 4] for a in range(0, 16, 4)] for form in forms],
+                              prime)
+    if smooth:
+        return None
     if not q or matrix_rank(forms, prime) < 3:
+        eigen = [[c if s == j else 0 for s, c in zip(spans, coeffs)] for j in range(3)]
         try:
-            model = ModelTriple(tuple(combine(cs, flat) for cs in merged), n)
+            model = ModelTriple(_sparse_forms(entries, eigen, n), n)
             validate_model(model)
             determinantal_quartic(model)
         except InputError as exc:
             return str(exc)
-    partials = [_derivative(q, i) for i in range(3)]
-    if not empty_mod_p([d for d in partials if d], 3, prime):
-        return "determinantal quartic is singular mod p"
-    return None
+    return "determinantal quartic is singular mod p"
 
 
 def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
@@ -323,31 +354,38 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
     over Q but singular mod p is resampled too, which may change the draw
     returned but not that it is smooth.
 
-    Each draw is decided in F_p (_rejection).  Every nonzero eigenbasis
-    entry has conductor n, so _fp_image maps them, once per call, at the
-    prime of _fp_field(n), where validate_model and groebner._mod_p_basis
-    map a draw's exact forms and partials.  Form i is the sum of c_ik * B_k
-    over the eigenbasis matrices B_k of all three exponents, c_ik being the
-    change-of-basis entry times the eigenspace coefficient.  Reduction mod
-    p is a ring map, so it commutes with these combinations, det and each
-    derivative: the images of a draw's forms, quartic and partials are the
-    combinations of the eigenbasis images, their determinant (minors mod p
-    on _pencil, as determinantal_quartic over Q(zeta_N)) and its partials.  So
-    each test is the exact route's on equal inputs:
-    - a change of basis has rank 3 mod p iff its determinant, at most
-      3! * 2^3 = 48 < p in size, is nonzero;
-    - rank 3 of the forms mod p is validate_model's own certificate, and a
-      nonzero quartic image proves the exact quartic nonzero; a lower rank
-      or a zero image takes validate_model and determinantal_quartic on the
-      exact forms (combine);
-    - empty_mod_p makes the run that _mod_p_basis makes on the exact
-      partials.
+    Each draw is decided in F_p on its eigenforms (_rejection).  Every
+    nonzero eigenbasis entry has conductor n, so _fp_image maps them, once
+    per call (_sparse_image), at the prime of _fp_field(n), where
+    validate_model and groebner._mod_p_basis map a draw's exact forms and
+    partials.  Eigenform E_j is the sum of c_k * B_k over the eigenbasis
+    matrices B_k of exponent j, and the forms are R * E for the drawn
+    change of basis R.  Reduction mod p is a ring map, so it commutes with
+    these combinations, det and each derivative, and the tests on E decide
+    those on R * E:
+    - R has rank 3 mod p iff its determinant, at most 3! * 2^3 = 48 < p in
+      size, is nonzero; then R is invertible over Q and mod p;
+    - the forms R * E and E have one rank, over Q(zeta_N) and mod p;
+    - their quartics satisfy Delta_R(x) = Delta_E(R^T x), over both rings,
+      so one is zero iff the other is, and the gradients satisfy
+      grad Delta_R(x) = R grad Delta_E(R^T x): the partials of one have a
+      common zero iff those of the other do, R^T being invertible;
+    - rank 3 of E mod p is validate_model's own certificate, and a nonzero
+      quartic image proves the exact quartic nonzero; a lower rank or a
+      zero image takes validate_model and determinantal_quartic on the
+      exact E_j, whose refusals those of R * E are;
+    - model._smooth_image refuses by substitution, or makes the run that
+      _mod_p_basis makes on the exact partials.
+    Delta_E is sparse: sigma scales E_j by w^(s_j) and det(sigma(M)) is a
+    fixed multiple of det(M), so Delta_E is semi-invariant under
+    x_j -> w^(s_j) x_j, and its coordinate points are often singular.
     Exact forms are built only for the draw returned and for those
     fallbacks, which only name a failure: forms of rank below 3 mod p, or a
     zero image, make the quartic singular mod p (a pencil member that
-    vanishes mod p is a point of multiplicity 4).  Cyclotomic values are
-    canonical, so one combine with the c_ik gives the bytes of the two
-    stages, forms then change of basis, that it stands for."""
+    vanishes mod p is a point of multiplicity 4).  Both are summed from
+    the nonzero eigenbasis entries (_sparse_forms), which gives the bytes
+    of combine's two stages, eigenforms then change of basis, as
+    Cyclotomic values are canonical."""
     validate_action(spec)
     n = spec.order
     bases = []
@@ -358,16 +396,11 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
                              "the eigenspace for exponent %d mod %d is zero" % (s, n))
         bases.append(basis)
     flat = [mat for basis in bases for mat in basis]
-    # sparse (k, e, value), e row-major in flat[k]: a dense image took 2-3x as long, its sums 6x
-    entries = [(k, e, v) for k, mat in enumerate(flat)
-               for e, v in enumerate(v for row in mat for v in row) if v]
-    image = _fp_image([v for _, _, v in entries])
+    image = _sparse_image(flat)
     if image is None:
         raise InputError("no-smooth-instance", "no prime field for conductor %d" % n)
-    prime, images = image[0], [[] for _ in flat]
-    for (k, e, _), r in zip(entries, image[1]):
-        images[k].append((e, r))
-    spans = [j for j, basis in enumerate(bases) for _ in basis]  # the form of flat[k]
+    entries, prime, residues = image
+    spans = [j for j, basis in enumerate(bases) for _ in basis]  # the eigenform of flat[k]
     rng = random.Random(seed)
     failure = "no draw attempted"
     for _ in range(_ATTEMPTS):
@@ -376,10 +409,10 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
             rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
             if matrix_rank([[x % prime for x in row] for row in rows], prime) == 3:
                 break
-        merged = [[row[j] * c for j, c in zip(spans, coeffs)] for row in rows]
-        failure = _rejection(flat, images, merged, n, prime)
+        failure = _rejection(entries, residues, spans, coeffs, n, prime)
         if failure is None:
-            return ModelTriple(tuple(combine(cs, flat) for cs in merged), n), spec
+            merged = [[row[j] * c for j, c in zip(spans, coeffs)] for row in rows]
+            return ModelTriple(_sparse_forms(entries, merged, n), n), spec
     raise InputError("no-smooth-instance", "no smooth instance in %d attempts "
                      "(last failure: %s)" % (_ATTEMPTS, failure))
 

@@ -51,9 +51,8 @@ from .model import (
     InputError,
     Side,
     centre_hilbert_polynomial,
-    determinantal_quartic,
+    determinantal_quartic_smooth,
     full_smoothness,
-    quartic_smooth,
 )
 
 EXIT_OK = 0
@@ -140,8 +139,14 @@ def cmd_validate(inst: Instance, args, report: Report) -> int:
 
 def cmd_smooth(inst: Instance, args, report: Report) -> int:
     """`smooth`: X is smooth iff its determinantal quartic Delta(a) =
-    det M(a), M(a) = sum a_i M_i, is, so the answer is quartic_smooth's;
-    --full adds full_smoothness, which shares none of this argument.
+    det M(a), M(a) = sum a_i M_i, is, so the answer is
+    determinantal_quartic_smooth's; --full adds full_smoothness, which
+    shares none of this argument.  Its first rung is Delta's image in F_p,
+    taken from the entries' images (model._smooth_image): a coordinate point
+    of P2 where every partial vanishes refuses it by substitution, and
+    partials with no common zero mod p prove Delta smooth.  Only when that
+    proves nothing is the exact Delta expanded, and quartic_smooth decides
+    it; a Delta that is identically zero exits 2 there (degenerate-pencil).
 
     X is singular at (x, y) iff sum a_i grad f_i vanishes there for some
     a != 0, that is M(a) y = 0 and x^T M(a) = 0, as grad_x f_i = M_i y and
@@ -161,8 +166,7 @@ def cmd_smooth(inst: Instance, args, report: Report) -> int:
       pencil restrict to (1, 1)-forms on P1 x P1 (or on a larger product),
       which always meet, their intersection number being 2.  At a common
       zero every f_i vanishes and sum a_i grad f_i = 0, so X is singular."""
-    q = determinantal_quartic(inst.model)
-    smooth_q = quartic_smooth(q)
+    smooth_q = determinantal_quartic_smooth(inst.model)
     report.put("quartic.smooth", smooth_q)
     ok = smooth_q
     if args.full:

@@ -14,9 +14,14 @@ asks for one only where the mod-p certificate of
 model.centre_hilbert_polynomial fails.
 Every run, exact or mod p, ends at its first constant element, input or
 remainder, with that constant 1 alone: a Groebner basis of the unit ideal.
+A mod-p run on the emptiness question (empty_mod_p, the first rung of
+projective_empty) ends as well once its leads hold a pure power of every
+variable.  Either stop is a yes, and final, since the leads of a partial
+basis lie in the leading ideal; a no is read only off a full run, which
+is what the lift checks (_basis).
 
-In the engine and in multipoly._cofactors a monomial e in n variables is
-one int (Monagan and Pearce's packed exponent vectors):
+In the engine a monomial e in n variables is one int (Monagan and
+Pearce's packed exponent vectors):
 
     M(e) = sum(e_i * 2^(w*i)) - deg(e) * 2^(w*n)
 
@@ -35,7 +40,9 @@ above the input's, and w comes from max(DEGREE_CAP, input degree).  A
 product of two such monomials, which the product criterion forms, stays
 below 2^w in each field, so no field carries into the next.  Tuples are
 packed on entry to the engine, and only leading monomials are unpacked on
-exit; the bijection keeps every order, term order included.  A normal
+exit; the bijection keeps every order, term order included.
+multipoly._cofactors, which only adds monomials and never compares them,
+packs them without the degree term, as sum(e_i * 2^(w*i)) >= 0.  A normal
 form finds each monomial's reducer through a memo that lives for one
 Buchberger run or one lift check, whose lead list only grows (_normal_form).
 
@@ -251,13 +258,21 @@ def _pairs(leads, w: int, nvars: int):
             yield lcm, i, j
 
 
-def _basis(polys, nvars, prime=None):
+def _basis(polys, nvars, prime=None, empty=False):
     """Buchberger on nonzero {mono: coef} dicts in nvars variables.  Returns
     (basis, w): the monic basis as (leading monomial, terms) pairs packed
     with field width w.  As soon as a reduced input or a remainder is
     constant the basis is just that constant 1, a Groebner basis of the unit
     ideal.  Raises DegreeCapExceeded when the next pair's lcm is above
     DEGREE_CAP.
+
+    The run stops at the first yes of its question: the constant 1 for the
+    unit ideal, or with empty, once the leads kept so far hold a pure power
+    of every variable (_empty_locus).  That yes is final, as every lead of a
+    partial basis is the lead of an element of the ideal, so LT(partial
+    basis) lies in LT(I).  The basis returned then is not a Groebner basis,
+    but its leads answer yes; a no still comes from the full run, which
+    _lift_holds reads.
 
     The inputs are inter-reduced first: each, in input order, is replaced by
     its normal form against those kept before it, and dropped when that is
@@ -272,23 +287,29 @@ def _basis(polys, nvars, prime=None):
     w = _width(max(DEGREE_CAP, top))
     guard = _guard(w, nvars)
     basis, leads, memo = [], [], {}  # the basis only grows: one reducer memo
+    powers = set()  # the variables of which a lead is a pure power
 
-    def adds_unit(terms):
-        """Append the monic normal form of terms unless it is 0; whether it
-        is 1."""
+    def answers(terms):
+        """Append the monic normal form of terms unless it is 0; whether the
+        leads now answer yes."""
         remainder = _normal_form(terms, basis, guard, prime, memo)
         if not remainder:
             return False
         basis.append(_monic(remainder, prime))
         leads.append(basis[-1][0])
-        return leads[-1] == 0
+        if leads[-1] == 0:
+            return True
+        if empty:
+            e = _unpack(leads[-1], w, nvars)
+            if max(e) == sum(e):
+                powers.add(e.index(max(e)))
+        return len(powers) == nvars
 
-    if any(adds_unit(_pack_terms(p, w)) for p in polys):
-        return basis[-1:], w
-    for lcm, i, j in _pairs(leads, w, nvars):
-        if adds_unit(_s_polynomial(basis[i], basis[j], lcm)):
-            return basis[-1:], w
-    return basis, w
+    if not any(answers(_pack_terms(p, w)) for p in polys):
+        for lcm, i, j in _pairs(leads, w, nvars):
+            if answers(_s_polynomial(basis[i], basis[j], lcm)):
+                break
+    return (basis[-1:] if leads and leads[-1] == 0 else basis), w
 
 
 def _interreduce(basis, guard: int, prime=None):
@@ -341,18 +362,19 @@ def buchberger(generators):
 # generators are mapped there by cyclotomic._fp_image, or come as residue
 # dicts (empty_mod_p).
 
-def _mod_p_run(polys, nvars: int, prime: int):
+def _mod_p_run(polys, nvars: int, prime: int, empty=False):
     """(basis, w, nvars, prime): _basis on nonempty {exponent tuple:
     integer} dicts in nvars variables, no coefficient 0 mod prime (_basis
-    reduces each in _normal_form); None when the run exceeds the degree cap."""
+    reduces each in _normal_form), stopped at pure powers of every variable
+    when empty is set; None when the run exceeds the degree cap."""
     try:
-        basis, w = _basis(polys, nvars, prime)
+        basis, w = _basis(polys, nvars, prime, empty)
     except DegreeCapExceeded:
         return None
     return basis, w, nvars, prime
 
 
-def _mod_p_basis(generators):
+def _mod_p_basis(generators, empty=False):
     """_mod_p_run on the image in F_p[x] of the generators, their
     coefficients mapped by one _fp_image call; None, and no report, when
     that has no image or the run exceeds the degree cap."""
@@ -364,7 +386,7 @@ def _mod_p_basis(generators):
     # zip draws a monomial first, so each g takes just its own images
     polys = [terms for terms in ({m: v for m, v in zip(g.terms, values) if v} for g in generators)
              if terms]
-    return _mod_p_run(polys, generators[0].nvars if generators else 0, prime)
+    return _mod_p_run(polys, generators[0].nvars if generators else 0, prime, empty)
 
 
 def _lift_holds(generators, run) -> bool:
@@ -479,8 +501,9 @@ def empty_mod_p(polys, nvars: int, prime: int) -> bool:
     empty projective locus over the algebraic closure of F_prime (_mod_p_run).
     When they are the images under _fp_image of polynomials over Q(zeta_N),
     at its prime, this is the first rung of projective_empty: a True proves
-    the locus over Qbar empty (_decide) and a False proves nothing."""
-    return _holds_mod_p(_mod_p_run(polys, nvars, prime), _empty_locus)
+    the locus over Qbar empty (_decide) and a False proves nothing.  The run
+    stops once its leads hold a pure power of every variable (_basis)."""
+    return _holds_mod_p(_mod_p_run(polys, nvars, prime, True), _empty_locus)
 
 
 def projective_empty(generators) -> bool:
@@ -494,7 +517,7 @@ def projective_empty(generators) -> bool:
         return False
     if any(not g.is_homogeneous() for g in gens):
         raise NonHomogeneousIdeal("projective emptiness needs homogeneous input")
-    return _decide(gens, _empty_locus, _mod_p_basis(gens))
+    return _decide(gens, _empty_locus, _mod_p_basis(gens, True))
 
 
 # -- Hilbert polynomials --------------------------------------------------------

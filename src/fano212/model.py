@@ -24,7 +24,7 @@ from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
 from .groebner import (DegreeCapExceeded, _holds_mod_p, _is_unit, _mod_p_run, empty_mod_p,
                        hilbert_polynomial, projective_empty, unit_mod_p_or_q)
 from .linalg import mat_transpose, matrix_rank, nullspace, proj_normalize
-from .multipoly import MultiPoly, _restrict, minors, poly_det
+from .multipoly import MultiPoly, _derivative, _restrict, minors, poly_det
 
 
 class Side(Enum):
@@ -245,6 +245,42 @@ def quartic_smooth(q: MultiPoly) -> bool:
     if len(partials) < 3:
         return False
     return projective_empty(partials)
+
+
+# by coordinate point e_j of P2, the monomials x_j^3 * x_i, i = 0, 1, 2, of a
+# ternary quartic (x_j^4 for i = j): the partials there are their coefficients
+_AT_POINT = [[tuple(3 * (k == j) + (k == i) for k in range(3)) for i in range(3)]
+             for j in range(3)]
+
+
+def _smooth_image(grids, prime):
+    """(q, smooth): the image q in F_p of the quartic det(x*M1 + y*M2 +
+    z*M3) of the images grids of three 4x4 matrices (minors mod p on
+    _pencil, as determinantal_quartic over Q(zeta_N)), and whether q proves
+    that quartic smooth over Qbar: its partials have no common zero over the
+    algebraic closure of F_p.  Reduction mod p commutes with det and
+    derivatives, so these are the images of the exact partials, and an
+    empty locus mod p is one over Qbar (groebner._decide).
+
+    At a coordinate point e_j, dq/dx_i is the coefficient of x_j^3 * x_i,
+    times 4 for i = j (_AT_POINT), and 4 < p.  So when those three are all
+    0, e_j is a common zero, and q is refused by substitution; q = 0 is one
+    such.  Any other q goes to empty_mod_p."""
+    q = minors(_pencil(grids), [(0, 1, 2, 3)], prime)[0]
+    if any(not any(e in q for e in monomials) for monomials in _AT_POINT):
+        return q, False
+    return q, empty_mod_p([d for d in (_derivative(q, i) for i in range(3)) if d], 3, prime)
+
+
+def determinantal_quartic_smooth(m: ModelTriple) -> bool:
+    """Whether the determinantal quartic of m is smooth, by the first rung
+    that answers: a True of its image in F_p (_smooth_image, on the
+    model's _image), else quartic_smooth on the exact quartic, which
+    determinantal_quartic refuses when it is identically zero."""
+    image = _image(m.matrices)
+    if image is not None and _smooth_image(image[1], image[0])[1]:
+        return True
+    return quartic_smooth(determinantal_quartic(m))
 
 
 # the cells (i, j) of P3 x P3, in the order of their charts x_i = 1, y_j = 1,

@@ -281,9 +281,13 @@ def _cofactors(rows, subsets, prime) -> list:
     once, or not at all when prime is None, as {exponent tuple: integer}
     with no zero.  Reduction mod prime is a ring map, so these are the
     images of the integer minors.  x^e is packed once (groebner._pack, whose
-    module docstring gives the packing) and unpacked at the end.  No field
-    carries: fields are only added, and no exponent of a product of len(rows)
-    entries is above len(rows) times the largest entry degree, below 2^w.
+    module docstring gives the packing) and unpacked at the end.  The degree
+    term, which only the Groebner engine's order reads, is added back, so a
+    key is sum(e_i * 2^(w*i)) >= 0, as small as the fields allow: the
+    3-variable pencil's keys then stay in CPython's small-int cache, and an
+    addition of two of them allocates nothing.  No field carries: fields are
+    only added, and no exponent of a product of len(rows) entries is above
+    len(rows) times the largest entry degree, below 2^w.
 
     A minor on the rows from the third on is met once for each order in
     which the rows above pick the missing columns, and again by every
@@ -293,7 +297,7 @@ def _cofactors(rows, subsets, prime) -> list:
     exps = {e for r in rows for t in r for e in t}
     w = (len(rows) * max(map(sum, exps), default=0)).bit_length()
     nvars = len(next(iter(exps), ()))
-    packed = {e: _pack(e, w) for e in exps}
+    packed = {e: _pack(e, w) + (sum(e) << w * nvars) for e in exps}
     rows = [[{packed[e]: v for e, v in t.items()} for t in r] for r in rows]
 
     def reduced(acc):

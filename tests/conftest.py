@@ -436,8 +436,10 @@ def exact_rejection(bases, coeffs, rows, n: int):
     quartic is kept when the images of its exact partials under _fp_image
     (groebner._mod_p_basis) have an empty projective locus mod p: a leading
     ideal with a pure power of every variable.  It shares the Groebner run
-    with action._rejection, which maps the eigenbasis to F_p instead of the
-    partials, so it checks that image arithmetic, not the run."""
+    with action._rejection, which decides on the images in F_p of the
+    eigenforms instead, before the change of basis rows, and refuses a
+    singular coordinate point by substitution; so it checks the eigenform
+    argument, the substitution and that image arithmetic, not the run."""
     forms = [combine(cs, basis) for cs, basis in zip(coeffs, bases)]
     model = ModelTriple(tuple(combine(row, forms) for row in rows), n)
     try:

@@ -28,10 +28,13 @@ from conftest import (
 )
 
 from fano212 import action as action_module
+from fano212 import groebner as groebner_module
 from fano212.action import (
     _diag_projective_order,
     _rejection,
     _sigma_on_entries,
+    _sparse_forms,
+    _sparse_image,
     E,
     H,
     MINUS_K,
@@ -48,7 +51,7 @@ from fano212.action import (
     transpose_twist_eigenbasis,
     validate_action,
 )
-from fano212.cyclotomic import Cyclotomic, _fp_image, cyc
+from fano212.cyclotomic import Cyclotomic, cyc
 from fano212.instancefile import Instance, parse_instance, serialize_instance
 from fano212.linalg import matrix_rank
 from fano212.model import InputError, ModelTriple, combine, determinantal_quartic, \
@@ -599,21 +602,40 @@ def test_generated_instances_are_pinned():
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_a_draw_is_decided_in_f_p_as_on_its_exact_partials(data):
+    # _rejection sees the eigenforms E alone; the oracle decides the draw on
+    # its exact forms R * E, for a change of basis R invertible mod p, the
+    # only kind that _random_model draws
     cell = data.draw(st.sampled_from(SWAP_COMBOS + DIAGONAL_COMBOS) | st.sampled_from(REFUSING))
     spec = (ActionSpec(cell[0], cell[1]) if len(cell) == 3
             else ActionSpec(cell[0], cell[1], swap=False, weights2=cell[2]))
     bases = [_eigenbasis(spec, s) for s in cell[-1]]
     coeffs = [data.draw(st.lists(st.integers(-3, 3), min_size=len(b), max_size=len(b)))
               for b in bases]
+    entries, prime, residues = _sparse_image([mat for basis in bases for mat in basis])
     rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
                               min_size=3, max_size=3))
-    flat = [mat for basis in bases for mat in basis]
-    prime, values = _fp_image([v for mat in flat for row in mat for v in row])
-    images = [[(e, r) for e, r in enumerate(values[16 * k:16 * k + 16]) if r]
-              for k in range(len(flat))]
-    merged = [[row[j] * c for j, cs in enumerate(coeffs) for c in cs] for row in rows]
-    assert (_rejection(flat, images, merged, spec.order, prime)
+    assume(matrix_rank([[x % prime for x in row] for row in rows], prime) == 3)
+    spans = [j for j, basis in enumerate(bases) for _ in basis]
+    assert (_rejection(entries, residues, spans, [c for cs in coeffs for c in cs],
+                       spec.order, prime)
             == exact_rejection(bases, coeffs, rows, spec.order))
+
+
+@pytest.mark.parametrize("cell", SWAP_COMBOS[::4] + DIAGONAL_COMBOS[::2], ids=str)
+def test_sparse_forms_are_the_bytes_of_combine(cell):
+    # zero entries keep the conductor n, and cancelling sums become zeros
+    spec = (ActionSpec(cell[0], cell[1]) if len(cell) == 3
+            else ActionSpec(cell[0], cell[1], swap=False, weights2=cell[2]))
+    flat = [mat for s in cell[-1] for mat in _eigenbasis(spec, s)]
+    entries = _sparse_image(flat)[0]
+    rng = random.Random(str(cell))
+    rows = [[rng.randint(-4, 4) for _ in flat] for _ in range(3)] + [[0] * len(flat)]
+    rows.append([(-1) ** k for k in range(len(flat))])
+
+    def raw(mats):
+        return [(v.n, v.num, v.den) for mat in mats for row in mat for v in row]
+
+    assert raw(_sparse_forms(entries, rows, spec.order)) == raw(combine(cs, flat) for cs in rows)
 
 
 def _counted(monkeypatch, *names):
@@ -627,20 +649,49 @@ def _counted(monkeypatch, *names):
     return calls
 
 
-@pytest.mark.parametrize("cell, seed, draws, combines", [
+@pytest.mark.parametrize("cell, seed, draws, builds", [
     (REFUSING[0], 5, 50, 0),
-    ((4, (0, 0, 2, 2), (0, 1, 2)), 0, 2, 3),
+    ((4, (0, 0, 2, 2), (0, 1, 2)), 0, 2, 1),
 ])
-def test_only_the_returned_draw_is_built_exactly(monkeypatch, cell, seed, draws, combines):
+def test_only_the_returned_draw_is_built_exactly(monkeypatch, cell, seed, draws, builds):
     # a guard on wasted work: a draw is decided in F_p, so no exact quartic
-    # is expanded, and only the returned draw's three forms are combined
-    calls = _counted(monkeypatch, "_rejection", "combine", "determinantal_quartic")
-    if combines:
+    # is expanded, and only the returned draw's forms are built, by one
+    # sparse sum
+    calls = _counted(monkeypatch, "_rejection", "_sparse_forms", "determinantal_quartic")
+    if builds:
         random_equivariant_model(*cell, seed=seed)
     else:
         with pytest.raises(InputError, match="no smooth instance in 50 attempts"):
             random_equivariant_model(*cell, seed=seed)
-    assert calls == {"_rejection": draws, "combine": combines, "determinantal_quartic": 0}
+    assert calls == {"_rejection": draws, "_sparse_forms": builds, "determinantal_quartic": 0}
+
+
+def test_survey_draws_take_few_mod_p_runs(monkeypatch):
+    # a guard on wasted work, over the 124 instances of passes 0-3 of
+    # perfbench's survey: its cells interleaved by (kind, order), and the
+    # seeds of random.Random("survey:<pass>").  Deciding each draw on the
+    # forms R * E took 244 mod-p runs of 2,778 S-pairs in all; on the
+    # eigenforms E, 107 of the 120 draws singular mod p are refused by
+    # substitution at a coordinate point, and a run stops at pure powers
+    # of the three variables
+    groups = {}
+    for combo in SWAP_COMBOS + DIAGONAL_COMBOS:
+        groups.setdefault((len(combo), combo[0]), []).append(combo)
+    cells = [c for row in itertools.zip_longest(*groups.values()) for c in row if c]
+    counts = dict.fromkeys(("draws", "runs", "pairs"), 0)
+    for key, module, name in (("draws", action_module, "_rejection"),
+                              ("runs", groebner_module, "_mod_p_run"),
+                              ("pairs", groebner_module, "_s_polynomial")):
+        def counted(*args, _key=key, _fn=getattr(module, name)):
+            counts[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    for index in range(4):
+        generator = random.Random("survey:%d" % index)
+        for cell in cells:
+            draw = random_equivariant_model if len(cell) == 3 else random_diagonal_model
+            draw(*cell, seed=generator.randrange(1 << 30))
+    assert counts == {"draws": 258, "runs": 137, "pairs": 947}
 
 
 def test_a_rank_lost_mod_p_falls_back_to_the_exact_rank(monkeypatch):

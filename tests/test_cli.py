@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,7 +8,8 @@ from math import lcm
 
 import pytest
 
-from conftest import exact_hilbert_runs, planted_centre_point_model, rank_one_at_vertex_model
+from conftest import (exact_hilbert_runs, planted_centre_point_model, random_rational_matrix,
+                      rank_one_at_vertex_model)
 
 from fano212 import cli, cohomology
 from fano212 import model as model_module
@@ -428,6 +430,36 @@ class TestSubcommands:
         assert code == 1
         assert "quartic.smooth = False\n" in out
         assert "smooth.ok = False\n" in out
+
+    def test_smooth_expands_no_exact_quartic_when_f_p_proves_it(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the exact quartic was expanded")
+
+        monkeypatch.setattr(model_module, "determinantal_quartic", refuse)
+        code, out = run_cli(capsys, "--format", "tree", "smooth", "--input", SWAP8)
+        assert code == 0
+        assert "quartic.smooth = True\n" in out
+
+    def test_smooth_of_a_double_point_takes_the_exact_route(self, tmp_path, monkeypatch,
+                                                            capsys):
+        calls, quartic = [], model_module.determinantal_quartic
+        monkeypatch.setattr(model_module, "determinantal_quartic",
+                            lambda m: calls.append(m) or quartic(m))
+        path = write_model(tmp_path, model_from_matrices(DOUBLE_POINTS[0]))
+        code, out = run_cli(capsys, "--format", "tree", "smooth", "--input", path)
+        assert (code, len(calls)) == (1, 1)
+        assert "quartic.smooth = False\n" in out
+
+    def test_smooth_of_a_zero_pencil_exits_2(self, tmp_path, capsys):
+        # a common left kernel: the first rows of all three matrices are zero
+        rng = random.Random(9)
+        grids = [random_rational_matrix(rng) for _ in range(3)]
+        for g in grids:
+            g[0] = [0, 0, 0, 0]
+        path = write_model(tmp_path, model_from_matrices(grids))
+        code, out = run_cli(capsys, "--format", "tree", "smooth", "--input", path)
+        assert code == 2
+        assert "error = degenerate-pencil: " in out
 
     def test_smooth_rank_one_at_vertex(self, tmp_path, capsys):
         code, out = run_cli(capsys, "--format", "tree", "smooth",

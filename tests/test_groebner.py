@@ -29,6 +29,7 @@ from fano212.groebner import (
     DegreeCapExceeded,
     NonHomogeneousIdeal,
     buchberger,
+    empty_mod_p,
     hilbert_polynomial,
     monomial_divides,
     projective_empty,
@@ -310,6 +311,16 @@ def test_a_constant_remainder_ends_every_run():
     assert exact_basis([x, MultiPoly.constant(3, 2)]) == [MultiPoly.constant(1, 2)]
 
 
+def test_an_emptiness_run_stops_at_pure_powers_of_every_variable():
+    # pure powers of two of three variables are no yes, and the run goes on;
+    # one of each is, and it is final
+    prime = _fp_field(1)[0]
+    x2, y2, z2 = ({tuple(2 * (k == i) for k in range(3)): 1} for i in range(3))
+    assert empty_mod_p([x2, y2], 3, prime) is False
+    assert empty_mod_p([x2, y2, z2], 3, prime) is True
+    assert empty_mod_p([x2, y2, {(1, 0, 1): 1, (0, 0, 2): 1}], 3, prime) is True
+
+
 def _twisted_cubic():
     v = variables(4)
     return [
@@ -519,8 +530,13 @@ class TestCertificateFallbacks:
         assert _mod_p_leads(gens) == [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
         monkeypatch.setattr(groebner_module, "DEGREE_CAP", 3)
         assert _mod_p_leads(gens) is None
+        # the emptiness run stops at the inputs' pure powers, below the cap
+        assert projective_empty(gens) is True
+        assert len(calls) == 0
+        # without z^3 the locus holds (0:0:1), so the run goes on to the
+        # cap, and the exact run hits it too
         with pytest.raises(DegreeCapExceeded):
-            projective_empty(gens)
+            projective_empty(gens[:2])
         assert len(calls) == 1
 
 

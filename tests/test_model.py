@@ -4,7 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
 
 import pytest
@@ -40,6 +40,7 @@ from fano212.cyclotomic import Cyclotomic, _fp_field, _fp_image, cyc
 from fano212.groebner import (
     DegreeCapExceeded,
     _mod_p_basis,
+    _unpack,
     buchberger,
     hilbert_polynomial,
     projective_empty,
@@ -53,6 +54,7 @@ from fano212.model import (
     _chart_terms,
     _image,
     _pencil,
+    _smooth_image,
     InputError,
     ModelTriple,
     Side,
@@ -62,6 +64,7 @@ from fano212.model import (
     centre_hilbert_polynomial,
     curve_point_to_quartic_point,
     determinantal_quartic,
+    determinantal_quartic_smooth,
     full_smoothness,
     minor_cubics,
     model_from_matrices,
@@ -366,6 +369,74 @@ class TestQuarticSmooth:
             quartic_smooth(power(x, 3))
 
 
+# M1 = diag(0, 1, 1, 1), so at e_0 of P2 the quartic's x_0^4 and x_0^3 x_2
+# coefficients are M1's determinant and M3[0][0], both 0, and that of
+# x_0^3 x_1 is M2[0][0] = 1; the quartic is smooth
+AT_E0 = (
+    [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 1, -1, 0], [-1, 0, 0, 0], [1, 0, -1, -1], [0, -1, 0, 0]],
+    [[0, -1, 1, 0], [0, 1, -1, 1], [-1, 0, -1, -1], [-1, 1, 1, -1]],
+)
+
+
+class TestSmoothImage:
+    def test_every_coordinate_monomial_counts(self):
+        # the forms permuted give every ordered pair j != i a smooth quartic
+        # whose one nonzero coefficient of x_j^4 and the x_j^3 x_i is that of
+        # x_j^3 x_i: a substitution that skips it refuses that quartic
+        m = model_from_matrices(AT_E0)
+        q = determinantal_quartic(m)
+        assert set(q.terms) & {(4, 0, 0), (3, 1, 0), (3, 0, 1)} == {(3, 1, 0)}
+        assert quartic_smooth(q) is True
+        prime, grids = _image(m.matrices)
+        for order in permutations(range(3)):
+            assert _smooth_image([grids[k] for k in order], prime)[1] is True
+
+    def test_a_singular_coordinate_point_is_refused_with_no_run(self, monkeypatch):
+        # M2[0][0] = 0 makes e_0 a common zero of the partials
+        grids = [[list(row) for row in mat] for mat in AT_E0]
+        grids[1][0][0] = 0
+        m = model_from_matrices(grids)
+        monkeypatch.setattr(model_module, "empty_mod_p", _refuse)
+        prime, images = _image(m.matrices)
+        q, smooth = _smooth_image(images, prime)
+        assert q and smooth is False
+        assert quartic_smooth(determinantal_quartic(m)) is False
+
+    def test_a_zero_image_is_refused(self, monkeypatch):
+        rng = random.Random(9)
+        grids = [random_rational_matrix(rng) for _ in range(3)]
+        for g in grids:
+            g[0] = [0, 0, 0, 0]
+        prime, images = _image(model_from_matrices(grids).matrices)
+        monkeypatch.setattr(model_module, "empty_mod_p", _refuse)
+        assert _smooth_image(images, prime) == ({}, False)
+
+    @pytest.mark.parametrize("source", ["tests/data", "survey"])
+    def test_smooth_expands_no_exact_quartic(self, monkeypatch, source):
+        data = os.path.join(os.path.dirname(__file__), "data")
+        models = ([load_instance(os.path.join(data, name)).model
+                   for name in ("swap_n8.txt", "symmetric_n2.txt", "dense_n1021.txt")]
+                  if source == "tests/data" else
+                  [random_equivariant_model(*cell, seed=0)[0] for cell in SWAP_GRID]
+                  + [random_diagonal_model(*cell, seed=0)[0] for cell in DIAGONAL_GRID])
+        monkeypatch.setattr(model_module, "determinantal_quartic", _refuse)
+        monkeypatch.setattr(model_module, "poly_det", _refuse)
+        assert all(determinantal_quartic_smooth(m) is True for m in models)
+
+    def test_a_singular_quartic_reaches_the_exact_route(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return determinantal_quartic(m)
+
+        monkeypatch.setattr(model_module, "determinantal_quartic", counted)
+        m = model_from_matrices(DOUBLE_POINT)
+        assert determinantal_quartic_smooth(m) is False
+        assert calls == [m]
+
+
 class TestRankLocus:
     def test_smooth_instance(self, planted_model):
         m, _ = planted_model
@@ -625,6 +696,23 @@ class TestCertificateDecides:
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
         assert projective_empty(partials) is True
         assert unit_mod_p_or_q(chart, _mod_p_basis(chart)) is True
+
+    def test_the_partials_of_swap_n8_stop_at_pure_powers(self, monkeypatch):
+        # the emptiness run is the full run cut short: fewer S-pairs, its
+        # basis a prefix of the full one, and its leads already holding a
+        # pure power of every variable
+        partials = [determinantal_quartic(_swap_n8()).derivative(i) for i in range(3)]
+        pairs, s_polynomial = [], groebner_module._s_polynomial
+        monkeypatch.setattr(groebner_module, "_s_polynomial",
+                            lambda *args: pairs.append(args) or s_polynomial(*args))
+        full = _mod_p_basis(partials)
+        full_pairs = len(pairs)
+        stopped = _mod_p_basis(partials, True)
+        assert 0 < len(pairs) - full_pairs < full_pairs
+        assert stopped[0] == full[0][:len(stopped[0])]
+        for basis, w, nvars, _ in (stopped, full):
+            leads = [_unpack(lm, w, nvars) for lm, _ in basis]
+            assert all(any(m[v] == sum(m) for m in leads) for v in range(3))
 
     def test_charts_not_unit_mod_p_run_exactly(self, monkeypatch):
         # the first form vanishes mod p, so no chart is unit mod p; five
