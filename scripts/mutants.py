@@ -42,6 +42,11 @@ MUTANTS = [
      "for e, c in terms.items()}",
      ["tests/test_model.py::test_each_matrix_of_forms_is_built_once_for_both_rings"
       "[swap_n8.txt]"]),
+    # the record's is_homogeneous refusing the zero polynomial
+    ("fano212/multipoly.py",
+     "return len(degrees) <= 1\n",
+     "return len(degrees) == 1\n",
+     ["tests/test_groebner.py::TestHilbert::test_zero_ideal"]),
     # full_smoothness dropping the image that validate_model checked
     ("fano212/model.py",
      "    image = validate_model(m)\n    if any(_singular_coordinate_point",

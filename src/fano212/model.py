@@ -180,7 +180,7 @@ def minor_cubics(m: ModelTriple, side: Side = Side.FIRST) -> list:
     the one without column i at place i (_WITHOUT), of the 3x4 matrix of
     linear forms in x0..x3 with row i x^T M_i (x^T M_i^T on side SECOND)."""
     rows = [[_form(col, _X4) for col in zip(*mat)] for mat in m.sided(side).matrices]
-    cubics = [MultiPoly._of(4, f) for f in minors(rows, _WITHOUT) if f]
+    cubics = [MultiPoly(4, f) for f in minors(rows, _WITHOUT) if f]
     if not cubics:
         raise InputError(
             "degenerate-rank",
@@ -230,7 +230,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
 
 def determinantal_quartic(m: ModelTriple) -> MultiPoly:
     """Q(x, y, z) = det(x*M1 + y*M2 + z*M3)."""
-    q = MultiPoly._of(3, poly_det(_pencil(m.matrices)))
+    q = MultiPoly(3, poly_det(_pencil(m.matrices)))
     if q.is_zero():
         raise InputError("degenerate-pencil", "det(xM1 + yM2 + zM3) is identically zero")
     return q
@@ -241,7 +241,7 @@ def quartic_smooth(q: MultiPoly) -> bool:
     projective zero."""
     if q.nvars != 3 or q.degree() != 4 or not q.is_homogeneous():
         raise ValueError("expected a homogeneous quartic in three variables")
-    partials = [p for p in map(q.derivative, range(3)) if not p.is_zero()]
+    partials = [MultiPoly(3, p) for p in (_derivative(q.terms, i) for i in range(3)) if p]
     if len(partials) < 3:
         return False
     return projective_empty(partials)
@@ -412,7 +412,7 @@ def full_smoothness(m: ModelTriple) -> bool:
             if zeros:  # stratum (0, 0) is chart (0, 0): its run is the chart's
                 run = mod_p_run(chart, (), subsets) if rational else None
         terms = terms or _chart_terms(m.matrices)
-        gens = [MultiPoly._of(8, f) for f in restricted(terms, chart, (), subsets)]
+        gens = [MultiPoly(8, f) for f in restricted(terms, chart, (), subsets)]
         try:
             if not unit_mod_p_or_q(gens, run):
                 return False

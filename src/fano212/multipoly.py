@@ -1,65 +1,36 @@
-"""Sparse multivariate polynomials over cyclotomic coefficients.
+"""Sparse multivariate polynomials over cyclotomic coefficients: the
+MultiPoly record and kernels on its term dicts.
 
-Terms map exponent tuples to nonzero Cyclotomic coefficients; the zero
-polynomial has an empty term map.  Includes the minors of small matrices of
-term dicts (minors), with poly_det as the exact square case: one cofactor
-expansion per row subset (_cofactors, monomials packed by groebner._pack),
-mod p on residues for F_p certificates, or in integers over Q(zeta_N) with
-each numerator polynomial one int (_kronecker says why that is exact).
+A term dict maps exponent tuples to nonzero coefficients, Cyclotomic values
+or residues mod p; the zero polynomial has an empty one.  MultiPoly pairs a
+term dict with its number of variables where polynomials enter and leave
+the Groebner engine and the quartic; it does no arithmetic.  The kernels
+take and give term dicts: the minors of small matrices of them (minors),
+with poly_det as the exact square case, one cofactor expansion per row
+subset (_cofactors, monomials packed by groebner._pack), mod p on residues
+for F_p certificates, or in integers over Q(zeta_N) with each numerator
+polynomial one int (_kronecker says why that is exact); restriction to a
+chart (_restrict) and partial derivatives (_derivative).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from dataclasses import dataclass
 from math import factorial, lcm, prod
 
 from .cyclotomic import Cyclotomic, _divmod_monic, _phi_terms, cyc, euler_phi
 from .groebner import _pack, _unpack
 
 
+@dataclass(frozen=True)
 class MultiPoly:
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        clean = {}
-        if terms:
-            for exps, coef in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError("exponent vector %r has wrong arity" % (exps,))
-                _accumulate(clean, exps, cyc(coef))
-        _set_nvars(self, nvars)
-        _set_terms(self, clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _of(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Trusted fast constructor; terms must map nvars-tuples to nonzero
-        Cyclotomic coefficients."""
-        out = object.__new__(cls)
-        _set_nvars(out, nvars)
-        _set_terms(out, terms)
-        return out
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, value, nvars: int) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: cyc(value)})
-
-    # -- predicates --------------------------------------------------------
+    """A polynomial in nvars variables: terms maps nvars-tuples of exponents
+    to nonzero Cyclotomic coefficients.  Nothing is checked."""
+    nvars: int
+    terms: dict
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -68,64 +39,6 @@ class MultiPoly:
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "MultiPoly"):
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch: %d vs %d" % (self.nvars, other.nvars))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = MultiPoly.constant(other, self.nvars)
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, coef in other.terms.items():
-            _accumulate(terms, exps, coef)
-        return MultiPoly._of(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = MultiPoly.constant(other, self.nvars)
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            scalar = cyc(other)
-            if scalar.is_zero():
-                return MultiPoly.zero(self.nvars)
-            return MultiPoly._of(self.nvars, {e: c * scalar for e, c in self.terms.items()})
-        self._check(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return MultiPoly._of(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        if self.nvars != other.nvars or len(self.terms) != len(other.terms):
-            return False
-        for exps, coef in self.terms.items():
-            oc = other.terms.get(exps)
-            if oc is None or not (oc - coef).is_zero():
-                return False
-        return True
-
-    __hash__ = None
-
-    # -- evaluation and maps ------------------------------------------------
 
     def evaluate(self, point) -> Cyclotomic:
         """The sum of c * prod(v_i^e_i) over the terms c*x^e."""
@@ -139,15 +52,6 @@ class MultiPoly:
                     coef = coef * v**e
             total = total + coef
         return total
-
-    def derivative(self, index: int) -> "MultiPoly":
-        return MultiPoly._of(self.nvars, _derivative(self.terms, index))
-
-    def __repr__(self):
-        return "MultiPoly(%d, %r)" % (self.nvars, self.terms)
-
-
-_set_nvars, _set_terms = (MultiPoly.__dict__[s].__set__ for s in MultiPoly.__slots__)
 
 
 def _accumulate(terms: dict, exps, coef) -> None:

@@ -71,18 +71,93 @@ DIAGONAL_COMBOS = [
 ]
 
 
+class Poly(MultiPoly):
+    """The suite's polynomials: the package's MultiPoly record with the
+    arithmetic the oracles are built from.  The constructor checks each
+    exponent tuple's arity, coerces coefficients to Cyclotomic (cyc) and
+    drops zero terms; +, -, * take a MultiPoly or a scalar (int, Fraction,
+    Cyclotomic) on either side and give a Poly; == compares term by term,
+    across conductors, with any MultiPoly."""
+
+    def __init__(self, nvars: int, terms=None):
+        clean = {}
+        for exps, coef in (terms or {}).items():
+            if len(exps) != nvars:
+                raise ValueError("exponent vector %r has wrong arity" % (exps,))
+            if coef:
+                clean[tuple(exps)] = cyc(coef)
+        super().__init__(nvars, clean)
+
+    @classmethod
+    def zero(cls, nvars: int) -> "Poly":
+        return cls(nvars, {})
+
+    @classmethod
+    def constant(cls, value, nvars: int) -> "Poly":
+        return cls(nvars, {(0,) * nvars: value})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _coerce(self, other) -> "Poly":
+        """other as a Poly in self's variables: a scalar as a constant."""
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return Poly.constant(other, self.nvars)
+        if self.nvars != other.nvars:
+            raise ValueError("arity mismatch: %d vs %d" % (self.nvars, other.nvars))
+        return other if isinstance(other, Poly) else Poly(other.nvars, other.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return Poly(self.nvars, {e: self.terms.get(e, 0) + other.terms.get(e, 0)
+                                 for e in {**self.terms, **other.terms}})
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other, terms = self._coerce(other), {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly(self.nvars, terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and not (self - other).terms
+
+
 def variables(nvars: int) -> list:
     """x_0, ..., x_{nvars-1} as polynomials in nvars variables."""
-    return [MultiPoly(nvars, {tuple(int(i == j) for j in range(nvars)): 1})
+    return [Poly(nvars, {tuple(int(i == j) for j in range(nvars)): 1})
             for i in range(nvars)]
 
 
-def power(p: MultiPoly, k: int) -> MultiPoly:
+def power(p: MultiPoly, k: int) -> Poly:
     """p to the power k >= 0, by repeated multiplication."""
-    result = MultiPoly.constant(1, p.nvars)
+    result = Poly.constant(1, p.nvars)
     for _ in range(k):
         result = result * p
     return result
+
+
+def derivative(p: MultiPoly, index: int) -> Poly:
+    """The partial derivative of p in x_index, term by term: c * x^e goes to
+    e_index * c * x^e with e_index lowered by one."""
+    return Poly(p.nvars, {e[:index] + (e[index] - 1,) + e[index + 1:]: c * e[index]
+                          for e, c in p.terms.items() if e[index]})
 
 
 def leibniz(rows):
@@ -117,22 +192,22 @@ def bilinear_forms(m) -> list:
     from variables."""
     v = variables(8)
     return [sum((v[a] * v[4 + b] * mat[a][b] for a in range(4) for b in range(4)),
-                MultiPoly.zero(8)) for mat in m.matrices]
+                Poly.zero(8)) for mat in m.matrices]
 
 
 def coeff_matrix(m, side=Side.FIRST) -> list:
     """The 3x4 matrix of linear forms in x0..x3 whose row k is x^T M_k, on the
     sided triple, summed from variables."""
     x = variables(4)
-    return [[sum((x[a] * mat[a][j] for a in range(4)), MultiPoly.zero(4)) for j in range(4)]
+    return [[sum((x[a] * mat[a][j] for a in range(4)), Poly.zero(4)) for j in range(4)]
             for mat in m.sided(side).matrices]
 
 
 def dehomogenize(p: MultiPoly, chart) -> MultiPoly:
     """p with 1 put for each variable index in chart: the sum of its terms
     with those exponents set to 0."""
-    return sum((MultiPoly(p.nvars, {tuple(0 if i in chart else k for i, k in enumerate(e)): c})
-                for e, c in p.terms.items()), MultiPoly.zero(p.nvars))
+    return sum((Poly(p.nvars, {tuple(0 if i in chart else k for i, k in enumerate(e)): c})
+                for e, c in p.terms.items()), Poly.zero(p.nvars))
 
 
 def term_rows(rows) -> list:
@@ -270,7 +345,7 @@ def singular_quartic_model(seed: int, entry_range=1):
             continue
         p = [cyc(1), cyc(0), cyc(0)]
         if q.evaluate(p).is_zero() and all(
-            q.derivative(i).evaluate(p).is_zero() for i in range(3)
+            derivative(q, i).evaluate(p).is_zero() for i in range(3)
         ):
             return model
 
@@ -447,7 +522,7 @@ def exact_rejection(bases, coeffs, rows, n: int):
         q = determinantal_quartic(model)
     except InputError as exc:
         return str(exc)
-    run = _mod_p_basis([q.derivative(i) for i in range(3)])
+    run = _mod_p_basis([derivative(q, i) for i in range(3)])
     leads = [] if run is None else [_unpack(lm, run[1], 3) for lm, _ in run[0]]
     if all(any(m[v] == sum(m) for m in leads) for v in range(3)):
         return None
@@ -512,23 +587,23 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
     """Full remainder of p under division by the basis: the grevlex-leading
     term of what is left is cancelled by the first basis element whose
     leading monomial divides it, or else moved to the remainder."""
-    remainder = MultiPoly.zero(p.nvars)
-    while p:
+    remainder = Poly.zero(p.nvars)
+    while p.terms:
         mono, coef = leading_term(p)
         for g in basis:
             lead, lead_coef = leading_term(g)
             if monomial_divides(lead, mono):
                 shift = [a - b for a, b in zip(mono, lead)]
-                p = p - g * MultiPoly(p.nvars, {tuple(shift): coef / lead_coef})
+                p = p - g * Poly(p.nvars, {tuple(shift): coef / lead_coef})
                 break
         else:
-            term = MultiPoly(p.nvars, {mono: coef})
+            term = Poly(p.nvars, {mono: coef})
             remainder, p = remainder + term, p - term
     return remainder
 
 
 def _unpacked(basis, w, nvars):
-    return [MultiPoly(nvars, {_unpack(m, w, nvars): c for m, c in terms.items()})
+    return [Poly(nvars, {_unpack(m, w, nvars): c for m, c in terms.items()})
             for _, terms in basis]
 
 

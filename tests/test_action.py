@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     DIAGONAL_COMBOS,
     SWAP_COMBOS,
+    Poly,
     action_image,
     action_matrix,
     brute_force_projective_order,
@@ -56,7 +57,6 @@ from fano212.instancefile import Instance, parse_instance, serialize_instance
 from fano212.linalg import matrix_rank
 from fano212.model import InputError, ModelTriple, combine, determinantal_quartic, \
     model_from_matrices, quartic_smooth
-from fano212.multipoly import MultiPoly
 
 
 def sigma_orbit_order(spec, sample):
@@ -505,7 +505,7 @@ class TestGenerators:
             for k in range(4):
                 entries[j][k] = sum(
                     (coords[i] * mats[i][j][k] for i in range(3)),
-                    MultiPoly.zero(3),
+                    Poly.zero(3),
                 )
         pfaffian = (
             entries[0][1] * entries[2][3]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dehomogenize, exact_basis, exactly_unit, grevlex_key, groebner,
+from conftest import (Poly, dehomogenize, exact_basis, exactly_unit, grevlex_key, groebner,
                       leading_term, normal_form, power, qp_eval, variables)
 
 from fano212 import groebner as groebner_module
@@ -37,7 +37,6 @@ from fano212.groebner import (
     qp_str,
     unit_mod_p_or_q,
 )
-from fano212.multipoly import MultiPoly
 
 
 def _mod_p_leads(generators):
@@ -99,14 +98,14 @@ def test_packed_normal_form_is_the_plain_division(data):
     nvars = data.draw(st.integers(1, 4))
     monomial = st.tuples(*[st.integers(0, 3)] * nvars)
     polynomial = st.dictionaries(monomial, st.integers(-3, 3), max_size=5).map(
-        lambda terms: MultiPoly(nvars, terms))
+        lambda terms: Poly(nvars, terms))
     p = data.draw(polynomial)
     basis = data.draw(st.lists(polynomial.filter(bool), min_size=1, max_size=3))
     w = _width(max(g.degree() for g in [p] + basis))
     remainder = _normal_form(_pack_terms(p.terms, w),
                              [_monic(_pack_terms(g.terms, w)) for g in basis], _guard(w, nvars))
     unpacked = {_unpack(m, w, nvars): c for m, c in remainder.items()}
-    assert MultiPoly(nvars, unpacked) == normal_form(p, basis)
+    assert Poly(nvars, unpacked) == normal_form(p, basis)
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,7 +116,7 @@ def test_a_shared_reducer_memo_leaves_every_remainder(data):
     nvars = data.draw(st.integers(1, 4))
     monomial = st.tuples(*[st.integers(0, 3)] * nvars)
     polynomial = st.dictionaries(monomial, st.integers(-3, 3), max_size=5).map(
-        lambda terms: MultiPoly(nvars, terms))
+        lambda terms: Poly(nvars, terms))
     basis = data.draw(st.lists(polynomial.filter(bool), min_size=1, max_size=4))
     polys = data.draw(st.lists(polynomial, min_size=1, max_size=6))
     w = _width(max(g.degree() for g in polys + basis))
@@ -127,7 +126,7 @@ def test_a_shared_reducer_memo_leaves_every_remainder(data):
         shared = _normal_form(_pack_terms(p.terms, w), leads[:size], _guard(w, nvars),
                               None, memo)
         unpacked = {_unpack(m, w, nvars): c for m, c in shared.items()}
-        assert MultiPoly(nvars, unpacked) == normal_form(p, basis[:size])
+        assert Poly(nvars, unpacked) == normal_form(p, basis[:size])
 
 
 def test_already_reduced_basis():
@@ -226,7 +225,7 @@ class TestProjectiveEmpty:
                     a = rng.randint(0, 2)
                     b = rng.randint(0, 2 - a)
                     terms[(a, b, 2 - a - b)] = rng.randint(-2, 2)
-                p = MultiPoly(3, terms)
+                p = Poly(3, terms)
                 if not p.is_zero():
                     gens.append(p)
             if not gens:
@@ -244,7 +243,7 @@ class TestProjectiveEmpty:
 
 class TestHilbert:
     def test_zero_ideal(self):
-        assert hilbert_polynomial([MultiPoly.zero(4)]) == qp_binomial(3)
+        assert hilbert_polynomial([Poly.zero(4)]) == qp_binomial(3)
         assert qp_str(qp_binomial(3)) == "1/6*t^3 + t^2 + 11/6*t + 1"
 
     def test_hyperplane(self):
@@ -271,7 +270,7 @@ class TestHilbert:
                 for _ in range(rng.randint(1, 6)):
                     picks = rng.choices(range(nvars), k=rng.randint(1, 3))
                     monos.add(tuple(picks.count(i) for i in range(nvars)))
-                hp = hilbert_polynomial([MultiPoly(nvars, {m: 1}) for m in monos])
+                hp = hilbert_polynomial([Poly(nvars, {m: 1}) for m in monos])
                 # inclusion-exclusion over the generators shows the Hilbert
                 # function is the polynomial from deg lcm - nvars + 1 on
                 start = max(sum(max(e) for e in zip(*monos)) - nvars + 1, 0)
@@ -305,10 +304,10 @@ def test_a_constant_remainder_ends_every_run():
     # x*y - 1 reduces to the constant -1 by x and y: the basis of the unit
     # ideal is just 1, exactly and mod p
     x, y = variables(2)
-    assert exact_basis([x, y, x * y - 1]) == [MultiPoly.constant(1, 2)]
+    assert exact_basis([x, y, x * y - 1]) == [Poly.constant(1, 2)]
     assert buchberger([x, y, x * y - 1]) == [(0, 0)]
     assert _mod_p_leads([x, y, x * y - 1]) == [(0, 0)]
-    assert exact_basis([x, MultiPoly.constant(3, 2)]) == [MultiPoly.constant(1, 2)]
+    assert exact_basis([x, Poly.constant(3, 2)]) == [Poly.constant(1, 2)]
 
 
 def test_an_emptiness_run_stops_at_pure_powers_of_every_variable():
@@ -333,7 +332,7 @@ def _twisted_cubic():
 def _quadric_triple():
     rng = random.Random(5)
     monos = [m for m in itertools.product(range(3), repeat=4) if sum(m) == 2]
-    return [MultiPoly(4, {m: rng.randint(-2, 2) for m in monos}) for _ in range(3)]
+    return [Poly(4, {m: rng.randint(-2, 2) for m in monos}) for _ in range(3)]
 
 
 def _zeta_scaled(ideal):
@@ -393,7 +392,7 @@ def _mixed_degree_ideal(seed):
     for degree in (2, 2, 3):
         monos = [m for m in itertools.product(range(degree + 1), repeat=4)
                  if sum(m) == degree]
-        gens.append(MultiPoly(4, {m: rng.randint(-2, 2) for m in rng.sample(monos, 4)}))
+        gens.append(Poly(4, {m: rng.randint(-2, 2) for m in rng.sample(monos, 4)}))
     return gens
 
 
@@ -439,12 +438,12 @@ def test_inter_reduced_inputs_keep_the_reduced_basis(data, domain):
     v = variables(3)
     quadrics = [a * b for a, b in itertools.combinations_with_replacement(v, 2)]
     quadric = st.lists(st.integers(-2, 2), min_size=6, max_size=6).map(
-        lambda c: sum((q * k for q, k in zip(quadrics, c)), MultiPoly.zero(3)))
+        lambda c: sum((q * k for q, k in zip(quadrics, c)), Poly.zero(3)))
     gens = data.draw(st.lists(quadric.filter(bool), min_size=1, max_size=3))
     if domain == "zeta4":
         gens[0] = gens[0] * Cyclotomic.zeta(4)
-    combos = [sum((g * sum((x * k for x, k in zip(v, data.draw(_linear))), MultiPoly.zero(3))
-                   for g in gens), MultiPoly.zero(3)) for _ in range(data.draw(st.integers(1, 3)))]
+    combos = [sum((g * sum((x * k for x, k in zip(v, data.draw(_linear))), Poly.zero(3))
+                   for g in gens), Poly.zero(3)) for _ in range(data.draw(st.integers(1, 3)))]
     mixed = data.draw(st.permutations(gens + [c for c in combos if c]))
 
     def reduced(generators):
@@ -565,7 +564,7 @@ def test_certificate_agrees_with_the_exact_test(conductor):
     verdicts = []
     for _ in range(12):
         gens = [
-            MultiPoly(3, {m: _random_scalar(rng, conductor) for m in monos})
+            Poly(3, {m: _random_scalar(rng, conductor) for m in monos})
             for _ in range(rng.choice((2, 3)))
         ]
         if rng.random() < 0.4:
@@ -702,7 +701,7 @@ def test_certified_answers_are_the_exact_ones(data):
                  if sum(m) == degree]
         coefficients = data.draw(st.lists(_coefficient, min_size=len(monos),
                                           max_size=len(monos)))
-        gens.append(MultiPoly(nvars, dict(zip(monos, coefficients))))
+        gens.append(Poly(nvars, dict(zip(monos, coefficients))))
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return

@@ -12,9 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    Poly,
     bilinear_forms,
     coeff_matrix,
     dehomogenize,
+    derivative,
     exact_hilbert_runs,
     fiber_section,
     leibniz,
@@ -73,7 +75,7 @@ from fano212.model import (
     sample_curve_points,
     validate_model,
 )
-from fano212.multipoly import MultiPoly, _derivative, minors
+from fano212.multipoly import _derivative, minors
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "scripts"))
 from run_survey import DIAGONAL_GRID, SWAP_GRID  # noqa: E402
@@ -186,7 +188,7 @@ class TestBilinearForms:
     def test_identity_gives_trace_form(self):
         m = model_from_matrices([identity4(), e_matrix(0, 1), e_matrix(2, 3)])
         forms = bilinear_forms(m)
-        expected = MultiPoly(
+        expected = Poly(
             8,
             {
                 tuple(1 if v in (j, 4 + j) else 0 for v in range(8)): 1
@@ -202,14 +204,14 @@ class TestBilinearForms:
         forms_t = bilinear_forms(m.transposed())
         for f, ft in zip(forms, forms_t):
             # x_j y_k -> x_k y_j: the two halves of each exponent tuple trade places
-            assert ft == MultiPoly(8, {e[4:] + e[:4]: c for e, c in f.terms.items()})
+            assert ft == Poly(8, {e[4:] + e[:4]: c for e, c in f.terms.items()})
 
     def test_coefficients_match_entries(self):
         rng = random.Random(4)
         grids = [random_rational_matrix(rng) for _ in range(3)]
         m = model_from_matrices(grids)
         forms = bilinear_forms(m)
-        assert [MultiPoly._of(8, f) for f in _chart_terms(m.matrices)[0]] == forms
+        assert [Poly(8, f) for f in _chart_terms(m.matrices)[0]] == forms
         for grid, f in zip(grids, forms):
             for j in range(4):
                 for k in range(4):
@@ -226,7 +228,7 @@ class TestCoeffMatrix:
         x1 = variables(4)[1]
         for i in range(3):
             for j in range(4):
-                assert rows[i][j] == (x1 if j == i else MultiPoly.zero(4))
+                assert rows[i][j] == (x1 if j == i else Poly.zero(4))
 
     def test_evaluation_recovers_forms(self):
         rng = random.Random(5)
@@ -509,7 +511,7 @@ ZETA8 = Cyclotomic.zeta(8)
         ((T * 67 - 100) * (T * T + 1), {Fraction(100, 67)}),
         ((T - Fraction(2, 3)) * (T * ZETA8 + ZETA8**2 + 1), {Fraction(2, 3)}),
         (T * T * power(T - 3, 2) * (T * 2 + 1), {Fraction(0), Fraction(3), Fraction(-1, 2)}),
-        (MultiPoly.constant(5, 1), set()),
+        (Poly.constant(5, 1), set()),
         # the coordinates (2T - 3)(T^2 + 1) and (2T - 3)(T^3 - 2T + 4) share a
         # non-monic factor, reached through several non-monic divisors
         ((T * 2 - 3) * (T * T + 1 + (power(T, 3) - T * 2 + 4) * ZETA4), {Fraction(3, 2)}),
@@ -525,10 +527,10 @@ def test_rational_roots(poly, roots):
     assert set(found) == roots
 
 
-def t_poly(coeffs) -> MultiPoly:
+def t_poly(coeffs) -> Poly:
     """The polynomial in T with the given integer coefficients, constant
     term first."""
-    return sum((c * power(T, k) for k, c in enumerate(coeffs)), MultiPoly.zero(1))
+    return sum((c * power(T, k) for k, c in enumerate(coeffs)), Poly.zero(1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -690,7 +692,7 @@ class TestCertificateDecides:
     def test_a_true_mod_p_is_final(self, monkeypatch):
         # neither the checked lift nor the exact engine runs after it
         m = _swap_n8()
-        partials = [determinantal_quartic(m).derivative(i) for i in range(3)]
+        partials = [derivative(determinantal_quartic(m), i) for i in range(3)]
         chart = chart_generators(m)[0]
         monkeypatch.setattr(groebner_module, "_lift_holds", _refuse)
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
@@ -701,7 +703,7 @@ class TestCertificateDecides:
         # the emptiness run is the full run cut short: fewer S-pairs, its
         # basis a prefix of the full one, and its leads already holding a
         # pure power of every variable
-        partials = [determinantal_quartic(_swap_n8()).derivative(i) for i in range(3)]
+        partials = [derivative(determinantal_quartic(_swap_n8()), i) for i in range(3)]
         pairs, s_polynomial = [], groebner_module._s_polynomial
         monkeypatch.setattr(groebner_module, "_s_polynomial",
                             lambda *args: pairs.append(args) or s_polynomial(*args))
@@ -754,7 +756,7 @@ class TestCertificateDecides:
         x, y, z = variables(3)
         # a Klein quartic with unit coefficients
         q = power(x, 3) * y + power(y, 3) * z * Cyclotomic.zeta(8) + power(z, 3) * x
-        partials = [q.derivative(i) for i in range(3)]
+        partials = [derivative(q, i) for i in range(3)]
         leads = buchberger(partials)
         assert all(any(sum(m) == m[v] > 0 for m in leads) for v in range(3))
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
@@ -829,7 +831,7 @@ class TestStrata:
         forms = bilinear_forms(m)
         point = [cyc(c) for c in u + (0, 0, 0, 1)]
         assert all(f.evaluate(point).is_zero() for f in forms)
-        jacobian = [[f.derivative(v).evaluate(point) for v in range(8)] for f in forms]
+        jacobian = [[derivative(f, v).evaluate(point) for v in range(8)] for f in forms]
         assert matrix_rank(jacobian) < 3
         assert cell == (next(k for k, c in enumerate(u) if c), 3)
         assert full_smoothness(m) is False
@@ -881,7 +883,7 @@ def chart_generators(m):
             chart = (i, 4 + j)
             local = [dehomogenize(f, chart) for f in forms]
             variables = [v for v in range(8) if v not in chart]
-            jac = [[f.derivative(v) for v in variables] for f in local]
+            jac = [[derivative(f, v) for v in variables] for f in local]
             charts.append([f for f in local + leibniz_minors(jac, 3) if not f.is_zero()])
     return charts
 
@@ -1000,7 +1002,8 @@ def test_each_matrix_of_forms_is_built_once_for_both_rings(source):
     # _image keeps each entry's image in its place, and the pencil built on
     # those images has for determinant the image of the exact quartic, term
     # by term, at the prime of the model's conductor; so has each partial
-    # derivative, taken by the one _derivative on either ring
+    # derivative, _derivative's on the residues against the oracle's on the
+    # exact quartic, with no zero residue, as each exponent is below p
     m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
     prime, grids = _image(m.matrices)
     anchor = Cyclotomic.zeta(lcm(*(v.n for mat in m.matrices for row in mat for v in row)))
@@ -1016,8 +1019,9 @@ def test_each_matrix_of_forms_is_built_once_for_both_rings(source):
     (quartic_mod_p,) = minors(_pencil(grids), [(0, 1, 2, 3)], prime)
     assert quartic_mod_p == {e: r for e, r in quartic.items() if r}
     for i in range(3):
-        assert {e: r % prime for e, r in _derivative(quartic_mod_p, i).items() if r % prime} == {
-            e: image(c) for e, c in q.derivative(i).terms.items()}
+        partial = {e: image(c) for e, c in derivative(q, i).terms.items()}
+        assert {e: r % prime for e, r in _derivative(quartic_mod_p, i).items()} == {
+            e: r for e, r in partial.items() if r}
 
 
 @pytest.mark.parametrize("name", DATA_MODELS)

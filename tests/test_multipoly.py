@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import leibniz, power, term_rows, variables
+from conftest import Poly, leibniz, power, term_rows, variables
 from fano212.cyclotomic import Cyclotomic, _fp_field, _fp_image, cyc, euler_phi
-from fano212.multipoly import (_SHIFT_BITS, MultiPoly, _balanced_digits, _cofactors, _restrict,
-                               minors, poly_det)
+from fano212.multipoly import (_SHIFT_BITS, MultiPoly, _balanced_digits, _cofactors, _derivative,
+                               _restrict, minors, poly_det)
 
 
 def random_poly(rng, nvars=3, max_degree=2, nterms=4):
@@ -17,7 +17,7 @@ def random_poly(rng, nvars=3, max_degree=2, nterms=4):
     for _ in range(nterms):
         exps = tuple(rng.randint(0, max_degree) for _ in range(nvars))
         terms[exps] = rng.randint(-4, 4)
-    return MultiPoly(nvars, terms)
+    return Poly(nvars, terms)
 
 
 def test_product_difference_of_squares():
@@ -34,6 +34,40 @@ def test_arity_mismatch():
         variables(2)[0].evaluate([1, 2, 3])
 
 
+def test_the_oracle_constructor_checks_and_cleans():
+    # Poly's constructor, unlike the record's, checks arity, coerces to
+    # Cyclotomic and drops zero coefficients
+    with pytest.raises(ValueError, match="wrong arity"):
+        Poly(2, {(1, 0, 0): 1})
+    p = Poly(2, {(1, 0): 0, (0, 1): Fraction(1, 2), (0, 0): cyc(0, 8)})
+    assert p.terms == {(0, 1): cyc(Fraction(1, 2))}
+    assert all(isinstance(c, Cyclotomic) for c in p.terms.values())
+    assert not Poly.zero(3) and Poly.constant(0, 3).terms == {}
+
+
+def test_the_record_surface_is_what_is_read():
+    # the package's MultiPoly carries what the package and perfbench read
+    p = MultiPoly(2, {(1, 0): cyc(3)})
+    assert {name for name in dir(p) if not name.startswith("_")} == {
+        "nvars", "terms", "is_zero", "degree", "is_homogeneous", "evaluate"}
+
+
+def test_the_record_has_no_arithmetic():
+    # test_hygiene's check of unread names cannot see operators, as they
+    # read no names; the arithmetic is the oracle's (conftest.Poly)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+        assert not hasattr(MultiPoly, op), op
+
+
+@pytest.mark.parametrize("poly", [MultiPoly(2, {(1, 0): cyc(3)}), variables(2)[0]],
+                         ids=["record", "oracle"])
+def test_fields_cannot_be_assigned(poly):
+    with pytest.raises(AttributeError):
+        poly.terms = {}
+    with pytest.raises(AttributeError):
+        poly.nvars = 3
+
+
 def test_evaluate_is_a_ring_map_at_zeta_coordinates():
     # evaluation at a point with a zeta_4 coordinate: x_i -> point[i] on the
     # variables and constants, extended as a ring map
@@ -41,7 +75,7 @@ def test_evaluate_is_a_ring_map_at_zeta_coordinates():
     point = [cyc(2), Cyclotomic.zeta(4), cyc(Fraction(-1, 2))]
     for x, v in zip(variables(3), point):
         assert x.evaluate(point) == v
-    assert MultiPoly.constant(5, 3).evaluate(point) == 5
+    assert Poly.constant(5, 3).evaluate(point) == 5
     for _ in range(5):
         p, q = random_poly(rng), random_poly(rng)
         assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
@@ -62,9 +96,11 @@ def test_evaluate_is_ring_homomorphic():
 def test_derivative_product_rule():
     rng = random.Random(9)
     p, q = random_poly(rng), random_poly(rng)
-    lhs = (p * q).derivative(1)
-    rhs = p.derivative(1) * q + p * q.derivative(1)
-    assert lhs == rhs
+
+    def derivative(f):
+        return Poly(f.nvars, _derivative(f.terms, 1))
+
+    assert derivative(p * q) == derivative(p) * q + p * derivative(q)
 
 
 class TestDeterminant:
@@ -75,14 +111,14 @@ class TestDeterminant:
     def test_diagonal(self):
         ls = variables(4)
         rows = [
-            [ls[i] if i == j else MultiPoly.zero(4) for j in range(4)]
+            [ls[i] if i == j else Poly.zero(4) for j in range(4)]
             for i in range(4)
         ]
         assert poly_det(term_rows(rows)) == (ls[0] * ls[1] * ls[2] * ls[3]).terms
 
     def test_x_times_identity(self):
         x = variables(1)[0]
-        zero = MultiPoly.zero(1)
+        zero = Poly.zero(1)
         rows = [[x if i == j else zero for j in range(4)] for i in range(4)]
         assert poly_det(term_rows(rows)) == power(x, 4).terms
 
@@ -105,10 +141,10 @@ class TestDeterminant:
         ls = variables(3)
         zeta = Cyclotomic.zeta(8)
         rows = [[sum((v * (zeta ** rng.randint(0, 7) * rng.randint(-2, 2)) for v in ls),
-                     MultiPoly.zero(3)) if rng.random() < 0.7 else MultiPoly.zero(3)
+                     Poly.zero(3)) if rng.random() < 0.7 else Poly.zero(3)
                  for _ in range(size)] for _ in range(size)]
-        rows[0][0] = MultiPoly.zero(3)
-        det = MultiPoly._of(3, poly_det(term_rows(rows)))
+        rows[0][0] = Poly.zero(3)
+        det = Poly(3, poly_det(term_rows(rows)))
         assert det == leibniz(rows) and not det.is_zero()
         assert det.is_homogeneous() and det.degree() == size
 
@@ -129,21 +165,21 @@ class TestDeterminant:
             return Cyclotomic(n, [Fraction(c, den) for c in coords])
 
         def entry(den):
-            poly = MultiPoly.zero(nvars)
+            poly = Poly.zero(nvars)
             for _ in range(data.draw(st.integers(0, terms))):
                 exps = [0] * nvars
                 for v in data.draw(st.lists(st.integers(0, nvars - 1), max_size=3)):
                     exps[v] += 1
-                poly = poly + MultiPoly(nvars, {tuple(exps): coefficient(den)})
+                poly = poly + Poly(nvars, {tuple(exps): coefficient(den)})
             return poly
 
         rows = []
         for r in range(size):
             den = data.draw(st.sampled_from([1, 2, 3, 4, 6]))
-            rows.append([MultiPoly.zero(nvars) if r == zero_row else entry(den)
+            rows.append([Poly.zero(nvars) if r == zero_row else entry(den)
                          for _ in range(size)])
-        det = MultiPoly._of(nvars, poly_det(term_rows(rows)))
-        assert det == MultiPoly.zero(nvars) + leibniz(rows)
+        det = Poly(nvars, poly_det(term_rows(rows)))
+        assert det == Poly.zero(nvars) + leibniz(rows)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.sampled_from(["int", "Fraction", "Cyclotomic"]), st.data())
@@ -171,18 +207,18 @@ class TestDeterminant:
     def test_dense_3x3_at_conductor_504(self):
         rng = random.Random(504)
         units = [(1, 0), (0, 1)]
-        rows = [[MultiPoly(2, {u: Cyclotomic(504, [rng.randint(-2, 2) for _ in range(144)])
+        rows = [[Poly(2, {u: Cyclotomic(504, [rng.randint(-2, 2) for _ in range(144)])
                                for u in units}) for _ in range(3)] for _ in range(3)]
         rows[1][2] = rows[1][2] * Cyclotomic(8, [0, Fraction(1, 3), 0, 1])
-        det = MultiPoly._of(2, poly_det(term_rows(rows)))
+        det = Poly(2, poly_det(term_rows(rows)))
         assert det == leibniz(rows) and det.degree() == 3
 
     def test_row_swap_negates(self):
         rng = random.Random(1)
         rows = [[random_poly(rng, nvars=2, nterms=2) for _ in range(3)] for _ in range(3)]
         swapped = [rows[1], rows[0], rows[2]]
-        det = MultiPoly._of(2, poly_det(term_rows(rows)))
-        assert MultiPoly._of(2, poly_det(term_rows(swapped))) == -det
+        det = Poly(2, poly_det(term_rows(rows)))
+        assert Poly(2, poly_det(term_rows(swapped))) == -det
 
     def test_multilinear_in_rows(self):
         rng = random.Random(2)
@@ -193,7 +229,7 @@ class TestDeterminant:
             rows[1],
             rows[2],
         ]
-        dets = [MultiPoly._of(2, poly_det(term_rows(r)))
+        dets = [Poly(2, poly_det(term_rows(r)))
                 for r in (combined, rows, [extra, rows[1], rows[2]])]
         assert dets[0] == dets[1] + dets[2]
 
@@ -204,8 +240,8 @@ WITHOUT = [tuple(c for c in range(4) if c != i) for i in range(4)]
 
 class TestMaximalMinors:
     def test_identity_padding_pattern(self):
-        one = MultiPoly.constant(1, 4)
-        zero = MultiPoly.zero(4)
+        one = Poly.constant(1, 4)
+        zero = Poly.zero(4)
         rows = [
             [one if i == j else zero for j in range(4)] for i in range(3)
         ]
@@ -219,7 +255,7 @@ class TestMaximalMinors:
         rng = random.Random(4)
         rows = [
             [
-                MultiPoly(
+                Poly(
                     4,
                     {
                         tuple(1 if v == k else 0 for v in range(4)): rng.randint(-3, 3)
@@ -231,7 +267,7 @@ class TestMaximalMinors:
             for _ in range(3)
         ]
         for terms in minors(term_rows(rows), WITHOUT):
-            f = MultiPoly._of(4, terms)
+            f = Poly(4, terms)
             if not f.is_zero():
                 assert f.degree() == 3
                 assert f.is_homogeneous()
@@ -241,7 +277,7 @@ def test_two_by_two_minors_in_row_then_column_order():
     rng = random.Random(8)
     rows = [
         [
-            MultiPoly(4, {tuple(int(v == k) for v in range(4)): rng.randint(-3, 3)
+            Poly(4, {tuple(int(v == k) for v in range(4)): rng.randint(-3, 3)
                           for k in range(4)})
             for _ in range(4)
         ]
@@ -271,7 +307,7 @@ def test_minors_match_the_leibniz_sum_minor_by_minor(data):
     xs = variables(4)
 
     def form():
-        poly = MultiPoly.zero(4)
+        poly = Poly.zero(4)
         for x in data.draw(st.lists(st.sampled_from(xs), max_size=3)):
             coords = data.draw(st.lists(st.integers(-2, 2), min_size=euler_phi(n),
                                         max_size=euler_phi(n)))
@@ -279,7 +315,7 @@ def test_minors_match_the_leibniz_sum_minor_by_minor(data):
                                              for c in coords])
         return poly
 
-    rows = [[MultiPoly.zero(4) if r in zero_rows else form() for _ in range(width)]
+    rows = [[Poly.zero(4) if r in zero_rows else form() for _ in range(width)]
             for r in range(3)]
     expected = [leibniz([[row[c] for c in cols] for row in sub])
                 for sub in combinations(rows, k) for cols in combinations(range(width), k)]
@@ -287,7 +323,7 @@ def test_minors_match_the_leibniz_sum_minor_by_minor(data):
     got = [f for sub in combinations(rows, k) for f in minors(term_rows(sub), subsets)]
     assert len(got) == len(expected)
     for f, g in zip(got, expected):
-        assert MultiPoly._of(4, f) == g
+        assert Poly(4, f) == g
 
 
 @settings(max_examples=80, deadline=None)
@@ -305,7 +341,7 @@ def test_cofactors_are_the_exact_minors_reduced(data):
     units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     grid = [[data.draw(st.lists(coefficient, min_size=3, max_size=3)) for _ in range(4)]
             for _ in range(size)]
-    exact = [[MultiPoly(3, dict(zip(units, cs))) for cs in row] for row in grid]
+    exact = [[Poly(3, dict(zip(units, cs))) for cs in row] for row in grid]
     entries = [[dict(zip(units, cs)) for cs in row] for row in grid]
     subsets = list(combinations(range(4), size))
     expected = minors(term_rows(exact), subsets)
@@ -342,7 +378,7 @@ def test_cofactors_pack_monomials_without_overflow(data):
     got = _cofactors(grid, subsets, prime)
     assert len(got) == len(subsets)
     for f, cols in zip(got, subsets):
-        g = leibniz([[MultiPoly(nvars, row[c]) for c in cols] for row in grid])
+        g = leibniz([[Poly(nvars, row[c]) for c in cols] for row in grid])
         residues = {e: v.num[0] if prime is None else v.num[0] % prime
                     for e, v in g.terms.items()}
         assert f == {e: v for e, v in residues.items() if v}
@@ -368,7 +404,7 @@ def test_kronecker_minors_match_the_leibniz_sum(data):
     coefficient = st.integers(-2**64, 2**64) | st.sampled_from([2**64, -2**64])
 
     def entry():
-        terms = MultiPoly.zero(2)
+        terms = Poly.zero(2)
         for x in variables(2):
             coords = data.draw(st.lists(coefficient, min_size=euler_phi(n),
                                         max_size=euler_phi(n)))
@@ -446,11 +482,11 @@ def test_restrict_is_the_substitution(data):
     # values at points with 1 at the ones' variables and 0 at the zeros'
     nvars = data.draw(st.integers(1, 5))
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
-    p = MultiPoly(nvars, data.draw(st.dictionaries(exps, st.integers(-5, 5), max_size=8)))
+    p = Poly(nvars, data.draw(st.dictionaries(exps, st.integers(-5, 5), max_size=8)))
     roles = data.draw(st.lists(st.sampled_from("10x"), min_size=nvars, max_size=nvars))
     chart = [v for v, r in enumerate(roles) if r == "1"]
     zeros = [v for v, r in enumerate(roles) if r == "0"]
-    q = MultiPoly._of(nvars, _restrict(p.terms, chart, zeros))
+    q = Poly(nvars, _restrict(p.terms, chart, zeros))
     for v in chart + zeros:
         assert all(e[v] == 0 for e in q.terms)
     point = [data.draw(st.integers(-3, 3)) for _ in range(nvars)]
@@ -460,9 +496,9 @@ def test_restrict_is_the_substitution(data):
 def test_dehomogenize():
     x, y = variables(2)
     p = x * x * y
-    assert MultiPoly._of(2, _restrict(p.terms, [0])) == y
-    one = MultiPoly.constant(1, 2)
-    assert MultiPoly._of(2, _restrict(one.terms, [0])) == one
+    assert Poly(2, _restrict(p.terms, [0])) == y
+    one = Poly.constant(1, 2)
+    assert Poly(2, _restrict(one.terms, [0])) == one
 
 
 def test_dehomogenize_support_recovery():
@@ -475,8 +511,8 @@ def test_dehomogenize_support_recovery():
             b = rng.randint(0, 3 - a)
             c = 3 - a - b
             terms[(a, b, c)] = rng.randint(1, 3)
-        p = MultiPoly(3, terms)
-        chart = MultiPoly._of(3, _restrict(p.terms, [2]))
+        p = Poly(3, terms)
+        chart = Poly(3, _restrict(p.terms, [2]))
         rehom = {
             (e[0], e[1], 3 - e[0] - e[1]) for e in chart.terms
         }
