@@ -49,8 +49,8 @@ MUTANTS = [
      ["tests/test_groebner.py::TestHilbert::test_zero_ideal"]),
     # full_smoothness dropping the image that validate_model checked
     ("fano212/model.py",
-     "    image = validate_model(m)\n    if any(_singular_coordinate_point",
-     "    validate_model(m)\n    image = None\n    if any(_singular_coordinate_point",
+     "        return False\n    image = m.image\n",
+     "        return False\n    image = None\n",
      ["tests/test_model.py::TestCertificateDecides::test_charts_not_unit_mod_p_run_exactly"]),
     # the Kronecker bound without the factor size!, the number of Leibniz terms
     ("fano212/multipoly.py",
@@ -99,6 +99,12 @@ MUTANTS = [
      "forms[spans[k]][e] += coeffs[k] * r\n",
      "forms[spans[k]][e] += coeffs[k] * r * (spans[k] < 2)\n",
      ["tests/test_action.py::test_generated_instances_are_pinned"]),
+    # Cyclotomic.inverse ignoring the sign of the constant remainder, which
+    # flips the inverse whenever the Euclidean run ends at a negative one
+    ("fano212/cyclotomic.py",
+     "scale = self.den if r1[0] > 0 else -self.den",
+     "scale = self.den",
+     ["tests/test_cyclotomic.py::test_integer_form_against_fraction_reference"]),
 ]
 
 

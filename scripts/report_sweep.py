@@ -15,9 +15,9 @@ the CLI in process (run_survey.run) and prints, for every instance, the
 chars --oracle, verdict, gfano, hilbert on both sides and picard;
 then smooth --full on tests/data and on a fixed rational triple with a
 double point (exit 1: full_smoothness finds the singular coordinate point
-(e0, e0) by substitution and an exact rank, with no Groebner run; the
-sweep's one exact Groebner run is quartic_smooth on that model's quartic
-partials, whose lift fails).  Then
+(e0, e0) by substitution and an exact rank, and quartic_smooth refuses
+that model's quartic by substitution at a coordinate point of P2, so the
+sweep makes no exact Groebner run).  Then
 validate on hostile files, each exit 2 with a short error line: one that
 is not UTF-8, tests/data/swap_n8.txt with a swap flag, a key, a section
 header (unknown, unterminated, or with a bad matrix index) or a literal

@@ -54,9 +54,6 @@ class DivisorClass:
     def __add__(self, other):
         return DivisorClass(self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other):
-        return DivisorClass(self.a - other.a, self.b - other.b)
-
     def __neg__(self):
         return DivisorClass(-self.a, -self.b)
 

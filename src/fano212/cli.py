@@ -146,7 +146,8 @@ def cmd_smooth(inst: Instance, args, report: Report) -> int:
     of P2 where every partial vanishes refuses it by substitution, and
     partials with no common zero mod p prove Delta smooth.  Only when that
     proves nothing is the exact Delta expanded, and quartic_smooth decides
-    it; a Delta that is identically zero exits 2 there (degenerate-pencil).
+    it, by the same substitution first; a Delta that is identically zero
+    exits 2 there (degenerate-pencil).
 
     X is singular at (x, y) iff sum a_i grad f_i vanishes there for some
     a != 0, that is M(a) y = 0 and x^T M(a) = 0, as grad_x f_i = M_i y and

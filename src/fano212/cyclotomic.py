@@ -3,12 +3,14 @@
 An element holds its coordinates in the power basis 1, z, ..., z^(phi(N)-1)
 as integer numerators over one denominator den > 0, in lowest terms
 (gcd(*num, den) = 1; zero is ((0, ..., 0), 1)), so equal elements of one
-conductor have equal (num, den).  A sum is an integer vector operation and a
-product an integer convolution over the product of the denominators, each
-followed by one gcd.  Phi_N is built in integers, prime by prime; every
-product, power of zeta and lift is reduced by one routine, the remainder by
-the monic Phi_N.  Mixed conductors are lifted to their lcm; no conductor
-reduction is attempted afterwards.
+conductor have equal (num, den).  Cyclotomic(n, num, den) is the one
+constructor, and it checks nothing: _lowest brings num/den to lowest terms
+and cyc(value, n) is the one coercion of an int or Fraction.  A sum is an
+integer vector operation and a product an integer convolution over the
+product of the denominators, each followed by one gcd.  Phi_N is built in
+integers, prime by prime; every product, power of zeta and lift is reduced
+by one routine, the remainder by the monic Phi_N.  Mixed conductors are
+lifted to their lcm; no conductor reduction is attempted afterwards.
 
 Some operand shapes skip part of that work and give the same (num, den).  A
 rational factor p/d (num[1:] all zero) whose conductor divides the other
@@ -176,13 +178,8 @@ class Cyclotomic:
 
     __slots__ = ("n", "num", "den")
 
-    def __init__(self, n: int, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != euler_phi(n):
-            raise ValueError("coefficient vector has wrong length for conductor %d" % n)
-        # the lcm of lowest-terms denominators leaves no common factor
-        den = lcm(*(c.denominator for c in coeffs))
-        num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+    def __init__(self, n: int, num: tuple, den: int):
+        """Trusted: num reduced mod Phi_n, den > 0, gcd(*num, den) = 1."""
         _set_n(self, n)
         _set_num(self, num)
         _set_den(self, den)
@@ -193,34 +190,19 @@ class Cyclotomic:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _mk(cls, n: int, num: tuple, den: int) -> "Cyclotomic":
-        """Trusted fast constructor; num must be reduced mod Phi_n, den > 0
-        and gcd(*num, den) = 1."""
-        self = object.__new__(cls)
-        _set_n(self, n)
-        _set_num(self, num)
-        _set_den(self, den)
-        return self
-
-    @classmethod
     def _lowest(cls, n: int, num: tuple, den: int) -> "Cyclotomic":
         """The element num/den, num reduced mod Phi_n and den > 0, brought to
         lowest terms."""
         if den == 1:
-            return cls._mk(n, num, 1)
+            return cls(n, num, 1)
         g = gcd(*num, den)
         if g != 1:
             num, den = tuple([c // g for c in num]), den // g
-        return cls._mk(n, num, den)
-
-    @staticmethod
-    def from_rational(q, n: int = 1) -> "Cyclotomic":
-        q = Fraction(q)
-        return Cyclotomic._mk(n, (q.numerator,) + (0,) * (euler_phi(n) - 1), q.denominator)
+        return cls(n, num, den)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
-        return Cyclotomic._mk(n, _reduce_mod_phi(n, [0] * (k % n) + [1]), 1)
+        return Cyclotomic(n, _reduce_mod_phi(n, [0] * (k % n) + [1]), 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -260,14 +242,14 @@ class Cyclotomic:
         is a unit of Z[zeta_m], the denominator stays in lowest terms."""
         m = lcm(self.n, n)
         dense = [0] * (k % n * (m // n)) + _spread(self.num, m // self.n)
-        return Cyclotomic._mk(m, _reduce_mod_phi(m, dense), self.den)
+        return Cyclotomic(m, _reduce_mod_phi(m, dense), self.den)
 
     def _pair(self, other):
         if isinstance(other, Cyclotomic):
             if other.n == self.n:
                 return self, other
         elif isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, 1)
+            other = cyc(other)
         else:
             return None, None
         m = lcm(self.n, other.n)
@@ -281,7 +263,7 @@ class Cyclotomic:
         if da == db:
             num = tuple(map(op, self.num, other.num))
             if da == 1:
-                return Cyclotomic._mk(self.n, num, 1)
+                return Cyclotomic(self.n, num, 1)
         else:
             g = gcd(da, db)
             ea, eb = db // g, da // g
@@ -300,7 +282,7 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._mk(self.n, tuple(-c for c in self.num), self.den)
+        return Cyclotomic(self.n, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         if isinstance(other, Cyclotomic) and other.n == self.n:
@@ -309,9 +291,6 @@ class Cyclotomic:
         if a is None:
             return NotImplemented
         return a._combine(b, sub)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, Cyclotomic):
@@ -342,7 +321,7 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.n)
         if self.is_rational():
-            return Cyclotomic.from_rational(Fraction(self.den, self.num[0]), self.n)
+            return cyc(Fraction(self.den, self.num[0]), self.n)
         # extended gcd of A = den*self against Phi_n in Z[x], down to a
         # nonzero constant r1 = s1 * A mod Phi_n (see the module docstring)
         r0, s0 = list(cyclotomic_coeffs(self.n)), [0]
@@ -353,19 +332,10 @@ class Cyclotomic:
         num = _reduce_mod_phi(self.n, [c * scale for c in s1])
         return Cyclotomic._lowest(self.n, num, abs(r1[0]))
 
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = Cyclotomic.from_rational(1, self.n)
+        result = cyc(1, self.n)
         base = self
         while k:
             if k & 1:
@@ -395,10 +365,12 @@ _set_n, _set_num, _set_den = (Cyclotomic.__dict__[s].__set__ for s in Cyclotomic
 
 
 def cyc(value, n: int = 1) -> Cyclotomic:
-    """Coerce an int, Fraction or Cyclotomic into a Cyclotomic value."""
+    """Coerce an int, Fraction or Cyclotomic into a Cyclotomic value: a
+    Cyclotomic as it is, a rational one as an element of Q(zeta_n)."""
     if isinstance(value, Cyclotomic):
         return value
-    return Cyclotomic.from_rational(value, n)
+    q = Fraction(value)
+    return Cyclotomic(n, (q.numerator,) + (0,) * (euler_phi(n) - 1), q.denominator)
 
 
 # -- the image in F_p ---------------------------------------------------------

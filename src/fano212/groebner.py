@@ -135,7 +135,7 @@ def _monic(terms: dict, prime=None):
     polynomial; mod prime the coefficients end in [0, prime)."""
     lm = min(terms)
     if prime is None:
-        inv = 1 / terms[lm]
+        inv = terms[lm].inverse()
         return lm, {m: c * inv for m, c in terms.items()}
     inv = pow(terms[lm], -1, prime)
     return lm, {m: c * inv % prime for m, c in terms.items()}

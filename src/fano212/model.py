@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, lcm
@@ -50,6 +51,18 @@ class ModelTriple:
     matrices: tuple  # three 4x4 tuples of Cyclotomic
     conductor: int
 
+    @cached_property
+    def image(self):
+        """(p, grids): the images in F_p of the entries, from one _fp_image
+        call on the model's first read, in the matrices' own shape, so
+        grids[k][a][b] is the image of matrices[k][a][b]; None when there is
+        no image."""
+        image = _fp_image([v for mat in self.matrices for row in mat for v in row])
+        if image is None:
+            return None
+        prime, values = image
+        return prime, [[values[k:k + 4] for k in range(a, a + 16, 4)] for a in (0, 16, 32)]
+
     def transposed(self) -> "ModelTriple":
         return ModelTriple(
             tuple(tuple(zip(*m)) for m in self.matrices), self.conductor
@@ -75,35 +88,20 @@ def model_from_matrices(ms) -> ModelTriple:
     return ModelTriple(tuple(matrices), conductor)
 
 
-def validate_model(m: ModelTriple):
-    """Reject triples whose three bilinear forms are linearly dependent;
-    return the image checked, (p, grids) from _image, or None.  Rank 3 of the
-    forms' image in F_p certifies rank 3 over Q(zeta_N), as a 3x3 minor
-    nonzero mod p is nonzero before reduction; only a lower rank mod p, or no
-    image, takes the exact rank."""
-    image = _image(m.matrices)
-    if image is not None:
-        prime, grids = image
+def validate_model(m: ModelTriple) -> None:
+    """Reject triples whose three bilinear forms are linearly dependent.
+    Rank 3 of the forms' image in F_p (m.image) certifies rank 3 over
+    Q(zeta_N), as a 3x3 minor nonzero mod p is nonzero before reduction;
+    only a lower rank mod p, or no image, takes the exact rank."""
+    if m.image is not None:
+        prime, grids = m.image
         if matrix_rank([[v for row in mat for v in row] for mat in grids], prime) == 3:
-            return image
+            return
     if matrix_rank([[v for row in mat for v in row] for mat in m.matrices]) != 3:
         raise InputError(
             "dependent-forms",
             "the three bilinear forms are linearly dependent",
         )
-    return image
-
-
-def _image(matrices):
-    """(p, grids): the images in F_p of the entries of 4x4 matrices, from
-    one _fp_image call, in the matrices' own shape, so grids[k][a][b] is the
-    image of matrices[k][a][b]; None when there is no image."""
-    image = _fp_image([v for mat in matrices for row in mat for v in row])
-    if image is None:
-        return None
-    prime, values = image
-    return prime, [[values[k:k + 4] for k in range(16 * i, 16 * i + 16, 4)]
-                   for i in range(len(matrices))]
 
 
 # -- the pencil, forms and matrices of linear forms -------------------------------
@@ -199,7 +197,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
     minor_cubics gives it, read as 6t - 2 off a certificate mod p when one
     holds.
 
-    The sided matrices are mapped to F_p (_image), and the 3x4 matrix of
+    The sided matrices are mapped to F_p (.image), and the 3x4 matrix of
     linear forms is restricted to the line L = {s*a + t*b} (_LINE), each
     entry a binary linear form; its maximal minors (minors, mod p) are
     binary cubics.  Restriction to L and the map to F_p are ring maps, so
@@ -213,7 +211,7 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
     D. Eisenbud, The Geometry of Syzygies, Ch. 3), and
     HP(t) = C(t+3, 3) - 4 C(t, 3) + 3 C(t-1, 3) = 6t - 2.  A common zero mod
     p, or no image, takes the exact hilbert_polynomial."""
-    image = _image(m.sided(side).matrices)
+    image = m.sided(side).image
     if image is not None:
         prime, grids = image
         # entry (i, j) on L: s * a^T M_i e_j + t * b^T M_i e_j, in s, t
@@ -236,21 +234,29 @@ def determinantal_quartic(m: ModelTriple) -> MultiPoly:
     return q
 
 
-def quartic_smooth(q: MultiPoly) -> bool:
-    """Jacobian criterion for a plane quartic: partials have no common
-    projective zero."""
-    if q.nvars != 3 or q.degree() != 4 or not q.is_homogeneous():
-        raise ValueError("expected a homogeneous quartic in three variables")
-    partials = [MultiPoly(3, p) for p in (_derivative(q.terms, i) for i in range(3)) if p]
-    if len(partials) < 3:
-        return False
-    return projective_empty(partials)
-
-
-# by coordinate point e_j of P2, the monomials x_j^3 * x_i, i = 0, 1, 2, of a
-# ternary quartic (x_j^4 for i = j): the partials there are their coefficients
 _AT_POINT = [[tuple(3 * (k == j) + (k == i) for k in range(3)) for i in range(3)]
              for j in range(3)]
+
+
+def _singular_at_coordinate_point(q: dict) -> bool:
+    """Whether a ternary quartic q, a term dict over Q(zeta_N) or mod a
+    prime p > 4, is singular at a coordinate point e_j of P2.  There
+    dq/dx_i is the coefficient of x_j^3 * x_i (of x_j^4, times 4, for
+    i = j), the three monomials of _AT_POINT[j], so e_j is a common zero of
+    the partials exactly when q has none of them; q = 0 is such a quartic."""
+    return any(not any(e in q for e in monomials) for monomials in _AT_POINT)
+
+
+def quartic_smooth(q: MultiPoly) -> bool:
+    """Jacobian criterion for a plane quartic: partials have no common
+    projective zero.  A singular coordinate point is found by substitution
+    (_singular_at_coordinate_point), with no Groebner run; a zero partial
+    means q lacks that variable, so its coordinate point is one."""
+    if q.nvars != 3 or q.degree() != 4 or not q.is_homogeneous():
+        raise ValueError("expected a homogeneous quartic in three variables")
+    if _singular_at_coordinate_point(q.terms):
+        return False
+    return projective_empty([MultiPoly(3, _derivative(q.terms, i)) for i in range(3)])
 
 
 def _smooth_image(grids, prime):
@@ -260,24 +266,21 @@ def _smooth_image(grids, prime):
     that quartic smooth over Qbar: its partials have no common zero over the
     algebraic closure of F_p.  Reduction mod p commutes with det and
     derivatives, so these are the images of the exact partials, and an
-    empty locus mod p is one over Qbar (groebner._decide).
-
-    At a coordinate point e_j, dq/dx_i is the coefficient of x_j^3 * x_i,
-    times 4 for i = j (_AT_POINT), and 4 < p.  So when those three are all
-    0, e_j is a common zero, and q is refused by substitution; q = 0 is one
-    such.  Any other q goes to empty_mod_p."""
+    empty locus mod p is one over Qbar (groebner._decide).  A q singular at
+    a coordinate point is refused by substitution
+    (_singular_at_coordinate_point); any other q goes to empty_mod_p."""
     q = minors(_pencil(grids), [(0, 1, 2, 3)], prime)[0]
-    if any(not any(e in q for e in monomials) for monomials in _AT_POINT):
+    if _singular_at_coordinate_point(q):
         return q, False
     return q, empty_mod_p([d for d in (_derivative(q, i) for i in range(3)) if d], 3, prime)
 
 
 def determinantal_quartic_smooth(m: ModelTriple) -> bool:
     """Whether the determinantal quartic of m is smooth, by the first rung
-    that answers: a True of its image in F_p (_smooth_image, on the
-    model's _image), else quartic_smooth on the exact quartic, which
-    determinantal_quartic refuses when it is identically zero."""
-    image = _image(m.matrices)
+    that answers: a True of its image in F_p (_smooth_image, on m.image),
+    else quartic_smooth on the exact quartic, which determinantal_quartic
+    refuses when it is identically zero."""
+    image = m.image
     if image is not None and _smooth_image(image[1], image[0])[1]:
         return True
     return quartic_smooth(determinantal_quartic(m))
@@ -289,20 +292,20 @@ _CELLS = [(i, j) for i in range(4) for j in range(4)]
 _TRIPLES = list(combinations(range(8), 3))
 
 
-def _singular_coordinate_point(m: ModelTriple, i: int, j: int, image) -> bool:
+def _singular_coordinate_point(m: ModelTriple, i: int, j: int) -> bool:
     """Whether the coordinate point (e_i, e_j) is a singular point of X
     (full_smoothness, step 1).  Where every M_k[i][j] is 0 the Jacobian of
     the forms is the scalar 3x8 matrix with row k (column j of M_k, row i of
     M_k), as grad_x F_k = M_k y and grad_y F_k = M_k^T x.  Rank 3 of its
-    image at the call's prime (image, from _image; matrix_rank) certifies
-    rank 3; a lower rank mod p, or no image, is confirmed by the exact
-    matrix_rank, whose elimination takes no inverse."""
+    image (m.image; matrix_rank) certifies rank 3; a lower rank mod p, or no
+    image, is confirmed by the exact matrix_rank, whose elimination takes no
+    inverse."""
     def jacobian(grids):  # on either ring: row k is column j of M_k, then row i
         return [[row[j] for row in mat] + list(mat[i]) for mat in grids]
 
     if any(mat[i][j] for mat in m.matrices):
         return False
-    if image is not None and matrix_rank(jacobian(image[1]), image[0]) == 3:
+    if m.image is not None and matrix_rank(jacobian(m.image[1]), m.image[0]) == 3:
         return False
     return matrix_rank(jacobian(m.matrices)) < 3
 
@@ -336,9 +339,9 @@ def full_smoothness(m: ModelTriple) -> bool:
        in that of the other y columns, so that rank is the chart
        Jacobian's.  A singular one answers False with no Groebner run.
     2. One loop over the 16 cells.  The 48 entries are mapped to F_p once
-       (validate_model's _image, at the prime of _fp_field(N), N the lcm of
-       the entries' conductors), the forms and the 56 minors are taken mod p
-       from those images (_chart_terms, the builder of the exact ones), and
+       (m.image, at the prime of _fp_field(N), N the lcm of the entries'
+       conductors), the forms and the 56 minors are taken mod p from those
+       images (_chart_terms, the builder of the exact ones), and
        each stratum restricts them, as reduction commutes with setting
        variables to 0 or 1.  A cell whose stratum is unit mod p is done.
     3. Any other cell runs the ladder of chart (i, j) (unit_mod_p_or_q: the
@@ -385,9 +388,10 @@ def full_smoothness(m: ModelTriple) -> bool:
     `smooth` answers from it; this run shares none of that argument, so
     `smooth --full` keeps it as the independent oracle.
     """
-    image = validate_model(m)
-    if any(_singular_coordinate_point(m, i, j, image) for i, j in _CELLS):
+    validate_model(m)
+    if any(_singular_coordinate_point(m, i, j) for i, j in _CELLS):
         return False
+    image = m.image
     if image is not None:
         prime, grids = image
         terms_p = _chart_terms(grids, prime)

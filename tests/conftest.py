@@ -13,7 +13,7 @@ import pytest
 
 from fano212 import model as model_module
 from fano212.cohomology import InconclusiveCohomology, koszul_cohomology_on_X
-from fano212.cyclotomic import Cyclotomic, _fold_terms, _literal_terms, cyc
+from fano212.cyclotomic import Cyclotomic, _fold_terms, _literal_terms, cyc, euler_phi
 from fano212.groebner import (_exact_basis, _guard, _interreduce, _mod_p_basis, _unpack,
                               hilbert_polynomial, monomial_divides, projective_empty)
 from fano212.linalg import mat_transpose, nullspace, rref
@@ -69,6 +69,18 @@ DIAGONAL_COMBOS = [
     (4, (0, 1, 2, 3), (0, 2, 1, 3), (0, 0, 3)),
     (4, (0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 1)),
 ]
+
+
+def from_coeffs(n: int, coeffs) -> Cyclotomic:
+    """The element of Q(zeta_n) with these power-basis coefficients, phi(n)
+    ints or Fractions, in lowest terms: the checked construction that the
+    package's trusted Cyclotomic(n, num, den) leaves to its callers."""
+    coeffs = [Fraction(c) for c in coeffs]
+    if len(coeffs) != euler_phi(n):
+        raise ValueError("coefficient vector has wrong length for conductor %d" % n)
+    # the lcm of lowest-terms denominators leaves no common factor
+    den = lcm(*(c.denominator for c in coeffs))
+    return Cyclotomic(n, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
 
 class Poly(MultiPoly):
@@ -467,7 +479,7 @@ def solve(rows, rhs):
         return None
     x = [cyc(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols] / red[r][pc]
+        x[pc] = red[r][ncols] * red[r][pc].inverse()
     return x
 
 
@@ -594,7 +606,7 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
             lead, lead_coef = leading_term(g)
             if monomial_divides(lead, mono):
                 shift = [a - b for a, b in zip(mono, lead)]
-                p = p - g * Poly(p.nvars, {tuple(shift): coef / lead_coef})
+                p = p - g * Poly(p.nvars, {tuple(shift): coef * lead_coef.inverse()})
                 break
         else:
             term = Poly(p.nvars, {mono: coef})

@@ -16,6 +16,7 @@ from conftest import (
     decided_table,
     decided_tables,
     fiber_section,
+    from_coeffs,
     groebner,
     hrr_euler,
     planted_quartic_point_model,
@@ -197,7 +198,7 @@ def test_picard_lattice():
     assert len(invariant_sublattice(True)) == 1
     assert len(invariant_sublattice(False)) == 2
     h_prime = picard_involution(H)
-    assert -MINUS_K == -H - h_prime  # -4H + E = -H - H'
+    assert -MINUS_K == -H + -h_prime  # -4H + E = -H - H'
     report(
         "picard lattice",
         "involution squares to identity, fixes 4H-E, rank 1 iff swap",
@@ -273,7 +274,7 @@ class TestKernelLayer:
             phi = euler_phi(n)
             for _ in range(20):
                 a, b, c = (
-                    Cyclotomic(
+                    from_coeffs(
                         n,
                         [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(phi)],
                     )

@@ -464,7 +464,7 @@ class TestPicardLattice:
 
     def test_canonical_class_identity(self):
         # -4H + E = -H - H' as integer vectors
-        assert -MINUS_K == -H - picard_involution(H)
+        assert -MINUS_K == -H + -picard_involution(H)
 
     def test_fixed_lattice_generator(self):
         assert involution_fixed_lattice() == MINUS_K

@@ -450,6 +450,17 @@ class TestSubcommands:
         assert (code, len(calls)) == (1, 1)
         assert "quartic.smooth = False\n" in out
 
+    @pytest.mark.parametrize("args", [["smooth", "--full"], ["smooth"], ["hilbert"]],
+                             ids=" ".join)
+    def test_a_command_maps_the_model_to_f_p_once(self, monkeypatch, capsys, args):
+        # validate_model, the quartic's image, the coordinate points, the
+        # charts and hilbert's first side all read the model's one image
+        calls, image = [], model_module._fp_image
+        monkeypatch.setattr(model_module, "_fp_image",
+                            lambda values: calls.append(values) or image(values))
+        code, _ = run_cli(capsys, *args, "--input", SWAP8)
+        assert (code, len(calls)) == (0, 1)
+
     def test_smooth_of_a_zero_pencil_exits_2(self, tmp_path, capsys):
         # a common left kernel: the first rows of all three matrices are zero
         rng = random.Random(9)

@@ -5,8 +5,9 @@ used and every import is at module level; in the package and the scripts
 every module-level name but a dunder, and every public method, is read by
 the package, a script or the bench; the package imports nothing outside the
 standard library, and the error codes it raises are the ones README's table
-lists.  Operators read no names, so an unused dunder such as __add__ is not
-seen here: test_multipoly pins the surface of the MultiPoly record."""
+lists.  Operators read no names, so the unread-name check cannot see an
+unused dunder such as __add__: OPERATORS pins the operator dunders of every
+class of the package instead."""
 
 import ast
 import os
@@ -234,6 +235,54 @@ def test_public_names_are_read(module, project_reads):
     with open(CHECKED[module], encoding="utf-8") as handle:
         source = handle.read()
     assert unread_names(source, project_reads | names_read(source)) == []
+
+
+# the operator dunders that each module-level class of the package defines,
+# each one read by the package or the bench; a class not named defines none
+OPERATORS = {
+    "Cyclotomic": {"__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__",
+                   "__pow__"},
+    "DivisorClass": {"__add__", "__neg__"},
+    "MultiPoly": set(),
+}
+OPERATOR_DUNDERS = {"__%s%s__" % (side, op)
+                    for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod",
+                               "divmod", "pow", "lshift", "rshift", "and", "xor", "or")
+                    for side in ("", "r", "i")} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+
+def operators_defined(source: str):
+    """{class name: the operator dunders its body defines or assigns} for
+    each module-level class of a source."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            found[node.name] = names & OPERATOR_DUNDERS
+    return found
+
+
+def test_checker_finds_operators():
+    source = (
+        "class A:\n    def __add__(self, o):\n        pass\n    __radd__ = __add__\n"
+        "    def __eq__(self, o):\n        pass\n    def __init__(self):\n        pass\n"
+        "class B:\n    x = 1\n"
+        "def f():\n    class C:\n        def __neg__(self):\n            pass\n"
+    )
+    assert operators_defined(source) == {"A": {"__add__", "__radd__"}, "B": set()}
+
+
+def test_operators_are_the_pinned_ones():
+    found = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as handle:
+            found.update(operators_defined(handle.read()))
+    assert {name: ops for name, ops in found.items() if ops or name in OPERATORS} == OPERATORS
 
 
 def error_codes(source: str):

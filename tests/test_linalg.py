@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import solve
+from conftest import from_coeffs, solve
 
 from fano212.cyclotomic import Cyclotomic, cyc, cyclotomic_coeffs, euler_phi
 from fano212.linalg import nullspace, rref
@@ -83,7 +83,7 @@ def random_entry(rng, n, density):
     coeffs = [Fraction(0)] * phi
     for k in rng.sample(range(phi), rng.randint(1, min(phi, 3))):
         coeffs[k] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    return Cyclotomic(n, coeffs)
+    return from_coeffs(n, coeffs)
 
 
 def random_matrix(rng, n, nrows, ncols, density):

@@ -54,7 +54,6 @@ from fano212.linalg import mat_transpose, matrix_rank
 from fano212.model import (
     _CELLS,
     _chart_terms,
-    _image,
     _pencil,
     _smooth_image,
     InputError,
@@ -370,6 +369,18 @@ class TestQuarticSmooth:
         with pytest.raises(ValueError):
             quartic_smooth(power(x, 3))
 
+    def test_a_singular_coordinate_point_is_refused_with_no_run(self, monkeypatch,
+                                                                 singular_model):
+        # each quartic is singular at a coordinate point of P2: e_0 for the
+        # double point's and singular_model's, e_2 for the third
+        x, y, z = variables(3)
+        quartics = [determinantal_quartic(model_from_matrices(DOUBLE_POINT)),
+                    determinantal_quartic(singular_model),
+                    power(x, 4) + power(y, 4) * Cyclotomic.zeta(8) + x * y * z * z]
+        for name in ("_mod_p_basis", "_lift_holds", "buchberger"):
+            monkeypatch.setattr(groebner_module, name, _refuse)
+        assert [quartic_smooth(q) for q in quartics] == [False] * 3
+
 
 # M1 = diag(0, 1, 1, 1), so at e_0 of P2 the quartic's x_0^4 and x_0^3 x_2
 # coefficients are M1's determinant and M3[0][0], both 0, and that of
@@ -390,7 +401,7 @@ class TestSmoothImage:
         q = determinantal_quartic(m)
         assert set(q.terms) & {(4, 0, 0), (3, 1, 0), (3, 0, 1)} == {(3, 1, 0)}
         assert quartic_smooth(q) is True
-        prime, grids = _image(m.matrices)
+        prime, grids = m.image
         for order in permutations(range(3)):
             assert _smooth_image([grids[k] for k in order], prime)[1] is True
 
@@ -400,7 +411,7 @@ class TestSmoothImage:
         grids[1][0][0] = 0
         m = model_from_matrices(grids)
         monkeypatch.setattr(model_module, "empty_mod_p", _refuse)
-        prime, images = _image(m.matrices)
+        prime, images = m.image
         q, smooth = _smooth_image(images, prime)
         assert q and smooth is False
         assert quartic_smooth(determinantal_quartic(m)) is False
@@ -410,7 +421,7 @@ class TestSmoothImage:
         grids = [random_rational_matrix(rng) for _ in range(3)]
         for g in grids:
             g[0] = [0, 0, 0, 0]
-        prime, images = _image(model_from_matrices(grids).matrices)
+        prime, images = model_from_matrices(grids).image
         monkeypatch.setattr(model_module, "empty_mod_p", _refuse)
         assert _smooth_image(images, prime) == ({}, False)
 
@@ -427,16 +438,19 @@ class TestSmoothImage:
         assert all(determinantal_quartic_smooth(m) is True for m in models)
 
     def test_a_singular_quartic_reaches_the_exact_route(self, monkeypatch):
+        # no coordinate point of P2 is singular, so the exact quartic goes
+        # to the mod-p run, its lift and the exact engine
         calls = []
 
-        def counted(m):
-            calls.append(m)
-            return determinantal_quartic(m)
+        def counted(name, original):
+            return lambda *args: calls.append(name) or original(*args)
 
-        monkeypatch.setattr(model_module, "determinantal_quartic", counted)
-        m = model_from_matrices(DOUBLE_POINT)
+        for name in ("determinantal_quartic", "_lift_holds", "buchberger"):
+            module = model_module if name == "determinantal_quartic" else groebner_module
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        m = model_from_matrices(DOUBLE_POINT_OFF_E0)
         assert determinantal_quartic_smooth(m) is False
-        assert calls == [m]
+        assert calls == ["determinantal_quartic", "_lift_holds", "buchberger"]
 
 
 class TestRankLocus:
@@ -748,7 +762,7 @@ class TestCertificateDecides:
         # chart (0, 0), a rational chart that is not unit: the checked lift
         # proves it so
         m = moved(DOUBLE_POINT, (1, 1, -1, 2), (1, 0, 2, 1))
-        assert not any(_singular_coordinate_point(m, i, j, None) for i, j in _CELLS)
+        assert not any(_singular_coordinate_point(m, i, j) for i, j in _CELLS)
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
         assert full_smoothness(m) is False
 
@@ -761,8 +775,10 @@ class TestCertificateDecides:
         assert all(any(sum(m) == m[v] > 0 for m in leads) for v in range(3))
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
         assert quartic_smooth(q) is True
-        # singular at (0:0:1), so not certified: it reaches the exact engine
-        singular = power(x, 4) + power(y, 4) * Cyclotomic.zeta(8) + x * y * z * z
+        # singular at (1:1:1), no coordinate point, so neither certified nor
+        # refused by substitution: it reaches the exact engine
+        a, b = x - z, y - z
+        singular = power(a, 4) + power(b, 4) * Cyclotomic.zeta(8) + a * b * z * z
         with pytest.raises(AssertionError, match="exact engine"):
             quartic_smooth(singular)
 
@@ -775,6 +791,12 @@ DOUBLE_POINT = (
     [[0, -1, -1, 1], [-1, 0, -1, 0], [0, 1, 1, 0], [1, 0, 0, 1]],
 )
 
+# the same X cut out by F1 - F2 - F3, F2 and F3: its quartic is
+# Delta(x, y - x, z - x), so Delta's singular point e0 (where F1 alone is
+# singular at the double point) moves to (1 : 1 : 1), off the coordinate
+# points, and quartic_smooth decides it by the Groebner ladder
+DOUBLE_POINT_OFF_E0 = (([[a - b - c for a, b, c in zip(*rows)] for rows in zip(*DOUBLE_POINT)],)
+                       + DOUBLE_POINT[1:])
 
 
 def _unimodular(u):
@@ -816,7 +838,7 @@ class TestStrata:
     @pytest.mark.parametrize("x, y", [(True, True), (False, True)], ids=["e3,e3", "e0,e3"])
     def test_a_double_point_at_another_coordinate_point(self, x, y):
         m = reversed_coordinates(DOUBLE_POINT, x, y)
-        assert _singular_coordinate_point(m, 3 if x else 0, 3, None)
+        assert _singular_coordinate_point(m, 3 if x else 0, 3)
         assert full_smoothness(m) is False
 
     @pytest.mark.parametrize("u, cell", [((0, 0, 1, 2), (2, 3)), ((1, 2, -1, 3), (0, 3))],
@@ -827,7 +849,7 @@ class TestStrata:
         # rational, so the chart runs mod p and its checked lift decides it
         m = moved(DOUBLE_POINT, u, (0, 0, 0, 1))
         monkeypatch.setattr(groebner_module, "buchberger", _refuse)
-        assert not any(_singular_coordinate_point(m, i, j, None) for i, j in _CELLS)
+        assert not any(_singular_coordinate_point(m, i, j) for i, j in _CELLS)
         forms = bilinear_forms(m)
         point = [cyc(c) for c in u + (0, 0, 0, 1)]
         assert all(f.evaluate(point).is_zero() for f in forms)
@@ -842,7 +864,7 @@ class TestStrata:
         # Q, and its chart, which holds the point, answers False
         p = _fp_field(1)[0]
         m = moved(DOUBLE_POINT, (p, 1, 0, 0), (1, 0, 0, 0))
-        assert not any(_singular_coordinate_point(m, i, j, None) for i, j in _CELLS)
+        assert not any(_singular_coordinate_point(m, i, j) for i, j in _CELLS)
         assert full_smoothness(m) is False
 
     def test_smooth_swap_n8_reaches_no_chart_ladder(self, monkeypatch):
@@ -999,13 +1021,13 @@ def test_every_survey_instance_is_smooth_by_the_charts(source):
 
 @pytest.mark.parametrize("source", DATA_MODELS + SURVEY_MODELS, ids=str)
 def test_each_matrix_of_forms_is_built_once_for_both_rings(source):
-    # _image keeps each entry's image in its place, and the pencil built on
+    # m.image keeps each entry's image in its place, and the pencil built on
     # those images has for determinant the image of the exact quartic, term
     # by term, at the prime of the model's conductor; so has each partial
     # derivative, _derivative's on the residues against the oracle's on the
     # exact quartic, with no zero residue, as each exponent is below p
     m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
-    prime, grids = _image(m.matrices)
+    prime, grids = m.image
     anchor = Cyclotomic.zeta(lcm(*(v.n for mat in m.matrices for row in mat for v in row)))
 
     def image(v):
@@ -1030,7 +1052,7 @@ def test_chart_terms_are_built_once_for_both_rings(name):
     # fallback, exactly, from one builder: on the entries' images it gives
     # the images of the exact forms and minors, term by term, keyed alike
     m = _data_model(name)
-    prime, grids = _image(m.matrices)
+    prime, grids = m.image
     anchor = Cyclotomic.zeta(lcm(*(v.n for mat in m.matrices for row in mat for v in row)))
 
     def image(terms):
@@ -1056,13 +1078,15 @@ def test_chart_terms_are_built_once_for_both_rings(name):
     + [(cell, 0) for cell in SWAP_GRID[::3] + DIAGONAL_GRID[:1]], ids=str)
 def test_quartic_decides_what_the_charts_decide(request, monkeypatch, source):
     # X is smooth iff its determinantal quartic is, so the two checks agree;
-    # full_smoothness maps the model's 48 entries to F_p once, in validate_model
+    # full_smoothness maps the model's 48 entries to F_p once, in m.image,
+    # here of a fresh copy of the model
     if source == "singular":
         m = request.getfixturevalue("singular_model")
     elif source == "double point":
-        m = model_from_matrices(DOUBLE_POINT)
+        m = model_from_matrices(DOUBLE_POINT_OFF_E0)
     else:
         m = _data_model(source) if isinstance(source, str) else _generated_model(*source)
+    m = ModelTriple(m.matrices, m.conductor)
     smooth = quartic_smooth(determinantal_quartic(m))
     images = []
 

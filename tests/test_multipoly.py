@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Poly, leibniz, power, term_rows, variables
+from conftest import Poly, from_coeffs, leibniz, power, term_rows, variables
 from fano212.cyclotomic import Cyclotomic, _fp_field, _fp_image, cyc, euler_phi
 from fano212.multipoly import (_SHIFT_BITS, MultiPoly, _balanced_digits, _cofactors, _derivative,
                                _restrict, minors, poly_det)
@@ -50,13 +50,6 @@ def test_the_record_surface_is_what_is_read():
     p = MultiPoly(2, {(1, 0): cyc(3)})
     assert {name for name in dir(p) if not name.startswith("_")} == {
         "nvars", "terms", "is_zero", "degree", "is_homogeneous", "evaluate"}
-
-
-def test_the_record_has_no_arithmetic():
-    # test_hygiene's check of unread names cannot see operators, as they
-    # read no names; the arithmetic is the oracle's (conftest.Poly)
-    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
-        assert not hasattr(MultiPoly, op), op
 
 
 @pytest.mark.parametrize("poly", [MultiPoly(2, {(1, 0): cyc(3)}), variables(2)[0]],
@@ -162,7 +155,7 @@ class TestDeterminant:
             n = data.draw(st.sampled_from([1, 3, 4, 5, 8]))
             coords = data.draw(st.lists(st.integers(-3, 3), min_size=euler_phi(n),
                                         max_size=euler_phi(n)))
-            return Cyclotomic(n, [Fraction(c, den) for c in coords])
+            return from_coeffs(n, [Fraction(c, den) for c in coords])
 
         def entry(den):
             poly = Poly.zero(nvars)
@@ -207,9 +200,9 @@ class TestDeterminant:
     def test_dense_3x3_at_conductor_504(self):
         rng = random.Random(504)
         units = [(1, 0), (0, 1)]
-        rows = [[Poly(2, {u: Cyclotomic(504, [rng.randint(-2, 2) for _ in range(144)])
+        rows = [[Poly(2, {u: from_coeffs(504, [rng.randint(-2, 2) for _ in range(144)])
                                for u in units}) for _ in range(3)] for _ in range(3)]
-        rows[1][2] = rows[1][2] * Cyclotomic(8, [0, Fraction(1, 3), 0, 1])
+        rows[1][2] = rows[1][2] * from_coeffs(8, [0, Fraction(1, 3), 0, 1])
         det = Poly(2, poly_det(term_rows(rows)))
         assert det == leibniz(rows) and det.degree() == 3
 
@@ -311,7 +304,7 @@ def test_minors_match_the_leibniz_sum_minor_by_minor(data):
         for x in data.draw(st.lists(st.sampled_from(xs), max_size=3)):
             coords = data.draw(st.lists(st.integers(-2, 2), min_size=euler_phi(n),
                                         max_size=euler_phi(n)))
-            poly = poly + x * Cyclotomic(n, [Fraction(c, data.draw(st.integers(1, 2)))
+            poly = poly + x * from_coeffs(n, [Fraction(c, data.draw(st.integers(1, 2)))
                                              for c in coords])
         return poly
 
@@ -408,7 +401,8 @@ def test_kronecker_minors_match_the_leibniz_sum(data):
         for x in variables(2):
             coords = data.draw(st.lists(coefficient, min_size=euler_phi(n),
                                         max_size=euler_phi(n)))
-            terms = terms + x * (Cyclotomic(n, coords) / data.draw(st.integers(1, 3)))
+            den = data.draw(st.integers(1, 3))
+            terms = terms + x * from_coeffs(n, [Fraction(c, den) for c in coords])
         return terms
 
     rows = [[entry() for _ in range(4)] for _ in range(size)]
