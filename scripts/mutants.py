@@ -105,6 +105,13 @@ MUTANTS = [
      "scale = self.den if r1[0] > 0 else -self.den",
      "scale = self.den",
      ["tests/test_cyclotomic.py::test_integer_form_against_fraction_reference"]),
+    # combine summing the matrix of a non-rational coefficient as if the
+    # coefficient were 1
+    ("fano212/model.py",
+     "(a, d), v = (1, 1), c * v\n",
+     "(a, d) = (1, 1)\n",
+     ["tests/test_model.py::TestCurveQuarticMaps::"
+      "test_roundtrip_through_an_irrational_centre_point"]),
 ]
 
 

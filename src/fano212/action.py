@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
-from .cyclotomic import Cyclotomic, _fp_image, cyc, euler_phi
+from .cyclotomic import Cyclotomic, _fp_image, cyc
 from .linalg import matrix_rank, pivot_scales, rref
-from .model import (ModelTriple, _smooth_image, determinantal_quartic, validate_model,
-                    InputError)
+from .model import (ModelTriple, _nonzero_entries, _smooth_image, combine,
+                    determinantal_quartic, validate_model, InputError)
 
 
 @dataclass(frozen=True)
@@ -278,45 +278,10 @@ def diagonal_twist_eigenbasis(n: int, weights, weights2, s: int):
 _ATTEMPTS = 50
 
 
-def _sparse_image(flat):
-    """(entries, prime, residues): the nonzero entries (k, e, value) of the
-    matrices flat, e row-major in flat[k], and their residues mod prime from
-    one _fp_image call; None when there is no image.  Sparse, as a dense
-    image took 2-3x as long, and its sums 6x."""
-    entries = [(k, e, v) for k, mat in enumerate(flat)
-               for e, v in enumerate(v for row in mat for v in row) if v]
-    image = _fp_image([v for _, _, v in entries])
-    return None if image is None else (entries, *image)
-
-
-def _sparse_forms(entries, rows, n: int):
-    """The matrices combine(cs, flat) for each row cs of integers, summed
-    from the nonzero entries (k, e, v) of flat alone (_sparse_image): entry
-    e of matrix i is the sum of rows[i][k] * v over its listed entries, one
-    integer sum of numerators over the lcm of their denominators, brought to
-    lowest terms once.  Every entry of flat, zeros included, has conductor
-    n, so combine gives every entry conductor n too, and these bytes."""
-    phi, out = euler_phi(n), []
-    for cs in rows:
-        parts = [[] for _ in range(16)]
-        for k, e, v in entries:
-            if cs[k]:
-                parts[e].append((cs[k], v))
-        form = []
-        for part in parts:
-            den, num = lcm(*(v.den for _, v in part)), [0] * phi
-            for c, v in part:
-                scale = c * (den // v.den)
-                num = [a + scale * b for a, b in zip(num, v.lift(n).num)]
-            form.append(Cyclotomic._lowest(n, tuple(num), den))
-        out.append(tuple(tuple(form[a:a + 4]) for a in range(0, 16, 4)))
-    return tuple(out)
-
-
 def _rejection(entries, residues, spans, coeffs, n: int, prime: int):
     """Why _random_model rejects the draw whose eigenforms are the E_j, E_j
     the sum of coeffs[k] * flat[k] over the k with spans[k] = j, decided mod
-    prime on the residues of the nonzero entries of flat (_sparse_image):
+    prime on the residues of the nonzero entries of flat (_nonzero_entries):
     the text of an exact refusal of validate_model or determinantal_quartic
     on the E_j, or that their quartic is singular mod p; None when its image
     proves it smooth (model._smooth_image).  _random_model says why the
@@ -332,7 +297,7 @@ def _rejection(entries, residues, spans, coeffs, n: int, prime: int):
     if not q or matrix_rank(forms, prime) < 3:
         eigen = [[c if s == j else 0 for s, c in zip(spans, coeffs)] for j in range(3)]
         try:
-            model = ModelTriple(_sparse_forms(entries, eigen, n), n)
+            model = ModelTriple(combine(eigen, entries, (4, 4)), n)
             validate_model(model)
             determinantal_quartic(model)
         except InputError as exc:
@@ -353,7 +318,7 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
 
     Each draw is decided in F_p on its eigenforms (_rejection).  Every
     nonzero eigenbasis entry has conductor n, so _fp_image maps them, once
-    per call (_sparse_image), at the prime of _fp_field(n), where
+    per call (_nonzero_entries), at the prime of _fp_field(n), where
     validate_model and groebner._mod_p_basis map a draw's exact forms and
     partials.  Eigenform E_j is the sum of c_k * B_k over the eigenbasis
     matrices B_k of exponent j, and the forms are R * E for the drawn
@@ -379,10 +344,10 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
     Exact forms are built only for the draw returned and for those
     fallbacks, which only name a failure: forms of rank below 3 mod p, or a
     zero image, make the quartic singular mod p (a pencil member that
-    vanishes mod p is a point of multiplicity 4).  Both are summed from
-    the nonzero eigenbasis entries (_sparse_forms), which gives the bytes
-    of combine's two stages, eigenforms then change of basis, as
-    Cyclotomic values are canonical."""
+    vanishes mod p is a point of multiplicity 4).  Both are summed by
+    combine from the nonzero eigenbasis entries, at conductor n; the
+    returned draw's coefficients merge R into the c_k, which gives the
+    bytes of summing E and then R * E, as Cyclotomic values are canonical."""
     validate_action(spec)
     n = spec.order
     bases = []
@@ -393,10 +358,11 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
                              "the eigenspace for exponent %d mod %d is zero" % (s, n))
         bases.append(basis)
     flat = [mat for basis in bases for mat in basis]
-    image = _sparse_image(flat)
+    entries = _nonzero_entries(flat)
+    image = _fp_image([v for _, _, v in entries])
     if image is None:
         raise InputError("no-smooth-instance", "no prime field for conductor %d" % n)
-    entries, prime, residues = image
+    prime, residues = image
     spans = [j for j, basis in enumerate(bases) for _ in basis]  # the eigenform of flat[k]
     rng = random.Random(seed)
     failure = "no draw attempted"
@@ -409,7 +375,7 @@ def _random_model(spec: ActionSpec, eigenbasis, exponents, seed):
         failure = _rejection(entries, residues, spans, coeffs, n, prime)
         if failure is None:
             merged = [[row[j] * c for j, c in zip(spans, coeffs)] for row in rows]
-            return ModelTriple(_sparse_forms(entries, merged, n), n), spec
+            return ModelTriple(combine(merged, entries, (4, 4)), n), spec
     raise InputError("no-smooth-instance", "no smooth instance in %d attempts "
                      "(last failure: %s)" % (_ATTEMPTS, failure))
 

@@ -336,9 +336,9 @@ def _interreduce(basis, guard: int, prime=None):
 def _exact_basis(generators):
     """(basis, w, nvars): _basis on the nonzero generators over Q(zeta_N),
     with nvars 0 when there are none.  The coefficients are the generators'
-    own Cyclotomic values, rational ones too: no bench workload makes an
-    exact run and scripts/report_sweep.py makes one, and on the rational
-    ideals of its double point (both centres, the quartic partials) a run
+    own Cyclotomic values, rational ones too: neither a bench workload nor
+    scripts/report_sweep.py makes an exact run, and on the rational ideals
+    of the sweep's double point (both centres, the quartic partials) a run
     takes 1.0-2.2 ms against 0.9-1.6 ms as Fractions (best of 9, two runs,
     Python 3.11)."""
     gens = [g for g in generators if not g.is_zero()]

@@ -107,37 +107,49 @@ def validate_model(m: ModelTriple) -> None:
 # -- the pencil, forms and matrices of linear forms -------------------------------
 
 
-def combine(coeffs, matrices):
-    """The matrix sum of c * M over paired coefficients and matrices.
+def _nonzero_entries(matrices):
+    """The nonzero entries (k, e, value) of the matrices, e row-major in
+    matrices[k]: the terms that combine sums.  Listed sparse, as a dense
+    image of the generator's eigenbasis took 2-3x as long, and its sums
+    6x."""
+    return [(k, e, v) for k, mat in enumerate(matrices)
+            for e, v in enumerate(v for row in mat for v in row) if v]
 
-    A matrix whose c is not rational is multiplied out first.  Then each
-    entry is one sum of integer numerators over its nonzero terms: with N
-    the lcm of the conductors of the c and of the entries x there, zero or
-    not, and D that of the denominators d * den(x) of the nonzero terms, d
-    that of the rational c = a/d, it adds a * D / (d * den(x)) times the
-    numerators of x lifted to N, and is brought to lowest terms once."""
-    coeffs = [cyc(c) for c in coeffs]
-    base = lcm(*(c.n for c in coeffs))
-    conductors = [lcm(base, *ns) for ns in zip(*([x.n for row in mat for x in row]
-                                                  for mat in matrices))]
-    parts = [[] for _ in conductors]
-    for c, mat in zip(coeffs, matrices):
-        if c.is_rational():
-            a, d = c.num[0], c.den
-        else:
-            (a, d), mat = (1, 1), [[c * x for x in row] for row in mat]
-        if a:
-            for part, x in zip(parts, (x for row in mat for x in row)):
-                if x:
-                    part.append((a, d, x))
+
+def combine(rows, entries, shape):
+    """For each coefficient row cs, the matrix of the given shape (height,
+    width) whose entry e is the sum of cs[k] * v over the nonzero entries
+    (k, e, v) of the matrices M_k (_nonzero_entries): the sum of c * M_k.
+
+    A coefficient is an int, Fraction or Cyclotomic, read once per row; one
+    that is not rational multiplies its values out first.  With N the lcm
+    of the conductors of the entries and of the row's coefficients, each
+    entry is then one integer sum of the numerators lifted to N, scaled by
+    a/d for a rational c = a/d, over the lcm denominator, brought to lowest
+    terms once."""
+    base, (height, width) = lcm(*(v.n for _, _, v in entries)), shape
     out = []
-    for n, part in zip(conductors, parts):
-        den = lcm(*[d * x.den for _, d, x in part])
-        scaled = [[den // (d * x.den) * a * v for v in x.lift(n).num] for a, d, x in part]
-        num = tuple(map(sum, zip(*scaled))) if len(scaled) > 1 else tuple(*scaled)
-        out.append(Cyclotomic._lowest(n, num or (0,) * euler_phi(n), den))
-    width = len(matrices[0][0])
-    return tuple(tuple(out[j:j + width]) for j in range(0, len(out), width))
+    for cs in rows:
+        n = lcm(base, *(c.n for c in cs if isinstance(c, Cyclotomic)))
+        scales = [(c.numerator, c.denominator) if not isinstance(c, Cyclotomic)
+                  else (c.num[0], c.den) if c.is_rational() else c for c in cs]
+        parts = [[] for _ in range(height * width)]
+        for k, e, v in entries:
+            c = scales[k]
+            if isinstance(c, Cyclotomic):
+                (a, d), v = (1, 1), c * v
+            else:
+                a, d = c
+            if a:
+                parts[e].append((a, d, v))
+        form = []
+        for part in parts:
+            den = lcm(*[d * v.den for _, d, v in part])
+            scaled = [[den // (d * v.den) * a * x for x in v.lift(n).num] for a, d, v in part]
+            num = tuple(map(sum, zip(*scaled))) if len(scaled) > 1 else tuple(*scaled)
+            form.append(Cyclotomic._lowest(n, num or (0,) * euler_phi(n), den))
+        out.append(tuple(tuple(form[j:j + width]) for j in range(0, len(form), width)))
+    return tuple(out)
 
 
 def _units(nvars: int):
@@ -197,7 +209,8 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
     minor_cubics gives it, read as 6t - 2 off a certificate mod p when one
     holds.
 
-    The sided matrices are mapped to F_p (.image), and the 3x4 matrix of
+    The model's image in F_p (.image), its grids transposed for side
+    SECOND, gives the sided matrices there, and the 3x4 matrix of
     linear forms is restricted to the line L = {s*a + t*b} (_LINE), each
     entry a binary linear form; its maximal minors (minors, mod p) are
     binary cubics.  Restriction to L and the map to F_p are ring maps, so
@@ -211,9 +224,10 @@ def centre_hilbert_polynomial(m: ModelTriple, side: Side = Side.FIRST):
     D. Eisenbud, The Geometry of Syzygies, Ch. 3), and
     HP(t) = C(t+3, 3) - 4 C(t, 3) + 3 C(t-1, 3) = 6t - 2.  A common zero mod
     p, or no image, takes the exact hilbert_polynomial."""
-    image = m.sided(side).image
-    if image is not None:
-        prime, grids = image
+    if m.image is not None:
+        prime, grids = m.image
+        if side is Side.SECOND:
+            grids = [list(zip(*mat)) for mat in grids]
         # entry (i, j) on L: s * a^T M_i e_j + t * b^T M_i e_j, in s, t
         lines = [[_form([sum(map(mul, point, col)) for point in _LINE], _X2) for col in zip(*mat)]
                  for mat in grids]
@@ -438,7 +452,7 @@ def quartic_point_to_curve_point(m: ModelTriple, p, side: Side = Side.FIRST):
     point lies on the quartic exactly when that determinant vanishes, that
     is, when the kernel is not zero.
     """
-    pencil = combine(p, m.sided(side).matrices)
+    pencil = combine([p], _nonzero_entries(m.sided(side).matrices), (4, 4))[0]
     kernel = nullspace(mat_transpose(pencil))
     if not kernel:
         raise ValueError("the point does not lie on the determinantal quartic")
@@ -455,7 +469,8 @@ def curve_point_to_quartic_point(m: ModelTriple, c, side: Side = Side.FIRST):
     pencil member [x:y:z] whose matrix annihilates it."""
     # row i is c^T M_i, the matrix of linear forms at c
     mats = m.sided(side).matrices
-    scalar_rows = combine(c, [[mat[k] for mat in mats] for k in range(4)])
+    entries = _nonzero_entries([[mat[k] for mat in mats] for k in range(4)])
+    scalar_rows = combine([c], entries, (3, 4))[0]
     # the kernel of the columns gives the pencil coefficients, and the rank,
     # 3 minus its dimension
     kernel = nullspace(mat_transpose(scalar_rows))

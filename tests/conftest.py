@@ -22,7 +22,6 @@ from fano212.model import (
     InputError,
     ModelTriple,
     Side,
-    combine,
     determinantal_quartic,
     model_from_matrices,
     quartic_smooth,
@@ -437,6 +436,15 @@ def proj_equal(u, v) -> bool:
     return all(x.is_zero() == y.is_zero() for x, y in zip(u, v))
 
 
+def dense_sum(coeffs, matrices):
+    """The matrix sum of cyc(c) * M over paired coefficients and matrices,
+    entry by entry with Cyclotomic's * and +, zero entries included: an
+    oracle of model.combine."""
+    products = [[[cyc(c) * v for v in row] for row in mat] for c, mat in zip(coeffs, matrices)]
+    return tuple(tuple(sum(terms[1:], terms[0]) for terms in zip(*rows))
+                 for rows in zip(*products))
+
+
 def mat_mul(a, b):
     """The matrix product of two grids of Cyclotomic entries."""
     return [[sum((x * y for x, y in zip(row, col)), cyc(0)) for col in zip(*b)] for row in a]
@@ -527,8 +535,8 @@ def exact_rejection(bases, coeffs, rows, n: int):
     eigenforms instead, before the change of basis rows, and refuses a
     singular coordinate point by substitution; so it checks the eigenform
     argument, the substitution and that image arithmetic, not the run."""
-    forms = [combine(cs, basis) for cs, basis in zip(coeffs, bases)]
-    model = ModelTriple(tuple(combine(row, forms) for row in rows), n)
+    forms = [dense_sum(cs, basis) for cs, basis in zip(coeffs, bases)]
+    model = ModelTriple(tuple(dense_sum(row, forms) for row in rows), n)
     try:
         validate_model(model)
         q = determinantal_quartic(model)

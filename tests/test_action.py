@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import time
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     action_image,
     action_matrix,
     brute_force_projective_order,
+    dense_sum,
     eigen_relation_holds,
     exact_rejection,
     lifted,
@@ -34,8 +36,6 @@ from fano212.action import (
     _diag_projective_order,
     _rejection,
     _sigma_on_entries,
-    _sparse_forms,
-    _sparse_image,
     E,
     H,
     MINUS_K,
@@ -52,11 +52,11 @@ from fano212.action import (
     transpose_twist_eigenbasis,
     validate_action,
 )
-from fano212.cyclotomic import Cyclotomic, cyc
+from fano212.cyclotomic import Cyclotomic, _fp_image, cyc
 from fano212.instancefile import Instance, parse_instance, serialize_instance
 from fano212.linalg import matrix_rank
-from fano212.model import InputError, ModelTriple, combine, determinantal_quartic, \
-    model_from_matrices, quartic_smooth
+from fano212.model import InputError, ModelTriple, _nonzero_entries, combine, \
+    determinantal_quartic, model_from_matrices, quartic_smooth
 
 
 def sigma_orbit_order(spec, sample):
@@ -282,9 +282,9 @@ def _drawn_triple(spec, exponents, rng):
     """Three forms, each an integer combination of the eigenbasis of its
     exponent, then a random integer change of basis of the pencil; None when
     they are dependent.  No smoothness is asked for."""
-    forms = [combine([rng.randint(-3, 3) for _ in basis], basis)
+    forms = [dense_sum([rng.randint(-3, 3) for _ in basis], basis)
              for basis in (_eigenbasis(spec, s) for s in exponents)]
-    mixed = [combine([rng.randint(-2, 2) for _ in range(3)], forms) for _ in range(3)]
+    mixed = [dense_sum([rng.randint(-2, 2) for _ in range(3)], forms) for _ in range(3)]
     m = ModelTriple(tuple(mixed), spec.order)
     rows = [[v for row in mat for v in row] for mat in mixed]
     return m if matrix_rank(rows) == 3 else None
@@ -347,7 +347,7 @@ def mixed_triples(draw):
         if kind == "eigen":
             basis = _eigenbasis(spec, rng.randrange(spec.order))
             if basis:
-                grid = combine([rng.randint(-3, 3) for _ in basis], basis)
+                grid = dense_sum([rng.randint(-3, 3) for _ in basis], basis)
                 flat = [v for row in grid for v in row]
         else:
             block = rng.choice(mu)
@@ -396,7 +396,7 @@ def test_order_1024_reads_the_exponents_off_the_blocks():
     forms = []
     for s in (1, 2, 3):
         basis = transpose_twist_eigenbasis(n, spec.weights, s)
-        forms.append(combine([1] * len(basis), basis))
+        forms.append(dense_sum([1] * len(basis), basis))
     m = ModelTriple(tuple(forms), n)
     started = time.monotonic()
     pencil = invariant_pencil(m, spec)
@@ -611,7 +611,8 @@ def test_a_draw_is_decided_in_f_p_as_on_its_exact_partials(data):
     bases = [_eigenbasis(spec, s) for s in cell[-1]]
     coeffs = [data.draw(st.lists(st.integers(-3, 3), min_size=len(b), max_size=len(b)))
               for b in bases]
-    entries, prime, residues = _sparse_image([mat for basis in bases for mat in basis])
+    entries = _nonzero_entries([mat for basis in bases for mat in basis])
+    prime, residues = _fp_image([v for _, _, v in entries])
     rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
                               min_size=3, max_size=3))
     assume(matrix_rank([[x % prime for x in row] for row in rows], prime) == 3)
@@ -622,20 +623,23 @@ def test_a_draw_is_decided_in_f_p_as_on_its_exact_partials(data):
 
 
 @pytest.mark.parametrize("cell", SWAP_COMBOS[::4] + DIAGONAL_COMBOS[::2], ids=str)
-def test_sparse_forms_are_the_bytes_of_combine(cell):
-    # zero entries keep the conductor n, and cancelling sums become zeros
+def test_combine_is_the_dense_sum(cell):
+    # summed from the nonzero entries alone, zeros keep the conductor n and
+    # cancelling sums become zeros; an irrational coefficient, here of
+    # conductor 3, lifts every entry to the lcm
     spec = (ActionSpec(cell[0], cell[1]) if len(cell) == 3
             else ActionSpec(cell[0], cell[1], swap=False, weights2=cell[2]))
     flat = [mat for s in cell[-1] for mat in _eigenbasis(spec, s)]
-    entries = _sparse_image(flat)[0]
     rng = random.Random(str(cell))
     rows = [[rng.randint(-4, 4) for _ in flat] for _ in range(3)] + [[0] * len(flat)]
     rows.append([(-1) ** k for k in range(len(flat))])
+    rows.append([Cyclotomic.zeta(3) if k == 0 else Fraction(k, 2) for k in range(len(flat))])
 
     def raw(mats):
         return [(v.n, v.num, v.den) for mat in mats for row in mat for v in row]
 
-    assert raw(_sparse_forms(entries, rows, spec.order)) == raw(combine(cs, flat) for cs in rows)
+    assert (raw(combine(rows, _nonzero_entries(flat), (4, 4)))
+            == raw(dense_sum(cs, flat) for cs in rows))
 
 
 def _counted(monkeypatch, *names):
@@ -657,13 +661,13 @@ def test_only_the_returned_draw_is_built_exactly(monkeypatch, cell, seed, draws,
     # a guard on wasted work: a draw is decided in F_p, so no exact quartic
     # is expanded, and only the returned draw's forms are built, by one
     # sparse sum
-    calls = _counted(monkeypatch, "_rejection", "_sparse_forms", "determinantal_quartic")
+    calls = _counted(monkeypatch, "_rejection", "combine", "determinantal_quartic")
     if builds:
         random_equivariant_model(*cell, seed=seed)
     else:
         with pytest.raises(InputError, match="no smooth instance in 50 attempts"):
             random_equivariant_model(*cell, seed=seed)
-    assert calls == {"_rejection": draws, "_sparse_forms": builds, "determinantal_quartic": 0}
+    assert calls == {"_rejection": draws, "combine": builds, "determinantal_quartic": 0}
 
 
 def test_survey_draws_take_few_mod_p_runs(monkeypatch):

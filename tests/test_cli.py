@@ -450,11 +450,11 @@ class TestSubcommands:
         assert (code, len(calls)) == (1, 1)
         assert "quartic.smooth = False\n" in out
 
-    @pytest.mark.parametrize("args", [["smooth", "--full"], ["smooth"], ["hilbert"]],
-                             ids=" ".join)
+    @pytest.mark.parametrize("args", [["smooth", "--full"], ["smooth"], ["hilbert"],
+                                      ["hilbert", "--side", "second"]], ids=" ".join)
     def test_a_command_maps_the_model_to_f_p_once(self, monkeypatch, capsys, args):
         # validate_model, the quartic's image, the coordinate points, the
-        # charts and hilbert's first side all read the model's one image
+        # charts and hilbert on either side all read the model's one image
         calls, image = [], model_module._fp_image
         monkeypatch.setattr(model_module, "_fp_image",
                             lambda values: calls.append(values) or image(values))

@@ -5,9 +5,10 @@ used and every import is at module level; in the package and the scripts
 every module-level name but a dunder, and every public method, is read by
 the package, a script or the bench; the package imports nothing outside the
 standard library, and the error codes it raises are the ones README's table
-lists.  Operators read no names, so the unread-name check cannot see an
-unused dunder such as __add__: OPERATORS pins the operator dunders of every
-class of the package instead."""
+lists; every mutant of scripts/mutants.py names tests that exist.  Operators
+read no names, so the unread-name check cannot see an unused dunder such as
+__add__: OPERATORS pins the operator dunders of every class of the package
+instead."""
 
 import ast
 import os
@@ -336,3 +337,37 @@ def test_every_mutant_edits_one_place():
     # occurs exactly once and the new text differs; no subprocess is started
     assert MUTANTS and unmatched(MUTANTS) == []
     assert all(old != new for _, old, new, _ in MUTANTS)
+
+
+def missing_nodes(nodes):
+    """The pytest node ids, relative to the root of the checkout, whose file
+    does not exist or does not define each named class and function, a
+    [...] parametrize id stripped; read from the parsed sources, with no
+    test collected."""
+    missing = []
+    for node in nodes:
+        path, *names = node.split("[", 1)[0].split("::")
+        body = None
+        if os.path.isfile(os.path.join(ROOT, path)):
+            with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
+                body = ast.parse(handle.read()).body
+        for name in names:
+            body = next((d.body for d in body or () if getattr(d, "name", None) == name), None)
+        if body is None:
+            missing.append(node)
+    return missing
+
+
+def test_checker_flags_a_missing_node():
+    nodes = ["tests/test_hygiene.py::test_checker_flags_a_missing_node[id]",
+             "tests/test_model.py::TestCurveQuarticMaps::test_side_symmetry",
+             "tests/test_hygiene.py::test_gone", "tests/test_gone.py::test_a",
+             "tests/test_model.py::TestCurveQuarticMaps::test_gone",
+             "tests/test_model.py::TestGone::test_side_symmetry"]
+    assert missing_nodes(nodes) == nodes[2:]
+
+
+def test_every_mutant_names_tests_that_exist():
+    # a deleted or renamed killing test fails here, not only in the
+    # mutation run
+    assert missing_nodes([node for *_, nodes in MUTANTS for node in nodes]) == []

@@ -482,6 +482,27 @@ class TestCurveQuarticMaps:
             assert proj_equal(list(back), list(p))
             assert q.evaluate(list(back)).is_zero()
 
+    def test_roundtrip_through_an_irrational_centre_point(self):
+        # M1 has zeta_8 entries, and M3 the bench's rank-one correction that
+        # plants p = (1:1:2) on the quartic with the rational right kernel
+        # u: side SECOND stays rational, while side FIRST's point has
+        # irrational coordinates, which the inverse map multiplies out
+        rng, zeta, p, u = random.Random(1), Cyclotomic.zeta(8), (1, 1, 2), (1, -1, 0, 2)
+        m1 = [[cyc(rng.randint(-3, 3)) + zeta * rng.randint(-1, 1) for _ in range(4)]
+              for _ in range(4)]
+        m2, m3 = random_rational_matrix(rng), random_rational_matrix(rng)
+        bu = [sum(((p[0] * x + p[1] * y + p[2] * z) * w
+                   for x, y, z, w in zip(r1, r2, r3, u)), cyc(0))
+              for r1, r2, r3 in zip(m1, m2, m3)]
+        scale = cyc(Fraction(-1, p[2] * sum(w * w for w in u)))
+        m3 = [[z + b * w * scale for z, w in zip(r3, u)] for r3, b in zip(m3, bu)]
+        m, point = model_from_matrices([m1, m2, m3]), [cyc(v) for v in p]
+        assert determinantal_quartic(m).evaluate(point).is_zero()
+        for side, rational in ((Side.FIRST, False), (Side.SECOND, True)):
+            c = quartic_point_to_curve_point(m, point, side)
+            assert all(v.is_rational() for v in c) is rational
+            assert proj_equal(list(curve_point_to_quartic_point(m, c, side)), point)
+
     def test_side_symmetry(self, planted_model):
         m, p = planted_model
         c_second = quartic_point_to_curve_point(m, p, Side.SECOND)
