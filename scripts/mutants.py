@@ -67,6 +67,12 @@ MUTANTS = [
      "[p * a - f * b if b else",
      "[a - f * b if b else",
      ["tests/test_linalg.py::test_rref_against_gauss_jordan_on_fractions"]),
+    # rref's integer rows over Q without the row-scale update
+    ("fano212/linalg.py",
+     "                scales[r] *= scales[k]\n",
+     "",
+     ["tests/test_linalg.py::"
+      "test_rref_over_q_keeps_the_values_of_the_cyclotomic_elimination"]),
     # rref's mod-p branch without the reduction, which eliminates over Q
     ("fano212/linalg.py",
      "[(p * a - f * b) % prime for",
@@ -77,7 +83,13 @@ MUTANTS = [
     ("fano212/action.py",
      "if not len(found) == rank == 3:",
      "if len(found) != 3:",
-     ["tests/test_action.py::test_a_block_that_sigma_leaves_is_refused"]),
+     ["tests/test_action.py::test_a_block_that_sigma_leaves_is_refused",
+      "tests/test_action.py::test_a_block_that_sigma_leaves_is_refused_exactly"]),
+    # invariant_pencil's refusal in F_p reading a rank of 3 as outside
+    ("fano212/action.py",
+     "prime) == 4:",
+     "prime) >= 3:",
+     ["tests/test_action.py::test_a_stable_pencil_outside_the_field_is_accepted"]),
     # invariant_pencil's -lambda group built from sums, as the lambda group
     ("fano212/action.py",
      "[[a - b for a, b in p] for p in pairs]",

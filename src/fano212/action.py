@@ -143,6 +143,11 @@ def _sigma_on_entries(spec: ActionSpec):
     return list(range(16)), mu, mu
 
 
+def _not_invariant(j: int) -> InputError:
+    return InputError("pencil-not-invariant", "the action does not preserve the span of "
+                      "the three forms (form %d maps outside the pencil)" % (j + 1))
+
+
 def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
     """Diagonalise the action on the pencil P of three independent forms
     (validate_model's precondition): an eigenbasis M'_j with the exponents
@@ -170,10 +175,22 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
     to 3; the loop stops at the first block where either fails.  Only a
     refusal then finds the first M_j with sigma(M_j) outside P, for its
     message, against the echelon form of the three forms; its products are
-    taken at the forms' conductor, then rotated by their power of w."""
+    taken at the forms' conductor, then rotated by their power of w.
+
+    When n does not divide the model's conductor, w is outside the entries'
+    field: one _fp_image call maps the forms and zeta_n, and a rank of 4 of
+    the forms and sigma(M_1) mod p is one over Q(zeta), so form 1 is the
+    first form refused; a lower rank takes the exact path."""
     validate_action(spec)
     n = spec.order
     source, twist, mu = _sigma_on_entries(spec)
+    rows = [[v for row in mat for v in row] for mat in m.matrices]
+    image = _fp_image(sum(rows, []) + [Cyclotomic.zeta(n)]) if m.conductor % n else None
+    if image is not None:
+        prime, (*values, w) = image
+        moved = [pow(w, twist[c], prime) * values[source[c]] % prime for c in range(16)]
+        if matrix_rank([values[:16], values[16:32], values[32:], moved], prime) == 4:
+            raise _not_invariant(0)
 
     def outside(u, basis, pivots):
         """Whether D * sigma(u) minus sum of sigma(u)[p] * row over the pivots
@@ -191,7 +208,6 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
                 return True
         return False
 
-    rows = [[v for row in mat for v in row] for mat in m.matrices]
     zero, rank, found = cyc(0), 0, []
     for k in set(mu):
         cols = [c for c in range(16) if mu[c] == k]
@@ -216,9 +232,8 @@ def invariant_pencil(m: ModelTriple, spec: ActionSpec) -> InvariantPencil:
             break
     if not len(found) == rank == 3:
         red, pivots = rref(rows)
-        j = next(j for j, u in enumerate(rows) if outside(u, red[:3], pivots))
-        raise InputError("pencil-not-invariant", "the action does not preserve the span of "
-                         "the three forms (form %d maps outside the pencil)" % (j + 1))
+        raise _not_invariant(next(j for j, u in enumerate(rows)
+                                  if outside(u, red[:3], pivots)))
     found.sort(key=lambda item: item[0])
     return InvariantPencil(tuple(tuple(tuple(u[4 * p:4 * p + 4]) for p in range(4))
                                  for _, u in found), tuple(s for s, _ in found), spec)

@@ -25,7 +25,7 @@ from .cyclotomic import (Cyclotomic, _fp_image, _is_prime, _pseudo_remainder,
 from .groebner import (DegreeCapExceeded, _holds_mod_p, _is_unit, _mod_p_run, empty_mod_p,
                        hilbert_polynomial, projective_empty, unit_mod_p_or_q)
 from .linalg import mat_transpose, matrix_rank, nullspace, proj_normalize
-from .multipoly import MultiPoly, _derivative, _restrict, minors, poly_det
+from .multipoly import MultiPoly, _balanced_digits, _derivative, _restrict, minors, poly_det
 
 
 class Side(Enum):
@@ -566,22 +566,27 @@ def _rational_roots(coeffs):
 def _line_quartic(q: MultiPoly, a, b) -> list:
     """q(a + t*b) for a polynomial q in three variables and integer points
     a, b: its coefficients in t, constant first, up to the last nonzero one.
-    The t^j coefficient is one integer sum, over the terms c*x^e, of the
-    numerators of c (over the lcm of the conductors and of the denominators)
-    times the t^j coefficient of prod (a_i + t*b_i)^e_i, reduced once."""
+    Each power (a_i + t*b_i)^k is built once per line as one integer at
+    t = 2^w (Kronecker), so each term c*x^e multiplies three of them, times
+    the numerators of c over the lcm of the conductors and denominators.  A
+    t^j coefficient of such a product is at most M^d in size, d = deg q and
+    M >= 1 the largest |a_i| + |b_i|; times the sum of all the numerators'
+    sizes it is below 2^(w-1), so the sums' balanced base-2^w digits
+    (_balanced_digits) are the coefficients, each reduced once."""
     n = lcm(*(c.n for c in q.terms.values()))
     den = lcm(*(c.den for c in q.terms.values()))
-    sums = [[0] * euler_phi(n) for _ in range(q.degree() + 1)]
-    for e, c in q.terms.items():
-        line = [den // c.den]
-        for x, y, k in zip(a, b, e):
-            for _ in range(k):
-                line = [x * u + y * v for u, v in zip(line + [0], [0] + line)]
-        num = c.lift(n).num
-        for total, w in zip(sums, line):
-            if w:
-                total[:] = [s + w * v for s, v in zip(total, num)]
-    coeffs = [Cyclotomic._lowest(n, tuple(total), den) for total in sums]
+    deg = q.degree()
+    nums = [(e, [den // c.den * x for x in c.lift(n).num]) for e, c in q.terms.items()]
+    top = max(1, *(abs(x) + abs(y) for x, y in zip(a, b))) ** deg
+    w = (top * sum(abs(x) for _, num in nums for x in num)).bit_length() + 1
+    powers = [[(x + (y << w)) ** k for k in range(deg + 1)] for x, y in zip(a, b)]
+    sums = [0] * euler_phi(n)
+    for (i, j, k), num in nums:
+        v = powers[0][i] * powers[1][j] * powers[2][k]
+        for r, x in enumerate(num):
+            sums[r] += x * v
+    digits = [_balanced_digits(v, deg + 1, w) for v in sums]
+    coeffs = [Cyclotomic._lowest(n, column, den) for column in zip(*digits)]
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs

@@ -377,16 +377,83 @@ def _units(*cells):
                                 for cell in cells])
 
 
-@pytest.mark.parametrize("spec, m", [
+LEAVING = pytest.mark.parametrize("spec, m", [
     # block mu = 0 has rank d = 2 but splits into 3 eigen-rows: E00 and E01 +- E10
     (ActionSpec(4, (0, 0, 2, 2)), _units((0, 1), (0, 0), (0, 2))),
     # one block, of rank 3, splits into 4 eigen-rows
     (ActionSpec(2, (0, 0, 0, 0)), _units((0, 1), (0, 0), (1, 1))),
 ], ids=["ranks-add-to-3", "one-block"])
+
+
+@LEAVING
 def test_a_block_that_sigma_leaves_is_refused(spec, m):
     message = refusal(m, spec, invariant_pencil)
     assert message == refusal(m, spec, action_matrix) is not None
     assert "form 1 " in message
+
+
+@LEAVING
+def test_a_block_that_sigma_leaves_is_refused_exactly(monkeypatch, spec, m):
+    # these models have conductor 1, which the order does not divide, so
+    # the refusal in F_p answers first; without an image the exact split
+    # must refuse them too
+    monkeypatch.setattr(action_module, "_fp_image", lambda values: None)
+    test_a_block_that_sigma_leaves_is_refused(spec, m)
+
+
+NOT_INVARIANT = ("the action does not preserve the span of the three forms "
+                 "(form 1 maps outside the pencil)")
+
+
+def _swap_n8_read_at(conductor):
+    """swap_n8 with its literals read in Q(zeta_conductor): at 105 and 210,
+    zeta_8 is outside the entries' field."""
+    path = os.path.join(os.path.dirname(__file__), "data", "swap_n8.txt")
+    with open(path, encoding="utf-8") as handle:
+        inst = parse_instance(handle.read().replace("conductor = 8",
+                                                    "conductor = %d" % conductor))
+    return inst.model, inst.spec
+
+
+def _raise(*args):
+    raise AssertionError("the exact path ran")
+
+
+@pytest.mark.parametrize("conductor", [105, 210])
+def test_a_pencil_outside_the_field_is_refused_mod_p(monkeypatch, conductor):
+    # the F_p image of form 1 and sigma(M_1) has rank 4, so no exact split runs
+    m, spec = _swap_n8_read_at(conductor)
+    assert m.conductor % spec.order
+    monkeypatch.setattr(action_module, "rref", _raise)
+    assert refusal(m, spec, invariant_pencil) == NOT_INVARIANT
+
+
+@pytest.mark.parametrize("conductor", [105, 210])
+def test_the_exact_path_refuses_a_pencil_outside_the_field_alike(monkeypatch, conductor):
+    m, spec = _swap_n8_read_at(conductor)
+    monkeypatch.setattr(action_module, "_fp_image", lambda values: None)
+    assert refusal(m, spec, invariant_pencil) == NOT_INVARIANT
+
+
+def test_a_stable_pencil_outside_the_field_is_accepted(monkeypatch):
+    # a diagonal action of order 4 whose forms have the exponents 0, 0, 2:
+    # their eigenvalues 1, 1, -1 are rational, so the model is written at
+    # conductor 1, which 4 does not divide; the F_p image has rank 3 and
+    # the exact split accepts
+    spec = ActionSpec(4, (0, 1, 2, 3), swap=False, weights2=(0, 2, 1, 3))
+    rng = random.Random(4)
+    forms = [dense_sum([rng.randint(1, 3) for _ in basis], basis) for basis in (
+        diagonal_twist_eigenbasis(4, spec.weights, spec.weights2, s) for s in (0, 0, 2))]
+    m = model_from_matrices([[[v.to_rational() for v in row] for row in mat]
+                             for mat in forms])
+    assert m.conductor == 1
+    calls = []
+    monkeypatch.setattr(action_module, "_fp_image",
+                        lambda values: calls.append(len(values)) or _fp_image(values))
+    pencil = invariant_pencil(m, spec)
+    assert calls == [49]
+    assert pencil.exponents == (0, 0, 2) == tuple(oracle_pencil(m, spec))
+    assert pencil_eigen_check(pencil)
 
 
 def test_order_1024_reads_the_exponents_off_the_blocks():

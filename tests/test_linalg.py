@@ -6,7 +6,8 @@ import pytest
 from conftest import from_coeffs, solve
 
 from fano212.cyclotomic import Cyclotomic, cyc, cyclotomic_coeffs, euler_phi
-from fano212.linalg import nullspace, rref
+from fano212.linalg import mat_transpose, nullspace, rref
+from fano212.model import _nonzero_entries, combine
 
 # The oracles below work on Fraction coordinate vectors in the power basis of
 # Q(zeta_n): a product is a convolution reduced by long division by Phi_n, an
@@ -94,7 +95,9 @@ def random_matrix(rng, n, nrows, ncols, density):
     return rows
 
 
-CASES = [(n, density, seed) for n in (8, 60) for density in (0.3, 1.0) for seed in (1, 2)]
+# conductors 1 and 2 (phi = 1) take rref's integer rows over Q
+CASES = [(n, density, seed) for n in (1, 2, 8, 60) for density in (0.3, 1.0)
+         for seed in (1, 2)]
 
 
 @pytest.mark.parametrize("n,density,seed", CASES)
@@ -113,6 +116,18 @@ def test_rref_against_gauss_jordan_on_fractions(n, density, seed):
             [field_mul(n, d, x) for x in r] for d, r in zip(scales, expected)]
 
 
+@pytest.mark.parametrize("n,density,seed", [case for case in CASES if case[0] <= 2])
+def test_rref_over_q_keeps_the_values_of_the_cyclotomic_elimination(n, density, seed):
+    # lifted to conductor 8, the same rows are eliminated by Cyclotomic
+    # products; the integer rows give the same values, pivot values
+    # included, and the same kernel vectors
+    rng = random.Random(3000 * n + seed + int(10 * density))
+    rows = random_matrix(rng, n, 3, 5, density)
+    lifted = [[v.lift(8) for v in row] for row in rows]
+    assert rref(rows) == rref(lifted)
+    assert nullspace(rows) == nullspace(lifted)
+
+
 @pytest.mark.parametrize("n,density,seed", CASES)
 def test_nullspace_vectors_are_killed(n, density, seed):
     rng = random.Random(2000 * n + seed + int(10 * density))
@@ -128,7 +143,7 @@ def test_nullspace_vectors_are_killed(n, density, seed):
             assert not any(total)
 
 
-@pytest.mark.parametrize("n", [8, 60])
+@pytest.mark.parametrize("n", [1, 2, 8, 60])
 def test_solve_consistent_and_inconsistent(n):
     rng = random.Random(n)
     rows = random_matrix(rng, n, 3, 4, 1.0)
@@ -140,3 +155,24 @@ def test_solve_consistent_and_inconsistent(n):
     # the last row is rows[0] + c*rows[1], so its right-hand side must follow
     bad = rhs[:-1] + [rhs[-1] + Cyclotomic.zeta(n)]
     assert solve(rows, bad) is None
+
+
+def test_rational_nullspace_takes_no_cyclotomic_product(monkeypatch, planted_model):
+    # the kernel map's matrix at the planted point: over Q the elimination
+    # and the kernel vectors are taken in Python ints, and each entry is
+    # built once, with no Cyclotomic product
+    m, point = planted_model
+    pencil = mat_transpose(combine([point], _nonzero_entries(m.matrices), (4, 4))[0])
+    calls = []
+    for name in ("__mul__", "__rmul__", "__sub__"):
+        method = getattr(Cyclotomic, name)
+
+        def counted(self, other, method=method, name=name):
+            calls.append(name)
+            return method(self, other)
+        monkeypatch.setattr(Cyclotomic, name, counted)
+    basis = nullspace(pencil)
+    monkeypatch.undo()
+    assert calls == []
+    assert len(basis) == 1
+    assert all(not sum((a * x for a, x in zip(row, basis[0])), cyc(0)) for row in pencil)
